@@ -358,6 +358,19 @@ impl ManyFlowReport {
                     st.tx_backlog_high_water,
                     st.timer_wheel_high_water,
                 );
+                // Wall-clock loop telemetry: how the idle waits ended and how
+                // late timers were delivered.
+                let _ = writeln!(
+                    s,
+                    "  mux {side} loop: {} waits ({} readable / {} deadline / {} slice), timer lag mean {:.1} us / max {:.1} us over {} fires",
+                    st.waits,
+                    st.wakes_readable,
+                    st.wakes_deadline,
+                    st.wakes_slice,
+                    st.timer_lag_sum_ns as f64 / 1e3 / st.timers_fired.max(1) as f64,
+                    st.timer_lag_max_ns as f64 / 1e3,
+                    st.timers_fired,
+                );
                 // Controller counters only exist when a window/model
                 // controller (CUBIC, BBR-lite) ran; TFRC-family runs keep
                 // the legacy report shape.

@@ -679,7 +679,7 @@ pub fn deadline_sweep(losses: &[f64]) -> Table {
 /// end-to-end path: stream → mux framing → UDP → accept → stream.
 pub fn scenarios_mux() -> std::io::Result<Table> {
     use qtp_core::session::Session;
-    use qtp_io::{accept_sessions, drive_mux_pair, MuxDriver};
+    use qtp_io::{accept_sessions, drive_mux_pair, step_mux_pair, MuxDriver};
     use std::time::Instant;
 
     let mut t = Table::new(
@@ -758,8 +758,7 @@ pub fn scenarios_mux() -> std::io::Result<Table> {
     // `drive_mux_pair`'s read-only closure cannot express.
     let slice = Duration::from_micros(300);
     while rts_ms.len() < EXCHANGES && t0.elapsed() < Duration::from_secs(60) {
-        client.drive_once(slice)?;
-        server.drive_once(slice)?;
+        step_mux_pair(&mut client, &mut server, slice)?;
         // Server: accept the request connection, then open the response
         // connection back to the client (who accepts it from the template).
         if req_rx.is_none() {

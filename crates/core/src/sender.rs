@@ -130,6 +130,9 @@ pub struct QtpSender {
     adu_ts: BTreeMap<u64, SimTime>,
     /// Timer generations per token kind.
     gens: TimerGens<4>,
+    /// When the armed pace tick is due — the anchor of the pacing schedule
+    /// (see [`QtpSender::on_pace`]).
+    pace_due: SimTime,
     /// Last time a FWD was emitted (rate-limited to once per RTT).
     last_fwd: SimTime,
     /// Latest receive-rate report (for estimator synthesis).
@@ -164,6 +167,11 @@ struct StreamChunk {
 /// FIN retransmission attempts before closing unilaterally.
 const FIN_MAX_RETRIES: u32 = 8;
 
+/// Most schedule lateness the pace timer repays with back-to-back ticks;
+/// a longer stall is forgiven, so catch-up never exceeds 1 ms worth of
+/// packets (about 24 at 200 Mbit/s, well inside a default socket buffer).
+const DEBT_CAP: Duration = Duration::from_millis(1);
+
 impl QtpSender {
     pub fn new(flow: FlowId, receiver_node: NodeId, cfg: QtpSenderConfig, probe: Probe) -> Self {
         let policy = qtp_sack::ReliabilityPolicy::new(cfg.offered.reliability);
@@ -184,6 +192,7 @@ impl QtpSender {
             sent_new: 0,
             adu_ts: BTreeMap::new(),
             gens: TimerGens::new(),
+            pace_due: SimTime::ZERO,
             last_fwd: SimTime::ZERO,
             last_x_recv: 0.0,
             probe,
@@ -263,6 +272,11 @@ impl QtpSender {
         );
     }
 
+    fn arm_pace(&mut self, out: &mut Outbox, at: SimTime) {
+        self.pace_due = at;
+        self.arm(out, TK_PACE, at);
+    }
+
     // ---- handshake ----------------------------------------------------
 
     fn send_syn(&mut self, out: &mut Outbox) {
@@ -316,7 +330,7 @@ impl QtpSender {
         if let AppModel::Cbr { .. } = self.cfg.app {
             self.arm(out, TK_APP, out.now);
         }
-        self.arm(out, TK_PACE, out.now);
+        self.arm_pace(out, out.now);
         let nofb = self.cc.as_ref().unwrap().nofeedback_deadline();
         self.arm(out, TK_NOFB, nofb);
     }
@@ -467,8 +481,9 @@ impl QtpSender {
     }
 
     /// Stream-mode transmission: retransmit retained chunks first, then
-    /// packetise new bytes from the send buffer.
-    fn send_one_stream(&mut self, out: &mut Outbox) {
+    /// packetise new bytes from the send buffer. Returns whether a data
+    /// packet went out.
+    fn send_one_stream(&mut self, out: &mut Outbox) -> bool {
         while let Some(seq) = self.sb.next_lost() {
             let retx_count = self.sb.retx_count(seq);
             let decision = self.policy.on_loss(seq, out.now, retx_count);
@@ -476,7 +491,7 @@ impl QtpSender {
                 if let Some(chunk) = self.chunks.get(&seq).cloned() {
                     self.sb.register_retransmit(seq, out.now);
                     self.send_stream_data(out, seq, &chunk, true);
-                    return;
+                    return true;
                 }
             }
             self.sb.abandon(seq);
@@ -487,7 +502,7 @@ impl QtpSender {
         }
         let max = (self.cfg.s as usize).min(MAX_STREAM_PAYLOAD);
         let Some((bytes, ttl_micros)) = self.stream.as_mut().unwrap().next_chunk(max) else {
-            return;
+            return false;
         };
         let seq = self.sb.register_send(out.now);
         self.sent_new += 1;
@@ -505,14 +520,15 @@ impl QtpSender {
         if reliability.map(|r| r.retransmits()).unwrap_or(false) {
             self.chunks.insert(seq, chunk);
         }
+        true
     }
 
     /// Transmit one packet if anything is eligible: retransmissions first
-    /// (policy permitting), then new data.
-    fn send_one(&mut self, out: &mut Outbox) {
+    /// (policy permitting), then new data. Returns whether a data packet
+    /// went out.
+    fn send_one(&mut self, out: &mut Outbox) -> bool {
         if self.stream.is_some() {
-            self.send_one_stream(out);
-            return;
+            return self.send_one_stream(out);
         }
         self.drop_stale_backlog(out.now);
         // Retransmissions have priority under reliable modes.
@@ -523,7 +539,7 @@ impl QtpSender {
                 let adu_ts = self.adu_ts.get(&seq).copied().unwrap_or(out.now);
                 self.sb.register_retransmit(seq, out.now);
                 self.send_data(out, seq, adu_ts, true);
-                return;
+                return true;
             }
             // Abandoned: drop from the retransmission queue and keep going.
             self.sb.abandon(seq);
@@ -544,7 +560,9 @@ impl QtpSender {
                 self.adu_ts.insert(seq, submit);
             }
             self.send_data(out, seq, submit, false);
+            return true;
         }
+        false
     }
 
     /// Emit a FWD if the policy abandoned data the receiver is waiting for.
@@ -575,6 +593,26 @@ impl QtpSender {
         );
     }
 
+    /// One pace tick: send at most one data packet, then re-arm.
+    ///
+    /// **The pacing rule is anchored on when the tick was due, not on when
+    /// it ran.** A tick that sent a data packet re-arms at
+    /// `max(due + interval, now − DEBT_CAP)`: over a real socket the event
+    /// loop delivers ticks late (scheduler wake-up slack, time spent on
+    /// other connections), and re-arming at `now + interval` would turn
+    /// every microsecond of that lateness into rate lost for good — the
+    /// gTFRC floor `g` would be a ceiling the host never reaches. Anchored
+    /// on `due`, a late tick leaves the next one due sooner, possibly at
+    /// once, so the lateness is repaid one packet per tick; lateness beyond
+    /// [`DEBT_CAP`] is forgiven, which bounds the catch-up after a stall. A
+    /// tick that sent nothing (no data, window closed) re-arms at
+    /// `now + interval`: idle time earns no credit to burst with later.
+    ///
+    /// **Virtual-clock identity.** The simulator and the poll-style
+    /// harnesses fire a timer at its deadline, so `due == now` on every
+    /// tick there, `due + interval > now − DEBT_CAP`, and both branches
+    /// reduce to `now + interval` — the schedule, and with it every golden
+    /// and every count, is bit-for-bit what it was before the anchor.
     fn on_pace(&mut self, out: &mut Outbox) {
         if self.state != State::Running || self.closed {
             return; // closed: let the timer lapse without re-arming
@@ -588,9 +626,7 @@ impl QtpSender {
             Some(limit) => self.sb.in_flight() * u64::from(self.cfg.s) < limit,
             None => true,
         };
-        if window_open {
-            self.send_one(out);
-        }
+        let sent = window_open && self.send_one(out);
         self.maybe_send_forward(out);
         self.maybe_send_fin(out);
         if self.closed {
@@ -599,7 +635,12 @@ impl QtpSender {
         let interval = self.cc.as_ref().unwrap().send_interval();
         // Clamp pathological intervals so the event loop stays healthy.
         let interval = interval.clamp(Duration::from_micros(10), Duration::from_secs(2));
-        self.arm(out, TK_PACE, out.now + interval);
+        let next = if sent {
+            (self.pace_due + interval).max(out.now - DEBT_CAP)
+        } else {
+            out.now + interval
+        };
+        self.arm_pace(out, next);
     }
 
     // ---- wire-level close ---------------------------------------------
@@ -969,6 +1010,242 @@ impl Endpoint for QtpSender {
                     kind: (token & 3) as u8,
                 },
             ),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::caps::CcKind;
+    use crate::driver::Command;
+
+    /// A sender on a hand-driven clock: the test decides when each armed
+    /// timer is delivered, which a simulator (always on time) cannot.
+    struct Rig {
+        tx: QtpSender,
+        out: Outbox,
+        /// Armed timers, `(deadline, token)`, unordered.
+        timers: Vec<(SimTime, u64)>,
+    }
+
+    /// What one delivered pace tick did.
+    struct Tick {
+        /// Data packets it put on the wire (0 or 1).
+        sent: usize,
+        /// When it was due, and what it re-armed the pace timer for.
+        due: SimTime,
+        next: SimTime,
+    }
+
+    impl Rig {
+        /// A sender past its handshake (RTT sample 1 ms), pace timer armed.
+        fn connected(cfg: QtpSenderConfig) -> Rig {
+            let chosen = cfg.offered;
+            let mut rig = Rig {
+                tx: QtpSender::new(0, 1, cfg, Probe::new()),
+                out: Outbox::new(),
+                timers: Vec::new(),
+            };
+            rig.tx.on_start(&mut rig.out);
+            rig.drain();
+            rig.out.now = SimTime::from_millis(1);
+            let synack = QtpPacket::SynAck {
+                ts_echo_nanos: 0,
+                chosen,
+            };
+            rig.tx.handle_datagram(&mut rig.out, 64, &synack.encode());
+            rig.drain();
+            rig
+        }
+
+        fn af(rate: Rate) -> Rig {
+            let mut cfg = QtpSenderConfig::new(CapabilitySet::qtp_af(rate));
+            cfg.app = AppModel::Greedy;
+            Rig::connected(cfg)
+        }
+
+        fn now(&self) -> SimTime {
+            self.out.now
+        }
+
+        /// The pace interval in force, clamped as `on_pace` clamps it.
+        fn interval(&self) -> Duration {
+            let cc = self.tx.cc.as_ref().expect("connected");
+            cc.send_interval()
+                .clamp(Duration::from_micros(10), Duration::from_secs(2))
+        }
+
+        /// Apply the outbox: remember timers, count data packets sent.
+        fn drain(&mut self) -> usize {
+            let mut data = 0;
+            while let Some(cmd) = self.out.poll_cmd() {
+                match cmd {
+                    Command::SetTimer { at, token } => self.timers.push((at, token)),
+                    Command::Transmit(t) => {
+                        if matches!(
+                            QtpPacket::decode(&t.header),
+                            Ok(QtpPacket::Data { .. } | QtpPacket::StreamData { .. })
+                        ) {
+                            data += 1;
+                        }
+                    }
+                    Command::Deliver { .. } => {}
+                }
+            }
+            data
+        }
+
+        /// Deadline of the live pace timer.
+        fn pace_deadline(&self) -> SimTime {
+            self.tx.pace_due
+        }
+
+        /// Deliver the live pace tick at `at` (never before it is due).
+        fn tick_at(&mut self, at: SimTime) -> Tick {
+            let due = self.pace_deadline();
+            assert!(at >= due, "a timer never fires early");
+            let i = self
+                .timers
+                .iter()
+                .position(|(t, token)| *t == due && self.tx.gens.live(*token) == Some(TK_PACE))
+                .expect("a live pace timer is armed");
+            let (_, token) = self.timers.swap_remove(i);
+            self.out.now = at;
+            self.tx.on_timer(&mut self.out, token);
+            let sent = self.drain();
+            Tick {
+                sent,
+                due,
+                next: self.pace_deadline(),
+            }
+        }
+
+        /// Deliver the live pace tick the way a real event loop does: a tick
+        /// still in the future is slept for and overshot by `late`; one
+        /// already due fires on the next pass, 1 µs on.
+        fn tick_late(&mut self, late: Duration) -> Tick {
+            let due = self.pace_deadline();
+            let at = if due > self.now() {
+                due + late
+            } else {
+                self.now() + Duration::from_micros(1)
+            };
+            self.tick_at(at)
+        }
+    }
+
+    /// A wake-up overshoot, uniform in 0–200 µs.
+    fn overshoot(rng: &mut DetRng) -> Duration {
+        Duration::from_nanos(rng.below(200_001))
+    }
+
+    #[test]
+    fn late_ticks_still_emit_the_scheduled_packet_count() {
+        // The benchmark's shape: a 200 Mbit/s floor is a ~42 µs interval,
+        // and every sleep overshoots by up to 200 µs — several intervals.
+        let mut rig = Rig::af(Rate::from_mbps(200));
+        let mut rng = DetRng::new(42);
+        let interval = rig.interval();
+        let t0 = rig.pace_deadline();
+        let horizon = t0 + Duration::from_millis(100);
+        let mut sent = 0usize;
+        // Run past the horizon, then on until the schedule is caught up, so
+        // the count is compared at an instant no tick is owed.
+        while rig.now() < horizon || rig.pace_deadline() <= rig.now() {
+            sent += rig.tick_late(overshoot(&mut rng)).sent;
+        }
+        let elapsed = rig.now().saturating_since(t0);
+        let scheduled = elapsed.as_nanos() as f64 / interval.as_nanos() as f64;
+        assert!(
+            (sent as f64 - scheduled).abs() <= 1.0,
+            "{sent} packets in {elapsed:?} at one per {interval:?} (schedule: {scheduled:.1})"
+        );
+    }
+
+    #[test]
+    fn a_long_stall_is_repaid_up_to_the_debt_cap_only() {
+        let mut rig = Rig::af(Rate::from_mbps(200));
+        let interval = rig.interval();
+        for _ in 0..100 {
+            rig.tick_late(Duration::ZERO);
+        }
+        // The loop stalls for 50 ms (a descheduled process), then resumes.
+        let stalled = rig.tick_late(Duration::from_millis(50));
+        assert_eq!(stalled.sent, 1);
+        // Count the catch-up ticks it leaves already due, fired with the
+        // clock standing still (the worst case: no time passes to owe more).
+        let mut back_to_back = 0;
+        while rig.pace_deadline() <= rig.now() {
+            back_to_back += rig.tick_at(rig.now()).sent;
+        }
+        let cap = (DEBT_CAP.as_nanos() / interval.as_nanos()) as usize + 1;
+        assert!(
+            back_to_back <= cap,
+            "{back_to_back} back-to-back ticks after the stall, cap {cap}"
+        );
+        // The cap bites: 50 ms of debt would have been ~1190 ticks.
+        assert!(back_to_back >= cap - 1, "only {back_to_back} of {cap}");
+    }
+
+    /// Ticks that send nothing re-arm a full interval after they ran, however
+    /// late they ran — so the first tick with something to send is not
+    /// followed by a burst.
+    fn assert_idle_ticks_earn_no_credit(rig: &mut Rig) {
+        let mut rng = DetRng::new(7);
+        for _ in 0..200 {
+            let tick = rig.tick_late(overshoot(&mut rng));
+            assert_eq!(tick.sent, 0);
+            assert_eq!(tick.next, rig.now() + rig.interval());
+        }
+    }
+
+    #[test]
+    fn an_empty_stream_accumulates_no_credit() {
+        let mut cfg = QtpSenderConfig::new(CapabilitySet::qtp_af(Rate::from_mbps(200)));
+        cfg.stream = Some(StreamConfig::with_send_buf(64 * 1024));
+        let mut rig = Rig::connected(cfg);
+        assert_idle_ticks_earn_no_credit(&mut rig);
+        // Data arrives: the tick that sends it anchors the schedule on its
+        // own deadline, so only its own lateness is repaid — nothing from
+        // the 200 late idle ticks before it.
+        let stream = rig.tx.send_stream().expect("stream configured");
+        stream.send(&[7u8; 4000]).expect("fits the send buffer");
+        let tick = rig.tick_late(Duration::from_micros(150));
+        assert_eq!(tick.sent, 1);
+        assert_eq!(tick.next, tick.due + rig.interval());
+    }
+
+    #[test]
+    fn a_closed_cubic_window_accumulates_no_credit() {
+        let mut cfg = QtpSenderConfig::new(CapabilitySet {
+            cc: CcKind::Cubic,
+            ..CapabilitySet::qtp_af(Rate::from_mbps(1))
+        });
+        cfg.app = AppModel::Greedy;
+        let mut rig = Rig::connected(cfg);
+        // No feedback ever arrives, so the initial window fills and shuts.
+        let mut opened = 0;
+        while rig.tick_late(Duration::ZERO).sent == 1 {
+            opened += 1;
+            assert!(opened < 10_000, "the window never closed");
+        }
+        assert_idle_ticks_earn_no_credit(&mut rig);
+    }
+
+    #[test]
+    fn on_time_ticks_follow_the_old_now_plus_interval_rule() {
+        let greedy = Rig::af(Rate::from_mbps(200));
+        let mut idle_cfg = QtpSenderConfig::new(CapabilitySet::qtp_af(Rate::from_mbps(200)));
+        idle_cfg.stream = Some(StreamConfig::with_send_buf(64 * 1024));
+        for mut rig in [greedy, Rig::connected(idle_cfg)] {
+            for _ in 0..500 {
+                let due = rig.pace_deadline();
+                let tick = rig.tick_at(due);
+                // The arithmetic this file used before the anchor, whether
+                // or not the tick sent: `now + clamp(interval)`.
+                assert_eq!(tick.next, rig.now() + rig.interval());
+            }
         }
     }
 }

@@ -249,21 +249,27 @@ impl<E: Endpoint> UdpDriver<E> {
 
     /// Deliver every timer whose deadline has passed. Stale generations are
     /// delivered too — filtering them is the endpoint's job, matching the
-    /// simulator's fire-and-forget contract.
+    /// simulator's fire-and-forget contract. Like the mux's wheel, only
+    /// timers armed before this call fire in it: one armed already-due by a
+    /// callback (a sender's catch-up pace tick) waits for the next
+    /// iteration, after the peer had its turn to receive.
     fn fire_due_timers(&mut self) -> io::Result<()> {
-        loop {
-            let now = self.clock.now();
-            match self.timers.peek() {
-                Some(Reverse((at, _, _))) if *at <= now => {
-                    let Reverse((_, _, token)) = self.timers.pop().unwrap();
-                    self.stats.timers_fired += 1;
-                    self.out.now = now;
-                    self.ep.on_timer(&mut self.out, token);
-                    self.flush()?;
-                }
-                _ => return Ok(()),
+        let now = self.clock.now();
+        let mut due = Vec::new();
+        while let Some(Reverse((at, _, token))) = self.timers.peek() {
+            if *at > now {
+                break;
             }
+            due.push(*token);
+            self.timers.pop();
         }
+        for token in due {
+            self.stats.timers_fired += 1;
+            self.out.now = self.clock.now();
+            self.ep.on_timer(&mut self.out, token);
+            self.flush()?;
+        }
+        Ok(())
     }
 
     /// Apply the endpoint's buffered commands, in order.

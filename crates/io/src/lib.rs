@@ -21,9 +21,17 @@
 //! * [`mux`] — [`MuxDriver`], the connection multiplexer: one non-blocking
 //!   socket carrying many concurrent endpoints, routed by
 //!   `(peer, flow id)`, with a per-connection [`TimerWheel`],
-//!   accept-on-first-frame, teardown and stale-flow reaping.
+//!   accept-on-first-frame, teardown and stale-flow reaping. Its loop
+//!   waits for readiness, not for time: an idle iteration blocks until the
+//!   socket is ready or the next timer is due ([`step_mux_pair`] does so
+//!   for both muxes of a one-thread rig at once).
 //!
-//! Zero runtime dependencies beyond `std`, by workspace policy.
+//! Zero runtime dependencies beyond `std`, by workspace policy. The
+//! readiness wait is therefore an in-tree `ppoll(2)` binding (private
+//! `wait` module) rather than a `libc`/`mio` dependency; it contains the
+//! first and only `unsafe` block in this crate — one foreign call whose
+//! argument layouts are pinned by compile-time size assertions. Targets
+//! other than 64-bit Linux sleep inside the same function instead.
 //!
 //! ## Example
 //!
@@ -60,6 +68,7 @@ pub mod clock;
 pub mod driver;
 pub mod frame;
 pub mod mux;
+mod wait;
 
 pub use accept::{accept_sessions, AcceptEvent, AcceptQueue};
 pub use backend::{MuxBackend, UdpBackend};
@@ -67,5 +76,6 @@ pub use clock::WallClock;
 pub use driver::{drive_pair, DriverStats, UdpDriver};
 pub use frame::{Frame, FrameError};
 pub use mux::{
-    drive_mux_pair, Accepted, ConnId, ConnStats, MuxConfig, MuxDriver, MuxStats, TimerWheel,
+    drive_mux_pair, step_mux_pair, Accepted, ConnId, ConnStats, MuxConfig, MuxDriver, MuxStats,
+    TimerWheel,
 };

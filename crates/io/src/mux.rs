@@ -7,16 +7,26 @@
 //! `(peer_addr, flow_id)`, QUIC-style:
 //!
 //! ```text
-//! loop {                                  // MuxDriver::drive_once
-//!     flush backlogged sends              // WouldBlock retries
-//!     advance timer wheel, fire due       // endpoint.on_timer per conn
-//!     while socket ready (level-trig.):   // set_nonblocking(true)
-//!         recv; decode frame
-//!         route (peer, frame.flow) -> conn, else acceptor -> new conn
-//!         endpoint.handle_datagram; drain outbox
-//!     if nothing happened: sleep min(slice, next deadline)
+//! loop {                                  // drive_mux_pair / drive_once
+//!     step:                               // never blocks
+//!         flush backlogged sends          // WouldBlock retries
+//!         advance timer wheel, fire due   // endpoint.on_timer per conn
+//!         while socket ready (level-trig.):   // set_nonblocking(true)
+//!             recv; decode frame
+//!             route (peer, frame.flow) -> conn, else acceptor -> new conn
+//!             endpoint.handle_datagram; drain outbox
+//!     if the step did nothing:            // for a pair: if both did nothing
+//!         wait until the socket is readable (writable too while sends are
+//!         backlogged), or the next timer deadline, or the slice
 //! }
 //! ```
+//!
+//! The wait is `ppoll(2)` on the socket — both sockets, for the two muxes
+//! of a [`step_mux_pair`] rig — so the loop wakes for whichever comes
+//! first, a datagram or a timer, and is never asleep through either. A
+//! wake-up still lands a scheduler's slack after its deadline; the sender's
+//! due-anchored pace timer (`qtp_core`'s `sender.rs`) repays that, and
+//! [`MuxStats`] records it (`timer_lag_*`, `wakes_*`).
 //!
 //! * **Routing** — every connection registers the flow ids it owns with its
 //!   peer address (a QTP connection owns two: data + feedback). The route
@@ -50,6 +60,7 @@ use std::time::Duration;
 
 use crate::clock::WallClock;
 use crate::frame::{Frame, MAX_FRAME_LEN};
+use crate::wait::wait;
 
 /// Identifier of one multiplexed connection, unique for the lifetime of a
 /// [`MuxDriver`] (ids are never reused after [`MuxDriver::close`]).
@@ -115,7 +126,10 @@ pub struct TimerWheel {
     cursor: u64,
     next_seq: u64,
     armed: usize,
-    /// Cached earliest deadline, so the idle path reads the sleep bound
+    /// Scratch for the entries one advance drains, kept so that firing
+    /// timers allocates nothing once it has grown to the working size.
+    due: Vec<TimerEntry>,
+    /// Cached earliest deadline, so the idle path reads the wait bound
     /// without scanning every slot. Entry removal (advance/cancel) only
     /// marks it dirty; [`TimerWheel::next_deadline`] recomputes lazily —
     /// and the driver consults it only on idle iterations, where nothing
@@ -135,6 +149,7 @@ impl TimerWheel {
             cursor: 0,
             next_seq: 0,
             armed: 0,
+            due: Vec::new(),
             earliest: std::cell::Cell::new(None),
             earliest_dirty: std::cell::Cell::new(false),
         }
@@ -174,8 +189,21 @@ impl TimerWheel {
     /// Drain every entry due at `now`, ordered by `(deadline, arming
     /// order)`, and move the cursor up to `now`'s tick.
     pub fn advance(&mut self, now: SimTime) -> Vec<(ConnId, u64)> {
+        self.collect_due(now);
+        self.due.drain(..).map(|e| (e.conn, e.token)).collect()
+    }
+
+    /// [`TimerWheel::advance`] into a caller-owned buffer, each entry with
+    /// the deadline it was armed for (the driver's timer-lag measure).
+    pub(crate) fn advance_into(&mut self, now: SimTime, fired: &mut Vec<(SimTime, ConnId, u64)>) {
+        self.collect_due(now);
+        fired.extend(self.due.drain(..).map(|e| (e.at, e.conn, e.token)));
+    }
+
+    /// Move every entry due at `now` into `self.due`, in fire order.
+    fn collect_due(&mut self, now: SimTime) {
         let now_tick = self.tick_of(now).max(self.cursor);
-        let mut due: Vec<TimerEntry> = Vec::new();
+        let mut due = std::mem::take(&mut self.due);
 
         // Overflow: fire what is due outright, refile what has entered the
         // coming revolution, keep the rest parked.
@@ -210,15 +238,15 @@ impl TimerWheel {
         }
         self.cursor = now_tick;
 
-        due.sort_by_key(|e| (e.at, e.seq));
+        due.sort_unstable_by_key(|e| (e.at, e.seq));
         self.armed -= due.len();
         if !due.is_empty() {
             self.earliest_dirty.set(true);
         }
-        due.into_iter().map(|e| (e.conn, e.token)).collect()
+        self.due = due;
     }
 
-    /// Earliest armed deadline, if any (the idle-sleep bound). O(1) while
+    /// Earliest armed deadline, if any (the idle-wait bound). O(1) while
     /// the cache is clean; one slot scan right after entries were removed.
     pub fn next_deadline(&self) -> Option<SimTime> {
         if self.earliest_dirty.get() {
@@ -339,6 +367,20 @@ pub struct MuxStats {
     /// Most timer entries armed in the wheel at once (stale generations
     /// included): the timer-state footprint of the whole mux.
     pub timer_wheel_high_water: u64,
+    /// Idle waits entered. A [`step_mux_pair`] wait covers both muxes and
+    /// counts, with its wake reason, on both.
+    pub waits: u64,
+    /// Waits ended by a socket becoming ready.
+    pub wakes_readable: u64,
+    /// Waits that ran to the nearest timer deadline.
+    pub wakes_deadline: u64,
+    /// Waits that ran to the caller's slice, no timer being nearer.
+    pub wakes_slice: u64,
+    /// Total lateness of delivered timers (`now − deadline` when fired),
+    /// over [`MuxStats::timers_fired`] deliveries.
+    pub timer_lag_sum_ns: u64,
+    /// Latest any one timer was delivered.
+    pub timer_lag_max_ns: u64,
 }
 
 impl MuxStats {
@@ -388,6 +430,8 @@ pub struct MuxDriver<E: Endpoint> {
     /// behind it so the datagram stream never reorders.
     tx_backlog: VecDeque<(ConnId, SocketAddr, Vec<u8>)>,
     recv_buf: Vec<u8>,
+    /// Scratch for the timers one `fire_due_timers` call delivers.
+    fired: Vec<(SimTime, ConnId, u64)>,
     stats: MuxStats,
 }
 
@@ -414,6 +458,7 @@ impl<E: Endpoint> MuxDriver<E> {
             next_seq: 0,
             tx_backlog: VecDeque::new(),
             recv_buf: vec![0; MAX_FRAME_LEN + 1],
+            fired: Vec::new(),
             stats: MuxStats::default(),
         })
     }
@@ -565,14 +610,27 @@ impl<E: Endpoint> MuxDriver<E> {
         self.wheel.len()
     }
 
-    /// One iteration of the readiness loop: retry backlogged sends, fire
-    /// due timers, then drain the socket level-triggered (up to the batch
-    /// bound). Sleeps at most `slice` only when the socket was quiet and
-    /// no timer fired — any received datagram counts as activity, routed
-    /// or not, so a garbage flood cannot put the loop to sleep while real
-    /// traffic queues behind it. Returns the number of datagrams
-    /// dispatched to endpoints.
+    /// One iteration of the readiness loop: a non-blocking step (retry
+    /// backlogged sends, fire due timers, drain the socket), then — only if
+    /// that found nothing to do — one readiness wait on the socket, bounded
+    /// by `slice` and the next timer deadline. Any received datagram counts
+    /// as activity, routed or not, so a garbage flood cannot put the loop
+    /// to sleep while real traffic queues behind it. Returns the number of
+    /// datagrams dispatched to endpoints.
     pub fn drive_once(&mut self, slice: Duration) -> io::Result<usize> {
+        let (handled, idle) = self.step()?;
+        if idle {
+            let wake = idle_wait([self.interest()], self.until_deadline(), slice)?;
+            self.note_wake(wake);
+        }
+        Ok(handled)
+    }
+
+    /// The non-blocking part of an iteration: retry backlogged sends, fire
+    /// due timers, then drain the socket level-triggered (up to the batch
+    /// bound). Returns the datagrams dispatched to endpoints, and whether
+    /// the iteration was idle (nothing received, no timer fired).
+    fn step(&mut self) -> io::Result<(usize, bool)> {
         self.flush_backlog()?;
         let fired = self.fire_due_timers()?;
 
@@ -606,23 +664,30 @@ impl<E: Endpoint> MuxDriver<E> {
                 Err(e) => return Err(e),
             }
         }
+        Ok((handled, received == 0 && fired == 0))
+    }
 
-        if received == 0 && fired == 0 {
-            // A pending send backlog still bounds the nap: retrying only
-            // needs the peer to have drained a little, so come back soon
-            // rather than busy-spinning or oversleeping.
-            let mut wait = match self.wheel.next_deadline() {
-                Some(at) => at.saturating_since(self.clock.now()).min(slice),
-                None => slice,
-            };
-            if !self.tx_backlog.is_empty() {
-                wait = wait.min(Duration::from_micros(100));
-            }
-            if wait > Duration::ZERO {
-                std::thread::sleep(wait);
-            }
+    /// What an idle wait watches: the socket for reading, and for writing
+    /// too while sends are backlogged (the retry needs buffer space, which
+    /// is exactly what `POLLOUT` reports).
+    fn interest(&self) -> (&UdpSocket, bool) {
+        (&self.socket, !self.tx_backlog.is_empty())
+    }
+
+    /// Time left until the earliest armed timer, zero if already due.
+    fn until_deadline(&self) -> Option<Duration> {
+        let at = self.wheel.next_deadline()?;
+        Some(at.saturating_since(self.clock.now()))
+    }
+
+    fn note_wake(&mut self, wake: Option<Wake>) {
+        let Some(wake) = wake else { return };
+        self.stats.waits += 1;
+        match wake {
+            Wake::Readable => self.stats.wakes_readable += 1,
+            Wake::Deadline => self.stats.wakes_deadline += 1,
+            Wake::Slice => self.stats.wakes_slice += 1,
         }
-        Ok(handled)
     }
 
     /// Route one already-received datagram, exactly as the recv loop does —
@@ -694,16 +759,25 @@ impl<E: Endpoint> MuxDriver<E> {
     ///
     /// [`TimerGens`]: qtp_core::TimerGens
     fn fire_due_timers(&mut self) -> io::Result<usize> {
-        let due = self.wheel.advance(self.clock.now());
+        let now = self.clock.now();
+        // Taken out for the loop: the callbacks arm new timers in the wheel.
+        let mut due = std::mem::take(&mut self.fired);
+        self.wheel.advance_into(now, &mut due);
         let mut fired = 0usize;
-        for (id, token) in due {
+        for &(at, id, token) in &due {
             if !self.conns.contains_key(&id) {
                 continue;
             }
+            let lag = now.saturating_since(at).as_nanos() as u64;
             self.stats.timers_fired += 1;
+            self.stats.timer_lag_sum_ns += lag;
+            self.stats.timer_lag_max_ns = self.stats.timer_lag_max_ns.max(lag);
             fired += 1;
+            // A socket error ends the loop; the scratch is simply regrown.
             self.drive_endpoint(id, |ep, out| ep.on_timer(out, token))?;
         }
+        due.clear();
+        self.fired = due;
         Ok(fired)
     }
 
@@ -842,9 +916,73 @@ impl<E: Endpoint> MuxDriver<E> {
     }
 }
 
-/// Drive the two muxes of a test/example rig in one thread, alternating
-/// short [`MuxDriver::drive_once`] slices until `done` or `deadline`.
-/// Socket errors surface immediately, annotated by side (argument order).
+/// How an idle wait ended.
+#[derive(Clone, Copy)]
+enum Wake {
+    /// A socket became ready.
+    Readable,
+    /// It ran to the nearest timer deadline.
+    Deadline,
+    /// It ran to the caller's slice, no timer being nearer.
+    Slice,
+}
+
+/// The loop's only blocking point: wait until one of `socks` is ready, for
+/// at most the nearer of `until` (time left to the next timer deadline) and
+/// `slice`. `None` if that leaves no time to wait at all.
+fn idle_wait<const N: usize>(
+    socks: [(&UdpSocket, bool); N],
+    until: Option<Duration>,
+    slice: Duration,
+) -> io::Result<Option<Wake>> {
+    let timeout = until.map_or(slice, |d| d.min(slice));
+    let deadline_bound = until.is_some_and(|d| d <= slice);
+    if timeout.is_zero() {
+        return Ok(None);
+    }
+    Ok(Some(if wait(socks, timeout)? {
+        Wake::Readable
+    } else if deadline_bound {
+        Wake::Deadline
+    } else {
+        Wake::Slice
+    }))
+}
+
+/// One iteration of a two-mux rig driven in one thread: a non-blocking step
+/// on each side and then, only if both found nothing to do, **one** wait on
+/// both sockets until either is ready, the nearer of the two wheels'
+/// deadlines, or `slice` — so neither side naps while the other's timer is
+/// due. Returns the datagrams dispatched; socket errors surface
+/// immediately, annotated by side (argument order).
+pub fn step_mux_pair<A: Endpoint, B: Endpoint>(
+    a: &mut MuxDriver<A>,
+    b: &mut MuxDriver<B>,
+    slice: Duration,
+) -> io::Result<usize> {
+    let (handled_a, idle_a) = a
+        .step()
+        .map_err(|e| crate::driver::annotate_side("a side", e))?;
+    let (handled_b, idle_b) = b
+        .step()
+        .map_err(|e| crate::driver::annotate_side("b side", e))?;
+    if idle_a && idle_b {
+        // The two muxes keep separate clocks, so compare time left.
+        let until = match (a.until_deadline(), b.until_deadline()) {
+            (Some(x), Some(y)) => Some(x.min(y)),
+            (x, y) => x.or(y),
+        };
+        let wake = idle_wait([a.interest(), b.interest()], until, slice)?;
+        // One wait covered both muxes: each records it.
+        a.note_wake(wake);
+        b.note_wake(wake);
+    }
+    Ok(handled_a + handled_b)
+}
+
+/// Drive the two muxes of a test/example rig in one thread, one
+/// [`step_mux_pair`] at a time, until `done` or `deadline`. Socket errors
+/// surface immediately, annotated by side (argument order).
 pub fn drive_mux_pair<A: Endpoint, B: Endpoint>(
     a: &mut MuxDriver<A>,
     b: &mut MuxDriver<B>,
@@ -854,10 +992,7 @@ pub fn drive_mux_pair<A: Endpoint, B: Endpoint>(
     const SLICE: Duration = Duration::from_micros(300);
     let start = std::time::Instant::now();
     loop {
-        a.drive_once(SLICE)
-            .map_err(|e| crate::driver::annotate_side("a side", e))?;
-        b.drive_once(SLICE)
-            .map_err(|e| crate::driver::annotate_side("b side", e))?;
+        step_mux_pair(a, b, SLICE)?;
         if done(a, b) {
             return Ok(true);
         }
