@@ -26,7 +26,7 @@
 
 use qtp_metrics::trace::{ConnState, PktKind, TraceEventKind, Tracer};
 use qtp_metrics::StateSize;
-use qtp_sack::{ReceiverBuffer, ReliabilityMode, MAX_SACK_BLOCKS};
+use qtp_sack::{ReceiverBuffer, ReliabilityMode};
 use qtp_simnet::prelude::*;
 use qtp_tfrc::TfrcReceiver;
 use std::collections::BTreeMap;
@@ -36,7 +36,9 @@ use crate::caps::{CapabilitySet, FeedbackMode, ServerPolicy};
 use crate::driver::{Endpoint, Outbox, TimerGens};
 use crate::probe::Probe;
 use crate::stream::{RecvStream, StreamConfig, StreamRx};
-use crate::wire::{p_to_ppb, QtpPacket};
+use crate::wire::{
+    p_to_ppb, FeedbackFields, PacketRef, QtpPacket, StreamDataHeader, IP_OVERHEAD, MAX_FB_BLOCKS,
+};
 
 /// Receiver configuration.
 #[derive(Debug, Clone)]
@@ -198,6 +200,25 @@ impl QtpReceiver {
         );
     }
 
+    /// Queue an encoded header-only packet (SYNACK, feedback, FIN-ACK)
+    /// toward the sender and trace it under `seq`.
+    fn send_control(&self, out: &mut Outbox, kind: PktKind, seq: u64, header: Vec<u8>) {
+        let bytes = header.len() as u32 + IP_OVERHEAD;
+        out.send_new(self.fb_flow, self.sender_node, bytes, header);
+        let sent = TraceEventKind::PktSent {
+            kind,
+            seq,
+            bytes,
+            retx: false,
+        };
+        self.tracer.emit(out.now.as_nanos(), sent);
+    }
+
+    fn trace_recvd(&self, out: &Outbox, kind: PktKind, seq: u64, bytes: u32) {
+        let recvd = TraceEventKind::PktRecvd { kind, seq, bytes };
+        self.tracer.emit(out.now.as_nanos(), recvd);
+    }
+
     fn on_syn(&mut self, out: &mut Outbox, ts_nanos: u64, offered: CapabilitySet) {
         let chosen = self
             .chosen
@@ -222,17 +243,7 @@ impl QtpReceiver {
             ts_echo_nanos: ts_nanos,
             chosen,
         };
-        let size = pkt.wire_size();
-        out.send_new(self.fb_flow, self.sender_node, size, pkt.encode());
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::SynAck,
-                seq: 0,
-                bytes: size,
-                retx: false,
-            },
-        );
+        self.send_control(out, PktKind::SynAck, 0, pkt.encode());
     }
 
     fn reliability(&self) -> ReliabilityMode {
@@ -333,20 +344,18 @@ impl QtpReceiver {
         self.update_probe_costs();
     }
 
-    /// Stream-mode data path: explicit payload bytes, receiver-side TTL
-    /// enforcement, and message reassembly via [`StreamRx`].
-    #[allow(clippy::too_many_arguments)]
-    fn on_stream_data(
-        &mut self,
-        out: &mut Outbox,
-        seq: u64,
-        ts_nanos: u64,
-        adu_ts_nanos: u64,
-        rtt_hint_micros: u32,
-        is_retx: bool,
-        ttl_micros: u32,
-        payload: Vec<u8>,
-    ) {
+    /// Stream-mode data path: explicit payload bytes (still in the datagram
+    /// they arrived in), receiver-side TTL enforcement, and message
+    /// reassembly via [`StreamRx`].
+    fn on_stream_data(&mut self, out: &mut Outbox, header: StreamDataHeader, payload: &[u8]) {
+        let StreamDataHeader {
+            seq,
+            ts_nanos,
+            adu_ts_nanos,
+            rtt_hint_micros,
+            is_retx,
+            ttl_micros,
+        } = header;
         let Some(chosen) = self.chosen else {
             return; // data before handshake: drop
         };
@@ -410,7 +419,7 @@ impl QtpReceiver {
                         d.latency_samples += 1;
                     });
                     if let Some(srx) = self.stream.as_mut() {
-                        srx.on_payload(seq, payload);
+                        srx.on_payload(seq, payload, self.buf.cum_ack());
                     }
                 }
             }
@@ -431,17 +440,7 @@ impl QtpReceiver {
     /// acked), then surface the finish once all deliverable data is in.
     fn on_fin(&mut self, out: &mut Outbox, final_seq: u64) {
         let pkt = QtpPacket::FinAck { final_seq };
-        let size = pkt.wire_size();
-        out.send_new(self.fb_flow, self.sender_node, size, pkt.encode());
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::FinAck,
-                seq: final_seq,
-                bytes: size,
-                retx: false,
-            },
-        );
+        self.send_control(out, PktKind::FinAck, final_seq, pkt.encode());
         if !self.fin_seen {
             self.fin_seen = true;
             self.own_ops += 1;
@@ -523,35 +522,24 @@ impl QtpReceiver {
             }
         };
 
-        // SACK blocks only when someone consumes them (reliability at the
-        // sender, or sender-side loss estimation).
-        let blocks =
-            if self.reliability().retransmits() || chosen.feedback == FeedbackMode::SenderLoss {
-                self.buf.sack_blocks(MAX_SACK_BLOCKS)
-            } else {
-                Vec::new()
-            };
-
         let cum_ack = self.buf.cum_ack();
-        let pkt = QtpPacket::Feedback {
+        let mut fb = FeedbackFields {
             ts_echo_nanos: last_ts.as_nanos(),
             t_delay_micros: t_delay.as_micros() as u32,
             x_recv: x_recv as u64,
             p_ppb,
             cum_ack,
-            blocks,
+            blocks: [FeedbackFields::NO_BLOCK; MAX_FB_BLOCKS],
+            n_blocks: 0,
         };
-        let size = pkt.wire_size();
-        out.send_new(self.fb_flow, self.sender_node, size, pkt.encode());
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::Feedback,
-                seq: cum_ack,
-                bytes: size,
-                retx: false,
-            },
-        );
+        // SACK blocks only when someone consumes them (reliability at the
+        // sender, or sender-side loss estimation).
+        if self.reliability().retransmits() || chosen.feedback == FeedbackMode::SenderLoss {
+            fb.n_blocks = self.buf.sack_blocks_into(&mut fb.blocks);
+        }
+        let mut header = Vec::with_capacity(fb.encoded_len());
+        fb.encode_into(&mut header);
+        self.send_control(out, PktKind::Feedback, cum_ack, header);
         self.bytes_since_fb = 0;
         self.round_started = Some(out.now);
         self.probe.update(|d| d.rx_feedback_sent += 1);
@@ -587,92 +575,39 @@ impl QtpReceiver {
 impl Endpoint for QtpReceiver {
     fn handle_datagram(&mut self, out: &mut Outbox, wire_size: u32, header: &[u8]) {
         let header_len = header.len() as u32;
-        let Ok(decoded) = QtpPacket::decode(header) else {
+        let Ok(decoded) = PacketRef::parse(header) else {
             return;
         };
-        let now_nanos = out.now.as_nanos();
         match decoded {
-            QtpPacket::Syn { ts_nanos, offered } => {
-                self.tracer.emit(
-                    now_nanos,
-                    TraceEventKind::PktRecvd {
-                        kind: PktKind::Syn,
-                        seq: 0,
-                        bytes: wire_size,
-                    },
-                );
+            PacketRef::StreamData { header, payload } => {
+                self.trace_recvd(out, PktKind::Data, header.seq, wire_size);
+                self.on_stream_data(out, header, payload)
+            }
+            PacketRef::Other(QtpPacket::Syn { ts_nanos, offered }) => {
+                self.trace_recvd(out, PktKind::Syn, 0, wire_size);
                 self.on_syn(out, ts_nanos, offered)
             }
-            QtpPacket::Data {
+            PacketRef::Other(QtpPacket::Data {
                 seq,
                 ts_nanos,
                 adu_ts_nanos,
                 rtt_hint_micros,
                 ..
-            } => {
-                self.tracer.emit(
-                    now_nanos,
-                    TraceEventKind::PktRecvd {
-                        kind: PktKind::Data,
-                        seq,
-                        bytes: wire_size,
-                    },
-                );
-                let payload = wire_size.saturating_sub(header_len + crate::wire::IP_OVERHEAD);
+            }) => {
+                self.trace_recvd(out, PktKind::Data, seq, wire_size);
+                let payload = wire_size.saturating_sub(header_len + IP_OVERHEAD);
                 self.on_data(out, seq, ts_nanos, adu_ts_nanos, rtt_hint_micros, payload);
             }
-            QtpPacket::Forward { new_cum } => {
-                self.tracer.emit(
-                    now_nanos,
-                    TraceEventKind::PktRecvd {
-                        kind: PktKind::Forward,
-                        seq: new_cum,
-                        bytes: wire_size,
-                    },
-                );
+            PacketRef::Other(QtpPacket::Forward { new_cum }) => {
+                self.trace_recvd(out, PktKind::Forward, new_cum, wire_size);
                 self.on_forward(out, new_cum);
                 self.buf.settle_expired();
                 if let Some(srx) = self.stream.as_mut() {
                     srx.drain(self.buf.cum_ack());
                 }
             }
-            QtpPacket::StreamData {
-                seq,
-                ts_nanos,
-                adu_ts_nanos,
-                rtt_hint_micros,
-                is_retx,
-                ttl_micros,
-                payload,
-            } => {
-                self.tracer.emit(
-                    now_nanos,
-                    TraceEventKind::PktRecvd {
-                        kind: PktKind::Data,
-                        seq,
-                        bytes: wire_size,
-                    },
-                );
-                self.on_stream_data(
-                    out,
-                    seq,
-                    ts_nanos,
-                    adu_ts_nanos,
-                    rtt_hint_micros,
-                    is_retx,
-                    ttl_micros,
-                    payload,
-                )
-            }
-            QtpPacket::Fin { final_seq } => {
-                self.tracer.emit(
-                    now_nanos,
-                    TraceEventKind::PktRecvd {
-                        kind: PktKind::Fin,
-                        seq: final_seq,
-                        bytes: wire_size,
-                    },
-                );
+            PacketRef::Other(QtpPacket::Fin { final_seq }) => {
+                self.trace_recvd(out, PktKind::Fin, final_seq, wire_size);
                 self.on_fin(out, final_seq)
             }
             _ => {}

@@ -36,8 +36,11 @@ use crate::cc::controller_for;
 use crate::driver::{Endpoint, Outbox, TimerGens};
 use crate::estimator::SenderLossEstimator;
 use crate::probe::Probe;
-use crate::stream::{SendStream, StreamConfig, StreamTx};
-use crate::wire::{ppb_to_p, QtpPacket, IP_OVERHEAD, MAX_STREAM_PAYLOAD};
+use crate::stream::{Chunk, SendStream, StreamConfig, StreamTx};
+use crate::wire::{
+    ppb_to_p, FeedbackFields, PacketRef, QtpPacket, StreamDataHeader, IP_OVERHEAD,
+    MAX_STREAM_PAYLOAD, STREAM_DATA_HEADER_LEN,
+};
 
 /// What the application on top of the sender does.
 #[derive(Debug, Clone)]
@@ -138,11 +141,9 @@ pub struct QtpSender {
     /// Latest receive-rate report (for estimator synthesis).
     last_x_recv: f64,
     probe: Probe,
-    /// Stream data plane (replaces `cfg.app` as the traffic source).
+    /// Stream data plane (replaces `cfg.app` as the traffic source); also
+    /// keeps sent chunks readable for retransmission until acknowledged.
     stream: Option<StreamTx>,
-    /// Sent stream chunks retained for retransmission; pruned as the
-    /// cumulative ack advances and on abandonment.
-    chunks: BTreeMap<u64, StreamChunk>,
     /// `Session::close` requested a graceful shutdown.
     close_requested: bool,
     /// When the last FIN copy went out (None = not yet sent).
@@ -154,14 +155,6 @@ pub struct QtpSender {
     closed: bool,
     /// Observability: typed event emission + per-connection counters.
     tracer: Tracer,
-}
-
-/// A sent stream chunk retained for retransmission.
-#[derive(Clone)]
-struct StreamChunk {
-    bytes: Vec<u8>,
-    adu_ts: SimTime,
-    ttl_micros: u32,
 }
 
 /// FIN retransmission attempts before closing unilaterally.
@@ -197,7 +190,6 @@ impl QtpSender {
             last_x_recv: 0.0,
             probe,
             stream,
-            chunks: BTreeMap::new(),
             close_requested: false,
             fin_sent_at: None,
             fin_retries: 0,
@@ -284,17 +276,7 @@ impl QtpSender {
             ts_nanos: out.now.as_nanos(),
             offered: self.cfg.offered,
         };
-        let size = pkt.wire_size();
-        out.send_new(self.flow, self.receiver_node, size, pkt.encode());
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::Syn,
-                seq: 0,
-                bytes: size,
-                retx: false,
-            },
-        );
+        self.send_control(out, PktKind::Syn, 0, pkt.encode());
         self.arm(out, TK_SYN, out.now + Duration::from_secs(1));
     }
 
@@ -399,109 +381,115 @@ impl QtpSender {
 
     // ---- transmission -------------------------------------------------
 
-    fn data_wire_size(&self, header_len: usize) -> u32 {
-        self.cfg.s + header_len as u32 + IP_OVERHEAD
+    /// Queue an encoded header-only packet (SYN, FORWARD, FIN) toward the
+    /// receiver and trace it under `seq`.
+    fn send_control(&self, out: &mut Outbox, kind: PktKind, seq: u64, header: Vec<u8>) {
+        let bytes = header.len() as u32 + IP_OVERHEAD;
+        out.send_new(self.flow, self.receiver_node, bytes, header);
+        let sent = TraceEventKind::PktSent {
+            kind,
+            seq,
+            bytes,
+            retx: false,
+        };
+        self.tracer.emit(out.now.as_nanos(), sent);
+    }
+
+    fn trace_recvd(&self, out: &Outbox, kind: PktKind, seq: u64, bytes: u32) {
+        let recvd = TraceEventKind::PktRecvd { kind, seq, bytes };
+        self.tracer.emit(out.now.as_nanos(), recvd);
+    }
+
+    fn rtt_hint_micros(&self) -> u32 {
+        self.cc
+            .as_ref()
+            .and_then(|cc| cc.rtt())
+            .map(|r| r.as_micros() as u32)
+            .unwrap_or(0)
+    }
+
+    /// Queue an encoded data packet of accounted size `size` and tell the
+    /// controller, the trace and the probe about it.
+    fn emit_data(&mut self, out: &mut Outbox, seq: u64, size: u32, header: Vec<u8>, is_retx: bool) {
+        out.send_new(self.flow, self.receiver_node, size, header);
+        if let Some(cc) = self.cc.as_mut() {
+            cc.on_send(out.now, size);
+        }
+        self.tracer.emit(
+            out.now.as_nanos(),
+            TraceEventKind::PktSent {
+                kind: PktKind::Data,
+                seq,
+                bytes: size,
+                retx: is_retx,
+            },
+        );
+        self.probe.update(|d| {
+            d.tx_data_pkts += 1;
+            if is_retx {
+                d.tx_retransmissions += 1;
+            }
+        });
     }
 
     fn send_data(&mut self, out: &mut Outbox, seq: u64, adu_ts: SimTime, is_retx: bool) {
-        let rtt_hint_micros = self
-            .cc
-            .as_ref()
-            .and_then(|cc| cc.rtt())
-            .map(|r| r.as_micros() as u32)
-            .unwrap_or(0);
-        let pkt = QtpPacket::Data {
+        let header = QtpPacket::Data {
             seq,
             ts_nanos: out.now.as_nanos(),
             adu_ts_nanos: adu_ts.as_nanos(),
-            rtt_hint_micros,
+            rtt_hint_micros: self.rtt_hint_micros(),
             is_retx,
-        };
-        let header = pkt.encode();
-        let size = self.data_wire_size(header.len());
-        out.send_new(self.flow, self.receiver_node, size, header);
-        if let Some(cc) = self.cc.as_mut() {
-            cc.on_send(out.now, size);
         }
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::Data,
-                seq,
-                bytes: size,
-                retx: is_retx,
-            },
-        );
-        self.probe.update(|d| {
-            d.tx_data_pkts += 1;
-            if is_retx {
-                d.tx_retransmissions += 1;
-            }
-        });
+        .encode();
+        // The simulated payload is accounted, never materialised.
+        let size = self.cfg.s + header.len() as u32 + IP_OVERHEAD;
+        self.emit_data(out, seq, size, header, is_retx);
     }
 
-    fn send_stream_data(&mut self, out: &mut Outbox, seq: u64, chunk: &StreamChunk, is_retx: bool) {
-        let rtt_hint_micros = self
-            .cc
-            .as_ref()
-            .and_then(|cc| cc.rtt())
-            .map(|r| r.as_micros() as u32)
-            .unwrap_or(0);
-        let pkt = QtpPacket::StreamData {
+    /// Header fields and payload go straight from the send store into one
+    /// exactly-sized transmit buffer.
+    fn send_stream_data(&mut self, out: &mut Outbox, seq: u64, chunk: &Chunk, is_retx: bool) {
+        let fields = StreamDataHeader {
             seq,
             ts_nanos: out.now.as_nanos(),
             adu_ts_nanos: chunk.adu_ts.as_nanos(),
-            rtt_hint_micros,
+            rtt_hint_micros: self.rtt_hint_micros(),
             is_retx,
             ttl_micros: chunk.ttl_micros,
-            payload: chunk.bytes.clone(),
         };
-        let header = pkt.encode();
+        let mut header = Vec::with_capacity(STREAM_DATA_HEADER_LEN + chunk.payload_len());
+        fields.encode_into(chunk.payload_len(), &mut header);
+        let stream = self.stream.as_ref().expect("stream chunks imply a stream");
+        stream.copy_payload(chunk, &mut header);
         // The payload rides inside the header bytes; only IP overhead on top.
         let size = header.len() as u32 + IP_OVERHEAD;
-        out.send_new(self.flow, self.receiver_node, size, header);
-        if let Some(cc) = self.cc.as_mut() {
-            cc.on_send(out.now, size);
-        }
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::Data,
-                seq,
-                bytes: size,
-                retx: is_retx,
-            },
-        );
-        self.probe.update(|d| {
-            d.tx_data_pkts += 1;
-            if is_retx {
-                d.tx_retransmissions += 1;
-            }
-        });
+        self.emit_data(out, seq, size, header, is_retx);
     }
 
     /// Stream-mode transmission: retransmit retained chunks first, then
-    /// packetise new bytes from the send buffer. Returns whether a data
+    /// packetise new bytes from the send store. Returns whether a data
     /// packet went out.
     fn send_one_stream(&mut self, out: &mut Outbox) -> bool {
         while let Some(seq) = self.sb.next_lost() {
             let retx_count = self.sb.retx_count(seq);
             let decision = self.policy.on_loss(seq, out.now, retx_count);
+            let stream = self.stream.as_mut().expect("stream mode");
             if decision == qtp_sack::LossDecision::Retransmit {
-                if let Some(chunk) = self.chunks.get(&seq).cloned() {
+                if let Some(chunk) = stream.chunk(seq) {
                     self.sb.register_retransmit(seq, out.now);
                     self.send_stream_data(out, seq, &chunk, true);
                     return true;
                 }
             }
             self.sb.abandon(seq);
-            self.chunks.remove(&seq);
+            stream.abandon(seq);
             self.probe.update(|d| d.tx_abandoned += 1);
             self.tracer
                 .emit(out.now.as_nanos(), TraceEventKind::PktExpired { seq });
         }
         let max = (self.cfg.s as usize).min(MAX_STREAM_PAYLOAD);
-        let Some((bytes, ttl_micros)) = self.stream.as_mut().unwrap().next_chunk(max) else {
+        let stream = self.stream.as_mut().expect("stream mode");
+        let Some(chunk) = stream.next_chunk(max, out.now) else {
             return false;
         };
         let seq = self.sb.register_send(out.now);
@@ -511,14 +499,15 @@ impl QtpSender {
             self.policy
                 .register_adu(SeqRange::new(seq, seq + 1), out.now);
         }
-        let chunk = StreamChunk {
-            bytes,
-            adu_ts: out.now,
-            ttl_micros,
-        };
+        let retained = reliability.map(|r| r.retransmits()).unwrap_or(false);
+        if retained {
+            stream.retain(seq, chunk);
+        }
         self.send_stream_data(out, seq, &chunk, false);
-        if reliability.map(|r| r.retransmits()).unwrap_or(false) {
-            self.chunks.insert(seq, chunk);
+        if !retained {
+            // Nothing re-reads these bytes, and without retransmission the
+            // cumulative ack may never pass a hole: release them now.
+            self.stream.as_mut().expect("stream mode").trim();
         }
         true
     }
@@ -580,17 +569,7 @@ impl QtpSender {
         }
         self.last_fwd = out.now;
         let pkt = QtpPacket::Forward { new_cum: fp };
-        let size = pkt.wire_size();
-        out.send_new(self.flow, self.receiver_node, size, pkt.encode());
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::Forward,
-                seq: fp,
-                bytes: size,
-                retx: false,
-            },
-        );
+        self.send_control(out, PktKind::Forward, fp, pkt.encode());
     }
 
     /// One pace tick: send at most one data packet, then re-arm.
@@ -693,17 +672,7 @@ impl QtpSender {
         self.fin_sent_at = Some(out.now);
         let final_seq = self.sb.next_seq();
         let pkt = QtpPacket::Fin { final_seq };
-        let size = pkt.wire_size();
-        out.send_new(self.flow, self.receiver_node, size, pkt.encode());
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::Fin,
-                seq: final_seq,
-                bytes: size,
-                retx: false,
-            },
-        );
+        self.send_control(out, PktKind::Fin, final_seq, pkt.encode());
     }
 
     fn on_finack(&mut self, now_nanos: u64) {
@@ -742,24 +711,26 @@ impl QtpSender {
 
     // ---- feedback -----------------------------------------------------
 
-    fn on_feedback_pkt(&mut self, out: &mut Outbox, fb: FeedbackFields<'_>) {
+    fn on_feedback_pkt(&mut self, out: &mut Outbox, fb: FeedbackFields) {
         let FeedbackFields {
             ts_echo_nanos,
             t_delay_micros,
             x_recv,
             p_ppb,
             cum_ack,
-            blocks,
+            ..
         } = fb;
         if self.state != State::Running || self.closed {
             return;
         }
         let prev_cum = self.sb.cum_ack();
-        let digest = self.sb.on_feedback(cum_ack, blocks);
+        let digest = self.sb.on_feedback(cum_ack, fb.blocks());
         if self.sb.cum_ack() > prev_cum {
             self.policy.prune(self.sb.cum_ack());
             self.adu_ts = self.adu_ts.split_off(&self.sb.cum_ack());
-            self.chunks = self.chunks.split_off(&self.sb.cum_ack());
+            if let Some(stream) = self.stream.as_mut() {
+                stream.release(self.sb.cum_ack());
+            }
         }
         self.last_x_recv = x_recv as f64;
 
@@ -906,17 +877,6 @@ impl QtpSender {
     }
 }
 
-/// Borrowed fields of a decoded `QtpPacket::Feedback`, grouped so the
-/// handler takes one argument per protocol message rather than eight.
-struct FeedbackFields<'a> {
-    ts_echo_nanos: u64,
-    t_delay_micros: u32,
-    x_recv: u64,
-    p_ppb: Option<u32>,
-    cum_ack: u64,
-    blocks: &'a [SeqRange],
-}
-
 impl Endpoint for QtpSender {
     fn on_start(&mut self, out: &mut Outbox) {
         self.tracer.emit(
@@ -927,61 +887,23 @@ impl Endpoint for QtpSender {
     }
 
     fn handle_datagram(&mut self, out: &mut Outbox, wire_size: u32, header: &[u8]) {
-        let Ok(decoded) = QtpPacket::decode(header) else {
+        let Ok(decoded) = PacketRef::parse(header) else {
             return;
         };
         match decoded {
-            QtpPacket::SynAck {
+            PacketRef::Other(QtpPacket::SynAck {
                 ts_echo_nanos,
                 chosen,
-            } => {
-                self.tracer.emit(
-                    out.now.as_nanos(),
-                    TraceEventKind::PktRecvd {
-                        kind: PktKind::SynAck,
-                        seq: 0,
-                        bytes: wire_size,
-                    },
-                );
+            }) => {
+                self.trace_recvd(out, PktKind::SynAck, 0, wire_size);
                 self.on_synack(out, ts_echo_nanos, chosen)
             }
-            QtpPacket::Feedback {
-                ts_echo_nanos,
-                t_delay_micros,
-                x_recv,
-                p_ppb,
-                cum_ack,
-                blocks,
-            } => {
-                self.tracer.emit(
-                    out.now.as_nanos(),
-                    TraceEventKind::PktRecvd {
-                        kind: PktKind::Feedback,
-                        seq: cum_ack,
-                        bytes: wire_size,
-                    },
-                );
-                self.on_feedback_pkt(
-                    out,
-                    FeedbackFields {
-                        ts_echo_nanos,
-                        t_delay_micros,
-                        x_recv,
-                        p_ppb,
-                        cum_ack,
-                        blocks: &blocks,
-                    },
-                )
+            PacketRef::Feedback(fb) => {
+                self.trace_recvd(out, PktKind::Feedback, fb.cum_ack, wire_size);
+                self.on_feedback_pkt(out, fb)
             }
-            QtpPacket::FinAck { final_seq } => {
-                self.tracer.emit(
-                    out.now.as_nanos(),
-                    TraceEventKind::PktRecvd {
-                        kind: PktKind::FinAck,
-                        seq: final_seq,
-                        bytes: wire_size,
-                    },
-                );
+            PacketRef::Other(QtpPacket::FinAck { final_seq }) => {
+                self.trace_recvd(out, PktKind::FinAck, final_seq, wire_size);
                 self.on_finack(out.now.as_nanos())
             }
             _ => {}

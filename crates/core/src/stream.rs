@@ -3,8 +3,10 @@
 //! A [`SendStream`]/[`RecvStream`] pair gives applications a byte/message
 //! data plane on top of the negotiated transport:
 //!
-//! * `send` enqueues a message into a bounded buffer (backpressure via
-//!   [`StreamError::Full`]); the sender endpoint drains it at the paced rate.
+//! * `send` copies a message once into the connection's send store, a
+//!   bounded byte queue (backpressure via [`StreamError::Full`]); the sender
+//!   endpoint packetises it at the paced rate, reads retransmissions back
+//!   out of the same store, and releases it as acknowledgements arrive.
 //! * Under fully-reliable profiles messages ride a u32-length-prefixed byte
 //!   stream chunked into MTU-sized `StreamData` packets and are reassembled
 //!   in order. Under partial/unreliable profiles each message maps to exactly
@@ -23,6 +25,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use qtp_metrics::trace::Tracer;
+use qtp_simnet::time::SimTime;
 
 use crate::wire::MAX_STREAM_PAYLOAD;
 
@@ -94,15 +97,88 @@ impl std::fmt::Display for StreamError {
 
 impl std::error::Error for StreamError {}
 
-struct QueuedMsg {
-    bytes: Vec<u8>,
-    ttl_micros: u32,
+/// Segment size of the [`SendStore`]: it grows and shrinks in these steps,
+/// so a connection holds what is queued and in flight plus at most one
+/// segment, and growing never copies what is already stored.
+const SEGMENT: usize = 16 * 1024;
+
+/// Most released segments a store parks for its own next growth. A store
+/// swells by a feedback round's worth of data and shrinks back once per
+/// round; the spares let that cycle run without the allocator, and the cap
+/// bounds what an idle connection sits on. Beyond it a release frees whole
+/// segments — one free per 16 KiB, never one per packet.
+const SPARE_MAX: usize = 4;
+
+/// The send-side byte store: bytes are appended once at the tail, read any
+/// number of times by absolute stream offset, and released from the head.
+#[derive(Default)]
+struct SendStore {
+    /// Every segment but the last is full (`SEGMENT` bytes).
+    segs: VecDeque<Vec<u8>>,
+    /// Stream offset of `segs[0][0]`.
+    head: u64,
+    /// Released segments, emptied, at most `SPARE_MAX` of them.
+    spare: Vec<Vec<u8>>,
+}
+
+impl SendStore {
+    fn append(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            if !self.segs.back().is_some_and(|s| s.len() < SEGMENT) {
+                let seg = self.spare.pop();
+                self.segs
+                    .push_back(seg.unwrap_or_else(|| Vec::with_capacity(SEGMENT)));
+            }
+            let seg = self.segs.back_mut().expect("pushed above");
+            let (now, rest) = bytes.split_at(bytes.len().min(SEGMENT - seg.len()));
+            seg.extend_from_slice(now);
+            bytes = rest;
+        }
+    }
+
+    /// Append the `len` bytes at stream offset `off` to `out`.
+    fn copy_to(&self, off: u64, len: usize, out: &mut Vec<u8>) {
+        let at = (off - self.head) as usize;
+        let (mut seg, mut pos, mut left) = (at / SEGMENT, at % SEGMENT, len);
+        while left > 0 {
+            let n = left.min(SEGMENT - pos);
+            out.extend_from_slice(&self.segs[seg][pos..pos + n]);
+            (seg, pos, left) = (seg + 1, 0, left - n);
+        }
+    }
+
+    /// Nothing below stream offset `off` will be read again.
+    fn release_to(&mut self, off: u64) {
+        while self.head + SEGMENT as u64 <= off {
+            let mut seg = self.segs.pop_front().expect("released bytes were stored");
+            self.head += SEGMENT as u64;
+            if self.spare.len() < SPARE_MAX {
+                seg.clear();
+                self.spare.push(seg);
+            }
+        }
+    }
 }
 
 /// Sender-side shared state between the app handle and the endpoint.
+///
+/// The store holds every accepted message behind a 4-byte big-endian length
+/// prefix, in both framing modes: chunked mode sends the stored bytes as they
+/// are, message mode skips the prefixes. Three cursors walk it — released
+/// (the store's head), `packetised`, `staged` — and `pending` lists the
+/// messages beyond `staged`.
 pub(crate) struct SendShared {
-    queue: VecDeque<QueuedMsg>,
+    store: SendStore,
+    /// `(length, ttl)` of each accepted message not yet staged (chunked
+    /// mode) or packetised (message mode), in store order.
+    pending: VecDeque<(u32, u32)>,
+    /// Payload bytes of the `pending` messages: what `cap` bounds.
     queued_bytes: usize,
+    /// Stream offset of the next byte to put into a new packet.
+    packetised: u64,
+    /// Chunked mode: `packetised..staged` has left the queue and awaits
+    /// packetising; messages cross over whole, as far as fills a packet.
+    staged: u64,
     cap: usize,
     /// Chunked = length-prefixed byte stream (fully-reliable profiles);
     /// otherwise one whole message per packet.
@@ -119,8 +195,11 @@ pub(crate) struct SendShared {
 impl SendShared {
     fn new(cfg: &StreamConfig, chunked: bool) -> Self {
         SendShared {
-            queue: VecDeque::new(),
+            store: SendStore::default(),
+            pending: VecDeque::new(),
             queued_bytes: 0,
+            packetised: 0,
+            staged: 0,
             cap: cfg.send_buf.max(1),
             chunked,
             default_ttl_micros: cfg.default_ttl_micros,
@@ -128,6 +207,55 @@ impl SendShared {
             notify_writable: false,
             writable_edge: false,
             msgs_submitted: 0,
+        }
+    }
+
+    fn has_data(&self) -> bool {
+        self.staged > self.packetised || !self.pending.is_empty()
+    }
+
+    /// The next packet's payload, at most `max` bytes of it, moving the
+    /// cursors past it.
+    fn next_chunk(&mut self, max: usize, now: SimTime) -> Option<Chunk> {
+        if self.chunked {
+            while ((self.staged - self.packetised) as usize) < max {
+                let Some((len, _)) = self.pending.pop_front() else {
+                    break;
+                };
+                self.queued_bytes -= len as usize;
+                self.staged += 4 + u64::from(len);
+            }
+            self.arm_writable();
+            let take = ((self.staged - self.packetised) as usize).min(max);
+            if take == 0 {
+                return None;
+            }
+            self.packetised += take as u64;
+            Some(Chunk {
+                off: self.packetised - take as u64,
+                len: take as u32,
+                ttl_micros: 0,
+                adu_ts: now,
+            })
+        } else {
+            let (len, ttl) = self.pending.pop_front()?;
+            self.queued_bytes -= len as usize;
+            self.arm_writable();
+            self.packetised += 4 + u64::from(len);
+            self.staged = self.packetised;
+            Some(Chunk {
+                off: self.packetised - u64::from(len),
+                len,
+                ttl_micros: ttl,
+                adu_ts: now,
+            })
+        }
+    }
+
+    fn arm_writable(&mut self) {
+        if self.notify_writable && self.queued_bytes < self.cap {
+            self.notify_writable = false;
+            self.writable_edge = true;
         }
     }
 }
@@ -167,7 +295,7 @@ impl SendStream {
         if !s.chunked && bytes.len() > MAX_STREAM_PAYLOAD {
             return Err(StreamError::TooLarge);
         }
-        if !s.queue.is_empty() && s.queued_bytes + bytes.len() > s.cap {
+        if !s.pending.is_empty() && s.queued_bytes + bytes.len() > s.cap {
             s.notify_writable = true;
             return Err(StreamError::Full);
         }
@@ -178,10 +306,13 @@ impl SendStream {
         } else {
             s.default_ttl_micros
         };
-        s.queue.push_back(QueuedMsg {
-            bytes: bytes.to_vec(),
-            ttl_micros: ttl,
-        });
+        let len = bytes.len() as u32;
+        // Stored in message mode too, where it is skipped, never sent: the
+        // handshake may still flip the mode. Costs 4 B of store per message
+        // (6 % on a 64 B request), no wire bytes.
+        s.store.append(&len.to_be_bytes());
+        s.store.append(bytes);
+        s.pending.push_back((len, ttl));
         Ok(())
     }
 
@@ -296,26 +427,60 @@ impl RecvStream {
 }
 
 // ---------------------------------------------------------------------------
-// Endpoint-side plumbing (crate-private).
+// Endpoint-side plumbing: what `QtpSender` / `QtpReceiver` drive. Public
+// (but hidden) only so `tests/stream_oracle_proptest.rs` can hold it against
+// the naive per-message implementation it replaced. `Chunk`, `StreamTx` and
+// `StreamRx` are NOT part of the crate's API: no semver promise covers them,
+// and they change with the endpoints. Applications use `SendStream` /
+// `RecvStream`.
 // ---------------------------------------------------------------------------
 
-/// Sender-endpoint view: drains the shared queue into wire-sized chunks.
-pub(crate) struct StreamTx {
+/// One packet's worth of stream payload: where it sits in the send store,
+/// and the tags its `StreamData` header carries on every transmission.
+/// Endpoint internal, outside semver.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Chunk {
+    off: u64,
+    len: u32,
+    /// Per-message TTL tag (message mode; 0 in chunked mode).
+    pub ttl_micros: u32,
+    /// When the chunk was first packetised.
+    pub adu_ts: SimTime,
+}
+
+impl Chunk {
+    /// Payload bytes.
+    pub fn payload_len(&self) -> usize {
+        self.len as usize
+    }
+}
+
+/// Sender-endpoint view of the send store: cuts the queued bytes into
+/// wire-sized chunks and keeps the sent ones readable until acknowledged.
+/// Endpoint internal, outside semver.
+#[doc(hidden)]
+pub struct StreamTx {
     shared: Rc<RefCell<SendShared>>,
-    /// Chunked mode: length-prefixed bytes staged but not yet packetised.
-    staged: VecDeque<u8>,
+    /// Sent chunks retained for retransmission, by sequence from `base`;
+    /// `None` once abandoned. Holds plain offsets, so acknowledging any
+    /// number of packets frees nothing.
+    sent: VecDeque<Option<Chunk>>,
+    /// Sequence of `sent[0]`.
+    base: u64,
 }
 
 impl StreamTx {
-    pub(crate) fn new(cfg: &StreamConfig, chunked: bool) -> Self {
+    pub fn new(cfg: &StreamConfig, chunked: bool) -> Self {
         StreamTx {
             shared: Rc::new(RefCell::new(SendShared::new(cfg, chunked))),
-            staged: VecDeque::new(),
+            sent: VecDeque::new(),
+            base: 0,
         }
     }
 
     /// App-facing handle sharing this endpoint's state.
-    pub(crate) fn handle(&self) -> SendStream {
+    pub fn handle(&self) -> SendStream {
         SendStream {
             shared: Rc::clone(&self.shared),
         }
@@ -331,75 +496,126 @@ impl StreamTx {
         self.shared.borrow_mut().chunked = chunked;
     }
 
+    /// Takes the one-shot "space freed after a `Full`" edge, as the session
+    /// does to raise `Writable`.
+    pub fn take_writable_edge(&self) -> bool {
+        take_writable_edge(&self.shared)
+    }
+
     /// True if any bytes remain to packetise.
-    pub(crate) fn has_data(&self) -> bool {
-        !self.staged.is_empty() || !self.shared.borrow().queue.is_empty()
+    pub fn has_data(&self) -> bool {
+        self.shared.borrow().has_data()
     }
 
     /// True once the app called `finish` and every byte was packetised.
-    pub(crate) fn fin_ready(&self) -> bool {
-        self.shared.borrow().finished && !self.has_data()
+    pub fn fin_ready(&self) -> bool {
+        let s = self.shared.borrow();
+        s.finished && !s.has_data()
     }
 
-    /// Pops the next wire chunk of at most `max` bytes, plus its TTL tag.
+    /// Cuts the next chunk of at most `max` bytes off the queue.
     ///
     /// Chunked mode packs as many length-prefixed message bytes as fit (TTL
-    /// is always 0: chunking implies full reliability). Message mode pops
+    /// is always 0: chunking implies full reliability). Message mode takes
     /// exactly one whole message.
-    pub(crate) fn next_chunk(&mut self, max: usize) -> Option<(Vec<u8>, u32)> {
+    pub fn next_chunk(&mut self, max: usize, now: SimTime) -> Option<Chunk> {
         let max = max.clamp(1, MAX_STREAM_PAYLOAD);
-        let mut s = self.shared.borrow_mut();
-        if s.chunked {
-            while self.staged.len() < max {
-                let Some(msg) = s.queue.pop_front() else {
-                    break;
-                };
-                s.queued_bytes -= msg.bytes.len();
-                self.staged.extend((msg.bytes.len() as u32).to_be_bytes());
-                self.staged.extend(msg.bytes);
-            }
-            Self::arm_writable(&mut s);
-            if self.staged.is_empty() {
-                return None;
-            }
-            let take = self.staged.len().min(max);
-            let chunk: Vec<u8> = self.staged.drain(..take).collect();
-            Some((chunk, 0))
-        } else {
-            let msg = s.queue.pop_front()?;
-            s.queued_bytes -= msg.bytes.len();
-            Self::arm_writable(&mut s);
-            Some((msg.bytes, msg.ttl_micros))
+        self.shared.borrow_mut().next_chunk(max, now)
+    }
+
+    /// Append `chunk`'s payload bytes to `out` — the same bytes on the
+    /// first transmission and on every retransmission.
+    pub fn copy_payload(&self, chunk: &Chunk, out: &mut Vec<u8>) {
+        self.shared
+            .borrow()
+            .store
+            .copy_to(chunk.off, chunk.payload_len(), out);
+    }
+
+    /// Keep `chunk`, just sent as sequence `seq`, for retransmission.
+    /// Sequences are retained in the order they are assigned.
+    pub fn retain(&mut self, seq: u64, chunk: Chunk) {
+        if self.sent.is_empty() {
+            self.base = seq;
+        }
+        debug_assert_eq!(seq, self.base + self.sent.len() as u64);
+        self.sent.push_back(Some(chunk));
+    }
+
+    /// The retained chunk sent as `seq`, unless acknowledged or abandoned.
+    pub fn chunk(&self, seq: u64) -> Option<Chunk> {
+        let i = seq.checked_sub(self.base)?;
+        *self.sent.get(i as usize)?
+    }
+
+    /// Give up on `seq`: it will not be retransmitted.
+    pub fn abandon(&mut self, seq: u64) {
+        let slot = seq
+            .checked_sub(self.base)
+            .and_then(|i| self.sent.get_mut(i as usize));
+        if let Some(slot) = slot {
+            *slot = None;
         }
     }
 
-    fn arm_writable(s: &mut SendShared) {
-        if s.notify_writable && s.queued_bytes < s.cap {
-            s.notify_writable = false;
-            s.writable_edge = true;
-        }
+    /// Everything below `cum_ack` is acknowledged: forget those chunks and
+    /// let the store reuse the bytes no retained chunk still needs.
+    pub fn release(&mut self, cum_ack: u64) {
+        let n = cum_ack
+            .saturating_sub(self.base)
+            .min(self.sent.len() as u64);
+        self.sent.drain(..n as usize);
+        self.base += n;
+        self.trim();
+    }
+
+    /// Let the store reuse every byte below the oldest retained chunk — or
+    /// everything packetised, when no chunk is retained. A sender that never
+    /// retransmits calls this after each packet: no acknowledgement it can
+    /// wait for is sure to come.
+    pub fn trim(&mut self) {
+        let mut s = self.shared.borrow_mut();
+        let oldest = self.sent.iter().flatten().next();
+        let keep_from = oldest.map_or(s.packetised, |c| c.off);
+        s.store.release_to(keep_from);
     }
 }
 
 /// Receiver-endpoint view: reassembles wire chunks back into messages.
-pub(crate) struct StreamRx {
+/// Endpoint internal, outside semver.
+#[doc(hidden)]
+pub struct StreamRx {
     shared: Rc<RefCell<RecvShared>>,
-    /// Chunked mode only: payloads stashed until the cumulative ack passes.
+    /// Chunked mode only: payloads that arrived ahead of the cumulative
+    /// ack, held until it passes them.
     stash: BTreeMap<u64, Vec<u8>>,
-    /// Chunked mode only: in-order byte stream awaiting message parsing.
-    parse_buf: VecDeque<u8>,
-    /// Next sequence number to feed into `parse_buf`.
+    /// Chunked mode only: the message the in-order byte stream is in the
+    /// middle of — its length prefix, then its body, which is assembled
+    /// in the very `Vec` the application will receive.
+    prefix: [u8; 4],
+    prefix_len: usize,
+    body: Option<(Vec<u8>, usize)>,
+    /// Messages completed since the last [`drain`](Self::drain).
+    completed: u64,
+    /// Next sequence number to feed into the byte stream.
     next_parse_seq: u64,
     ordered: bool,
     fin_final_seq: Option<u64>,
 }
 
+/// Most a message's body reserves on the strength of its length prefix
+/// alone; a longer one grows as its bytes actually arrive.
+const BODY_RESERVE_MAX: usize = 64 * 1024;
+
 impl StreamRx {
-    pub(crate) fn new(ordered: bool, tracer: Tracer) -> Self {
+    pub fn new(ordered: bool, tracer: Tracer) -> Self {
         StreamRx {
             shared: Rc::new(RefCell::new(RecvShared::new(tracer))),
             stash: BTreeMap::new(),
-            parse_buf: VecDeque::new(),
+            prefix: [0; 4],
+            prefix_len: 0,
+            body: None,
+            completed: 0,
             next_parse_seq: 0,
             ordered,
             fin_final_seq: None,
@@ -407,7 +623,7 @@ impl StreamRx {
     }
 
     /// App-facing handle sharing this endpoint's state.
-    pub(crate) fn handle(&self) -> RecvStream {
+    pub fn handle(&self) -> RecvStream {
         RecvStream {
             shared: Rc::clone(&self.shared),
         }
@@ -427,63 +643,73 @@ impl StreamRx {
         self.ordered = ordered;
     }
 
-    /// Accepts a newly arrived payload. Ordered mode stashes it until
-    /// [`drain`](Self::drain) observes the cumulative ack passing its seq;
-    /// message mode delivers it immediately.
-    pub(crate) fn on_payload(&mut self, seq: u64, payload: Vec<u8>) {
-        if self.ordered {
-            self.stash.insert(seq, payload);
+    /// Accepts a newly arrived payload; `cum_ack` is the cumulative ack
+    /// with this arrival counted. Message mode delivers it at once. Ordered
+    /// mode feeds it to the byte stream if it is the next in order and
+    /// acknowledged, and otherwise stashes a copy until
+    /// [`drain`](Self::drain) sees the cumulative ack pass it.
+    pub fn on_payload(&mut self, seq: u64, payload: &[u8], cum_ack: u64) {
+        if !self.ordered {
+            self.shared.borrow_mut().push_msg(payload.to_vec());
+        } else if seq == self.next_parse_seq && seq < cum_ack {
+            self.feed(payload);
+            self.next_parse_seq += 1;
         } else {
-            self.shared.borrow_mut().push_msg(payload);
+            self.stash.insert(seq, payload.to_vec());
         }
     }
 
-    /// Ordered mode: moves contiguously acknowledged payloads into the parse
-    /// buffer and emits every complete length-prefixed message. Also
-    /// re-checks FIN completion. Returns the number of messages delivered.
-    pub(crate) fn drain(&mut self, cum_ack: u64) -> u64 {
-        let mut delivered = 0;
+    /// Ordered mode: feeds contiguously acknowledged stashed payloads to
+    /// the byte stream. Also re-checks FIN completion. Returns the number of
+    /// messages completed since the last call.
+    pub fn drain(&mut self, cum_ack: u64) -> u64 {
         if self.ordered {
             while self.next_parse_seq < cum_ack {
                 // Fully-reliable profiles never leave a hole here, but a FIN
                 // processed after close can forward past stash gaps.
                 if let Some(p) = self.stash.remove(&self.next_parse_seq) {
-                    self.parse_buf.extend(p);
+                    self.feed(&p);
                 }
                 self.next_parse_seq += 1;
             }
-            delivered = self.parse_messages();
         }
         self.maybe_finish(cum_ack);
-        delivered
+        std::mem::take(&mut self.completed)
     }
 
-    fn parse_messages(&mut self) -> u64 {
-        let mut n = 0;
+    /// The next in-order bytes of the length-prefixed stream: each lands
+    /// once, in the prefix or in the body of the message it belongs to, and
+    /// every message it completes is delivered.
+    fn feed(&mut self, mut bytes: &[u8]) {
         loop {
-            if self.parse_buf.len() < 4 {
-                break;
+            if let Some((body, len)) = &mut self.body {
+                let (now, rest) = bytes.split_at(bytes.len().min(*len - body.len()));
+                body.extend_from_slice(now);
+                bytes = rest;
+                if body.len() < *len {
+                    return;
+                }
+                let (msg, _) = self.body.take().expect("matched above");
+                self.shared.borrow_mut().push_msg(msg);
+                self.completed += 1;
             }
-            let mut len_bytes = [0u8; 4];
-            for (i, b) in self.parse_buf.iter().take(4).enumerate() {
-                len_bytes[i] = *b;
+            let (now, rest) = bytes.split_at(bytes.len().min(4 - self.prefix_len));
+            self.prefix[self.prefix_len..][..now.len()].copy_from_slice(now);
+            self.prefix_len += now.len();
+            bytes = rest;
+            if self.prefix_len < 4 {
+                return;
             }
-            let len = u32::from_be_bytes(len_bytes) as usize;
-            if self.parse_buf.len() < 4 + len {
-                break;
-            }
-            self.parse_buf.drain(..4);
-            let msg: Vec<u8> = self.parse_buf.drain(..len).collect();
-            self.shared.borrow_mut().push_msg(msg);
-            n += 1;
+            self.prefix_len = 0;
+            let len = u32::from_be_bytes(self.prefix) as usize;
+            self.body = Some((Vec::with_capacity(len.min(BODY_RESERVE_MAX)), len));
         }
-        n
     }
 
     /// Registers the peer's FIN. Ordered mode finishes only once the
     /// cumulative ack reaches `final_seq` (FIN can arrive out of order);
     /// message mode finishes immediately.
-    pub(crate) fn on_fin(&mut self, final_seq: u64, cum_ack: u64) {
+    pub fn on_fin(&mut self, final_seq: u64, cum_ack: u64) {
         self.fin_final_seq = Some(final_seq);
         self.maybe_finish(cum_ack);
     }
@@ -506,7 +732,7 @@ impl StreamRx {
         }
     }
 
-    pub(crate) fn is_finished(&self) -> bool {
+    pub fn is_finished(&self) -> bool {
         self.shared.borrow().finished
     }
 }
@@ -540,6 +766,15 @@ pub(crate) fn take_finished_edge(shared: &Rc<RefCell<RecvShared>>) -> bool {
 mod tests {
     use super::*;
 
+    /// The next chunk's payload bytes and TTL tag, as they go on the wire.
+    fn next(tx: &mut StreamTx, max: usize) -> Option<(Vec<u8>, u32)> {
+        let chunk = tx.next_chunk(max, SimTime::ZERO)?;
+        let mut bytes = Vec::new();
+        tx.copy_payload(&chunk, &mut bytes);
+        assert_eq!(bytes.len(), chunk.payload_len());
+        Some((bytes, chunk.ttl_micros))
+    }
+
     #[test]
     fn backpressure_full_then_writable_edge() {
         let mut tx = StreamTx::new(&StreamConfig::with_send_buf(10), true);
@@ -551,7 +786,7 @@ mod tests {
             !take_writable_edge(&tx.shared()),
             "no edge until space frees"
         );
-        let (chunk, ttl) = tx.next_chunk(100).unwrap();
+        let (chunk, ttl) = next(&mut tx, 100).unwrap();
         assert_eq!(ttl, 0);
         // 4-byte prefix + 6, then 4-byte prefix + 4.
         assert_eq!(chunk.len(), 18);
@@ -585,16 +820,16 @@ mod tests {
         h.send(&[1u8; 6]).unwrap();
         h.send(&[2u8; 6]).unwrap();
         // Each message costs 10 bytes framed; max 12 splits mid-message.
-        let (c1, _) = tx.next_chunk(12).unwrap();
-        let (c2, _) = tx.next_chunk(12).unwrap();
+        let (c1, _) = next(&mut tx, 12).unwrap();
+        let (c2, _) = next(&mut tx, 12).unwrap();
         assert_eq!(c1.len(), 12);
         assert_eq!(c2.len(), 8);
-        assert!(tx.next_chunk(12).is_none());
+        assert!(next(&mut tx, 12).is_none());
 
         let mut rx = StreamRx::new(true, Tracer::new(0));
         let rh = rx.handle();
-        rx.on_payload(0, c1);
-        rx.on_payload(1, c2);
+        rx.on_payload(0, &c1, 1);
+        rx.on_payload(1, &c2, 2);
         assert_eq!(rx.drain(2), 2);
         assert_eq!(rh.recv().unwrap(), vec![1u8; 6]);
         assert_eq!(rh.recv().unwrap(), vec![2u8; 6]);
@@ -606,9 +841,9 @@ mod tests {
         let mut tx = StreamTx::new(&StreamConfig::default(), true);
         let h = tx.handle();
         h.send(b"hello").unwrap();
-        let (c, _) = tx.next_chunk(1400).unwrap();
+        let (c, _) = next(&mut tx, 1400).unwrap();
         let mut rx = StreamRx::new(true, Tracer::new(0));
-        rx.on_payload(0, c);
+        rx.on_payload(0, &c, 0);
         assert_eq!(rx.drain(0), 0, "not yet acked");
         assert_eq!(rx.drain(1), 1);
         assert_eq!(rx.handle().recv().unwrap(), b"hello");
@@ -620,8 +855,8 @@ mod tests {
         let h = tx.handle();
         h.send(b"frame-a").unwrap();
         h.send_with_ttl(b"frame-b", 9_000).unwrap();
-        assert_eq!(tx.next_chunk(1400).unwrap(), (b"frame-a".to_vec(), 5_000));
-        assert_eq!(tx.next_chunk(1400).unwrap(), (b"frame-b".to_vec(), 9_000));
+        assert_eq!(next(&mut tx, 1400).unwrap(), (b"frame-a".to_vec(), 5_000));
+        assert_eq!(next(&mut tx, 1400).unwrap(), (b"frame-b".to_vec(), 9_000));
         assert_eq!(
             h.send(&vec![0u8; MAX_STREAM_PAYLOAD + 1]),
             Err(StreamError::TooLarge)
@@ -633,7 +868,7 @@ mod tests {
         let tracer = Tracer::new(0);
         let mut rx = StreamRx::new(false, tracer.clone());
         let rh = rx.handle();
-        rx.on_payload(3, b"late".to_vec());
+        rx.on_payload(3, b"late", 0);
         assert_eq!(rh.recv().unwrap(), b"late");
         // TTL drops are counted by the endpoint's tracer (pkt_dropped) and
         // surfaced through the shared handle.
@@ -652,11 +887,11 @@ mod tests {
     fn ordered_fin_waits_for_final_seq() {
         let mut tx = StreamTx::new(&StreamConfig::default(), true);
         tx.handle().send(b"ab").unwrap();
-        let (c, _) = tx.next_chunk(1400).unwrap();
+        let (c, _) = next(&mut tx, 1400).unwrap();
         let mut rx = StreamRx::new(true, Tracer::new(0));
         rx.on_fin(1, 0); // FIN raced ahead of the data
         assert!(!rx.is_finished());
-        rx.on_payload(0, c);
+        rx.on_payload(0, &c, 1);
         rx.drain(1);
         assert!(rx.is_finished());
         assert_eq!(take_readable(&rx.shared()), 1);
@@ -669,11 +904,79 @@ mod tests {
         // Chunk size 3 splits the 4-byte length prefix itself.
         let mut rx = StreamRx::new(true, Tracer::new(0));
         let mut seq = 0;
-        while let Some((c, _)) = tx.next_chunk(3) {
-            rx.on_payload(seq, c);
+        while let Some((c, _)) = next(&mut tx, 3) {
             seq += 1;
+            rx.on_payload(seq - 1, &c, seq);
         }
         assert_eq!(rx.drain(seq), 1);
         assert_eq!(rx.handle().recv().unwrap(), vec![9u8; 10]);
+    }
+
+    #[test]
+    fn retained_chunks_reread_the_same_bytes_until_released() {
+        let mut tx = StreamTx::new(&StreamConfig::default(), true);
+        let h = tx.handle();
+        // Three segments' worth, so chunks and prefixes straddle segment
+        // boundaries of the store.
+        let msg: Vec<u8> = (0..SEGMENT + 1000).map(|i| (i % 251) as u8).collect();
+        for _ in 0..3 {
+            h.send(&msg).unwrap();
+        }
+        let mut sent = Vec::new();
+        while let Some(chunk) = tx.next_chunk(1400, SimTime::ZERO) {
+            let mut bytes = Vec::new();
+            tx.copy_payload(&chunk, &mut bytes);
+            tx.retain(sent.len() as u64, chunk);
+            sent.push(bytes);
+        }
+        let stream: Vec<u8> = sent.concat();
+        let framed: Vec<u8> = [&(msg.len() as u32).to_be_bytes()[..], &msg[..]].concat();
+        assert_eq!(stream, framed.repeat(3));
+        // Acknowledge a prefix, abandon one above it: the rest re-read
+        // byte-identically, the acknowledged and abandoned ones are gone.
+        tx.release(20);
+        tx.abandon(25);
+        for (seq, bytes) in sent.iter().enumerate() {
+            let again = tx.chunk(seq as u64).map(|c| {
+                let mut b = Vec::new();
+                tx.copy_payload(&c, &mut b);
+                b
+            });
+            if seq < 20 || seq == 25 {
+                assert_eq!(again, None, "seq {seq}");
+            } else {
+                assert_eq!(again.as_ref(), Some(bytes), "seq {seq}");
+            }
+        }
+        // Released segments are parked for reuse, not freed.
+        let s = tx.shared();
+        let spare = || s.borrow().store.spare.len();
+        assert_eq!(spare(), 20 * 1400 / SEGMENT);
+        tx.release(sent.len() as u64);
+        assert_eq!(
+            s.borrow().store.segs.len(),
+            1,
+            "only the partial tail stays"
+        );
+        assert_eq!(spare(), 3);
+        h.send(&msg).unwrap();
+        assert_eq!(spare(), 2, "and growth takes a parked segment first");
+    }
+
+    #[test]
+    fn an_unretained_stream_holds_a_segment_and_the_capped_spares() {
+        let mut tx = StreamTx::new(&StreamConfig::default(), false);
+        let h = tx.handle();
+        let s = tx.shared();
+        // Nothing is ever acknowledged; the sender trims after each packet.
+        for _ in 0..40 {
+            while h.send(&[3u8; 1200]).is_ok() {}
+            while let Some(chunk) = tx.next_chunk(1400, SimTime::ZERO) {
+                assert_eq!(chunk.payload_len(), 1200);
+                tx.trim();
+            }
+            assert!(s.borrow().store.segs.len() <= 1, "only the partial tail");
+        }
+        assert_eq!(s.borrow().store.spare.len(), SPARE_MAX);
     }
 }

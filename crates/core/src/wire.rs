@@ -175,15 +175,284 @@ pub fn is_close_handshake(header: &[u8]) -> bool {
     matches!(header.first(), Some(&T_FIN) | Some(&T_FINACK))
 }
 
+/// Bytes of a [`QtpPacket::StreamData`] before its payload.
+pub const STREAM_DATA_HEADER_LEN: usize = 1 + 8 + 8 + 8 + 4 + 1 + 4 + 2;
+
+/// The fixed fields of a [`QtpPacket::StreamData`]: everything but the
+/// payload, so a sender can write header and payload straight into one
+/// transmit buffer and a receiver can read the payload where it arrived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamDataHeader {
+    pub seq: u64,
+    pub ts_nanos: u64,
+    pub adu_ts_nanos: u64,
+    pub rtt_hint_micros: u32,
+    pub is_retx: bool,
+    pub ttl_micros: u32,
+}
+
+impl StreamDataHeader {
+    /// Append the header of a packet carrying `payload_len` payload bytes;
+    /// the caller appends exactly that many bytes next.
+    pub fn encode_into(&self, payload_len: usize, out: &mut Vec<u8>) {
+        debug_assert!(payload_len <= MAX_STREAM_PAYLOAD);
+        out.put_u8(T_STREAM_DATA);
+        out.put_u64(self.seq);
+        out.put_u64(self.ts_nanos);
+        out.put_u64(self.adu_ts_nanos);
+        out.put_u32(self.rtt_hint_micros);
+        out.put_u8(u8::from(self.is_retx));
+        out.put_u32(self.ttl_micros);
+        out.put_u16(payload_len as u16);
+    }
+}
+
+/// The fields of a [`QtpPacket::Feedback`] with its SACK blocks inline, so
+/// building, encoding and decoding a feedback touches no heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FeedbackFields {
+    pub ts_echo_nanos: u64,
+    pub t_delay_micros: u32,
+    pub x_recv: u64,
+    pub p_ppb: Option<u32>,
+    pub cum_ack: u64,
+    /// Only the first `n_blocks` entries are meaningful.
+    pub blocks: [SeqRange; MAX_FB_BLOCKS],
+    pub n_blocks: usize,
+}
+
+impl FeedbackFields {
+    /// Placeholder for the unused tail of [`FeedbackFields::blocks`].
+    pub const NO_BLOCK: SeqRange = SeqRange { start: 0, end: 0 };
+
+    /// The SACK blocks carried, most recently changed first.
+    pub fn blocks(&self) -> &[SeqRange] {
+        &self.blocks[..self.n_blocks]
+    }
+
+    /// Length of [`FeedbackFields::encode_into`]'s output.
+    pub fn encoded_len(&self) -> usize {
+        FEEDBACK_FIXED_LEN + 16 * self.n_blocks
+    }
+
+    /// Append the encoded feedback packet.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_feedback(
+            out,
+            self.ts_echo_nanos,
+            self.t_delay_micros,
+            self.x_recv,
+            self.p_ppb,
+            self.cum_ack,
+            self.blocks(),
+        );
+    }
+}
+
+/// Bytes of a feedback packet before its SACK blocks.
+const FEEDBACK_FIXED_LEN: usize = 1 + 1 + 8 + 4 + 8 + 4 + 8 + 1;
+/// Bytes of a SYN / SYNACK: type, timestamp, capability set.
+const HANDSHAKE_LEN: usize = 1 + 8 + 19;
+/// Bytes of a simulated-payload data header.
+const DATA_LEN: usize = 1 + 8 + 8 + 8 + 4 + 1;
+/// Bytes of a FORWARD / FIN / FIN-ACK: type and one sequence number.
+const SEQ_ONLY_LEN: usize = 1 + 8;
+
+fn put_feedback(
+    out: &mut Vec<u8>,
+    ts_echo_nanos: u64,
+    t_delay_micros: u32,
+    x_recv: u64,
+    p_ppb: Option<u32>,
+    cum_ack: u64,
+    blocks: &[SeqRange],
+) {
+    out.put_u8(T_FEEDBACK);
+    out.put_u8(u8::from(p_ppb.is_some()));
+    out.put_u64(ts_echo_nanos);
+    out.put_u32(t_delay_micros);
+    out.put_u64(x_recv);
+    out.put_u32(p_ppb.unwrap_or(0));
+    out.put_u64(cum_ack);
+    debug_assert!(blocks.len() <= MAX_FB_BLOCKS);
+    out.put_u8(blocks.len() as u8);
+    for b in blocks {
+        out.put_u64(b.start);
+        out.put_u64(b.end);
+    }
+}
+
+/// Borrowed decode view of a packet: the payload of a `StreamData` stays in
+/// the datagram it arrived in and the SACK blocks of a `Feedback` sit in a
+/// fixed array, so the per-packet paths decode without allocating. Every
+/// other packet type owns no heap data; its owned form is its view.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PacketRef<'a> {
+    StreamData {
+        header: StreamDataHeader,
+        payload: &'a [u8],
+    },
+    Feedback(FeedbackFields),
+    Other(QtpPacket),
+}
+
+impl<'a> PacketRef<'a> {
+    /// Decode from header bytes.
+    pub fn parse(mut buf: &'a [u8]) -> Result<Self, WireError> {
+        if buf.is_empty() {
+            return Err(WireError::Truncated);
+        }
+        let t = buf.get_u8();
+        let need = |n: usize| {
+            if buf.remaining() < n {
+                Err(WireError::Truncated)
+            } else {
+                Ok(())
+            }
+        };
+        Ok(PacketRef::Other(match t {
+            T_SYN => {
+                need(8)?;
+                let ts_nanos = buf.get_u64();
+                let offered = get_caps(&mut buf)?;
+                QtpPacket::Syn { ts_nanos, offered }
+            }
+            T_SYNACK => {
+                need(8)?;
+                let ts_echo_nanos = buf.get_u64();
+                let chosen = get_caps(&mut buf)?;
+                QtpPacket::SynAck {
+                    ts_echo_nanos,
+                    chosen,
+                }
+            }
+            T_DATA => {
+                need(DATA_LEN - 1)?;
+                QtpPacket::Data {
+                    seq: buf.get_u64(),
+                    ts_nanos: buf.get_u64(),
+                    adu_ts_nanos: buf.get_u64(),
+                    rtt_hint_micros: buf.get_u32(),
+                    is_retx: buf.get_u8() != 0,
+                }
+            }
+            T_FEEDBACK => {
+                need(FEEDBACK_FIXED_LEN - 1)?;
+                let has_p = buf.get_u8() != 0;
+                let ts_echo_nanos = buf.get_u64();
+                let t_delay_micros = buf.get_u32();
+                let x_recv = buf.get_u64();
+                let p_raw = buf.get_u32();
+                let cum_ack = buf.get_u64();
+                let n = buf.get_u8();
+                let n_blocks = n as usize;
+                if n_blocks > MAX_FB_BLOCKS || buf.remaining() < 16 * n_blocks {
+                    return Err(WireError::BadBlockCount(n));
+                }
+                let mut blocks = [FeedbackFields::NO_BLOCK; MAX_FB_BLOCKS];
+                for b in &mut blocks[..n_blocks] {
+                    let start = buf.get_u64();
+                    let end = buf.get_u64();
+                    if end <= start {
+                        return Err(WireError::BadBlock);
+                    }
+                    *b = SeqRange::new(start, end);
+                }
+                return Ok(PacketRef::Feedback(FeedbackFields {
+                    ts_echo_nanos,
+                    t_delay_micros,
+                    x_recv,
+                    p_ppb: has_p.then_some(p_raw),
+                    cum_ack,
+                    blocks,
+                    n_blocks,
+                }));
+            }
+            T_STREAM_DATA => {
+                need(STREAM_DATA_HEADER_LEN - 1)?;
+                let header = StreamDataHeader {
+                    seq: buf.get_u64(),
+                    ts_nanos: buf.get_u64(),
+                    adu_ts_nanos: buf.get_u64(),
+                    rtt_hint_micros: buf.get_u32(),
+                    is_retx: buf.get_u8() != 0,
+                    ttl_micros: buf.get_u32(),
+                };
+                let len = buf.get_u16() as usize;
+                if len > MAX_STREAM_PAYLOAD || buf.remaining() < len {
+                    return Err(WireError::Truncated);
+                }
+                return Ok(PacketRef::StreamData {
+                    header,
+                    payload: &buf[..len],
+                });
+            }
+            T_FORWARD | T_FIN | T_FINACK => {
+                need(SEQ_ONLY_LEN - 1)?;
+                let seq = buf.get_u64();
+                match t {
+                    T_FORWARD => QtpPacket::Forward { new_cum: seq },
+                    T_FIN => QtpPacket::Fin { final_seq: seq },
+                    _ => QtpPacket::FinAck { final_seq: seq },
+                }
+            }
+            other => return Err(WireError::BadType(other)),
+        }))
+    }
+
+    /// The owned packet this view decodes to.
+    pub fn to_owned(self) -> QtpPacket {
+        match self {
+            PacketRef::StreamData { header: h, payload } => QtpPacket::StreamData {
+                seq: h.seq,
+                ts_nanos: h.ts_nanos,
+                adu_ts_nanos: h.adu_ts_nanos,
+                rtt_hint_micros: h.rtt_hint_micros,
+                is_retx: h.is_retx,
+                ttl_micros: h.ttl_micros,
+                payload: payload.to_vec(),
+            },
+            PacketRef::Feedback(f) => QtpPacket::Feedback {
+                ts_echo_nanos: f.ts_echo_nanos,
+                t_delay_micros: f.t_delay_micros,
+                x_recv: f.x_recv,
+                p_ppb: f.p_ppb,
+                cum_ack: f.cum_ack,
+                blocks: f.blocks().to_vec(),
+            },
+            PacketRef::Other(p) => p,
+        }
+    }
+}
+
 impl QtpPacket {
     /// Encode to header bytes (excluding simulated payload and IP overhead).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Length of [`QtpPacket::encode`]'s output, by arithmetic.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            QtpPacket::Syn { .. } | QtpPacket::SynAck { .. } => HANDSHAKE_LEN,
+            QtpPacket::Data { .. } => DATA_LEN,
+            QtpPacket::Feedback { blocks, .. } => FEEDBACK_FIXED_LEN + 16 * blocks.len(),
+            QtpPacket::StreamData { payload, .. } => STREAM_DATA_HEADER_LEN + payload.len(),
+            QtpPacket::Forward { .. } | QtpPacket::Fin { .. } | QtpPacket::FinAck { .. } => {
+                SEQ_ONLY_LEN
+            }
+        }
+    }
+
+    /// Append the encoded header bytes to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             QtpPacket::Syn { ts_nanos, offered } => {
                 out.put_u8(T_SYN);
                 out.put_u64(*ts_nanos);
-                put_caps(&mut out, offered);
+                put_caps(out, offered);
             }
             QtpPacket::SynAck {
                 ts_echo_nanos,
@@ -191,7 +460,7 @@ impl QtpPacket {
             } => {
                 out.put_u8(T_SYNACK);
                 out.put_u64(*ts_echo_nanos);
-                put_caps(&mut out, chosen);
+                put_caps(out, chosen);
             }
             QtpPacket::Data {
                 seq,
@@ -214,21 +483,15 @@ impl QtpPacket {
                 p_ppb,
                 cum_ack,
                 blocks,
-            } => {
-                out.put_u8(T_FEEDBACK);
-                out.put_u8(u8::from(p_ppb.is_some()));
-                out.put_u64(*ts_echo_nanos);
-                out.put_u32(*t_delay_micros);
-                out.put_u64(*x_recv);
-                out.put_u32(p_ppb.unwrap_or(0));
-                out.put_u64(*cum_ack);
-                debug_assert!(blocks.len() <= MAX_FB_BLOCKS);
-                out.put_u8(blocks.len() as u8);
-                for b in blocks {
-                    out.put_u64(b.start);
-                    out.put_u64(b.end);
-                }
-            }
+            } => put_feedback(
+                out,
+                *ts_echo_nanos,
+                *t_delay_micros,
+                *x_recv,
+                *p_ppb,
+                *cum_ack,
+                blocks,
+            ),
             QtpPacket::Forward { new_cum } => {
                 out.put_u8(T_FORWARD);
                 out.put_u64(*new_cum);
@@ -242,15 +505,15 @@ impl QtpPacket {
                 ttl_micros,
                 payload,
             } => {
-                out.put_u8(T_STREAM_DATA);
-                out.put_u64(*seq);
-                out.put_u64(*ts_nanos);
-                out.put_u64(*adu_ts_nanos);
-                out.put_u32(*rtt_hint_micros);
-                out.put_u8(u8::from(*is_retx));
-                out.put_u32(*ttl_micros);
-                debug_assert!(payload.len() <= MAX_STREAM_PAYLOAD);
-                out.put_u16(payload.len() as u16);
+                let header = StreamDataHeader {
+                    seq: *seq,
+                    ts_nanos: *ts_nanos,
+                    adu_ts_nanos: *adu_ts_nanos,
+                    rtt_hint_micros: *rtt_hint_micros,
+                    is_retx: *is_retx,
+                    ttl_micros: *ttl_micros,
+                };
+                header.encode_into(payload.len(), out);
                 out.extend_from_slice(payload);
             }
             QtpPacket::Fin { final_seq } => {
@@ -262,134 +525,16 @@ impl QtpPacket {
                 out.put_u64(*final_seq);
             }
         }
-        out
     }
 
     /// Wire size of the encoded header plus IP overhead (no payload).
     pub fn wire_size(&self) -> u32 {
-        self.encode().len() as u32 + IP_OVERHEAD
+        self.encoded_len() as u32 + IP_OVERHEAD
     }
 
     /// Decode from header bytes.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, WireError> {
-        if buf.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        let t = buf.get_u8();
-        match t {
-            T_SYN => {
-                if buf.remaining() < 8 {
-                    return Err(WireError::Truncated);
-                }
-                let ts_nanos = buf.get_u64();
-                let offered = get_caps(&mut buf)?;
-                Ok(QtpPacket::Syn { ts_nanos, offered })
-            }
-            T_SYNACK => {
-                if buf.remaining() < 8 {
-                    return Err(WireError::Truncated);
-                }
-                let ts_echo_nanos = buf.get_u64();
-                let chosen = get_caps(&mut buf)?;
-                Ok(QtpPacket::SynAck {
-                    ts_echo_nanos,
-                    chosen,
-                })
-            }
-            T_DATA => {
-                if buf.remaining() < 29 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(QtpPacket::Data {
-                    seq: buf.get_u64(),
-                    ts_nanos: buf.get_u64(),
-                    adu_ts_nanos: buf.get_u64(),
-                    rtt_hint_micros: buf.get_u32(),
-                    is_retx: buf.get_u8() != 0,
-                })
-            }
-            T_FEEDBACK => {
-                if buf.remaining() < 34 {
-                    return Err(WireError::Truncated);
-                }
-                let has_p = buf.get_u8() != 0;
-                let ts_echo_nanos = buf.get_u64();
-                let t_delay_micros = buf.get_u32();
-                let x_recv = buf.get_u64();
-                let p_raw = buf.get_u32();
-                let cum_ack = buf.get_u64();
-                let n = buf.get_u8();
-                if n as usize > MAX_FB_BLOCKS || buf.remaining() < 16 * n as usize {
-                    return Err(WireError::BadBlockCount(n));
-                }
-                let mut blocks = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let start = buf.get_u64();
-                    let end = buf.get_u64();
-                    if end <= start {
-                        return Err(WireError::BadBlock);
-                    }
-                    blocks.push(SeqRange::new(start, end));
-                }
-                Ok(QtpPacket::Feedback {
-                    ts_echo_nanos,
-                    t_delay_micros,
-                    x_recv,
-                    p_ppb: has_p.then_some(p_raw),
-                    cum_ack,
-                    blocks,
-                })
-            }
-            T_FORWARD => {
-                if buf.remaining() < 8 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(QtpPacket::Forward {
-                    new_cum: buf.get_u64(),
-                })
-            }
-            T_STREAM_DATA => {
-                if buf.remaining() < 35 {
-                    return Err(WireError::Truncated);
-                }
-                let seq = buf.get_u64();
-                let ts_nanos = buf.get_u64();
-                let adu_ts_nanos = buf.get_u64();
-                let rtt_hint_micros = buf.get_u32();
-                let is_retx = buf.get_u8() != 0;
-                let ttl_micros = buf.get_u32();
-                let len = buf.get_u16() as usize;
-                if len > MAX_STREAM_PAYLOAD || buf.remaining() < len {
-                    return Err(WireError::Truncated);
-                }
-                Ok(QtpPacket::StreamData {
-                    seq,
-                    ts_nanos,
-                    adu_ts_nanos,
-                    rtt_hint_micros,
-                    is_retx,
-                    ttl_micros,
-                    payload: buf[..len].to_vec(),
-                })
-            }
-            T_FIN => {
-                if buf.remaining() < 8 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(QtpPacket::Fin {
-                    final_seq: buf.get_u64(),
-                })
-            }
-            T_FINACK => {
-                if buf.remaining() < 8 {
-                    return Err(WireError::Truncated);
-                }
-                Ok(QtpPacket::FinAck {
-                    final_seq: buf.get_u64(),
-                })
-            }
-            other => Err(WireError::BadType(other)),
-        }
+    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
+        PacketRef::parse(buf).map(PacketRef::to_owned)
     }
 }
 

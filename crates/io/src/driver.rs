@@ -32,7 +32,7 @@ use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 
 use crate::clock::WallClock;
-use crate::frame::{Frame, MAX_FRAME_LEN};
+use crate::frame::{FrameRef, MAX_FRAME_LEN};
 
 /// Smallest read timeout handed to the OS (zero means "block forever" to
 /// `set_read_timeout`, which is exactly what we never want).
@@ -95,6 +95,8 @@ pub struct UdpDriver<E: Endpoint> {
     started: bool,
     stats: DriverStats,
     recv_buf: Vec<u8>,
+    /// The datagram being framed for `send_to`.
+    tx_scratch: Vec<u8>,
 }
 
 impl<E: Endpoint> UdpDriver<E> {
@@ -120,6 +122,7 @@ impl<E: Endpoint> UdpDriver<E> {
             // reads as > MAX_FRAME_LEN and is rejected instead of being
             // silently truncated into something decodable.
             recv_buf: vec![0; MAX_FRAME_LEN + 1],
+            tx_scratch: Vec::new(),
         })
     }
 
@@ -202,7 +205,7 @@ impl<E: Endpoint> UdpDriver<E> {
                     self.stats.datagrams_rejected += 1;
                     return Ok(false);
                 }
-                match Frame::decode(&self.recv_buf[..n]) {
+                match FrameRef::parse(&self.recv_buf[..n]) {
                     Ok(frame) => {
                         // Latch the peer only off a valid frame, so stray
                         // traffic can never lock out the real client.
@@ -212,7 +215,7 @@ impl<E: Endpoint> UdpDriver<E> {
                         self.stats.datagrams_received += 1;
                         self.out.now = self.clock.now();
                         self.ep
-                            .handle_datagram(&mut self.out, frame.wire_size, &frame.header);
+                            .handle_datagram(&mut self.out, frame.wire_size, frame.header);
                         self.flush()?;
                         Ok(true)
                     }
@@ -303,16 +306,16 @@ impl<E: Endpoint> UdpDriver<E> {
     fn send_frame(&mut self, t: Transmit) -> io::Result<()> {
         let peer = self.peer.expect("send_frame requires a peer");
         self.next_seq += 1;
-        let frame = Frame {
+        self.tx_scratch.clear();
+        FrameRef {
             flow: t.flow,
             seq: self.next_seq,
             wire_size: t.wire_size,
-            header: t.header,
-        };
-        let bytes = frame
-            .encode()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        self.socket.send_to(&bytes, peer)?;
+            header: &t.header,
+        }
+        .encode_into(&mut self.tx_scratch)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        self.socket.send_to(&self.tx_scratch, peer)?;
         self.stats.datagrams_sent += 1;
         Ok(())
     }

@@ -86,28 +86,43 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl Frame {
-    /// Encode into a fresh datagram buffer.
-    pub fn encode(&self) -> Result<Vec<u8>, FrameError> {
+/// A datagram frame borrowing its transport header: what the drivers frame
+/// outgoing datagrams from and dispatch incoming ones on, without copying
+/// the header. [`Frame`] is its owned form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRef<'a> {
+    /// See [`Frame::flow`].
+    pub flow: u32,
+    /// See [`Frame::seq`].
+    pub seq: u64,
+    /// See [`Frame::wire_size`].
+    pub wire_size: u32,
+    /// Encoded transport header.
+    pub header: &'a [u8],
+}
+
+impl<'a> FrameRef<'a> {
+    /// Append the encoded datagram to `out` (untouched on error).
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
         if FIXED_LEN + self.header.len() > MAX_FRAME_LEN {
             return Err(FrameError::HeaderTooLong(self.header.len()));
         }
         let header_len = u16::try_from(self.header.len())
             .map_err(|_| FrameError::HeaderTooLong(self.header.len()))?;
-        let mut out = Vec::with_capacity(FIXED_LEN + self.header.len());
+        out.reserve_exact(FIXED_LEN + self.header.len());
         out.extend_from_slice(&MAGIC.to_be_bytes());
         out.push(VERSION);
         out.extend_from_slice(&self.flow.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
         out.extend_from_slice(&self.wire_size.to_be_bytes());
         out.extend_from_slice(&header_len.to_be_bytes());
-        out.extend_from_slice(&self.header);
-        Ok(out)
+        out.extend_from_slice(self.header);
+        Ok(())
     }
 
-    /// Decode one UDP datagram. Total: never panics, whatever the input —
+    /// Parse one UDP datagram. Total: never panics, whatever the input —
     /// adversarial, truncated, or oversized buffers all map to an error.
-    pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
+    pub fn parse(buf: &'a [u8]) -> Result<Self, FrameError> {
         if buf.len() > MAX_FRAME_LEN {
             return Err(FrameError::Oversized(buf.len()));
         }
@@ -125,21 +140,51 @@ impl Frame {
         let seq = u64::from_be_bytes(buf[7..15].try_into().unwrap());
         let wire_size = u32::from_be_bytes(buf[15..19].try_into().unwrap());
         let declared = u16::from_be_bytes(buf[19..21].try_into().unwrap());
-        let rest = &buf[FIXED_LEN..];
-        if rest.len() != declared as usize {
+        let header = &buf[FIXED_LEN..];
+        if header.len() != declared as usize {
             // Distinguish truncation from trailing garbage only in the
             // error detail; both are rejected.
             return Err(FrameError::LengthMismatch {
                 declared,
-                actual: rest.len(),
+                actual: header.len(),
             });
         }
-        Ok(Frame {
+        Ok(FrameRef {
             flow,
             seq,
             wire_size,
-            header: rest.to_vec(),
+            header,
         })
+    }
+
+    /// The owned frame.
+    pub fn to_owned(&self) -> Frame {
+        Frame {
+            flow: self.flow,
+            seq: self.seq,
+            wire_size: self.wire_size,
+            header: self.header.to_vec(),
+        }
+    }
+}
+
+impl Frame {
+    /// Encode into a fresh datagram buffer.
+    pub fn encode(&self) -> Result<Vec<u8>, FrameError> {
+        let mut out = Vec::new();
+        FrameRef {
+            flow: self.flow,
+            seq: self.seq,
+            wire_size: self.wire_size,
+            header: &self.header,
+        }
+        .encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Decode one UDP datagram. Total, like [`FrameRef::parse`].
+    pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
+        FrameRef::parse(buf).map(|f| f.to_owned())
     }
 }
 
@@ -223,6 +268,16 @@ mod tests {
             f.encode(),
             Err(FrameError::HeaderTooLong(usize::from(u16::MAX) + 1))
         );
+        // A refused frame leaves a driver's scratch buffer as it was.
+        let mut scratch = vec![1, 2, 3];
+        let view = FrameRef {
+            flow: f.flow,
+            seq: f.seq,
+            wire_size: f.wire_size,
+            header: &f.header,
+        };
+        assert!(view.encode_into(&mut scratch).is_err());
+        assert_eq!(scratch, [1, 2, 3]);
         // The bound is MAX_FRAME_LEN, well below what u16 could declare.
         let f = Frame {
             header: vec![0; MAX_FRAME_LEN - FIXED_LEN + 1],

@@ -59,7 +59,7 @@ use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 
 use crate::clock::WallClock;
-use crate::frame::{Frame, MAX_FRAME_LEN};
+use crate::frame::{Frame, FrameRef, MAX_FRAME_LEN};
 use crate::wait::wait;
 
 /// Identifier of one multiplexed connection, unique for the lifetime of a
@@ -430,6 +430,9 @@ pub struct MuxDriver<E: Endpoint> {
     /// behind it so the datagram stream never reorders.
     tx_backlog: VecDeque<(ConnId, SocketAddr, Vec<u8>)>,
     recv_buf: Vec<u8>,
+    /// The datagram being framed for `send_to`; copied only when a send
+    /// has to wait in `tx_backlog`.
+    tx_scratch: Vec<u8>,
     /// Scratch for the timers one `fire_due_timers` call delivers.
     fired: Vec<(SimTime, ConnId, u64)>,
     stats: MuxStats,
@@ -458,6 +461,7 @@ impl<E: Endpoint> MuxDriver<E> {
             next_seq: 0,
             tx_backlog: VecDeque::new(),
             recv_buf: vec![0; MAX_FRAME_LEN + 1],
+            tx_scratch: Vec::new(),
             fired: Vec::new(),
             stats: MuxStats::default(),
         })
@@ -633,21 +637,27 @@ impl<E: Endpoint> MuxDriver<E> {
     fn step(&mut self) -> io::Result<(usize, bool)> {
         self.flush_backlog()?;
         let fired = self.fire_due_timers()?;
+        // Taken out for the loop: a frame stays borrowed from the buffer
+        // while its endpoint's callback borrows the mux.
+        let mut buf = std::mem::take(&mut self.recv_buf);
+        let drained = self.drain_socket(&mut buf);
+        self.recv_buf = buf;
+        let (handled, received) = drained?;
+        Ok((handled, received == 0 && fired == 0))
+    }
 
+    /// Receive and dispatch until the socket is empty or the batch bound is
+    /// reached. Returns datagrams dispatched to endpoints, and received.
+    fn drain_socket(&mut self, buf: &mut [u8]) -> io::Result<(usize, usize)> {
         let mut handled = 0usize;
         let mut received = 0usize;
         for _ in 0..self.cfg.recv_batch {
-            match self.socket.recv_from(&mut self.recv_buf) {
+            match self.socket.recv_from(buf) {
                 Ok((n, from)) => {
                     received += 1;
-                    match Frame::decode(&self.recv_buf[..n]) {
-                        Ok(frame) => {
-                            if self.ingest(from, frame)? {
-                                handled += 1;
-                            }
-                        }
-                        Err(_) => self.stats.datagrams_rejected += 1,
-                    };
+                    if self.handle_datagram_from(from, &buf[..n])? {
+                        handled += 1;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 // Soft per-datagram failures on UDP (ICMP port-unreachable
@@ -664,7 +674,7 @@ impl<E: Endpoint> MuxDriver<E> {
                 Err(e) => return Err(e),
             }
         }
-        Ok((handled, received == 0 && fired == 0))
+        Ok((handled, received))
     }
 
     /// What an idle wait watches: the socket for reading, and for writing
@@ -695,7 +705,7 @@ impl<E: Endpoint> MuxDriver<E> {
     /// and the `mux_micro` routing benchmark. Returns whether the datagram
     /// reached an endpoint.
     pub fn handle_datagram_from(&mut self, from: SocketAddr, buf: &[u8]) -> io::Result<bool> {
-        match Frame::decode(buf) {
+        match FrameRef::parse(buf) {
             Ok(frame) => self.ingest(from, frame),
             Err(_) => {
                 self.stats.datagrams_rejected += 1;
@@ -704,10 +714,11 @@ impl<E: Endpoint> MuxDriver<E> {
         }
     }
 
-    fn ingest(&mut self, from: SocketAddr, frame: Frame) -> io::Result<bool> {
+    fn ingest(&mut self, from: SocketAddr, frame: FrameRef<'_>) -> io::Result<bool> {
         let id = match self.routes.get(&(from, frame.flow)) {
             Some(&id) => id,
-            None => match self.try_accept(from, &frame)? {
+            // The acceptor keeps its owned `Frame`; accepting is rare.
+            None => match self.try_accept(from, &frame.to_owned())? {
                 Some(id) => id,
                 None => {
                     self.stats.datagrams_unroutable += 1;
@@ -722,7 +733,7 @@ impl<E: Endpoint> MuxDriver<E> {
             conn.stats.last_activity = now;
         }
         self.drive_endpoint(id, |ep, out| {
-            ep.handle_datagram(out, frame.wire_size, &frame.header)
+            ep.handle_datagram(out, frame.wire_size, frame.header)
         })?;
         Ok(true)
     }
@@ -830,24 +841,25 @@ impl<E: Endpoint> MuxDriver<E> {
 
     fn send_frame(&mut self, id: ConnId, peer: SocketAddr, t: Transmit) -> io::Result<()> {
         self.next_seq += 1;
-        let frame = Frame {
+        self.tx_scratch.clear();
+        FrameRef {
             flow: t.flow,
             seq: self.next_seq,
             wire_size: t.wire_size,
-            header: t.header,
-        };
-        let bytes = frame
-            .encode()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            header: &t.header,
+        }
+        .encode_into(&mut self.tx_scratch)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let now = self.clock.now();
         // While older frames sit in the backlog, every new frame must queue
         // behind them — sending around the backlog would reorder the
         // datagram stream the moment the socket buffer fills.
         let sent = if self.tx_backlog.is_empty() {
-            match self.socket.send_to(&bytes, peer) {
+            match self.socket.send_to(&self.tx_scratch, peer) {
                 Ok(_) => true,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.tx_backlog.push_back((id, peer, bytes));
+                    self.tx_backlog
+                        .push_back((id, peer, self.tx_scratch.clone()));
                     self.stats.sends_requeued += 1;
                     self.note_backlog_depth();
                     false
@@ -864,7 +876,8 @@ impl<E: Endpoint> MuxDriver<E> {
                 Err(e) => return Err(e),
             }
         } else {
-            self.tx_backlog.push_back((id, peer, bytes));
+            self.tx_backlog
+                .push_back((id, peer, self.tx_scratch.clone()));
             self.stats.sends_requeued += 1;
             self.note_backlog_depth();
             false

@@ -2,10 +2,12 @@
 //! round-trips exactly, no prefix truncation of a valid encoding is
 //! accepted, and — the adversarial half — `decode` is total: random
 //! buffers, mutated bytes and oversized datagrams all map to `Err` or to a
-//! canonical frame, never to a panic.
+//! canonical frame, never to a panic. `Frame::decode` is the borrowed
+//! `FrameRef::parse` plus a copy, so every property here pins the one parser
+//! the drivers dispatch on.
 
 use proptest::prelude::*;
-use qtp_io::frame::{Frame, FrameError, FIXED_LEN, MAX_FRAME_LEN};
+use qtp_io::frame::{Frame, FrameError, FrameRef, FIXED_LEN, MAX_FRAME_LEN};
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
     (
@@ -28,7 +30,15 @@ proptest! {
         let bytes = frame.encode().unwrap();
         prop_assert_eq!(bytes.len(), FIXED_LEN + frame.header.len());
         let decoded = Frame::decode(&bytes).unwrap();
-        prop_assert_eq!(decoded, frame);
+        prop_assert_eq!(&decoded, &frame);
+        // The view borrows the header out of the datagram, not a copy of it.
+        let view = FrameRef::parse(&bytes).unwrap();
+        prop_assert!(std::ptr::eq(view.header, &bytes[FIXED_LEN..]));
+        // Framing into a driver's scratch buffer appends exactly those bytes.
+        let mut scratch = vec![0xEE; 3];
+        view.encode_into(&mut scratch).unwrap();
+        prop_assert_eq!(&scratch[..3], &[0xEE; 3]);
+        prop_assert_eq!(&scratch[3..], &bytes[..]);
     }
 
     #[test]

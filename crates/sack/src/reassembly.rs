@@ -236,35 +236,36 @@ impl ReceiverBuffer {
     /// recently changed first (RFC 2018 §4's "most recently reported
     /// first" rule), deduplicated, each a maximal contiguous range.
     pub fn sack_blocks(&mut self, max: usize) -> Vec<SeqRange> {
-        let mut blocks: Vec<SeqRange> = Vec::with_capacity(max);
-        // Current maximal ranges above the cumulative ack.
-        let live: Vec<SeqRange> = self.ooo.iter().collect();
-        self.meter.tick(OpClass::Scan, live.len() as u64);
-        // Most-recent hints first: map each hint to the live range
-        // containing it (hints may be stale after merges).
-        for hint in &self.recent {
-            if blocks.len() >= max {
-                break;
-            }
-            if let Some(r) = live
-                .iter()
-                .find(|r| r.start <= hint.start && hint.start < r.end)
-            {
-                if !blocks.contains(r) {
-                    blocks.push(*r);
-                }
-            }
-        }
-        // Fill remaining slots with any uncovered live ranges (ascending).
-        for r in &live {
-            if blocks.len() >= max {
-                break;
-            }
-            if !blocks.contains(r) {
-                blocks.push(*r);
-            }
-        }
+        let mut blocks = vec![SeqRange { start: 0, end: 0 }; max];
+        let n = self.sack_blocks_into(&mut blocks);
+        blocks.truncate(n);
         blocks
+    }
+
+    /// [`ReceiverBuffer::sack_blocks`] into a caller-owned array, at most
+    /// `out.len()` of them; returns how many were written. Allocates
+    /// nothing, which is what a per-feedback path wants.
+    pub fn sack_blocks_into(&mut self, out: &mut [SeqRange]) -> usize {
+        let mut n = 0;
+        self.meter
+            .tick(OpClass::Scan, self.ooo.range_count() as u64);
+        // Most-recent hints first: map each hint to the live range
+        // containing it (hints may be stale after merges), then fill the
+        // remaining slots with any uncovered live ranges (ascending).
+        let hinted = self
+            .recent
+            .iter()
+            .filter_map(|hint| self.ooo.iter().find(|r| r.contains(hint.start)));
+        for r in hinted.chain(self.ooo.iter()) {
+            if n == out.len() {
+                break;
+            }
+            if !out[..n].contains(&r) {
+                out[n] = r;
+                n += 1;
+            }
+        }
+        n
     }
 }
 

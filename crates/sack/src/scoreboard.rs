@@ -13,7 +13,7 @@
 
 use qtp_metrics::{CostMeter, OpClass, StateSize};
 use qtp_simnet::time::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::ranges::{RangeSet, SeqRange};
 
@@ -45,9 +45,11 @@ pub struct Scoreboard {
     lost_pending: RangeSet,
     /// Sequences ever declared lost (so they are not re-declared).
     ever_lost: RangeSet,
-    /// Send timestamp of each in-flight sequence (pruned on cum ack).
-    /// Retransmissions overwrite the timestamp.
-    send_times: BTreeMap<u64, SimTime>,
+    /// Send timestamp of each in-flight sequence, indexed by sequence: the
+    /// back is `next_seq - 1`, and a cumulative ack pops the front, so
+    /// acknowledging any number of packets frees nothing. Retransmissions
+    /// overwrite the timestamp.
+    send_times: VecDeque<SimTime>,
     /// Retransmission count per sequence (absent = 0). Pruned on cum ack.
     retx_counts: BTreeMap<u64, u32>,
     /// Cost accounting (sender side of the E5 ledger).
@@ -62,7 +64,7 @@ impl Scoreboard {
             sacked: RangeSet::new(),
             lost_pending: RangeSet::new(),
             ever_lost: RangeSet::new(),
-            send_times: BTreeMap::new(),
+            send_times: VecDeque::new(),
             retx_counts: BTreeMap::new(),
             meter: CostMeter::new(),
         }
@@ -72,15 +74,32 @@ impl Scoreboard {
     pub fn register_send(&mut self, now: SimTime) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.send_times.insert(seq, now);
+        self.send_times.push_back(now);
         self.meter.tick(OpClass::Alloc, 1);
         seq
+    }
+
+    /// Sequence whose send time sits at the front of `send_times`.
+    fn times_base(&self) -> u64 {
+        self.next_seq - self.send_times.len() as u64
+    }
+
+    /// Latest send time of `seq`, while it is unacknowledged.
+    fn send_time(&self, seq: u64) -> Option<SimTime> {
+        let i = seq.checked_sub(self.times_base())?;
+        self.send_times.get(i as usize).copied()
     }
 
     /// Record a retransmission of `seq` (must be below `next_seq`).
     pub fn register_retransmit(&mut self, seq: u64, now: SimTime) {
         debug_assert!(seq < self.next_seq, "retransmit of unsent seq {seq}");
-        self.send_times.insert(seq, now);
+        let base = self.times_base();
+        if let Some(slot) = seq
+            .checked_sub(base)
+            .and_then(|i| self.send_times.get_mut(i as usize))
+        {
+            *slot = now;
+        }
         *self.retx_counts.entry(seq).or_insert(0) += 1;
         self.lost_pending.remove(seq);
         self.meter.tick(OpClass::Update, 2);
@@ -141,7 +160,9 @@ impl Scoreboard {
             self.lost_pending.remove_below(cum_ack);
             self.ever_lost.remove_below(cum_ack);
             // Prune timestamp / retx maps.
-            self.send_times = self.send_times.split_off(&cum_ack);
+            let acked = cum_ack.saturating_sub(self.times_base());
+            self.send_times
+                .drain(..(acked as usize).min(self.send_times.len()));
             self.retx_counts = self.retx_counts.split_off(&cum_ack);
             self.meter.tick(OpClass::Update, 5);
         }
@@ -180,7 +201,7 @@ impl Scoreboard {
                     if self.sacked.count_above(seq) >= DUP_THRESH {
                         self.ever_lost.insert(seq);
                         self.lost_pending.insert(seq);
-                        let ts = self.send_times.get(&seq).copied().unwrap_or(SimTime::ZERO);
+                        let ts = self.send_time(seq).unwrap_or(SimTime::ZERO);
                         digest.newly_lost.push((seq, ts));
                         self.meter.tick(OpClass::Alloc, 2);
                     }
@@ -206,7 +227,7 @@ impl Scoreboard {
             }
             self.ever_lost.insert(seq);
             self.lost_pending.insert(seq);
-            let ts = self.send_times.get(&seq).copied().unwrap_or(SimTime::ZERO);
+            let ts = self.send_time(seq).unwrap_or(SimTime::ZERO);
             declared.push((seq, ts));
             self.meter.tick(OpClass::Alloc, 2);
         }
@@ -223,9 +244,9 @@ impl Scoreboard {
     /// Oldest outstanding (unsacked, unacked, not pending-lost) sequence's
     /// send time — drives tail-loss timeouts at the endpoint.
     pub fn oldest_outstanding_send_time(&self) -> Option<SimTime> {
-        self.send_times
-            .iter()
-            .find(|(seq, _)| !self.sacked.contains(**seq) && !self.lost_pending.contains(**seq))
+        (self.times_base()..)
+            .zip(&self.send_times)
+            .find(|(seq, _)| !self.sacked.contains(*seq) && !self.lost_pending.contains(*seq))
             .map(|(_, ts)| *ts)
     }
 }

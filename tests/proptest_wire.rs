@@ -1,8 +1,10 @@
 //! Property tests for the wire codecs: any syntactically valid packet
 //! round-trips exactly; any truncation of a valid encoding is rejected
-//! rather than mis-parsed.
+//! rather than mis-parsed; the arithmetic length, the append-into-buffer
+//! encoder and the borrowed decode view agree with the owned codec.
 
 use proptest::prelude::*;
+use qtp::core::wire::PacketRef;
 use qtp::core::{CapabilitySet, CcKind, FeedbackMode, QtpPacket};
 use qtp::sack::{ReliabilityMode, SeqRange};
 use qtp::simnet::time::Rate;
@@ -37,7 +39,7 @@ fn arb_caps() -> impl Strategy<Value = CapabilitySet> {
 }
 
 fn arb_blocks() -> impl Strategy<Value = Vec<SeqRange>> {
-    prop::collection::vec((0u64..1 << 40, 1u64..1 << 16), 0..4).prop_map(|v| {
+    prop::collection::vec((0u64..1 << 40, 1u64..1 << 16), 0..=4).prop_map(|v| {
         v.into_iter()
             .map(|(s, l)| SeqRange::new(s, s + l))
             .collect()
@@ -89,6 +91,28 @@ fn arb_qtp_packet() -> impl Strategy<Value = QtpPacket> {
                 }
             ),
         any::<u64>().prop_map(|new_cum| QtpPacket::Forward { new_cum }),
+        (
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            any::<u32>(),
+            any::<bool>(),
+            any::<u32>(),
+            prop::collection::vec(any::<u8>(), 0..=1400),
+        )
+            .prop_map(
+                |((seq, ts_nanos, adu_ts_nanos), rtt_hint_micros, is_retx, ttl_micros, payload)| {
+                    QtpPacket::StreamData {
+                        seq,
+                        ts_nanos,
+                        adu_ts_nanos,
+                        rtt_hint_micros,
+                        is_retx,
+                        ttl_micros,
+                        payload,
+                    }
+                }
+            ),
+        any::<u64>().prop_map(|final_seq| QtpPacket::Fin { final_seq }),
+        any::<u64>().prop_map(|final_seq| QtpPacket::FinAck { final_seq }),
     ]
 }
 
@@ -98,6 +122,23 @@ proptest! {
         let bytes = pkt.encode();
         let back = QtpPacket::decode(&bytes).expect("decode of own encoding");
         prop_assert_eq!(back, pkt);
+        // The view the endpoints dispatch on borrows the payload out of the
+        // datagram rather than copying it.
+        if let PacketRef::StreamData { payload, .. } = PacketRef::parse(&bytes).unwrap() {
+            prop_assert!(std::ptr::eq(payload, &bytes[bytes.len() - payload.len()..]));
+        }
+    }
+
+    #[test]
+    fn qtp_length_and_append_encoder_agree_with_encode(pkt in arb_qtp_packet(), lead in 0usize..8) {
+        let bytes = pkt.encode();
+        prop_assert_eq!(pkt.encoded_len(), bytes.len());
+        prop_assert_eq!(pkt.wire_size() as usize, bytes.len() + 20);
+        // Appending after whatever the buffer already holds, byte for byte.
+        let mut out = vec![0xEE; lead];
+        pkt.encode_into(&mut out);
+        prop_assert_eq!(&out[..lead], &vec![0xEE; lead][..]);
+        prop_assert_eq!(&out[lead..], &bytes[..]);
     }
 
     #[test]
