@@ -54,11 +54,11 @@ pub fn e11() -> Table {
             sim.run_until(SimTime::from_secs(SECS));
             let rate = goodput(&sim, h.data_flow, SECS);
             // Mean of the p values the rate computation actually used.
-            let p_trace = h.tx.read(|d| d.p_trace.clone());
-            let p_mean = if p_trace.is_empty() {
+            let (p_sum, p_samples) = h.tx.read(|d| (d.p_sum, d.p_samples));
+            let p_mean = if p_samples == 0 {
                 0.0
             } else {
-                p_trace.iter().map(|(_, p)| *p).sum::<f64>() / p_trace.len() as f64
+                p_sum / p_samples as f64
             };
             (rate, p_mean)
         };

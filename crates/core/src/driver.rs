@@ -19,8 +19,8 @@
 //!
 //! Two drivers exist today: [`SimAgent`](crate::adapter::SimAgent) adapts an
 //! endpoint to the discrete-event simulator's `Agent` interface, and
-//! `qtp-io`'s `UdpDriver` runs one over a real `std::net::UdpSocket` with a
-//! monotonic wall clock mapped onto [`SimTime`].
+//! `qtp-io`'s `MuxDriver` runs any number of them over one real
+//! `std::net::UdpSocket` with a monotonic wall clock mapped onto [`SimTime`].
 //!
 //! # Command ordering
 //!

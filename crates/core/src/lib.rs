@@ -31,7 +31,6 @@ pub mod caps;
 pub mod cc;
 pub mod driver;
 pub mod estimator;
-pub mod instances;
 pub mod probe;
 pub mod receiver;
 pub mod sender;
@@ -42,16 +41,8 @@ pub mod wire;
 pub use adapter::{SimAgent, SimHost};
 pub use caps::{CapabilitySet, CapsError, CcKind, FeedbackMode, ServerPolicy};
 pub use cc::controller_for;
-#[allow(deprecated)]
-pub use cc::CcMachine;
 pub use driver::{Command, Endpoint, Outbox, TimerGens, Transmit};
 pub use estimator::SenderLossEstimator;
-pub use instances::QtpHandles;
-#[allow(deprecated)]
-pub use instances::{
-    attach_qtp, cbr_app, qtp_af_sender, qtp_light_partial_sender, qtp_light_sender,
-    qtp_standard_sender,
-};
 pub use probe::{Probe, ProbeData};
 pub use receiver::{QtpReceiver, QtpReceiverConfig};
 pub use sender::{AppModel, QtpSender, QtpSenderConfig};

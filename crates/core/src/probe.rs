@@ -3,10 +3,9 @@
 //! Agents are moved into the simulator, so experiments keep a cloned
 //! [`Probe`] handle to read endpoint-internal measurements afterwards:
 //! processing costs (the E5 receiver-load ledger), rate/loss-estimate
-//! traces, reliability outcomes. Single-threaded simulation makes
+//! summaries, reliability outcomes. Single-threaded simulation makes
 //! `Rc<RefCell<…>>` the right tool.
 
-use qtp_simnet::time::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -27,10 +26,13 @@ pub struct ProbeData {
     // ---- sender-side ----
     /// Total sender-side processing operations (CC + scoreboard + estimator).
     pub tx_ops: u64,
-    /// Allowed-rate trace sampled at each feedback, `(time, bytes/s)`.
-    pub rate_trace: Vec<(SimTime, f64)>,
-    /// Loss-event-rate trace `(time, p)` as used by the rate computation.
-    pub p_trace: Vec<(SimTime, f64)>,
+    /// Allowed rate after the latest feedback, bytes/s.
+    pub last_rate: f64,
+    /// Sum of the loss-event rates `p` the rate computation used, one per
+    /// feedback (the full series is `TraceEventKind::RateUpdate`).
+    pub p_sum: f64,
+    /// Feedbacks contributing to `p_sum`.
+    pub p_samples: u64,
     /// Data packets sent (including retransmissions).
     pub tx_data_pkts: u64,
     /// Retransmissions sent.

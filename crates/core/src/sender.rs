@@ -19,7 +19,7 @@
 //! timers and emitting transmit/timer commands into an
 //! [`Outbox`](crate::driver::Outbox). Drivers decide what those commands
 //! mean — [`SimAgent`](crate::adapter::SimAgent) replays them into the
-//! discrete-event simulator, `qtp-io`'s `UdpDriver` onto a real UDP socket.
+//! discrete-event simulator, `qtp-io`'s `MuxDriver` onto a real UDP socket.
 //!
 //! [`ReliabilityPolicy`]: qtp_sack::ReliabilityPolicy
 
@@ -805,8 +805,9 @@ impl QtpSender {
             },
         );
         self.probe.update(|d| {
-            d.rate_trace.push((now, rate));
-            d.p_trace.push((now, p));
+            d.last_rate = rate;
+            d.p_sum += p;
+            d.p_samples += 1;
             d.rtt_estimate_s = rtt_s;
             d.tx_ops = cc_ops + est_ops + sb_ops;
         });

@@ -22,20 +22,19 @@
 //!   ([`Session::poll_timeout`]) and typed events
 //!   ([`Session::poll_event`]: `Connected`, `Delivered`, `TtlExpired`,
 //!   `Rejected`, `Closed`). A `Session` also implements the lower-level
-//!   [`Endpoint`] seam, so every existing driver (the simulator's
-//!   [`SimAgent`](crate::adapter::SimAgent), `qtp-io`'s `UdpDriver` and
-//!   `MuxDriver`) mounts it directly.
+//!   [`Endpoint`] seam, so both drivers (the simulator's
+//!   [`SimAgent`](crate::adapter::SimAgent) and `qtp-io`'s `MuxDriver`)
+//!   mount it directly.
 //! * [`Backend`] — the run-a-scenario seam: hand any backend a slice of
 //!   plans and get per-connection [`ConnectionOutcome`]s back.
 //!   [`SimBackend`] (here) drives plans through the deterministic
-//!   simulator; `qtp_io::backend::{UdpBackend, MuxBackend}` drive the
-//!   *same plans* over real UDP sockets, single-socket-per-connection or
-//!   multiplexed.
+//!   simulator; `qtp_io::backend::MuxBackend` drives the *same plans*
+//!   over real UDP sockets, multiplexed on one socket pair.
 //!
 //! QUIC implementations converged on exactly this shape — one sans-io
 //! connection object, many I/O strategies — and it is what lets a single
-//! program here run unchanged on the simulator, the blocking UDP driver
-//! and the multi-flow mux.
+//! program here run unchanged on the simulator and on the real-socket
+//! mux, alone or among hundreds of flows.
 
 use qtp_metrics::trace::{TraceEventKind, TraceRegistry, Tracer};
 use qtp_sack::ReliabilityMode;
@@ -654,8 +653,8 @@ impl Endpoint for Role {
 /// ```
 ///
 /// **Mounted style** — a `Session` implements [`Endpoint`], so the
-/// simulator ([`SimAgent`](crate::adapter::SimAgent)), `qtp_io::UdpDriver`
-/// and `qtp_io::MuxDriver` drive it like any endpoint. Commands pass
+/// simulator ([`SimAgent`](crate::adapter::SimAgent)) and
+/// `qtp_io::MuxDriver` drive it like any endpoint. Commands pass
 /// through to the driver unchanged and in order (which is what keeps
 /// fixed-seed simulations byte-identical to the pre-session wiring); the
 /// driver owns the timers, and [`Session::poll_timeout`] stays empty.
@@ -1115,9 +1114,9 @@ pub struct PairHandles {
 /// session at `sender_node`, a receiving session at `receiver_node`, two
 /// registered flows (`<name>` data, `<name>-fb` feedback).
 ///
-/// This is the session-layer successor of the deprecated
-/// `attach_qtp`: same wiring, byte-identical fixed-seed behaviour, plus
-/// typed events.
+/// Mounting the sessions replays byte-identically, for a fixed seed, to
+/// mounting a bare `QtpSender` / `QtpReceiver` pair (the
+/// `session_differential` test holds that), and adds typed events.
 pub fn attach_pair(
     sim: &mut Simulator,
     sender_node: NodeId,
@@ -1215,7 +1214,7 @@ pub struct ConnectionOutcome {
     pub tx_events: Vec<SessionEvent>,
     /// Receiver-side session events, in order.
     pub rx_events: Vec<SessionEvent>,
-    /// Sender-side probe snapshot (rate/loss traces, retransmissions).
+    /// Sender-side probe snapshot (rate/loss summaries, retransmissions).
     pub tx: ProbeData,
     /// Receiver-side probe snapshot (per-packet cost, peak state).
     pub rx: ProbeData,
@@ -1223,12 +1222,11 @@ pub struct ConnectionOutcome {
 
 /// The run-a-scenario seam: every backend takes the same
 /// [`ConnectionPlan`]s and reports per-connection [`ConnectionOutcome`]s,
-/// in plan order. Implementations: [`SimBackend`] (simulator),
-/// `qtp_io::backend::UdpBackend` (one blocking socket pair per
-/// connection) and `qtp_io::backend::MuxBackend` (all connections
-/// multiplexed over one socket pair).
+/// in plan order. Implementations: [`SimBackend`] (simulator) and
+/// `qtp_io::backend::MuxBackend` (real UDP, all connections multiplexed
+/// over one socket pair).
 pub trait Backend {
-    /// Short backend tag for reports ("sim", "udp", "mux").
+    /// Short backend tag for reports ("sim", "mux").
     fn name(&self) -> &'static str;
 
     /// Run every plan to completion or the backend's horizon.

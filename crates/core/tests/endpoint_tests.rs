@@ -350,7 +350,7 @@ fn deterministic_across_runs() {
         (
             f.pkts_arrived,
             f.bytes_app_delivered,
-            h.tx.read(|d| d.rate_trace.last().map(|(_, r)| *r).unwrap_or(0.0)),
+            h.tx.read(|d| d.last_rate),
         )
     }
     assert_eq!(run(), run());

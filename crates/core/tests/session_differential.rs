@@ -1,28 +1,48 @@
-//! The behaviour-preservation proof for the session-API redesign: for a
-//! fixed seed, wiring a connection through the new session layer
-//! ([`attach_pair`]) replays **byte-identically** to the legacy
-//! [`attach_qtp`] free-function wiring — same per-flow statistics, same
-//! endpoint-internal measurements — on a stochastic (lossy, RED-queued)
-//! scenario that exercises retransmission, feedback and timers.
+//! The behaviour-preservation proof for the session layer: for a fixed
+//! seed, wiring a connection through [`attach_pair`] replays
+//! **byte-identically** to mounting a bare [`QtpSender`] / [`QtpReceiver`]
+//! pair in [`SimAgent`]s (the pre-session wiring, kept here as a test-local
+//! reference) — same per-flow statistics, same endpoint-internal
+//! measurements — on a stochastic (lossy, RED-queued) scenario that
+//! exercises retransmission, feedback and timers.
 //!
 //! A `SimAgent<Session>` passes endpoint commands through unchanged and
 //! in order, so the simulation's event sequence cannot tell the two
-//! wirings apart. This test is what lets the rest of the tree migrate to
-//! the session API without touching the committed claims ledger.
-
-#![allow(deprecated)] // the legacy side of the differential is the point
+//! wirings apart. This test is what lets the rest of the tree use the
+//! session API without touching the committed claims ledger.
 
 use qtp_core::session::{attach_pair, ConnectionPlan, Profile, SessionEvent, SessionEvents};
-use qtp_core::{attach_qtp, Probe, QtpReceiverConfig, QtpSenderConfig};
+use qtp_core::{Probe, QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, SimAgent};
 use qtp_simnet::prelude::*;
+use qtp_simnet::sim::Simulator;
 use std::time::Duration;
+
+/// The reference wiring: bare endpoints between hosts 0 and 1, two
+/// registered flows (`diff` data, `diff-fb` feedback). Returns the data
+/// flow and both probes.
+fn attach_bare(sim: &mut Simulator, cfg: QtpSenderConfig) -> (FlowId, Probe, Probe) {
+    let data_flow = sim.register_flow("diff");
+    let fb_flow = sim.register_flow("diff-fb");
+    let (tx, rx) = (Probe::new(), Probe::new());
+    let sender = QtpSender::new(data_flow, 1, cfg, tx.clone());
+    sim.attach_agent(0, Box::new(SimAgent::new(sender)));
+    let receiver = QtpReceiver::new(
+        data_flow,
+        fb_flow,
+        0,
+        QtpReceiverConfig::default(),
+        rx.clone(),
+    );
+    sim.attach_agent(1, Box::new(SimAgent::new(receiver)));
+    (data_flow, tx, rx)
+}
 
 /// One fixed-seed lossy scenario: wire a connection, run 30 virtual
 /// seconds, then render flow stats and probe snapshots for comparison.
 /// Probes are snapshotted strictly *after* the run.
 fn scenario(
     seed: u64,
-    wire: impl FnOnce(&mut qtp_simnet::sim::Simulator) -> (u32, Probe, Probe, Option<SessionEvents>),
+    wire: impl FnOnce(&mut Simulator) -> (FlowId, Probe, Probe, Option<SessionEvents>),
 ) -> (String, Option<Vec<SessionEvent>>) {
     let mut b = NetworkBuilder::new();
     let s = b.host();
@@ -55,15 +75,8 @@ fn scenario(
 fn differential(profile: Profile, legacy_cfg: QtpSenderConfig) {
     for seed in [7u64, 42] {
         let (legacy, _) = scenario(seed, |sim| {
-            let h = attach_qtp(
-                sim,
-                0,
-                1,
-                "diff",
-                legacy_cfg.clone(),
-                QtpReceiverConfig::default(),
-            );
-            (h.data_flow, h.tx, h.rx, None)
+            let (data_flow, tx, rx) = attach_bare(sim, legacy_cfg.clone());
+            (data_flow, tx, rx, None)
         });
         let (session, events) = scenario(seed, |sim| {
             let plan = ConnectionPlan::new(profile)

@@ -1,12 +1,12 @@
-//! Real-socket [`Backend`] bindings: the same [`ConnectionPlan`]s that run
-//! on the deterministic simulator (`qtp_core::session::SimBackend`) run
-//! here over actual UDP sockets on loopback — one blocking socket pair per
-//! connection ([`UdpBackend`]) or every connection multiplexed over a
-//! single socket pair ([`MuxBackend`]).
+//! The real-socket [`Backend`] binding: the same [`ConnectionPlan`]s that
+//! run on the deterministic simulator (`qtp_core::session::SimBackend`)
+//! run here over actual UDP sockets on loopback, every connection
+//! multiplexed over a single socket pair ([`MuxBackend`]; one plan is one
+//! connection on it).
 //!
-//! Both backends mount [`Session`]s in the existing drivers (a `Session`
+//! The backend mounts [`Session`]s in [`MuxDriver`]s (a `Session`
 //! implements the `Endpoint` seam), so the protocol behaviour is exactly
-//! the driver behaviour; what this module adds is plan wiring, a shared
+//! the driver behaviour; what this module adds is plan wiring, the
 //! completion rule and outcome extraction. Times in the outcomes are
 //! wall-clock, so socket-backend reports are *not* byte-deterministic —
 //! the deterministic claims all live on the sim backend.
@@ -17,13 +17,9 @@ use std::io;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use crate::driver::{annotate_side, UdpDriver};
 use crate::mux::{drive_mux_pair, Accepted, ConnId, MuxConfig, MuxDriver, MuxStats};
 
-/// Driver time slice used by both backends' event loops.
-const SLICE: Duration = Duration::from_micros(300);
-
-/// Client-side completion rule shared by the socket backends: a finite
+/// Client-side completion rule of the socket backend: a finite
 /// transfer is done when its backlog has been transmitted — and, when
 /// the [effective](ConnectionPlan::effective_reliability) reliability is
 /// `Full`, acknowledged. Keying on the negotiated mode (not the offer)
@@ -69,106 +65,6 @@ fn outcome(
     }
 }
 
-// ---------------------------------------------------------------------------
-// UdpBackend
-// ---------------------------------------------------------------------------
-
-/// One blocking UDP socket pair per connection, on 127.0.0.1 — the
-/// [`UdpDriver`] binding of the backend seam. All pairs are driven
-/// round-robin from one thread.
-#[derive(Debug, Clone)]
-pub struct UdpBackend {
-    /// Wall-clock bound for the whole run.
-    pub deadline: Duration,
-}
-
-impl UdpBackend {
-    /// A backend with the given wall-clock deadline.
-    pub fn new(deadline: Duration) -> UdpBackend {
-        UdpBackend { deadline }
-    }
-}
-
-impl Default for UdpBackend {
-    fn default() -> Self {
-        UdpBackend::new(Duration::from_secs(30))
-    }
-}
-
-impl Backend for UdpBackend {
-    fn name(&self) -> &'static str {
-        "udp"
-    }
-
-    fn run(&mut self, plans: &[ConnectionPlan]) -> io::Result<Vec<ConnectionOutcome>> {
-        // Data travels on flow 0, feedback on flow 1; each pair has its
-        // own sockets so the ids never collide across connections.
-        let mut pairs: Vec<(UdpDriver<Session>, UdpDriver<Session>)> = Vec::new();
-        for plan in plans {
-            let rx = UdpDriver::server(Session::receiver(0, 1, 0, plan), "127.0.0.1:0")?;
-            let peer = rx.local_addr()?;
-            let tx = UdpDriver::client(Session::sender(0, 1, plan), "127.0.0.1:0", peer)?;
-            pairs.push((tx, rx));
-        }
-
-        // Sweeps a pair is still driven after completing, so trailing
-        // in-flight datagrams (an unreliable flow's last packets, final
-        // feedback) drain before the pair stops being serviced. Without
-        // the skip, every completed pair would keep blocking in recv for
-        // up to 2×SLICE per sweep, throttling the still-active flows.
-        const DRAIN_SWEEPS: u32 = 3;
-        let start = Instant::now();
-        let mut completion: Vec<Option<f64>> = vec![None; plans.len()];
-        let mut drained: Vec<u32> = vec![0; plans.len()];
-        loop {
-            let mut all_done = true;
-            for (i, (tx, rx)) in pairs.iter_mut().enumerate() {
-                if completion[i].is_some() {
-                    if drained[i] >= DRAIN_SWEEPS {
-                        continue;
-                    }
-                    drained[i] += 1;
-                }
-                tx.drive_once(SLICE)
-                    .map_err(|e| annotate_side("sender side", e))?;
-                rx.drive_once(SLICE)
-                    .map_err(|e| annotate_side("receiver side", e))?;
-                if completion[i].is_none() && tx_complete(&plans[i], tx.endpoint()) {
-                    completion[i] = Some(start.elapsed().as_secs_f64());
-                }
-                // "Done" means completed AND drained — the last pair to
-                // complete gets its drain sweeps too.
-                if completion[i].is_none() || drained[i] < DRAIN_SWEEPS {
-                    all_done = false;
-                }
-            }
-            if all_done || start.elapsed() > self.deadline {
-                break;
-            }
-        }
-
-        let horizon_s = self.deadline.as_secs_f64();
-        Ok(plans
-            .iter()
-            .zip(&pairs)
-            .enumerate()
-            .map(|(i, (plan, (tx, rx)))| {
-                outcome(
-                    plan.display_label(i),
-                    completion[i],
-                    horizon_s,
-                    tx.endpoint(),
-                    Some(rx.endpoint()),
-                )
-            })
-            .collect())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MuxBackend
-// ---------------------------------------------------------------------------
-
 /// Socket-level counters from one [`MuxBackend::run`], per side. The
 /// [`MuxStats::counter_set`] view is the cross-backend currency; the raw
 /// stats keep the mux-only fields (backlog / timer-wheel high-water).
@@ -188,14 +84,14 @@ pub struct MuxRunStats {
 pub struct MuxBackend {
     /// Wall-clock bound for the whole run.
     pub deadline: Duration,
-    /// Mux tuning (the connection cap is raised to fit the plans).
+    /// Mux limits (the connection cap is raised to fit the plans).
     pub mux: MuxConfig,
     /// Counters of the most recent [`Backend::run`], for reports.
     pub last_stats: Option<MuxRunStats>,
 }
 
 impl MuxBackend {
-    /// A backend with the given wall-clock deadline and default tuning.
+    /// A backend with the given wall-clock deadline and default limits.
     pub fn new(deadline: Duration) -> MuxBackend {
         MuxBackend {
             deadline,
@@ -219,7 +115,6 @@ impl Backend for MuxBackend {
     fn run(&mut self, plans: &[ConnectionPlan]) -> io::Result<Vec<ConnectionOutcome>> {
         let mux_cfg = MuxConfig {
             max_conns: (2 * plans.len()).max(self.mux.max_conns),
-            ..self.mux.clone()
         };
         let mut server: MuxDriver<Session> = MuxDriver::bind_with("127.0.0.1:0", mux_cfg.clone())?;
         let accept_plans: Rc<Vec<ConnectionPlan>> = Rc::new(plans.to_vec());
@@ -304,23 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn udp_backend_runs_mixed_plans() {
-        let plans = mixed_plans(12);
-        let outcomes = UdpBackend::default().run(&plans).expect("udp run");
-        assert_eq!(outcomes.len(), 2);
-        for o in &outcomes {
-            assert!(o.completion_s.is_some(), "{} completed", o.label);
-        }
-        // The reliable connection delivered everything; negotiation
-        // matches the pure policy function.
-        assert_eq!(outcomes[0].delivered_bytes, 12 * 1000);
-        assert_eq!(
-            outcomes[0].negotiated,
-            Some(ServerPolicy::default().negotiate(CapabilitySet::qtp_af(Rate::from_kbps(500))))
-        );
-    }
-
-    #[test]
     fn mux_backend_runs_mixed_plans_over_one_socket_pair() {
         let plans = mixed_plans(10);
         let outcomes = MuxBackend::default().run(&plans).expect("mux run");
@@ -328,7 +206,13 @@ mod tests {
         for o in &outcomes {
             assert!(o.completion_s.is_some(), "{} completed", o.label);
         }
+        // The reliable connection delivered everything; negotiation
+        // matches the pure policy function.
         assert_eq!(outcomes[0].delivered_bytes, 10 * 1000);
+        assert_eq!(
+            outcomes[0].negotiated,
+            Some(ServerPolicy::default().negotiate(CapabilitySet::qtp_af(Rate::from_kbps(500))))
+        );
         assert!(outcomes[1].negotiated.is_some());
     }
 }

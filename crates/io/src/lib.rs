@@ -15,16 +15,17 @@
 //! * [`clock`] — a monotonic wall clock mapped onto the protocol's
 //!   `SimTime` axis, so every timestamp-based computation (RTT, feedback
 //!   rounds, TTL reliability) is backend-independent;
-//! * [`driver`] — [`UdpDriver`], a blocking single-thread event loop over
-//!   one `std::net::UdpSocket`: fire due timers → `recv` with the computed
-//!   timeout → dispatch → drain commands to the socket;
-//! * [`mux`] — [`MuxDriver`], the connection multiplexer: one non-blocking
-//!   socket carrying many concurrent endpoints, routed by
-//!   `(peer, flow id)`, with a per-connection [`TimerWheel`],
-//!   accept-on-first-frame, teardown and stale-flow reaping. Its loop
-//!   waits for readiness, not for time: an idle iteration blocks until the
-//!   socket is ready or the next timer is due ([`step_mux_pair`] does so
-//!   for both muxes of a one-thread rig at once).
+//! * [`mux`] — [`MuxDriver`], the one real-socket event loop: one
+//!   non-blocking socket carrying any number of concurrent endpoints (a
+//!   single connection is N = 1), routed by `(peer, flow id)`, with a
+//!   per-connection [`TimerWheel`], accept-on-first-frame, teardown and
+//!   stale-flow reaping. Its loop waits for readiness, not for time: an
+//!   idle iteration blocks until the socket is ready or the next timer is
+//!   due ([`step_mux_pair`] does so for both muxes of a one-thread rig at
+//!   once);
+//! * [`accept`] — [`accept_sessions`], plan-driven server-side accept;
+//! * [`backend`] — [`MuxBackend`], the `qtp_core::session::Backend`
+//!   binding that runs `ConnectionPlan`s over one loopback socket pair.
 //!
 //! Zero runtime dependencies beyond `std`, by workspace policy. The
 //! readiness wait is therefore an in-tree `ppoll(2)` binding (private
@@ -36,44 +37,49 @@
 //! ## Example
 //!
 //! Complete a capability handshake and a reliable 20-packet transfer
-//! between two sockets on loopback, both driven from one thread:
+//! between two sockets on loopback, both driven from one thread. The
+//! server accepts the connection on its first frame; the client owns data
+//! flow 0 and feedback flow 1:
 //!
 //! ```
-//! use qtp_core::{qtp_af_sender, AppModel, Probe, QtpReceiver, QtpReceiverConfig, QtpSender};
-//! use qtp_io::{drive_pair, UdpDriver};
+//! use qtp_core::session::{ConnectionPlan, Profile, Session};
+//! use qtp_io::{accept_sessions, drive_mux_pair, MuxDriver};
 //! use qtp_simnet::time::Rate;
 //! use std::time::Duration;
 //!
-//! let mut cfg = qtp_af_sender(Rate::from_kbps(500));
-//! cfg.app = AppModel::Finite { packets: 20 };
+//! let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_kbps(500))).finite(20);
 //!
-//! let receiver = QtpReceiver::new(0, 1, 0, QtpReceiverConfig::default(), Probe::new());
-//! let mut rx = UdpDriver::server(receiver, "127.0.0.1:0").unwrap();
-//! let peer = rx.local_addr().unwrap();
+//! let mut server: MuxDriver<Session> = MuxDriver::bind("127.0.0.1:0").unwrap();
+//! let accepts = accept_sessions(&mut server, plan.clone());
+//! let server_addr = server.local_addr().unwrap();
 //!
-//! let sender = QtpSender::new(0, 1, cfg, Probe::new());
-//! let mut tx = UdpDriver::client(sender, "127.0.0.1:0", peer).unwrap();
+//! let mut client: MuxDriver<Session> = MuxDriver::bind("127.0.0.1:0").unwrap();
+//! let conn = client
+//!     .add_connection(server_addr, vec![0, 1], Session::sender(0, 0, &plan))
+//!     .unwrap();
 //!
-//! let done = drive_pair(&mut tx, &mut rx, Duration::from_secs(20), |tx, rx| {
-//!     rx.endpoint().delivered_packets() == 20 && tx.endpoint().all_acked()
+//! let done = drive_mux_pair(&mut client, &mut server, Duration::from_secs(20), |c, _| {
+//!     let tx = c.endpoint(conn).unwrap();
+//!     tx.sent_new() == 20 && tx.all_acked()
 //! })
 //! .unwrap();
 //! assert!(done, "transfer did not complete");
-//! assert_eq!(rx.delivered_bytes(), 20 * 1000);
+//!
+//! let ev = accepts.pop().expect("the server accepted one connection");
+//! let rx = server.route(ev.peer, ev.data_flow).unwrap();
+//! assert_eq!(server.conn_stats(rx).unwrap().delivered_bytes, 20 * 1000);
 //! ```
 
 pub mod accept;
 pub mod backend;
 pub mod clock;
-pub mod driver;
 pub mod frame;
 pub mod mux;
 mod wait;
 
 pub use accept::{accept_sessions, AcceptEvent, AcceptQueue};
-pub use backend::{MuxBackend, UdpBackend};
+pub use backend::MuxBackend;
 pub use clock::WallClock;
-pub use driver::{drive_pair, DriverStats, UdpDriver};
 pub use frame::{Frame, FrameError};
 pub use mux::{
     drive_mux_pair, step_mux_pair, Accepted, ConnId, ConnStats, MuxConfig, MuxDriver, MuxStats,

@@ -1,10 +1,9 @@
 //! Connection multiplexing: one UDP socket, many QTP flows.
 //!
-//! [`UdpDriver`](crate::UdpDriver) binds one socket per endpoint — fine for
-//! a demo, hopeless for a server. [`MuxDriver`] is the scaling seam the
-//! ROADMAP calls for: it owns **one** `std::net::UdpSocket` and routes
-//! datagrams among N concurrent [`Endpoint`] instances keyed by
-//! `(peer_addr, flow_id)`, QUIC-style:
+//! [`MuxDriver`] is the crate's one real-socket event loop: it owns **one**
+//! `std::net::UdpSocket` and routes datagrams among N concurrent
+//! [`Endpoint`] instances keyed by `(peer_addr, flow_id)`, QUIC-style. A
+//! single connection is simply N = 1 — there is no second, simpler driver:
 //!
 //! ```text
 //! loop {                                  // drive_mux_pair / drive_once
@@ -30,7 +29,8 @@
 //!
 //! * **Routing** — every connection registers the flow ids it owns with its
 //!   peer address (a QTP connection owns two: data + feedback). The route
-//!   table is the hot path; see the `mux_micro` criterion bench.
+//!   table is the hot path; qtpperf prices it as `mux.route_ns_16` /
+//!   `mux.route_ns_1024`.
 //! * **Timers** — a [`TimerWheel`] holds every armed wakeup, tagged by
 //!   connection so teardown can purge them. The wheel keeps the
 //!   simulator's fire-and-forget contract: it never cancels an entry on
@@ -91,7 +91,7 @@ impl std::fmt::Display for ConnId {
 // Timer wheel
 // ---------------------------------------------------------------------------
 
-/// Slots per wheel revolution. With the default 1 ms granularity one
+/// Slots per wheel revolution. With the driver's 1 ms granularity one
 /// revolution covers 256 ms; anything further out parks in the overflow
 /// list until its revolution comes around.
 const WHEEL_SLOTS: usize = 256;
@@ -291,14 +291,16 @@ impl TimerWheel {
 // The mux driver
 // ---------------------------------------------------------------------------
 
-/// Tuning knobs for a [`MuxDriver`].
+/// Timer wheel slot width.
+const TIMER_GRANULARITY: Duration = Duration::from_millis(1);
+
+/// Most datagrams dispatched per [`MuxDriver::drive_once`] call before
+/// yielding back to the timer path (level-triggered fairness bound).
+const RECV_BATCH: usize = 256;
+
+/// Resource limits of a [`MuxDriver`].
 #[derive(Debug, Clone)]
 pub struct MuxConfig {
-    /// Timer wheel slot width.
-    pub timer_granularity: Duration,
-    /// Most datagrams dispatched per [`MuxDriver::drive_once`] call before
-    /// yielding back to the timer path (level-triggered fairness bound).
-    pub recv_batch: usize,
     /// Most concurrent connections; the acceptor is not consulted beyond
     /// this (the datagram counts as unroutable).
     pub max_conns: usize,
@@ -306,11 +308,7 @@ pub struct MuxConfig {
 
 impl Default for MuxConfig {
     fn default() -> Self {
-        MuxConfig {
-            timer_granularity: Duration::from_millis(1),
-            recv_batch: 256,
-            max_conns: 4096,
-        }
+        MuxConfig { max_conns: 4096 }
     }
 }
 
@@ -439,19 +437,19 @@ pub struct MuxDriver<E: Endpoint> {
 }
 
 impl<E: Endpoint> MuxDriver<E> {
-    /// Bind a mux on `bind_addr` with default tuning.
+    /// Bind a mux on `bind_addr` with the default limits.
     pub fn bind(bind_addr: impl ToSocketAddrs) -> io::Result<Self> {
         Self::bind_with(bind_addr, MuxConfig::default())
     }
 
-    /// Bind a mux on `bind_addr` with explicit tuning.
+    /// Bind a mux on `bind_addr` with explicit limits.
     pub fn bind_with(bind_addr: impl ToSocketAddrs, cfg: MuxConfig) -> io::Result<Self> {
         let socket = UdpSocket::bind(bind_addr)?;
         socket.set_nonblocking(true)?;
         Ok(MuxDriver {
             socket,
             clock: WallClock::new(),
-            wheel: TimerWheel::new(cfg.timer_granularity),
+            wheel: TimerWheel::new(TIMER_GRANULARITY),
             cfg,
             conns: BTreeMap::new(),
             routes: BTreeMap::new(),
@@ -651,7 +649,7 @@ impl<E: Endpoint> MuxDriver<E> {
     fn drain_socket(&mut self, buf: &mut [u8]) -> io::Result<(usize, usize)> {
         let mut handled = 0usize;
         let mut received = 0usize;
-        for _ in 0..self.cfg.recv_batch {
+        for _ in 0..RECV_BATCH {
             match self.socket.recv_from(buf) {
                 Ok((n, from)) => {
                     received += 1;
@@ -702,8 +700,8 @@ impl<E: Endpoint> MuxDriver<E> {
 
     /// Route one already-received datagram, exactly as the recv loop does —
     /// the ingress seam for alternative receive paths (recvmmsg batching)
-    /// and the `mux_micro` routing benchmark. Returns whether the datagram
-    /// reached an endpoint.
+    /// and qtpperf's `mux.route_ns_*` routing replay. Returns whether the
+    /// datagram reached an endpoint.
     pub fn handle_datagram_from(&mut self, from: SocketAddr, buf: &[u8]) -> io::Result<bool> {
         match FrameRef::parse(buf) {
             Ok(frame) => self.ingest(from, frame),
@@ -812,6 +810,13 @@ impl<E: Endpoint> MuxDriver<E> {
         self.out.now = self.clock.now();
         f(&mut ep, &mut self.out);
         let res = self.flush_cmds(id, peer);
+        if res.is_err() {
+            // The rest of this callback's commands die with the failed one:
+            // left in the shared outbox, the next connection's drain would
+            // apply them as its own (its id on the timers, its peer on the
+            // transmits).
+            while self.out.poll_cmd().is_some() {}
+        }
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.ep = Some(ep);
         }
@@ -962,6 +967,12 @@ fn idle_wait<const N: usize>(
     }))
 }
 
+/// Annotate a socket error with which driver of a pair raised it, keeping
+/// the original [`io::ErrorKind`] so callers can still match on it.
+fn annotate_side(side: &str, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{side}: {e}"))
+}
+
 /// One iteration of a two-mux rig driven in one thread: a non-blocking step
 /// on each side and then, only if both found nothing to do, **one** wait on
 /// both sockets until either is ready, the nearer of the two wheels'
@@ -973,12 +984,8 @@ pub fn step_mux_pair<A: Endpoint, B: Endpoint>(
     b: &mut MuxDriver<B>,
     slice: Duration,
 ) -> io::Result<usize> {
-    let (handled_a, idle_a) = a
-        .step()
-        .map_err(|e| crate::driver::annotate_side("a side", e))?;
-    let (handled_b, idle_b) = b
-        .step()
-        .map_err(|e| crate::driver::annotate_side("b side", e))?;
+    let (handled_a, idle_a) = a.step().map_err(|e| annotate_side("a side", e))?;
+    let (handled_b, idle_b) = b.step().map_err(|e| annotate_side("b side", e))?;
     if idle_a && idle_b {
         // The two muxes keep separate clocks, so compare time left.
         let until = match (a.until_deadline(), b.until_deadline()) {
@@ -1338,12 +1345,94 @@ mod tests {
         assert_eq!(mux.stats().datagrams_unroutable, 1);
     }
 
+    /// Token of the timer [`Unframable`] arms *behind* its bad transmit.
+    const ORPHAN: u64 = 99;
+
+    /// Arms an already-due timer on start (`add_connection` runs `on_start`
+    /// at once, so the failure has to come from a later callback); when it
+    /// fires, emits a transmit no frame can carry, then one more timer.
+    struct Unframable;
+    impl Endpoint for Unframable {
+        fn on_start(&mut self, out: &mut Outbox) {
+            out.set_timer_at(out.now, 1);
+        }
+        fn on_timer(&mut self, out: &mut Outbox, _token: u64) {
+            out.send_new(0, 0, 64, vec![0; MAX_FRAME_LEN]);
+            out.set_timer_at(out.now, ORPHAN);
+        }
+    }
+
+    /// Arms three timers out of deadline order, records what fires.
+    struct TimerBox {
+        fired: Rc<RefCell<Vec<u64>>>,
+    }
+    impl Endpoint for TimerBox {
+        fn on_start(&mut self, out: &mut Outbox) {
+            out.set_timer_at(out.now + Duration::from_millis(30), 3);
+            out.set_timer_at(out.now + Duration::from_millis(10), 1);
+            out.set_timer_at(out.now + Duration::from_millis(20), 2);
+        }
+        fn on_timer(&mut self, _out: &mut Outbox, token: u64) {
+            self.fired.borrow_mut().push(token);
+        }
+    }
+
+    #[test]
+    fn failed_flush_does_not_leak_commands_into_the_next_connection() {
+        let mut mux: MuxDriver<Box<dyn Endpoint>> = MuxDriver::bind("127.0.0.1:0").unwrap();
+        let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        mux.add_connection(peer, vec![1], Box::new(Unframable))
+            .unwrap();
+        let err = mux
+            .drive_once(Duration::from_millis(1))
+            .expect_err("unframable transmit must surface as an error");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(mux.timer_count(), 0, "the failed callback armed nothing");
+
+        // The next connection's first drain must see only its own commands:
+        // exactly its three timers armed, fired in deadline order whatever
+        // the arming order, and never the first connection's orphan token.
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        mux.add_connection(
+            peer,
+            vec![2],
+            Box::new(TimerBox {
+                fired: fired.clone(),
+            }),
+        )
+        .unwrap();
+        assert_eq!(mux.timer_count(), 3, "no orphan armed under the new conn");
+        let t0 = std::time::Instant::now();
+        while fired.borrow().len() < 3 && t0.elapsed() < Duration::from_secs(5) {
+            mux.drive_once(Duration::from_millis(5)).unwrap();
+        }
+        assert_eq!(*fired.borrow(), vec![1, 2, 3]);
+        assert_eq!(mux.stats().timers_fired, 4);
+    }
+
+    #[test]
+    fn step_mux_pair_annotates_socket_errors_by_side() {
+        let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let mut bad: MuxDriver<Unframable> = MuxDriver::bind("127.0.0.1:0").unwrap();
+        bad.add_connection(peer, vec![1], Unframable).unwrap();
+        let mut idle: MuxDriver<Unframable> = MuxDriver::bind("127.0.0.1:0").unwrap();
+
+        // The hard failure aborts the step at once, names the side that
+        // raised it (argument order) and keeps its kind matchable.
+        let err = step_mux_pair(&mut bad, &mut idle, Duration::from_millis(1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("a side"), "{err}");
+
+        let mut bad: MuxDriver<Unframable> = MuxDriver::bind("127.0.0.1:0").unwrap();
+        bad.add_connection(peer, vec![1], Unframable).unwrap();
+        let err = step_mux_pair(&mut idle, &mut bad, Duration::from_millis(1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("b side"), "{err}");
+    }
+
     #[test]
     fn connection_cap_stops_accepting() {
-        let cfg = MuxConfig {
-            max_conns: 1,
-            ..MuxConfig::default()
-        };
+        let cfg = MuxConfig { max_conns: 1 };
         let mut mux: MuxDriver<Echo> = MuxDriver::bind_with("127.0.0.1:0", cfg).unwrap();
         mux.set_acceptor(|_, frame| {
             Some(Accepted {

@@ -1,13 +1,12 @@
 //! The acceptance test for the backend seam: the *same*
-//! [`ConnectionPlan`]s run unchanged on all three backends — the
-//! deterministic simulator, one blocking UDP socket pair per connection,
-//! and the single-socket connection multiplexer — and every backend
-//! negotiates the identical service and honours the same completion
-//! semantics.
+//! [`ConnectionPlan`]s run unchanged on both backends — the deterministic
+//! simulator and the single-socket connection multiplexer over real UDP —
+//! and each negotiates the identical service and honours the same
+//! completion semantics.
 
 use qtp_core::session::{Backend, ConnectionPlan, Profile, SessionEvent, SimBackend};
 use qtp_core::{CapabilitySet, ServerPolicy};
-use qtp_io::backend::{MuxBackend, UdpBackend};
+use qtp_io::backend::MuxBackend;
 use qtp_simnet::time::Rate;
 use std::time::Duration;
 
@@ -42,7 +41,6 @@ fn same_plans_run_on_all_three_backends() {
             Duration::from_millis(5),
             0.0,
         )),
-        Box::new(UdpBackend::default()),
         Box::new(MuxBackend::default()),
     ];
 

@@ -8,37 +8,72 @@ use qtp_core::session::{attach_pair, ConnectionPlan, Profile};
 use qtp_core::{
     CapabilitySet, Probe, QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, ServerPolicy,
 };
-use qtp_io::{drive_pair, UdpDriver};
+use qtp_io::{drive_mux_pair, Accepted, ConnStats, MuxDriver, MuxStats};
 use qtp_simnet::prelude::*;
 use std::time::Duration;
 
 const PACKETS: u64 = 40;
 const PAYLOAD: u64 = 1000;
 
-/// Run one QTP connection over two loopback UDP sockets until the transfer
-/// completes (or a generous wall-clock deadline passes). Returns the
-/// drivers for post-run inspection.
+/// One side of a finished loopback run: the endpoint plus what its socket
+/// and its connection counted.
+struct Side<E> {
+    ep: E,
+    stats: MuxStats,
+    conn: ConnStats,
+}
+
+/// Run one QTP connection over two loopback UDP sockets — a one-connection
+/// mux on each side, the receiver accepted on the first frame — until the
+/// transfer completes (or a generous wall-clock deadline passes). Returns
+/// both sides for post-run inspection.
 fn run_loopback(
     cfg: QtpSenderConfig,
     done_needs_acks: bool,
-) -> (UdpDriver<QtpSender>, UdpDriver<QtpReceiver>) {
-    let receiver = QtpReceiver::new(0, 1, 0, QtpReceiverConfig::default(), Probe::new());
-    let mut rx = UdpDriver::server(receiver, "127.0.0.1:0").expect("bind receiver");
+) -> (Side<QtpSender>, Side<QtpReceiver>) {
+    let mut rx: MuxDriver<QtpReceiver> = MuxDriver::bind("127.0.0.1:0").expect("bind receiver");
+    rx.set_acceptor(|_, frame| {
+        (frame.flow == 0).then(|| Accepted {
+            endpoint: QtpReceiver::new(0, 1, 0, QtpReceiverConfig::default(), Probe::new()),
+            flows: vec![0, 1],
+        })
+    });
     let peer = rx.local_addr().expect("local addr");
 
-    let sender = QtpSender::new(0, 1, cfg, Probe::new());
-    let mut tx = UdpDriver::client(sender, "127.0.0.1:0", peer).expect("bind sender");
+    let mut tx: MuxDriver<QtpSender> = MuxDriver::bind("127.0.0.1:0").expect("bind sender");
+    let tx_addr = tx.local_addr().expect("local addr");
+    let tx_id = tx
+        .add_connection(peer, vec![0, 1], QtpSender::new(0, 1, cfg, Probe::new()))
+        .expect("register sender");
 
     // Gate on delivered *bytes*: under unreliable profiles the receiver
     // hands every arriving packet up immediately whatever its order, so
     // this predicate doesn't silently require in-order arrival the way the
     // cum-ack-based `delivered_packets()` would.
-    let done = drive_pair(&mut tx, &mut rx, Duration::from_secs(30), |tx, rx| {
-        rx.delivered_bytes() >= PACKETS * PAYLOAD && (!done_needs_acks || tx.endpoint().all_acked())
+    let done = drive_mux_pair(&mut tx, &mut rx, Duration::from_secs(30), |tx, rx| {
+        let delivered = rx
+            .route(tx_addr, 0)
+            .and_then(|id| rx.conn_stats(id))
+            .map_or(0, |c| c.delivered_bytes);
+        delivered >= PACKETS * PAYLOAD
+            && (!done_needs_acks || tx.endpoint(tx_id).is_some_and(|s| s.all_acked()))
     })
     .expect("event loop error");
     assert!(done, "loopback transfer timed out");
-    (tx, rx)
+
+    let rx_id = rx.route(tx_addr, 0).expect("receiver was accepted");
+    (
+        Side {
+            stats: tx.stats(),
+            conn: tx.conn_stats(tx_id).unwrap(),
+            ep: tx.close(tx_id).unwrap(),
+        },
+        Side {
+            stats: rx.stats(),
+            conn: rx.conn_stats(rx_id).unwrap(),
+            ep: rx.close(rx_id).unwrap(),
+        },
+    )
 }
 
 #[test]
@@ -51,20 +86,20 @@ fn reliable_transfer_over_loopback_completes() {
     // Handshake: both ends converged on the same negotiated profile, and it
     // is exactly what the default server policy yields for this offer.
     let expected = ServerPolicy::default().negotiate(cfg.offered);
-    assert_eq!(tx.endpoint().negotiated(), Some(expected));
-    assert_eq!(rx.endpoint().negotiated(), Some(expected));
+    assert_eq!(tx.ep.negotiated(), Some(expected));
+    assert_eq!(rx.ep.negotiated(), Some(expected));
 
     // Reliable delivery: every ADU, in order, exactly once.
-    assert_eq!(rx.endpoint().delivered_packets(), PACKETS);
-    assert_eq!(rx.endpoint().cum_ack(), PACKETS);
-    assert_eq!(rx.delivered_bytes(), PACKETS * PAYLOAD);
-    assert!(tx.endpoint().all_acked(), "sender saw every ack");
-    assert_eq!(tx.endpoint().sent_new(), PACKETS);
+    assert_eq!(rx.ep.delivered_packets(), PACKETS);
+    assert_eq!(rx.ep.cum_ack(), PACKETS);
+    assert_eq!(rx.conn.delivered_bytes, PACKETS * PAYLOAD);
+    assert!(tx.ep.all_acked(), "sender saw every ack");
+    assert_eq!(tx.ep.sent_new(), PACKETS);
 
     // Real datagrams actually crossed the sockets.
-    assert!(tx.stats().datagrams_sent >= PACKETS);
-    assert!(rx.stats().datagrams_received >= PACKETS);
-    assert!(rx.stats().datagrams_sent > 0, "feedback flowed back");
+    assert!(tx.stats.datagrams_sent >= PACKETS);
+    assert!(rx.stats.datagrams_received >= PACKETS);
+    assert!(rx.stats.datagrams_sent > 0, "feedback flowed back");
 }
 
 /// The differential backbone: the same protocol configuration, run once
@@ -96,16 +131,16 @@ fn sim_and_socket_backends_agree_loss_free() {
     // Negotiation agrees (and matches the pure negotiation function, which
     // is what the simulator's endpoints run too).
     let expected = ServerPolicy::default().negotiate(cfg.offered);
-    assert_eq!(tx.endpoint().negotiated(), Some(expected));
-    assert_eq!(rx.endpoint().negotiated(), Some(expected));
+    assert_eq!(tx.ep.negotiated(), Some(expected));
+    assert_eq!(rx.ep.negotiated(), Some(expected));
 
     // Delivery agrees: same number of ADUs, same bytes, and — because this
     // profile delivers strictly in order from sequence 0 — the identical
     // ADU sequence 0..PACKETS on both backends.
     assert_eq!(sim_delivered_pkts, PACKETS, "sim delivered everything");
-    assert_eq!(rx.endpoint().delivered_packets(), sim_delivered_pkts);
-    assert_eq!(rx.delivered_bytes(), sim_delivered_bytes);
-    assert_eq!(rx.endpoint().cum_ack(), PACKETS);
+    assert_eq!(rx.ep.delivered_packets(), sim_delivered_pkts);
+    assert_eq!(rx.conn.delivered_bytes, sim_delivered_bytes);
+    assert_eq!(rx.ep.cum_ack(), PACKETS);
 }
 
 #[test]
@@ -121,7 +156,7 @@ fn qtp_light_negotiates_identically_on_both_backends() {
 
     let (tx, rx) = run_loopback(cfg, false);
     let expected = ServerPolicy::default().negotiate(offered);
-    assert_eq!(tx.endpoint().negotiated(), Some(expected));
-    assert_eq!(rx.endpoint().negotiated(), Some(expected));
-    assert!(rx.delivered_bytes() >= PACKETS * PAYLOAD);
+    assert_eq!(tx.ep.negotiated(), Some(expected));
+    assert_eq!(rx.ep.negotiated(), Some(expected));
+    assert!(rx.conn.delivered_bytes >= PACKETS * PAYLOAD);
 }

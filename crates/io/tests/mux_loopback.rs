@@ -118,10 +118,10 @@ fn one_socket_carries_64_reliable_flows() {
     assert_eq!(server.conn_count(), 0);
 }
 
-/// The mux and the single-connection UdpDriver speak the same wire
-/// protocol: a mux-accepted receiver serves a mux client with one flow,
-/// negotiating exactly what the pure policy dictates even when a second,
-/// unrelated peer's garbage datagrams hit the same socket mid-handshake.
+/// One connection on a mux pair: a mux-accepted receiver serves a mux
+/// client with one flow, negotiating exactly what the pure policy dictates
+/// even when a second, unrelated peer's garbage datagrams hit the same
+/// socket mid-handshake.
 #[test]
 fn mux_isolates_flows_from_foreign_traffic() {
     let mut server: MuxDriver<QtpReceiver> = MuxDriver::bind("127.0.0.1:0").unwrap();

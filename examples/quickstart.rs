@@ -28,9 +28,10 @@ fn main() -> std::io::Result<()> {
     let mut sim = SimBackend::isolated(Rate::from_mbps(10), Duration::from_millis(20), 0.01);
     let sim_outcomes = run_and_report(&mut sim, &plans)?;
 
-    // Backend 2: real UDP sockets on loopback, blocking event loop.
+    // Backend 2: real UDP sockets on loopback, one per side, driven by
+    // the readiness-based mux loop.
     println!();
-    let mut udp = UdpBackend::default();
+    let mut udp = MuxBackend::default();
     let udp_outcomes = run_and_report(&mut udp, &plans)?;
 
     // Negotiation is a pure function of offer × policy, so both backends

@@ -3,9 +3,9 @@
 //! The same `ConnectionPlan` the simulator experiments use here
 //! negotiates a capability profile and completes a fully reliable
 //! transfer between two `std::net::UdpSocket`s on 127.0.0.1, driven by
-//! `qtp-io`'s blocking event loop behind the `UdpBackend` seam — through
-//! the same shared helper (`qtp::app::run_and_report`) as the quickstart
-//! and many-flows examples:
+//! `qtp-io`'s readiness loop (`MuxDriver`, here with a single connection)
+//! behind the `MuxBackend` seam — through the same shared helper
+//! (`qtp::app::run_and_report`) as the quickstart and many-flows examples:
 //!
 //! ```text
 //! cargo run --example udp_loopback
@@ -24,7 +24,7 @@ fn main() -> std::io::Result<()> {
         .label("af")
         .finite(PACKETS);
 
-    let mut backend = UdpBackend::default();
+    let mut backend = MuxBackend::default();
     let outcomes = run_and_report(&mut backend, std::slice::from_ref(&plan))?;
     let o = &outcomes[0];
 

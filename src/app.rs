@@ -3,9 +3,9 @@
 //!
 //! This is the "one program, every I/O strategy" helper the examples
 //! share: `quickstart` runs it on the simulator *and* on real sockets,
-//! `udp_loopback` on the blocking UDP driver, `many_flows` on the
-//! connection multiplexer and on a simulated dumbbell — all with exactly
-//! the same call.
+//! `udp_loopback` on one connection over a loopback socket pair,
+//! `many_flows` on 64 connections multiplexed over the same kind of pair
+//! and on a simulated dumbbell — all with exactly the same call.
 
 use crate::prelude::*;
 use std::io;
@@ -37,8 +37,8 @@ pub fn caps_brief(caps: &CapabilitySet) -> String {
 /// fairness headline. Returns the outcomes for further inspection.
 ///
 /// The point of this helper is what it does *not* contain: nothing in it
-/// knows whether the bytes crossed a simulated bottleneck, a pair of UDP
-/// sockets, or one multiplexed socket carrying every flow at once.
+/// knows whether the bytes crossed a simulated bottleneck or a pair of UDP
+/// sockets, carrying one flow or every flow at once.
 pub fn run_and_report(
     backend: &mut dyn Backend,
     plans: &[ConnectionPlan],

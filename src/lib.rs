@@ -20,7 +20,7 @@
 //! | [`sack`] | range sets, reassembly + SACK block generation, scoreboard, reliability policies |
 //! | [`tcp`] | TCP NewReno / SACK baseline agents |
 //! | [`core`] | the composed QTP endpoints (sans-io, behind the `Endpoint` driver seam), wire formats, capability negotiation, and the **session layer** ([`core::session`]): fluent `Profile`s, poll-style `Session`s, the backend seam |
-//! | [`io`] | real-socket backend: UDP datagram framing, wall clock, blocking event loop, multi-flow connection mux, and the `UdpBackend`/`MuxBackend` bindings |
+//! | [`io`] | real-socket backend: UDP datagram framing, wall clock, the readiness-driven connection mux (`MuxDriver`, one socket for one or many flows), and the `MuxBackend` binding |
 //! | [`metrics`] | deterministic processing-cost accounting |
 //!
 //! ## Quickstart — send bytes, receive bytes
@@ -29,9 +29,9 @@
 //! with a [`core::stream::StreamConfig`] yields a `SendStream` /
 //! `RecvStream` pair — `send` with backpressure on one side, `recv` plus
 //! a wire-level FIN/FIN-ACK close on the other. The same plan runs
-//! unchanged on the deterministic simulator, on one blocking UDP socket
-//! pair (`UdpDriver`), or multiplexed with hundreds of other flows over
-//! a single socket (`MuxDriver`):
+//! unchanged on the deterministic simulator and over real UDP sockets —
+//! alone or multiplexed with hundreds of other flows on a single socket
+//! (`MuxDriver`):
 //!
 //! ```
 //! use qtp::prelude::*;
@@ -85,19 +85,6 @@
 //! See `docs/ARCHITECTURE.md` for the architecture and the experiment
 //! index, and run `cargo run -p qtp-bench --release --bin expt -- all` to
 //! regenerate every evaluation result.
-//!
-//! ## Deprecation path
-//!
-//! The pre-session free functions (`attach_qtp`, `qtp_af_sender`,
-//! `qtp_light_sender`, `qtp_light_partial_sender`, `qtp_standard_sender`,
-//! `cbr_app`) remain as deprecated shims; replace them with
-//! [`core::session::Profile`] presets, [`core::session::ConnectionPlan`]
-//! and [`core::session::attach_pair`]. The prelude's direct [`AppModel`]
-//! re-export is deprecated the same way: applications move real bytes
-//! over streams, and experiments reach synthetic models through
-//! `ConnectionPlan::finite` / `ConnectionPlan::app` (naming the enum as
-//! `qtp::core::AppModel` where a custom model is genuinely wanted).
-//! Everything in this repository builds with `-D deprecated`.
 
 pub use qtp_core as core;
 pub use qtp_io as io;
@@ -113,31 +100,13 @@ pub mod scenarios;
 /// Everything a simulation driver typically needs.
 pub mod prelude {
     pub use qtp_core::stream::{RecvStream, SendStream, StreamConfig, StreamError};
-    /// Deprecated in the prelude: applications move real bytes over
-    /// streams (`ConnectionPlan::stream`); experiments describe synthetic
-    /// workloads with `ConnectionPlan::finite` / `ConnectionPlan::app`
-    /// and can name the enum as `qtp::core::AppModel` when a custom
-    /// model is genuinely wanted.
-    #[deprecated(
-        note = "use ConnectionPlan::stream (real data) or ConnectionPlan::finite/app \
-                (synthetic workloads); name the enum as qtp::core::AppModel if needed"
-    )]
-    pub use qtp_core::AppModel;
     pub use qtp_core::{
         attach_pair, attach_pairs, Backend, CapabilitySet, CapsError, CcKind, ConnectionOutcome,
         ConnectionPlan, FeedbackMode, PairHandles, Probe, Profile, ProfileBuilder, ProfileError,
-        QtpHandles, QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, Reliability,
-        ServerPolicy, Session, SessionEvent, SessionEvents, SimBackend, SimHost, SimTopology,
+        QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, Reliability, ServerPolicy,
+        Session, SessionEvent, SessionEvents, SimBackend, SimHost, SimTopology,
     };
-    #[allow(deprecated)]
-    pub use qtp_core::{
-        attach_qtp, cbr_app, qtp_af_sender, qtp_light_partial_sender, qtp_light_sender,
-        qtp_standard_sender,
-    };
-    pub use qtp_io::{
-        drive_mux_pair, drive_pair, Accepted, ConnId, MuxBackend, MuxConfig, MuxDriver, UdpBackend,
-        UdpDriver,
-    };
+    pub use qtp_io::{drive_mux_pair, Accepted, ConnId, MuxBackend, MuxConfig, MuxDriver};
     pub use qtp_sack::ReliabilityMode;
     pub use qtp_simnet::prelude::*;
     pub use qtp_tcp::{TcpConfig, TcpFlavor, TcpReceiver, TcpSender};
