@@ -160,19 +160,19 @@ fn main() {
             println!("throughput: {:.3} Mbit/s", f.throughput_bps(secs) / 1e6);
             println!("goodput:    {:.3} Mbit/s", f.goodput_bps(secs) / 1e6);
             println!("network loss rate: {:.4}", f.loss_rate());
-            let d = h.tx.snapshot();
+            let (tx, rx) = (h.tx_tracer.counters(), h.rx_tracer.counters());
             println!(
                 "sender: {} data pkts ({} retx, {} abandoned), rtt est {:.1} ms",
-                d.tx_data_pkts,
-                d.tx_retransmissions,
-                d.tx_abandoned,
-                d.rtt_estimate_s * 1e3
+                tx.data_pkts_tx,
+                tx.retransmits,
+                tx.abandoned,
+                tx.srtt_s * 1e3
             );
             println!(
                 "receiver: {:.1} ops/pkt, peak state {} B, {} feedback pkts",
-                h.rx.read(|p| p.rx_ops_per_packet()),
-                h.rx.read(|p| p.rx_state_bytes_peak),
-                h.rx.read(|p| p.rx_feedback_sent)
+                rx.ops_per_data_pkt(),
+                rx.state_bytes_peak,
+                rx.feedbacks_tx
             );
             if proto == "qtpaf" {
                 println!(

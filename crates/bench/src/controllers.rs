@@ -135,7 +135,7 @@ pub fn c1() -> Table {
             params.secs,
         );
         let g = goodput(&sim, h.data_flow, params.secs);
-        let rtt_s = h.tx.snapshot().rtt_estimate_s;
+        let rtt_s = h.tx_tracer.read(|c| c.srtt_s);
         let qdelay_ms = (rtt_s - base_rtt_s).max(0.0) * 1e3;
         t.row(vec![
             label.to_string(),
@@ -391,7 +391,7 @@ mod tests {
                 g > 0.5 * params.core_mbps as f64 * 1e6,
                 "{kind:?} failed to fill half the link: {g}"
             );
-            qdelay.push((h.tx.snapshot().rtt_estimate_s - base_rtt_s).max(0.0));
+            qdelay.push((h.tx_tracer.read(|c| c.srtt_s) - base_rtt_s).max(0.0));
         }
         // RACERS order: tfrc, cubic, bbr.
         assert!(

@@ -332,10 +332,8 @@ pub fn e5() -> Table {
         };
         let std = run(false);
         let light = run(true);
-        let (so, lo) = (
-            std.rx.read(|d| d.rx_ops_per_packet()),
-            light.rx.read(|d| d.rx_ops_per_packet()),
-        );
+        let (std_rx, light_rx) = (std.rx_tracer.counters(), light.rx_tracer.counters());
+        let (so, lo) = (std_rx.ops_per_data_pkt(), light_rx.ops_per_data_pkt());
         let reduction = so / lo.max(1e-9);
         min_reduction = min_reduction.min(reduction);
         t.row(vec![
@@ -343,10 +341,10 @@ pub fn e5() -> Table {
             format!("{so:.1}"),
             format!("{lo:.1}"),
             format!("{reduction:.1}x"),
-            std.rx.read(|d| d.rx_state_bytes_peak).to_string(),
-            light.rx.read(|d| d.rx_state_bytes_peak).to_string(),
-            std.tx.read(|d| d.tx_ops).to_string(),
-            light.tx.read(|d| d.tx_ops).to_string(),
+            std_rx.state_bytes_peak.to_string(),
+            light_rx.state_bytes_peak.to_string(),
+            std.tx_tracer.read(|c| c.ops).to_string(),
+            light.tx_tracer.read(|c| c.ops).to_string(),
         ]);
     }
     t.verdict = format!(

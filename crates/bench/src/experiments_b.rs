@@ -277,8 +277,9 @@ pub fn e9() -> Table {
             let h = attach_pair(&mut sim, s, r, "m", &plan);
             sim.run_until(SimTime::from_secs(SECS));
             let st = sim.stats().flow(h.data_flow);
-            let d = h.tx.snapshot();
-            let new_sent = (d.tx_data_pkts - d.tx_retransmissions) as f64 * 1000.0;
+            let d = h.tx_tracer.counters();
+            let rx = h.rx_tracer.counters();
+            let new_sent = (d.data_pkts_tx - d.retransmits) as f64 * 1000.0;
             let frac = st.bytes_app_delivered as f64 / new_sent.max(1.0);
             if rel == ReliabilityMode::Full {
                 full_fracs.push(frac);
@@ -290,10 +291,10 @@ pub fn e9() -> Table {
                 rname.into(),
                 fname.into(),
                 format!("{frac:.3}"),
-                format!("{:.1}", h.rx.read(|p| p.mean_latency_s()) * 1e3),
-                d.tx_retransmissions.to_string(),
-                d.tx_abandoned.to_string(),
-                format!("{:.1}", h.rx.read(|p| p.rx_ops_per_packet())),
+                format!("{:.1}", rx.mean_latency_s() * 1e3),
+                d.retransmits.to_string(),
+                d.abandoned.to_string(),
+                format!("{:.1}", rx.ops_per_data_pkt()),
             ]);
         }
     }
@@ -402,9 +403,9 @@ pub fn e10() -> Table {
         sim.run_until(SimTime::from_secs(SECS));
 
         let st = sim.stats().flow(h.data_flow);
-        let d = h.tx.snapshot();
+        let d = h.tx_tracer.counters();
         let wire_ratio = throughput(&sim, h.data_flow, SECS) / g.bps() as f64;
-        let new_sent = d.tx_data_pkts - d.tx_retransmissions;
+        let new_sent = d.data_pkts_tx - d.retransmits;
         // Tail allowance: packets still in flight / unrecovered at cut-off.
         let delivered_pkts = st.bytes_app_delivered / 1000;
         let app_loss = new_sent.saturating_sub(delivered_pkts + 50);
@@ -432,8 +433,8 @@ pub fn e10() -> Table {
             } else {
                 (new_sent - delivered_pkts).to_string()
             },
-            d.tx_retransmissions.to_string(),
-            d.tx_abandoned.to_string(),
+            d.retransmits.to_string(),
+            d.abandoned.to_string(),
         ]);
     }
     t.verdict = "QTPAF holds the reservation on a 1%-lossy assured path AND recovers every loss (app loss 0 after tail adjustment); the unreliable variant holds the rate but leaks ~1% of data — reliability and QoS compose.".into();

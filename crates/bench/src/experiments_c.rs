@@ -54,7 +54,7 @@ pub fn e11() -> Table {
             sim.run_until(SimTime::from_secs(SECS));
             let rate = goodput(&sim, h.data_flow, SECS);
             // Mean of the p values the rate computation actually used.
-            let (p_sum, p_samples) = h.tx.read(|d| (d.p_sum, d.p_samples));
+            let (p_sum, p_samples) = h.tx_tracer.read(|c| (c.p_sum, c.rate_updates));
             let p_mean = if p_samples == 0 {
                 0.0
             } else {
@@ -171,7 +171,7 @@ pub fn e12() -> Table {
         sim.run_until(SimTime::from_secs(SECS));
         let achieved = throughput(&sim, h.data_flow, SECS) / g.bps() as f64;
         let loss_rate = sim.stats().flow(h.data_flow).loss_rate();
-        let retx = h.tx.read(|d| d.tx_retransmissions);
+        let retx = h.tx_tracer.read(|c| c.retransmits);
         let (green_drops, _, _) = sim.stats().link_drops_by_color(net.bottleneck);
         let holds = achieved >= 0.95;
         if label.starts_with("full") {

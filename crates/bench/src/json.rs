@@ -87,14 +87,11 @@ impl std::error::Error for ParseError {}
 
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
@@ -126,7 +123,8 @@ pub fn escape(s: &str) -> String {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset into `src`; always on a char boundary between tokens.
     pos: usize,
 }
 
@@ -139,7 +137,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -172,7 +170,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -288,11 +286,13 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // encoding is already valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty checked above");
+                    // Consume one UTF-8 scalar: `pos` sits on a char
+                    // boundary, since every step before it consumed ASCII
+                    // bytes or whole scalars.
+                    let c = self.src[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("non-empty checked above");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -302,11 +302,13 @@ impl<'a> Parser<'a> {
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.src.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ASCII in \\u escape"))?;
+        let s = self
+            .src
+            .get(self.pos..end)
+            .ok_or_else(|| self.err("non-ASCII in \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos = end;
         Ok(v)
@@ -350,7 +352,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("number out of range"))

@@ -31,7 +31,6 @@ pub mod caps;
 pub mod cc;
 pub mod driver;
 pub mod estimator;
-pub mod probe;
 pub mod receiver;
 pub mod sender;
 pub mod session;
@@ -43,7 +42,6 @@ pub use caps::{CapabilitySet, CapsError, CcKind, FeedbackMode, ServerPolicy};
 pub use cc::controller_for;
 pub use driver::{Command, Endpoint, Outbox, TimerGens, Transmit};
 pub use estimator::SenderLossEstimator;
-pub use probe::{Probe, ProbeData};
 pub use receiver::{QtpReceiver, QtpReceiverConfig};
 pub use sender::{AppModel, QtpSender, QtpSenderConfig};
 pub use session::{

@@ -7,8 +7,8 @@
 //! byte counter: feedback is a cumulative ack, up to four SACK blocks, the
 //! echo timestamp pair and the raw receive rate. The per-packet cost gap
 //! between these two paths — measured by the meters this module aggregates
-//! into its [`Probe`] — is the paper's §3 claim, reproduced as experiment
-//! E5.
+//! into its tracer's [`CounterSet`] — is the paper's §3 claim, reproduced as
+//! experiment E5.
 //!
 //! The receiver also implements the **selfish receiver** attack of Georg &
 //! Gorinsky (paper §3's robustness argument): when `selfish_factor > 1`
@@ -24,7 +24,7 @@
 //! [`SimAgent`](crate::adapter::SimAgent)) or over real UDP (via
 //! `qtp-io`).
 
-use qtp_metrics::trace::{ConnState, PktKind, TraceEventKind, Tracer};
+use qtp_metrics::trace::{ConnState, CounterSet, PktKind, TraceEventKind, Tracer};
 use qtp_metrics::StateSize;
 use qtp_sack::{ReceiverBuffer, ReliabilityMode};
 use qtp_simnet::prelude::*;
@@ -34,7 +34,6 @@ use std::time::Duration;
 
 use crate::caps::{CapabilitySet, FeedbackMode, ServerPolicy};
 use crate::driver::{Endpoint, Outbox, TimerGens};
-use crate::probe::Probe;
 use crate::stream::{RecvStream, StreamConfig, StreamRx};
 use crate::wire::{
     p_to_ppb, FeedbackFields, PacketRef, QtpPacket, StreamDataHeader, IP_OVERHEAD, MAX_FB_BLOCKS,
@@ -99,7 +98,6 @@ pub struct QtpReceiver {
     /// beyond the reassembly buffer's own meter).
     own_ops: u64,
     gens: TimerGens<1>,
-    probe: Probe,
     /// Stream data plane reassembler (message extraction + TTL drops).
     stream: Option<StreamRx>,
     /// A FIN was processed (close handshake seen from the peer).
@@ -115,7 +113,6 @@ impl QtpReceiver {
         fb_flow: FlowId,
         sender_node: NodeId,
         cfg: QtpReceiverConfig,
-        probe: Probe,
     ) -> Self {
         // Delivery mode is re-locked at negotiation time (`on_syn`).
         let tracer = Tracer::new(0);
@@ -140,7 +137,6 @@ impl QtpReceiver {
             round_started: None,
             own_ops: 0,
             gens: TimerGens::new(),
-            probe,
             stream,
             fin_seen: false,
             tracer,
@@ -306,20 +302,12 @@ impl QtpReceiver {
                         out.app_deliver(self.data_flow, delivered * self.payload_bytes as u64);
                         let now_s = out.now.as_secs_f64();
                         let own_latency = now_s - adu_ts_nanos as f64 / 1e9;
-                        // Buffered packets that just flushed.
-                        let flushed: Vec<u64> = self
-                            .pending_adu_ts
-                            .range(..self.buf.cum_ack())
-                            .map(|(_, &ts)| ts)
-                            .collect();
-                        self.pending_adu_ts = self.pending_adu_ts.split_off(&self.buf.cum_ack());
-                        self.probe.update(|d| {
-                            d.latency_sum_s += own_latency.max(0.0);
-                            d.latency_samples += 1;
-                            for ts in flushed {
-                                d.latency_sum_s += (now_s - ts as f64 / 1e9).max(0.0);
-                                d.latency_samples += 1;
-                            }
+                        let (pending, cum_ack) = (&mut self.pending_adu_ts, self.buf.cum_ack());
+                        self.tracer.update(|c| {
+                            c.latency_sum_s += own_latency.max(0.0);
+                            c.latency_samples += 1;
+                            // Buffered packets that just flushed.
+                            flush_latencies(pending, cum_ack, now_s, c);
                         });
                     } else {
                         self.pending_adu_ts.insert(seq, adu_ts_nanos);
@@ -328,9 +316,9 @@ impl QtpReceiver {
                     // Unordered delivery: hand every new packet up at once.
                     out.app_deliver(self.data_flow, self.payload_bytes as u64);
                     let lat = (out.now.as_secs_f64() - adu_ts_nanos as f64 / 1e9).max(0.0);
-                    self.probe.update(|d| {
-                        d.latency_sum_s += lat;
-                        d.latency_samples += 1;
+                    self.tracer.update(|c| {
+                        c.latency_sum_s += lat;
+                        c.latency_samples += 1;
                     });
                 }
             }
@@ -341,7 +329,7 @@ impl QtpReceiver {
         if immediate {
             self.send_feedback(out);
         }
-        self.update_probe_costs();
+        self.record_costs();
     }
 
     /// Stream-mode data path: explicit payload bytes (still in the datagram
@@ -414,9 +402,9 @@ impl QtpReceiver {
                 qtp_sack::Arrival::New { .. } => {
                     out.app_deliver(self.data_flow, payload.len() as u64);
                     let lat = (out.now.as_secs_f64() - adu_ts_nanos as f64 / 1e9).max(0.0);
-                    self.probe.update(|d| {
-                        d.latency_sum_s += lat;
-                        d.latency_samples += 1;
+                    self.tracer.update(|c| {
+                        c.latency_sum_s += lat;
+                        c.latency_samples += 1;
                     });
                     if let Some(srx) = self.stream.as_mut() {
                         srx.on_payload(seq, payload, self.buf.cum_ack());
@@ -433,7 +421,7 @@ impl QtpReceiver {
         if immediate {
             self.send_feedback(out);
         }
-        self.update_probe_costs();
+        self.record_costs();
     }
 
     /// Close handshake: always acknowledge a FIN (the sender retries until
@@ -460,16 +448,17 @@ impl QtpReceiver {
         }
     }
 
-    fn update_probe_costs(&mut self) {
+    /// One data packet processed: refresh the cost meters and peak state.
+    fn record_costs(&mut self) {
         let tfrc_ops = self.tfrc_rx.as_ref().map(|t| t.total_ops()).unwrap_or(0);
         let tfrc_state = self.tfrc_rx.as_ref().map(|t| t.state_bytes()).unwrap_or(0);
         let buf_ops = self.buf.meter.total();
-        let buf_state = self.buf.state_bytes();
+        let state = (tfrc_state + self.buf.state_bytes()) as u64;
         let own = self.own_ops;
-        self.probe.update(|d| {
-            d.rx_data_pkts += 1;
-            d.rx_ops = tfrc_ops + buf_ops + own;
-            d.rx_state_bytes_peak = d.rx_state_bytes_peak.max(tfrc_state + buf_state);
+        self.tracer.update(|c| {
+            c.data_pkts_processed += 1;
+            c.ops = tfrc_ops + buf_ops + own;
+            c.state_bytes_peak = c.state_bytes_peak.max(state);
         });
     }
 
@@ -542,7 +531,6 @@ impl QtpReceiver {
         self.send_control(out, PktKind::Feedback, cum_ack, header);
         self.bytes_since_fb = 0;
         self.round_started = Some(out.now);
-        self.probe.update(|d| d.rx_feedback_sent += 1);
     }
 
     fn on_forward(&mut self, out: &mut Outbox, new_cum: u64) {
@@ -554,21 +542,26 @@ impl QtpReceiver {
         // runs here would double-count.
         if released > 0 && self.reliability().retransmits() && self.stream.is_none() {
             out.app_deliver(self.data_flow, released * self.payload_bytes as u64);
-            let flushed: Vec<u64> = self
-                .pending_adu_ts
-                .range(..self.buf.cum_ack())
-                .map(|(_, &ts)| ts)
-                .collect();
-            self.pending_adu_ts = self.pending_adu_ts.split_off(&self.buf.cum_ack());
+            let (pending, cum_ack) = (&mut self.pending_adu_ts, self.buf.cum_ack());
             let now_s = out.now.as_secs_f64();
-            self.probe.update(|d| {
-                for ts in flushed {
-                    d.latency_sum_s += (now_s - ts as f64 / 1e9).max(0.0);
-                    d.latency_samples += 1;
-                }
-            });
+            self.tracer
+                .update(|c| flush_latencies(pending, cum_ack, now_s, c));
         }
         self.own_ops += 2;
+    }
+}
+
+/// Count the delivery latency of every buffered ADU below `cum_ack` and
+/// forget it. Ascending sequence order is delivery order, and it fixes the
+/// float sums, so a fixed seed reproduces them bit for bit.
+fn flush_latencies(pending: &mut BTreeMap<u64, u64>, cum_ack: u64, now_s: f64, c: &mut CounterSet) {
+    while let Some(entry) = pending.first_entry() {
+        if *entry.key() >= cum_ack {
+            break;
+        }
+        let ts = entry.remove();
+        c.latency_sum_s += (now_s - ts as f64 / 1e9).max(0.0);
+        c.latency_samples += 1;
     }
 }
 

@@ -35,7 +35,6 @@ use crate::caps::{CapabilitySet, FeedbackMode};
 use crate::cc::controller_for;
 use crate::driver::{Endpoint, Outbox, TimerGens};
 use crate::estimator::SenderLossEstimator;
-use crate::probe::Probe;
 use crate::stream::{Chunk, SendStream, StreamConfig, StreamTx};
 use crate::wire::{
     ppb_to_p, FeedbackFields, PacketRef, QtpPacket, StreamDataHeader, IP_OVERHEAD,
@@ -140,7 +139,6 @@ pub struct QtpSender {
     last_fwd: SimTime,
     /// Latest receive-rate report (for estimator synthesis).
     last_x_recv: f64,
-    probe: Probe,
     /// Stream data plane (replaces `cfg.app` as the traffic source); also
     /// keeps sent chunks readable for retransmission until acknowledged.
     stream: Option<StreamTx>,
@@ -166,7 +164,7 @@ const FIN_MAX_RETRIES: u32 = 8;
 const DEBT_CAP: Duration = Duration::from_millis(1);
 
 impl QtpSender {
-    pub fn new(flow: FlowId, receiver_node: NodeId, cfg: QtpSenderConfig, probe: Probe) -> Self {
+    pub fn new(flow: FlowId, receiver_node: NodeId, cfg: QtpSenderConfig) -> Self {
         let policy = qtp_sack::ReliabilityPolicy::new(cfg.offered.reliability);
         let chunked = matches!(cfg.offered.reliability, ReliabilityMode::Full);
         let stream = cfg.stream.as_ref().map(|sc| StreamTx::new(sc, chunked));
@@ -188,7 +186,6 @@ impl QtpSender {
             pace_due: SimTime::ZERO,
             last_fwd: SimTime::ZERO,
             last_x_recv: 0.0,
-            probe,
             stream,
             close_requested: false,
             fin_sent_at: None,
@@ -369,7 +366,6 @@ impl QtpSender {
             while let Some(&submit) = self.backlog.front() {
                 if now.saturating_since(submit) >= ttl {
                     self.backlog.pop_front();
-                    self.probe.update(|d| d.tx_abandoned += 1);
                     self.tracer
                         .emit(now.as_nanos(), TraceEventKind::PktExpired { seq: 0 });
                 } else {
@@ -409,7 +405,7 @@ impl QtpSender {
     }
 
     /// Queue an encoded data packet of accounted size `size` and tell the
-    /// controller, the trace and the probe about it.
+    /// controller and the trace about it.
     fn emit_data(&mut self, out: &mut Outbox, seq: u64, size: u32, header: Vec<u8>, is_retx: bool) {
         out.send_new(self.flow, self.receiver_node, size, header);
         if let Some(cc) = self.cc.as_mut() {
@@ -424,12 +420,6 @@ impl QtpSender {
                 retx: is_retx,
             },
         );
-        self.probe.update(|d| {
-            d.tx_data_pkts += 1;
-            if is_retx {
-                d.tx_retransmissions += 1;
-            }
-        });
     }
 
     fn send_data(&mut self, out: &mut Outbox, seq: u64, adu_ts: SimTime, is_retx: bool) {
@@ -483,7 +473,6 @@ impl QtpSender {
             }
             self.sb.abandon(seq);
             stream.abandon(seq);
-            self.probe.update(|d| d.tx_abandoned += 1);
             self.tracer
                 .emit(out.now.as_nanos(), TraceEventKind::PktExpired { seq });
         }
@@ -532,7 +521,6 @@ impl QtpSender {
             }
             // Abandoned: drop from the retransmission queue and keep going.
             self.sb.abandon(seq);
-            self.probe.update(|d| d.tx_abandoned += 1);
             self.tracer
                 .emit(out.now.as_nanos(), TraceEventKind::PktExpired { seq });
         }
@@ -804,12 +792,10 @@ impl QtpSender {
                 rtt_us: (rtt_s * 1e6) as u64,
             },
         );
-        self.probe.update(|d| {
-            d.last_rate = rate;
-            d.p_sum += p;
-            d.p_samples += 1;
-            d.rtt_estimate_s = rtt_s;
-            d.tx_ops = cc_ops + est_ops + sb_ops;
+        self.tracer.update(|c| {
+            c.p_sum += p;
+            c.srtt_s = rtt_s;
+            c.ops = cc_ops + est_ops + sb_ops;
         });
         self.emit_cc_state(now);
         // Feedback may unblock the window (e.g. new losses to retransmit).
@@ -966,7 +952,7 @@ mod tests {
         fn connected(cfg: QtpSenderConfig) -> Rig {
             let chosen = cfg.offered;
             let mut rig = Rig {
-                tx: QtpSender::new(0, 1, cfg, Probe::new()),
+                tx: QtpSender::new(0, 1, cfg),
                 out: Outbox::new(),
                 timers: Vec::new(),
             };

@@ -36,7 +36,7 @@
 //! program here run unchanged on the simulator and on the real-socket
 //! mux, alone or among hundreds of flows.
 
-use qtp_metrics::trace::{TraceEventKind, TraceRegistry, Tracer};
+use qtp_metrics::trace::{CounterSet, TraceEventKind, TraceRegistry, Tracer};
 use qtp_sack::ReliabilityMode;
 use qtp_simnet::packet::{FlowId, NodeId};
 use qtp_simnet::prelude::*;
@@ -51,7 +51,6 @@ use std::time::Duration;
 use crate::adapter::{SimAgent, SimHost};
 use crate::caps::{CapabilitySet, CapsError, CcKind, FeedbackMode, ServerPolicy};
 use crate::driver::{Command, Endpoint, Outbox, Transmit};
-use crate::probe::{Probe, ProbeData};
 use crate::receiver::{QtpReceiver, QtpReceiverConfig};
 use crate::sender::{AppModel, QtpSender, QtpSenderConfig};
 use crate::stream::{RecvStream, SendStream, StreamConfig};
@@ -469,7 +468,7 @@ impl ConnectionPlan {
 // ---------------------------------------------------------------------------
 
 /// A typed event observed on a [`Session`] — the application-facing view
-/// of negotiation outcomes and delivery, with no reaching into probes.
+/// of negotiation outcomes and delivery, with no reaching into counters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionEvent {
     /// The handshake completed; this is the service the network granted.
@@ -524,7 +523,8 @@ pub enum SessionEvent {
 /// Cloneable handle onto a session's event queue.
 ///
 /// Sessions attached to the simulator are moved into it (like agents), so
-/// observers keep one of these — the session-event analogue of [`Probe`].
+/// observers keep one of these — the session-event analogue of
+/// [`Session::tracer`].
 #[derive(Debug, Default, Clone)]
 pub struct SessionEvents {
     inner: Rc<RefCell<VecDeque<SessionEvent>>>,
@@ -671,7 +671,6 @@ pub struct Session {
     timer_seq: u64,
     delivered_bytes: u64,
     abandoned_seen: u64,
-    probe: Probe,
     events: SessionEvents,
     /// Sender-side stream state, polled for `Writable` edges.
     send_shared: Option<Rc<RefCell<crate::stream::SendShared>>>,
@@ -679,8 +678,9 @@ pub struct Session {
     recv_shared: Option<Rc<RefCell<crate::stream::RecvShared>>>,
     /// `Finished` has been emitted.
     finished_reported: bool,
-    /// The endpoint's observability handle (stream edges are emitted here
-    /// too, so a trace shows app-visible events alongside wire events).
+    /// The endpoint's own observability handle (stream edges are emitted
+    /// here too, so a trace shows app-visible events alongside wire
+    /// events; its counters carry the endpoint's measurements).
     tracer: Tracer,
 }
 
@@ -690,14 +690,8 @@ impl Session {
     /// under the simulator; real-socket drivers map every id onto the
     /// connected peer).
     pub fn sender(data_flow: FlowId, peer: NodeId, plan: &ConnectionPlan) -> Session {
-        let probe = Probe::new();
-        let sender = QtpSender::new(data_flow, peer, plan.sender_config(), probe.clone());
-        let send_shared = sender.stream_shared();
-        let tracer = sender.tracer();
-        let mut s = Session::wrap(Role::Sender(sender)).with_probe(probe);
-        s.send_shared = send_shared;
-        s.tracer = tracer;
-        s
+        let sender = QtpSender::new(data_flow, peer, plan.sender_config());
+        Session::wrap(Role::Sender(sender))
     }
 
     /// A receiving session: data arrives on `data_flow`, feedback leaves
@@ -708,20 +702,8 @@ impl Session {
         peer: NodeId,
         plan: &ConnectionPlan,
     ) -> Session {
-        let probe = Probe::new();
-        let receiver = QtpReceiver::new(
-            data_flow,
-            fb_flow,
-            peer,
-            plan.receiver_config(),
-            probe.clone(),
-        );
-        let recv_shared = receiver.stream_shared();
-        let tracer = receiver.tracer();
-        let mut s = Session::wrap(Role::Receiver(receiver)).with_probe(probe);
-        s.recv_shared = recv_shared;
-        s.tracer = tracer;
-        s
+        let receiver = QtpReceiver::new(data_flow, fb_flow, peer, plan.receiver_config());
+        Session::wrap(Role::Receiver(receiver))
     }
 
     /// The sending half of the stream data plane (plans built with
@@ -744,7 +726,12 @@ impl Session {
         }
     }
 
+    /// Build the session around the endpoint's own tracer and stream state.
     fn wrap(inner: Role) -> Session {
+        let (tracer, send_shared, recv_shared) = match &inner {
+            Role::Sender(s) => (s.tracer(), s.stream_shared(), None),
+            Role::Receiver(r) => (r.tracer(), None, r.stream_shared()),
+        };
         Session {
             inner,
             out: Outbox::new(),
@@ -756,18 +743,12 @@ impl Session {
             timer_seq: 0,
             delivered_bytes: 0,
             abandoned_seen: 0,
-            probe: Probe::new(),
             events: SessionEvents::default(),
-            send_shared: None,
-            recv_shared: None,
+            send_shared,
+            recv_shared,
             finished_reported: false,
-            tracer: Tracer::new(0),
+            tracer,
         }
-    }
-
-    fn with_probe(mut self, probe: Probe) -> Session {
-        self.probe = probe;
-        self
     }
 
     // ---- poll-style driving -------------------------------------------
@@ -923,7 +904,7 @@ impl Session {
                 self.events.push(SessionEvent::Connected { negotiated });
             }
         }
-        let abandoned = self.probe.read(|d| d.tx_abandoned);
+        let abandoned = self.tracer.read(|c| c.abandoned);
         if abandoned > self.abandoned_seen {
             self.events
                 .push_ttl_expired(abandoned - self.abandoned_seen);
@@ -982,12 +963,8 @@ impl Session {
         self.events.clone()
     }
 
-    /// The endpoint's measurement probe (processing costs, traces).
-    pub fn probe(&self) -> &Probe {
-        &self.probe
-    }
-
-    /// The endpoint's [`Tracer`]: per-connection counters always, plus
+    /// The endpoint's [`Tracer`]: per-connection counters always (every
+    /// measurement the endpoint makes, processing costs included), plus
     /// event forwarding once a sink is attached (e.g. via
     /// [`TraceRegistry::register`]). Cheap to clone and kept valid after
     /// the session moves into a simulator or driver.
@@ -1004,7 +981,7 @@ impl Session {
     /// dropped on the floor). Reads the tracer's counters — the same
     /// figure a [`TraceRegistry`] snapshot reports.
     pub fn soft_errors(&self) -> u64 {
-        self.tracer.counters().soft_errors
+        self.tracer.read(|c| c.soft_errors)
     }
 
     /// Whether [`Session::close`] was called.
@@ -1092,10 +1069,6 @@ pub struct PairHandles {
     pub data_flow: FlowId,
     /// Flow id of the feedback direction.
     pub fb_flow: FlowId,
-    /// Sender-side probe.
-    pub tx: Probe,
-    /// Receiver-side probe.
-    pub rx: Probe,
     /// Sender-side session events.
     pub tx_events: SessionEvents,
     /// Receiver-side session events.
@@ -1104,9 +1077,11 @@ pub struct PairHandles {
     pub tx_stream: Option<SendStream>,
     /// Receiving half of the stream data plane.
     pub rx_stream: Option<RecvStream>,
-    /// Sender-side tracer (counters + event emission).
+    /// Sender-side tracer: its counters hold the sender's measurements
+    /// (retransmissions, abandonments, rate updates, srtt, cost meter).
     pub tx_tracer: Tracer,
-    /// Receiver-side tracer.
+    /// Receiver-side tracer: its counters hold the receiver's measurements
+    /// (feedbacks sent, per-packet cost, peak state, delivery latency).
     pub rx_tracer: Tracer,
 }
 
@@ -1131,8 +1106,6 @@ pub fn attach_pair(
     let handles = PairHandles {
         data_flow,
         fb_flow,
-        tx: tx.probe().clone(),
-        rx: rx.probe().clone(),
         tx_events: tx.events(),
         rx_events: rx.events(),
         tx_stream: tx.send_stream(),
@@ -1168,8 +1141,6 @@ pub fn attach_pairs(
         out.push(PairHandles {
             data_flow,
             fb_flow,
-            tx: tx.probe().clone(),
-            rx: rx.probe().clone(),
             tx_events: tx.events(),
             rx_events: rx.events(),
             tx_stream: tx.send_stream(),
@@ -1214,10 +1185,12 @@ pub struct ConnectionOutcome {
     pub tx_events: Vec<SessionEvent>,
     /// Receiver-side session events, in order.
     pub rx_events: Vec<SessionEvent>,
-    /// Sender-side probe snapshot (rate/loss summaries, retransmissions).
-    pub tx: ProbeData,
-    /// Receiver-side probe snapshot (per-packet cost, peak state).
-    pub rx: ProbeData,
+    /// Sender-side counter snapshot (retransmissions, abandonments,
+    /// rate/loss summaries).
+    pub tx: CounterSet,
+    /// Receiver-side counter snapshot (per-packet cost, peak state,
+    /// feedbacks sent).
+    pub rx: CounterSet,
 }
 
 /// The run-a-scenario seam: every backend takes the same
@@ -1331,7 +1304,7 @@ pub(crate) fn plan_complete(
     plan: &ConnectionPlan,
     negotiated: Option<CapabilitySet>,
     delivered_bytes: u64,
-    tx: &Probe,
+    tx: &Tracer,
 ) -> bool {
     let Some(packets) = plan.finite_packets() else {
         return false;
@@ -1339,7 +1312,7 @@ pub(crate) fn plan_complete(
     if plan.effective_reliability(negotiated) == ReliabilityMode::Full {
         delivered_bytes >= packets * plan.payload as u64
     } else {
-        tx.read(|d| d.tx_data_pkts - d.tx_retransmissions) >= packets
+        tx.read(|c| c.data_pkts_tx - c.retransmits) >= packets
     }
 }
 
@@ -1440,7 +1413,7 @@ impl SimBackend {
                     continue;
                 }
                 let delivered = sim.stats().flow(h.data_flow).bytes_app_delivered;
-                if plan_complete(plan, connected_caps(&h.tx_events), delivered, &h.tx) {
+                if plan_complete(plan, connected_caps(&h.tx_events), delivered, &h.tx_tracer) {
                     completion[i] = Some(t);
                 } else {
                     all_done = false;
@@ -1470,8 +1443,8 @@ impl SimBackend {
                     },
                     tx_events: h.tx_events.drain(),
                     rx_events: h.rx_events.drain(),
-                    tx: h.tx.snapshot(),
-                    rx: h.rx.snapshot(),
+                    tx: h.tx_tracer.counters(),
+                    rx: h.rx_tracer.counters(),
                 }
             })
             .collect();
@@ -1903,7 +1876,7 @@ mod tests {
         // 5% loss: with reliability refused, full delivery is (almost
         // surely) impossible — which is exactly why the offer must not be
         // the completion criterion.
-        assert_eq!(o.tx.tx_retransmissions, 0);
+        assert_eq!(o.tx.retransmits, 0);
     }
 
     #[test]
@@ -1926,7 +1899,7 @@ mod tests {
             })
             .sum();
         assert!(expired > 0, "stale ADUs abandoned under TTL reliability");
-        assert_eq!(expired, outcomes[0].tx.tx_abandoned);
+        assert_eq!(expired, outcomes[0].tx.abandoned);
     }
 
     #[test]

@@ -422,7 +422,7 @@ impl RecvStream {
     /// counters — the receiver's `pkt_dropped` trace emits are the single
     /// source of truth.
     pub fn ttl_dropped(&self) -> u64 {
-        self.shared.borrow().tracer.counters().ttl_drops
+        self.shared.borrow().tracer.read(|c| c.ttl_drops)
     }
 }
 

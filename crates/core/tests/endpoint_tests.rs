@@ -2,6 +2,7 @@
 
 use qtp_core::session::{attach_pair, ConnectionPlan, Profile};
 use qtp_core::*;
+use qtp_metrics::trace::CounterSet;
 use qtp_simnet::prelude::*;
 use qtp_simnet::sim::Simulator;
 use std::time::Duration;
@@ -53,7 +54,7 @@ fn handshake_negotiates_offered_profile() {
     sim.run_until(SimTime::from_secs(2));
     // Data flowed, so the handshake happened.
     assert!(sim.stats().flow(h.data_flow).pkts_arrived > 10);
-    assert!(h.rx.read(|d| d.rx_feedback_sent) > 0);
+    assert!(h.rx_tracer.read(|c| c.feedbacks_tx) > 0);
 }
 
 #[test]
@@ -151,7 +152,7 @@ fn qtp_af_full_reliability_delivers_everything() {
         1000 * 1000,
         "every byte must arrive despite 3% loss"
     );
-    assert!(h.tx.read(|d| d.tx_retransmissions) > 0, "loss implies retx");
+    assert!(h.tx_tracer.read(|c| c.retransmits) > 0, "loss implies retx");
 }
 
 #[test]
@@ -169,8 +170,10 @@ fn partial_ttl_abandons_stale_data_and_keeps_flowing() {
     );
     let h = attach_pair(&mut sim, s, r, "pttl", &plan);
     sim.run_until(SimTime::from_secs(30));
-    let d = h.tx.snapshot();
-    assert!(d.tx_abandoned > 0, "stale losses must be abandoned");
+    assert!(
+        h.tx_tracer.read(|c| c.abandoned) > 0,
+        "stale losses must be abandoned"
+    );
     // Goodput continues (receiver is moved past holes by FWD).
     assert!(
         sim.stats().flow(h.data_flow).bytes_app_delivered > 1_000_000,
@@ -217,7 +220,7 @@ fn selfish_receiver_cheats_standard_tfrc_but_not_qtplight() {
 #[test]
 fn qtplight_receiver_is_dramatically_cheaper() {
     // E5 in test form: ops/packet at the receiver.
-    fn run(profile: Profile, seed: u64) -> (f64, usize) {
+    fn run(profile: Profile, seed: u64) -> (f64, u64) {
         let (mut sim, s, r) = two_hosts(
             Rate::from_mbps(10),
             Duration::from_millis(20),
@@ -227,10 +230,8 @@ fn qtplight_receiver_is_dramatically_cheaper() {
         );
         let h = attach_pair(&mut sim, s, r, "x", &ConnectionPlan::new(profile));
         sim.run_until(SimTime::from_secs(30));
-        (
-            h.rx.read(|d| d.rx_ops_per_packet()),
-            h.rx.read(|d| d.rx_state_bytes_peak),
-        )
+        let rx = h.rx_tracer.counters();
+        (rx.ops_per_data_pkt(), rx.state_bytes_peak)
     }
     let (std_ops, std_state) = run(Profile::tfrc(), 8);
     let (light_ops, light_state) = run(Profile::qtp_light(), 8);
@@ -262,10 +263,10 @@ fn server_policy_downgrade_is_respected_end_to_end() {
     sim.run_until(SimTime::from_secs(5));
     // The connection still works (data flows, feedback arrives with p).
     assert!(sim.stats().flow(h.data_flow).pkts_arrived > 50);
-    assert!(h.rx.read(|d| d.rx_feedback_sent) > 0);
+    assert!(h.rx_tracer.read(|c| c.feedbacks_tx) > 0);
     // And the receiver load is the heavy profile (ops/pkt well above the
     // light receiver's ~10).
-    assert!(h.rx.read(|d| d.rx_ops_per_packet()) > 10.0);
+    assert!(h.rx_tracer.read(|c| c.ops_per_data_pkt()) > 10.0);
 }
 
 #[test]
@@ -319,8 +320,8 @@ fn negotiated_mode_reported_by_handles() {
         &ConnectionPlan::new(Profile::qtp_light()),
     );
     sim.run_until(SimTime::from_secs(10));
-    assert_eq!(h.tx.read(|d| d.tx_retransmissions), 0);
-    assert_eq!(h.tx.read(|d| d.tx_abandoned), 0);
+    let tx = h.tx_tracer.counters();
+    assert_eq!((tx.retransmits, tx.abandoned), (0, 0));
     // Goodput equals network throughput minus header overhead (unreliable
     // mode delivers everything that arrives).
     let f = sim.stats().flow(h.data_flow);
@@ -330,7 +331,7 @@ fn negotiated_mode_reported_by_handles() {
 
 #[test]
 fn deterministic_across_runs() {
-    fn run() -> (u64, u64, f64) {
+    fn run() -> (u64, u64, CounterSet, CounterSet) {
         let (mut sim, s, r) = two_hosts(
             Rate::from_mbps(5),
             Duration::from_millis(20),
@@ -350,7 +351,8 @@ fn deterministic_across_runs() {
         (
             f.pkts_arrived,
             f.bytes_app_delivered,
-            h.tx.read(|d| d.last_rate),
+            h.tx_tracer.counters(),
+            h.rx_tracer.counters(),
         )
     }
     assert_eq!(run(), run());

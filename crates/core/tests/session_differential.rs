@@ -2,8 +2,9 @@
 //! seed, wiring a connection through [`attach_pair`] replays
 //! **byte-identically** to mounting a bare [`QtpSender`] / [`QtpReceiver`]
 //! pair in [`SimAgent`]s (the pre-session wiring, kept here as a test-local
-//! reference) — same per-flow statistics, same endpoint-internal
-//! measurements — on a stochastic (lossy, RED-queued) scenario that
+//! reference) — same per-flow statistics, same full counter bank on both
+//! sides (every event-derived count and every endpoint-internal
+//! measurement) — on a stochastic (lossy, RED-queued) scenario that
 //! exercises retransmission, feedback and timers.
 //!
 //! A `SimAgent<Session>` passes endpoint commands through unchanged and
@@ -12,37 +13,33 @@
 //! session API without touching the committed claims ledger.
 
 use qtp_core::session::{attach_pair, ConnectionPlan, Profile, SessionEvent, SessionEvents};
-use qtp_core::{Probe, QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, SimAgent};
+use qtp_core::{QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, SimAgent};
+use qtp_metrics::trace::Tracer;
 use qtp_simnet::prelude::*;
 use qtp_simnet::sim::Simulator;
 use std::time::Duration;
 
 /// The reference wiring: bare endpoints between hosts 0 and 1, two
 /// registered flows (`diff` data, `diff-fb` feedback). Returns the data
-/// flow and both probes.
-fn attach_bare(sim: &mut Simulator, cfg: QtpSenderConfig) -> (FlowId, Probe, Probe) {
+/// flow and both endpoints' tracers.
+fn attach_bare(sim: &mut Simulator, cfg: QtpSenderConfig) -> (FlowId, Tracer, Tracer) {
     let data_flow = sim.register_flow("diff");
     let fb_flow = sim.register_flow("diff-fb");
-    let (tx, rx) = (Probe::new(), Probe::new());
-    let sender = QtpSender::new(data_flow, 1, cfg, tx.clone());
+    let sender = QtpSender::new(data_flow, 1, cfg);
+    let tx = sender.tracer();
     sim.attach_agent(0, Box::new(SimAgent::new(sender)));
-    let receiver = QtpReceiver::new(
-        data_flow,
-        fb_flow,
-        0,
-        QtpReceiverConfig::default(),
-        rx.clone(),
-    );
+    let receiver = QtpReceiver::new(data_flow, fb_flow, 0, QtpReceiverConfig::default());
+    let rx = receiver.tracer();
     sim.attach_agent(1, Box::new(SimAgent::new(receiver)));
     (data_flow, tx, rx)
 }
 
 /// One fixed-seed lossy scenario: wire a connection, run 30 virtual
-/// seconds, then render flow stats and probe snapshots for comparison.
-/// Probes are snapshotted strictly *after* the run.
+/// seconds, then render flow stats and both sides' full counter sets for
+/// comparison. Counters are snapshotted strictly *after* the run.
 fn scenario(
     seed: u64,
-    wire: impl FnOnce(&mut Simulator) -> (FlowId, Probe, Probe, Option<SessionEvents>),
+    wire: impl FnOnce(&mut Simulator) -> (FlowId, Tracer, Tracer, Option<SessionEvents>),
 ) -> (String, Option<Vec<SessionEvent>>) {
     let mut b = NetworkBuilder::new();
     let s = b.host();
@@ -66,8 +63,8 @@ fn scenario(
         "flow={:?}\nfb={:?}\ntx={:?}\nrx={:?}",
         sim.stats().flow(data_flow),
         sim.stats().flow(data_flow + 1),
-        tx.snapshot(),
-        rx.snapshot(),
+        tx.counters(),
+        rx.counters(),
     );
     (rendered, events.map(|e| e.drain()))
 }
@@ -83,7 +80,7 @@ fn differential(profile: Profile, legacy_cfg: QtpSenderConfig) {
                 .app(legacy_cfg.app.clone())
                 .payload(legacy_cfg.s);
             let h = attach_pair(sim, 0, 1, "diff", &plan);
-            (h.data_flow, h.tx, h.rx, Some(h.tx_events))
+            (h.data_flow, h.tx_tracer, h.rx_tracer, Some(h.tx_events))
         });
         assert_eq!(
             legacy, session,

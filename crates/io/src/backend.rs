@@ -60,8 +60,8 @@ fn outcome(
         },
         tx_events: tx.events().drain(),
         rx_events: rx.map(|r| r.events().drain()).unwrap_or_default(),
-        tx: tx.probe().snapshot(),
-        rx: rx.map(|r| r.probe().snapshot()).unwrap_or_default(),
+        tx: tx.tracer().counters(),
+        rx: rx.map(|r| r.tracer().counters()).unwrap_or_default(),
     }
 }
 

@@ -29,9 +29,9 @@
 //!
 //! Zero runtime dependencies beyond `std`, by workspace policy. The
 //! readiness wait is therefore an in-tree `ppoll(2)` binding (private
-//! `wait` module) rather than a `libc`/`mio` dependency; it contains the
-//! first and only `unsafe` block in this crate — one foreign call whose
-//! argument layouts are pinned by compile-time size assertions. Targets
+//! `wait` module) rather than a `libc`/`mio` dependency; it holds the
+//! crate's single foreign call, whose argument layouts are pinned by
+//! compile-time size assertions. Targets
 //! other than 64-bit Linux sleep inside the same function instead.
 //!
 //! ## Example

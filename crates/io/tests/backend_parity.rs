@@ -33,7 +33,7 @@ fn plans() -> Vec<ConnectionPlan> {
 }
 
 #[test]
-fn same_plans_run_on_all_three_backends() {
+fn same_plans_run_on_sim_and_mux_backends() {
     let plans = plans();
     let mut backends: Vec<Box<dyn Backend>> = vec![
         Box::new(SimBackend::isolated(

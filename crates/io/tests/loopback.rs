@@ -6,7 +6,7 @@
 
 use qtp_core::session::{attach_pair, ConnectionPlan, Profile};
 use qtp_core::{
-    CapabilitySet, Probe, QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, ServerPolicy,
+    CapabilitySet, QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, ServerPolicy,
 };
 use qtp_io::{drive_mux_pair, Accepted, ConnStats, MuxDriver, MuxStats};
 use qtp_simnet::prelude::*;
@@ -34,7 +34,7 @@ fn run_loopback(
     let mut rx: MuxDriver<QtpReceiver> = MuxDriver::bind("127.0.0.1:0").expect("bind receiver");
     rx.set_acceptor(|_, frame| {
         (frame.flow == 0).then(|| Accepted {
-            endpoint: QtpReceiver::new(0, 1, 0, QtpReceiverConfig::default(), Probe::new()),
+            endpoint: QtpReceiver::new(0, 1, 0, QtpReceiverConfig::default()),
             flows: vec![0, 1],
         })
     });
@@ -43,7 +43,7 @@ fn run_loopback(
     let mut tx: MuxDriver<QtpSender> = MuxDriver::bind("127.0.0.1:0").expect("bind sender");
     let tx_addr = tx.local_addr().expect("local addr");
     let tx_id = tx
-        .add_connection(peer, vec![0, 1], QtpSender::new(0, 1, cfg, Probe::new()))
+        .add_connection(peer, vec![0, 1], QtpSender::new(0, 1, cfg))
         .expect("register sender");
 
     // Gate on delivered *bytes*: under unreliable profiles the receiver

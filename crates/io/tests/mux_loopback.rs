@@ -4,7 +4,7 @@
 //! connections created on first frame and torn down/reaped afterwards.
 
 use qtp_core::session::{ConnectionPlan, Profile};
-use qtp_core::{CapabilitySet, Probe, QtpReceiver, QtpReceiverConfig, QtpSender, ServerPolicy};
+use qtp_core::{CapabilitySet, QtpReceiver, QtpReceiverConfig, QtpSender, ServerPolicy};
 use qtp_io::mux::{drive_mux_pair, Accepted, ConnId, MuxDriver};
 use qtp_simnet::prelude::*;
 use std::time::Duration;
@@ -30,13 +30,7 @@ fn one_socket_carries_64_reliable_flows() {
             return None;
         }
         Some(Accepted {
-            endpoint: QtpReceiver::new(
-                frame.flow,
-                frame.flow + 1,
-                0,
-                QtpReceiverConfig::default(),
-                Probe::new(),
-            ),
+            endpoint: QtpReceiver::new(frame.flow, frame.flow + 1, 0, QtpReceiverConfig::default()),
             flows: vec![frame.flow, frame.flow + 1],
         })
     });
@@ -50,7 +44,7 @@ fn one_socket_carries_64_reliable_flows() {
         let cfg = ConnectionPlan::new(Profile::qtp_af(Rate::from_kbps(500)))
             .finite(PACKETS)
             .sender_config();
-        let sender = QtpSender::new(data, 0, cfg, Probe::new());
+        let sender = QtpSender::new(data, 0, cfg);
         conns.push(
             client
                 .add_connection(server_addr, vec![data, fb], sender)
@@ -127,13 +121,7 @@ fn mux_isolates_flows_from_foreign_traffic() {
     let mut server: MuxDriver<QtpReceiver> = MuxDriver::bind("127.0.0.1:0").unwrap();
     server.set_acceptor(|_, frame| {
         (frame.flow % 2 == 0).then(|| Accepted {
-            endpoint: QtpReceiver::new(
-                frame.flow,
-                frame.flow + 1,
-                0,
-                QtpReceiverConfig::default(),
-                Probe::new(),
-            ),
+            endpoint: QtpReceiver::new(frame.flow, frame.flow + 1, 0, QtpReceiverConfig::default()),
             flows: vec![frame.flow, frame.flow + 1],
         })
     });
@@ -144,11 +132,7 @@ fn mux_isolates_flows_from_foreign_traffic() {
         .finite(PACKETS)
         .sender_config();
     let conn = client
-        .add_connection(
-            server_addr,
-            vec![0, 1],
-            QtpSender::new(0, 0, cfg, Probe::new()),
-        )
+        .add_connection(server_addr, vec![0, 1], QtpSender::new(0, 0, cfg))
         .unwrap();
 
     // Foreign noise into the server socket from a third party.

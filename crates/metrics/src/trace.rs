@@ -8,7 +8,9 @@
 //! * a per-connection [`CounterSet`] — always on, updated on every
 //!   `emit`, and the **single source of truth** for report numbers
 //!   (packets/bytes tx+rx, retransmits, TTL drops, loss events, timer
-//!   fires). Snapshotting is a struct copy.
+//!   fires, plus the cost meters, RTT, loss-rate and latency sums no
+//!   event carries, written through [`Tracer::update`]). Snapshotting
+//!   is a struct copy.
 //! * an optional [`TraceSink`] — the event stream itself. Sinks are
 //!   attached per run (never in steady-state hot paths) and forwarding
 //!   compiles out entirely when the `trace` cargo feature is disabled;
@@ -252,17 +254,27 @@ pub trait TraceSink {
 
 /// Per-connection counters, updated on every [`Tracer::emit`] whether
 /// or not a sink is attached. Snapshot by copy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///
+/// The fields from `ops` on are measurements no event carries; the
+/// endpoint writes them through [`Tracer::update`] at the site that
+/// measures them. Together with the event-derived counts they are every
+/// per-endpoint number the claims ledger reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CounterSet {
     /// Packets handed to the wire.
     pub pkts_tx: u64,
     /// Bytes handed to the wire.
     pub bytes_tx: u64,
+    /// Data packets handed to the wire, retransmissions included
+    /// (subset of `pkts_tx`).
+    pub data_pkts_tx: u64,
+    /// Feedback reports handed to the wire (subset of `pkts_tx`).
+    pub feedbacks_tx: u64,
     /// Packets accepted from the wire.
     pub pkts_rx: u64,
     /// Bytes accepted from the wire.
     pub bytes_rx: u64,
-    /// Retransmitted data packets (subset of `pkts_tx`).
+    /// Retransmitted data packets (subset of `data_pkts_tx`).
     pub retransmits: u64,
     /// Receiver-side TTL drops of stale retransmissions.
     pub ttl_drops: u64,
@@ -286,6 +298,25 @@ pub struct CounterSet {
     pub cc_phase_changes: u64,
     /// Time BBR-lite first left startup, microseconds (0 = never did).
     pub bbr_startup_exit_us: u64,
+    /// Processing operations so far, every component of the endpoint
+    /// (the deterministic cost meters: loss detection, history,
+    /// reassembly and feedback at a receiver; controller, scoreboard and
+    /// estimator at a sender).
+    pub ops: u64,
+    /// Data packets the receiver processed after the handshake — the
+    /// denominator of [`CounterSet::ops_per_data_pkt`].
+    pub data_pkts_processed: u64,
+    /// Peak bytes of protocol state held (receiver).
+    pub state_bytes_peak: u64,
+    /// Sum of the loss-event rates `p` the rate computation used, one
+    /// per `rate_updates` (the full series is `RateUpdate` events).
+    pub p_sum: f64,
+    /// Smoothed RTT estimate at the latest rate update, seconds.
+    pub srtt_s: f64,
+    /// Sum of ADU-submit-to-delivery latencies, seconds (receiver).
+    pub latency_sum_s: f64,
+    /// Deliveries contributing to `latency_sum_s`.
+    pub latency_samples: u64,
 }
 
 impl CounterSet {
@@ -293,9 +324,16 @@ impl CounterSet {
     #[inline]
     pub fn apply(&mut self, kind: &TraceEventKind) {
         match kind {
-            TraceEventKind::PktSent { bytes, retx, .. } => {
+            TraceEventKind::PktSent {
+                kind, bytes, retx, ..
+            } => {
                 self.pkts_tx += 1;
                 self.bytes_tx += u64::from(*bytes);
+                match kind {
+                    PktKind::Data => self.data_pkts_tx += 1,
+                    PktKind::Feedback => self.feedbacks_tx += 1,
+                    _ => {}
+                }
                 if *retx {
                     self.retransmits += 1;
                 }
@@ -330,9 +368,14 @@ impl CounterSet {
     }
 
     /// Add another counter set into this one (mux/driver aggregation).
+    /// Counts and sums add. The gauges `srtt_s` and `state_bytes_peak`
+    /// keep the larger value (the slowest path, the biggest connection),
+    /// and the earliest nonzero `bbr_startup_exit_us` wins.
     pub fn merge(&mut self, other: &CounterSet) {
         self.pkts_tx += other.pkts_tx;
         self.bytes_tx += other.bytes_tx;
+        self.data_pkts_tx += other.data_pkts_tx;
+        self.feedbacks_tx += other.feedbacks_tx;
         self.pkts_rx += other.pkts_rx;
         self.bytes_rx += other.bytes_rx;
         self.retransmits += other.retransmits;
@@ -352,6 +395,32 @@ impl CounterSet {
                 || other.bbr_startup_exit_us < self.bbr_startup_exit_us)
         {
             self.bbr_startup_exit_us = other.bbr_startup_exit_us;
+        }
+        self.ops += other.ops;
+        self.data_pkts_processed += other.data_pkts_processed;
+        self.state_bytes_peak = self.state_bytes_peak.max(other.state_bytes_peak);
+        self.p_sum += other.p_sum;
+        self.srtt_s = self.srtt_s.max(other.srtt_s);
+        self.latency_sum_s += other.latency_sum_s;
+        self.latency_samples += other.latency_samples;
+    }
+
+    /// Mean ADU-to-delivery latency, seconds (0 with no deliveries).
+    pub fn mean_latency_s(&self) -> f64 {
+        if self.latency_samples == 0 {
+            0.0
+        } else {
+            self.latency_sum_s / self.latency_samples as f64
+        }
+    }
+
+    /// Receiver operations per data packet processed — the headline E5
+    /// number (0 with no data packets).
+    pub fn ops_per_data_pkt(&self) -> f64 {
+        if self.data_pkts_processed == 0 {
+            0.0
+        } else {
+            self.ops as f64 / self.data_pkts_processed as f64
         }
     }
 }
@@ -437,6 +506,19 @@ impl Tracer {
     /// Snapshot the counters (struct copy).
     pub fn counters(&self) -> CounterSet {
         self.inner.borrow().counters
+    }
+
+    /// Write the counters no event carries (cost meters, gauges, latency
+    /// sums). Every clone sees the write.
+    #[inline]
+    pub fn update(&self, f: impl FnOnce(&mut CounterSet)) {
+        f(&mut self.inner.borrow_mut().counters);
+    }
+
+    /// Read one value without copying the whole set.
+    #[inline]
+    pub fn read<T>(&self, f: impl FnOnce(&CounterSet) -> T) -> T {
+        f(&self.inner.borrow().counters)
     }
 
     /// Attach (or replace) the event sink. Takes effect for every
@@ -797,9 +879,20 @@ mod tests {
         tr.emit(3, TraceEventKind::PktDropped { seq: 5, age_us: 99 });
         tr.emit(4, TraceEventKind::LossEvent { pkts: 3 });
         tr.emit(5, TraceEventKind::SoftError);
+        tr.emit(
+            6,
+            TraceEventKind::PktSent {
+                kind: PktKind::Feedback,
+                seq: 0,
+                bytes: 60,
+                retx: false,
+            },
+        );
         let c = tr.counters();
-        assert_eq!(c.pkts_tx, 2);
-        assert_eq!(c.bytes_tx, 2000);
+        assert_eq!(c.pkts_tx, 3);
+        assert_eq!(c.bytes_tx, 2060);
+        assert_eq!(c.data_pkts_tx, 2);
+        assert_eq!(c.feedbacks_tx, 1);
         assert_eq!(c.retransmits, 1);
         assert_eq!(c.pkts_rx, 1);
         assert_eq!(c.bytes_rx, 40);
@@ -934,6 +1027,60 @@ mod tests {
         assert_eq!(a.pkts_tx, 4);
         assert_eq!(a.ttl_drops, 4);
         assert_eq!(a.soft_errors, 2);
+    }
+
+    #[test]
+    fn tracer_clones_share_measured_fields() {
+        let a = Tracer::new(0);
+        let b = a.clone();
+        a.update(|c| c.data_pkts_processed = 7);
+        assert_eq!(b.read(|c| c.data_pkts_processed), 7);
+        b.update(|c| c.ops += 3);
+        assert_eq!(a.counters().ops, 3);
+    }
+
+    #[test]
+    fn derived_metrics() {
+        let empty = CounterSet::default();
+        assert_eq!(empty.ops_per_data_pkt(), 0.0);
+        assert_eq!(empty.mean_latency_s(), 0.0);
+
+        let mut a = CounterSet {
+            ops: 40,
+            data_pkts_processed: 4,
+            state_bytes_peak: 100,
+            p_sum: 0.25,
+            srtt_s: 0.02,
+            latency_sum_s: 2.0,
+            latency_samples: 4,
+            ..CounterSet::default()
+        };
+        assert_eq!(a.ops_per_data_pkt(), 10.0);
+        assert_eq!(a.mean_latency_s(), 0.5);
+
+        let b = CounterSet {
+            data_pkts_tx: 5,
+            feedbacks_tx: 2,
+            ops: 20,
+            data_pkts_processed: 1,
+            state_bytes_peak: 300,
+            p_sum: 0.5,
+            srtt_s: 0.01,
+            latency_sum_s: 1.0,
+            latency_samples: 1,
+            ..CounterSet::default()
+        };
+        a.merge(&b);
+        // Counts and sums add…
+        assert_eq!((a.data_pkts_tx, a.feedbacks_tx), (5, 2));
+        assert_eq!((a.ops, a.data_pkts_processed), (60, 5));
+        assert_eq!(a.p_sum, 0.75);
+        assert_eq!((a.latency_sum_s, a.latency_samples), (3.0, 5));
+        // …the gauges keep the larger value.
+        assert_eq!(a.state_bytes_peak, 300);
+        assert_eq!(a.srtt_s, 0.02);
+        assert_eq!(a.ops_per_data_pkt(), 12.0);
+        assert_eq!(a.mean_latency_s(), 0.6);
     }
 
     #[test]

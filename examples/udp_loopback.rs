@@ -35,12 +35,12 @@ fn main() -> std::io::Result<()> {
     println!("\nnegotiated profile: {chosen:?}");
     println!(
         "retransmissions: {}; rtt estimate: {:.3} ms; feedback pkts: {}",
-        o.tx.tx_retransmissions,
-        o.tx.rtt_estimate_s * 1e3,
-        o.rx.rx_feedback_sent,
+        o.tx.retransmits,
+        o.tx.srtt_s * 1e3,
+        o.rx.feedbacks_tx,
     );
     assert_eq!(o.delivered_bytes, PACKETS * PAYLOAD);
-    // Typed events replace probe-poking for the application-visible facts.
+    // Typed events, not counter snapshots, carry the application-visible facts.
     assert!(o
         .tx_events
         .iter()

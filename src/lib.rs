@@ -102,7 +102,7 @@ pub mod prelude {
     pub use qtp_core::stream::{RecvStream, SendStream, StreamConfig, StreamError};
     pub use qtp_core::{
         attach_pair, attach_pairs, Backend, CapabilitySet, CapsError, CcKind, ConnectionOutcome,
-        ConnectionPlan, FeedbackMode, PairHandles, Probe, Profile, ProfileBuilder, ProfileError,
+        ConnectionPlan, FeedbackMode, PairHandles, Profile, ProfileBuilder, ProfileError,
         QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, Reliability, ServerPolicy,
         Session, SessionEvent, SessionEvents, SimBackend, SimHost, SimTopology,
     };

@@ -86,14 +86,14 @@ pub fn wireless_loss(seed: u64, secs: u64) -> WirelessLossReport {
     );
     sim.run_until(SimTime::ZERO + horizon);
     let partial_goodput_bps = sim.stats().flow(hp.data_flow).goodput_bps(horizon);
-    let pd = hp.tx.snapshot();
+    let pd = hp.tx_tracer.counters();
 
     WirelessLossReport {
         tcp_goodput_bps,
         light_goodput_bps,
         partial_goodput_bps,
-        partial_retransmissions: pd.tx_retransmissions,
-        partial_abandoned: pd.tx_abandoned,
+        partial_retransmissions: pd.retransmits,
+        partial_abandoned: pd.abandoned,
     }
 }
 
@@ -105,7 +105,7 @@ pub struct MobileRun {
     /// Receiver-side processing cost per delivered packet.
     pub rx_ops_per_packet: f64,
     /// Peak receiver-side estimator state (bytes).
-    pub rx_state_bytes: usize,
+    pub rx_state_bytes: u64,
     /// Feedback packets the receiver sent.
     pub rx_feedback_sent: u64,
 }
@@ -144,11 +144,12 @@ pub fn mobile_receiver(light: bool, loss_p: f64, seed: u64, secs: u64) -> Mobile
         &ConnectionPlan::new(profile),
     );
     sim.run_until(SimTime::ZERO + horizon);
+    let rx = h.rx_tracer.counters();
     MobileRun {
         goodput_bps: sim.stats().flow(h.data_flow).goodput_bps(horizon),
-        rx_ops_per_packet: h.rx.read(|d| d.rx_ops_per_packet()),
-        rx_state_bytes: h.rx.read(|d| d.rx_state_bytes_peak),
-        rx_feedback_sent: h.rx.read(|d| d.rx_feedback_sent),
+        rx_ops_per_packet: rx.ops_per_data_pkt(),
+        rx_state_bytes: rx.state_bytes_peak,
+        rx_feedback_sent: rx.feedbacks_tx,
     }
 }
 

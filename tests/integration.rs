@@ -159,7 +159,7 @@ fn negotiation_downgrade_full_stack() {
     sim.run_until(SimTime::from_secs(10));
     // Data still flows and nothing is ever retransmitted.
     assert!(sim.stats().flow(h.data_flow).pkts_arrived > 100);
-    assert_eq!(h.tx.read(|d| d.tx_retransmissions), 0);
+    assert_eq!(h.tx_tracer.read(|c| c.retransmits), 0);
 }
 
 /// Two QTP flows sharing a bottleneck split it roughly fairly.
@@ -231,5 +231,5 @@ fn facade_quickstart_shape() {
     sim.run_until(SimTime::from_secs(10));
     let stats = sim.stats().flow(h.data_flow);
     assert!(stats.bytes_app_delivered > 0);
-    assert!(h.rx.read(|d| d.rx_ops_per_packet()) < 20.0);
+    assert!(h.rx_tracer.read(|c| c.ops_per_data_pkt()) < 20.0);
 }
