@@ -107,11 +107,6 @@ impl Outbox {
     pub fn poll_cmd(&mut self) -> Option<Command> {
         self.cmds.pop_front()
     }
-
-    /// Whether any commands are pending.
-    pub fn is_empty(&self) -> bool {
-        self.cmds.is_empty()
-    }
 }
 
 /// A sans-io transport endpoint drivable by any event loop.
@@ -237,7 +232,6 @@ mod tests {
         ));
         assert!(matches!(out.poll_cmd(), Some(Command::Transmit(t)) if t.header == vec![0xBB]));
         assert!(out.poll_cmd().is_none());
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod caps;
 pub mod cc;
 pub mod driver;
 pub mod estimator;
+pub mod pipe;
 pub mod receiver;
 pub mod sender;
 pub mod session;

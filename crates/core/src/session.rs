@@ -639,18 +639,9 @@ impl Endpoint for Role {
 /// consumption styles exist, and every backend uses exactly one:
 ///
 /// **Standalone (poll) style** — for hand-written event loops, quinn-proto
-/// fashion. The session owns its timer queue:
-///
-/// ```text
-/// session.start(now);
-/// loop {
-///     while let Some(t) = session.poll_transmit() { /* send t */ }
-///     while let Some(ev) = session.poll_event() { /* observe */ }
-///     // sleep until session.poll_timeout(), or a datagram arrives…
-///     session.on_timeout(now);
-///     session.handle_input(now, wire_size, &header);
-/// }
-/// ```
+/// fashion. The session owns its timer queue; [`crate::pipe`] is the
+/// reference loop (`start`, then `handle_input` / `on_timeout` /
+/// `poll_transmit` / `poll_timeout`, with `poll_event` left to the caller).
 ///
 /// **Mounted style** — a `Session` implements [`Endpoint`], so the
 /// simulator ([`SimAgent`](crate::adapter::SimAgent)) and
@@ -789,20 +780,14 @@ impl Session {
                 break;
             }
             let Reverse((_, _, token)) = self.timers.pop().expect("peeked entry");
-            self.handle_timer(now, token);
+            if self.closed {
+                continue;
+            }
+            // Stale generations are filtered by the endpoint itself.
+            self.out.now = now;
+            self.inner.on_timer(&mut self.out, token);
+            self.pump(None);
         }
-    }
-
-    /// Deliver one raw timer token (drivers that schedule tokens natively;
-    /// [`Session::on_timeout`] is the cooked variant). Stale generations
-    /// are filtered by the endpoint itself.
-    pub fn handle_timer(&mut self, now: SimTime, token: u64) {
-        if self.closed {
-            return;
-        }
-        self.out.now = now;
-        self.inner.on_timer(&mut self.out, token);
-        self.pump(None);
     }
 
     /// Deadline of the earliest internally-armed timer, if any: sleep no
@@ -1468,6 +1453,7 @@ pub fn connected_caps(events: &SessionEvents) -> Option<CapabilitySet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipe::Pipe;
 
     #[test]
     fn builder_validates_and_roundtrips() {
@@ -1517,49 +1503,19 @@ mod tests {
     }
 
     /// Drive a sender/receiver session pair purely through the poll-style
-    /// surface with a virtual clock and a loss-free in-memory "wire" — no
+    /// surface on [`Pipe`](crate::pipe::Pipe)'s virtual clock — no
     /// simulator, no sockets. This is the contract a hand-written event
     /// loop programs against.
     #[test]
     fn poll_surface_completes_a_reliable_transfer() {
         const PACKETS: u64 = 20;
         let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_kbps(500))).finite(PACKETS);
-        let mut tx = Session::sender(0, 1, &plan);
-        let mut rx = Session::receiver(0, 1, 0, &plan);
-
-        let mut now = SimTime::ZERO;
-        tx.start(now);
-        rx.start(now);
-        for _ in 0..100_000 {
-            // Shuttle datagrams until the wire is quiet.
-            loop {
-                let mut moved = false;
-                while let Some(t) = tx.poll_transmit() {
-                    rx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                while let Some(t) = rx.poll_transmit() {
-                    tx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                if !moved {
-                    break;
-                }
-            }
-            if rx.delivered_packets() >= PACKETS && tx.all_acked() {
-                break;
-            }
-            // Advance the virtual clock to the earliest armed deadline.
-            let next = match (tx.poll_timeout(), rx.poll_timeout()) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => panic!("deadlock: no timers and not done"),
-            };
-            now = now.max(next);
-            tx.on_timeout(now);
-            rx.on_timeout(now);
-        }
+        let mut pipe = Pipe::new(&plan, Duration::from_millis(5));
+        pipe.run_until(SimTime::from_secs(60), |p| {
+            p.rx.delivered_packets() >= PACKETS && p.tx.all_acked()
+        })
+        .unwrap_or_else(|stall| panic!("{stall}"));
+        let Pipe { mut tx, rx, .. } = pipe;
         assert_eq!(rx.delivered_packets(), PACKETS);
         assert!(tx.all_acked());
         assert_eq!(rx.delivered_bytes(), PACKETS * 1000);
@@ -1600,19 +1556,18 @@ mod tests {
             .collect();
         let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(50)))
             .stream(StreamConfig::with_send_buf(16 * 1024));
-        let mut tx = Session::sender(0, 1, &plan);
-        let mut rx = Session::receiver(0, 1, 0, &plan);
-        let send = tx.send_stream().expect("sender side has a SendStream");
-        let recv = rx.recv_stream().expect("receiver side has a RecvStream");
-        assert!(tx.recv_stream().is_none() && rx.send_stream().is_none());
+        let mut pipe = Pipe::new(&plan, Duration::from_millis(5));
+        let send = pipe.tx.send_stream().expect("sender side has a SendStream");
+        let recv = pipe
+            .rx
+            .recv_stream()
+            .expect("receiver side has a RecvStream");
+        assert!(pipe.tx.recv_stream().is_none() && pipe.rx.send_stream().is_none());
 
-        let mut now = SimTime::ZERO;
-        tx.start(now);
-        rx.start(now);
         let mut offset = 0usize;
         let mut received = Vec::new();
         let mut saw_full = false;
-        for _ in 0..1_000_000 {
+        pipe.run_until(SimTime::from_secs(60), |p| {
             while offset < file.len() {
                 let end = (offset + 1900).min(file.len());
                 match send.send(&file[offset..end]) {
@@ -1627,36 +1582,13 @@ mod tests {
             if offset == file.len() && !send.is_finished() {
                 send.finish();
             }
-            loop {
-                let mut moved = false;
-                while let Some(t) = tx.poll_transmit() {
-                    rx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                while let Some(t) = rx.poll_transmit() {
-                    tx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                if !moved {
-                    break;
-                }
-            }
             while let Some(m) = recv.recv() {
                 received.extend(m);
             }
-            if recv.is_finished() && tx.is_closed() {
-                break;
-            }
-            let next = match (tx.poll_timeout(), rx.poll_timeout()) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => panic!("deadlock: no timers and not done"),
-            };
-            now = now.max(next);
-            tx.on_timeout(now);
-            rx.on_timeout(now);
-        }
+            recv.is_finished() && p.tx.is_closed()
+        })
+        .unwrap_or_else(|stall| panic!("{stall}"));
+        let Pipe { tx, rx, .. } = pipe;
         assert_eq!(received.len(), file.len());
         assert_eq!(received, file, "byte-exact stream transfer");
         assert!(saw_full, "bounded send buffer exerted backpressure");
@@ -1693,53 +1625,27 @@ mod tests {
     fn graceful_close_waits_for_finack() {
         let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(10)))
             .stream(StreamConfig::default());
-        let mut tx = Session::sender(0, 1, &plan);
-        let mut rx = Session::receiver(0, 1, 0, &plan);
-        let send = tx.send_stream().unwrap();
+        let mut pipe = Pipe::new(&plan, Duration::from_millis(5));
+        let send = pipe.tx.send_stream().unwrap();
         send.send(b"payload").unwrap();
 
-        let mut now = SimTime::ZERO;
-        tx.start(now);
-        rx.start(now);
-        for _ in 0..10_000 {
-            loop {
-                let mut moved = false;
-                while let Some(t) = tx.poll_transmit() {
-                    rx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                while let Some(t) = rx.poll_transmit() {
-                    tx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                if !moved {
-                    break;
-                }
+        pipe.run_until(SimTime::from_secs(60), |p| {
+            if p.tx.negotiated().is_some() && !p.tx.is_closed() && !send.is_finished() {
+                p.tx.close();
+                assert!(!p.tx.is_closed(), "graceful close defers Closed to FIN-ACK");
             }
-            if tx.negotiated().is_some() && !tx.is_closed() && !send.is_finished() {
-                tx.close();
-                assert!(!tx.is_closed(), "graceful close defers Closed to FIN-ACK");
-            }
-            if tx.is_closed() {
-                break;
-            }
-            let next = match (tx.poll_timeout(), rx.poll_timeout()) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => panic!("no timers while close pending"),
-            };
-            now = now.max(next);
-            tx.on_timeout(now);
-            rx.on_timeout(now);
-        }
-        assert!(tx.is_closed());
-        assert!(tx
+            p.tx.is_closed()
+        })
+        .unwrap_or_else(|stall| panic!("{stall}"));
+        assert!(pipe.tx.is_closed());
+        assert!(pipe
+            .tx
             .events()
             .drain()
             .iter()
             .any(|e| matches!(e, SessionEvent::Closed)));
-        assert!(rx
+        assert!(pipe
+            .rx
             .events()
             .drain()
             .iter()

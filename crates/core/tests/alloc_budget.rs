@@ -13,12 +13,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::time::Duration;
 
+use qtp_core::pipe::{Dir, Fate, Pipe};
 use qtp_core::session::{ConnectionPlan, Profile, Reliability, Session};
 use qtp_core::stream::StreamConfig;
-use qtp_core::{CcKind, QtpPacket, Transmit};
+use qtp_core::{CcKind, QtpPacket};
 use qtp_simnet::time::{Rate, SimTime};
 
 thread_local! {
@@ -75,88 +75,20 @@ fn counts() -> (u64, u64, u64) {
     (ALLOCS.get(), BYTES.get(), FREES.get())
 }
 
-/// Two sessions joined by delay queues on a virtual clock — the shape of
-/// qtpperf's `pipe_*` workloads, without its instrumentation.
-struct Pipe {
-    tx: Session,
-    rx: Session,
-    now: SimTime,
-    one_way: Duration,
-    fwd: VecDeque<(SimTime, Transmit)>,
-    rev: VecDeque<(SimTime, Transmit)>,
-    dgrams: u64,
-    /// Drop the forward datagram this many sends from now.
-    lose_in: Option<u32>,
+/// Datagrams the pipe carried in both directions, dropped ones included.
+fn dgrams(pipe: &Pipe) -> u64 {
+    pipe.sent(Dir::Forward) + pipe.sent(Dir::Reverse)
 }
 
-impl Pipe {
-    fn connect(plan: &ConnectionPlan, one_way: Duration) -> Pipe {
-        let mut pipe = Pipe {
-            tx: Session::sender(0, 0, plan),
-            rx: Session::receiver(0, 1, 0, plan),
-            now: SimTime::ZERO,
-            one_way,
-            fwd: VecDeque::with_capacity(8192),
-            rev: VecDeque::with_capacity(8192),
-            dgrams: 0,
-            lose_in: None,
-        };
-        pipe.tx.start(pipe.now);
-        pipe.rx.start(pipe.now);
-        pipe.pump();
-        while pipe.tx.negotiated().is_none() || pipe.rx.negotiated().is_none() {
-            pipe.step();
-        }
-        pipe
-    }
-
-    fn pump(&mut self) {
-        while let Some(d) = self.tx.poll_transmit() {
-            self.dgrams += 1;
-            self.lose_in = self.lose_in.map(|n| n - 1);
-            if self.lose_in == Some(0) {
-                self.lose_in = None;
-                continue;
-            }
-            self.fwd.push_back((self.now + self.one_way, d));
-        }
-        while let Some(d) = self.rx.poll_transmit() {
-            self.dgrams += 1;
-            self.rev.push_back((self.now + self.one_way, d));
-        }
-    }
-
-    /// Advance to the next arrival or deadline and handle what is due.
-    fn step(&mut self) {
-        let next = [
-            self.fwd.front().map(|(at, _)| *at),
-            self.rev.front().map(|(at, _)| *at),
-            self.tx.poll_timeout(),
-            self.rx.poll_timeout(),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-        .expect("something in flight or a timer armed");
-        self.now = self.now.max(next);
-        let now = self.now;
-        while self.fwd.front().is_some_and(|(at, _)| *at <= now) {
-            let (_, d) = self.fwd.pop_front().expect("front checked");
-            self.rx.handle_input(now, d.wire_size, &d.header);
-        }
-        while self.rev.front().is_some_and(|(at, _)| *at <= now) {
-            let (_, d) = self.rev.pop_front().expect("front checked");
-            self.tx.handle_input(now, d.wire_size, &d.header);
-        }
-        if self.tx.poll_timeout().is_some_and(|at| at <= now) {
-            self.tx.on_timeout(now);
-        }
-        if self.rx.poll_timeout().is_some_and(|at| at <= now) {
-            self.rx.on_timeout(now);
-        }
-        self.pump();
-        while self.tx.poll_event().is_some() || self.rx.poll_event().is_some() {}
-    }
+/// Run the pipe — the shape of qtpperf's `pipe_*` workloads, without its
+/// instrumentation — with `app` after every step, draining both sides'
+/// events.
+fn run(pipe: &mut Pipe, mut app: impl FnMut(&mut Pipe) -> bool) {
+    pipe.run_until(SimTime::from_secs(600), |p| {
+        while p.tx.poll_event().is_some() || p.rx.poll_event().is_some() {}
+        app(p)
+    })
+    .unwrap_or_else(|stall| panic!("{stall}"));
 }
 
 /// Stream `total` bytes in `write_len` writes; returns allocations and
@@ -169,27 +101,27 @@ fn transfer(
     total: usize,
 ) -> (f64, f64) {
     let warm_up = total / 4;
-    let mut pipe = Pipe::connect(plan, one_way);
+    let mut pipe = Pipe::new(plan, one_way);
     let send = pipe.tx.send_stream().expect("stream plan");
     let recv = pipe.rx.recv_stream().expect("stream plan");
     let msg = vec![0xA5u8; write_len];
     let (mut written, mut read) = (0usize, 0usize);
     let mut mark: Option<((u64, u64, u64), u64)> = None;
-    while read < total {
+    run(&mut pipe, |p| {
         while written < total && send.send(&msg).is_ok() {
             written += write_len;
         }
-        pipe.step();
         while let Some(m) = recv.recv() {
             read += m.len();
         }
         if mark.is_none() && read >= warm_up {
-            mark = Some((counts(), pipe.dgrams));
+            mark = Some((counts(), dgrams(p)));
         }
-    }
+        read >= total
+    });
     let ((allocs0, bytes0, _), dgrams0) = mark.expect("warm-up ends before the transfer");
     let (allocs, bytes, _) = counts();
-    let dgrams = (pipe.dgrams - dgrams0) as f64;
+    let dgrams = (dgrams(&pipe) - dgrams0) as f64;
     assert!(dgrams > 1000.0, "too short to measure: {dgrams} datagrams");
     (
         (allocs - allocs0) as f64 / dgrams,
@@ -241,24 +173,31 @@ fn an_unreliable_stream_holds_no_sent_bytes_behind_a_hole() {
     let plan = ConnectionPlan::new(Profile::tfrc())
         .payload(1200)
         .stream(StreamConfig::with_send_buf(64 * 1024));
-    let mut pipe = Pipe::connect(&plan, Duration::from_millis(5));
-    pipe.lose_in = Some(20);
+    let mut pipe = Pipe::new(&plan, Duration::from_millis(5));
+    let lost = 20;
+    pipe.set_fate(move |dir, n, _| {
+        if (dir, n) == (Dir::Forward, lost) {
+            Fate::Drop
+        } else {
+            Fate::Deliver
+        }
+    });
     let send = pipe.tx.send_stream().expect("stream plan");
     let recv = pipe.rx.recv_stream().expect("stream plan");
     let msg = vec![0xC3u8; 1200];
     let total = 3000u64;
     let (mut written, mut live_at_500) = (0u64, None);
-    while recv.messages_received() < total - 1 {
+    run(&mut pipe, |_| {
         while written < total && send.send(&msg).is_ok() {
             written += 1;
         }
-        pipe.step();
         while recv.recv().is_some() {}
         if live_at_500.is_none() && recv.messages_received() >= 500 {
             live_at_500 = Some(LIVE.get());
         }
-    }
-    assert_eq!(pipe.lose_in, None, "one datagram was dropped");
+        recv.messages_received() >= total - 1
+    });
+    assert!(pipe.sent(Dir::Forward) > lost, "one datagram was dropped");
     let grown = LIVE
         .get()
         .wrapping_sub(live_at_500.expect("500 of 3000 arrive")) as i64;
