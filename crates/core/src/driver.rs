@@ -28,6 +28,17 @@
 //! apply commands in the drained order: the simulator adapter relies on this
 //! for byte-identical replay of pre-seam behaviour (send and timer commands
 //! schedule events whose tie-break is insertion order).
+//!
+//! # Transmit buffers are lent
+//!
+//! Endpoints encode every header into [`Outbox::buffer`], and a driver that
+//! has framed a [`Transmit`] may hand its `header` back with
+//! [`Outbox::reuse`]; the next `buffer` call lends it out again, empty, so
+//! a driver that gives every buffer back allocates none per datagram
+//! (`qtp-io`'s `MuxDriver` does). Giving a buffer back is optional: a
+//! driver that keeps or drops it (the simulator adapter, `Session`'s poll
+//! surface) loses nothing but the reuse, and `buffer` then allocates
+//! exactly what a fresh `Vec::with_capacity` would.
 
 use qtp_simnet::packet::{FlowId, NodeId};
 use qtp_simnet::time::SimTime;
@@ -65,6 +76,11 @@ pub enum Command {
     Deliver { flow: FlowId, bytes: u64 },
 }
 
+/// Most spare transmit buffers an [`Outbox`] keeps: one callback of a QTP
+/// endpoint emits at most three transmits (a pace tick's data packet,
+/// FORWARD and FIN), and a driver gives them back after each callback.
+const MAX_SPARES: usize = 4;
+
 /// The buffered command queue handed to every [`Endpoint`] callback.
 ///
 /// Carries the current time (`now`) in, and the endpoint's effects out.
@@ -76,11 +92,46 @@ pub struct Outbox {
     /// simulator; monotonic wall time since driver start over real I/O).
     pub now: SimTime,
     cmds: VecDeque<Command>,
+    /// Transmit buffers given back through [`Outbox::reuse`].
+    spares: Vec<Vec<u8>>,
 }
 
 impl Outbox {
     pub fn new() -> Self {
         Outbox::default()
+    }
+
+    /// An empty buffer with room for `cap` bytes to encode a header into:
+    /// a spare given back through [`Outbox::reuse`] if there is one, else
+    /// `Vec::with_capacity(cap)`.
+    pub fn buffer(&mut self, cap: usize) -> Vec<u8> {
+        match self.spares.pop() {
+            Some(mut buf) => {
+                buf.clear();
+                buf.reserve(cap);
+                buf
+            }
+            None => Vec::with_capacity(cap),
+        }
+    }
+
+    /// Give a transmitted header back for [`Outbox::buffer`] to lend out
+    /// again. Beyond [`MAX_SPARES`] it is dropped.
+    pub fn reuse(&mut self, buf: Vec<u8>) {
+        if self.spares.len() < MAX_SPARES {
+            self.spares.push(buf);
+        }
+    }
+
+    /// Commands queued and not yet drained: a mark for [`Outbox::since`].
+    pub(crate) fn queued(&self) -> usize {
+        self.cmds.len()
+    }
+
+    /// The commands queued after `mark` was taken, oldest first, left in
+    /// place for the driver.
+    pub(crate) fn since(&self, mark: usize) -> impl Iterator<Item = &Command> {
+        self.cmds.range(mark..)
     }
 
     /// Queue a datagram for transmission.
@@ -119,7 +170,8 @@ impl Outbox {
 ///    every armed timer (at or after its deadline) to
 ///    [`Endpoint::on_timer`];
 /// 4. after each callback, drain the outbox with [`Outbox::poll_cmd`] and
-///    apply the commands in order.
+///    apply the commands in order (optionally giving each transmitted
+///    header back with [`Outbox::reuse`]).
 pub trait Endpoint {
     /// Called once when the connection/driver starts.
     fn on_start(&mut self, _out: &mut Outbox) {}
@@ -214,13 +266,54 @@ impl<const N: usize> TimerGens<N> {
 mod tests {
     use super::*;
 
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `(allocations, bytes)` requested on this thread.
+        static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    /// Counts this thread's allocations, so a test can pin what one call
+    /// allocates; every other test of the crate runs under it uncounted.
+    struct Counting;
+
+    // SAFETY: every method forwards to `System` with the caller's own layout
+    // and pointer; the counter is a plain thread-local and never allocates.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set((c.get().0 + 1, c.get().1 + layout.size() as u64)));
+            // SAFETY: `layout` is the caller's, passed through untouched.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` with this same `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set((c.get().0 + 1, c.get().1 + new_size as u64)));
+            // SAFETY: `ptr`/`layout` describe a live `System` block.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
     #[test]
     fn outbox_drains_fifo_across_kinds() {
         let mut out = Outbox::new();
         out.send_new(1, 2, 100, vec![0xAA]);
         out.set_timer_at(SimTime::from_millis(5), 42);
+        // Lending and giving back buffers between commands reorders nothing.
+        out.reuse(vec![0xEE; 8]);
         out.app_deliver(1, 1000);
-        out.send_new(1, 2, 50, vec![0xBB]);
+        let mut lent = out.buffer(1);
+        lent.push(0xBB);
+        out.send_new(1, 2, 50, lent);
+        assert_eq!(out.since(2).count(), 2);
         assert!(matches!(out.poll_cmd(), Some(Command::Transmit(t)) if t.header == vec![0xAA]));
         assert!(matches!(
             out.poll_cmd(),
@@ -232,6 +325,47 @@ mod tests {
         ));
         assert!(matches!(out.poll_cmd(), Some(Command::Transmit(t)) if t.header == vec![0xBB]));
         assert!(out.poll_cmd().is_none());
+    }
+
+    #[test]
+    fn a_reused_buffer_comes_back_empty_with_its_capacity() {
+        let mut out = Outbox::new();
+        let mut header = out.buffer(1400);
+        header.extend_from_slice(&[0xEE; 1400]);
+        let (ptr, cap) = (header.as_ptr(), header.capacity());
+        out.reuse(header);
+        let again = out.buffer(64);
+        assert!(again.is_empty(), "no byte of the last datagram is readable");
+        assert_eq!((again.as_ptr(), again.capacity()), (ptr, cap));
+        // A spare smaller than asked for grows to fit.
+        out.reuse(again);
+        assert!(out.buffer(4000).capacity() >= 4000);
+    }
+
+    #[test]
+    fn the_spare_list_never_grows_past_its_cap() {
+        let mut out = Outbox::new();
+        for _ in 0..MAX_SPARES + 3 {
+            out.reuse(Vec::with_capacity(100));
+        }
+        assert_eq!(out.spares.len(), MAX_SPARES);
+        let lent: Vec<Vec<u8>> = (0..MAX_SPARES + 3).map(|_| out.buffer(0)).collect();
+        let spares = lent.iter().filter(|b| b.capacity() >= 100).count();
+        assert_eq!(spares, MAX_SPARES, "only the kept spares are lent out");
+    }
+
+    /// The simulator and the poll surface never give a buffer back, so what
+    /// they allocate per datagram is what `Vec::with_capacity` did before.
+    #[test]
+    fn without_reuse_a_buffer_is_exactly_one_allocation_of_its_size() {
+        let mut out = Outbox::new();
+        for cap in [9, 38, 1436] {
+            let before = ALLOCS.get();
+            let header = out.buffer(cap);
+            let after = ALLOCS.get();
+            assert_eq!((after.0 - before.0, after.1 - before.1), (1, cap as u64));
+            assert_eq!(header.capacity(), cap);
+        }
     }
 
     #[test]

@@ -196,9 +196,19 @@ impl QtpReceiver {
         );
     }
 
-    /// Queue an encoded header-only packet (SYNACK, feedback, FIN-ACK)
-    /// toward the sender and trace it under `seq`.
-    fn send_control(&self, out: &mut Outbox, kind: PktKind, seq: u64, header: Vec<u8>) {
+    /// Queue a header-only packet (SYNACK, feedback, FIN-ACK) of `len`
+    /// bytes, written by `encode`, toward the sender and trace it under
+    /// `seq`.
+    fn send_control(
+        &self,
+        out: &mut Outbox,
+        kind: PktKind,
+        seq: u64,
+        len: usize,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let mut header = out.buffer(len);
+        encode(&mut header);
         let bytes = header.len() as u32 + IP_OVERHEAD;
         out.send_new(self.fb_flow, self.sender_node, bytes, header);
         let sent = TraceEventKind::PktSent {
@@ -239,7 +249,9 @@ impl QtpReceiver {
             ts_echo_nanos: ts_nanos,
             chosen,
         };
-        self.send_control(out, PktKind::SynAck, 0, pkt.encode());
+        self.send_control(out, PktKind::SynAck, 0, pkt.encoded_len(), |h| {
+            pkt.encode_into(h)
+        });
     }
 
     fn reliability(&self) -> ReliabilityMode {
@@ -428,7 +440,9 @@ impl QtpReceiver {
     /// acked), then surface the finish once all deliverable data is in.
     fn on_fin(&mut self, out: &mut Outbox, final_seq: u64) {
         let pkt = QtpPacket::FinAck { final_seq };
-        self.send_control(out, PktKind::FinAck, final_seq, pkt.encode());
+        self.send_control(out, PktKind::FinAck, final_seq, pkt.encoded_len(), |h| {
+            pkt.encode_into(h)
+        });
         if !self.fin_seen {
             self.fin_seen = true;
             self.own_ops += 1;
@@ -526,9 +540,9 @@ impl QtpReceiver {
         if self.reliability().retransmits() || chosen.feedback == FeedbackMode::SenderLoss {
             fb.n_blocks = self.buf.sack_blocks_into(&mut fb.blocks);
         }
-        let mut header = Vec::with_capacity(fb.encoded_len());
-        fb.encode_into(&mut header);
-        self.send_control(out, PktKind::Feedback, cum_ack, header);
+        self.send_control(out, PktKind::Feedback, cum_ack, fb.encoded_len(), |h| {
+            fb.encode_into(h)
+        });
         self.bytes_since_fb = 0;
         self.round_started = Some(out.now);
     }

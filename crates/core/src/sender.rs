@@ -273,7 +273,7 @@ impl QtpSender {
             ts_nanos: out.now.as_nanos(),
             offered: self.cfg.offered,
         };
-        self.send_control(out, PktKind::Syn, 0, pkt.encode());
+        self.send_control(out, PktKind::Syn, 0, &pkt);
         self.arm(out, TK_SYN, out.now + Duration::from_secs(1));
     }
 
@@ -377,9 +377,11 @@ impl QtpSender {
 
     // ---- transmission -------------------------------------------------
 
-    /// Queue an encoded header-only packet (SYN, FORWARD, FIN) toward the
-    /// receiver and trace it under `seq`.
-    fn send_control(&self, out: &mut Outbox, kind: PktKind, seq: u64, header: Vec<u8>) {
+    /// Queue a header-only packet (SYN, FORWARD, FIN) toward the receiver
+    /// and trace it under `seq`.
+    fn send_control(&self, out: &mut Outbox, kind: PktKind, seq: u64, pkt: &QtpPacket) {
+        let mut header = out.buffer(pkt.encoded_len());
+        pkt.encode_into(&mut header);
         let bytes = header.len() as u32 + IP_OVERHEAD;
         out.send_new(self.flow, self.receiver_node, bytes, header);
         let sent = TraceEventKind::PktSent {
@@ -423,21 +425,22 @@ impl QtpSender {
     }
 
     fn send_data(&mut self, out: &mut Outbox, seq: u64, adu_ts: SimTime, is_retx: bool) {
-        let header = QtpPacket::Data {
+        let pkt = QtpPacket::Data {
             seq,
             ts_nanos: out.now.as_nanos(),
             adu_ts_nanos: adu_ts.as_nanos(),
             rtt_hint_micros: self.rtt_hint_micros(),
             is_retx,
-        }
-        .encode();
+        };
+        let mut header = out.buffer(pkt.encoded_len());
+        pkt.encode_into(&mut header);
         // The simulated payload is accounted, never materialised.
         let size = self.cfg.s + header.len() as u32 + IP_OVERHEAD;
         self.emit_data(out, seq, size, header, is_retx);
     }
 
     /// Header fields and payload go straight from the send store into one
-    /// exactly-sized transmit buffer.
+    /// transmit buffer lent by the outbox.
     fn send_stream_data(&mut self, out: &mut Outbox, seq: u64, chunk: &Chunk, is_retx: bool) {
         let fields = StreamDataHeader {
             seq,
@@ -447,7 +450,7 @@ impl QtpSender {
             is_retx,
             ttl_micros: chunk.ttl_micros,
         };
-        let mut header = Vec::with_capacity(STREAM_DATA_HEADER_LEN + chunk.payload_len());
+        let mut header = out.buffer(STREAM_DATA_HEADER_LEN + chunk.payload_len());
         fields.encode_into(chunk.payload_len(), &mut header);
         let stream = self.stream.as_ref().expect("stream chunks imply a stream");
         stream.copy_payload(chunk, &mut header);
@@ -557,7 +560,7 @@ impl QtpSender {
         }
         self.last_fwd = out.now;
         let pkt = QtpPacket::Forward { new_cum: fp };
-        self.send_control(out, PktKind::Forward, fp, pkt.encode());
+        self.send_control(out, PktKind::Forward, fp, &pkt);
     }
 
     /// One pace tick: send at most one data packet, then re-arm.
@@ -660,7 +663,7 @@ impl QtpSender {
         self.fin_sent_at = Some(out.now);
         let final_seq = self.sb.next_seq();
         let pkt = QtpPacket::Fin { final_seq };
-        self.send_control(out, PktKind::Fin, final_seq, pkt.encode());
+        self.send_control(out, PktKind::Fin, final_seq, &pkt);
     }
 
     fn on_finack(&mut self, now_nanos: u64) {

@@ -647,16 +647,20 @@ impl Endpoint for Role {
 /// simulator ([`SimAgent`](crate::adapter::SimAgent)) and
 /// `qtp_io::MuxDriver` drive it like any endpoint. Commands pass
 /// through to the driver unchanged and in order (which is what keeps
-/// fixed-seed simulations byte-identical to the pre-session wiring); the
-/// driver owns the timers, and [`Session::poll_timeout`] stays empty.
-/// Events and accessors work identically in both styles.
+/// fixed-seed simulations byte-identical to the pre-session wiring): the
+/// session hands the driver's [`Outbox`] straight to its sender or
+/// receiver, so every command — and every transmit buffer the driver
+/// lends — goes in once, and afterwards the session only reads the
+/// deliveries the callback queued. The driver owns the timers, and
+/// [`Session::poll_timeout`] stays empty. Events and accessors work
+/// identically in both styles.
 pub struct Session {
     inner: Role,
-    out: Outbox,
     started: bool,
     closed: bool,
     connected: bool,
     // Standalone-style surfaces (unused while mounted in a driver).
+    out: Outbox,
     transmits: VecDeque<Transmit>,
     timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     timer_seq: u64,
@@ -725,10 +729,10 @@ impl Session {
         };
         Session {
             inner,
-            out: Outbox::new(),
             started: false,
             closed: false,
             connected: false,
+            out: Outbox::new(),
             transmits: VecDeque::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
@@ -752,7 +756,7 @@ impl Session {
         self.started = true;
         self.out.now = now;
         self.inner.on_start(&mut self.out);
-        self.pump(None);
+        self.pump();
     }
 
     /// An incoming datagram: `wire_size` is the accounted on-wire size,
@@ -766,9 +770,9 @@ impl Session {
             return;
         }
         self.out.now = now;
-        self.detect_rejected(header);
+        self.detect_rejected(now, header);
         self.inner.handle_datagram(&mut self.out, wire_size, header);
-        self.pump(None);
+        self.pump();
     }
 
     /// Fire every internally-armed timer due at `now`, in deadline order
@@ -786,7 +790,7 @@ impl Session {
             // Stale generations are filtered by the endpoint itself.
             self.out.now = now;
             self.inner.on_timer(&mut self.out, token);
-            self.pump(None);
+            self.pump();
         }
     }
 
@@ -821,8 +825,8 @@ impl Session {
                 if s.close_complete() {
                     self.finish_close();
                 }
-                // Otherwise `pump` observes close_complete() later and
-                // finishes then.
+                // Otherwise `derive_events` observes close_complete()
+                // later and finishes then.
             }
             Role::Receiver(_) => self.finish_close(),
         }
@@ -846,43 +850,50 @@ impl Session {
 
     // ---- shared internals ---------------------------------------------
 
-    fn detect_rejected(&mut self, header: &[u8]) {
+    fn detect_rejected(&mut self, now: SimTime, header: &[u8]) {
         if wire::carries_capabilities(header) {
             if let Err(WireError::BadCapability(error)) = QtpPacket::decode(header) {
                 self.events.push_rejected(error);
-                self.tracer
-                    .emit(self.out.now.as_nanos(), TraceEventKind::SoftError);
+                self.tracer.emit(now.as_nanos(), TraceEventKind::SoftError);
             }
         }
     }
 
-    /// Drain the endpoint's commands. With `ext` (mounted style) they pass
-    /// through to the driver's outbox unchanged and in order; without it
-    /// (standalone style) they land in the session's own queues. Either
-    /// way, session events are derived as a side effect.
-    fn pump(&mut self, mut ext: Option<&mut Outbox>) {
+    /// Standalone style: drain the endpoint's commands into the session's
+    /// own queues, then derive session events.
+    fn pump(&mut self) {
         while let Some(cmd) = self.out.poll_cmd() {
             match cmd {
-                Command::Transmit(t) => match ext.as_deref_mut() {
-                    Some(o) => o.send_new(t.flow, t.dst, t.wire_size, t.header),
-                    None => self.transmits.push_back(t),
-                },
-                Command::SetTimer { at, token } => match ext.as_deref_mut() {
-                    Some(o) => o.set_timer_at(at, token),
-                    None => {
-                        self.timer_seq += 1;
-                        self.timers.push(Reverse((at, self.timer_seq, token)));
-                    }
-                },
-                Command::Deliver { flow, bytes } => {
-                    self.delivered_bytes += bytes;
-                    self.events.push_delivered(bytes);
-                    if let Some(o) = ext.as_deref_mut() {
-                        o.app_deliver(flow, bytes);
-                    }
+                Command::Transmit(t) => self.transmits.push_back(t),
+                Command::SetTimer { at, token } => {
+                    self.timer_seq += 1;
+                    self.timers.push(Reverse((at, self.timer_seq, token)));
                 }
+                Command::Deliver { bytes, .. } => self.note_delivered(bytes),
             }
         }
+        self.derive_events(self.out.now);
+    }
+
+    /// Mounted style: the endpoint wrote into the driver's outbox. Read the
+    /// deliveries it queued after `mark`, leaving every command in place
+    /// for the driver, then derive session events.
+    fn observe(&mut self, out: &Outbox, mark: usize) {
+        for cmd in out.since(mark) {
+            if let Command::Deliver { bytes, .. } = *cmd {
+                self.note_delivered(bytes);
+            }
+        }
+        self.derive_events(out.now);
+    }
+
+    fn note_delivered(&mut self, bytes: u64) {
+        self.delivered_bytes += bytes;
+        self.events.push_delivered(bytes);
+    }
+
+    /// Surface what the last callback changed as session events.
+    fn derive_events(&mut self, now: SimTime) {
         if !self.connected {
             if let Some(negotiated) = self.negotiated() {
                 self.connected = true;
@@ -899,7 +910,7 @@ impl Session {
         if let Some(sh) = &self.send_shared {
             if crate::stream::take_writable_edge(sh) {
                 self.tracer
-                    .emit(self.out.now.as_nanos(), TraceEventKind::StreamWritable);
+                    .emit(now.as_nanos(), TraceEventKind::StreamWritable);
                 self.events.push(SessionEvent::Writable);
             }
         }
@@ -907,7 +918,7 @@ impl Session {
             let n = crate::stream::take_readable(rh);
             if n > 0 {
                 self.tracer
-                    .emit(self.out.now.as_nanos(), TraceEventKind::StreamReadable);
+                    .emit(now.as_nanos(), TraceEventKind::StreamReadable);
                 self.events.push_readable(n);
             }
         }
@@ -915,8 +926,7 @@ impl Session {
             if let Role::Receiver(r) = &self.inner {
                 if r.finished() {
                     self.finished_reported = true;
-                    self.tracer
-                        .emit(self.out.now.as_nanos(), TraceEventKind::StreamFin);
+                    self.tracer.emit(now.as_nanos(), TraceEventKind::StreamFin);
                     self.events.push(SessionEvent::Finished);
                 }
             }
@@ -1009,7 +1019,8 @@ impl Session {
 }
 
 /// Mounted style: a `Session` is itself an [`Endpoint`], so every existing
-/// driver hosts it. Commands pass through in emission order — a
+/// driver hosts it. The inner endpoint writes into the driver's outbox
+/// directly, so commands reach the driver in emission order — a
 /// `SimAgent<Session>` replays exactly like a `SimAgent<QtpSender>`.
 impl Endpoint for Session {
     fn on_start(&mut self, out: &mut Outbox) {
@@ -1017,28 +1028,28 @@ impl Endpoint for Session {
             return;
         }
         self.started = true;
-        self.out.now = out.now;
-        self.inner.on_start(&mut self.out);
-        self.pump(Some(out));
+        let mark = out.queued();
+        self.inner.on_start(out);
+        self.observe(out, mark);
     }
 
     fn handle_datagram(&mut self, out: &mut Outbox, wire_size: u32, header: &[u8]) {
         if self.closed && !wire::is_close_handshake(header) {
             return;
         }
-        self.out.now = out.now;
-        self.detect_rejected(header);
-        self.inner.handle_datagram(&mut self.out, wire_size, header);
-        self.pump(Some(out));
+        self.detect_rejected(out.now, header);
+        let mark = out.queued();
+        self.inner.handle_datagram(out, wire_size, header);
+        self.observe(out, mark);
     }
 
     fn on_timer(&mut self, out: &mut Outbox, token: u64) {
         if self.closed {
             return;
         }
-        self.out.now = out.now;
-        self.inner.on_timer(&mut self.out, token);
-        self.pump(Some(out));
+        let mark = out.queued();
+        self.inner.on_timer(out, token);
+        self.observe(out, mark);
     }
 }
 

@@ -5,8 +5,10 @@
 //! thread-local: the harness runs each test on its own thread, and each test
 //! is single-threaded, so a test reads exactly its own allocations.
 //!
-//! What the steady-state fast path is allowed to allocate is what the public
-//! surface forces: the owned `Transmit.header` of every datagram, and the
+//! What the steady-state fast path is allowed to allocate is what the poll
+//! surface forces: the `Transmit.header` every `Session::poll_transmit`
+//! hands its caller for keeps (a driver that gives headers back to the
+//! outbox allocates none; `qtp-io`'s `mux_alloc_budget` holds that), and the
 //! `Vec<u8>` every `RecvStream::recv` returns. Everything else — queueing,
 //! packetising, retransmission state, reassembly, feedback — must come out
 //! of storage that is reused.

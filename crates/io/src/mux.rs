@@ -29,8 +29,11 @@
 //!
 //! * **Routing** — every connection registers the flow ids it owns with its
 //!   peer address (a QTP connection owns two: data + feedback). The route
-//!   table is the hot path; qtpperf prices it as `mux.route_ns_16` /
-//!   `mux.route_ns_1024`.
+//!   table, a hash map probed once per datagram, is the hot path; qtpperf
+//!   prices it as `mux.route_ns_16` / `mux.route_ns_1024`.
+//! * **Transmit buffers** — every transmit's header buffer goes back to the
+//!   [`Outbox`] once framed ([`Outbox::reuse`]), and the endpoints encode
+//!   the next header into it, so sending allocates nothing per datagram.
 //! * **Timers** — a [`TimerWheel`] holds every armed wakeup, tagged by
 //!   connection so teardown can purge them. The wheel keeps the
 //!   simulator's fire-and-forget contract: it never cancels an entry on
@@ -53,7 +56,7 @@
 use qtp_core::driver::{Command, Endpoint, Outbox, Transmit};
 use qtp_simnet::packet::FlowId;
 use qtp_simnet::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
@@ -417,7 +420,8 @@ pub struct MuxDriver<E: Endpoint> {
     cfg: MuxConfig,
     wheel: TimerWheel,
     conns: BTreeMap<ConnId, Conn<E>>,
-    routes: BTreeMap<(SocketAddr, FlowId), ConnId>,
+    /// Hashed: only ever probed by key, never iterated.
+    routes: HashMap<(SocketAddr, FlowId), ConnId>,
     acceptor: Option<Acceptor<E>>,
     out: Outbox,
     next_conn: u64,
@@ -452,7 +456,7 @@ impl<E: Endpoint> MuxDriver<E> {
             wheel: TimerWheel::new(TIMER_GRANULARITY),
             cfg,
             conns: BTreeMap::new(),
-            routes: BTreeMap::new(),
+            routes: HashMap::new(),
             acceptor: None,
             out: Outbox::new(),
             next_conn: 0,
@@ -855,6 +859,8 @@ impl<E: Endpoint> MuxDriver<E> {
         }
         .encode_into(&mut self.tx_scratch)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        // Framed: the header's buffer goes back for the next transmit.
+        self.out.reuse(t.header);
         let now = self.clock.now();
         // While older frames sit in the backlog, every new frame must queue
         // behind them — sending around the backlog would reorder the
