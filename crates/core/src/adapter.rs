@@ -9,6 +9,9 @@
 //!   ([`Transmit`](crate::driver::Transmit) → [`Ctx::send_new`], which
 //!   allocates packet uids in call order; `SetTimer` → [`Ctx::set_timer_at`],
 //!   whose events tie-break by insertion order);
+//! * a transmitted header is copied by the simulator and its buffer handed
+//!   straight back to the endpoint's [`Outbox`] with [`Outbox::reuse`], so
+//!   the next header is encoded into it and no simulated packet allocates;
 //! * `Deliver` goes straight to the per-flow statistics, exactly as the
 //!   endpoints used to call `ctx.stats.app_deliver` themselves.
 //!
@@ -47,7 +50,10 @@ impl<E: Endpoint> SimAgent<E> {
     fn flush(&mut self, ctx: &mut Ctx) {
         while let Some(cmd) = self.out.poll_cmd() {
             match cmd {
-                Command::Transmit(t) => ctx.send_new(t.flow, t.dst, t.wire_size, t.header),
+                Command::Transmit(t) => {
+                    ctx.send_new(t.flow, t.dst, t.wire_size, &t.header);
+                    self.out.reuse(t.header);
+                }
                 Command::SetTimer { at, token } => ctx.set_timer_at(at, token),
                 Command::Deliver { flow, bytes } => ctx.stats.app_deliver(flow, bytes),
             }
@@ -139,7 +145,10 @@ impl SimHost {
         let (_, out) = &mut self.slots[idx];
         while let Some(cmd) = out.poll_cmd() {
             match cmd {
-                Command::Transmit(t) => ctx.send_new(t.flow, t.dst, t.wire_size, t.header),
+                Command::Transmit(t) => {
+                    ctx.send_new(t.flow, t.dst, t.wire_size, &t.header);
+                    out.reuse(t.header);
+                }
                 Command::SetTimer { at, token } => {
                     debug_assert_eq!(token >> SLOT_SHIFT, 0, "timer token reached the slot tag");
                     ctx.set_timer_at(at, ((idx as u64) << SLOT_SHIFT) | token);

@@ -34,11 +34,13 @@
 //! Endpoints encode every header into [`Outbox::buffer`], and a driver that
 //! has framed a [`Transmit`] may hand its `header` back with
 //! [`Outbox::reuse`]; the next `buffer` call lends it out again, empty, so
-//! a driver that gives every buffer back allocates none per datagram
-//! (`qtp-io`'s `MuxDriver` does). Giving a buffer back is optional: a
-//! driver that keeps or drops it (the simulator adapter, `Session`'s poll
-//! surface) loses nothing but the reuse, and `buffer` then allocates
-//! exactly what a fresh `Vec::with_capacity` would.
+//! a driver that gives every buffer back allocates none per datagram. Both
+//! drivers do: `qtp-io`'s `MuxDriver` once the datagram is framed, and the
+//! simulator adapters ([`SimAgent`](crate::adapter::SimAgent),
+//! [`SimHost`](crate::adapter::SimHost)) once the simulator has copied the
+//! header into its packet arena. Giving a buffer back is optional: only
+//! `Session`'s poll surface keeps it (its `Transmit` is the caller's), and
+//! there `buffer` allocates exactly what a fresh `Vec::with_capacity` would.
 
 use qtp_simnet::packet::{FlowId, NodeId};
 use qtp_simnet::time::SimTime;
@@ -354,8 +356,8 @@ mod tests {
         assert_eq!(spares, MAX_SPARES, "only the kept spares are lent out");
     }
 
-    /// The simulator and the poll surface never give a buffer back, so what
-    /// they allocate per datagram is what `Vec::with_capacity` did before.
+    /// The poll surface never gives a buffer back, so what it allocates per
+    /// datagram is what `Vec::with_capacity` did before.
     #[test]
     fn without_reuse_a_buffer_is_exactly_one_allocation_of_its_size() {
         let mut out = Outbox::new();

@@ -695,7 +695,7 @@ impl QtpSender {
         if let Some(oldest) = self.sb.oldest_outstanding_send_time() {
             if now.saturating_since(oldest) > timeout {
                 let range = SeqRange::new(self.sb.cum_ack(), self.sb.next_seq());
-                let _ = self.sb.force_mark_lost(range);
+                self.sb.force_mark_lost(range);
             }
         }
     }
@@ -717,8 +717,15 @@ impl QtpSender {
         let prev_cum = self.sb.cum_ack();
         let digest = self.sb.on_feedback(cum_ack, fb.blocks());
         if self.sb.cum_ack() > prev_cum {
-            self.policy.prune(self.sb.cum_ack());
-            self.adu_ts = self.adu_ts.split_off(&self.sb.cum_ack());
+            let cum_ack = self.sb.cum_ack();
+            self.policy.prune(cum_ack);
+            while self
+                .adu_ts
+                .first_key_value()
+                .is_some_and(|(&seq, _)| seq < cum_ack)
+            {
+                self.adu_ts.pop_first();
+            }
             if let Some(stream) = self.stream.as_mut() {
                 stream.release(self.sb.cum_ack());
             }

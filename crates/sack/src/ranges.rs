@@ -154,25 +154,24 @@ impl RangeSet {
 
     /// Remove every value in `[r.start, r.end)`. Returns how many values
     /// were actually removed.
+    ///
+    /// Works in place: the overlapped ranges are replaced by at most two
+    /// remnants (the parts of the first and last overlapped range that
+    /// stick out of `r`), so only a split of one range can grow the vector.
     pub fn remove_range(&mut self, r: SeqRange) -> u64 {
-        let mut removed = 0;
-        let mut out: Vec<SeqRange> = Vec::with_capacity(self.ranges.len() + 1);
-        for &x in &self.ranges {
-            if x.end <= r.start || x.start >= r.end {
-                out.push(x);
-                continue;
-            }
-            // Overlap: keep the parts outside [r.start, r.end).
-            let overlap = x.end.min(r.end) - x.start.max(r.start);
-            removed += overlap;
-            if x.start < r.start {
-                out.push(SeqRange::new(x.start, r.start));
-            }
-            if x.end > r.end {
-                out.push(SeqRange::new(r.end, x.end));
-            }
+        let lo = self.ranges.partition_point(|x| x.end <= r.start);
+        let hi = self.ranges.partition_point(|x| x.start < r.end);
+        if lo >= hi {
+            return 0;
         }
-        self.ranges = out;
+        let (first, last) = (self.ranges[lo], self.ranges[hi - 1]);
+        let removed = self.ranges[lo..hi]
+            .iter()
+            .map(|x| x.end.min(r.end) - x.start.max(r.start))
+            .sum();
+        let head = (first.start < r.start).then(|| SeqRange::new(first.start, r.start));
+        let tail = (last.end > r.end).then(|| SeqRange::new(r.end, last.end));
+        self.ranges.splice(lo..hi, head.into_iter().chain(tail));
         removed
     }
 
@@ -219,29 +218,33 @@ impl RangeSet {
     }
 
     /// The gaps between stored ranges within `[lo, hi)` — i.e. values in
-    /// `[lo, hi)` that are *not* in the set, as maximal ranges.
-    pub fn holes_within(&self, lo: u64, hi: u64) -> Vec<SeqRange> {
-        let mut holes = Vec::new();
+    /// `[lo, hi)` that are *not* in the set, as maximal ranges, ascending.
+    ///
+    /// One pass over the stored ranges, allocating nothing: each hole is
+    /// produced when the walk reaches the range that ends it.
+    pub fn holes_within(&self, lo: u64, hi: u64) -> impl Iterator<Item = SeqRange> + '_ {
         let mut cursor = lo;
-        for r in &self.ranges {
-            if r.end <= lo {
-                continue;
+        let mut ranges = self.ranges.iter();
+        std::iter::from_fn(move || {
+            for r in ranges.by_ref() {
+                if cursor >= hi || r.start >= hi {
+                    break;
+                }
+                if r.end <= cursor {
+                    continue;
+                }
+                let hole = (r.start > cursor).then(|| SeqRange::new(cursor, r.start));
+                cursor = r.end;
+                if hole.is_some() {
+                    return hole;
+                }
             }
-            if r.start >= hi {
-                break;
-            }
-            if r.start > cursor {
-                holes.push(SeqRange::new(cursor, r.start.min(hi)));
-            }
-            cursor = cursor.max(r.end);
-            if cursor >= hi {
-                break;
-            }
-        }
-        if cursor < hi {
-            holes.push(SeqRange::new(cursor, hi));
-        }
-        holes
+            // Past the last range that starts in the window: the rest of
+            // the window, once.
+            let hole = (cursor < hi).then(|| SeqRange::new(cursor, hi));
+            cursor = hi;
+            hole
+        })
     }
 
     /// Debug invariant check (used by property tests).
@@ -373,9 +376,9 @@ mod tests {
     #[test]
     fn holes_within_finds_gaps() {
         let s = set(&[(2, 4), (6, 8)]);
-        let holes = s.holes_within(0, 10);
+        let holes = |lo, hi| s.holes_within(lo, hi).collect::<Vec<_>>();
         assert_eq!(
-            holes,
+            holes(0, 10),
             vec![
                 SeqRange::new(0, 2),
                 SeqRange::new(4, 6),
@@ -383,9 +386,13 @@ mod tests {
             ]
         );
         // Window entirely inside a stored range has no holes.
-        assert!(s.holes_within(2, 4).is_empty());
+        assert!(holes(2, 4).is_empty());
         // Window past everything is all hole.
-        assert_eq!(s.holes_within(20, 22), vec![SeqRange::new(20, 22)]);
+        assert_eq!(holes(20, 22), vec![SeqRange::new(20, 22)]);
+        // Windows that start or end inside a range clip the holes.
+        assert_eq!(holes(3, 7), vec![SeqRange::new(4, 6)]);
+        assert_eq!(holes(5, 6), vec![SeqRange::new(5, 6)]);
+        assert!(RangeSet::new().holes_within(4, 4).next().is_none());
     }
 
     #[test]

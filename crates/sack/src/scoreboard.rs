@@ -163,7 +163,13 @@ impl Scoreboard {
             let acked = cum_ack.saturating_sub(self.times_base());
             self.send_times
                 .drain(..(acked as usize).min(self.send_times.len()));
-            self.retx_counts = self.retx_counts.split_off(&cum_ack);
+            while self
+                .retx_counts
+                .first_key_value()
+                .is_some_and(|(&seq, _)| seq < cum_ack)
+            {
+                self.retx_counts.pop_first();
+            }
             self.meter.tick(OpClass::Update, 5);
         }
 
@@ -188,11 +194,12 @@ impl Scoreboard {
             self.meter.tick(OpClass::Update, 1);
         }
 
-        // 3. Loss declaration: holes with >= DUP_THRESH sacked above.
+        // 3. Loss declaration: holes with >= DUP_THRESH sacked above. Holes
+        // come in ascending order, and so do the sequences inside each, so
+        // `newly_lost` is built sorted.
         if let Some(highest_sacked_end) = self.sacked.max_end() {
-            let holes = self.sacked.holes_within(self.cum_ack, highest_sacked_end);
-            self.meter.tick(OpClass::Scan, holes.len() as u64);
-            for hole in holes {
+            for hole in self.sacked.holes_within(self.cum_ack, highest_sacked_end) {
+                self.meter.tick(OpClass::Scan, 1);
                 for seq in hole.start..hole.end {
                     self.meter.tick(OpClass::Compare, 1);
                     if self.ever_lost.contains(seq) {
@@ -208,7 +215,7 @@ impl Scoreboard {
                 }
             }
         }
-        digest.newly_lost.sort_by_key(|(s, _)| *s);
+        debug_assert!(digest.newly_lost.windows(2).all(|w| w[0].0 < w[1].0));
         digest
     }
 
@@ -216,10 +223,10 @@ impl Scoreboard {
     /// for tail losses). Sacked sequences and sequences already pending
     /// retransmission are skipped — but sequences whose earlier
     /// *retransmission* is presumed lost are re-marked (unlike the SACK
-    /// path, a timeout invalidates every in-flight copy). Returns the
-    /// sequences actually declared, with their latest send times.
-    pub fn force_mark_lost(&mut self, range: SeqRange) -> Vec<(u64, SimTime)> {
-        let mut declared = Vec::new();
+    /// path, a timeout invalidates every in-flight copy). Returns how many
+    /// sequences were declared.
+    pub fn force_mark_lost(&mut self, range: SeqRange) -> u64 {
+        let mut declared = 0;
         for seq in range.start.max(self.cum_ack)..range.end.min(self.next_seq) {
             self.meter.tick(OpClass::Compare, 1);
             if self.sacked.contains(seq) || self.lost_pending.contains(seq) {
@@ -227,8 +234,7 @@ impl Scoreboard {
             }
             self.ever_lost.insert(seq);
             self.lost_pending.insert(seq);
-            let ts = self.send_time(seq).unwrap_or(SimTime::ZERO);
-            declared.push((seq, ts));
+            declared += 1;
             self.meter.tick(OpClass::Alloc, 2);
         }
         declared
@@ -381,11 +387,11 @@ mod tests {
     fn force_mark_lost_respects_sacked_and_prior() {
         let mut sb = sender_with(10);
         sb.on_feedback(0, &[SeqRange::new(4, 5)]);
-        let declared = sb.force_mark_lost(SeqRange::new(0, 8));
-        let seqs: Vec<u64> = declared.iter().map(|(s, _)| *s).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 5, 6, 7], "4 is sacked");
+        assert_eq!(sb.force_mark_lost(SeqRange::new(0, 8)), 7, "4 is sacked");
+        let pending: Vec<u64> = sb.lost_pending().flat_map(|r| r.start..r.end).collect();
+        assert_eq!(pending, vec![0, 1, 2, 3, 5, 6, 7]);
         // Second call declares nothing new.
-        assert!(sb.force_mark_lost(SeqRange::new(0, 8)).is_empty());
+        assert_eq!(sb.force_mark_lost(SeqRange::new(0, 8)), 0);
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl Agent for CbrSource {
         if ctx.now >= self.stop {
             return;
         }
-        ctx.send_new(self.flow, self.dst, self.pkt_size, Vec::new());
+        ctx.send_new(self.flow, self.dst, self.pkt_size, &[]);
         ctx.set_timer_in(self.interval, 0);
     }
 }
@@ -90,7 +90,7 @@ impl Agent for PoissonSource {
         if ctx.now >= self.stop {
             return;
         }
-        ctx.send_new(self.flow, self.dst, self.pkt_size, Vec::new());
+        ctx.send_new(self.flow, self.dst, self.pkt_size, &[]);
         let gap = ctx.rng.exponential(self.mean_interval_s);
         ctx.set_timer_in(Duration::from_secs_f64(gap), 0);
     }
@@ -160,7 +160,7 @@ impl Agent for OnOffSource {
             }
             TOKEN_SEND => {
                 if self.on && ctx.now < self.period_end {
-                    ctx.send_new(self.flow, self.dst, self.pkt_size, Vec::new());
+                    ctx.send_new(self.flow, self.dst, self.pkt_size, &[]);
                     ctx.set_timer_in(self.interval, TOKEN_SEND);
                 }
             }

@@ -9,6 +9,17 @@
 //! a 4-byte [`PacketId`], and a released slot keeps its header `Vec`'s
 //! allocation so the next packet through reuses it.
 //!
+//! # The header loan
+//!
+//! The simulator never takes ownership of an endpoint's header buffer.
+//! [`Ctx::send_new`](crate::sim::Ctx::send_new) borrows the encoded bytes
+//! and stages them in a per-callback byte buffer the simulator pools with
+//! its command buffers; at injection [`PacketArena::insert`] copies them
+//! into the slot's retained `header`. The endpoint keeps its buffer (the
+//! `qtp-core` adapters give it straight back to the endpoint's outbox), so
+//! once the pools have warmed a simulated packet's trip from encode to
+//! delivery allocates nothing.
+//!
 //! # Lifetime rules
 //!
 //! A `PacketId` is live from [`PacketArena::alloc`] until exactly one
@@ -68,37 +79,36 @@ impl PacketArena {
     }
 
     /// Store `pkt`, reusing a released slot (and its header allocation) when
-    /// one is available.
-    pub fn alloc(&mut self, pkt: Packet) -> PacketId {
-        match self.free.pop() {
-            Some(i) => {
-                let slot = &mut self.slots[i as usize];
-                slot.uid = pkt.uid;
-                slot.flow = pkt.flow;
-                slot.src = pkt.src;
-                slot.dst = pkt.dst;
-                slot.wire_size = pkt.wire_size;
-                slot.color = pkt.color;
-                slot.created_at = pkt.created_at;
-                if slot.header.capacity() >= pkt.header.len() {
-                    // Recycle the slot's buffer; the incoming header (often
-                    // the empty Vec of a background source) is dropped.
-                    slot.header.clear();
-                    slot.header.extend_from_slice(&pkt.header);
-                } else {
-                    slot.header = pkt.header;
-                }
-                self.live[i as usize] = true;
-                PacketId(i)
-            }
-            None => {
-                let i = self.slots.len();
-                assert!(i <= u32::MAX as usize, "packet arena overflow");
-                self.slots.push(pkt);
-                self.live.push(true);
-                PacketId(i as u32)
-            }
-        }
+    /// one is available. The header bytes are copied as by
+    /// [`PacketArena::insert`].
+    pub fn alloc(&mut self, mut pkt: Packet) -> PacketId {
+        let header = std::mem::take(&mut pkt.header);
+        self.insert(pkt, &header)
+    }
+
+    /// Store `pkt` with `header` copied into the slot's retained buffer;
+    /// `pkt.header` itself is dropped, so pass an empty `Vec` (which owns no
+    /// allocation). Once the pool has warmed to the peak number of live
+    /// packets and header length, this allocates nothing.
+    pub fn insert(&mut self, pkt: Packet, header: &[u8]) -> PacketId {
+        debug_assert!(pkt.header.is_empty(), "header passed twice");
+        let Some(i) = self.free.pop() else {
+            let i = self.slots.len();
+            assert!(i <= u32::MAX as usize, "packet arena overflow");
+            self.slots.push(Packet {
+                header: header.to_vec(),
+                ..pkt
+            });
+            self.live.push(true);
+            return PacketId(i as u32);
+        };
+        let slot = &mut self.slots[i as usize];
+        let mut buf = std::mem::take(&mut slot.header);
+        buf.clear();
+        buf.extend_from_slice(header);
+        *slot = Packet { header: buf, ..pkt };
+        self.live[i as usize] = true;
+        PacketId(i)
     }
 
     /// Read a live packet.
@@ -161,10 +171,12 @@ mod tests {
     #[test]
     fn header_allocation_is_recycled() {
         let mut a = PacketArena::new();
-        let id = a.alloc(pkt(1, Vec::with_capacity(64)));
+        let id = a.alloc(pkt(1, vec![7; 64]));
+        let buf = a.get(id).header.as_ptr();
         a.release(id);
-        let id = a.alloc(pkt(2, vec![9; 16]));
-        // The recycled buffer's capacity survives (64 >= 16: reused in place).
+        let id = a.insert(pkt(2, Vec::new()), &[9; 16]);
+        // The recycled buffer survives (64 >= 16: reused in place).
+        assert_eq!(a.get(id).header.as_ptr(), buf);
         assert!(a.get(id).header.capacity() >= 64);
         assert_eq!(a.get(id).header, vec![9; 16]);
     }

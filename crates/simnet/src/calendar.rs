@@ -34,6 +34,19 @@
 //! far in the future) falls back to a direct O(n) minimum scan and jumps
 //! the day straight to it, so sparse tails don't cost a bucket-by-bucket
 //! crawl.
+//!
+//! # One node slab
+//!
+//! Buckets are not vectors of their own. Every bucketed entry lives in one
+//! node `Vec`; a bucket is the index of its first node, and each node
+//! holds the index of the next one in its bucket. Popped nodes go on a
+//! free list and are reused by the next push, and a resize relinks the
+//! live nodes into the new bucket heads in place. At a steady event count
+//! push and pop therefore allocate nothing, however many buckets there
+//! are; a vector per bucket would grow each of tens of thousands of
+//! buckets on its own and keep every buffer it ever grew. Order inside a
+//! bucket is irrelevant: a day's due entries pass through `near`, which
+//! orders them.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -63,6 +76,18 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// End of a bucket list or of the free list. Never a valid node index.
+const NIL: u32 = u32::MAX;
+
+/// A slot of the node slab. A linked node holds an entry and the index of
+/// the next node in its bucket; a vacant one holds `None` and the index of
+/// the next vacant node.
+#[derive(Debug)]
+struct Node<T> {
+    entry: Option<Entry<T>>,
+    next: u32,
+}
+
 /// Calendar-queue event scheduler. See the module docs for the design.
 ///
 /// Priorities are `(at, seq)` pairs popped in ascending order; `seq` is
@@ -71,9 +96,14 @@ impl<T> Ord for Entry<T> {
 /// no ambiguous ties for the bucket layout to leak through.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// Future events, bucketed by `(at / width) % nbuckets`.
-    buckets: Vec<Vec<Entry<T>>>,
-    /// Power-of-two bucket count.
+    /// First node of each bucket; an entry is bucketed by
+    /// `(at / width) % nbuckets`.
+    heads: Vec<u32>,
+    /// Every bucketed entry, plus vacant nodes awaiting reuse.
+    nodes: Vec<Node<T>>,
+    /// First vacant node.
+    free: u32,
+    /// Power-of-two bucket count, minus one.
     mask: usize,
     /// Day width in time units (≥ 1).
     width: u64,
@@ -96,7 +126,9 @@ impl<T> CalendarQueue<T> {
     /// An empty scheduler.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; MIN_BUCKETS],
+            nodes: Vec::new(),
+            free: NIL,
             mask: MIN_BUCKETS - 1,
             width: 1,
             cur: 0,
@@ -125,10 +157,25 @@ impl<T> CalendarQueue<T> {
             // bucket scan must not be able to miss it.
             self.near.push(Reverse(e));
         } else {
-            let b = ((at / self.width) as usize) & self.mask;
-            self.buckets[b].push(e);
+            let node = Node {
+                entry: Some(e),
+                next: NIL,
+            };
+            let i = match self.free {
+                NIL => {
+                    debug_assert!(self.nodes.len() < NIL as usize, "node slab overflow");
+                    self.nodes.push(node);
+                    (self.nodes.len() - 1) as u32
+                }
+                i => {
+                    self.free = self.nodes[i as usize].next;
+                    self.nodes[i as usize] = node;
+                    i
+                }
+            };
+            self.link(i, at);
         }
-        if self.len > 4 * self.buckets.len() {
+        if self.len > 4 * self.heads.len() {
             self.resize();
         }
     }
@@ -143,27 +190,66 @@ impl<T> CalendarQueue<T> {
         }
         let Reverse(e) = self.near.pop().expect("advance found an event");
         self.len -= 1;
-        if self.len < self.buckets.len() / 8 && self.buckets.len() > MIN_BUCKETS {
+        if self.len < self.heads.len() / 8 && self.heads.len() > MIN_BUCKETS {
             self.resize();
         }
         Some((e.at, e.seq, e.item))
     }
 
+    /// The bucket an event at `at` belongs to.
+    fn bucket(&self, at: u64) -> usize {
+        ((at / self.width) as usize) & self.mask
+    }
+
+    /// Put node `i`, holding an entry at `at`, at the head of its bucket.
+    fn link(&mut self, i: u32, at: u64) {
+        let b = self.bucket(at);
+        self.nodes[i as usize].next = self.heads[b];
+        self.heads[b] = i;
+    }
+
+    /// Move node `i`'s entry into `near` and put the node on the free list.
+    /// The caller has already unlinked it from its bucket.
+    fn vacate_to_near(&mut self, i: u32) {
+        let node = &mut self.nodes[i as usize];
+        node.next = self.free;
+        self.free = i;
+        if let Some(e) = node.entry.take() {
+            self.near.push(Reverse(e));
+        }
+    }
+
+    /// Move every entry of bucket `b` due before `day_end` into `near`.
+    fn drain_due(&mut self, b: usize) {
+        let day_end = self.day_end;
+        let mut prev = NIL;
+        let mut i = self.heads[b];
+        while i != NIL {
+            let node = &self.nodes[i as usize];
+            let next = node.next;
+            if node
+                .entry
+                .as_ref()
+                .is_some_and(|e| (e.at as u128) < day_end)
+            {
+                match prev {
+                    NIL => self.heads[b] = next,
+                    p => self.nodes[p as usize].next = next,
+                }
+                self.vacate_to_near(i);
+            } else {
+                prev = i;
+            }
+            i = next;
+        }
+    }
+
     /// Walk days forward until at least one due event lands in `near`.
     /// Caller guarantees the queue is non-empty and `near` is empty.
     fn advance_to_next_event(&mut self) {
-        for _ in 0..=self.buckets.len() {
+        for _ in 0..=self.heads.len() {
             // Move everything due in the current day into the near heap.
-            let day_end = self.day_end;
-            let bucket = &mut self.buckets[self.cur];
-            let mut i = 0;
-            while i < bucket.len() {
-                if (bucket[i].at as u128) < day_end {
-                    self.near.push(Reverse(bucket.swap_remove(i)));
-                } else {
-                    i += 1;
-                }
-            }
+            self.drain_due(self.cur);
             if !self.near.is_empty() {
                 return;
             }
@@ -171,45 +257,28 @@ impl<T> CalendarQueue<T> {
             self.day_end += self.width as u128;
         }
         // A whole year of empty days: every event is far away. Find the
-        // global minimum directly and jump the calendar to its day.
-        let (b, at) = self
-            .buckets
+        // earliest one directly and jump the calendar to its day.
+        let at = self
+            .nodes
             .iter()
-            .enumerate()
-            .flat_map(|(b, v)| v.iter().map(move |e| (b, e)))
-            .min_by_key(|&(_, e)| (e.at, e.seq))
-            .map(|(b, e)| (b, e.at))
+            .filter_map(|n| n.entry.as_ref().map(|e| e.at))
+            .min()
             .expect("queue is non-empty");
-        self.cur = b;
+        self.cur = self.bucket(at);
         self.day_end = (at as u128 / self.width as u128 + 1) * self.width as u128;
-        let day_end = self.day_end;
-        let bucket = &mut self.buckets[b];
-        let mut i = 0;
-        while i < bucket.len() {
-            if (bucket[i].at as u128) < day_end {
-                self.near.push(Reverse(bucket.swap_remove(i)));
-            } else {
-                i += 1;
-            }
-        }
+        self.drain_due(self.cur);
     }
 
     /// Rebuild the calendar for the current event count: bucket count
     /// tracks `len` and the day width tracks the mean spacing of queued
-    /// events, so a day holds O(1) events.
+    /// events, so a day holds O(1) events. Nodes stay where they are in the
+    /// slab and are relinked into the new buckets.
     fn resize(&mut self) {
         let target = (self.len.max(1)).next_power_of_two().max(MIN_BUCKETS);
-        let mut entries: Vec<Entry<T>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            entries.append(b);
-        }
         let floor = self.day_end.saturating_sub(self.width as u128) as u64;
         let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for e in &entries {
-            lo = lo.min(e.at);
-            hi = hi.max(e.at);
-        }
-        for Reverse(e) in self.near.iter() {
+        let bucketed = self.nodes.iter().filter_map(|n| n.entry.as_ref());
+        for e in bucketed.chain(self.near.iter().map(|Reverse(e)| e)) {
             lo = lo.min(e.at);
             hi = hi.max(e.at);
         }
@@ -219,7 +288,8 @@ impl<T> CalendarQueue<T> {
         // the common near-term events still spread across buckets.
         self.width = (span / self.len.max(1) as u64).clamp(1, u64::MAX / (4 * target as u64));
         self.mask = target - 1;
-        self.buckets = (0..target).map(|_| Vec::new()).collect();
+        self.heads.clear();
+        self.heads.resize(target, NIL);
         // Anchor the new calendar at the first new-width day boundary at or
         // after the old `day_end`. `day_end` must never move backwards: the
         // near heap holds everything earlier than the old `day_end`, and
@@ -229,12 +299,13 @@ impl<T> CalendarQueue<T> {
         let w = self.width as u128;
         self.day_end = self.day_end.div_ceil(w) * w;
         self.cur = ((self.day_end / w - 1) % (target as u128)) as usize;
-        for e in entries {
-            if (e.at as u128) < self.day_end {
-                self.near.push(Reverse(e));
-            } else {
-                let b = ((e.at / self.width) as usize) & self.mask;
-                self.buckets[b].push(e);
+        // Every occupied node was in exactly one old bucket; vacant nodes
+        // keep their free-list links.
+        for i in 0..self.nodes.len() as u32 {
+            match self.nodes[i as usize].entry.as_ref().map(|e| e.at) {
+                None => {}
+                Some(at) if (at as u128) < self.day_end => self.vacate_to_near(i),
+                Some(at) => self.link(i, at),
             }
         }
     }
@@ -249,6 +320,43 @@ impl<T> Default for CalendarQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Allocations (growths included) requested on this thread.
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts this thread's allocations, so a test can pin what a stretch
+    /// of calls allocates; every other test of the crate runs under it
+    /// uncounted.
+    struct Counting;
+
+    // SAFETY: every method forwards to `System` with the caller's own layout
+    // and pointer; the counter is a plain thread-local and never allocates.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            // SAFETY: `layout` is the caller's, passed through untouched.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` with this same `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            // SAFETY: `ptr`/`layout` describe a live `System` block.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
 
     /// Drain fully; returns (at, seq) in pop order.
     fn drain(q: &mut CalendarQueue<u32>) -> Vec<(u64, u64)> {
@@ -358,5 +466,33 @@ mod tests {
         let rest = drain(&mut q);
         assert_eq!(rest.len(), 500);
         assert!(rest.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// Hold the queue at a constant length, popping the earliest event and
+    /// re-arming it a spread-out delay later, the way timers and arrivals
+    /// keep a simulation's event count level. Once the slab and the near
+    /// heap have grown to that level, no push or pop allocates.
+    #[test]
+    fn steady_push_pop_allocates_nothing() {
+        fn cycle(q: &mut CalendarQueue<u64>, seq: &mut u64) {
+            let (at, ..) = q.pop().expect("constant length");
+            *seq += 1;
+            q.push(at + 1 + (*seq * 7919) % 4000, *seq, *seq);
+        }
+        let mut q = CalendarQueue::new();
+        let mut seq = 0u64;
+        for _ in 0..4096 {
+            seq += 1;
+            q.push((seq * 7919) % 4000, seq, seq);
+        }
+        for _ in 0..50_000 {
+            cycle(&mut q, &mut seq);
+        }
+        let before = ALLOCS.get();
+        for _ in 0..100_000 {
+            cycle(&mut q, &mut seq);
+        }
+        assert_eq!(ALLOCS.get() - before, 0, "allocations in 10^5 cycles");
+        assert_eq!(q.len(), 4096);
     }
 }

@@ -20,6 +20,11 @@
 //! * Packets live in a [`PacketArena`]; events, queues and links pass 4-byte
 //!   [`PacketId`]s. A packet's slot (and its header buffer) is recycled at
 //!   delivery, drop, or routing failure.
+//! * Headers are lent, not handed over: [`Ctx::send_new`] borrows the
+//!   agent's encoded bytes and stages them in a byte buffer pooled with the
+//!   callback's command buffer, and injection copies them into the arena
+//!   slot's retained header. The agent keeps its own buffer for the next
+//!   packet, so a warmed-up send allocates nothing.
 //! * The scheduler is a [`CalendarQueue`] — amortized O(1) push/pop instead
 //!   of an O(log n) global heap — popping in exactly the same `(time, seq)`
 //!   order, so fixed-seed outputs are byte-identical to the old heap.
@@ -39,6 +44,7 @@
 //! it as `qtp_core::driver::TimerGens`, which encodes `kind | (gen << 2)`
 //! tokens and rejects superseded generations).
 
+use std::ops::Range;
 use std::time::Duration;
 
 use crate::arena::{PacketArena, PacketId};
@@ -257,26 +263,35 @@ pub struct Ctx<'a> {
     /// This node's private random stream.
     pub rng: &'a mut DetRng,
     uid_counter: &'a mut u64,
+    buf: CmdBuf,
+}
+
+/// One callback's buffered commands, with the header bytes of its sends
+/// staged back to back. The simulator pools these, so once warm neither
+/// vector allocates.
+#[derive(Default)]
+struct CmdBuf {
     cmds: Vec<Cmd>,
+    headers: Vec<u8>,
 }
 
 enum Cmd {
-    Send(Packet),
-    Timer { at: SimTime, token: u64 },
+    /// A packet to inject (its own `header` empty) and where its header
+    /// bytes sit in [`CmdBuf::headers`].
+    Send(Packet, Range<usize>),
+    Timer {
+        at: SimTime,
+        token: u64,
+    },
 }
 
 impl<'a> Ctx<'a> {
-    /// Send a fully-formed packet (advanced use; normally use
-    /// [`Ctx::send_new`]).
-    pub fn send(&mut self, pkt: Packet) {
-        self.cmds.push(Cmd::Send(pkt));
-    }
-
     /// Build and send a packet from this node.
     ///
     /// `wire_size` is the total on-wire size (transport header + payload);
-    /// `header` is the encoded transport header.
-    pub fn send_new(&mut self, flow: FlowId, dst: NodeId, wire_size: u32, header: Vec<u8>) {
+    /// `header` is the encoded transport header. The bytes are copied, so
+    /// the caller keeps its buffer to encode the next header into.
+    pub fn send_new(&mut self, flow: FlowId, dst: NodeId, wire_size: u32, header: &[u8]) {
         *self.uid_counter += 1;
         let pkt = Packet::new(
             *self.uid_counter,
@@ -285,20 +300,23 @@ impl<'a> Ctx<'a> {
             dst,
             wire_size,
             self.now,
-            header,
+            Vec::new(),
         );
-        self.cmds.push(Cmd::Send(pkt));
+        let headers = &mut self.buf.headers;
+        let start = headers.len();
+        headers.extend_from_slice(header);
+        self.buf.cmds.push(Cmd::Send(pkt, start..headers.len()));
     }
 
     /// Schedule a wakeup at an absolute time.
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
-        self.cmds.push(Cmd::Timer { at, token });
+        self.buf.cmds.push(Cmd::Timer { at, token });
     }
 
     /// Schedule a wakeup `d` from now.
     pub fn set_timer_in(&mut self, d: Duration, token: u64) {
         let at = self.now + d;
-        self.cmds.push(Cmd::Timer { at, token });
+        self.buf.cmds.push(Cmd::Timer { at, token });
     }
 }
 
@@ -448,7 +466,7 @@ pub struct Simulator {
     /// Recycled command buffers for agent callbacks (a stack, so nested
     /// callbacks — e.g. loopback delivery during command application — each
     /// get their own buffer without allocating).
-    cmd_pool: Vec<Vec<Cmd>>,
+    cmd_pool: Vec<CmdBuf>,
     routes: Routes,
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -575,36 +593,40 @@ impl Simulator {
             stats: &mut self.stats,
             rng: &mut self.node_rngs[node],
             uid_counter: &mut self.uid_counter,
-            cmds: self.cmd_pool.pop().unwrap_or_default(),
+            buf: self.cmd_pool.pop().unwrap_or_default(),
         };
         f(agent.as_mut(), &mut ctx);
-        let cmds = ctx.cmds;
+        let buf = ctx.buf;
         self.agents[node] = Some(agent);
-        self.apply_cmds(node, cmds);
+        self.apply_cmds(node, buf);
     }
 
     /// Apply buffered commands, then return the buffer to the pool.
-    fn apply_cmds(&mut self, node: NodeId, mut cmds: Vec<Cmd>) {
-        for cmd in cmds.drain(..) {
+    fn apply_cmds(&mut self, node: NodeId, mut buf: CmdBuf) {
+        for cmd in buf.cmds.drain(..) {
             match cmd {
-                Cmd::Send(pkt) => self.inject(node, pkt),
+                Cmd::Send(pkt, header) => self.inject(node, pkt, &buf.headers[header]),
                 Cmd::Timer { at, token } => self.push_event(at, EventKind::Timer { node, token }),
             }
         }
-        self.cmd_pool.push(cmds);
+        buf.headers.clear();
+        self.cmd_pool.push(buf);
     }
 
-    /// A source node hands a packet to the network.
-    fn inject(&mut self, node: NodeId, pkt: Packet) {
-        self.stats.on_send(&pkt);
-        self.trace_emit(TraceEvent::Send {
+    /// A source node hands a packet to the network: its header bytes are
+    /// copied into a recycled arena slot.
+    fn inject(&mut self, node: NodeId, pkt: Packet, header: &[u8]) {
+        let id = self.arena.insert(pkt, header);
+        let pkt = self.arena.get(id);
+        self.stats.on_send(pkt);
+        let ev = TraceEvent::Send {
             at: self.now,
             node,
             flow: pkt.flow,
             uid: pkt.uid,
             size: pkt.wire_size,
-        });
-        let id = self.arena.alloc(pkt);
+        };
+        self.trace_emit(ev);
         self.forward(node, id);
     }
 
@@ -796,13 +818,13 @@ impl Simulator {
             stats: &mut self.stats,
             rng: &mut self.node_rngs[node],
             uid_counter: &mut self.uid_counter,
-            cmds: self.cmd_pool.pop().unwrap_or_default(),
+            buf: self.cmd_pool.pop().unwrap_or_default(),
         };
         agent.on_packet(&mut ctx, self.arena.get(id));
-        let cmds = ctx.cmds;
+        let buf = ctx.buf;
         self.arena.release(id);
         self.agents[node] = Some(agent);
-        self.apply_cmds(node, cmds);
+        self.apply_cmds(node, buf);
     }
 
     fn start_if_needed(&mut self) {
@@ -878,7 +900,7 @@ mod tests {
         }
         fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
             if self.sent < self.n {
-                ctx.send_new(self.flow, self.dst, self.size, Vec::new());
+                ctx.send_new(self.flow, self.dst, self.size, &[]);
                 self.sent += 1;
                 ctx.set_timer_in(self.gap, 0);
             }

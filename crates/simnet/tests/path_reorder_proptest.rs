@@ -38,7 +38,7 @@ impl Agent for Pacer {
     }
     fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
         if self.sent < self.n {
-            ctx.send_new(self.flow, self.dst, self.size, Vec::new());
+            ctx.send_new(self.flow, self.dst, self.size, &[]);
             self.sent += 1;
             ctx.set_timer_in(self.gap, 0);
         }

@@ -68,7 +68,7 @@ impl Agent for TcpReceiver {
         };
         let ack = TcpHeader::ack(self.buf.cum_ack(), h.ts_nanos, blocks);
         let wire = header_wire_size(ack.sack_blocks.len()) + IP_OVERHEAD;
-        ctx.send_new(self.ack_flow, self.sender_node, wire, ack.encode());
+        ctx.send_new(self.ack_flow, self.sender_node, wire, &ack.encode());
     }
 }
 
@@ -92,7 +92,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx) {
             for &(seq, ts) in &self.script {
                 let h = TcpHeader::data(seq, ts);
-                ctx.send_new(self.data_flow, self.receiver_node, 1040, h.encode());
+                ctx.send_new(self.data_flow, self.receiver_node, 1040, &h.encode());
             }
         }
         fn on_packet(&mut self, _ctx: &mut Ctx, pkt: &Packet) {

@@ -139,7 +139,7 @@ impl TcpSender {
             self.flow,
             self.receiver_node,
             self.data_wire_size(),
-            h.encode(),
+            &h.encode(),
         );
     }
 
@@ -151,7 +151,7 @@ impl TcpSender {
             self.flow,
             self.receiver_node,
             self.data_wire_size(),
-            h.encode(),
+            &h.encode(),
         );
     }
 
@@ -291,8 +291,7 @@ impl TcpSender {
         self.dupacks = 0;
         // Pull everything back: unsacked outstanding data is presumed lost.
         if self.cfg.flavor == TcpFlavor::Sack {
-            let _ = self
-                .sb
+            self.sb
                 .force_mark_lost(SeqRange::new(self.sb.cum_ack(), self.sb.next_seq()));
             // try_send will retransmit the head (window = 1).
             self.arm_timer(ctx);

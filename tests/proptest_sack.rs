@@ -47,7 +47,8 @@ proptest! {
         }
     }
 
-    /// holes_within returns exactly the complement within the window.
+    /// holes_within yields exactly the complement within the window, as
+    /// maximal ranges in ascending order, and stays exhausted once done.
     #[test]
     fn rangeset_holes_are_complement(
         values in prop::collection::btree_set(0u64..100, 0..60),
@@ -59,20 +60,46 @@ proptest! {
             rs.insert(v);
         }
         let hi = lo + width;
-        let holes = rs.holes_within(lo, hi);
-        // Every hole value is missing; every non-hole value in-window is present.
+        let mut holes = rs.holes_within(lo, hi);
         let mut hole_vals = BTreeSet::new();
-        for h in &holes {
-            for v in h.start..h.end {
-                hole_vals.insert(v);
+        let mut prev: Option<SeqRange> = None;
+        for h in holes.by_ref() {
+            prop_assert!(lo <= h.start && h.end <= hi, "{} outside the window", h);
+            // Sorted, disjoint and maximal: a gap separates consecutive holes.
+            if let Some(p) = prev {
+                prop_assert!(p.end < h.start, "{} then {}", p, h);
             }
+            hole_vals.extend(h.start..h.end);
+            prev = Some(h);
         }
+        prop_assert!(holes.next().is_none());
+        // Every hole value is missing; every non-hole value in-window is present.
         for v in lo..hi {
             prop_assert_eq!(hole_vals.contains(&v), !values.contains(&v));
         }
-        // Holes are sorted and disjoint.
-        for w in holes.windows(2) {
-            prop_assert!(w[0].end < w[1].start || w[0].end <= w[1].start);
+    }
+
+    /// In-place remove_range agrees with a BTreeSet model: the removed
+    /// count, the members left and the coalescing invariants.
+    #[test]
+    fn rangeset_remove_range_matches_set_model(
+        inserts in prop::collection::vec((0u64..200, 1u64..20), 0..40),
+        removes in prop::collection::vec((0u64..220, 1u64..40), 1..20),
+    ) {
+        let mut rs = RangeSet::new();
+        let mut model = BTreeSet::new();
+        for (start, len) in inserts {
+            rs.insert_range(SeqRange::new(start, start + len));
+            model.extend(start..start + len);
+        }
+        for (start, len) in removes {
+            let removed = rs.remove_range(SeqRange::new(start, start + len));
+            let before = model.len();
+            model.retain(|v| !(start..start + len).contains(v));
+            prop_assert_eq!(removed, (before - model.len()) as u64);
+            rs.check_invariants().map_err(TestCaseError::fail)?;
+            prop_assert_eq!(rs.len(), model.len() as u64);
+            prop_assert!(rs.iter().flat_map(|r| r.start..r.end).eq(model.iter().copied()));
         }
     }
 

@@ -118,10 +118,13 @@ proptest! {
     /// pops — including pushes behind the calendar's current day, bursts
     /// of equal timestamps (which must come back in insertion order, since
     /// `seq` increases monotonically), and far-future outliers that force
-    /// the direct-scan day jump.
+    /// the direct-scan day jump. Then grow → shrink → grow waves carry the
+    /// queue across both resize thresholds with live entries left in their
+    /// buckets, so every resize relinks nodes of the bucket slab.
     #[test]
     fn calendar_queue_is_a_drop_in_for_binary_heap(
         ops in prop::collection::vec((0u32..13, 0u64..5_000_000), 1..600),
+        waves in prop::collection::vec((100usize..1_500, 1u64..200_000, 0usize..40), 3..6),
     ) {
         let mut cal = CalendarQueue::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
@@ -147,6 +150,26 @@ proptest! {
                 None => {
                     let want = heap.pop().map(|Reverse((at, s))| (at, s, s));
                     prop_assert_eq!(cal.pop(), want);
+                }
+            }
+            prop_assert_eq!(cal.len(), heap.len());
+        }
+        // Even waves grow by `n` events spread over `span` past the last
+        // popped time; odd waves pop down to `keep` events.
+        let mut now = 0u64;
+        for (k, &(n, span, keep)) in waves.iter().enumerate() {
+            if k % 2 == 0 {
+                for j in 0..n as u64 {
+                    seq += 1;
+                    let at = now.saturating_add((j * 7919 + seq) % span);
+                    cal.push(at, seq, seq);
+                    heap.push(Reverse((at, seq)));
+                }
+            } else {
+                while heap.len() > keep {
+                    let want = heap.pop().map(|Reverse((at, s))| (at, s, s));
+                    prop_assert_eq!(cal.pop(), want);
+                    now = want.map_or(now, |(at, ..)| at);
                 }
             }
             prop_assert_eq!(cal.len(), heap.len());
