@@ -18,9 +18,8 @@
 //! Headline numbers are recorded as gated [`Table::metric`]s; the claim
 //! orderings live in `ledger::assertions`.
 
-use qtp_core::session::{attach_pair, ConnectionPlan, Profile};
+use qtp_core::session::{attach_pair, ConnectionPlan, Profile, Reliability};
 use qtp_core::CapabilitySet;
-use qtp_sack::ReliabilityMode;
 use qtp_simnet::marker::{Marker, TokenBucketMarker};
 use qtp_simnet::prelude::*;
 use qtp_tcp::TcpFlavor;
@@ -244,14 +243,14 @@ pub fn e9() -> Table {
         ],
     );
     const SECS: u64 = 30;
-    let reliabilities: [(&str, ReliabilityMode); 4] = [
-        ("None", ReliabilityMode::None),
-        ("Full", ReliabilityMode::Full),
+    let reliabilities: [(&str, Reliability); 4] = [
+        ("None", Reliability::None),
+        ("Full", Reliability::Full),
         (
             "PartialTtl(150ms)",
-            ReliabilityMode::PartialTtl(Duration::from_millis(150)),
+            Reliability::Ttl(Duration::from_millis(150)),
         ),
-        ("PartialRetx(1)", ReliabilityMode::PartialRetx(1)),
+        ("PartialRetx(1)", Reliability::Budget(1)),
     ];
     let feedbacks = [
         ("ReceiverLoss", qtp_core::FeedbackMode::ReceiverLoss),
@@ -281,10 +280,10 @@ pub fn e9() -> Table {
             let rx = h.rx_tracer.counters();
             let new_sent = (d.data_pkts_tx - d.retransmits) as f64 * 1000.0;
             let frac = st.bytes_app_delivered as f64 / new_sent.max(1.0);
-            if rel == ReliabilityMode::Full {
+            if rel == Reliability::Full {
                 full_fracs.push(frac);
             }
-            if rel == ReliabilityMode::None {
+            if rel == Reliability::None {
                 none_fracs.push(frac);
             }
             t.row(vec![
@@ -368,12 +367,12 @@ pub fn e10() -> Table {
     };
 
     for (label, caps) in [
-        ("QTPAF (Full)", CapabilitySet::qtp_af(g)),
+        ("QTPAF (Full)", Profile::qtp_af(g).caps()),
         (
             "gTFRC unreliable",
             CapabilitySet {
-                reliability: ReliabilityMode::None,
-                ..CapabilitySet::qtp_af(g)
+                reliability: Reliability::None,
+                ..Profile::qtp_af(g).caps()
             },
         ),
     ] {

@@ -416,7 +416,7 @@ pub fn run_sim(cfg: &ManyFlowConfig) -> ManyFlowReport {
     run_sim_instrumented(cfg).0
 }
 
-/// [`run_sim`] with a [`TraceRegistry`] attached: every endpoint's tracer
+/// [`run_sim`] with a [`TraceRegistry`](qtp_metrics::trace::TraceRegistry) attached: every endpoint's tracer
 /// is registered (labels `mfNNNN:tx` / `mfNNNN:rx`) so its events reach
 /// the registry's sink and its counters are snapshotable afterwards.
 /// Tracing is observation-only — the report is byte-identical to the

@@ -25,26 +25,20 @@ use qtp_simnet::packet::{FlowId, Packet};
 use qtp_simnet::sim::{Agent, Ctx};
 
 use crate::driver::{Command, Endpoint, Outbox};
+use crate::session::Session;
 
 /// Wraps an [`Endpoint`] into a simulator [`Agent`].
-pub struct SimAgent<E: Endpoint> {
+pub(crate) struct SimAgent<E: Endpoint> {
     ep: E,
     out: Outbox,
 }
 
 impl<E: Endpoint> SimAgent<E> {
-    pub fn new(ep: E) -> Self {
+    pub(crate) fn new(ep: E) -> Self {
         SimAgent {
             ep,
             out: Outbox::new(),
         }
-    }
-
-    /// The wrapped endpoint (e.g. to read negotiated capabilities after a
-    /// run — note agents are moved into the simulator, so this is mostly
-    /// useful in tests that drive the adapter by hand).
-    pub fn endpoint(&self) -> &E {
-        &self.ep
     }
 
     fn flush(&mut self, ctx: &mut Ctx) {
@@ -86,9 +80,9 @@ impl<E: Endpoint> Agent for SimAgent<E> {
 const SLOT_BITS: u32 = 8;
 const SLOT_SHIFT: u32 = 64 - SLOT_BITS;
 /// Endpoints one [`SimHost`] can carry (the slot index must fit the tag).
-pub const MAX_HOST_ENDPOINTS: usize = 1 << SLOT_BITS;
+const MAX_HOST_ENDPOINTS: usize = 1 << SLOT_BITS;
 
-/// A simulator agent hosting *several* endpoints on one node.
+/// A simulator agent hosting *several* sessions on one node.
 ///
 /// The simulator attaches one [`Agent`] per host node, which is exactly
 /// right for the single-connection experiments but not for application
@@ -108,37 +102,22 @@ pub const MAX_HOST_ENDPOINTS: usize = 1 << SLOT_BITS;
 ///
 /// [`TimerGens`]: crate::driver::TimerGens
 #[derive(Default)]
-pub struct SimHost {
-    slots: Vec<(Box<dyn Endpoint>, Outbox)>,
+pub(crate) struct SimHost {
+    slots: Vec<(Session, Outbox)>,
     route: HashMap<FlowId, usize>,
 }
 
 impl SimHost {
-    /// An empty host; add endpoints with [`SimHost::add`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register an endpoint together with the flows it *receives* (a
-    /// sender listens on its feedback flow, a receiver on its data flow).
-    pub fn add(&mut self, ep: impl Endpoint + 'static, inbound: impl IntoIterator<Item = FlowId>) {
+    /// Register a session together with the flows it *receives* (a sender
+    /// listens on its feedback flow, a receiver on its data flow).
+    pub(crate) fn add(&mut self, ep: Session, inbound: impl IntoIterator<Item = FlowId>) {
         let idx = self.slots.len();
         assert!(idx < MAX_HOST_ENDPOINTS, "SimHost slot tag overflow");
         for flow in inbound {
             let prev = self.route.insert(flow, idx);
             assert!(prev.is_none(), "flow routed to two endpoints on one host");
         }
-        self.slots.push((Box::new(ep), Outbox::new()));
-    }
-
-    /// Endpoints registered so far.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when no endpoint has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.slots.push((ep, Outbox::new()));
     }
 
     fn flush_slot(&mut self, ctx: &mut Ctx, idx: usize) {

@@ -17,7 +17,7 @@
 //! * **QTPAF**   = `Gtfrc(g)` + `Full` + `ReceiverLoss`
 //! * **QTPlight** = `Tfrc` + (usually `None` or partial) + `SenderLoss`
 
-use qtp_sack::ReliabilityMode;
+use qtp_sack::Reliability;
 use qtp_simnet::time::Rate;
 use std::time::Duration;
 
@@ -77,12 +77,12 @@ impl FeedbackMode {
 
 /// Decode a reliability-mode wire code plus its parameter (TTL in
 /// microseconds, or a retransmission budget).
-pub fn reliability_from_wire(code: u8, param: u64) -> Result<ReliabilityMode, CapsError> {
+pub fn reliability_from_wire(code: u8, param: u64) -> Result<Reliability, CapsError> {
     match code {
-        0 => Ok(ReliabilityMode::None),
-        1 => Ok(ReliabilityMode::Full),
-        2 => Ok(ReliabilityMode::PartialTtl(Duration::from_micros(param))),
-        3 => Ok(ReliabilityMode::PartialRetx(param as u32)),
+        0 => Ok(Reliability::None),
+        1 => Ok(Reliability::Full),
+        2 => Ok(Reliability::Ttl(Duration::from_micros(param))),
+        3 => Ok(Reliability::Budget(param as u32)),
         other => Err(CapsError::BadReliability(other)),
     }
 }
@@ -134,52 +134,9 @@ impl CcKind {
 /// A full service profile, offered/chosen during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapabilitySet {
-    pub reliability: ReliabilityMode,
+    pub reliability: Reliability,
     pub feedback: FeedbackMode,
     pub cc: CcKind,
-}
-
-impl CapabilitySet {
-    /// The **QTPAF** profile: QoS-aware congestion control with full
-    /// reliability (paper §4).
-    pub fn qtp_af(target: Rate) -> Self {
-        CapabilitySet {
-            reliability: ReliabilityMode::Full,
-            feedback: FeedbackMode::ReceiverLoss,
-            cc: CcKind::Gtfrc { target },
-        }
-    }
-
-    /// The **QTPlight** profile: sender-side loss estimation, no
-    /// retransmission (paper §3's streaming configuration).
-    pub fn qtp_light() -> Self {
-        CapabilitySet {
-            reliability: ReliabilityMode::None,
-            feedback: FeedbackMode::SenderLoss,
-            cc: CcKind::Tfrc,
-        }
-    }
-
-    /// QTPlight with partial reliability — the composition the paper's §3
-    /// highlights as a free by-product ("our solution allows applying
-    /// efficient selective retransmission of lost data").
-    pub fn qtp_light_partial(ttl: Duration) -> Self {
-        CapabilitySet {
-            reliability: ReliabilityMode::PartialTtl(ttl),
-            feedback: FeedbackMode::SenderLoss,
-            cc: CcKind::Tfrc,
-        }
-    }
-
-    /// Standard TFRC (the baseline instance): receiver-side estimation,
-    /// no reliability.
-    pub fn tfrc_standard() -> Self {
-        CapabilitySet {
-            reliability: ReliabilityMode::None,
-            feedback: FeedbackMode::ReceiverLoss,
-            cc: CcKind::Tfrc,
-        }
-    }
 }
 
 /// What a server is willing to grant.
@@ -215,7 +172,7 @@ impl ServerPolicy {
             offered.feedback
         };
         let reliability = if offered.reliability.retransmits() && !self.allow_reliability {
-            ReliabilityMode::None
+            Reliability::None
         } else {
             offered.reliability
         };
@@ -238,16 +195,17 @@ impl ServerPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Profile;
 
     #[test]
     fn presets_match_paper_definitions() {
-        let af = CapabilitySet::qtp_af(Rate::from_mbps(2));
-        assert_eq!(af.reliability, ReliabilityMode::Full);
+        let af = Profile::qtp_af(Rate::from_mbps(2)).caps();
+        assert_eq!(af.reliability, Reliability::Full);
         assert_eq!(af.feedback, FeedbackMode::ReceiverLoss);
         assert!(matches!(af.cc, CcKind::Gtfrc { .. }));
 
-        let light = CapabilitySet::qtp_light();
-        assert_eq!(light.reliability, ReliabilityMode::None);
+        let light = Profile::qtp_light().caps();
+        assert_eq!(light.reliability, Reliability::None);
         assert_eq!(light.feedback, FeedbackMode::SenderLoss);
         assert_eq!(light.cc, CcKind::Tfrc);
     }
@@ -255,7 +213,9 @@ mod tests {
     #[test]
     fn permissive_server_grants_offer() {
         let policy = ServerPolicy::default();
-        let offer = CapabilitySet::qtp_light_partial(Duration::from_millis(200));
+        let offer = Profile::qtp_light_partial(Duration::from_millis(200))
+            .unwrap()
+            .caps();
         assert_eq!(policy.negotiate(offer), offer);
     }
 
@@ -265,9 +225,9 @@ mod tests {
             allow_sender_loss: false,
             ..ServerPolicy::default()
         };
-        let chosen = policy.negotiate(CapabilitySet::qtp_light());
+        let chosen = policy.negotiate(Profile::qtp_light().caps());
         assert_eq!(chosen.feedback, FeedbackMode::ReceiverLoss);
-        assert_eq!(chosen.reliability, ReliabilityMode::None, "other axes kept");
+        assert_eq!(chosen.reliability, Reliability::None, "other axes kept");
     }
 
     #[test]
@@ -276,8 +236,8 @@ mod tests {
             allow_reliability: false,
             ..ServerPolicy::default()
         };
-        let chosen = policy.negotiate(CapabilitySet::qtp_af(Rate::from_mbps(1)));
-        assert_eq!(chosen.reliability, ReliabilityMode::None);
+        let chosen = policy.negotiate(Profile::qtp_af(Rate::from_mbps(1)).caps());
+        assert_eq!(chosen.reliability, Reliability::None);
         assert!(matches!(chosen.cc, CcKind::Gtfrc { .. }), "QoS axis kept");
     }
 
@@ -287,7 +247,7 @@ mod tests {
             max_target: Some(Rate::from_mbps(1)),
             ..ServerPolicy::default()
         };
-        let chosen = policy.negotiate(CapabilitySet::qtp_af(Rate::from_mbps(5)));
+        let chosen = policy.negotiate(Profile::qtp_af(Rate::from_mbps(5)).caps());
         assert_eq!(
             chosen.cc,
             CcKind::Gtfrc {
@@ -295,7 +255,7 @@ mod tests {
             }
         );
         // Under the cap: unchanged.
-        let chosen = policy.negotiate(CapabilitySet::qtp_af(Rate::from_kbps(500)));
+        let chosen = policy.negotiate(Profile::qtp_af(Rate::from_kbps(500)).caps());
         assert_eq!(
             chosen.cc,
             CcKind::Gtfrc {
@@ -329,7 +289,7 @@ mod tests {
         }
         assert_eq!(
             reliability_from_wire(2, 1_000).unwrap(),
-            ReliabilityMode::PartialTtl(Duration::from_millis(1))
+            Reliability::Ttl(Duration::from_millis(1))
         );
         assert!(matches!(cc_from_wire(1, 8_000), Ok(CcKind::Gtfrc { .. })));
     }

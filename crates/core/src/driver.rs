@@ -1,12 +1,11 @@
 //! The transport-neutral driver seam: sans-io endpoints behind a
 //! command-queue API.
 //!
-//! The QTP endpoints ([`QtpSender`](crate::QtpSender) /
-//! [`QtpReceiver`](crate::QtpReceiver)) are pure state machines: they are
-//! *driven* by datagram arrivals and timer expiries and *emit* effects —
-//! datagrams to transmit, timers to arm, application deliveries — without
-//! ever touching a clock, a socket, or the simulator. This module defines
-//! that seam:
+//! A QTP endpoint — a [`Session`](crate::session::Session), wrapping the
+//! crate-private sender or receiver state machine — is *driven* by datagram
+//! arrivals and timer expiries and *emits* effects — datagrams to transmit,
+//! timers to arm, application deliveries — without ever touching a clock, a
+//! socket, or the simulator. This module defines that seam:
 //!
 //! * [`Endpoint`] — the driver-facing trait: `on_start` / `handle_datagram`
 //!   / `on_timer`, each receiving the current time through an [`Outbox`];
@@ -17,10 +16,12 @@
 //! * [`TimerGens`] — the generation-counter helper that makes
 //!   fire-and-forget timers cancellable in effect.
 //!
-//! Two drivers exist today: [`SimAgent`](crate::adapter::SimAgent) adapts an
-//! endpoint to the discrete-event simulator's `Agent` interface, and
-//! `qtp-io`'s `MuxDriver` runs any number of them over one real
-//! `std::net::UdpSocket` with a monotonic wall clock mapped onto [`SimTime`].
+//! Two drivers exist today: the simulator adapter behind
+//! [`attach_pair`](crate::session::attach_pair) maps an endpoint onto the
+//! discrete-event simulator's `Agent` interface, and `qtp-io`'s `MuxDriver`
+//! runs any number of them over one real `std::net::UdpSocket` with a
+//! monotonic wall clock mapped onto [`SimTime`]. `Session`'s own poll
+//! surface is a third, in-process driver of the same seam.
 //!
 //! # Command ordering
 //!
@@ -34,13 +35,13 @@
 //! Endpoints encode every header into [`Outbox::buffer`], and a driver that
 //! has framed a [`Transmit`] may hand its `header` back with
 //! [`Outbox::reuse`]; the next `buffer` call lends it out again, empty, so
-//! a driver that gives every buffer back allocates none per datagram. Both
-//! drivers do: `qtp-io`'s `MuxDriver` once the datagram is framed, and the
-//! simulator adapters ([`SimAgent`](crate::adapter::SimAgent),
-//! [`SimHost`](crate::adapter::SimHost)) once the simulator has copied the
-//! header into its packet arena. Giving a buffer back is optional: only
-//! `Session`'s poll surface keeps it (its `Transmit` is the caller's), and
-//! there `buffer` allocates exactly what a fresh `Vec::with_capacity` would.
+//! a driver that gives every buffer back allocates none per datagram. Every
+//! driver does: `qtp-io`'s `MuxDriver` once the datagram is framed, the
+//! simulator adapters once the simulator has copied the header into its
+//! packet arena, and `Session`'s poll surface whenever its caller hands a
+//! polled header back with `Session::reuse`. Giving a buffer back is
+//! optional: without it `buffer` allocates exactly what a fresh
+//! `Vec::with_capacity` would.
 
 use qtp_simnet::packet::{FlowId, NodeId};
 use qtp_simnet::time::SimTime;
@@ -118,7 +119,8 @@ impl Outbox {
     }
 
     /// Give a transmitted header back for [`Outbox::buffer`] to lend out
-    /// again. Beyond [`MAX_SPARES`] it is dropped.
+    /// again. Beyond four spares it is dropped: one callback emits at most
+    /// three transmits.
     pub fn reuse(&mut self, buf: Vec<u8>) {
         if self.spares.len() < MAX_SPARES {
             self.spares.push(buf);
@@ -188,9 +190,10 @@ pub trait Endpoint {
     fn on_timer(&mut self, _out: &mut Outbox, _token: u64) {}
 }
 
-/// Boxed endpoints forward the whole seam, so drivers that multiplex many
-/// connections of different concrete types over one socket (`qtp-io`'s
-/// `MuxDriver<Box<dyn Endpoint>>`) can mix senders and receivers freely.
+/// Boxed endpoints forward the whole seam, so one driver can carry
+/// connections of different concrete types (`qtp-io`'s
+/// `MuxDriver<Box<dyn Endpoint>>` mixes test doubles this way; a `Session`
+/// already covers both the sending and the receiving side).
 impl<E: Endpoint + ?Sized> Endpoint for Box<E> {
     fn on_start(&mut self, out: &mut Outbox) {
         (**self).on_start(out)
@@ -356,8 +359,8 @@ mod tests {
         assert_eq!(spares, MAX_SPARES, "only the kept spares are lent out");
     }
 
-    /// The poll surface never gives a buffer back, so what it allocates per
-    /// datagram is what `Vec::with_capacity` did before.
+    /// A driver that never gives a buffer back allocates per datagram what
+    /// `Vec::with_capacity` did before.
     #[test]
     fn without_reuse_a_buffer_is_exactly_one_allocation_of_its_size() {
         let mut out = Outbox::new();

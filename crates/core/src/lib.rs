@@ -13,7 +13,8 @@
 //! 3. **QoS awareness** — plain TFRC or **gTFRC** (`X = max(g, X_tfrc)`)
 //!    for DiffServ Assured Forwarding networks.
 //!
-//! The two named instances are presets over one endpoint implementation:
+//! The two named instances are [`Profile`] presets over one endpoint,
+//! [`Session`] — the only endpoint type this crate exports:
 //!
 //! | instance   | cc        | reliability | feedback     |
 //! |------------|-----------|-------------|--------------|
@@ -25,26 +26,24 @@
 //! [`wire`] for the byte-level formats, and [`estimator`] for the
 //! sender-side loss estimation that makes QTPlight possible.
 
-pub mod adapter;
+mod adapter;
 mod bufext;
 pub mod caps;
 pub mod cc;
 pub mod driver;
 pub mod estimator;
 pub mod pipe;
-pub mod receiver;
-pub mod sender;
+mod receiver;
+mod sender;
 pub mod session;
 pub mod stream;
 pub mod wire;
 
-pub use adapter::{SimAgent, SimHost};
 pub use caps::{CapabilitySet, CapsError, CcKind, FeedbackMode, ServerPolicy};
 pub use cc::controller_for;
 pub use driver::{Command, Endpoint, Outbox, TimerGens, Transmit};
 pub use estimator::SenderLossEstimator;
-pub use receiver::{QtpReceiver, QtpReceiverConfig};
-pub use sender::{AppModel, QtpSender, QtpSenderConfig};
+pub use sender::AppModel;
 pub use session::{
     attach_pair, attach_pairs, Backend, ConnectionOutcome, ConnectionPlan, PairHandles, Profile,
     ProfileBuilder, ProfileError, Reliability, Session, SessionEvent, SessionEvents, SimBackend,

@@ -6,7 +6,9 @@
 //! finish ends in a [`Stall`], not a spin. After every step the pipe checks
 //! that the receiver's `cum_ack` never decreases, that it never delivers
 //! more packets than the sender sent, and that a closed side emits only
-//! close-handshake datagrams; a violation panics with a [`Stall`].
+//! close-handshake datagrams; a violation panics with a [`Stall`]. Each
+//! header, delivered or dropped, goes back to the side that emitted it
+//! ([`Session::reuse`]), so the pipe itself allocates nothing per datagram.
 //!
 //! ```
 //! use qtp_core::pipe::{Dir, Fate, Pipe};
@@ -173,10 +175,15 @@ impl Pipe {
             Some(at) => self.now = self.now.max(at),
         }
         let now = self.now;
-        for (i, side) in [&mut self.rx, &mut self.tx].into_iter().enumerate() {
+        for i in 0..2 {
             while self.queues[i].front().is_some_and(|(at, _)| *at <= now) {
                 let (_, d) = self.queues[i].pop_front().expect("front checked");
-                side.handle_input(now, d.wire_size, &d.header);
+                let (to, from) = match i {
+                    0 => (&mut self.rx, &mut self.tx),
+                    _ => (&mut self.tx, &mut self.rx),
+                };
+                to.handle_input(now, d.wire_size, &d.header);
+                from.reuse(d.header);
             }
         }
         for side in [&mut self.tx, &mut self.rx] {
@@ -204,6 +211,8 @@ impl Pipe {
                 self.sent[i] += 1;
                 if (self.fate)(dir, self.sent[i] - 1, &d) == Fate::Deliver {
                     self.queues[i].push_back((self.now + self.one_way, d));
+                } else {
+                    side.reuse(d.header);
                 }
             }
         }

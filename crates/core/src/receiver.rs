@@ -16,17 +16,16 @@
 //! by the factor and the receive rate inflated by it. In SenderLoss mode
 //! there is no loss report to falsify — which is the defence.
 //!
-//! Like the sender, the receiver is sans-io: it implements the
-//! [`Endpoint`](crate::driver::Endpoint) driver seam and emits its feedback
-//! transmissions, timer re-arms and application deliveries as
-//! [`Outbox`](crate::driver::Outbox) commands, so the same state machine
-//! runs unchanged under the simulator (via
-//! [`SimAgent`](crate::adapter::SimAgent)) or over real UDP (via
-//! `qtp-io`).
+//! Like the sender, the receiver is sans-io and crate-private: it
+//! implements the [`Endpoint`] driver seam and emits its feedback
+//! transmissions, timer re-arms and application deliveries as [`Outbox`]
+//! commands, and a [`Session`](crate::session::Session) wraps it, so the
+//! same state machine runs unchanged under the simulator or over real UDP
+//! (via `qtp-io`).
 
 use qtp_metrics::trace::{ConnState, CounterSet, PktKind, TraceEventKind, Tracer};
 use qtp_metrics::StateSize;
-use qtp_sack::{ReceiverBuffer, ReliabilityMode};
+use qtp_sack::{ReceiverBuffer, Reliability};
 use qtp_simnet::prelude::*;
 use qtp_tfrc::TfrcReceiver;
 use std::collections::BTreeMap;
@@ -39,34 +38,25 @@ use crate::wire::{
     p_to_ppb, FeedbackFields, PacketRef, QtpPacket, StreamDataHeader, IP_OVERHEAD, MAX_FB_BLOCKS,
 };
 
-/// Receiver configuration.
+/// Receiver configuration, lowered from a plan by
+/// [`ConnectionPlan::receiver_config`](crate::session::ConnectionPlan::receiver_config).
 #[derive(Debug, Clone)]
-pub struct QtpReceiverConfig {
+pub(crate) struct QtpReceiverConfig {
     /// Negotiation policy.
-    pub policy: ServerPolicy,
+    pub(crate) policy: ServerPolicy,
     /// Selfish-receiver attack factor (1.0 = honest). Under ReceiverLoss
     /// the reported `p` is divided by this and `x_recv` multiplied by it.
-    pub selfish_factor: f64,
+    pub(crate) selfish_factor: f64,
     /// Application data plane: when set, stream payloads are reassembled
     /// into messages surfaced through a [`RecvStream`].
-    pub stream: Option<StreamConfig>,
-}
-
-impl Default for QtpReceiverConfig {
-    fn default() -> Self {
-        QtpReceiverConfig {
-            policy: ServerPolicy::default(),
-            selfish_factor: 1.0,
-            stream: None,
-        }
-    }
+    pub(crate) stream: Option<StreamConfig>,
 }
 
 /// Timer token kinds.
 const TK_FB: u64 = 0;
 
 /// The QTP receiver endpoint.
-pub struct QtpReceiver {
+pub(crate) struct QtpReceiver {
     /// Incoming data flow (goodput accounting).
     data_flow: FlowId,
     /// Flow id for outgoing feedback packets.
@@ -108,7 +98,7 @@ pub struct QtpReceiver {
 }
 
 impl QtpReceiver {
-    pub fn new(
+    pub(crate) fn new(
         data_flow: FlowId,
         fb_flow: FlowId,
         sender_node: NodeId,
@@ -144,12 +134,12 @@ impl QtpReceiver {
     }
 
     /// This endpoint's [`Tracer`] handle (clones share counters + sink).
-    pub fn tracer(&self) -> Tracer {
+    pub(crate) fn tracer(&self) -> Tracer {
         self.tracer.clone()
     }
 
     /// App-facing handle for the stream data plane (if configured).
-    pub fn recv_stream(&self) -> Option<RecvStream> {
+    pub(crate) fn recv_stream(&self) -> Option<RecvStream> {
         self.stream.as_ref().map(|s| s.handle())
     }
 
@@ -162,7 +152,7 @@ impl QtpReceiver {
 
     /// True once the peer's close handshake reached this endpoint and every
     /// deliverable byte was surfaced.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         match &self.stream {
             Some(s) => s.is_finished(),
             None => self.fin_seen,
@@ -170,18 +160,18 @@ impl QtpReceiver {
     }
 
     /// The negotiated profile (after the handshake).
-    pub fn negotiated(&self) -> Option<CapabilitySet> {
+    pub(crate) fn negotiated(&self) -> Option<CapabilitySet> {
         self.chosen
     }
 
     /// Packets delivered to the application so far (in-order runs plus
     /// forward-released ranges) — exposed for differential backend tests.
-    pub fn delivered_packets(&self) -> u64 {
+    pub(crate) fn delivered_packets(&self) -> u64 {
         self.buf.delivered_total()
     }
 
     /// Next expected in-order sequence.
-    pub fn cum_ack(&self) -> u64 {
+    pub(crate) fn cum_ack(&self) -> u64 {
         self.buf.cum_ack()
     }
 
@@ -242,7 +232,7 @@ impl QtpReceiver {
             // reliability reassembles an ordered byte stream, everything
             // else delivers one message per packet as they arrive.
             if let Some(srx) = self.stream.as_mut() {
-                srx.set_ordered(matches!(chosen.reliability, ReliabilityMode::Full));
+                srx.set_ordered(matches!(chosen.reliability, Reliability::Full));
             }
         }
         let pkt = QtpPacket::SynAck {
@@ -254,10 +244,10 @@ impl QtpReceiver {
         });
     }
 
-    fn reliability(&self) -> ReliabilityMode {
+    fn reliability(&self) -> Reliability {
         self.chosen
             .map(|c| c.reliability)
-            .unwrap_or(ReliabilityMode::None)
+            .unwrap_or(Reliability::None)
     }
 
     fn on_data(
@@ -391,7 +381,7 @@ impl QtpReceiver {
             ttl_micros as u64
         } else {
             match chosen.reliability {
-                ReliabilityMode::PartialTtl(ttl) => ttl.as_micros() as u64,
+                Reliability::Ttl(ttl) => ttl.as_micros() as u64,
                 _ => u64::MAX,
             }
         };

@@ -3,10 +3,9 @@
 //!
 //! One state machine hosts every negotiated composition:
 //!
-//! * **congestion control** — the negotiated
-//!   [`CongestionControl`](qtp_cc::CongestionControl) controller (TFRC,
-//!   gTFRC, fixed rate, CUBIC, or BBR-lite — see
-//!   [`controller_for`](crate::cc::controller_for)) paces transmissions;
+//! * **congestion control** — the negotiated [`CongestionControl`]
+//!   controller (TFRC, gTFRC, fixed rate, CUBIC, or BBR-lite — see
+//!   [`controller_for`]) paces transmissions;
 //! * **reliability** — a [`Scoreboard`] + [`ReliabilityPolicy`] decide
 //!   which declared losses to retransmit and which to abandon (emitting
 //!   `FWD` to move the receiver past them);
@@ -15,16 +14,15 @@
 //!   the local [`SenderLossEstimator`] fed by SACK declarations.
 //!
 //! The endpoint is sans-io: it implements the transport-neutral
-//! [`Endpoint`](crate::driver::Endpoint) seam, reacting to datagrams and
-//! timers and emitting transmit/timer commands into an
-//! [`Outbox`](crate::driver::Outbox). Drivers decide what those commands
-//! mean — [`SimAgent`](crate::adapter::SimAgent) replays them into the
-//! discrete-event simulator, `qtp-io`'s `MuxDriver` onto a real UDP socket.
+//! [`Endpoint`] seam, reacting to datagrams and timers and emitting
+//! transmit/timer commands into an [`Outbox`]. It is crate-private: a
+//! [`Session`](crate::session::Session) wraps it, and every driver mounts
+//! the session.
 //!
 //! [`ReliabilityPolicy`]: qtp_sack::ReliabilityPolicy
 
 use qtp_metrics::trace::{ConnState, PktKind, TraceEventKind, Tracer};
-use qtp_sack::{ReliabilityMode, Scoreboard, SeqRange};
+use qtp_sack::{Reliability, Scoreboard, SeqRange};
 use qtp_simnet::prelude::*;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -65,34 +63,23 @@ impl AppModel {
     }
 }
 
-/// Sender configuration.
+/// Sender configuration, lowered from a plan by
+/// [`ConnectionPlan::sender_config`](crate::session::ConnectionPlan::sender_config).
 #[derive(Debug, Clone)]
-pub struct QtpSenderConfig {
+pub(crate) struct QtpSenderConfig {
     /// Profile to offer in the handshake.
-    pub offered: CapabilitySet,
+    pub(crate) offered: CapabilitySet,
     /// Payload bytes per data packet.
-    pub s: u32,
+    pub(crate) s: u32,
     /// Application model.
-    pub app: AppModel,
+    pub(crate) app: AppModel,
     /// **D1 ablation** (experiments only): disable RTT-window loss-event
     /// grouping in the sender-side estimator, so every lost packet counts
     /// as its own loss event.
-    pub ablate_ungrouped_losses: bool,
+    pub(crate) ablate_ungrouped_losses: bool,
     /// Application data plane: when set, traffic comes from a
     /// [`SendStream`] instead of the synthetic [`AppModel`].
-    pub stream: Option<StreamConfig>,
-}
-
-impl QtpSenderConfig {
-    pub fn new(offered: CapabilitySet) -> Self {
-        QtpSenderConfig {
-            offered,
-            s: 1000,
-            app: AppModel::Greedy,
-            ablate_ungrouped_losses: false,
-            stream: None,
-        }
-    }
+    pub(crate) stream: Option<StreamConfig>,
 }
 
 /// Timer token kinds (low 2 bits of the token; the rest is a generation —
@@ -109,7 +96,7 @@ enum State {
 }
 
 /// The QTP sender endpoint.
-pub struct QtpSender {
+pub(crate) struct QtpSender {
     flow: FlowId,
     receiver_node: NodeId,
     cfg: QtpSenderConfig,
@@ -164,9 +151,9 @@ const FIN_MAX_RETRIES: u32 = 8;
 const DEBT_CAP: Duration = Duration::from_millis(1);
 
 impl QtpSender {
-    pub fn new(flow: FlowId, receiver_node: NodeId, cfg: QtpSenderConfig) -> Self {
+    pub(crate) fn new(flow: FlowId, receiver_node: NodeId, cfg: QtpSenderConfig) -> Self {
         let policy = qtp_sack::ReliabilityPolicy::new(cfg.offered.reliability);
-        let chunked = matches!(cfg.offered.reliability, ReliabilityMode::Full);
+        let chunked = matches!(cfg.offered.reliability, Reliability::Full);
         let stream = cfg.stream.as_ref().map(|sc| StreamTx::new(sc, chunked));
         QtpSender {
             flow,
@@ -197,12 +184,12 @@ impl QtpSender {
     }
 
     /// This endpoint's [`Tracer`] handle (clones share counters + sink).
-    pub fn tracer(&self) -> Tracer {
+    pub(crate) fn tracer(&self) -> Tracer {
         self.tracer.clone()
     }
 
     /// App-facing handle for the stream data plane (if configured).
-    pub fn send_stream(&self) -> Option<SendStream> {
+    pub(crate) fn send_stream(&self) -> Option<SendStream> {
         self.stream.as_ref().map(|s| s.handle())
     }
 
@@ -215,7 +202,7 @@ impl QtpSender {
 
     /// Starts a graceful shutdown: stop accepting new data, drain, then run
     /// the FIN / FIN-ACK handshake from the pace timer.
-    pub fn begin_close(&mut self) {
+    pub(crate) fn begin_close(&mut self) {
         self.close_requested = true;
         if let Some(s) = &self.stream {
             s.handle().finish();
@@ -228,23 +215,23 @@ impl QtpSender {
 
     /// True once the wire-level close handshake completed (FIN acknowledged
     /// or retries exhausted).
-    pub fn close_complete(&self) -> bool {
+    pub(crate) fn close_complete(&self) -> bool {
         self.closed
     }
 
     /// The negotiated profile (once the handshake completed).
-    pub fn negotiated(&self) -> Option<CapabilitySet> {
+    pub(crate) fn negotiated(&self) -> Option<CapabilitySet> {
         self.chosen
     }
 
     /// Whether every packet handed to the network has been acknowledged
     /// (loop-termination signal for real-I/O drivers).
-    pub fn all_acked(&self) -> bool {
+    pub(crate) fn all_acked(&self) -> bool {
         self.sb.all_acked()
     }
 
     /// New (never-retransmitted) packets handed to the network so far.
-    pub fn sent_new(&self) -> u64 {
+    pub(crate) fn sent_new(&self) -> u64 {
         self.sent_new
     }
 
@@ -303,7 +290,7 @@ impl QtpSender {
         // Negotiation may have changed the reliability class; re-lock the
         // stream framing mode before any stream data goes out.
         if let Some(s) = &self.stream {
-            s.set_chunked(matches!(chosen.reliability, ReliabilityMode::Full));
+            s.set_chunked(matches!(chosen.reliability, Reliability::Full));
         }
         // Kick off app generation (Cbr) and pacing.
         if let AppModel::Cbr { .. } = self.cfg.app {
@@ -358,10 +345,10 @@ impl QtpSender {
     /// Sender-side staleness drop (TTL reliability, Cbr model): stale ADUs
     /// are discarded before ever being transmitted.
     fn drop_stale_backlog(&mut self, now: SimTime) {
-        if let ReliabilityMode::PartialTtl(ttl) = self
+        if let Reliability::Ttl(ttl) = self
             .chosen
             .map(|c| c.reliability)
-            .unwrap_or(ReliabilityMode::None)
+            .unwrap_or(Reliability::None)
         {
             while let Some(&submit) = self.backlog.front() {
                 if now.saturating_since(submit) >= ttl {
@@ -487,7 +474,7 @@ impl QtpSender {
         let seq = self.sb.register_send(out.now);
         self.sent_new += 1;
         let reliability = self.chosen.map(|c| c.reliability);
-        if matches!(reliability, Some(ReliabilityMode::PartialTtl(_))) {
+        if matches!(reliability, Some(Reliability::Ttl(_))) {
             self.policy
                 .register_adu(SeqRange::new(seq, seq + 1), out.now);
         }
@@ -532,7 +519,7 @@ impl QtpSender {
             let seq = self.sb.register_send(out.now);
             self.sent_new += 1;
             let reliability = self.chosen.map(|c| c.reliability);
-            if matches!(reliability, Some(ReliabilityMode::PartialTtl(_))) {
+            if matches!(reliability, Some(Reliability::Ttl(_))) {
                 self.policy
                     .register_adu(SeqRange::new(seq, seq + 1), submit);
             }
@@ -936,8 +923,8 @@ impl Endpoint for QtpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::caps::CcKind;
     use crate::driver::Command;
+    use crate::session::{ConnectionPlan, Profile};
 
     /// A sender on a hand-driven clock: the test decides when each armed
     /// timer is delivered, which a simulator (always on time) cannot.
@@ -959,10 +946,10 @@ mod tests {
 
     impl Rig {
         /// A sender past its handshake (RTT sample 1 ms), pace timer armed.
-        fn connected(cfg: QtpSenderConfig) -> Rig {
-            let chosen = cfg.offered;
+        fn connected(plan: ConnectionPlan) -> Rig {
+            let chosen = plan.profile.caps();
             let mut rig = Rig {
-                tx: QtpSender::new(0, 1, cfg),
+                tx: QtpSender::new(0, 1, plan.sender_config()),
                 out: Outbox::new(),
                 timers: Vec::new(),
             };
@@ -979,9 +966,7 @@ mod tests {
         }
 
         fn af(rate: Rate) -> Rig {
-            let mut cfg = QtpSenderConfig::new(CapabilitySet::qtp_af(rate));
-            cfg.app = AppModel::Greedy;
-            Rig::connected(cfg)
+            Rig::connected(ConnectionPlan::new(Profile::qtp_af(rate)))
         }
 
         fn now(&self) -> SimTime {
@@ -1054,6 +1039,12 @@ mod tests {
         }
     }
 
+    /// A connected stream sender with nothing to send yet.
+    fn idle_stream_plan() -> ConnectionPlan {
+        ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(200)))
+            .stream(StreamConfig::with_send_buf(64 * 1024))
+    }
+
     /// A wake-up overshoot, uniform in 0–200 µs.
     fn overshoot(rng: &mut DetRng) -> Duration {
         Duration::from_nanos(rng.below(200_001))
@@ -1121,9 +1112,7 @@ mod tests {
 
     #[test]
     fn an_empty_stream_accumulates_no_credit() {
-        let mut cfg = QtpSenderConfig::new(CapabilitySet::qtp_af(Rate::from_mbps(200)));
-        cfg.stream = Some(StreamConfig::with_send_buf(64 * 1024));
-        let mut rig = Rig::connected(cfg);
+        let mut rig = Rig::connected(idle_stream_plan());
         assert_idle_ticks_earn_no_credit(&mut rig);
         // Data arrives: the tick that sends it anchors the schedule on its
         // own deadline, so only its own lateness is repaid — nothing from
@@ -1137,12 +1126,7 @@ mod tests {
 
     #[test]
     fn a_closed_cubic_window_accumulates_no_credit() {
-        let mut cfg = QtpSenderConfig::new(CapabilitySet {
-            cc: CcKind::Cubic,
-            ..CapabilitySet::qtp_af(Rate::from_mbps(1))
-        });
-        cfg.app = AppModel::Greedy;
-        let mut rig = Rig::connected(cfg);
+        let mut rig = Rig::connected(ConnectionPlan::new(Profile::cubic()));
         // No feedback ever arrives, so the initial window fills and shuts.
         let mut opened = 0;
         while rig.tick_late(Duration::ZERO).sent == 1 {
@@ -1155,9 +1139,7 @@ mod tests {
     #[test]
     fn on_time_ticks_follow_the_old_now_plus_interval_rule() {
         let greedy = Rig::af(Rate::from_mbps(200));
-        let mut idle_cfg = QtpSenderConfig::new(CapabilitySet::qtp_af(Rate::from_mbps(200)));
-        idle_cfg.stream = Some(StreamConfig::with_send_buf(64 * 1024));
-        for mut rig in [greedy, Rig::connected(idle_cfg)] {
+        for mut rig in [greedy, Rig::connected(idle_stream_plan())] {
             for _ in 0..500 {
                 let due = rig.pace_deadline();
                 let tick = rig.tick_at(due);

@@ -21,10 +21,10 @@
 //!   ([`Session::poll_transmit`]), the next wakeup
 //!   ([`Session::poll_timeout`]) and typed events
 //!   ([`Session::poll_event`]: `Connected`, `Delivered`, `TtlExpired`,
-//!   `Rejected`, `Closed`). A `Session` also implements the lower-level
-//!   [`Endpoint`] seam, so both drivers (the simulator's
-//!   [`SimAgent`](crate::adapter::SimAgent) and `qtp-io`'s `MuxDriver`)
-//!   mount it directly.
+//!   `Rejected`, `Closed`). It is the crate's one endpoint: it also
+//!   implements the lower-level [`Endpoint`] seam, so both drivers (the
+//!   simulator adapter behind [`attach_pair`] and `qtp-io`'s `MuxDriver`)
+//!   mount it directly, and the poll surface runs through that same seam.
 //! * [`Backend`] — the run-a-scenario seam: hand any backend a slice of
 //!   plans and get per-connection [`ConnectionOutcome`]s back.
 //!   [`SimBackend`] (here) drives plans through the deterministic
@@ -37,7 +37,6 @@
 //! mux, alone or among hundreds of flows.
 
 use qtp_metrics::trace::{CounterSet, TraceEventKind, TraceRegistry, Tracer};
-use qtp_sack::ReliabilityMode;
 use qtp_simnet::packet::{FlowId, NodeId};
 use qtp_simnet::prelude::*;
 use qtp_simnet::sim::Simulator;
@@ -45,6 +44,7 @@ use qtp_simnet::topology::{Dumbbell, DumbbellConfig};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::mem;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -56,48 +56,11 @@ use crate::sender::{AppModel, QtpSender, QtpSenderConfig};
 use crate::stream::{RecvStream, SendStream, StreamConfig};
 use crate::wire::{self, QtpPacket, WireError};
 
+pub use qtp_sack::Reliability;
+
 // ---------------------------------------------------------------------------
 // Profiles
 // ---------------------------------------------------------------------------
-
-/// The reliability axis, in application terms (axis 1 of the paper).
-///
-/// This is the fluent-API face of [`ReliabilityMode`]; the two convert
-/// losslessly in both directions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reliability {
-    /// No retransmission at all (pure streaming).
-    None,
-    /// Full reliability: every byte is retransmitted until acknowledged.
-    Full,
-    /// Partial reliability: retransmit only data still younger than the
-    /// TTL (stale ADUs are abandoned with a `FWD`).
-    Ttl(Duration),
-    /// Partial reliability: at most this many retransmissions per packet.
-    Budget(u32),
-}
-
-impl From<Reliability> for ReliabilityMode {
-    fn from(r: Reliability) -> ReliabilityMode {
-        match r {
-            Reliability::None => ReliabilityMode::None,
-            Reliability::Full => ReliabilityMode::Full,
-            Reliability::Ttl(d) => ReliabilityMode::PartialTtl(d),
-            Reliability::Budget(n) => ReliabilityMode::PartialRetx(n),
-        }
-    }
-}
-
-impl From<ReliabilityMode> for Reliability {
-    fn from(m: ReliabilityMode) -> Reliability {
-        match m {
-            ReliabilityMode::None => Reliability::None,
-            ReliabilityMode::Full => Reliability::Full,
-            ReliabilityMode::PartialTtl(d) => Reliability::Ttl(d),
-            ReliabilityMode::PartialRetx(n) => Reliability::Budget(n),
-        }
-    }
-}
 
 /// Why a profile failed validation. Returned by [`ProfileBuilder::build`]
 /// (and [`Profile::try_from`] on a [`CapabilitySet`]) instead of panicking.
@@ -161,9 +124,7 @@ impl Profile {
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> ProfileBuilder {
         ProfileBuilder {
-            reliability: Reliability::None,
-            feedback: FeedbackMode::ReceiverLoss,
-            cc: CcKind::Tfrc,
+            caps: Profile::tfrc().caps,
         }
     }
 
@@ -171,7 +132,11 @@ impl Profile {
     /// full reliability, receiver-side loss estimation.
     pub fn qtp_af(g: Rate) -> Profile {
         Profile {
-            caps: CapabilitySet::qtp_af(g),
+            caps: CapabilitySet {
+                reliability: Reliability::Full,
+                feedback: FeedbackMode::ReceiverLoss,
+                cc: CcKind::Gtfrc { target: g },
+            },
         }
     }
 
@@ -179,13 +144,18 @@ impl Profile {
     /// no retransmission, plain TFRC.
     pub fn qtp_light() -> Profile {
         Profile {
-            caps: CapabilitySet::qtp_light(),
+            caps: CapabilitySet {
+                reliability: Reliability::None,
+                feedback: FeedbackMode::SenderLoss,
+                cc: CcKind::Tfrc,
+            },
         }
     }
 
-    /// QTPlight with TTL-bounded partial reliability (the selective
-    /// retransmission by-product paper §3 highlights). A zero TTL is
-    /// rejected — see [`ProfileError::ZeroTtl`].
+    /// QTPlight with TTL-bounded partial reliability — the composition
+    /// paper §3 highlights as a free by-product ("our solution allows
+    /// applying efficient selective retransmission of lost data"). A zero
+    /// TTL is rejected — see [`ProfileError::ZeroTtl`].
     pub fn qtp_light_partial(ttl: Duration) -> Result<Profile, ProfileError> {
         Profile::new()
             .reliability(Reliability::Ttl(ttl))
@@ -198,7 +168,11 @@ impl Profile {
     /// against.
     pub fn tfrc() -> Profile {
         Profile {
-            caps: CapabilitySet::tfrc_standard(),
+            caps: CapabilitySet {
+                reliability: Reliability::None,
+                feedback: FeedbackMode::ReceiverLoss,
+                cc: CcKind::Tfrc,
+            },
         }
     }
 
@@ -208,7 +182,7 @@ impl Profile {
     pub fn cubic() -> Profile {
         Profile {
             caps: CapabilitySet {
-                reliability: ReliabilityMode::Full,
+                reliability: Reliability::Full,
                 feedback: FeedbackMode::ReceiverLoss,
                 cc: CcKind::Cubic,
             },
@@ -220,7 +194,7 @@ impl Profile {
     pub fn bbr_lite() -> Profile {
         Profile {
             caps: CapabilitySet {
-                reliability: ReliabilityMode::Full,
+                reliability: Reliability::Full,
                 feedback: FeedbackMode::ReceiverLoss,
                 cc: CcKind::BbrLite,
             },
@@ -235,7 +209,7 @@ impl Profile {
 
     /// The reliability axis.
     pub fn reliability(&self) -> Reliability {
-        self.caps.reliability.into()
+        self.caps.reliability
     }
 
     /// The receiver-processing axis.
@@ -261,61 +235,49 @@ impl TryFrom<CapabilitySet> for Profile {
     /// Validate a wire-level capability set into a profile. Lossless for
     /// every set a [`ProfileBuilder`] accepts.
     fn try_from(caps: CapabilitySet) -> Result<Profile, ProfileError> {
-        Profile::new()
-            .reliability(caps.reliability.into())
-            .feedback(caps.feedback)
-            .cc(caps.cc)
-            .build()
+        ProfileBuilder { caps }.build()
     }
 }
 
-/// Fluent builder returned by [`Profile::new`]; validation happens once,
-/// in [`ProfileBuilder::build`].
+/// Fluent builder returned by [`Profile::new`]: an unchecked
+/// [`CapabilitySet`], validated once, in [`ProfileBuilder::build`].
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileBuilder {
-    reliability: Reliability,
-    feedback: FeedbackMode,
-    cc: CcKind,
+    caps: CapabilitySet,
 }
 
 impl ProfileBuilder {
     /// Set the reliability axis.
     pub fn reliability(mut self, r: Reliability) -> Self {
-        self.reliability = r;
+        self.caps.reliability = r;
         self
     }
 
     /// Set the receiver-processing axis.
     pub fn feedback(mut self, f: FeedbackMode) -> Self {
-        self.feedback = f;
+        self.caps.feedback = f;
         self
     }
 
     /// Set the QoS-awareness axis.
     pub fn cc(mut self, cc: CcKind) -> Self {
-        self.cc = cc;
+        self.caps.cc = cc;
         self
     }
 
     /// Validate the composition.
     pub fn build(self) -> Result<Profile, ProfileError> {
-        match self.reliability {
+        match self.caps.reliability {
             Reliability::Ttl(d) if d.is_zero() => return Err(ProfileError::ZeroTtl),
             Reliability::Budget(0) => return Err(ProfileError::ZeroRetxBudget),
             _ => {}
         }
-        if let CcKind::Fixed { rate } = self.cc {
+        if let CcKind::Fixed { rate } = self.caps.cc {
             if rate.bps() == 0 {
                 return Err(ProfileError::ZeroFixedRate);
             }
         }
-        Ok(Profile {
-            caps: CapabilitySet {
-                reliability: self.reliability.into(),
-                feedback: self.feedback,
-                cc: self.cc,
-            },
-        })
+        Ok(Profile { caps: self.caps })
     }
 }
 
@@ -415,17 +377,18 @@ impl ConnectionPlan {
     }
 
     /// Lower the plan into the sender endpoint's configuration.
-    pub fn sender_config(&self) -> QtpSenderConfig {
-        let mut cfg = QtpSenderConfig::new(self.profile.caps());
-        cfg.s = self.payload;
-        cfg.app = self.app.clone();
-        cfg.ablate_ungrouped_losses = self.ablate_ungrouped_losses;
-        cfg.stream = self.stream.clone();
-        cfg
+    pub(crate) fn sender_config(&self) -> QtpSenderConfig {
+        QtpSenderConfig {
+            offered: self.profile.caps(),
+            s: self.payload,
+            app: self.app.clone(),
+            ablate_ungrouped_losses: self.ablate_ungrouped_losses,
+            stream: self.stream.clone(),
+        }
     }
 
     /// Lower the plan into the receiver endpoint's configuration.
-    pub fn receiver_config(&self) -> QtpReceiverConfig {
+    pub(crate) fn receiver_config(&self) -> QtpReceiverConfig {
         QtpReceiverConfig {
             policy: self.policy.clone(),
             selfish_factor: self.selfish_factor,
@@ -438,7 +401,7 @@ impl ConnectionPlan {
     /// policy may have downgraded the offer), the offer before. Every
     /// backend's completion rule goes through this one helper so sim and
     /// socket backends can never disagree on what "done" means.
-    pub fn effective_reliability(&self, negotiated: Option<CapabilitySet>) -> ReliabilityMode {
+    pub fn effective_reliability(&self, negotiated: Option<CapabilitySet>) -> Reliability {
         negotiated
             .map(|c| c.reliability)
             .unwrap_or(self.profile.caps().reliability)
@@ -531,53 +494,21 @@ pub struct SessionEvents {
 }
 
 impl SessionEvents {
+    /// Queue an event. Counting events (`Delivered`, `TtlExpired`,
+    /// `Readable`) add into one of their kind already at the queue tail,
+    /// and a `Rejected` identical to the tail (a peer retransmitting one
+    /// malformed SYN) is dropped: an observer that reads events only after
+    /// the run — or never — holds O(1) of them, not one per ADU.
     fn push(&self, ev: SessionEvent) {
-        self.inner.borrow_mut().push_back(ev);
-    }
-
-    /// Record a delivery, coalescing with a `Delivered` event already at
-    /// the queue tail (unbounded-growth guard for observers that only
-    /// read events after the run — or never).
-    fn push_delivered(&self, bytes: u64) {
+        use SessionEvent::*;
         let mut q = self.inner.borrow_mut();
-        if let Some(SessionEvent::Delivered { bytes: tail }) = q.back_mut() {
-            *tail += bytes;
-            return;
+        match (q.back_mut(), ev) {
+            (Some(Delivered { bytes: tail }), Delivered { bytes: n })
+            | (Some(TtlExpired { packets: tail }), TtlExpired { packets: n })
+            | (Some(Readable { messages: tail }), Readable { messages: n }) => *tail += n,
+            (Some(tail), ev @ Rejected { .. }) if *tail == ev => {}
+            (_, ev) => q.push_back(ev),
         }
-        q.push_back(SessionEvent::Delivered { bytes });
-    }
-
-    /// Record TTL/budget expiry, coalescing at the queue tail like
-    /// [`SessionEvents::push_delivered`] — a long-lived TTL-streaming
-    /// session otherwise grows one event per expiry burst.
-    fn push_ttl_expired(&self, packets: u64) {
-        let mut q = self.inner.borrow_mut();
-        if let Some(SessionEvent::TtlExpired { packets: tail }) = q.back_mut() {
-            *tail += packets;
-            return;
-        }
-        q.push_back(SessionEvent::TtlExpired { packets });
-    }
-
-    /// Record newly readable stream messages, coalescing at the queue
-    /// tail like [`SessionEvents::push_delivered`].
-    fn push_readable(&self, messages: u64) {
-        let mut q = self.inner.borrow_mut();
-        if let Some(SessionEvent::Readable { messages: tail }) = q.back_mut() {
-            *tail += messages;
-            return;
-        }
-        q.push_back(SessionEvent::Readable { messages });
-    }
-
-    /// Record a capability rejection; consecutive identical errors (a
-    /// peer retransmitting one malformed SYN) collapse into one event.
-    fn push_rejected(&self, error: CapsError) {
-        let mut q = self.inner.borrow_mut();
-        if q.back() == Some(&SessionEvent::Rejected { error }) {
-            return;
-        }
-        q.push_back(SessionEvent::Rejected { error });
     }
 
     /// Pop the oldest pending event.
@@ -610,56 +541,48 @@ enum Role {
     Receiver(QtpReceiver),
 }
 
-impl Endpoint for Role {
-    fn on_start(&mut self, out: &mut Outbox) {
+impl Role {
+    /// The wrapped state machine, for [`Session`]'s `Endpoint` impl to
+    /// drive.
+    fn endpoint(&mut self) -> &mut dyn Endpoint {
         match self {
-            Role::Sender(s) => s.on_start(out),
-            Role::Receiver(r) => r.on_start(out),
-        }
-    }
-
-    fn handle_datagram(&mut self, out: &mut Outbox, wire_size: u32, header: &[u8]) {
-        match self {
-            Role::Sender(s) => s.handle_datagram(out, wire_size, header),
-            Role::Receiver(r) => r.handle_datagram(out, wire_size, header),
-        }
-    }
-
-    fn on_timer(&mut self, out: &mut Outbox, token: u64) {
-        match self {
-            Role::Sender(s) => s.on_timer(out, token),
-            Role::Receiver(r) => r.on_timer(out, token),
+            Role::Sender(s) => s,
+            Role::Receiver(r) => r,
         }
     }
 }
 
-/// A sans-io QTP connection endpoint with a poll-style surface.
+/// A sans-io QTP connection endpoint with a poll-style surface — the one
+/// endpoint type this crate exports.
 ///
 /// One `Session` wraps one side of a connection (sender or receiver). Two
 /// consumption styles exist, and every backend uses exactly one:
 ///
-/// **Standalone (poll) style** — for hand-written event loops, quinn-proto
-/// fashion. The session owns its timer queue; [`crate::pipe`] is the
-/// reference loop (`start`, then `handle_input` / `on_timeout` /
-/// `poll_transmit` / `poll_timeout`, with `poll_event` left to the caller).
-///
 /// **Mounted style** — a `Session` implements [`Endpoint`], so the
-/// simulator ([`SimAgent`](crate::adapter::SimAgent)) and
-/// `qtp_io::MuxDriver` drive it like any endpoint. Commands pass
-/// through to the driver unchanged and in order (which is what keeps
-/// fixed-seed simulations byte-identical to the pre-session wiring): the
-/// session hands the driver's [`Outbox`] straight to its sender or
-/// receiver, so every command — and every transmit buffer the driver
-/// lends — goes in once, and afterwards the session only reads the
-/// deliveries the callback queued. The driver owns the timers, and
-/// [`Session::poll_timeout`] stays empty. Events and accessors work
-/// identically in both styles.
+/// simulator adapter and `qtp_io::MuxDriver` drive it like any endpoint.
+/// Commands pass through to the driver unchanged and in order (which is
+/// what keeps fixed-seed simulations byte-identical to mounting the bare
+/// sender and receiver): the session hands the driver's [`Outbox`] straight
+/// to its sender or receiver, so every command — and every transmit buffer
+/// the driver lends — goes in once, and afterwards the session only reads
+/// the deliveries the callback queued. The driver owns the timers, and
+/// [`Session::poll_timeout`] stays empty.
+///
+/// **Poll style** — for hand-written event loops, quinn-proto
+/// fashion; [`crate::pipe`] is the reference loop (`start`, then
+/// `handle_input` / `on_timeout` / `poll_transmit` / `poll_timeout`, with
+/// `poll_event` left to the caller). Each poll call is the mounted style
+/// with the session as its own driver: it runs the same [`Endpoint`]
+/// callback on an outbox the session keeps, then queues the transmits and
+/// timers for polling. A caller done with a transmitted header hands it
+/// back with [`Session::reuse`]. Events and accessors work identically in
+/// both styles.
 pub struct Session {
     inner: Role,
     started: bool,
     closed: bool,
     connected: bool,
-    // Standalone-style surfaces (unused while mounted in a driver).
+    // Poll-style surfaces (unused while mounted in a driver).
     out: Outbox,
     transmits: VecDeque<Transmit>,
     timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
@@ -750,13 +673,7 @@ impl Session {
 
     /// Start the session (idempotent): a sender emits its SYN.
     pub fn start(&mut self, now: SimTime) {
-        if self.started || self.closed {
-            return;
-        }
-        self.started = true;
-        self.out.now = now;
-        self.inner.on_start(&mut self.out);
-        self.pump();
+        self.pump(now, |s, out| s.on_start(out));
     }
 
     /// An incoming datagram: `wire_size` is the accounted on-wire size,
@@ -764,19 +681,11 @@ impl Session {
     /// surface as [`SessionEvent::Rejected`]; all other undecodable input
     /// is silently dropped (datagram networks promise nothing).
     pub fn handle_input(&mut self, now: SimTime, wire_size: u32, header: &[u8]) {
-        // Close-handshake packets pass the gate: a closed receiver must
-        // keep acknowledging retransmitted FINs so the peer can finish.
-        if self.closed && !wire::is_close_handshake(header) {
-            return;
-        }
-        self.out.now = now;
-        self.detect_rejected(now, header);
-        self.inner.handle_datagram(&mut self.out, wire_size, header);
-        self.pump();
+        self.pump(now, |s, out| s.handle_datagram(out, wire_size, header));
     }
 
     /// Fire every internally-armed timer due at `now`, in deadline order
-    /// (ties by arming order). Standalone style only — while mounted in a
+    /// (ties by arming order). Poll style only — while mounted in a
     /// driver the driver owns the timers.
     pub fn on_timeout(&mut self, now: SimTime) {
         while let Some(Reverse((at, _, _))) = self.timers.peek() {
@@ -784,13 +693,7 @@ impl Session {
                 break;
             }
             let Reverse((_, _, token)) = self.timers.pop().expect("peeked entry");
-            if self.closed {
-                continue;
-            }
-            // Stale generations are filtered by the endpoint itself.
-            self.out.now = now;
-            self.inner.on_timer(&mut self.out, token);
-            self.pump();
+            self.pump(now, |s, out| s.on_timer(out, token));
         }
     }
 
@@ -803,6 +706,13 @@ impl Session {
     /// Next datagram to put on the wire, in emission order.
     pub fn poll_transmit(&mut self) -> Option<Transmit> {
         self.transmits.pop_front()
+    }
+
+    /// Give a polled transmit's `header` back once it is on the wire (or
+    /// dropped): the session encodes a later header into it instead of
+    /// allocating one — [`Outbox::reuse`] for the poll surface.
+    pub fn reuse(&mut self, header: Vec<u8>) {
+        self.out.reuse(header);
     }
 
     /// Next pending session event.
@@ -853,31 +763,39 @@ impl Session {
     fn detect_rejected(&mut self, now: SimTime, header: &[u8]) {
         if wire::carries_capabilities(header) {
             if let Err(WireError::BadCapability(error)) = QtpPacket::decode(header) {
-                self.events.push_rejected(error);
+                self.events.push(SessionEvent::Rejected { error });
                 self.tracer.emit(now.as_nanos(), TraceEventKind::SoftError);
             }
         }
     }
 
-    /// Standalone style: drain the endpoint's commands into the session's
-    /// own queues, then derive session events.
-    fn pump(&mut self) {
-        while let Some(cmd) = self.out.poll_cmd() {
+    /// Poll style: drive `callback` — one of the session's own [`Endpoint`]
+    /// methods, the path every driver takes — with the session's outbox at
+    /// `now`, then queue what it emitted for polling. The outbox is taken
+    /// out for the call (an empty `Outbox` allocates nothing) and put back
+    /// with its lent buffers. Deliveries were counted on the way through,
+    /// and a closed session's timers would only be skipped, so neither is
+    /// kept.
+    fn pump(&mut self, now: SimTime, callback: impl FnOnce(&mut Session, &mut Outbox)) {
+        let mut out = mem::take(&mut self.out);
+        out.now = now;
+        callback(self, &mut out);
+        while let Some(cmd) = out.poll_cmd() {
             match cmd {
                 Command::Transmit(t) => self.transmits.push_back(t),
-                Command::SetTimer { at, token } => {
+                Command::SetTimer { at, token } if !self.closed => {
                     self.timer_seq += 1;
                     self.timers.push(Reverse((at, self.timer_seq, token)));
                 }
-                Command::Deliver { bytes, .. } => self.note_delivered(bytes),
+                _ => {}
             }
         }
-        self.derive_events(self.out.now);
+        self.out = out;
     }
 
-    /// Mounted style: the endpoint wrote into the driver's outbox. Read the
-    /// deliveries it queued after `mark`, leaving every command in place
-    /// for the driver, then derive session events.
+    /// The endpoint wrote into the driver's outbox. Read the deliveries it
+    /// queued after `mark`, leaving every command in place for the driver,
+    /// then derive session events.
     fn observe(&mut self, out: &Outbox, mark: usize) {
         for cmd in out.since(mark) {
             if let Command::Deliver { bytes, .. } = *cmd {
@@ -889,7 +807,7 @@ impl Session {
 
     fn note_delivered(&mut self, bytes: u64) {
         self.delivered_bytes += bytes;
-        self.events.push_delivered(bytes);
+        self.events.push(SessionEvent::Delivered { bytes });
     }
 
     /// Surface what the last callback changed as session events.
@@ -902,8 +820,8 @@ impl Session {
         }
         let abandoned = self.tracer.read(|c| c.abandoned);
         if abandoned > self.abandoned_seen {
-            self.events
-                .push_ttl_expired(abandoned - self.abandoned_seen);
+            let packets = abandoned - self.abandoned_seen;
+            self.events.push(SessionEvent::TtlExpired { packets });
             self.abandoned_seen = abandoned;
         }
         // Stream data-plane edges.
@@ -919,7 +837,7 @@ impl Session {
             if n > 0 {
                 self.tracer
                     .emit(now.as_nanos(), TraceEventKind::StreamReadable);
-                self.events.push_readable(n);
+                self.events.push(SessionEvent::Readable { messages: n });
             }
         }
         if !self.finished_reported {
@@ -1018,10 +936,12 @@ impl Session {
     }
 }
 
-/// Mounted style: a `Session` is itself an [`Endpoint`], so every existing
-/// driver hosts it. The inner endpoint writes into the driver's outbox
-/// directly, so commands reach the driver in emission order — a
-/// `SimAgent<Session>` replays exactly like a `SimAgent<QtpSender>`.
+/// A `Session` is itself an [`Endpoint`], so every driver hosts it, and
+/// its poll surface drives these same methods: the started / closed gates,
+/// rejection detection and delivery accounting live here once. The inner
+/// endpoint writes into the driver's outbox directly, so commands reach the
+/// driver in emission order — a mounted `Session` replays exactly like its
+/// bare sender or receiver.
 impl Endpoint for Session {
     fn on_start(&mut self, out: &mut Outbox) {
         if self.started || self.closed {
@@ -1029,17 +949,21 @@ impl Endpoint for Session {
         }
         self.started = true;
         let mark = out.queued();
-        self.inner.on_start(out);
+        self.inner.endpoint().on_start(out);
         self.observe(out, mark);
     }
 
     fn handle_datagram(&mut self, out: &mut Outbox, wire_size: u32, header: &[u8]) {
+        // Close-handshake packets pass the gate: a closed receiver must
+        // keep acknowledging retransmitted FINs so the peer can finish.
         if self.closed && !wire::is_close_handshake(header) {
             return;
         }
         self.detect_rejected(out.now, header);
         let mark = out.queued();
-        self.inner.handle_datagram(out, wire_size, header);
+        self.inner
+            .endpoint()
+            .handle_datagram(out, wire_size, header);
         self.observe(out, mark);
     }
 
@@ -1047,8 +971,9 @@ impl Endpoint for Session {
         if self.closed {
             return;
         }
+        // Stale generations are filtered by the endpoint itself.
         let mark = out.queued();
-        self.inner.on_timer(out, token);
+        self.inner.endpoint().on_timer(out, token);
         self.observe(out, mark);
     }
 }
@@ -1086,8 +1011,9 @@ pub struct PairHandles {
 /// registered flows (`<name>` data, `<name>-fb` feedback).
 ///
 /// Mounting the sessions replays byte-identically, for a fixed seed, to
-/// mounting a bare `QtpSender` / `QtpReceiver` pair (the
-/// `session_differential` test holds that), and adds typed events.
+/// mounting the bare sender and receiver endpoints they wrap (this
+/// module's `*_session_wiring_matches_legacy_byte_for_byte` tests hold
+/// that), and adds typed events.
 pub fn attach_pair(
     sim: &mut Simulator,
     sender_node: NodeId,
@@ -1095,6 +1021,21 @@ pub fn attach_pair(
     name: &str,
     plan: &ConnectionPlan,
 ) -> PairHandles {
+    let (tx, rx, handles) = new_pair(sim, sender_node, receiver_node, name, plan);
+    sim.attach_agent(sender_node, Box::new(SimAgent::new(tx)));
+    sim.attach_agent(receiver_node, Box::new(SimAgent::new(rx)));
+    handles
+}
+
+/// Register one connection's two flows and build its two sessions, with
+/// the handles that observe them once they move into the simulator.
+fn new_pair(
+    sim: &mut Simulator,
+    sender_node: NodeId,
+    receiver_node: NodeId,
+    name: &str,
+    plan: &ConnectionPlan,
+) -> (Session, Session, PairHandles) {
     let data_flow = sim.register_flow(name);
     let fb_flow = sim.register_flow(&format!("{name}-fb"));
     let tx = Session::sender(data_flow, receiver_node, plan);
@@ -1109,9 +1050,7 @@ pub fn attach_pair(
         tx_tracer: tx.tracer(),
         rx_tracer: rx.tracer(),
     };
-    sim.attach_agent(sender_node, Box::new(SimAgent::new(tx)));
-    sim.attach_agent(receiver_node, Box::new(SimAgent::new(rx)));
-    handles
+    (tx, rx, handles)
 }
 
 /// Attach several planned connections whose endpoints may share nodes.
@@ -1119,7 +1058,7 @@ pub fn attach_pair(
 /// [`attach_pair`] installs one agent per node, so two connections that
 /// terminate on the same host (a request stream one way and a response
 /// stream the other) silently overwrite each other. This variant groups
-/// all endpoints per node into one [`SimHost`], routing each endpoint's
+/// all sessions per node into one simulator agent, routing each session's
 /// *inbound* flow — the feedback flow for a sender, the data flow for a
 /// receiver — and attaches the hosts in ascending node order so a fixed
 /// seed still replays byte-identically.
@@ -1129,26 +1068,17 @@ pub fn attach_pairs(
 ) -> Vec<PairHandles> {
     let mut hosts: std::collections::BTreeMap<NodeId, SimHost> = std::collections::BTreeMap::new();
     let mut out = Vec::with_capacity(pairs.len());
-    for (sender_node, receiver_node, name, plan) in pairs {
-        let data_flow = sim.register_flow(name);
-        let fb_flow = sim.register_flow(&format!("{name}-fb"));
-        let tx = Session::sender(data_flow, *receiver_node, plan);
-        let rx = Session::receiver(data_flow, fb_flow, *sender_node, plan);
-        out.push(PairHandles {
-            data_flow,
-            fb_flow,
-            tx_events: tx.events(),
-            rx_events: rx.events(),
-            tx_stream: tx.send_stream(),
-            rx_stream: rx.recv_stream(),
-            tx_tracer: tx.tracer(),
-            rx_tracer: rx.tracer(),
-        });
-        hosts.entry(*sender_node).or_default().add(tx, [fb_flow]);
+    for &(sender_node, receiver_node, name, ref plan) in pairs {
+        let (tx, rx, handles) = new_pair(sim, sender_node, receiver_node, name, plan);
         hosts
-            .entry(*receiver_node)
+            .entry(sender_node)
             .or_default()
-            .add(rx, [data_flow]);
+            .add(tx, [handles.fb_flow]);
+        hosts
+            .entry(receiver_node)
+            .or_default()
+            .add(rx, [handles.data_flow]);
+        out.push(handles);
     }
     for (node, host) in hosts {
         sim.attach_agent(node, Box::new(host));
@@ -1305,7 +1235,7 @@ pub(crate) fn plan_complete(
     let Some(packets) = plan.finite_packets() else {
         return false;
     };
-    if plan.effective_reliability(negotiated) == ReliabilityMode::Full {
+    if plan.effective_reliability(negotiated) == Reliability::Full {
         delivered_bytes >= packets * plan.payload as u64
     } else {
         tx.read(|c| c.data_pkts_tx - c.retransmits) >= packets
@@ -1496,16 +1426,25 @@ mod tests {
 
     #[test]
     fn presets_match_capability_presets() {
-        assert_eq!(
-            Profile::qtp_af(Rate::from_mbps(2)).caps(),
-            CapabilitySet::qtp_af(Rate::from_mbps(2))
-        );
-        assert_eq!(Profile::qtp_light().caps(), CapabilitySet::qtp_light());
-        assert_eq!(Profile::tfrc().caps(), CapabilitySet::tfrc_standard());
+        // Every preset is a composition the builder accepts, unchanged.
         let ttl = Duration::from_millis(150);
+        for p in [
+            Profile::qtp_af(Rate::from_mbps(2)),
+            Profile::qtp_light(),
+            Profile::qtp_light_partial(ttl).unwrap(),
+            Profile::tfrc(),
+            Profile::cubic(),
+            Profile::bbr_lite(),
+        ] {
+            assert_eq!(Profile::try_from(p.caps()), Ok(p));
+        }
+        assert_eq!(Profile::new().build(), Ok(Profile::tfrc()));
         assert_eq!(
             Profile::qtp_light_partial(ttl).unwrap().caps(),
-            CapabilitySet::qtp_light_partial(ttl)
+            CapabilitySet {
+                reliability: Reliability::Ttl(ttl),
+                ..Profile::qtp_light().caps()
+            }
         );
         assert_eq!(
             Profile::qtp_light_partial(Duration::ZERO),
@@ -1673,7 +1612,7 @@ mod tests {
         // the type + timestamp) is garbage.
         let mut syn = QtpPacket::Syn {
             ts_nanos: 7,
-            offered: CapabilitySet::qtp_light(),
+            offered: Profile::qtp_light().caps(),
         }
         .encode();
         syn[9] = 0xEE;
@@ -1704,7 +1643,7 @@ mod tests {
 
         let mut syn = QtpPacket::Syn {
             ts_nanos: 7,
-            offered: CapabilitySet::qtp_light(),
+            offered: Profile::qtp_light().caps(),
         }
         .encode();
         // type(1) + ts(8) + rel code(1) + rel param(8) + fb(1) = offset of
@@ -1732,7 +1671,7 @@ mod tests {
         assert!(tx.is_closed());
         let syn_ack = QtpPacket::SynAck {
             ts_echo_nanos: 0,
-            chosen: CapabilitySet::qtp_light(),
+            chosen: Profile::qtp_light().caps(),
         }
         .encode();
         tx.handle_input(SimTime::from_millis(1), 64, &syn_ack);
@@ -1785,7 +1724,7 @@ mod tests {
                 .horizon(Duration::from_secs(20));
         let o = &backend.run(std::slice::from_ref(&plan)).unwrap()[0];
         let negotiated = o.negotiated.expect("handshake completed");
-        assert_eq!(negotiated.reliability, ReliabilityMode::None, "downgraded");
+        assert_eq!(negotiated.reliability, Reliability::None, "downgraded");
         assert!(
             o.completion_s.is_some(),
             "downgraded connection completes once its backlog is transmitted"
@@ -1865,5 +1804,258 @@ mod tests {
         (0..len as u64)
             .map(|i| ((i ^ salt).wrapping_mul(2654435761) >> 7) as u8)
             .collect()
+    }
+
+    // ---- mounted sessions vs the bare endpoints they wrap --------------
+
+    /// One fixed-seed lossy, RED-queued scenario that exercises
+    /// retransmission, feedback and timers: wire a connection, run 30
+    /// virtual seconds, then render the flow stats and both sides' full
+    /// counter sets, snapshotted strictly after the run.
+    fn differential_run(
+        seed: u64,
+        wire: impl FnOnce(&mut Simulator) -> (FlowId, Tracer, Tracer, Option<SessionEvents>),
+    ) -> (String, Option<Vec<SessionEvent>>) {
+        let mut b = NetworkBuilder::new();
+        let s = b.host();
+        let r = b.host();
+        b.simplex_link(
+            s,
+            r,
+            LinkConfig::new(Rate::from_mbps(5), Duration::from_millis(25))
+                .with_loss(LossModel::bernoulli(0.02))
+                .with_queue(QueueConfig::Red(RedParams::default())),
+        );
+        b.simplex_link(
+            r,
+            s,
+            LinkConfig::new(Rate::from_mbps(5), Duration::from_millis(25)),
+        );
+        let mut sim = b.build(seed);
+        let (data_flow, tx, rx, events) = wire(&mut sim);
+        sim.run_until(SimTime::from_secs(30));
+        let rendered = format!(
+            "flow={:?}\nfb={:?}\ntx={:?}\nrx={:?}",
+            sim.stats().flow(data_flow),
+            sim.stats().flow(data_flow + 1),
+            tx.counters(),
+            rx.counters(),
+        );
+        (rendered, events.map(|e| e.drain()))
+    }
+
+    /// The behaviour-preservation proof for the session layer: for a fixed
+    /// seed, [`attach_pair`] replays byte-identically to mounting the bare
+    /// sender and receiver it wraps in [`SimAgent`]s — the session only adds
+    /// typed events on top. This is what lets the rest of the tree use
+    /// sessions without touching the committed claims ledger.
+    fn differential(plan: ConnectionPlan) {
+        for seed in [7u64, 42] {
+            let (bare, _) = differential_run(seed, |sim| {
+                let data_flow = sim.register_flow("diff");
+                let fb_flow = sim.register_flow("diff-fb");
+                let tx = QtpSender::new(data_flow, 1, plan.sender_config());
+                let rx = QtpReceiver::new(data_flow, fb_flow, 0, plan.receiver_config());
+                let tracers = (tx.tracer(), rx.tracer());
+                sim.attach_agent(0, Box::new(SimAgent::new(tx)));
+                sim.attach_agent(1, Box::new(SimAgent::new(rx)));
+                (data_flow, tracers.0, tracers.1, None)
+            });
+            let (session, events) = differential_run(seed, |sim| {
+                let h = attach_pair(sim, 0, 1, "diff", &plan);
+                (h.data_flow, h.tx_tracer, h.rx_tracer, Some(h.tx_events))
+            });
+            assert_eq!(
+                bare, session,
+                "seed {seed}: session wiring must replay the bare endpoints byte-identically"
+            );
+            assert!(
+                events
+                    .unwrap()
+                    .iter()
+                    .any(|e| matches!(e, SessionEvent::Connected { .. })),
+                "seed {seed}: sender session observed Connected"
+            );
+        }
+    }
+
+    #[test]
+    fn qtpaf_session_wiring_matches_legacy_byte_for_byte() {
+        differential(ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(1))).finite(500));
+    }
+
+    #[test]
+    fn qtplight_session_wiring_matches_legacy_byte_for_byte() {
+        differential(ConnectionPlan::new(Profile::qtp_light()));
+    }
+
+    #[test]
+    fn ttl_partial_session_wiring_matches_legacy_byte_for_byte() {
+        let ttl = Duration::from_millis(120);
+        differential(ConnectionPlan::new(
+            Profile::qtp_light_partial(ttl).expect("nonzero TTL"),
+        ));
+    }
+
+    // ---- the poll surface vs the Endpoint path -------------------------
+
+    /// One input of a receiver script.
+    enum Input {
+        Start,
+        Datagram(Vec<u8>),
+        /// Fire every timer due now.
+        Tick,
+        Abort,
+    }
+
+    /// What one input made a session do: the datagrams it transmitted and
+    /// the timers it armed (`(deadline, token)`), both in order, the events
+    /// it raised, and its counters afterwards.
+    type Effects = (
+        Vec<Transmit>,
+        Vec<(SimTime, u64)>,
+        Vec<SessionEvent>,
+        CounterSet,
+    );
+
+    /// Feed `script` to a receiver session through the poll surface.
+    fn through_poll_surface(plan: &ConnectionPlan, script: &[(SimTime, Input)]) -> Vec<Effects> {
+        let mut s = Session::receiver(0, 1, 0, plan);
+        let mut effects = Vec::new();
+        for (now, input) in script {
+            let seen = s.timer_seq;
+            match input {
+                Input::Start => s.start(*now),
+                Input::Datagram(h) => s.handle_input(*now, h.len() as u32 + wire::IP_OVERHEAD, h),
+                Input::Tick => s.on_timeout(*now),
+                Input::Abort => s.abort(),
+            }
+            let transmits = std::iter::from_fn(|| s.poll_transmit()).collect();
+            let mut armed: Vec<_> = s.timers.iter().filter(|t| t.0 .1 > seen).collect();
+            armed.sort_by_key(|t| t.0 .1);
+            let armed = armed.iter().map(|t| (t.0 .0, t.0 .2)).collect();
+            effects.push((transmits, armed, s.events().drain(), s.tracer().counters()));
+        }
+        effects
+    }
+
+    /// Feed `script` to a receiver session mounted through [`Endpoint`], with
+    /// a hand-held outbox and timer heap kept the way the drivers keep them.
+    fn through_endpoint(plan: &ConnectionPlan, script: &[(SimTime, Input)]) -> Vec<Effects> {
+        let mut s = Session::receiver(0, 1, 0, plan);
+        let mut out = Outbox::new();
+        let mut timers = BinaryHeap::new();
+        let mut armed_total = 0u64;
+        let mut effects = Vec::new();
+        for (now, input) in script {
+            out.now = *now;
+            let (mut transmits, mut armed) = (Vec::new(), Vec::new());
+            let mut drain = |out: &mut Outbox, timers: &mut BinaryHeap<_>| {
+                while let Some(cmd) = out.poll_cmd() {
+                    match cmd {
+                        Command::Transmit(t) => transmits.push(t),
+                        Command::SetTimer { at, token } => {
+                            armed_total += 1;
+                            timers.push(Reverse((at, armed_total, token)));
+                            armed.push((at, token));
+                        }
+                        Command::Deliver { .. } => {}
+                    }
+                }
+            };
+            match input {
+                Input::Start => s.on_start(&mut out),
+                Input::Datagram(h) => {
+                    s.handle_datagram(&mut out, h.len() as u32 + wire::IP_OVERHEAD, h)
+                }
+                Input::Tick => {
+                    while let Some(Reverse((at, _, token))) = timers.peek().copied() {
+                        if at > *now {
+                            break;
+                        }
+                        timers.pop();
+                        s.on_timer(&mut out, token);
+                        drain(&mut out, &mut timers);
+                    }
+                }
+                Input::Abort => s.abort(),
+            }
+            drain(&mut out, &mut timers);
+            effects.push((transmits, armed, s.events().drain(), s.tracer().counters()));
+        }
+        effects
+    }
+
+    /// Both ways of driving a `Session` must stay one path: a fixed receiver
+    /// script — start, a malformed-caps SYN, a valid SYN, data with a hole
+    /// around a feedback tick, FIN, then input after `abort()` — produces
+    /// the same bytes in the same order, the same timers, events and
+    /// counters.
+    #[test]
+    fn the_poll_surface_and_the_endpoint_path_cannot_fork() {
+        let profile = Profile::new()
+            .reliability(Reliability::Budget(2))
+            .feedback(FeedbackMode::SenderLoss)
+            .build()
+            .unwrap();
+        let plan = ConnectionPlan::new(profile).stream(StreamConfig::default());
+        let syn = QtpPacket::Syn {
+            ts_nanos: 1_000,
+            offered: profile.caps(),
+        }
+        .encode();
+        let mut bad_syn = syn.clone();
+        bad_syn[9] = 0xEE;
+        let data = |seq: u64| {
+            QtpPacket::StreamData {
+                seq,
+                ts_nanos: 5_000_000 + seq,
+                adu_ts_nanos: 5_000_000,
+                rtt_hint_micros: 20_000,
+                is_retx: false,
+                ttl_micros: 0,
+                payload: vec![seq as u8; 100],
+            }
+            .encode()
+        };
+        let fin = QtpPacket::Fin { final_seq: 3 }.encode();
+        let at = SimTime::from_millis;
+        let script = [
+            (at(0), Input::Start),
+            (at(1), Input::Datagram(bad_syn)),
+            (at(2), Input::Datagram(syn)),
+            (at(10), Input::Datagram(data(0))),
+            (at(40), Input::Tick),
+            (at(41), Input::Datagram(data(2))),
+            (at(50), Input::Datagram(fin.clone())),
+            (at(60), Input::Abort),
+            (at(70), Input::Datagram(data(3))),
+            (at(80), Input::Datagram(fin)),
+            (at(1000), Input::Tick),
+        ];
+        let polled = through_poll_surface(&plan, &script);
+        let mounted = through_endpoint(&plan, &script);
+        for (i, (p, m)) in polled.iter().zip(&mounted).enumerate() {
+            assert_eq!(p, m, "input {i} forked the two paths");
+        }
+
+        // The script reached every gate it is meant to cover.
+        let events: Vec<&SessionEvent> = polled.iter().flat_map(|e| &e.2).collect();
+        for expected in [
+            SessionEvent::Rejected {
+                error: CapsError::BadReliability(0xEE),
+            },
+            SessionEvent::Finished,
+            SessionEvent::Closed,
+        ] {
+            assert!(events.contains(&&expected), "no {expected:?} in {events:?}");
+        }
+        assert!(!polled[4].0.is_empty(), "the feedback timer fired");
+        assert!(!polled[5].0.is_empty(), "the hole drew immediate feedback");
+        assert!(polled[8].0.is_empty(), "data after abort is ignored");
+        assert!(
+            wire::is_close_handshake(&polled[9].0[0].header),
+            "a FIN after abort is still acknowledged"
+        );
     }
 }

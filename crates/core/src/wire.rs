@@ -15,7 +15,7 @@
 //! rates as `u64` bytes/second; timestamps as `u64` nanoseconds.
 
 use crate::bufext::{Buf, BufMut};
-use qtp_sack::{ReliabilityMode, SeqRange};
+use qtp_sack::{Reliability, SeqRange};
 
 use crate::caps::{self, CapabilitySet, CapsError, CcKind, FeedbackMode};
 
@@ -126,8 +126,8 @@ pub const MAX_STREAM_PAYLOAD: usize = 1400;
 fn put_caps(out: &mut Vec<u8>, caps: &CapabilitySet) {
     out.put_u8(caps.reliability.wire_code());
     let rel_param: u64 = match caps.reliability {
-        ReliabilityMode::PartialTtl(d) => d.as_micros() as u64,
-        ReliabilityMode::PartialRetx(n) => n as u64,
+        Reliability::Ttl(d) => d.as_micros() as u64,
+        Reliability::Budget(n) => n as u64,
         _ => 0,
     };
     out.put_u64(rel_param);
@@ -551,6 +551,7 @@ pub fn ppb_to_p(ppb: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Profile;
     use qtp_simnet::time::Rate;
     use std::time::Duration;
 
@@ -561,15 +562,17 @@ mod tests {
 
     #[test]
     fn syn_roundtrips_all_profiles() {
-        let mut cubic = CapabilitySet::tfrc_standard();
+        let mut cubic = Profile::tfrc().caps();
         cubic.cc = CcKind::Cubic;
-        let mut bbr = CapabilitySet::tfrc_standard();
+        let mut bbr = Profile::tfrc().caps();
         bbr.cc = CcKind::BbrLite;
         for caps in [
-            CapabilitySet::qtp_af(Rate::from_mbps(3)),
-            CapabilitySet::qtp_light(),
-            CapabilitySet::qtp_light_partial(Duration::from_millis(150)),
-            CapabilitySet::tfrc_standard(),
+            Profile::qtp_af(Rate::from_mbps(3)).caps(),
+            Profile::qtp_light().caps(),
+            Profile::qtp_light_partial(Duration::from_millis(150))
+                .unwrap()
+                .caps(),
+            Profile::tfrc().caps(),
             cubic,
             bbr,
         ] {
@@ -591,7 +594,7 @@ mod tests {
     fn unknown_cc_code_in_syn_decodes_to_bad_capability() {
         let mut bytes = QtpPacket::Syn {
             ts_nanos: 1,
-            offered: CapabilitySet::tfrc_standard(),
+            offered: Profile::tfrc().caps(),
         }
         .encode();
         // Layout: type(1) + ts(8) + rel code(1) + rel param(8) + fb(1),

@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 use qtp_core::session::{Profile, ProfileError, Reliability};
 use qtp_core::{caps, CapabilitySet, CapsError, CcKind, FeedbackMode};
-use qtp_sack::ReliabilityMode;
 use qtp_simnet::time::Rate;
 use std::time::Duration;
 
@@ -62,7 +61,7 @@ proptest! {
         prop_assert_eq!(profile.cc(), cc);
         // Lossless down-conversion…
         let wire: CapabilitySet = profile.into();
-        prop_assert_eq!(ReliabilityMode::from(rel), wire.reliability);
+        prop_assert_eq!(rel, wire.reliability);
         // …and lossless up-conversion.
         let back = Profile::try_from(wire).expect("wire set came from a valid profile");
         prop_assert_eq!(back, profile);

@@ -11,8 +11,7 @@
 //! wall-clock, so socket-backend reports are *not* byte-deterministic —
 //! the deterministic claims all live on the sim backend.
 
-use qtp_core::session::{Backend, ConnectionOutcome, ConnectionPlan, Session};
-use qtp_sack::ReliabilityMode;
+use qtp_core::session::{Backend, ConnectionOutcome, ConnectionPlan, Reliability, Session};
 use std::io;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -32,7 +31,7 @@ fn tx_complete(plan: &ConnectionPlan, tx: &Session) -> bool {
         return false;
     };
     let sent_all = tx.sent_new() >= packets;
-    if plan.effective_reliability(tx.negotiated()) == ReliabilityMode::Full {
+    if plan.effective_reliability(tx.negotiated()) == Reliability::Full {
         sent_all && tx.all_acked()
     } else {
         sent_all
@@ -184,7 +183,7 @@ impl Backend for MuxBackend {
 mod tests {
     use super::*;
     use qtp_core::session::Profile;
-    use qtp_core::{CapabilitySet, ServerPolicy};
+    use qtp_core::ServerPolicy;
     use qtp_simnet::time::Rate;
 
     fn mixed_plans(packets: u64) -> Vec<ConnectionPlan> {
@@ -211,7 +210,7 @@ mod tests {
         assert_eq!(outcomes[0].delivered_bytes, 10 * 1000);
         assert_eq!(
             outcomes[0].negotiated,
-            Some(ServerPolicy::default().negotiate(CapabilitySet::qtp_af(Rate::from_kbps(500))))
+            Some(ServerPolicy::default().negotiate(Profile::qtp_af(Rate::from_kbps(500)).caps()))
         );
         assert!(outcomes[1].negotiated.is_some());
     }

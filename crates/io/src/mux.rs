@@ -46,12 +46,11 @@
 //!   ([`MuxDriver::close`]) or through idle reaping
 //!   ([`MuxDriver::reap_stale`]).
 //!
-//! `MuxDriver` is generic over the endpoint type: a homogeneous mux
-//! (`MuxDriver<QtpReceiver>` on a server) keeps typed access to its
-//! endpoints, and `MuxDriver<Box<dyn Endpoint>>` mixes senders and
-//! receivers on one socket. Strictly single-threaded, like everything else
-//! in this crate; batching (recvmmsg/GSO) and async runtimes layer on top
-//! of this seam later.
+//! `MuxDriver` is generic over the endpoint type: `MuxDriver<Session>`,
+//! the usual mount, keeps typed access to its sessions, and test doubles
+//! implement [`Endpoint`] directly. Strictly single-threaded, like
+//! everything else in this crate; batching (recvmmsg/GSO) and async
+//! runtimes layer on top of this seam later.
 
 use qtp_core::driver::{Command, Endpoint, Outbox, Transmit};
 use qtp_simnet::packet::FlowId;
@@ -111,7 +110,7 @@ struct TimerEntry {
 
 /// A hashed timer wheel over all connections of a mux.
 ///
-/// Entries are bucketed by deadline into [`WHEEL_SLOTS`] slots of fixed
+/// Entries are bucketed by deadline into 256 slots of fixed
 /// granularity; [`TimerWheel::advance`] drains every entry due at `now`, in
 /// exact `(deadline, arming order)` order — the granularity affects only
 /// bucketing cost, never fire order. Entries are tagged with their

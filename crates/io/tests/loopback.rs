@@ -4,10 +4,8 @@
 //! *does* (same negotiated capabilities, same delivered ADU sequence) for
 //! a loss-free run.
 
-use qtp_core::session::{attach_pair, ConnectionPlan, Profile};
-use qtp_core::{
-    CapabilitySet, QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, ServerPolicy,
-};
+use qtp_core::session::{attach_pair, ConnectionPlan, Profile, Session};
+use qtp_core::ServerPolicy;
 use qtp_io::{drive_mux_pair, Accepted, ConnStats, MuxDriver, MuxStats};
 use qtp_simnet::prelude::*;
 use std::time::Duration;
@@ -15,35 +13,33 @@ use std::time::Duration;
 const PACKETS: u64 = 40;
 const PAYLOAD: u64 = 1000;
 
-/// One side of a finished loopback run: the endpoint plus what its socket
+/// One side of a finished loopback run: the session plus what its socket
 /// and its connection counted.
-struct Side<E> {
-    ep: E,
+struct Side {
+    ep: Session,
     stats: MuxStats,
     conn: ConnStats,
 }
 
 /// Run one QTP connection over two loopback UDP sockets — a one-connection
-/// mux on each side, the receiver accepted on the first frame — until the
-/// transfer completes (or a generous wall-clock deadline passes). Returns
-/// both sides for post-run inspection.
-fn run_loopback(
-    cfg: QtpSenderConfig,
-    done_needs_acks: bool,
-) -> (Side<QtpSender>, Side<QtpReceiver>) {
-    let mut rx: MuxDriver<QtpReceiver> = MuxDriver::bind("127.0.0.1:0").expect("bind receiver");
-    rx.set_acceptor(|_, frame| {
+/// mux of sessions on each side, the receiver accepted on the first frame —
+/// until the transfer completes (or a generous wall-clock deadline passes).
+/// Returns both sides for post-run inspection.
+fn run_loopback(plan: &ConnectionPlan, done_needs_acks: bool) -> (Side, Side) {
+    let mut rx: MuxDriver<Session> = MuxDriver::bind("127.0.0.1:0").expect("bind receiver");
+    let rx_plan = plan.clone();
+    rx.set_acceptor(move |_, frame| {
         (frame.flow == 0).then(|| Accepted {
-            endpoint: QtpReceiver::new(0, 1, 0, QtpReceiverConfig::default()),
+            endpoint: Session::receiver(0, 1, 0, &rx_plan),
             flows: vec![0, 1],
         })
     });
     let peer = rx.local_addr().expect("local addr");
 
-    let mut tx: MuxDriver<QtpSender> = MuxDriver::bind("127.0.0.1:0").expect("bind sender");
+    let mut tx: MuxDriver<Session> = MuxDriver::bind("127.0.0.1:0").expect("bind sender");
     let tx_addr = tx.local_addr().expect("local addr");
     let tx_id = tx
-        .add_connection(peer, vec![0, 1], QtpSender::new(0, 1, cfg))
+        .add_connection(peer, vec![0, 1], Session::sender(0, 1, plan))
         .expect("register sender");
 
     // Gate on delivered *bytes*: under unreliable profiles the receiver
@@ -78,14 +74,12 @@ fn run_loopback(
 
 #[test]
 fn reliable_transfer_over_loopback_completes() {
-    let cfg = ConnectionPlan::new(Profile::qtp_af(Rate::from_kbps(500)))
-        .finite(PACKETS)
-        .sender_config();
-    let (tx, rx) = run_loopback(cfg.clone(), true);
+    let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_kbps(500))).finite(PACKETS);
+    let (tx, rx) = run_loopback(&plan, true);
 
     // Handshake: both ends converged on the same negotiated profile, and it
     // is exactly what the default server policy yields for this offer.
-    let expected = ServerPolicy::default().negotiate(cfg.offered);
+    let expected = ServerPolicy::default().negotiate(plan.profile.caps());
     assert_eq!(tx.ep.negotiated(), Some(expected));
     assert_eq!(rx.ep.negotiated(), Some(expected));
 
@@ -108,7 +102,6 @@ fn reliable_transfer_over_loopback_completes() {
 #[test]
 fn sim_and_socket_backends_agree_loss_free() {
     let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_kbps(500))).finite(PACKETS);
-    let cfg = plan.sender_config();
 
     // --- simulator backend, loss-free path -----------------------------
     let mut b = NetworkBuilder::new();
@@ -126,11 +119,11 @@ fn sim_and_socket_backends_agree_loss_free() {
     let sim_delivered_pkts = sim_delivered_bytes / PAYLOAD;
 
     // --- socket backend, loopback ---------------------------------------
-    let (tx, rx) = run_loopback(cfg.clone(), true);
+    let (tx, rx) = run_loopback(&plan, true);
 
     // Negotiation agrees (and matches the pure negotiation function, which
     // is what the simulator's endpoints run too).
-    let expected = ServerPolicy::default().negotiate(cfg.offered);
+    let expected = ServerPolicy::default().negotiate(plan.profile.caps());
     assert_eq!(tx.ep.negotiated(), Some(expected));
     assert_eq!(rx.ep.negotiated(), Some(expected));
 
@@ -149,13 +142,10 @@ fn qtp_light_negotiates_identically_on_both_backends() {
     // (SenderLoss feedback, no reliability). Negotiation is the part that
     // must agree exactly; unreliable delivery counts are not compared
     // (raw UDP makes no ordering/loss promises).
-    let cfg = ConnectionPlan::new(Profile::qtp_light())
-        .finite(PACKETS)
-        .sender_config();
-    let offered: CapabilitySet = cfg.offered;
+    let plan = ConnectionPlan::new(Profile::qtp_light()).finite(PACKETS);
 
-    let (tx, rx) = run_loopback(cfg, false);
-    let expected = ServerPolicy::default().negotiate(offered);
+    let (tx, rx) = run_loopback(&plan, false);
+    let expected = ServerPolicy::default().negotiate(plan.profile.caps());
     assert_eq!(tx.ep.negotiated(), Some(expected));
     assert_eq!(rx.ep.negotiated(), Some(expected));
     assert!(rx.conn.delivered_bytes >= PACKETS * PAYLOAD);

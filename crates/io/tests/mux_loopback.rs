@@ -3,8 +3,8 @@
 //! capability negotiation and fully-reliable transfer, with server-side
 //! connections created on first frame and torn down/reaped afterwards.
 
-use qtp_core::session::{ConnectionPlan, Profile};
-use qtp_core::{CapabilitySet, QtpReceiver, QtpReceiverConfig, QtpSender, ServerPolicy};
+use qtp_core::session::{ConnectionPlan, Profile, Session};
+use qtp_core::ServerPolicy;
 use qtp_io::mux::{drive_mux_pair, Accepted, ConnId, MuxDriver};
 use qtp_simnet::prelude::*;
 use std::time::Duration;
@@ -19,32 +19,37 @@ fn flow_pair(i: u32) -> (FlowId, FlowId) {
     (2 * i, 2 * i + 1)
 }
 
-#[test]
-fn one_socket_carries_64_reliable_flows() {
-    // Server: one socket, connections accepted on first frame (the SYN).
-    let mut server: MuxDriver<QtpReceiver> = MuxDriver::bind("127.0.0.1:0").expect("bind server");
-    server.set_acceptor(|_, frame| {
-        // Data flows are even by convention; the paired feedback flow is
-        // the next odd id.
-        if frame.flow % 2 != 0 {
-            return None;
-        }
-        Some(Accepted {
-            endpoint: QtpReceiver::new(frame.flow, frame.flow + 1, 0, QtpReceiverConfig::default()),
+/// The plan every connection here runs: a finite, fully reliable transfer.
+fn plan() -> ConnectionPlan {
+    ConnectionPlan::new(Profile::qtp_af(Rate::from_kbps(500))).finite(PACKETS)
+}
+
+/// A server mux of sessions accepting every even (data) flow on its first
+/// frame, with the paired feedback flow the next odd id.
+fn server() -> MuxDriver<Session> {
+    let mut server: MuxDriver<Session> = MuxDriver::bind("127.0.0.1:0").expect("bind server");
+    let plan = plan();
+    server.set_acceptor(move |_, frame| {
+        (frame.flow % 2 == 0).then(|| Accepted {
+            endpoint: Session::receiver(frame.flow, frame.flow + 1, 0, &plan),
             flows: vec![frame.flow, frame.flow + 1],
         })
     });
+    server
+}
+
+#[test]
+fn one_socket_carries_64_reliable_flows() {
+    // Server: one socket, connections accepted on first frame (the SYN).
+    let mut server = server();
     let server_addr = server.local_addr().expect("server addr");
 
     // Client: one socket, 64 senders added explicitly.
-    let mut client: MuxDriver<QtpSender> = MuxDriver::bind("127.0.0.1:0").expect("bind client");
+    let mut client: MuxDriver<Session> = MuxDriver::bind("127.0.0.1:0").expect("bind client");
     let mut conns: Vec<ConnId> = Vec::new();
     for i in 0..FLOWS {
         let (data, fb) = flow_pair(i);
-        let cfg = ConnectionPlan::new(Profile::qtp_af(Rate::from_kbps(500)))
-            .finite(PACKETS)
-            .sender_config();
-        let sender = QtpSender::new(data, 0, cfg);
+        let sender = Session::sender(data, 0, &plan());
         conns.push(
             client
                 .add_connection(server_addr, vec![data, fb], sender)
@@ -70,7 +75,7 @@ fn one_socket_carries_64_reliable_flows() {
 
     // Every connection negotiated the same profile the pure policy yields,
     // and every byte of every flow was delivered exactly once.
-    let expected = ServerPolicy::default().negotiate(CapabilitySet::qtp_af(Rate::from_kbps(500)));
+    let expected = ServerPolicy::default().negotiate(plan().profile.caps());
     assert_eq!(
         server.conn_count(),
         FLOWS as usize,
@@ -118,21 +123,12 @@ fn one_socket_carries_64_reliable_flows() {
 /// socket mid-handshake.
 #[test]
 fn mux_isolates_flows_from_foreign_traffic() {
-    let mut server: MuxDriver<QtpReceiver> = MuxDriver::bind("127.0.0.1:0").unwrap();
-    server.set_acceptor(|_, frame| {
-        (frame.flow % 2 == 0).then(|| Accepted {
-            endpoint: QtpReceiver::new(frame.flow, frame.flow + 1, 0, QtpReceiverConfig::default()),
-            flows: vec![frame.flow, frame.flow + 1],
-        })
-    });
+    let mut server = server();
     let server_addr = server.local_addr().unwrap();
 
-    let mut client: MuxDriver<QtpSender> = MuxDriver::bind("127.0.0.1:0").unwrap();
-    let cfg = ConnectionPlan::new(Profile::qtp_af(Rate::from_kbps(500)))
-        .finite(PACKETS)
-        .sender_config();
+    let mut client: MuxDriver<Session> = MuxDriver::bind("127.0.0.1:0").unwrap();
     let conn = client
-        .add_connection(server_addr, vec![0, 1], QtpSender::new(0, 0, cfg))
+        .add_connection(server_addr, vec![0, 1], Session::sender(0, 0, &plan()))
         .unwrap();
 
     // Foreign noise into the server socket from a third party.

@@ -13,7 +13,7 @@
 //! * [`scoreboard::Scoreboard`] — sender state: SACK bookkeeping, DupThresh
 //!   loss declaration with original send timestamps, retransmission counts;
 //! * [`reliability::ReliabilityPolicy`] — the negotiable service levels:
-//!   `None`, `Full`, `PartialTtl`, `PartialRetx` deciding
+//!   `None`, `Full`, `Ttl`, `Budget` deciding
 //!   retransmit-vs-abandon per lost sequence.
 //!
 //! Everything is sans-io and metered (see [`qtp_metrics`]): the receiver
@@ -26,5 +26,5 @@ pub mod scoreboard;
 
 pub use ranges::{RangeSet, SeqRange};
 pub use reassembly::{Arrival, ReceiverBuffer, MAX_SACK_BLOCKS};
-pub use reliability::{Adu, LossDecision, ReliabilityMode, ReliabilityPolicy};
+pub use reliability::{Adu, LossDecision, Reliability, ReliabilityPolicy};
 pub use scoreboard::{SackDigest, Scoreboard, DUP_THRESH};

@@ -13,33 +13,36 @@ use std::time::Duration;
 
 use crate::ranges::SeqRange;
 
-/// Per-connection (or per-ADU-class) reliability mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReliabilityMode {
+/// The reliability axis (axis 1 of the paper), per connection: what the
+/// handshake negotiates and what the sender's policy enforces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reliability {
     /// Pure datagram service: never retransmit (plain TFRC streaming).
     None,
     /// Retransmit every loss until acknowledged (QTPAF).
     Full,
-    /// Retransmit only while the ADU is younger than this age; stale media
-    /// frames are abandoned (typical streaming profile).
-    PartialTtl(Duration),
-    /// Give each sequence at most this many retransmissions.
-    PartialRetx(u32),
+    /// Partial reliability: retransmit only while the ADU is younger than
+    /// this age; stale ADUs are abandoned with a `FWD` (typical streaming
+    /// profile).
+    Ttl(Duration),
+    /// Partial reliability: give each sequence at most this many
+    /// retransmissions.
+    Budget(u32),
 }
 
-impl ReliabilityMode {
+impl Reliability {
     /// Does this mode ever retransmit?
     pub fn retransmits(&self) -> bool {
-        !matches!(self, ReliabilityMode::None)
+        !matches!(self, Reliability::None)
     }
 
     /// Stable wire code for negotiation (see `qtp-core`'s handshake).
     pub fn wire_code(&self) -> u8 {
         match self {
-            ReliabilityMode::None => 0,
-            ReliabilityMode::Full => 1,
-            ReliabilityMode::PartialTtl(_) => 2,
-            ReliabilityMode::PartialRetx(_) => 3,
+            Reliability::None => 0,
+            Reliability::Full => 1,
+            Reliability::Ttl(_) => 2,
+            Reliability::Budget(_) => 3,
         }
     }
 }
@@ -60,7 +63,7 @@ pub struct Adu {
 /// "should this lost sequence be retransmitted, or abandoned?".
 #[derive(Debug, Clone)]
 pub struct ReliabilityPolicy {
-    mode: ReliabilityMode,
+    mode: Reliability,
     /// ADUs by first sequence; pruned as the cumulative ack advances.
     adus: BTreeMap<u64, Adu>,
     next_adu_id: u64,
@@ -78,7 +81,7 @@ pub enum LossDecision {
 }
 
 impl ReliabilityPolicy {
-    pub fn new(mode: ReliabilityMode) -> Self {
+    pub fn new(mode: Reliability) -> Self {
         ReliabilityPolicy {
             mode,
             adus: BTreeMap::new(),
@@ -88,7 +91,7 @@ impl ReliabilityPolicy {
     }
 
     /// The configured mode.
-    pub fn mode(&self) -> ReliabilityMode {
+    pub fn mode(&self) -> Reliability {
         self.mode
     }
 
@@ -120,16 +123,16 @@ impl ReliabilityPolicy {
     /// has already been retransmitted.
     pub fn on_loss(&mut self, seq: u64, now: SimTime, retx_count: u32) -> LossDecision {
         let decision = match self.mode {
-            ReliabilityMode::None => LossDecision::Abandon,
-            ReliabilityMode::Full => LossDecision::Retransmit,
-            ReliabilityMode::PartialTtl(ttl) => match self.adu_of(seq) {
+            Reliability::None => LossDecision::Abandon,
+            Reliability::Full => LossDecision::Retransmit,
+            Reliability::Ttl(ttl) => match self.adu_of(seq) {
                 Some(adu) if now.saturating_since(adu.submitted_at) < ttl => {
                     LossDecision::Retransmit
                 }
                 // Unknown ADU (already pruned => old) or expired: abandon.
                 _ => LossDecision::Abandon,
             },
-            ReliabilityMode::PartialRetx(limit) => {
+            Reliability::Budget(limit) => {
                 if retx_count < limit {
                     LossDecision::Retransmit
                 } else {
@@ -171,7 +174,7 @@ mod tests {
 
     #[test]
     fn full_always_retransmits() {
-        let mut p = ReliabilityPolicy::new(ReliabilityMode::Full);
+        let mut p = ReliabilityPolicy::new(Reliability::Full);
         p.register_adu(SeqRange::new(0, 10), ts(0));
         for retx in 0..20 {
             assert_eq!(p.on_loss(5, ts(100_000), retx), LossDecision::Retransmit);
@@ -181,7 +184,7 @@ mod tests {
 
     #[test]
     fn none_never_retransmits() {
-        let mut p = ReliabilityPolicy::new(ReliabilityMode::None);
+        let mut p = ReliabilityPolicy::new(Reliability::None);
         p.register_adu(SeqRange::new(0, 10), ts(0));
         assert_eq!(p.on_loss(3, ts(1), 0), LossDecision::Abandon);
         assert_eq!(p.forward_point(0), Some(4));
@@ -190,7 +193,7 @@ mod tests {
     #[test]
     fn ttl_retransmits_fresh_abandons_stale() {
         let ttl = Duration::from_millis(100);
-        let mut p = ReliabilityPolicy::new(ReliabilityMode::PartialTtl(ttl));
+        let mut p = ReliabilityPolicy::new(Reliability::Ttl(ttl));
         p.register_adu(SeqRange::new(0, 5), ts(0));
         p.register_adu(SeqRange::new(5, 10), ts(500));
         // Fresh loss within TTL.
@@ -204,14 +207,14 @@ mod tests {
 
     #[test]
     fn ttl_unknown_adu_is_abandoned() {
-        let mut p = ReliabilityPolicy::new(ReliabilityMode::PartialTtl(Duration::from_secs(1)));
+        let mut p = ReliabilityPolicy::new(Reliability::Ttl(Duration::from_secs(1)));
         // No ADU registered covering seq 3.
         assert_eq!(p.on_loss(3, ts(10), 0), LossDecision::Abandon);
     }
 
     #[test]
     fn retx_budget_enforced() {
-        let mut p = ReliabilityPolicy::new(ReliabilityMode::PartialRetx(2));
+        let mut p = ReliabilityPolicy::new(Reliability::Budget(2));
         p.register_adu(SeqRange::new(0, 10), ts(0));
         assert_eq!(p.on_loss(4, ts(10), 0), LossDecision::Retransmit);
         assert_eq!(p.on_loss(4, ts(20), 1), LossDecision::Retransmit);
@@ -222,7 +225,7 @@ mod tests {
 
     #[test]
     fn adu_lookup_by_contained_seq() {
-        let mut p = ReliabilityPolicy::new(ReliabilityMode::Full);
+        let mut p = ReliabilityPolicy::new(Reliability::Full);
         let a = p.register_adu(SeqRange::new(0, 3), ts(0));
         let b = p.register_adu(SeqRange::new(3, 8), ts(5));
         assert_eq!(p.adu_of(0).unwrap().id, a);
@@ -234,7 +237,7 @@ mod tests {
 
     #[test]
     fn prune_drops_delivered_adus() {
-        let mut p = ReliabilityPolicy::new(ReliabilityMode::Full);
+        let mut p = ReliabilityPolicy::new(Reliability::Full);
         p.register_adu(SeqRange::new(0, 3), ts(0));
         p.register_adu(SeqRange::new(3, 8), ts(5));
         assert_eq!(p.tracked_adus(), 2);
@@ -247,10 +250,10 @@ mod tests {
     #[test]
     fn wire_codes_are_distinct() {
         let modes = [
-            ReliabilityMode::None,
-            ReliabilityMode::Full,
-            ReliabilityMode::PartialTtl(Duration::from_secs(1)),
-            ReliabilityMode::PartialRetx(3),
+            Reliability::None,
+            Reliability::Full,
+            Reliability::Ttl(Duration::from_secs(1)),
+            Reliability::Budget(3),
         ];
         let mut codes: Vec<u8> = modes.iter().map(|m| m.wire_code()).collect();
         codes.sort_unstable();

@@ -76,8 +76,8 @@ pub struct Packet {
 
 impl Packet {
     /// Convenience constructor; `uid` must come from the simulator's
-    /// allocator ([`crate::sim::Simulator::next_uid`]) for trace uniqueness,
-    /// or can be 0 in unit tests that don't care.
+    /// allocator (the per-run counter behind [`crate::sim::Ctx::send_new`])
+    /// for trace uniqueness, or can be 0 in unit tests that don't care.
     pub fn new(
         uid: u64,
         flow: FlowId,

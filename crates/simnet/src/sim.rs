@@ -404,8 +404,8 @@ impl NetworkBuilder {
     /// Finalize: compute routes and produce a simulator.
     ///
     /// Routes are shortest-path by hop count, with the lowest-numbered link
-    /// breaking ties, so routing is deterministic. See [`Routes`] for how
-    /// the tables stay near-linear in the topology size.
+    /// breaking ties, so routing is deterministic. The route tables stay
+    /// near-linear in the topology size (see `Routes` in this module).
     pub fn build(self, master_seed: u64) -> Simulator {
         let n = self.nodes.len();
         let routes = Routes::build(n, &self.links);

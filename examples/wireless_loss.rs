@@ -29,7 +29,7 @@ fn main() {
     );
     println!(
         "{:<34}{:>9.2} Mb   ({} retx, {} frames abandoned)",
-        "QTPlight + PartialTtl(200ms)",
+        "QTPlight + Ttl(200ms)",
         r.partial_goodput_bps / 1e6,
         r.partial_retransmissions,
         r.partial_abandoned

@@ -14,10 +14,10 @@ use std::io;
 /// (e.g. `Full/ReceiverLoss/gTFRC(500kbit/s)`).
 pub fn caps_brief(caps: &CapabilitySet) -> String {
     let rel = match caps.reliability {
-        ReliabilityMode::None => "None".to_string(),
-        ReliabilityMode::Full => "Full".to_string(),
-        ReliabilityMode::PartialTtl(d) => format!("Ttl({}ms)", d.as_millis()),
-        ReliabilityMode::PartialRetx(n) => format!("Budget({n})"),
+        Reliability::None => "None".to_string(),
+        Reliability::Full => "Full".to_string(),
+        Reliability::Ttl(d) => format!("Ttl({}ms)", d.as_millis()),
+        Reliability::Budget(n) => format!("Budget({n})"),
     };
     let fb = match caps.feedback {
         FeedbackMode::ReceiverLoss => "ReceiverLoss",

@@ -19,7 +19,7 @@
 //! | [`tfrc`] | RFC 3448 sender/receiver, throughput equation, loss-interval history, gTFRC |
 //! | [`sack`] | range sets, reassembly + SACK block generation, scoreboard, reliability policies |
 //! | [`tcp`] | TCP NewReno / SACK baseline agents |
-//! | [`core`] | the composed QTP endpoints (sans-io, behind the `Endpoint` driver seam), wire formats, capability negotiation, and the **session layer** ([`core::session`]): fluent `Profile`s, poll-style `Session`s, the backend seam |
+//! | [`core`] | the composed QTP endpoint, `Session` (sans-io: every driver mounts it through the `Endpoint` seam, and its poll surface runs through the same seam), wire formats, capability negotiation, and the **session layer** ([`core::session`]): fluent `Profile`s, the one `Reliability` enum, the backend seam |
 //! | [`io`] | real-socket backend: UDP datagram framing, wall clock, the readiness-driven connection mux (`MuxDriver`, one socket for one or many flows), and the `MuxBackend` binding |
 //! | [`metrics`] | deterministic processing-cost accounting |
 //!
@@ -103,11 +103,9 @@ pub mod prelude {
     pub use qtp_core::{
         attach_pair, attach_pairs, Backend, CapabilitySet, CapsError, CcKind, ConnectionOutcome,
         ConnectionPlan, FeedbackMode, PairHandles, Profile, ProfileBuilder, ProfileError,
-        QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, Reliability, ServerPolicy,
-        Session, SessionEvent, SessionEvents, SimBackend, SimHost, SimTopology,
+        Reliability, ServerPolicy, Session, SessionEvent, SessionEvents, SimBackend, SimTopology,
     };
     pub use qtp_io::{drive_mux_pair, Accepted, ConnId, MuxBackend, MuxConfig, MuxDriver};
-    pub use qtp_sack::ReliabilityMode;
     pub use qtp_simnet::prelude::*;
     pub use qtp_tcp::{TcpConfig, TcpFlavor, TcpReceiver, TcpSender};
 }

@@ -4,17 +4,17 @@
 
 use proptest::prelude::*;
 use qtp::core::{CapabilitySet, CcKind, FeedbackMode, SenderLossEstimator, ServerPolicy};
-use qtp::sack::{LossDecision, ReliabilityMode, ReliabilityPolicy, SeqRange};
+use qtp::sack::{LossDecision, Reliability, ReliabilityPolicy, SeqRange};
 use qtp::simnet::time::{Rate, SimTime};
 use qtp::tfrc::LossIntervalHistory;
 use std::time::Duration;
 
 fn arb_caps() -> impl Strategy<Value = CapabilitySet> {
     let rel = prop_oneof![
-        Just(ReliabilityMode::None),
-        Just(ReliabilityMode::Full),
-        (1u64..1_000_000).prop_map(|us| ReliabilityMode::PartialTtl(Duration::from_micros(us))),
-        (0u32..16).prop_map(ReliabilityMode::PartialRetx),
+        Just(Reliability::None),
+        Just(Reliability::Full),
+        (1u64..1_000_000).prop_map(|us| Reliability::Ttl(Duration::from_micros(us))),
+        (0u32..16).prop_map(Reliability::Budget),
     ];
     let fb = prop_oneof![
         Just(FeedbackMode::ReceiverLoss),
@@ -107,7 +107,7 @@ proptest! {
     }
 
     /// Reliability policies are coherent: Full never abandons, None never
-    /// retransmits, PartialRetx respects its budget exactly, and the
+    /// retransmits, Budget respects its budget exactly, and the
     /// forward point never runs backwards.
     #[test]
     fn policy_decisions_coherent(
@@ -117,10 +117,10 @@ proptest! {
         losses in prop::collection::vec((0u64..1_000, 0u64..2_000, 0u32..10), 1..50),
     ) {
         let mode = match mode_sel {
-            0 => ReliabilityMode::None,
-            1 => ReliabilityMode::Full,
-            2 => ReliabilityMode::PartialTtl(Duration::from_millis(ttl_ms)),
-            _ => ReliabilityMode::PartialRetx(budget),
+            0 => Reliability::None,
+            1 => Reliability::Full,
+            2 => Reliability::Ttl(Duration::from_millis(ttl_ms)),
+            _ => Reliability::Budget(budget),
         };
         let mut p = ReliabilityPolicy::new(mode);
         p.register_adu(SeqRange::new(0, 1_000), SimTime::ZERO);
@@ -128,9 +128,9 @@ proptest! {
         for (seq, now_ms, retx) in losses {
             let d = p.on_loss(seq, SimTime::from_millis(now_ms), retx);
             match mode {
-                ReliabilityMode::Full => prop_assert_eq!(d, LossDecision::Retransmit),
-                ReliabilityMode::None => prop_assert_eq!(d, LossDecision::Abandon),
-                ReliabilityMode::PartialTtl(ttl) => {
+                Reliability::Full => prop_assert_eq!(d, LossDecision::Retransmit),
+                Reliability::None => prop_assert_eq!(d, LossDecision::Abandon),
+                Reliability::Ttl(ttl) => {
                     let age = Duration::from_millis(now_ms);
                     if age < ttl {
                         prop_assert_eq!(d, LossDecision::Retransmit);
@@ -138,7 +138,7 @@ proptest! {
                         prop_assert_eq!(d, LossDecision::Abandon);
                     }
                 }
-                ReliabilityMode::PartialRetx(b) => {
+                Reliability::Budget(b) => {
                     prop_assert_eq!(
                         d,
                         if retx < b { LossDecision::Retransmit } else { LossDecision::Abandon }

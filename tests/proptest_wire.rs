@@ -6,17 +6,17 @@
 use proptest::prelude::*;
 use qtp::core::wire::PacketRef;
 use qtp::core::{CapabilitySet, CcKind, FeedbackMode, QtpPacket};
-use qtp::sack::{ReliabilityMode, SeqRange};
+use qtp::sack::{Reliability, SeqRange};
 use qtp::simnet::time::Rate;
 use qtp::tcp::{TcpHeader, TcpKind};
 use std::time::Duration;
 
 fn arb_caps() -> impl Strategy<Value = CapabilitySet> {
     let rel = prop_oneof![
-        Just(ReliabilityMode::None),
-        Just(ReliabilityMode::Full),
-        (1u64..10_000_000).prop_map(|us| ReliabilityMode::PartialTtl(Duration::from_micros(us))),
-        (0u32..64).prop_map(ReliabilityMode::PartialRetx),
+        Just(Reliability::None),
+        Just(Reliability::Full),
+        (1u64..10_000_000).prop_map(|us| Reliability::Ttl(Duration::from_micros(us))),
+        (0u32..64).prop_map(Reliability::Budget),
     ];
     let fb = prop_oneof![
         Just(FeedbackMode::ReceiverLoss),
