@@ -38,18 +38,6 @@ impl Default for Args {
     }
 }
 
-fn parse_profile(s: &str) -> Result<ProfileKind, String> {
-    match s {
-        "qtpaf" | "af" => Ok(ProfileKind::QtpAf),
-        "qtplight" | "light" => Ok(ProfileKind::QtpLight),
-        "qtplight-ttl" | "ttl" => Ok(ProfileKind::QtpLightTtl),
-        "tfrc" => Ok(ProfileKind::Tfrc),
-        other => Err(format!(
-            "unknown profile {other} (qtpaf|qtplight|qtplight-ttl|tfrc)"
-        )),
-    }
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
@@ -64,14 +52,15 @@ fn parse_args() -> Result<Args, String> {
             "--profiles" => {
                 args.profiles = val()?
                     .split(',')
-                    .map(parse_profile)
+                    .map(ProfileKind::parse)
                     .collect::<Result<_, _>>()?;
             }
             "--per-flow" => args.per_flow = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: manyflow [--flows N] [--seed N] [--packets N] [--secs N] \
-                     [--mode sim|mux] [--profiles qtpaf,qtplight,qtplight-ttl,tfrc] [--per-flow]"
+                     [--mode sim|mux] [--profiles qtpaf,qtplight,qtplight-ttl,tfrc,cubic,bbr-lite] \
+                     [--per-flow]"
                         .into(),
                 )
             }

@@ -11,7 +11,7 @@
 
 use qtp_core::session::{attach_pair, ConnectionPlan, Profile};
 use qtp_simnet::prelude::*;
-use qtp_tcp::{TcpConfig, TcpFlavor, TcpReceiver, TcpSender};
+use qtp_tcp::{attach_tcp, TcpFlavor};
 use std::time::Duration;
 
 #[derive(Debug)]
@@ -129,19 +129,7 @@ fn main() {
             } else {
                 TcpFlavor::Sack
             };
-            let data = sim.register_flow("data");
-            let ack = sim.register_flow("ack");
-            sim.attach_agent(s, Box::new(TcpSender::new(data, r, TcpConfig::new(flavor))));
-            sim.attach_agent(
-                r,
-                Box::new(TcpReceiver::new(
-                    data,
-                    ack,
-                    s,
-                    flavor == TcpFlavor::Sack,
-                    1000,
-                )),
-            );
+            let data = attach_tcp(&mut sim, s, r, "data", flavor);
             sim.run_until(SimTime::from_secs(args.secs));
             let f = sim.stats().flow(data);
             println!("throughput: {:.3} Mbit/s", f.throughput_bps(secs) / 1e6);

@@ -66,20 +66,6 @@ impl Default for Args {
     }
 }
 
-fn parse_profile(s: &str) -> Result<ProfileKind, String> {
-    match s {
-        "qtpaf" | "af" => Ok(ProfileKind::QtpAf),
-        "qtplight" | "light" => Ok(ProfileKind::QtpLight),
-        "qtplight-ttl" | "ttl" => Ok(ProfileKind::QtpLightTtl),
-        "tfrc" => Ok(ProfileKind::Tfrc),
-        "cubic" => Ok(ProfileKind::Cubic),
-        "bbr-lite" | "bbr" => Ok(ProfileKind::BbrLite),
-        other => Err(format!(
-            "unknown profile {other} (qtpaf|qtplight|qtplight-ttl|tfrc|cubic|bbr-lite)"
-        )),
-    }
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
@@ -98,7 +84,7 @@ fn parse_args() -> Result<Args, String> {
             "--profiles" => {
                 args.profiles = val()?
                     .split(',')
-                    .map(parse_profile)
+                    .map(ProfileKind::parse)
                     .collect::<Result<_, _>>()?;
             }
             "--qlog" => args.qlog = Some(val()?),
@@ -106,7 +92,8 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: qtptrace [--flows N] [--seed N] [--packets N] [--secs N] \
-                     [--profiles qtpaf,qtplight,qtplight-ttl,tfrc] [--bottleneck KBPS] \
+                     [--profiles qtpaf,qtplight,qtplight-ttl,tfrc,cubic,bbr-lite] \
+                     [--bottleneck KBPS] \
                      [--reorder-ms N] [--qlog FILE] [--no-qlog] [--timeline N]"
                         .into(),
                 )

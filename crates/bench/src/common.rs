@@ -6,7 +6,7 @@ use qtp_core::session::{attach_pair, ConnectionPlan, PairHandles};
 use qtp_simnet::marker::{Marker, TokenBucketMarker};
 use qtp_simnet::prelude::*;
 use qtp_simnet::sim::Simulator;
-use qtp_tcp::{TcpConfig, TcpFlavor, TcpReceiver, TcpSender};
+use qtp_tcp::TcpFlavor;
 use std::time::Duration;
 
 /// Nominal committed burst size used by all experiment markers (bytes).
@@ -85,19 +85,7 @@ pub fn attach_tcp(
     name: &str,
     flavor: TcpFlavor,
 ) -> FlowId {
-    let data = sim.register_flow(name);
-    let ack = sim.register_flow(&format!("{name}-ack"));
-    let cfg = TcpConfig::new(flavor);
-    let sack = flavor == TcpFlavor::Sack;
-    sim.attach_agent(
-        net.senders[pair],
-        Box::new(TcpSender::new(data, net.receivers[pair], cfg)),
-    );
-    sim.attach_agent(
-        net.receivers[pair],
-        Box::new(TcpReceiver::new(data, ack, net.senders[pair], sack, 1000)),
-    );
-    data
+    qtp_tcp::attach_tcp(sim, net.senders[pair], net.receivers[pair], name, flavor)
 }
 
 /// Attach a planned QTP connection on pair `i`.
@@ -133,17 +121,30 @@ pub fn lossy_path(
     loss: LossModel,
     seed: u64,
 ) -> (Simulator, NodeId, NodeId) {
+    let rate = Rate::from_mbps(rate_mbps);
+    impaired_path(rate, one_way, loss, PathModel::none(), seed)
+}
+
+/// [`lossy_path`] whose forward direction also carries a [`PathModel`].
+pub(crate) fn impaired_path(
+    rate: Rate,
+    one_way: Duration,
+    loss: LossModel,
+    path: PathModel,
+    seed: u64,
+) -> (Simulator, NodeId, NodeId) {
     let mut b = NetworkBuilder::new();
     let s = b.host();
     let r = b.host();
     b.simplex_link(
         s,
         r,
-        LinkConfig::new(Rate::from_mbps(rate_mbps), one_way)
+        LinkConfig::new(rate, one_way)
+            .with_queue(QueueConfig::DropTailPkts(500))
             .with_loss(loss)
-            .with_queue(QueueConfig::DropTailPkts(500)),
+            .with_path(path),
     );
-    b.simplex_link(r, s, LinkConfig::new(Rate::from_mbps(rate_mbps), one_way));
+    b.simplex_link(r, s, LinkConfig::new(rate, one_way));
     (b.build(seed), s, r)
 }
 

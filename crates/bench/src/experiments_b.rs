@@ -169,21 +169,7 @@ pub fn e8() -> Table {
         let seed = (p_gb * 1e4) as u64 + 81;
         let run_tcp = |flavor: TcpFlavor| -> f64 {
             let (mut sim, s, r) = lossy_path(5, Duration::from_millis(20), loss(), seed);
-            let data = sim.register_flow("tcp");
-            let ack = sim.register_flow("tcp-ack");
-            let sack = flavor == TcpFlavor::Sack;
-            sim.attach_agent(
-                s,
-                Box::new(qtp_tcp::TcpSender::new(
-                    data,
-                    r,
-                    qtp_tcp::TcpConfig::new(flavor),
-                )),
-            );
-            sim.attach_agent(
-                r,
-                Box::new(qtp_tcp::TcpReceiver::new(data, ack, s, sack, 1000)),
-            );
+            let data = qtp_tcp::attach_tcp(&mut sim, s, r, "tcp", flavor);
             sim.run_until(SimTime::from_secs(SECS));
             goodput(&sim, data, SECS)
         };
@@ -385,20 +371,7 @@ pub fn e10() -> Table {
             Marker::TokenBucket(TokenBucketMarker::new(g, CBS)),
         );
         // Background out-of-profile TCP between the second pair.
-        let bg = sim.register_flow("bg");
-        let bga = sim.register_flow("bg-ack");
-        sim.attach_agent(
-            s1,
-            Box::new(qtp_tcp::TcpSender::new(
-                bg,
-                r1,
-                qtp_tcp::TcpConfig::new(TcpFlavor::NewReno),
-            )),
-        );
-        sim.attach_agent(
-            r1,
-            Box::new(qtp_tcp::TcpReceiver::new(bg, bga, s1, false, 1000)),
-        );
+        qtp_tcp::attach_tcp(&mut sim, s1, r1, "bg", TcpFlavor::NewReno);
         sim.run_until(SimTime::from_secs(SECS));
 
         let st = sim.stats().flow(h.data_flow);

@@ -123,7 +123,6 @@ pub fn e12() -> Table {
         ("no edge marker (all red)", true, false, true),
         ("no RIO core (drop-tail)", true, true, false),
     ];
-    let mut best_ablated: f64 = 0.0;
     let mut full_retx: u64 = 0;
     let mut max_retx: u64 = 0;
     let mut full_achieved: f64 = 0.0;
@@ -177,8 +176,6 @@ pub fn e12() -> Table {
         if label.starts_with("full") {
             full_retx = retx;
             full_achieved = achieved;
-        } else if !holds {
-            best_ablated = best_ablated.max(achieved);
         }
         if !use_gtfrc {
             no_floor_achieved = achieved;
@@ -200,7 +197,6 @@ pub fn e12() -> Table {
             },
         ]);
     }
-    let _ = best_ablated;
     let retx_burden = max_retx as f64 / full_retx.max(1) as f64;
     t.verdict = format!(
         "the gTFRC floor is load-bearing: without it the reservation collapses to {no_floor_achieved:.2} of g. The AF substrate is what makes holding it cheap — on a drop-tail core the floor still forces the rate through, but at {retx_burden:.1}x the retransmission burden ({max_retx} vs {full_retx} retx), i.e. the guarantee degrades from 'protected' to 'paid for in losses'."

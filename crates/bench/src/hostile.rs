@@ -29,42 +29,19 @@
 //! (ids `h1`…`h5`; run just this group with `expt --check --only h`).
 //! [`hostile_sweep`] is the nightly reorder-jitter × RTT grid.
 
-use qtp_core::session::{attach_pair, ConnectionPlan, Profile, Reliability};
+use qtp_core::session::{attach_pair, ConnectionPlan, Profile};
 use qtp_core::stream::StreamConfig;
-use qtp_core::{CcKind, FeedbackMode};
-use qtp_metrics::trace::{FlightRecorder, TraceRegistry};
 use qtp_simnet::prelude::*;
 use qtp_simnet::sim::Simulator;
-use qtp_tcp::{TcpConfig, TcpFlavor, TcpReceiver, TcpSender};
+use qtp_tcp::{attach_tcp, TcpFlavor};
 use std::time::Duration;
 
-use crate::common::goodput;
-use crate::scenarios::{drain, feed, pattern_bytes, DeadlineRun};
+use crate::common::{goodput, impaired_path};
+use crate::scenarios::{
+    deadline_profiles, deadline_rows, pattern_bytes, stream_frames, transfer, DeadlineRun,
+    FrameStream, DEADLINE_COLUMNS,
+};
 use crate::table::{mbps, ratio, Table, Tolerance};
-
-/// A two-host path whose forward (data) direction carries a loss model
-/// and a [`PathModel`]; the reverse (feedback) direction is clean.
-fn impaired_path(
-    rate: Rate,
-    one_way: Duration,
-    loss: LossModel,
-    path: PathModel,
-    seed: u64,
-) -> (Simulator, NodeId, NodeId) {
-    let mut b = NetworkBuilder::new();
-    let s = b.host();
-    let r = b.host();
-    b.simplex_link(
-        s,
-        r,
-        LinkConfig::new(rate, one_way)
-            .with_queue(QueueConfig::DropTailPkts(500))
-            .with_loss(loss)
-            .with_path(path),
-    );
-    b.simplex_link(r, s, LinkConfig::new(rate, one_way));
-    (b.build(seed), s, r)
-}
 
 /// A two-host path with asymmetric directions: a wide forward channel and
 /// a (possibly narrowband) reverse channel with a small feedback queue —
@@ -82,23 +59,6 @@ fn asym_path(fwd: Rate, rev: Rate, one_way: Duration, seed: u64) -> (Simulator, 
     (b.build(seed), s, r)
 }
 
-/// Attach a greedy TCP connection between two explicit nodes (the
-/// dumbbell-free twin of [`crate::common::attach_tcp`]).
-fn attach_tcp_nodes(
-    sim: &mut Simulator,
-    s: NodeId,
-    r: NodeId,
-    name: &str,
-    flavor: TcpFlavor,
-) -> FlowId {
-    let data = sim.register_flow(name);
-    let ack = sim.register_flow(&format!("{name}-ack"));
-    let sack = flavor == TcpFlavor::Sack;
-    sim.attach_agent(s, Box::new(TcpSender::new(data, r, TcpConfig::new(flavor))));
-    sim.attach_agent(r, Box::new(TcpReceiver::new(data, ack, s, sack, 1000)));
-    data
-}
-
 /// Greedy QTPAF goodput over `secs` seconds on an already-built path.
 fn run_qtpaf(mut sim: Simulator, s: NodeId, r: NodeId, floor: Rate, secs: u64) -> f64 {
     let h = attach_pair(
@@ -114,7 +74,7 @@ fn run_qtpaf(mut sim: Simulator, s: NodeId, r: NodeId, floor: Rate, secs: u64) -
 
 /// Greedy TCP goodput over `secs` seconds on an already-built path.
 fn run_tcp(mut sim: Simulator, s: NodeId, r: NodeId, flavor: TcpFlavor, secs: u64) -> f64 {
-    let data = attach_tcp_nodes(&mut sim, s, r, "tcp", flavor);
+    let data = attach_tcp(&mut sim, s, r, "tcp", flavor);
     sim.run_until(SimTime::from_secs(secs));
     goodput(&sim, data, secs)
 }
@@ -311,35 +271,14 @@ pub fn dup_bulk(params: &DupBulkParams, dup_p: f64) -> DupBulkRun {
         .label("h2")
         .stream(StreamConfig::with_send_buf(64 * 1024));
     let h = attach_pair(&mut sim, s, r, "h2", &plan);
-    let tx = h.tx_stream.clone().expect("stream plan");
-    let rx = h.rx_stream.clone().expect("stream plan");
-
     let file = pattern_bytes(params.file_kib * 1024, params.seed);
-    let step = Duration::from_millis(50);
-    let horizon = SimTime::ZERO + Duration::from_secs(60);
-    let mut t = SimTime::ZERO;
-    let mut offset = 0usize;
-    let mut received = Vec::with_capacity(file.len());
-    let mut completion = None;
-    while t < horizon {
-        t = (t + step).min(horizon);
-        feed(&tx, &file, &mut offset, 1000);
-        if offset == file.len() && !tx.is_finished() {
-            tx.finish();
-        }
-        sim.run_until(t);
-        drain(&rx, &mut received);
-        if rx.is_finished() {
-            completion = Some(t);
-            break;
-        }
-    }
-    let elapsed = completion.unwrap_or(horizon).as_secs_f64();
+    let (received, elapsed) = transfer(&mut sim, &h, &file);
+    let delivered = received.len() as u64;
     let st = sim.stats().flow(h.data_flow);
     DupBulkRun {
-        goodput_mbps: rx.bytes_received() as f64 * 8.0 / elapsed / 1e6,
+        goodput_mbps: delivered as f64 * 8.0 / elapsed / 1e6,
         completion_s: elapsed,
-        delivered_bytes: rx.bytes_received(),
+        delivered_bytes: delivered,
         byte_exact: received == file,
         amplification: st.pkts_arrived as f64 / (st.pkts_sent.max(1)) as f64,
     }
@@ -705,115 +644,33 @@ fn h5_handover(params: &HandoverStreamParams) -> HandoverConfig {
     }
 }
 
-/// The H5 profiles: full reliability vs TTL-partial at the same gTFRC
-/// floor, so reliability is the only axis (the A3 construction on the
-/// handover path).
-fn h5_profiles(params: &HandoverStreamParams) -> (Profile, Profile) {
-    let floor = Rate::from_mbps(params.floor_mbps);
-    let full = Profile::qtp_af(floor);
-    let partial = Profile::new()
-        .reliability(Reliability::Ttl(params.policy_ttl))
-        .feedback(FeedbackMode::ReceiverLoss)
-        .cc(CcKind::Gtfrc { target: floor })
-        .build()
-        .expect("non-zero TTL");
-    (full, partial)
-}
-
 /// Stream timestamped frames across the handover and score each against
-/// the playout deadline. Mirrors [`crate::scenarios::deadline`] with the
-/// topology switch applied mid-loop.
+/// the playout deadline: [`crate::scenarios::deadline`] with the topology
+/// switch applied mid-loop.
 pub fn handover_deadline(
     params: &HandoverStreamParams,
     profile: Profile,
     tag_ttl: bool,
     label: &str,
 ) -> DeadlineRun {
-    let hcfg = h5_handover(params);
-    let (mut sim, ho) = Handover::build(&hcfg, params.seed);
-    let plan = ConnectionPlan::new(profile)
-        .label(label)
-        .payload(params.frame_bytes as u32)
-        .stream(StreamConfig::default());
-    let h = attach_pair(&mut sim, ho.server, ho.mobile, label, &plan);
-    let tx = h.tx_stream.clone().expect("stream plan");
-    let rx = h.rx_stream.clone().expect("stream plan");
-
-    let recorder = std::rc::Rc::new(std::cell::RefCell::new(FlightRecorder::new(48)));
-    let registry = TraceRegistry::new();
-    registry.set_sink(recorder.clone());
-    registry.register(&format!("{label}:tx"), &h.tx_tracer);
-    registry.register(&format!("{label}:rx"), &h.rx_tracer);
-
-    let ttl_micros = if tag_ttl {
-        params.msg_ttl.as_micros() as u32
-    } else {
-        0
+    let (sim, ho) = Handover::build(&h5_handover(params), params.seed);
+    let frames = FrameStream {
+        frames: params.frames,
+        frame_bytes: params.frame_bytes,
+        interval: params.interval,
+        deadline: params.deadline,
+        msg_ttl: tag_ttl.then_some(params.msg_ttl),
+        seed: params.seed,
     };
-    let pad = pattern_bytes(params.frame_bytes, params.seed);
-    let step = Duration::from_millis(5);
-    let warmup = SimTime::ZERO + Duration::from_secs(1);
     let switch_time = SimTime::ZERO + params.switch_at;
-    let horizon = SimTime::ZERO + Duration::from_secs(30) + params.interval * params.frames as u32;
-    let mut t = SimTime::ZERO;
-    sim.run_until(warmup);
-    t = t.max(warmup);
-
     let mut switched = false;
-    let mut sent = 0usize;
-    let mut delivered = vec![false; params.frames];
-    let mut on_time = 0usize;
-    let mut late = 0usize;
-    while t < horizon {
-        while sent < params.frames && t >= warmup + params.interval * sent as u32 {
-            let mut frame = pad.clone();
-            frame[..4].copy_from_slice(&(sent as u32).to_be_bytes());
-            frame[4..12].copy_from_slice(&t.as_nanos().to_be_bytes());
-            tx.send_with_ttl(&frame, ttl_micros)
-                .expect("frame fits the buffer");
-            sent += 1;
-        }
-        if sent == params.frames && !tx.is_finished() {
-            tx.finish();
-        }
-        t = (t + step).min(horizon);
-        sim.run_until(t);
+    let nodes = (ho.server, ho.mobile);
+    stream_frames(sim, nodes, profile, label, &frames, |sim, t| {
         if !switched && t >= switch_time {
-            ho.switch(&mut sim);
+            ho.switch(sim);
             switched = true;
         }
-        while let Some(frame) = rx.recv() {
-            let mut idx = [0u8; 4];
-            idx.copy_from_slice(&frame[..4]);
-            let idx = u32::from_be_bytes(idx) as usize;
-            let mut ts = [0u8; 8];
-            ts.copy_from_slice(&frame[4..12]);
-            let sent_at = SimTime::from_nanos(u64::from_be_bytes(ts));
-            if delivered[idx] {
-                continue;
-            }
-            delivered[idx] = true;
-            if t.saturating_since(sent_at) <= params.deadline {
-                on_time += 1;
-            } else {
-                late += 1;
-            }
-        }
-        if rx.is_finished() && sent == params.frames {
-            break;
-        }
-    }
-    let never = delivered.iter().filter(|d| !**d).count();
-    let flight_dump = recorder.borrow().dump();
-    DeadlineRun {
-        label: label.to_string(),
-        on_time,
-        late,
-        never,
-        miss_rate: (late + never) as f64 / params.frames as f64,
-        ttl_dropped: rx.ttl_dropped(),
-        flight_dump,
-    }
+    })
 }
 
 /// H5 — deadline streaming across a WLAN→cellular handover onto a bursty
@@ -823,31 +680,13 @@ pub fn h5() -> Table {
         "H5",
         "Hostile path: deadline streaming across a mobility handover",
         "versatility under mobility: when the last hop degrades mid-stream to a slower, bursty-lossy cellular link, full reliability queues stale recoveries behind the handover while TTL-partial delivery keeps missing only the genuinely lost frames",
-        &[
-            "variant",
-            "frames",
-            "on-time",
-            "late",
-            "never",
-            "miss rate",
-            "ttl dropped",
-        ],
+        &DEADLINE_COLUMNS,
     );
     let params = HandoverStreamParams::default();
-    let (full_profile, partial_profile) = h5_profiles(&params);
+    let (full_profile, partial_profile) = deadline_profiles(params.floor_mbps, params.policy_ttl);
     let full = handover_deadline(&params, full_profile, false, "full");
     let partial = handover_deadline(&params, partial_profile, true, "ttl-partial");
-    for run in [&full, &partial] {
-        t.row(vec![
-            run.label.clone(),
-            format!("{}", params.frames),
-            format!("{}", run.on_time),
-            format!("{}", run.late),
-            format!("{}", run.never),
-            ratio(run.miss_rate),
-            format!("{}", run.ttl_dropped),
-        ]);
-    }
+    deadline_rows(&mut t, params.frames, &full, &partial);
     t.verdict = format!(
         "across the handover at {} s (RTT 40→90 ms, clean→bursty 30% bad-state loss) full reliability misses {:.1}% of the {} ms deadlines; TTL-partial misses {:.1}% and the receiver discarded {} stale retransmissions.",
         params.switch_at.as_secs(),
@@ -856,36 +695,6 @@ pub fn h5() -> Table {
         partial.miss_rate * 100.0,
         partial.ttl_dropped,
     );
-    t.metric(
-        "full_miss_rate",
-        full.miss_rate,
-        "ratio",
-        Tolerance::AbsOrRel(0.02, 0.5),
-    );
-    t.metric(
-        "partial_miss_rate",
-        partial.miss_rate,
-        "ratio",
-        Tolerance::AbsOrRel(0.02, 0.5),
-    );
-    t.metric(
-        "partial_ttl_dropped",
-        partial.ttl_dropped,
-        "frames",
-        Tolerance::AbsOrRel(10.0, 1.0),
-    );
-    t.metric(
-        "partial_on_time",
-        partial.on_time,
-        "frames",
-        Tolerance::AbsOrRel(20.0, 0.10),
-    );
-    for run in [&full, &partial] {
-        t.diagnostics.push(format!(
-            "H5 variant {} — flight recorder tail:\n{}",
-            run.label, run.flight_dump
-        ));
-    }
     t
 }
 
@@ -1039,7 +848,8 @@ mod tests {
             frames: 300,
             ..HandoverStreamParams::default()
         };
-        let (full_profile, partial_profile) = h5_profiles(&params);
+        let (full_profile, partial_profile) =
+            deadline_profiles(params.floor_mbps, params.policy_ttl);
         let full = handover_deadline(&params, full_profile, false, "full");
         let partial = handover_deadline(&params, partial_profile, true, "partial");
         assert!(

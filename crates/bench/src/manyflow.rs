@@ -54,6 +54,34 @@ impl ProfileKind {
         ProfileKind::Tfrc,
     ];
 
+    /// Every kind, in declaration order.
+    const ALL: [ProfileKind; 6] = [
+        ProfileKind::QtpAf,
+        ProfileKind::QtpLight,
+        ProfileKind::QtpLightTtl,
+        ProfileKind::Tfrc,
+        ProfileKind::Cubic,
+        ProfileKind::BbrLite,
+    ];
+
+    /// Parse a command-line profile name: any [`label`](Self::label), or
+    /// one of the short aliases `af`, `light`, `ttl` and `bbr`.
+    pub fn parse(name: &str) -> Result<ProfileKind, String> {
+        let label = match name {
+            "af" => "qtpaf",
+            "light" => "qtplight",
+            "ttl" => "qtplight-ttl",
+            "bbr" => "bbr-lite",
+            other => other,
+        };
+        ProfileKind::ALL
+            .into_iter()
+            .find(|kind| kind.label() == label)
+            .ok_or_else(|| {
+                format!("unknown profile {name} (qtpaf|qtplight|qtplight-ttl|tfrc|cubic|bbr-lite)")
+            })
+    }
+
     /// Short label for reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -485,6 +513,22 @@ pub fn run_mux_loopback(cfg: &ManyFlowConfig) -> std::io::Result<ManyFlowReport>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_profile_label_parses_back_to_its_kind() {
+        for kind in ProfileKind::ALL {
+            assert_eq!(ProfileKind::parse(kind.label()), Ok(kind));
+        }
+        for (alias, kind) in [
+            ("af", ProfileKind::QtpAf),
+            ("light", ProfileKind::QtpLight),
+            ("ttl", ProfileKind::QtpLightTtl),
+            ("bbr", ProfileKind::BbrLite),
+        ] {
+            assert_eq!(ProfileKind::parse(alias), Ok(kind));
+        }
+        assert!(ProfileKind::parse("reno").is_err());
+    }
 
     #[test]
     fn small_mixed_sim_scenario_completes_and_is_fair() {

@@ -24,12 +24,15 @@
 //! E1–E12. [`scenarios_mux`] replays A1/A2 over real loopback sockets
 //! through the connection mux (wall-clock, informational).
 
-use qtp_core::session::{attach_pair, attach_pairs, ConnectionPlan, Profile, Reliability};
+use qtp_core::session::{
+    attach_pair, attach_pairs, ConnectionPlan, PairHandles, Profile, Reliability,
+};
 use qtp_core::stream::{RecvStream, SendStream, StreamConfig, StreamError};
 use qtp_core::{CcKind, FeedbackMode};
 use qtp_metrics::agg;
 use qtp_metrics::trace::{FlightRecorder, TraceRegistry};
 use qtp_simnet::prelude::*;
+use qtp_simnet::sim::Simulator;
 use std::time::Duration;
 
 use crate::common::lossy_path;
@@ -123,10 +126,25 @@ pub fn bulk(params: &BulkParams, profile: Profile, label: &str) -> BulkRun {
         .label(label)
         .stream(StreamConfig::with_send_buf(64 * 1024));
     let h = attach_pair(&mut sim, s, r, label, &plan);
+    let file = pattern_bytes(params.file_kib * 1024, params.seed);
+    let (received, elapsed) = transfer(&mut sim, &h, &file);
+    let delivered = received.len() as u64;
+    BulkRun {
+        label: label.to_string(),
+        goodput_mbps: delivered as f64 * 8.0 / elapsed / 1e6,
+        completion_s: elapsed,
+        delivered_bytes: delivered,
+        byte_exact: received == file,
+    }
+}
+
+/// Push `file` through the pair's streams in 1000-byte messages, 50 ms of
+/// simulated time per step, for at most 60 s. Returns the bytes received
+/// and the seconds until the receive stream finished (the horizon if it
+/// never did).
+pub(crate) fn transfer(sim: &mut Simulator, h: &PairHandles, file: &[u8]) -> (Vec<u8>, f64) {
     let tx = h.tx_stream.clone().expect("stream plan has a send stream");
     let rx = h.rx_stream.clone().expect("stream plan has a recv stream");
-
-    let file = pattern_bytes(params.file_kib * 1024, params.seed);
     let step = Duration::from_millis(50);
     let horizon = SimTime::ZERO + Duration::from_secs(60);
     let mut t = SimTime::ZERO;
@@ -135,7 +153,7 @@ pub fn bulk(params: &BulkParams, profile: Profile, label: &str) -> BulkRun {
     let mut completion = None;
     while t < horizon {
         t = (t + step).min(horizon);
-        feed(&tx, &file, &mut offset, 1000);
+        feed(&tx, file, &mut offset, 1000);
         if offset == file.len() && !tx.is_finished() {
             tx.finish();
         }
@@ -146,14 +164,7 @@ pub fn bulk(params: &BulkParams, profile: Profile, label: &str) -> BulkRun {
             break;
         }
     }
-    let elapsed = completion.unwrap_or(horizon).as_secs_f64();
-    BulkRun {
-        label: label.to_string(),
-        goodput_mbps: rx.bytes_received() as f64 * 8.0 / elapsed / 1e6,
-        completion_s: elapsed,
-        delivered_bytes: rx.bytes_received(),
-        byte_exact: received == file,
-    }
+    (received, completion.unwrap_or(horizon).as_secs_f64())
 }
 
 /// A1 — bulk file transfer: QTPAF vs the plain-TFRC datagram baseline on
@@ -425,11 +436,11 @@ impl Default for DeadlineParams {
 /// only axis that differs. `qtp_light_partial` would swap the whole
 /// capability set at once and confound the deadline comparison with a
 /// rate change.
-fn deadline_profiles(params: &DeadlineParams) -> (Profile, Profile) {
-    let floor = Rate::from_mbps(params.floor_mbps);
+pub(crate) fn deadline_profiles(floor_mbps: u64, policy_ttl: Duration) -> (Profile, Profile) {
+    let floor = Rate::from_mbps(floor_mbps);
     let full = Profile::qtp_af(floor);
     let partial = Profile::new()
-        .reliability(Reliability::Ttl(params.policy_ttl))
+        .reliability(Reliability::Ttl(policy_ttl))
         .feedback(FeedbackMode::ReceiverLoss)
         .cc(CcKind::Gtfrc { target: floor })
         .build()
@@ -465,12 +476,47 @@ pub fn deadline(
     tag_ttl: bool,
     label: &str,
 ) -> DeadlineRun {
-    let (mut sim, s, r) = lossy_path(
+    let (sim, s, r) = lossy_path(
         params.rate_mbps,
         params.one_way,
         LossModel::bernoulli(params.loss),
         params.seed,
     );
+    let frames = FrameStream {
+        frames: params.frames,
+        frame_bytes: params.frame_bytes,
+        interval: params.interval,
+        deadline: params.deadline,
+        msg_ttl: tag_ttl.then_some(params.msg_ttl),
+        seed: params.seed,
+    };
+    stream_frames(sim, (s, r), profile, label, &frames, |_, _| {})
+}
+
+/// The frame stream a deadline scenario sends: `frames` frames of
+/// `frame_bytes`, one per `interval`, each stamped with its index and send
+/// time and scored against `deadline`.
+pub(crate) struct FrameStream {
+    pub(crate) frames: usize,
+    pub(crate) frame_bytes: usize,
+    pub(crate) interval: Duration,
+    pub(crate) deadline: Duration,
+    /// Per-message TTL tag (`None` = untagged).
+    pub(crate) msg_ttl: Option<Duration>,
+    pub(crate) seed: u64,
+}
+
+/// Send `params`' frames from `s` to `r` under `profile`, a flight
+/// recorder riding along; `after_step` runs after each 5 ms step of
+/// simulated time (H5 switches its handover there).
+pub(crate) fn stream_frames(
+    mut sim: Simulator,
+    (s, r): (NodeId, NodeId),
+    profile: Profile,
+    label: &str,
+    params: &FrameStream,
+    mut after_step: impl FnMut(&mut Simulator, SimTime),
+) -> DeadlineRun {
     let plan = ConnectionPlan::new(profile)
         .label(label)
         .payload(params.frame_bytes as u32)
@@ -488,11 +534,7 @@ pub fn deadline(
     registry.register(&format!("{label}:tx"), &h.tx_tracer);
     registry.register(&format!("{label}:rx"), &h.rx_tracer);
 
-    let ttl_micros = if tag_ttl {
-        params.msg_ttl.as_micros() as u32
-    } else {
-        0
-    };
+    let ttl_micros = params.msg_ttl.map_or(0, |ttl| ttl.as_micros() as u32);
     let pad = pattern_bytes(params.frame_bytes, params.seed);
     let step = Duration::from_millis(5);
     let warmup = SimTime::ZERO + Duration::from_secs(1);
@@ -519,6 +561,7 @@ pub fn deadline(
         }
         t = (t + step).min(horizon);
         sim.run_until(t);
+        after_step(&mut sim, t);
         while let Some(frame) = rx.recv() {
             let mut idx = [0u8; 4];
             idx.copy_from_slice(&frame[..4]);
@@ -560,31 +603,13 @@ pub fn a3() -> Table {
         "A3",
         "App scenario: deadline streaming — full vs TTL-partial reliability",
         "§3's partial-reliability by-product, measured at the application: under loss, full reliability recovers every frame but behind the playout deadline (head-of-line lateness), while TTL-partial delivery drops stale retransmissions at the receiver and misses fewer deadlines",
-        &[
-            "variant",
-            "frames",
-            "on-time",
-            "late",
-            "never",
-            "miss rate",
-            "ttl dropped",
-        ],
+        &DEADLINE_COLUMNS,
     );
     let params = DeadlineParams::default();
-    let (full_profile, partial_profile) = deadline_profiles(&params);
+    let (full_profile, partial_profile) = deadline_profiles(params.floor_mbps, params.policy_ttl);
     let full = deadline(&params, full_profile, false, "full");
     let partial = deadline(&params, partial_profile, true, "ttl-partial");
-    for run in [&full, &partial] {
-        t.row(vec![
-            run.label.clone(),
-            format!("{}", params.frames),
-            format!("{}", run.on_time),
-            format!("{}", run.late),
-            format!("{}", run.never),
-            ratio(run.miss_rate),
-            format!("{}", run.ttl_dropped),
-        ]);
-    }
+    deadline_rows(&mut t, params.frames, &full, &partial);
     t.verdict = format!(
         "with a {} ms deadline over an {} ms RTT, full reliability misses {:.1}% of frames (every recovered frame arrives stale and delays the frames queued behind it); TTL-partial delivery misses {:.1}% — the lost frames themselves — and the receiver discarded {} stale retransmissions.",
         params.deadline.as_millis(),
@@ -593,6 +618,40 @@ pub fn a3() -> Table {
         partial.miss_rate * 100.0,
         partial.ttl_dropped,
     );
+    t
+}
+
+/// The columns of a deadline table (A3, H5).
+pub(crate) const DEADLINE_COLUMNS: [&str; 7] = [
+    "variant",
+    "frames",
+    "on-time",
+    "late",
+    "never",
+    "miss rate",
+    "ttl dropped",
+];
+
+/// The rows, gated metrics and flight-recorder diagnostics of a deadline
+/// table (A3, H5): one row per variant, then the miss rates, the partial
+/// variant's TTL drops and on-time count.
+pub(crate) fn deadline_rows(
+    t: &mut Table,
+    frames: usize,
+    full: &DeadlineRun,
+    partial: &DeadlineRun,
+) {
+    for run in [full, partial] {
+        t.row(vec![
+            run.label.clone(),
+            format!("{frames}"),
+            format!("{}", run.on_time),
+            format!("{}", run.late),
+            format!("{}", run.never),
+            ratio(run.miss_rate),
+            format!("{}", run.ttl_dropped),
+        ]);
+    }
     t.metric(
         "full_miss_rate",
         full.miss_rate,
@@ -617,13 +676,12 @@ pub fn a3() -> Table {
         "frames",
         Tolerance::AbsOrRel(20.0, 0.10),
     );
-    for run in [&full, &partial] {
+    for run in [full, partial] {
         t.diagnostics.push(format!(
-            "A3 variant {} — flight recorder tail:\n{}",
-            run.label, run.flight_dump
+            "{} variant {} — flight recorder tail:\n{}",
+            t.id, run.label, run.flight_dump
         ));
     }
-    t
 }
 
 /// Sweep the deadline-miss rate across loss rates for both reliability
@@ -641,7 +699,8 @@ pub fn deadline_sweep(losses: &[f64]) -> Table {
             seed: 9 + (loss * 1000.0) as u64,
             ..DeadlineParams::default()
         };
-        let (full_profile, partial_profile) = deadline_profiles(&params);
+        let (full_profile, partial_profile) =
+            deadline_profiles(params.floor_mbps, params.policy_ttl);
         let full = deadline(&params, full_profile, false, "full");
         let partial = deadline(&params, partial_profile, true, "ttl-partial");
         t.row(vec![
@@ -860,7 +919,8 @@ mod tests {
             frames: 300,
             ..DeadlineParams::default()
         };
-        let (full_profile, partial_profile) = deadline_profiles(&params);
+        let (full_profile, partial_profile) =
+            deadline_profiles(params.floor_mbps, params.policy_ttl);
         let full = deadline(&params, full_profile, false, "full");
         let partial = deadline(&params, partial_profile, true, "partial");
         assert!(

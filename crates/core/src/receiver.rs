@@ -33,27 +33,30 @@ use std::time::Duration;
 
 use crate::caps::{CapabilitySet, FeedbackMode, ServerPolicy};
 use crate::driver::{Endpoint, Outbox, TimerGens};
-use crate::stream::{RecvStream, StreamConfig, StreamRx};
+use crate::session::ConnectionPlan;
+use crate::stream::{RecvStream, StreamRx};
 use crate::wire::{
     p_to_ppb, FeedbackFields, PacketRef, QtpPacket, StreamDataHeader, IP_OVERHEAD, MAX_FB_BLOCKS,
 };
 
-/// Receiver configuration, lowered from a plan by
-/// [`ConnectionPlan::receiver_config`](crate::session::ConnectionPlan::receiver_config).
-#[derive(Debug, Clone)]
-pub(crate) struct QtpReceiverConfig {
-    /// Negotiation policy.
-    pub(crate) policy: ServerPolicy,
-    /// Selfish-receiver attack factor (1.0 = honest). Under ReceiverLoss
-    /// the reported `p` is divided by this and `x_recv` multiplied by it.
-    pub(crate) selfish_factor: f64,
-    /// Application data plane: when set, stream payloads are reassembled
-    /// into messages surfaced through a [`RecvStream`].
-    pub(crate) stream: Option<StreamConfig>,
-}
-
 /// Timer token kinds.
 const TK_FB: u64 = 0;
+
+/// The composition the SYN fixed.
+struct Negotiated {
+    caps: CapabilitySet,
+    loss: LossSource,
+}
+
+/// Where the sender's `p` comes from, seen from this end. Held inline:
+/// boxing it would cost an allocation per connection.
+#[allow(clippy::large_enum_variant)]
+enum LossSource {
+    /// `ReceiverLoss`: the full RFC 3448 receiver computes it here.
+    Measured(TfrcReceiver),
+    /// `SenderLoss` (QTPlight): the sender estimates it from SACKs.
+    AtSender,
+}
 
 /// The QTP receiver endpoint.
 pub(crate) struct QtpReceiver {
@@ -62,10 +65,13 @@ pub(crate) struct QtpReceiver {
     /// Flow id for outgoing feedback packets.
     fb_flow: FlowId,
     sender_node: NodeId,
-    cfg: QtpReceiverConfig,
-    chosen: Option<CapabilitySet>,
-    /// Full RFC 3448 receiver (ReceiverLoss mode only).
-    tfrc_rx: Option<TfrcReceiver>,
+    /// Negotiation policy.
+    policy: ServerPolicy,
+    /// Selfish-receiver attack factor (1.0 = honest). Under ReceiverLoss
+    /// the reported `p` is divided by this and `x_recv` multiplied by it.
+    selfish_factor: f64,
+    /// What the SYN fixed (`None` until it arrives).
+    negotiated: Option<Negotiated>,
     /// Reassembly / SACK state (always present: it is cheap, and even
     /// ReceiverLoss+None uses it for duplicate suppression).
     buf: ReceiverBuffer,
@@ -102,11 +108,12 @@ impl QtpReceiver {
         data_flow: FlowId,
         fb_flow: FlowId,
         sender_node: NodeId,
-        cfg: QtpReceiverConfig,
+        plan: &ConnectionPlan,
     ) -> Self {
-        // Delivery mode is re-locked at negotiation time (`on_syn`).
+        // Delivery mode is re-locked at negotiation time (`on_syn`). With a
+        // stream, payloads are reassembled into messages for a `RecvStream`.
         let tracer = Tracer::new(0);
-        let stream = cfg
+        let stream = plan
             .stream
             .as_ref()
             .map(|_| StreamRx::new(true, tracer.clone()));
@@ -114,9 +121,9 @@ impl QtpReceiver {
             data_flow,
             fb_flow,
             sender_node,
-            cfg,
-            chosen: None,
-            tfrc_rx: None,
+            policy: plan.policy.clone(),
+            selfish_factor: plan.selfish_factor,
+            negotiated: None,
             buf: ReceiverBuffer::new(),
             pending_adu_ts: BTreeMap::new(),
             payload_bytes: 1000,
@@ -143,11 +150,9 @@ impl QtpReceiver {
         self.stream.as_ref().map(|s| s.handle())
     }
 
-    /// Shared receiver-side stream state, for `Session` event polling.
-    pub(crate) fn stream_shared(
-        &self,
-    ) -> Option<std::rc::Rc<std::cell::RefCell<crate::stream::RecvShared>>> {
-        self.stream.as_ref().map(|s| s.shared())
+    /// Drains the stream's readable-message count (0 without a stream).
+    pub(crate) fn take_readable(&self) -> u64 {
+        self.stream.as_ref().map_or(0, StreamRx::take_readable)
     }
 
     /// True once the peer's close handshake reached this endpoint and every
@@ -161,7 +166,7 @@ impl QtpReceiver {
 
     /// The negotiated profile (after the handshake).
     pub(crate) fn negotiated(&self) -> Option<CapabilitySet> {
-        self.chosen
+        self.negotiated.as_ref().map(|n| n.caps)
     }
 
     /// Packets delivered to the application so far (in-order runs plus
@@ -216,25 +221,32 @@ impl QtpReceiver {
     }
 
     fn on_syn(&mut self, out: &mut Outbox, ts_nanos: u64, offered: CapabilitySet) {
-        let chosen = self
-            .chosen
-            .unwrap_or_else(|| self.cfg.policy.negotiate(offered));
-        if self.chosen.is_none() {
-            self.chosen = Some(chosen);
-            self.tracer.emit(
-                out.now.as_nanos(),
-                TraceEventKind::State(ConnState::Connected),
-            );
-            if chosen.feedback == FeedbackMode::ReceiverLoss {
-                self.tfrc_rx = Some(TfrcReceiver::new(self.payload_bytes, self.rtt_hint));
+        // A repeated SYN is answered with the first one's outcome.
+        let chosen = match &self.negotiated {
+            Some(n) => n.caps,
+            None => {
+                let caps = self.policy.negotiate(offered);
+                self.tracer.emit(
+                    out.now.as_nanos(),
+                    TraceEventKind::State(ConnState::Connected),
+                );
+                let loss = match caps.feedback {
+                    FeedbackMode::ReceiverLoss => {
+                        LossSource::Measured(TfrcReceiver::new(self.payload_bytes, self.rtt_hint))
+                    }
+                    FeedbackMode::SenderLoss => LossSource::AtSender,
+                };
+                self.negotiated = Some(Negotiated { caps, loss });
+                // Stream delivery mode follows the negotiated reliability:
+                // full reliability reassembles an ordered byte stream,
+                // everything else delivers one message per packet as they
+                // arrive.
+                if let Some(srx) = self.stream.as_mut() {
+                    srx.set_ordered(matches!(caps.reliability, Reliability::Full));
+                }
+                caps
             }
-            // Stream delivery mode follows the negotiated reliability: full
-            // reliability reassembles an ordered byte stream, everything
-            // else delivers one message per packet as they arrive.
-            if let Some(srx) = self.stream.as_mut() {
-                srx.set_ordered(matches!(chosen.reliability, Reliability::Full));
-            }
-        }
+        };
         let pkt = QtpPacket::SynAck {
             ts_echo_nanos: ts_nanos,
             chosen,
@@ -245,26 +257,24 @@ impl QtpReceiver {
     }
 
     fn reliability(&self) -> Reliability {
-        self.chosen
-            .map(|c| c.reliability)
-            .unwrap_or(Reliability::None)
+        self.negotiated
+            .as_ref()
+            .map_or(Reliability::None, |n| n.caps.reliability)
     }
 
-    fn on_data(
+    /// The arrival prologue both data paths share: RTT hint, timestamps,
+    /// round start (arming the first feedback timer), gap detection and the
+    /// RFC 3448 receiver. Returns the negotiated profile and whether the
+    /// arrival calls for feedback at once; `None` before the handshake.
+    fn arrive(
         &mut self,
         out: &mut Outbox,
         seq: u64,
         ts_nanos: u64,
-        adu_ts_nanos: u64,
         rtt_hint_micros: u32,
         payload: u32,
-    ) {
-        let Some(chosen) = self.chosen else {
-            return; // data before handshake: drop
-        };
-        if payload > 0 {
-            self.payload_bytes = payload;
-        }
+    ) -> Option<(CapabilitySet, bool)> {
+        let caps = self.negotiated.as_ref()?.caps;
         if rtt_hint_micros > 0 {
             self.rtt_hint = Duration::from_micros(rtt_hint_micros as u64);
         }
@@ -287,14 +297,48 @@ impl QtpReceiver {
         self.highest_seen = Some(self.highest_seen.map_or(seq, |h| h.max(seq)));
 
         // Heavy path: RFC 3448 receiver machinery.
-        let mut loss_event_fb = false;
-        if let Some(tfrc) = self.tfrc_rx.as_mut() {
-            let action = tfrc.on_data(out.now, seq, sender_ts, self.rtt_hint, payload);
-            loss_event_fb = action.feedback_now;
+        let loss_event_fb = match &mut self.negotiated {
+            Some(Negotiated {
+                loss: LossSource::Measured(tfrc),
+                ..
+            }) => {
+                tfrc.on_data(out.now, seq, sender_ts, self.rtt_hint, payload)
+                    .feedback_now
+            }
+            _ => false,
+        };
+        let immediate = loss_event_fb || (caps.feedback == FeedbackMode::SenderLoss && new_gap);
+        Some((caps, immediate))
+    }
+
+    /// The arrival epilogue both data paths share: feedback at once on new
+    /// loss evidence, then the cost meters.
+    fn arrived(&mut self, out: &mut Outbox, immediate: bool) {
+        if immediate {
+            self.send_feedback(out);
+        }
+        self.record_costs();
+    }
+
+    fn on_data(
+        &mut self,
+        out: &mut Outbox,
+        seq: u64,
+        ts_nanos: u64,
+        adu_ts_nanos: u64,
+        rtt_hint_micros: u32,
+        payload: u32,
+    ) {
+        let Some((caps, immediate)) = self.arrive(out, seq, ts_nanos, rtt_hint_micros, payload)
+        else {
+            return; // data before handshake: drop
+        };
+        if payload > 0 {
+            self.payload_bytes = payload;
         }
 
         // Reassembly / delivery.
-        let deliver_in_order = self.reliability().retransmits();
+        let deliver_in_order = caps.reliability.retransmits();
         match self.buf.on_packet(seq) {
             qtp_sack::Arrival::Duplicate => {}
             qtp_sack::Arrival::New { delivered } => {
@@ -325,13 +369,7 @@ impl QtpReceiver {
                 }
             }
         }
-
-        // Immediate feedback on new loss evidence.
-        let immediate = loss_event_fb || (chosen.feedback == FeedbackMode::SenderLoss && new_gap);
-        if immediate {
-            self.send_feedback(out);
-        }
-        self.record_costs();
+        self.arrived(out, immediate);
     }
 
     /// Stream-mode data path: explicit payload bytes (still in the datagram
@@ -346,33 +384,10 @@ impl QtpReceiver {
             is_retx,
             ttl_micros,
         } = header;
-        let Some(chosen) = self.chosen else {
+        let arrival = self.arrive(out, seq, ts_nanos, rtt_hint_micros, payload.len() as u32);
+        let Some((caps, immediate)) = arrival else {
             return; // data before handshake: drop
         };
-        if rtt_hint_micros > 0 {
-            self.rtt_hint = Duration::from_micros(rtt_hint_micros as u64);
-        }
-        let sender_ts = SimTime::from_nanos(ts_nanos);
-        self.last_pkt = Some((sender_ts, out.now));
-        self.bytes_since_fb += payload.len() as u64;
-        if self.round_started.is_none() {
-            self.round_started = Some(out.now);
-            let at = out.now + self.feedback_interval();
-            self.arm_fb(out, at);
-        }
-        self.own_ops += 3;
-
-        let new_gap = match self.highest_seen {
-            Some(h) => seq > h + 1,
-            None => false,
-        };
-        self.highest_seen = Some(self.highest_seen.map_or(seq, |h| h.max(seq)));
-
-        let mut loss_event_fb = false;
-        if let Some(tfrc) = self.tfrc_rx.as_mut() {
-            let action = tfrc.on_data(out.now, seq, sender_ts, self.rtt_hint, payload.len() as u32);
-            loss_event_fb = action.feedback_now;
-        }
 
         // Receiver-side TTL enforcement: both timestamps are sender-clock,
         // so the age of this copy is backend-independent. Originals have
@@ -380,7 +395,7 @@ impl QtpReceiver {
         let ttl_eff_micros = if ttl_micros > 0 {
             ttl_micros as u64
         } else {
-            match chosen.reliability {
+            match caps.reliability {
                 Reliability::Ttl(ttl) => ttl.as_micros() as u64,
                 _ => u64::MAX,
             }
@@ -418,12 +433,7 @@ impl QtpReceiver {
         if let Some(srx) = self.stream.as_mut() {
             srx.drain(self.buf.cum_ack());
         }
-
-        let immediate = loss_event_fb || (chosen.feedback == FeedbackMode::SenderLoss && new_gap);
-        if immediate {
-            self.send_feedback(out);
-        }
-        self.record_costs();
+        self.arrived(out, immediate);
     }
 
     /// Close handshake: always acknowledge a FIN (the sender retries until
@@ -454,8 +464,13 @@ impl QtpReceiver {
 
     /// One data packet processed: refresh the cost meters and peak state.
     fn record_costs(&mut self) {
-        let tfrc_ops = self.tfrc_rx.as_ref().map(|t| t.total_ops()).unwrap_or(0);
-        let tfrc_state = self.tfrc_rx.as_ref().map(|t| t.state_bytes()).unwrap_or(0);
+        let (tfrc_ops, tfrc_state) = match &self.negotiated {
+            Some(Negotiated {
+                loss: LossSource::Measured(tfrc),
+                ..
+            }) => (tfrc.total_ops(), tfrc.state_bytes()),
+            _ => (0, 0),
+        };
         let buf_ops = self.buf.meter.total();
         let state = (tfrc_state + self.buf.state_bytes()) as u64;
         let own = self.own_ops;
@@ -486,20 +501,20 @@ impl QtpReceiver {
     }
 
     fn send_feedback(&mut self, out: &mut Outbox) {
-        let Some(chosen) = self.chosen else { return };
         let Some((last_ts, last_rx_time)) = self.last_pkt else {
             return; // nothing received yet
         };
         let x_recv_honest = self.x_recv(out.now);
         let t_delay = out.now.saturating_since(last_rx_time);
-        let selfish = self.cfg.selfish_factor.max(1.0);
+        let selfish = self.selfish_factor.max(1.0);
+        // Data is taken only once negotiated.
+        let Some(Negotiated { caps, loss }) = self.negotiated.as_mut() else {
+            return;
+        };
+        let caps = *caps;
 
-        let (p_ppb, x_recv) = match chosen.feedback {
-            FeedbackMode::ReceiverLoss => {
-                let tfrc = self
-                    .tfrc_rx
-                    .as_mut()
-                    .expect("ReceiverLoss implies TFRC receiver");
+        let (p_ppb, x_recv) = match loss {
+            LossSource::Measured(tfrc) => {
                 // Build the RFC 3448 report (also rolls the x_recv round
                 // inside the TFRC receiver; we use our own counter for the
                 // wire value so both modes measure identically).
@@ -509,7 +524,7 @@ impl QtpReceiver {
                 self.own_ops += 2;
                 (Some(p_to_ppb(p_reported)), x_recv_honest * selfish)
             }
-            FeedbackMode::SenderLoss => {
+            LossSource::AtSender => {
                 self.own_ops += 2;
                 (None, x_recv_honest * selfish)
             }
@@ -527,7 +542,7 @@ impl QtpReceiver {
         };
         // SACK blocks only when someone consumes them (reliability at the
         // sender, or sender-side loss estimation).
-        if self.reliability().retransmits() || chosen.feedback == FeedbackMode::SenderLoss {
+        if caps.reliability.retransmits() || caps.feedback == FeedbackMode::SenderLoss {
             fb.n_blocks = self.buf.sack_blocks_into(&mut fb.blocks);
         }
         self.send_control(out, PktKind::Feedback, cum_ack, fb.encoded_len(), |h| {

@@ -13,18 +13,20 @@
 //!   the feedback packet; in `SenderLoss` (QTPlight) mode it comes from
 //!   the local [`SenderLossEstimator`] fed by SACK declarations.
 //!
+//! All three exist only in [`Phase::Running`], built once from the SYN-ACK:
+//! before it there is no controller to consult, so nothing that needs one
+//! can run.
+//!
 //! The endpoint is sans-io: it implements the transport-neutral
 //! [`Endpoint`] seam, reacting to datagrams and timers and emitting
 //! transmit/timer commands into an [`Outbox`]. It is crate-private: a
 //! [`Session`](crate::session::Session) wraps it, and every driver mounts
 //! the session.
-//!
-//! [`ReliabilityPolicy`]: qtp_sack::ReliabilityPolicy
 
 use qtp_metrics::trace::{ConnState, PktKind, TraceEventKind, Tracer};
-use qtp_sack::{Reliability, Scoreboard, SeqRange};
+use qtp_sack::{LossDecision, Reliability, ReliabilityPolicy, Scoreboard, SeqRange};
 use qtp_simnet::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use qtp_cc::{CcState, CongestionControl, FeedbackReport};
@@ -33,7 +35,8 @@ use crate::caps::{CapabilitySet, FeedbackMode};
 use crate::cc::controller_for;
 use crate::driver::{Endpoint, Outbox, TimerGens};
 use crate::estimator::SenderLossEstimator;
-use crate::stream::{Chunk, SendStream, StreamConfig, StreamTx};
+use crate::session::ConnectionPlan;
+use crate::stream::{Chunk, SendStream, StreamTx};
 use crate::wire::{
     ppb_to_p, FeedbackFields, PacketRef, QtpPacket, StreamDataHeader, IP_OVERHEAD,
     MAX_STREAM_PAYLOAD, STREAM_DATA_HEADER_LEN,
@@ -53,35 +56,6 @@ pub enum AppModel {
     Cbr { rate: Rate, adu_packets: u32 },
 }
 
-impl AppModel {
-    /// A media-like source: `rate` worth of 1-packet ADUs.
-    pub fn cbr(rate: Rate) -> AppModel {
-        AppModel::Cbr {
-            rate,
-            adu_packets: 1,
-        }
-    }
-}
-
-/// Sender configuration, lowered from a plan by
-/// [`ConnectionPlan::sender_config`](crate::session::ConnectionPlan::sender_config).
-#[derive(Debug, Clone)]
-pub(crate) struct QtpSenderConfig {
-    /// Profile to offer in the handshake.
-    pub(crate) offered: CapabilitySet,
-    /// Payload bytes per data packet.
-    pub(crate) s: u32,
-    /// Application model.
-    pub(crate) app: AppModel,
-    /// **D1 ablation** (experiments only): disable RTT-window loss-event
-    /// grouping in the sender-side estimator, so every lost packet counts
-    /// as its own loss event.
-    pub(crate) ablate_ungrouped_losses: bool,
-    /// Application data plane: when set, traffic comes from a
-    /// [`SendStream`] instead of the synthetic [`AppModel`].
-    pub(crate) stream: Option<StreamConfig>,
-}
-
 /// Timer token kinds (low 2 bits of the token; the rest is a generation —
 /// see [`TimerGens`]).
 const TK_SYN: u64 = 0;
@@ -89,52 +63,92 @@ const TK_PACE: u64 = 1;
 const TK_NOFB: u64 = 2;
 const TK_APP: u64 = 3;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    AwaitSynAck,
-    Running,
+/// The sender's negotiated phase. A close does not leave `Running`, so the
+/// negotiated profile stays readable after the run. Held inline: boxing it
+/// would cost an allocation per connection.
+#[allow(clippy::large_enum_variant)]
+enum Phase {
+    /// SYN offered, SYN-ACK not yet seen.
+    Handshake,
+    /// The composition the SYN-ACK fixed.
+    Running(Running),
+}
+
+/// The negotiated composition: the granted profile, its controller, its
+/// reliability policy and where its loss event rate comes from.
+struct Running {
+    caps: CapabilitySet,
+    cc: Box<dyn CongestionControl>,
+    policy: ReliabilityPolicy,
+    loss: LossSource,
+    /// Last controller phase code surfaced in the trace (BBR-lite), so
+    /// transitions emit exactly one `CcPhaseChange`.
+    last_cc_phase: Option<u8>,
+}
+
+/// Where the sender's `p` comes from.
+enum LossSource {
+    /// `ReceiverLoss`: the `p` the receiver reports in each feedback.
+    Reported,
+    /// `SenderLoss` (QTPlight): estimated here from SACK declarations.
+    Estimated(SenderLossEstimator),
+}
+
+/// Where new data comes from. A plan with a stream ignores its app model.
+enum Traffic {
+    /// The synthetic application model.
+    App(AppSource),
+    /// The stream data plane; it also keeps sent chunks readable for
+    /// retransmission until acknowledged.
+    Stream(StreamTx),
+}
+
+/// The synthetic application model and the packets it generated.
+struct AppSource {
+    model: AppModel,
+    /// Pending application packets: submission time of each not-yet-sent
+    /// packet (only bounded for the Cbr model).
+    backlog: VecDeque<SimTime>,
+    /// ADU submission time per sequence (for retransmission headers and
+    /// latency measurement); pruned as the cumulative ack advances.
+    adu_ts: BTreeMap<u64, SimTime>,
 }
 
 /// The QTP sender endpoint.
 pub(crate) struct QtpSender {
+    phase: Phase,
+    traffic: Traffic,
+    conn: Conn,
+}
+
+/// Everything else: addressing, the scoreboard, pacing, the close
+/// handshake and observability. Its methods take the negotiated
+/// composition and the traffic source as arguments where they need them.
+struct Conn {
     flow: FlowId,
     receiver_node: NodeId,
-    cfg: QtpSenderConfig,
-    state: State,
-    chosen: Option<CapabilitySet>,
-    cc: Option<Box<dyn CongestionControl>>,
-    /// Last controller phase code surfaced in the trace (BBR-lite), so
-    /// transitions emit exactly one `CcPhaseChange`.
-    last_cc_phase: Option<u8>,
+    /// Profile to offer in the handshake.
+    offered: CapabilitySet,
+    /// Payload bytes per data packet.
+    s: u32,
+    /// **D1 ablation** (experiments only): every lost packet counts as its
+    /// own loss event in the sender-side estimator.
+    ablate_ungrouped_losses: bool,
     sb: Scoreboard,
-    policy: qtp_sack::ReliabilityPolicy,
-    estimator: Option<SenderLossEstimator>,
-    /// Pending application packets: submission time of each not-yet-sent
-    /// packet (only bounded for the Cbr model).
-    backlog: std::collections::VecDeque<SimTime>,
     /// Packets handed to the network as *new* data so far.
     sent_new: u64,
-    /// ADU submission time per sequence (for retransmission headers and
-    /// latency measurement); pruned as the cumulative ack advances.
-    adu_ts: BTreeMap<u64, SimTime>,
     /// Timer generations per token kind.
     gens: TimerGens<4>,
     /// When the armed pace tick is due — the anchor of the pacing schedule
-    /// (see [`QtpSender::on_pace`]).
+    /// (see [`Conn::on_pace`]).
     pace_due: SimTime,
     /// Last time a FWD was emitted (rate-limited to once per RTT).
     last_fwd: SimTime,
-    /// Latest receive-rate report (for estimator synthesis).
-    last_x_recv: f64,
-    /// Stream data plane (replaces `cfg.app` as the traffic source); also
-    /// keeps sent chunks readable for retransmission until acknowledged.
-    stream: Option<StreamTx>,
     /// `Session::close` requested a graceful shutdown.
     close_requested: bool,
     /// When the last FIN copy went out (None = not yet sent).
     fin_sent_at: Option<SimTime>,
     fin_retries: u32,
-    fin_acked: bool,
     /// Terminal: close handshake finished (or given up on); timers are no
     /// longer re-armed so driver timer state drains naturally.
     closed: bool,
@@ -150,91 +164,243 @@ const FIN_MAX_RETRIES: u32 = 8;
 /// packets (about 24 at 200 Mbit/s, well inside a default socket buffer).
 const DEBT_CAP: Duration = Duration::from_millis(1);
 
+impl Running {
+    /// Whether the negotiated reliability retransmits declared losses.
+    fn retransmits(&self) -> bool {
+        self.caps.reliability.retransmits()
+    }
+
+    /// The controller's RTT estimate, 100 ms until it has a sample.
+    fn rtt(&self) -> Duration {
+        self.cc.rtt().unwrap_or(Duration::from_millis(100))
+    }
+
+    /// The RTT hint data packets carry, in µs (0 = no sample yet).
+    fn rtt_hint_micros(&self) -> u32 {
+        self.cc.rtt().map_or(0, |r| r.as_micros() as u32)
+    }
+
+    /// Surface the typed controller snapshot for the window/model
+    /// controllers. The TFRC-family states emit nothing extra here, so
+    /// traces of pre-existing runs stay frozen.
+    fn trace_cc_state(&mut self, tracer: &Tracer, now: SimTime) {
+        match self.cc.state() {
+            CcState::RateBased { .. } | CcState::FixedRate { .. } => {}
+            CcState::Cubic {
+                cwnd_bytes,
+                w_max_bytes,
+                tcp_friendly,
+            } => tracer.emit(
+                now.as_nanos(),
+                TraceEventKind::CubicState {
+                    cwnd_bytes,
+                    w_max_bytes,
+                    tcp_friendly,
+                },
+            ),
+            CcState::BbrLite {
+                phase,
+                btlbw_bps,
+                min_rtt_us,
+            } => {
+                let code = phase.code();
+                if self.last_cc_phase.is_some() && self.last_cc_phase != Some(code) {
+                    tracer.emit(
+                        now.as_nanos(),
+                        TraceEventKind::CcPhaseChange {
+                            phase: code,
+                            at_us: now.as_nanos() / 1_000,
+                        },
+                    );
+                }
+                self.last_cc_phase = Some(code);
+                tracer.emit(
+                    now.as_nanos(),
+                    TraceEventKind::BbrState {
+                        phase: code,
+                        btlbw_bps,
+                        min_rtt_us,
+                    },
+                );
+            }
+        }
+    }
+}
+
+impl Traffic {
+    fn stream(&self) -> Option<&StreamTx> {
+        match self {
+            Traffic::Stream(s) => Some(s),
+            Traffic::App(_) => None,
+        }
+    }
+}
+
+impl AppSource {
+    /// Does the model have a new packet, `sent` new packets in?
+    fn has_data(&self, sent: u64) -> bool {
+        match self.model {
+            AppModel::Greedy => true,
+            AppModel::Finite { packets } => sent < packets,
+            AppModel::Cbr { .. } => !self.backlog.is_empty(),
+        }
+    }
+
+    /// Sender-side staleness drop (TTL reliability, Cbr model): stale ADUs
+    /// are discarded before ever being transmitted.
+    fn drop_stale_backlog(&mut self, reliability: Reliability, now: SimTime, tracer: &Tracer) {
+        if let Reliability::Ttl(ttl) = reliability {
+            while let Some(&submit) = self.backlog.front() {
+                if now.saturating_since(submit) >= ttl {
+                    self.backlog.pop_front();
+                    tracer.emit(now.as_nanos(), TraceEventKind::PktExpired { seq: 0 });
+                } else {
+                    break;
+                }
+            }
+        }
+    }
+}
+
 impl QtpSender {
-    pub(crate) fn new(flow: FlowId, receiver_node: NodeId, cfg: QtpSenderConfig) -> Self {
-        let policy = qtp_sack::ReliabilityPolicy::new(cfg.offered.reliability);
-        let chunked = matches!(cfg.offered.reliability, Reliability::Full);
-        let stream = cfg.stream.as_ref().map(|sc| StreamTx::new(sc, chunked));
+    pub(crate) fn new(flow: FlowId, receiver_node: NodeId, plan: &ConnectionPlan) -> Self {
+        let offered = plan.profile.caps();
+        let chunked = matches!(offered.reliability, Reliability::Full);
+        let traffic = match &plan.stream {
+            Some(sc) => Traffic::Stream(StreamTx::new(sc, chunked)),
+            None => Traffic::App(AppSource {
+                model: plan.app.clone(),
+                backlog: VecDeque::new(),
+                adu_ts: BTreeMap::new(),
+            }),
+        };
         QtpSender {
-            flow,
-            receiver_node,
-            cfg,
-            state: State::AwaitSynAck,
-            chosen: None,
-            cc: None,
-            last_cc_phase: None,
-            sb: Scoreboard::new(),
-            policy,
-            estimator: None,
-            backlog: std::collections::VecDeque::new(),
-            sent_new: 0,
-            adu_ts: BTreeMap::new(),
-            gens: TimerGens::new(),
-            pace_due: SimTime::ZERO,
-            last_fwd: SimTime::ZERO,
-            last_x_recv: 0.0,
-            stream,
-            close_requested: false,
-            fin_sent_at: None,
-            fin_retries: 0,
-            fin_acked: false,
-            closed: false,
-            tracer: Tracer::new(0),
+            phase: Phase::Handshake,
+            traffic,
+            conn: Conn {
+                flow,
+                receiver_node,
+                offered,
+                s: plan.payload,
+                ablate_ungrouped_losses: plan.ablate_ungrouped_losses,
+                sb: Scoreboard::new(),
+                sent_new: 0,
+                gens: TimerGens::new(),
+                pace_due: SimTime::ZERO,
+                last_fwd: SimTime::ZERO,
+                close_requested: false,
+                fin_sent_at: None,
+                fin_retries: 0,
+                closed: false,
+                tracer: Tracer::new(0),
+            },
         }
     }
 
     /// This endpoint's [`Tracer`] handle (clones share counters + sink).
     pub(crate) fn tracer(&self) -> Tracer {
-        self.tracer.clone()
+        self.conn.tracer.clone()
     }
 
     /// App-facing handle for the stream data plane (if configured).
     pub(crate) fn send_stream(&self) -> Option<SendStream> {
-        self.stream.as_ref().map(|s| s.handle())
+        self.traffic.stream().map(|s| s.handle())
     }
 
-    /// Shared sender-side stream state, for `Session` event polling.
-    pub(crate) fn stream_shared(
-        &self,
-    ) -> Option<std::rc::Rc<std::cell::RefCell<crate::stream::SendShared>>> {
-        self.stream.as_ref().map(|s| s.shared())
+    /// Takes the stream's one-shot writable edge (never set without one).
+    pub(crate) fn take_writable_edge(&self) -> bool {
+        self.traffic
+            .stream()
+            .is_some_and(StreamTx::take_writable_edge)
     }
 
     /// Starts a graceful shutdown: stop accepting new data, drain, then run
     /// the FIN / FIN-ACK handshake from the pace timer.
     pub(crate) fn begin_close(&mut self) {
-        self.close_requested = true;
-        if let Some(s) = &self.stream {
+        self.conn.close_requested = true;
+        if let Some(s) = self.traffic.stream() {
             s.handle().finish();
         }
-        if self.state != State::Running {
+        if let Phase::Handshake = self.phase {
             // Nothing on the wire yet: close locally.
-            self.closed = true;
+            self.conn.closed = true;
         }
     }
 
     /// True once the wire-level close handshake completed (FIN acknowledged
     /// or retries exhausted).
     pub(crate) fn close_complete(&self) -> bool {
-        self.closed
+        self.conn.closed
     }
 
-    /// The negotiated profile (once the handshake completed).
+    /// The negotiated profile (once the handshake completed, and after a
+    /// close).
     pub(crate) fn negotiated(&self) -> Option<CapabilitySet> {
-        self.chosen
+        match &self.phase {
+            Phase::Handshake => None,
+            Phase::Running(run) => Some(run.caps),
+        }
     }
 
     /// Whether every packet handed to the network has been acknowledged
     /// (loop-termination signal for real-I/O drivers).
     pub(crate) fn all_acked(&self) -> bool {
-        self.sb.all_acked()
+        self.conn.sb.all_acked()
     }
 
     /// New (never-retransmitted) packets handed to the network so far.
     pub(crate) fn sent_new(&self) -> u64 {
-        self.sent_new
+        self.conn.sent_new
     }
 
+    /// The SYN-ACK fixes the composition; a duplicate changes nothing.
+    fn on_synack(&mut self, out: &mut Outbox, ts_echo_nanos: u64, caps: CapabilitySet) {
+        if let Phase::Running(_) = self.phase {
+            return;
+        }
+        let conn = &mut self.conn;
+        conn.tracer.emit(
+            out.now.as_nanos(),
+            TraceEventKind::State(ConnState::Connected),
+        );
+        let rtt = out
+            .now
+            .saturating_since(SimTime::from_nanos(ts_echo_nanos))
+            .max(Duration::from_micros(100));
+        let mut cc = controller_for(caps.cc, conn.s);
+        cc.seed_rtt(out.now, rtt);
+        let nofb = cc.nofeedback_deadline();
+        let loss = match caps.feedback {
+            FeedbackMode::ReceiverLoss => LossSource::Reported,
+            FeedbackMode::SenderLoss => {
+                let mut est = SenderLossEstimator::new(conn.s);
+                est.set_grouping(!conn.ablate_ungrouped_losses);
+                LossSource::Estimated(est)
+            }
+        };
+        self.phase = Phase::Running(Running {
+            caps,
+            cc,
+            policy: ReliabilityPolicy::new(caps.reliability),
+            loss,
+            last_cc_phase: None,
+        });
+        match &self.traffic {
+            // Negotiation may have changed the reliability class; re-lock
+            // the stream framing mode before any stream data goes out.
+            Traffic::Stream(s) => s.set_chunked(matches!(caps.reliability, Reliability::Full)),
+            // Kick off app generation.
+            Traffic::App(app) if matches!(app.model, AppModel::Cbr { .. }) => {
+                conn.arm(out, TK_APP, out.now)
+            }
+            Traffic::App(_) => {}
+        }
+        conn.arm_pace(out, out.now);
+        conn.arm(out, TK_NOFB, nofb);
+    }
+}
+
+impl Conn {
     // ---- timers -------------------------------------------------------
 
     fn arm(&mut self, out: &mut Outbox, kind: u64, at: SimTime) {
@@ -253,113 +419,39 @@ impl QtpSender {
         self.arm(out, TK_PACE, at);
     }
 
-    // ---- handshake ----------------------------------------------------
-
     fn send_syn(&mut self, out: &mut Outbox) {
         let pkt = QtpPacket::Syn {
             ts_nanos: out.now.as_nanos(),
-            offered: self.cfg.offered,
+            offered: self.offered,
         };
         self.send_control(out, PktKind::Syn, 0, &pkt);
         self.arm(out, TK_SYN, out.now + Duration::from_secs(1));
     }
 
-    fn on_synack(&mut self, out: &mut Outbox, ts_echo_nanos: u64, chosen: CapabilitySet) {
-        if self.state == State::Running {
-            return; // duplicate SYNACK
-        }
-        self.state = State::Running;
-        self.chosen = Some(chosen);
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::State(ConnState::Connected),
-        );
-        let rtt = out
-            .now
-            .saturating_since(SimTime::from_nanos(ts_echo_nanos))
-            .max(Duration::from_micros(100));
-        let mut cc = controller_for(chosen.cc, self.cfg.s);
-        cc.seed_rtt(out.now, rtt);
-        self.cc = Some(cc);
-        self.policy = qtp_sack::ReliabilityPolicy::new(chosen.reliability);
-        if chosen.feedback == FeedbackMode::SenderLoss {
-            let mut est = SenderLossEstimator::new(self.cfg.s);
-            est.set_grouping(!self.cfg.ablate_ungrouped_losses);
-            self.estimator = Some(est);
-        }
-        // Negotiation may have changed the reliability class; re-lock the
-        // stream framing mode before any stream data goes out.
-        if let Some(s) = &self.stream {
-            s.set_chunked(matches!(chosen.reliability, Reliability::Full));
-        }
-        // Kick off app generation (Cbr) and pacing.
-        if let AppModel::Cbr { .. } = self.cfg.app {
-            self.arm(out, TK_APP, out.now);
-        }
-        self.arm_pace(out, out.now);
-        let nofb = self.cc.as_ref().unwrap().nofeedback_deadline();
-        self.arm(out, TK_NOFB, nofb);
-    }
-
     // ---- application --------------------------------------------------
 
     /// Is a new (never-sent) packet available right now?
-    fn app_has_data(&self) -> bool {
-        if let Some(s) = &self.stream {
-            return s.has_data();
-        }
-        if self.close_requested {
-            return false;
-        }
-        match self.cfg.app {
-            AppModel::Greedy => true,
-            AppModel::Finite { packets } => self.sent_new < packets,
-            AppModel::Cbr { .. } => !self.backlog.is_empty(),
+    fn app_has_data(&self, traffic: &Traffic) -> bool {
+        match traffic {
+            Traffic::Stream(s) => s.has_data(),
+            Traffic::App(app) => !self.close_requested && app.has_data(self.sent_new),
         }
     }
 
-    /// Submission time of the next new packet.
-    fn next_submit_ts(&mut self, now: SimTime) -> SimTime {
-        match self.cfg.app {
-            AppModel::Cbr { .. } => self.backlog.pop_front().unwrap_or(now),
-            _ => now,
-        }
-    }
-
-    fn on_app_tick(&mut self, out: &mut Outbox) {
+    fn on_app_tick(&mut self, out: &mut Outbox, traffic: &mut Traffic) {
         if self.closed {
             return;
         }
-        let AppModel::Cbr { rate, adu_packets } = self.cfg.app else {
+        let Traffic::App(app) = traffic else { return };
+        let AppModel::Cbr { rate, adu_packets } = app.model else {
             return;
         };
         for _ in 0..adu_packets {
-            self.backlog.push_back(out.now);
+            app.backlog.push_back(out.now);
         }
-        let interval = Duration::from_secs_f64(
-            adu_packets as f64 * self.cfg.s as f64 * 8.0 / rate.bps() as f64,
-        );
+        let interval =
+            Duration::from_secs_f64(adu_packets as f64 * self.s as f64 * 8.0 / rate.bps() as f64);
         self.arm(out, TK_APP, out.now + interval);
-    }
-
-    /// Sender-side staleness drop (TTL reliability, Cbr model): stale ADUs
-    /// are discarded before ever being transmitted.
-    fn drop_stale_backlog(&mut self, now: SimTime) {
-        if let Reliability::Ttl(ttl) = self
-            .chosen
-            .map(|c| c.reliability)
-            .unwrap_or(Reliability::None)
-        {
-            while let Some(&submit) = self.backlog.front() {
-                if now.saturating_since(submit) >= ttl {
-                    self.backlog.pop_front();
-                    self.tracer
-                        .emit(now.as_nanos(), TraceEventKind::PktExpired { seq: 0 });
-                } else {
-                    break;
-                }
-            }
-        }
     }
 
     // ---- transmission -------------------------------------------------
@@ -385,21 +477,19 @@ impl QtpSender {
         self.tracer.emit(out.now.as_nanos(), recvd);
     }
 
-    fn rtt_hint_micros(&self) -> u32 {
-        self.cc
-            .as_ref()
-            .and_then(|cc| cc.rtt())
-            .map(|r| r.as_micros() as u32)
-            .unwrap_or(0)
-    }
-
     /// Queue an encoded data packet of accounted size `size` and tell the
     /// controller and the trace about it.
-    fn emit_data(&mut self, out: &mut Outbox, seq: u64, size: u32, header: Vec<u8>, is_retx: bool) {
+    fn emit_data(
+        &mut self,
+        out: &mut Outbox,
+        run: &mut Running,
+        seq: u64,
+        size: u32,
+        header: Vec<u8>,
+        is_retx: bool,
+    ) {
         out.send_new(self.flow, self.receiver_node, size, header);
-        if let Some(cc) = self.cc.as_mut() {
-            cc.on_send(out.now, size);
-        }
+        run.cc.on_send(out.now, size);
         self.tracer.emit(
             out.now.as_nanos(),
             TraceEventKind::PktSent {
@@ -411,53 +501,80 @@ impl QtpSender {
         );
     }
 
-    fn send_data(&mut self, out: &mut Outbox, seq: u64, adu_ts: SimTime, is_retx: bool) {
+    fn send_data(
+        &mut self,
+        out: &mut Outbox,
+        run: &mut Running,
+        seq: u64,
+        adu_ts: SimTime,
+        is_retx: bool,
+    ) {
         let pkt = QtpPacket::Data {
             seq,
             ts_nanos: out.now.as_nanos(),
             adu_ts_nanos: adu_ts.as_nanos(),
-            rtt_hint_micros: self.rtt_hint_micros(),
+            rtt_hint_micros: run.rtt_hint_micros(),
             is_retx,
         };
         let mut header = out.buffer(pkt.encoded_len());
         pkt.encode_into(&mut header);
         // The simulated payload is accounted, never materialised.
-        let size = self.cfg.s + header.len() as u32 + IP_OVERHEAD;
-        self.emit_data(out, seq, size, header, is_retx);
+        let size = self.s + header.len() as u32 + IP_OVERHEAD;
+        self.emit_data(out, run, seq, size, header, is_retx);
     }
 
     /// Header fields and payload go straight from the send store into one
     /// transmit buffer lent by the outbox.
-    fn send_stream_data(&mut self, out: &mut Outbox, seq: u64, chunk: &Chunk, is_retx: bool) {
+    fn send_stream_data(
+        &mut self,
+        out: &mut Outbox,
+        run: &mut Running,
+        stream: &StreamTx,
+        seq: u64,
+        chunk: &Chunk,
+        is_retx: bool,
+    ) {
         let fields = StreamDataHeader {
             seq,
             ts_nanos: out.now.as_nanos(),
             adu_ts_nanos: chunk.adu_ts.as_nanos(),
-            rtt_hint_micros: self.rtt_hint_micros(),
+            rtt_hint_micros: run.rtt_hint_micros(),
             is_retx,
             ttl_micros: chunk.ttl_micros,
         };
         let mut header = out.buffer(STREAM_DATA_HEADER_LEN + chunk.payload_len());
         fields.encode_into(chunk.payload_len(), &mut header);
-        let stream = self.stream.as_ref().expect("stream chunks imply a stream");
         stream.copy_payload(chunk, &mut header);
         // The payload rides inside the header bytes; only IP overhead on top.
         let size = header.len() as u32 + IP_OVERHEAD;
-        self.emit_data(out, seq, size, header, is_retx);
+        self.emit_data(out, run, seq, size, header, is_retx);
+    }
+
+    /// Transmit one packet if anything is eligible: retransmissions first
+    /// (policy permitting), then new data. Returns whether a data packet
+    /// went out.
+    fn send_one(&mut self, out: &mut Outbox, run: &mut Running, traffic: &mut Traffic) -> bool {
+        match traffic {
+            Traffic::Stream(stream) => self.send_one_stream(out, run, stream),
+            Traffic::App(app) => self.send_one_app(out, run, app),
+        }
     }
 
     /// Stream-mode transmission: retransmit retained chunks first, then
-    /// packetise new bytes from the send store. Returns whether a data
-    /// packet went out.
-    fn send_one_stream(&mut self, out: &mut Outbox) -> bool {
+    /// packetise new bytes from the send store.
+    fn send_one_stream(
+        &mut self,
+        out: &mut Outbox,
+        run: &mut Running,
+        stream: &mut StreamTx,
+    ) -> bool {
         while let Some(seq) = self.sb.next_lost() {
             let retx_count = self.sb.retx_count(seq);
-            let decision = self.policy.on_loss(seq, out.now, retx_count);
-            let stream = self.stream.as_mut().expect("stream mode");
-            if decision == qtp_sack::LossDecision::Retransmit {
+            let decision = run.policy.on_loss(seq, out.now, retx_count);
+            if decision == LossDecision::Retransmit {
                 if let Some(chunk) = stream.chunk(seq) {
                     self.sb.register_retransmit(seq, out.now);
-                    self.send_stream_data(out, seq, &chunk, true);
+                    self.send_stream_data(out, run, stream, seq, &chunk, true);
                     return true;
                 }
             }
@@ -466,47 +583,41 @@ impl QtpSender {
             self.tracer
                 .emit(out.now.as_nanos(), TraceEventKind::PktExpired { seq });
         }
-        let max = (self.cfg.s as usize).min(MAX_STREAM_PAYLOAD);
-        let stream = self.stream.as_mut().expect("stream mode");
+        let max = (self.s as usize).min(MAX_STREAM_PAYLOAD);
         let Some(chunk) = stream.next_chunk(max, out.now) else {
             return false;
         };
         let seq = self.sb.register_send(out.now);
         self.sent_new += 1;
-        let reliability = self.chosen.map(|c| c.reliability);
-        if matches!(reliability, Some(Reliability::Ttl(_))) {
-            self.policy
+        if matches!(run.caps.reliability, Reliability::Ttl(_)) {
+            run.policy
                 .register_adu(SeqRange::new(seq, seq + 1), out.now);
         }
-        let retained = reliability.map(|r| r.retransmits()).unwrap_or(false);
+        let retained = run.retransmits();
         if retained {
             stream.retain(seq, chunk);
         }
-        self.send_stream_data(out, seq, &chunk, false);
+        self.send_stream_data(out, run, stream, seq, &chunk, false);
         if !retained {
             // Nothing re-reads these bytes, and without retransmission the
             // cumulative ack may never pass a hole: release them now.
-            self.stream.as_mut().expect("stream mode").trim();
+            stream.trim();
         }
         true
     }
 
-    /// Transmit one packet if anything is eligible: retransmissions first
-    /// (policy permitting), then new data. Returns whether a data packet
-    /// went out.
-    fn send_one(&mut self, out: &mut Outbox) -> bool {
-        if self.stream.is_some() {
-            return self.send_one_stream(out);
-        }
-        self.drop_stale_backlog(out.now);
+    /// App-model transmission: stale backlog goes first, then
+    /// retransmissions, then a new packet.
+    fn send_one_app(&mut self, out: &mut Outbox, run: &mut Running, app: &mut AppSource) -> bool {
+        app.drop_stale_backlog(run.caps.reliability, out.now, &self.tracer);
         // Retransmissions have priority under reliable modes.
         while let Some(seq) = self.sb.next_lost() {
             let retx_count = self.sb.retx_count(seq);
-            let decision = self.policy.on_loss(seq, out.now, retx_count);
-            if decision == qtp_sack::LossDecision::Retransmit {
-                let adu_ts = self.adu_ts.get(&seq).copied().unwrap_or(out.now);
+            let decision = run.policy.on_loss(seq, out.now, retx_count);
+            if decision == LossDecision::Retransmit {
+                let adu_ts = app.adu_ts.get(&seq).copied().unwrap_or(out.now);
                 self.sb.register_retransmit(seq, out.now);
-                self.send_data(out, seq, adu_ts, true);
+                self.send_data(out, run, seq, adu_ts, true);
                 return true;
             }
             // Abandoned: drop from the retransmission queue and keep going.
@@ -514,35 +625,29 @@ impl QtpSender {
             self.tracer
                 .emit(out.now.as_nanos(), TraceEventKind::PktExpired { seq });
         }
-        if self.app_has_data() {
-            let submit = self.next_submit_ts(out.now);
-            let seq = self.sb.register_send(out.now);
-            self.sent_new += 1;
-            let reliability = self.chosen.map(|c| c.reliability);
-            if matches!(reliability, Some(Reliability::Ttl(_))) {
-                self.policy
-                    .register_adu(SeqRange::new(seq, seq + 1), submit);
-            }
-            if reliability.map(|r| r.retransmits()).unwrap_or(false) {
-                self.adu_ts.insert(seq, submit);
-            }
-            self.send_data(out, seq, submit, false);
-            return true;
+        if self.close_requested || !app.has_data(self.sent_new) {
+            return false;
         }
-        false
+        // Only the Cbr model queues submissions; the others submit now.
+        let submit = app.backlog.pop_front().unwrap_or(out.now);
+        let seq = self.sb.register_send(out.now);
+        self.sent_new += 1;
+        if matches!(run.caps.reliability, Reliability::Ttl(_)) {
+            run.policy.register_adu(SeqRange::new(seq, seq + 1), submit);
+        }
+        if run.retransmits() {
+            app.adu_ts.insert(seq, submit);
+        }
+        self.send_data(out, run, seq, submit, false);
+        true
     }
 
     /// Emit a FWD if the policy abandoned data the receiver is waiting for.
-    fn maybe_send_forward(&mut self, out: &mut Outbox) {
-        let Some(fp) = self.policy.forward_point(self.sb.cum_ack()) else {
+    fn maybe_send_forward(&mut self, out: &mut Outbox, run: &Running) {
+        let Some(fp) = run.policy.forward_point(self.sb.cum_ack()) else {
             return;
         };
-        let rtt = self
-            .cc
-            .as_ref()
-            .and_then(|cc| cc.rtt())
-            .unwrap_or(Duration::from_millis(100));
-        if out.now.saturating_since(self.last_fwd) < rtt {
+        if out.now.saturating_since(self.last_fwd) < run.rtt() {
             return;
         }
         self.last_fwd = out.now;
@@ -570,28 +675,30 @@ impl QtpSender {
     /// tick there, `due + interval > now − DEBT_CAP`, and both branches
     /// reduce to `now + interval` — the schedule, and with it every golden
     /// and every count, is bit-for-bit what it was before the anchor.
-    fn on_pace(&mut self, out: &mut Outbox) {
-        if self.state != State::Running || self.closed {
+    fn on_pace(&mut self, out: &mut Outbox, run: &mut Running, traffic: &mut Traffic) {
+        if self.closed {
             return; // closed: let the timer lapse without re-arming
         }
-        self.check_tail_loss(out.now);
+        self.check_tail_loss(out.now, run);
         // Window-based controllers bound unacknowledged bytes in flight;
         // when the window is full the pace timer keeps ticking but no
         // packet leaves. Rate-based controllers return no limit, so their
         // scheduling is untouched.
-        let window_open = match self.cc.as_ref().and_then(|cc| cc.cwnd_limit()) {
-            Some(limit) => self.sb.in_flight() * u64::from(self.cfg.s) < limit,
+        let window_open = match run.cc.cwnd_limit() {
+            Some(limit) => self.sb.in_flight() * u64::from(self.s) < limit,
             None => true,
         };
-        let sent = window_open && self.send_one(out);
-        self.maybe_send_forward(out);
-        self.maybe_send_fin(out);
+        let sent = window_open && self.send_one(out, run, traffic);
+        self.maybe_send_forward(out, run);
+        self.maybe_send_fin(out, run, traffic);
         if self.closed {
             return;
         }
-        let interval = self.cc.as_ref().unwrap().send_interval();
         // Clamp pathological intervals so the event loop stays healthy.
-        let interval = interval.clamp(Duration::from_micros(10), Duration::from_secs(2));
+        let interval = run
+            .cc
+            .send_interval()
+            .clamp(Duration::from_micros(10), Duration::from_secs(2));
         let next = if sent {
             (self.pace_due + interval).max(out.now - DEBT_CAP)
         } else {
@@ -605,34 +712,24 @@ impl QtpSender {
     /// Drained and ready to FIN: close was requested (via `Session::close`
     /// or `SendStream::finish`), every byte has been packetised, and — under
     /// retransmitting modes — every packet acknowledged or abandoned.
-    fn fin_ready(&self) -> bool {
-        let requested =
-            self.close_requested || self.stream.as_ref().map(|s| s.fin_ready()).unwrap_or(false);
+    fn fin_ready(&self, run: &Running, traffic: &Traffic) -> bool {
+        let requested = self.close_requested || traffic.stream().is_some_and(|s| s.fin_ready());
         if !requested {
             return false;
         }
-        if self.app_has_data() || self.sb.next_lost().is_some() {
+        if self.app_has_data(traffic) || self.sb.next_lost().is_some() {
             return false;
         }
-        let retransmits = self
-            .chosen
-            .map(|c| c.reliability.retransmits())
-            .unwrap_or(false);
-        !retransmits || self.sb.all_acked()
+        !run.retransmits() || self.sb.all_acked()
     }
 
     /// (Re)send FIN from the pace cadence with an RTO-style backoff; after
     /// [`FIN_MAX_RETRIES`] unanswered copies, close unilaterally.
-    fn maybe_send_fin(&mut self, out: &mut Outbox) {
-        if self.fin_acked || self.closed || !self.fin_ready() {
+    fn maybe_send_fin(&mut self, out: &mut Outbox, run: &Running, traffic: &Traffic) {
+        if self.closed || !self.fin_ready(run, traffic) {
             return;
         }
-        let rtt = self
-            .cc
-            .as_ref()
-            .and_then(|cc| cc.rtt())
-            .unwrap_or(Duration::from_millis(100));
-        let rto = (rtt * 2).max(Duration::from_millis(50));
+        let rto = (run.rtt() * 2).max(Duration::from_millis(50));
         let due = match self.fin_sent_at {
             None => true,
             Some(t) => out.now.saturating_since(t) >= rto,
@@ -655,7 +752,6 @@ impl QtpSender {
 
     fn on_finack(&mut self, now_nanos: u64) {
         if self.fin_sent_at.is_some() {
-            self.fin_acked = true;
             self.closed = true;
             self.tracer
                 .emit(now_nanos, TraceEventKind::State(ConnState::Closed));
@@ -665,20 +761,11 @@ impl QtpSender {
     /// Tail-loss fallback: if the oldest outstanding packet has seen no
     /// progress for several RTTs, presume everything unsacked lost so the
     /// reliability machinery can act (SACK cannot report tail losses).
-    fn check_tail_loss(&mut self, now: SimTime) {
-        let retransmits = self
-            .chosen
-            .map(|c| c.reliability.retransmits())
-            .unwrap_or(false);
-        if !retransmits || self.sb.all_acked() {
+    fn check_tail_loss(&mut self, now: SimTime, run: &Running) {
+        if !run.retransmits() || self.sb.all_acked() {
             return;
         }
-        let rtt = self
-            .cc
-            .as_ref()
-            .and_then(|cc| cc.rtt())
-            .unwrap_or(Duration::from_millis(100));
-        let timeout = (rtt * 4).max(Duration::from_millis(500));
+        let timeout = (run.rtt() * 4).max(Duration::from_millis(500));
         if let Some(oldest) = self.sb.oldest_outstanding_send_time() {
             if now.saturating_since(oldest) > timeout {
                 let range = SeqRange::new(self.sb.cum_ack(), self.sb.next_seq());
@@ -689,7 +776,13 @@ impl QtpSender {
 
     // ---- feedback -----------------------------------------------------
 
-    fn on_feedback_pkt(&mut self, out: &mut Outbox, fb: FeedbackFields) {
+    fn on_feedback(
+        &mut self,
+        out: &mut Outbox,
+        run: &mut Running,
+        traffic: &mut Traffic,
+        fb: FeedbackFields,
+    ) {
         let FeedbackFields {
             ts_echo_nanos,
             t_delay_micros,
@@ -698,26 +791,27 @@ impl QtpSender {
             cum_ack,
             ..
         } = fb;
-        if self.state != State::Running || self.closed {
+        if self.closed {
             return;
         }
         let prev_cum = self.sb.cum_ack();
         let digest = self.sb.on_feedback(cum_ack, fb.blocks());
         if self.sb.cum_ack() > prev_cum {
             let cum_ack = self.sb.cum_ack();
-            self.policy.prune(cum_ack);
-            while self
-                .adu_ts
-                .first_key_value()
-                .is_some_and(|(&seq, _)| seq < cum_ack)
-            {
-                self.adu_ts.pop_first();
-            }
-            if let Some(stream) = self.stream.as_mut() {
-                stream.release(self.sb.cum_ack());
+            run.policy.prune(cum_ack);
+            match traffic {
+                Traffic::App(app) => {
+                    while app
+                        .adu_ts
+                        .first_key_value()
+                        .is_some_and(|(&seq, _)| seq < cum_ack)
+                    {
+                        app.adu_ts.pop_first();
+                    }
+                }
+                Traffic::Stream(stream) => stream.release(cum_ack),
             }
         }
-        self.last_x_recv = x_recv as f64;
 
         // Reliability: route newly-declared losses through the policy.
         if !digest.newly_lost.is_empty() {
@@ -727,34 +821,21 @@ impl QtpSender {
                     pkts: digest.newly_lost.len() as u32,
                 },
             );
-            let retransmits = self
-                .chosen
-                .map(|c| c.reliability.retransmits())
-                .unwrap_or(false);
-            if !retransmits {
+            if !run.retransmits() {
                 // Nothing will be retransmitted: abandon immediately so the
                 // receiver can be moved past the holes.
                 for &(seq, _) in &digest.newly_lost {
-                    let _ = self.policy.on_loss(seq, out.now, 0);
+                    let _ = run.policy.on_loss(seq, out.now, 0);
                     self.sb.abandon(seq);
                 }
             }
         }
 
         // The composition seam: where does p come from?
-        let chosen = self.chosen.expect("running implies negotiated");
-        let p = match chosen.feedback {
-            FeedbackMode::ReceiverLoss => p_ppb.map(ppb_to_p).unwrap_or(0.0),
-            FeedbackMode::SenderLoss => {
-                let est = self
-                    .estimator
-                    .as_mut()
-                    .expect("SenderLoss mode implies estimator");
-                let rtt = self
-                    .cc
-                    .as_ref()
-                    .and_then(|cc| cc.rtt())
-                    .unwrap_or(Duration::from_millis(100));
+        let rtt = run.rtt();
+        let p = match &mut run.loss {
+            LossSource::Reported => p_ppb.map(ppb_to_p).unwrap_or(0.0),
+            LossSource::Estimated(est) => {
                 est.on_losses(&digest.newly_lost, rtt, x_recv as f64);
                 est.loss_event_rate(self.sb.highest_seen())
             }
@@ -766,20 +847,18 @@ impl QtpSender {
             t_delay: Duration::from_micros(t_delay_micros as u64),
             x_recv: x_recv as f64,
             p,
-            newly_acked_bytes: (self.sb.cum_ack() - prev_cum) * self.cfg.s as u64,
+            newly_acked_bytes: (self.sb.cum_ack() - prev_cum) * self.s as u64,
             newly_lost_pkts: digest.newly_lost.len() as u32,
         };
-        let cc = self.cc.as_mut().unwrap();
-        cc.on_feedback(&report);
-        let rate = cc.allowed_rate();
-        let nofb = cc.nofeedback_deadline();
-        let rtt_s = cc.rtt().map(|r| r.as_secs_f64()).unwrap_or(0.0);
-        self.arm(out, TK_NOFB, nofb);
-        let (cc_ops, est_ops, sb_ops) = (
-            self.cc.as_ref().unwrap().ops(),
-            self.estimator.as_ref().map(|e| e.total_ops()).unwrap_or(0),
-            self.sb.meter.total(),
-        );
+        run.cc.on_feedback(&report);
+        let rate = run.cc.allowed_rate();
+        let rtt_s = run.cc.rtt().map(|r| r.as_secs_f64()).unwrap_or(0.0);
+        self.arm(out, TK_NOFB, run.cc.nofeedback_deadline());
+        let est_ops = match &run.loss {
+            LossSource::Reported => 0,
+            LossSource::Estimated(est) => est.total_ops(),
+        };
+        let ops = run.cc.ops() + est_ops + self.sb.meter.total();
         let now = out.now;
         self.tracer.emit(
             now.as_nanos(),
@@ -792,82 +871,31 @@ impl QtpSender {
         self.tracer.update(|c| {
             c.p_sum += p;
             c.srtt_s = rtt_s;
-            c.ops = cc_ops + est_ops + sb_ops;
+            c.ops = ops;
         });
-        self.emit_cc_state(now);
+        run.trace_cc_state(&self.tracer, now);
         // Feedback may unblock the window (e.g. new losses to retransmit).
-        self.maybe_send_forward(out);
+        self.maybe_send_forward(out, run);
     }
 
-    /// Surface the typed controller snapshot for the window/model
-    /// controllers. The TFRC-family states emit nothing extra here, so
-    /// traces of pre-existing runs stay frozen.
-    fn emit_cc_state(&mut self, now: SimTime) {
-        let Some(state) = self.cc.as_ref().map(|cc| cc.state()) else {
-            return;
-        };
-        match state {
-            CcState::RateBased { .. } | CcState::FixedRate { .. } => {}
-            CcState::Cubic {
-                cwnd_bytes,
-                w_max_bytes,
-                tcp_friendly,
-            } => self.tracer.emit(
-                now.as_nanos(),
-                TraceEventKind::CubicState {
-                    cwnd_bytes,
-                    w_max_bytes,
-                    tcp_friendly,
-                },
-            ),
-            CcState::BbrLite {
-                phase,
-                btlbw_bps,
-                min_rtt_us,
-            } => {
-                let code = phase.code();
-                if self.last_cc_phase.is_some() && self.last_cc_phase != Some(code) {
-                    self.tracer.emit(
-                        now.as_nanos(),
-                        TraceEventKind::CcPhaseChange {
-                            phase: code,
-                            at_us: now.as_nanos() / 1_000,
-                        },
-                    );
-                }
-                self.last_cc_phase = Some(code);
-                self.tracer.emit(
-                    now.as_nanos(),
-                    TraceEventKind::BbrState {
-                        phase: code,
-                        btlbw_bps,
-                        min_rtt_us,
-                    },
-                );
-            }
-        }
-    }
-
-    fn on_nofb(&mut self, out: &mut Outbox) {
+    fn on_nofb(&mut self, out: &mut Outbox, run: &mut Running) {
         if self.closed {
             return;
         }
-        let Some(cc) = self.cc.as_mut() else { return };
-        if out.now >= cc.nofeedback_deadline() {
-            cc.on_nofeedback_timer(out.now);
+        if out.now >= run.cc.nofeedback_deadline() {
+            run.cc.on_nofeedback_timer(out.now);
         }
-        let next = self.cc.as_ref().unwrap().nofeedback_deadline();
-        self.arm(out, TK_NOFB, next);
+        self.arm(out, TK_NOFB, run.cc.nofeedback_deadline());
     }
 }
 
 impl Endpoint for QtpSender {
     fn on_start(&mut self, out: &mut Outbox) {
-        self.tracer.emit(
+        self.conn.tracer.emit(
             out.now.as_nanos(),
             TraceEventKind::State(ConnState::Started),
         );
-        self.send_syn(out);
+        self.conn.send_syn(out);
     }
 
     fn handle_datagram(&mut self, out: &mut Outbox, wire_size: u32, header: &[u8]) {
@@ -879,43 +907,47 @@ impl Endpoint for QtpSender {
                 ts_echo_nanos,
                 chosen,
             }) => {
-                self.trace_recvd(out, PktKind::SynAck, 0, wire_size);
+                self.conn.trace_recvd(out, PktKind::SynAck, 0, wire_size);
                 self.on_synack(out, ts_echo_nanos, chosen)
             }
             PacketRef::Feedback(fb) => {
-                self.trace_recvd(out, PktKind::Feedback, fb.cum_ack, wire_size);
-                self.on_feedback_pkt(out, fb)
+                self.conn
+                    .trace_recvd(out, PktKind::Feedback, fb.cum_ack, wire_size);
+                // Feedback before the SYN-ACK has no composition to feed.
+                if let Phase::Running(run) = &mut self.phase {
+                    self.conn.on_feedback(out, run, &mut self.traffic, fb)
+                }
             }
             PacketRef::Other(QtpPacket::FinAck { final_seq }) => {
-                self.trace_recvd(out, PktKind::FinAck, final_seq, wire_size);
-                self.on_finack(out.now.as_nanos())
+                self.conn
+                    .trace_recvd(out, PktKind::FinAck, final_seq, wire_size);
+                self.conn.on_finack(out.now.as_nanos())
             }
             _ => {}
         }
     }
 
     fn on_timer(&mut self, out: &mut Outbox, token: u64) {
-        match self.gens.live(token) {
-            Some(kind) => {
-                self.tracer.emit(
-                    out.now.as_nanos(),
-                    TraceEventKind::TimerFired { kind: kind as u8 },
-                );
-                match kind {
-                    TK_SYN if self.state == State::AwaitSynAck => self.send_syn(out),
-                    TK_SYN => {}
-                    TK_PACE => self.on_pace(out),
-                    TK_NOFB => self.on_nofb(out),
-                    TK_APP => self.on_app_tick(out),
-                    _ => {}
-                }
-            }
-            None => self.tracer.emit(
+        let Some(kind) = self.conn.gens.live(token) else {
+            self.conn.tracer.emit(
                 out.now.as_nanos(),
                 TraceEventKind::TimerCancelled {
                     kind: (token & 3) as u8,
                 },
-            ),
+            );
+            return;
+        };
+        self.conn.tracer.emit(
+            out.now.as_nanos(),
+            TraceEventKind::TimerFired { kind: kind as u8 },
+        );
+        // Pace and no-feedback timers are armed only once running.
+        match (kind, &mut self.phase) {
+            (TK_SYN, Phase::Handshake) => self.conn.send_syn(out),
+            (TK_PACE, Phase::Running(run)) => self.conn.on_pace(out, run, &mut self.traffic),
+            (TK_NOFB, Phase::Running(run)) => self.conn.on_nofb(out, run),
+            (TK_APP, _) => self.conn.on_app_tick(out, &mut self.traffic),
+            _ => {}
         }
     }
 }
@@ -924,7 +956,8 @@ impl Endpoint for QtpSender {
 mod tests {
     use super::*;
     use crate::driver::Command;
-    use crate::session::{ConnectionPlan, Profile};
+    use crate::session::Profile;
+    use crate::stream::StreamConfig;
 
     /// A sender on a hand-driven clock: the test decides when each armed
     /// timer is delivered, which a simulator (always on time) cannot.
@@ -949,7 +982,7 @@ mod tests {
         fn connected(plan: ConnectionPlan) -> Rig {
             let chosen = plan.profile.caps();
             let mut rig = Rig {
-                tx: QtpSender::new(0, 1, plan.sender_config()),
+                tx: QtpSender::new(0, 1, &plan),
                 out: Outbox::new(),
                 timers: Vec::new(),
             };
@@ -975,8 +1008,11 @@ mod tests {
 
         /// The pace interval in force, clamped as `on_pace` clamps it.
         fn interval(&self) -> Duration {
-            let cc = self.tx.cc.as_ref().expect("connected");
-            cc.send_interval()
+            let Phase::Running(run) = &self.tx.phase else {
+                panic!("not connected");
+            };
+            run.cc
+                .send_interval()
                 .clamp(Duration::from_micros(10), Duration::from_secs(2))
         }
 
@@ -1002,7 +1038,7 @@ mod tests {
 
         /// Deadline of the live pace timer.
         fn pace_deadline(&self) -> SimTime {
-            self.tx.pace_due
+            self.tx.conn.pace_due
         }
 
         /// Deliver the live pace tick at `at` (never before it is due).
@@ -1012,7 +1048,7 @@ mod tests {
             let i = self
                 .timers
                 .iter()
-                .position(|(t, token)| *t == due && self.tx.gens.live(*token) == Some(TK_PACE))
+                .position(|(t, token)| *t == due && self.tx.conn.gens.live(*token) == Some(TK_PACE))
                 .expect("a live pace timer is armed");
             let (_, token) = self.timers.swap_remove(i);
             self.out.now = at;

@@ -51,8 +51,8 @@ use std::time::Duration;
 use crate::adapter::{SimAgent, SimHost};
 use crate::caps::{CapabilitySet, CapsError, CcKind, FeedbackMode, ServerPolicy};
 use crate::driver::{Command, Endpoint, Outbox, Transmit};
-use crate::receiver::{QtpReceiver, QtpReceiverConfig};
-use crate::sender::{AppModel, QtpSender, QtpSenderConfig};
+use crate::receiver::QtpReceiver;
+use crate::sender::{AppModel, QtpSender};
 use crate::stream::{RecvStream, SendStream, StreamConfig};
 use crate::wire::{self, QtpPacket, WireError};
 
@@ -376,26 +376,6 @@ impl ConnectionPlan {
         self
     }
 
-    /// Lower the plan into the sender endpoint's configuration.
-    pub(crate) fn sender_config(&self) -> QtpSenderConfig {
-        QtpSenderConfig {
-            offered: self.profile.caps(),
-            s: self.payload,
-            app: self.app.clone(),
-            ablate_ungrouped_losses: self.ablate_ungrouped_losses,
-            stream: self.stream.clone(),
-        }
-    }
-
-    /// Lower the plan into the receiver endpoint's configuration.
-    pub(crate) fn receiver_config(&self) -> QtpReceiverConfig {
-        QtpReceiverConfig {
-            policy: self.policy.clone(),
-            selfish_factor: self.selfish_factor,
-            stream: self.stream.clone(),
-        }
-    }
-
     /// The reliability mode a backend should judge this plan by: the
     /// **negotiated** mode once the handshake completed (the receiver's
     /// policy may have downgraded the offer), the offer before. Every
@@ -590,10 +570,6 @@ pub struct Session {
     delivered_bytes: u64,
     abandoned_seen: u64,
     events: SessionEvents,
-    /// Sender-side stream state, polled for `Writable` edges.
-    send_shared: Option<Rc<RefCell<crate::stream::SendShared>>>,
-    /// Receiver-side stream state, polled for `Readable` counts.
-    recv_shared: Option<Rc<RefCell<crate::stream::RecvShared>>>,
     /// `Finished` has been emitted.
     finished_reported: bool,
     /// The endpoint's own observability handle (stream edges are emitted
@@ -608,7 +584,7 @@ impl Session {
     /// under the simulator; real-socket drivers map every id onto the
     /// connected peer).
     pub fn sender(data_flow: FlowId, peer: NodeId, plan: &ConnectionPlan) -> Session {
-        let sender = QtpSender::new(data_flow, peer, plan.sender_config());
+        let sender = QtpSender::new(data_flow, peer, plan);
         Session::wrap(Role::Sender(sender))
     }
 
@@ -620,7 +596,7 @@ impl Session {
         peer: NodeId,
         plan: &ConnectionPlan,
     ) -> Session {
-        let receiver = QtpReceiver::new(data_flow, fb_flow, peer, plan.receiver_config());
+        let receiver = QtpReceiver::new(data_flow, fb_flow, peer, plan);
         Session::wrap(Role::Receiver(receiver))
     }
 
@@ -646,9 +622,9 @@ impl Session {
 
     /// Build the session around the endpoint's own tracer and stream state.
     fn wrap(inner: Role) -> Session {
-        let (tracer, send_shared, recv_shared) = match &inner {
-            Role::Sender(s) => (s.tracer(), s.stream_shared(), None),
-            Role::Receiver(r) => (r.tracer(), None, r.stream_shared()),
+        let tracer = match &inner {
+            Role::Sender(s) => s.tracer(),
+            Role::Receiver(r) => r.tracer(),
         };
         Session {
             inner,
@@ -662,8 +638,6 @@ impl Session {
             delivered_bytes: 0,
             abandoned_seen: 0,
             events: SessionEvents::default(),
-            send_shared,
-            recv_shared,
             finished_reported: false,
             tracer,
         }
@@ -825,20 +799,20 @@ impl Session {
             self.abandoned_seen = abandoned;
         }
         // Stream data-plane edges.
-        if let Some(sh) = &self.send_shared {
-            if crate::stream::take_writable_edge(sh) {
-                self.tracer
-                    .emit(now.as_nanos(), TraceEventKind::StreamWritable);
-                self.events.push(SessionEvent::Writable);
-            }
+        let (writable, readable) = match &self.inner {
+            Role::Sender(s) => (s.take_writable_edge(), 0),
+            Role::Receiver(r) => (false, r.take_readable()),
+        };
+        if writable {
+            self.tracer
+                .emit(now.as_nanos(), TraceEventKind::StreamWritable);
+            self.events.push(SessionEvent::Writable);
         }
-        if let Some(rh) = &self.recv_shared {
-            let n = crate::stream::take_readable(rh);
-            if n > 0 {
-                self.tracer
-                    .emit(now.as_nanos(), TraceEventKind::StreamReadable);
-                self.events.push(SessionEvent::Readable { messages: n });
-            }
+        if readable > 0 {
+            self.tracer
+                .emit(now.as_nanos(), TraceEventKind::StreamReadable);
+            self.events
+                .push(SessionEvent::Readable { messages: readable });
         }
         if !self.finished_reported {
             if let Role::Receiver(r) = &self.inner {
@@ -1740,7 +1714,10 @@ mod tests {
         // A TTL so tight on a rate so slow that some backlog must expire.
         let plan =
             ConnectionPlan::new(Profile::qtp_light_partial(Duration::from_millis(30)).unwrap())
-                .app(AppModel::cbr(Rate::from_kbps(800)))
+                .app(AppModel::Cbr {
+                    rate: Rate::from_kbps(800),
+                    adu_packets: 1,
+                })
                 .label("ttl");
         let mut backend =
             SimBackend::isolated(Rate::from_kbps(100), Duration::from_millis(40), 0.05)
@@ -1854,8 +1831,8 @@ mod tests {
             let (bare, _) = differential_run(seed, |sim| {
                 let data_flow = sim.register_flow("diff");
                 let fb_flow = sim.register_flow("diff-fb");
-                let tx = QtpSender::new(data_flow, 1, plan.sender_config());
-                let rx = QtpReceiver::new(data_flow, fb_flow, 0, plan.receiver_config());
+                let tx = QtpSender::new(data_flow, 1, &plan);
+                let rx = QtpReceiver::new(data_flow, fb_flow, 0, &plan);
                 let tracers = (tx.tracer(), rx.tracer());
                 sim.attach_agent(0, Box::new(SimAgent::new(tx)));
                 sim.attach_agent(1, Box::new(SimAgent::new(rx)));
@@ -1899,28 +1876,30 @@ mod tests {
 
     // ---- the poll surface vs the Endpoint path -------------------------
 
-    /// One input of a receiver script.
+    /// One input of a session script.
+    #[derive(Clone)]
     enum Input {
         Start,
         Datagram(Vec<u8>),
         /// Fire every timer due now.
         Tick,
+        Close,
         Abort,
     }
 
     /// What one input made a session do: the datagrams it transmitted and
     /// the timers it armed (`(deadline, token)`), both in order, the events
-    /// it raised, and its counters afterwards.
+    /// it raised, and its counters and negotiated profile afterwards.
     type Effects = (
         Vec<Transmit>,
         Vec<(SimTime, u64)>,
         Vec<SessionEvent>,
         CounterSet,
+        Option<CapabilitySet>,
     );
 
-    /// Feed `script` to a receiver session through the poll surface.
-    fn through_poll_surface(plan: &ConnectionPlan, script: &[(SimTime, Input)]) -> Vec<Effects> {
-        let mut s = Session::receiver(0, 1, 0, plan);
+    /// Feed `script` to a session through the poll surface.
+    fn through_poll_surface(mut s: Session, script: &[(SimTime, Input)]) -> Vec<Effects> {
         let mut effects = Vec::new();
         for (now, input) in script {
             let seen = s.timer_seq;
@@ -1928,21 +1907,22 @@ mod tests {
                 Input::Start => s.start(*now),
                 Input::Datagram(h) => s.handle_input(*now, h.len() as u32 + wire::IP_OVERHEAD, h),
                 Input::Tick => s.on_timeout(*now),
+                Input::Close => s.close(),
                 Input::Abort => s.abort(),
             }
             let transmits = std::iter::from_fn(|| s.poll_transmit()).collect();
             let mut armed: Vec<_> = s.timers.iter().filter(|t| t.0 .1 > seen).collect();
             armed.sort_by_key(|t| t.0 .1);
             let armed = armed.iter().map(|t| (t.0 .0, t.0 .2)).collect();
-            effects.push((transmits, armed, s.events().drain(), s.tracer().counters()));
+            let (events, counters) = (s.events().drain(), s.tracer().counters());
+            effects.push((transmits, armed, events, counters, s.negotiated()));
         }
         effects
     }
 
-    /// Feed `script` to a receiver session mounted through [`Endpoint`], with
-    /// a hand-held outbox and timer heap kept the way the drivers keep them.
-    fn through_endpoint(plan: &ConnectionPlan, script: &[(SimTime, Input)]) -> Vec<Effects> {
-        let mut s = Session::receiver(0, 1, 0, plan);
+    /// Feed `script` to a session mounted through [`Endpoint`], with a
+    /// hand-held outbox and timer heap kept the way the drivers keep them.
+    fn through_endpoint(mut s: Session, script: &[(SimTime, Input)]) -> Vec<Effects> {
         let mut out = Outbox::new();
         let mut timers = BinaryHeap::new();
         let mut armed_total = 0u64;
@@ -1978,10 +1958,12 @@ mod tests {
                         drain(&mut out, &mut timers);
                     }
                 }
+                Input::Close => s.close(),
                 Input::Abort => s.abort(),
             }
             drain(&mut out, &mut timers);
-            effects.push((transmits, armed, s.events().drain(), s.tracer().counters()));
+            let (events, counters) = (s.events().drain(), s.tracer().counters());
+            effects.push((transmits, armed, events, counters, s.negotiated()));
         }
         effects
     }
@@ -2033,8 +2015,9 @@ mod tests {
             (at(80), Input::Datagram(fin)),
             (at(1000), Input::Tick),
         ];
-        let polled = through_poll_surface(&plan, &script);
-        let mounted = through_endpoint(&plan, &script);
+        let rx = || Session::receiver(0, 1, 0, &plan);
+        let polled = through_poll_surface(rx(), &script);
+        let mounted = through_endpoint(rx(), &script);
         for (i, (p, m)) in polled.iter().zip(&mounted).enumerate() {
             assert_eq!(p, m, "input {i} forked the two paths");
         }
@@ -2057,5 +2040,201 @@ mod tests {
             wire::is_close_handshake(&polled[9].0[0].header),
             "a FIN after abort is still acknowledged"
         );
+    }
+
+    // ---- the phase contract --------------------------------------------
+
+    /// Every packet kind, then garbage, by name. SYN and SYN-ACK carry
+    /// `other`, a profile neither side negotiates, so a repeat that
+    /// re-negotiated would show.
+    fn every_packet_kind(other: CapabilitySet) -> Vec<(&'static str, Vec<u8>)> {
+        let (ms, offered, chosen) = (1_000_000, other, other);
+        let syn = QtpPacket::Syn {
+            ts_nanos: 0,
+            offered,
+        }
+        .encode();
+        let synack = QtpPacket::SynAck {
+            ts_echo_nanos: 0,
+            chosen,
+        }
+        .encode();
+        let (mut bad_syn, mut bad_synack) = (syn.clone(), synack.clone());
+        (bad_syn[9], bad_synack[9]) = (0xEE, 0xEE);
+        let data = QtpPacket::Data {
+            seq: 5,
+            ts_nanos: ms,
+            adu_ts_nanos: ms,
+            rtt_hint_micros: 20_000,
+            is_retx: false,
+        };
+        let stream_data = QtpPacket::StreamData {
+            seq: 5,
+            ts_nanos: ms,
+            adu_ts_nanos: 0,
+            rtt_hint_micros: 20_000,
+            is_retx: true,
+            ttl_micros: 1,
+            payload: vec![7; 100],
+        };
+        let feedback = QtpPacket::Feedback {
+            ts_echo_nanos: 0,
+            t_delay_micros: 10,
+            x_recv: 125_000,
+            p_ppb: Some(10_000_000),
+            cum_ack: 3,
+            blocks: vec![qtp_sack::SeqRange::new(5, 7)],
+        };
+        vec![
+            ("SYN", syn),
+            ("SYN-ACK", synack),
+            ("DATA", data.encode()),
+            ("STREAM_DATA", stream_data.encode()),
+            ("FEEDBACK", feedback.encode()),
+            ("FORWARD", QtpPacket::Forward { new_cum: 4 }.encode()),
+            ("FIN", QtpPacket::Fin { final_seq: 4 }.encode()),
+            ("FIN-ACK", QtpPacket::FinAck { final_seq: 0 }.encode()),
+            ("empty", Vec::new()),
+            ("unknown type", vec![0xEE, 1, 2, 3]),
+            ("truncated SYN", vec![1, 0, 0]),
+            ("bad-caps SYN", bad_syn),
+            ("bad-caps SYN-ACK", bad_synack),
+        ]
+    }
+
+    /// The profiles each table runs under: both loss sources, a
+    /// retransmitting and a partial reliability, both data planes.
+    fn phase_table_plans() -> [ConnectionPlan; 2] {
+        let ttl = Profile::qtp_light_partial(Duration::from_millis(50)).unwrap();
+        [
+            ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(10))),
+            ConnectionPlan::new(ttl).stream(StreamConfig::default()),
+        ]
+    }
+
+    /// Feed every packet kind to `endpoint()` in each phase, reached by
+    /// replaying `(phase, negotiated, prefix)`'s prefix one millisecond per
+    /// input, through the `Endpoint` path. In every cell nothing panics,
+    /// only the wire types `allowed(phase, kind)` go out, the phase holds a
+    /// negotiated profile iff `negotiated` (so one survives a close) and is
+    /// closed iff named so, and only `negotiating` input in a phase without
+    /// a profile negotiates.
+    fn check_phase_table(
+        endpoint: &dyn Fn() -> Session,
+        phases: &[(&str, bool, Vec<Input>)],
+        negotiating: &str,
+        allowed: &dyn Fn(&str, &str) -> &'static [u8],
+    ) {
+        for (phase, negotiated, prefix) in phases {
+            for (kind, header) in every_packet_kind(Profile::cubic().caps()) {
+                let script: Vec<_> = (1..)
+                    .map(SimTime::from_millis)
+                    .zip(prefix.iter().cloned().chain([Input::Datagram(header)]))
+                    .collect();
+                let effects = through_endpoint(endpoint(), &script);
+                let before = effects.iter().rev().nth(1).and_then(|e| e.4);
+                let (sent, after) = (&effects[prefix.len()].0, effects[prefix.len()].4);
+                let cell = format!("{phase} + {kind}");
+                let types: Vec<u8> = sent.iter().map(|t| t.header[0]).collect();
+                assert!(
+                    types.iter().all(|t| allowed(phase, kind).contains(t)),
+                    "{cell}: sent wire types {types:?}"
+                );
+                let closed = effects.iter().any(|e| e.2.contains(&SessionEvent::Closed));
+                assert_eq!(closed, matches!(*phase, "closed" | "aborted"), "{cell}");
+                assert_eq!(before.is_some(), *negotiated, "{cell}: phase");
+                if !negotiated && kind == negotiating {
+                    assert!(after.is_some(), "{cell} negotiates");
+                } else {
+                    assert_eq!(after, before, "{cell} moved negotiated()");
+                }
+            }
+        }
+    }
+
+    /// Wire type codes (the first header byte) the phase tables allow.
+    const SYNACK: u8 = 2;
+    const FEEDBACK: u8 = 4;
+    const FORWARD: u8 = 5;
+    const FINACK: u8 = 8;
+
+    /// Witnesses for inputs no other test reaches: feedback, FORWARD or
+    /// FIN-ACK before the SYN-ACK, a duplicate SYN-ACK, anything after a
+    /// close or abort.
+    #[test]
+    fn the_sender_honours_its_phase_contract() {
+        for plan in phase_table_plans() {
+            let synack = QtpPacket::SynAck {
+                ts_echo_nanos: 0,
+                chosen: plan.profile.caps(),
+            };
+            let running = vec![Input::Start, Input::Datagram(synack.encode())];
+            let with = |tail: Vec<Input>| [running.clone(), tail].concat();
+            // Nothing was sent, so the first pace tick after `close()`
+            // sends the FIN, and its FIN-ACK completes the close.
+            let fin_ack = QtpPacket::FinAck { final_seq: 0 }.encode();
+            let phases = [
+                ("not started", false, vec![]),
+                ("handshake", false, vec![Input::Start]),
+                ("running", true, running.clone()),
+                (
+                    "closed",
+                    true,
+                    with(vec![Input::Close, Input::Tick, Input::Datagram(fin_ack)]),
+                ),
+                ("aborted", true, with(vec![Input::Abort])),
+            ];
+            check_phase_table(
+                &|| Session::sender(0, 1, &plan),
+                &phases,
+                "SYN-ACK",
+                // Feedback may move the receiver past abandoned data.
+                &|phase, kind| match (phase, kind) {
+                    ("running", "FEEDBACK") => &[FORWARD],
+                    _ => &[],
+                },
+            );
+        }
+    }
+
+    /// Witnesses for inputs no other test reaches: data or feedback before
+    /// the SYN, a repeated SYN offering another profile, anything after a
+    /// FIN, a close or an abort.
+    #[test]
+    fn the_receiver_honours_its_phase_contract() {
+        for plan in phase_table_plans() {
+            let syn = QtpPacket::Syn {
+                ts_nanos: 0,
+                offered: plan.profile.caps(),
+            };
+            let running = vec![Input::Start, Input::Datagram(syn.encode())];
+            let with = |tail: Vec<Input>| [running.clone(), tail].concat();
+            let fin = QtpPacket::Fin { final_seq: 0 }.encode();
+            let phases = [
+                ("not started", false, vec![]),
+                ("handshake", false, vec![Input::Start]),
+                ("running", true, running.clone()),
+                ("after FIN", true, with(vec![Input::Datagram(fin)])),
+                ("closed", true, with(vec![Input::Close])),
+                ("aborted", true, with(vec![Input::Abort])),
+            ];
+            check_phase_table(
+                &|| Session::receiver(0, 1, 0, &plan),
+                &phases,
+                "SYN",
+                &|phase, kind| {
+                    let open = !matches!(phase, "closed" | "aborted");
+                    let negotiated = !matches!(phase, "not started" | "handshake");
+                    match kind {
+                        // A FIN is always acknowledged, so the peer can finish.
+                        "FIN" => &[FINACK],
+                        "SYN" if open => &[SYNACK],
+                        // Data may draw immediate feedback once negotiated.
+                        "DATA" | "STREAM_DATA" if open && negotiated => &[FEEDBACK],
+                        _ => &[],
+                    }
+                },
+            );
+        }
     }
 }

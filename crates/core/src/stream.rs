@@ -189,7 +189,6 @@ pub(crate) struct SendShared {
     /// space frees up.
     notify_writable: bool,
     writable_edge: bool,
-    msgs_submitted: u64,
 }
 
 impl SendShared {
@@ -206,7 +205,6 @@ impl SendShared {
             finished: false,
             notify_writable: false,
             writable_edge: false,
-            msgs_submitted: 0,
         }
     }
 
@@ -300,7 +298,6 @@ impl SendStream {
             return Err(StreamError::Full);
         }
         s.queued_bytes += bytes.len();
-        s.msgs_submitted += 1;
         let ttl = if ttl_micros != 0 {
             ttl_micros
         } else {
@@ -332,18 +329,12 @@ impl SendStream {
     pub fn queued_bytes(&self) -> usize {
         self.shared.borrow().queued_bytes
     }
-
-    /// Total messages accepted by `send` so far.
-    pub fn messages_submitted(&self) -> u64 {
-        self.shared.borrow().msgs_submitted
-    }
 }
 
 /// Receiver-side shared state between the app handle and the endpoint.
 pub(crate) struct RecvShared {
     messages: VecDeque<Vec<u8>>,
     finished: bool,
-    finished_edge: bool,
     readable_since_poll: u64,
     msgs_received: u64,
     bytes_received: u64,
@@ -359,7 +350,6 @@ impl RecvShared {
         RecvShared {
             messages: VecDeque::new(),
             finished: false,
-            finished_edge: false,
             readable_since_poll: 0,
             msgs_received: 0,
             bytes_received: 0,
@@ -486,10 +476,6 @@ impl StreamTx {
         }
     }
 
-    pub(crate) fn shared(&self) -> Rc<RefCell<SendShared>> {
-        Rc::clone(&self.shared)
-    }
-
     /// Re-locks the framing mode once negotiation settles (before any
     /// stream bytes are packetised).
     pub(crate) fn set_chunked(&self, chunked: bool) {
@@ -499,7 +485,7 @@ impl StreamTx {
     /// Takes the one-shot "space freed after a `Full`" edge, as the session
     /// does to raise `Writable`.
     pub fn take_writable_edge(&self) -> bool {
-        take_writable_edge(&self.shared)
+        std::mem::take(&mut self.shared.borrow_mut().writable_edge)
     }
 
     /// True if any bytes remain to packetise.
@@ -629,8 +615,10 @@ impl StreamRx {
         }
     }
 
-    pub(crate) fn shared(&self) -> Rc<RefCell<RecvShared>> {
-        Rc::clone(&self.shared)
+    /// Drains the count of messages made readable since the last call, as
+    /// the session does to raise `Readable`.
+    pub(crate) fn take_readable(&self) -> u64 {
+        std::mem::take(&mut self.shared.borrow_mut().readable_since_poll)
     }
 
     pub(crate) fn ordered(&self) -> bool {
@@ -724,42 +712,13 @@ impl StreamRx {
             true
         };
         if done {
-            let mut s = self.shared.borrow_mut();
-            if !s.finished {
-                s.finished = true;
-                s.finished_edge = true;
-            }
+            self.shared.borrow_mut().finished = true;
         }
     }
 
     pub fn is_finished(&self) -> bool {
         self.shared.borrow().finished
     }
-}
-
-// ---------------------------------------------------------------------------
-// Session-side edge polling (crate-private).
-// ---------------------------------------------------------------------------
-
-/// Drains and clears the sender-side writable edge.
-pub(crate) fn take_writable_edge(shared: &Rc<RefCell<SendShared>>) -> bool {
-    let mut s = shared.borrow_mut();
-    std::mem::take(&mut s.writable_edge)
-}
-
-/// Drains the receiver-side readable count since the last poll.
-pub(crate) fn take_readable(shared: &Rc<RefCell<RecvShared>>) -> u64 {
-    let mut s = shared.borrow_mut();
-    std::mem::take(&mut s.readable_since_poll)
-}
-
-/// Drains and clears the receiver-side finished edge. The session layer
-/// tracks `Finished` through `QtpReceiver::finished` instead; the edge
-/// stays available for white-box tests of the shared state.
-#[cfg(test)]
-pub(crate) fn take_finished_edge(shared: &Rc<RefCell<RecvShared>>) -> bool {
-    let mut s = shared.borrow_mut();
-    std::mem::take(&mut s.finished_edge)
 }
 
 #[cfg(test)]
@@ -782,16 +741,13 @@ mod tests {
         h.send(b"123456").unwrap();
         h.send(b"7890").unwrap(); // exactly at cap
         assert_eq!(h.send(b"x"), Err(StreamError::Full));
-        assert!(
-            !take_writable_edge(&tx.shared()),
-            "no edge until space frees"
-        );
+        assert!(!tx.take_writable_edge(), "no edge until space frees");
         let (chunk, ttl) = next(&mut tx, 100).unwrap();
         assert_eq!(ttl, 0);
         // 4-byte prefix + 6, then 4-byte prefix + 4.
         assert_eq!(chunk.len(), 18);
-        assert!(take_writable_edge(&tx.shared()));
-        assert!(!take_writable_edge(&tx.shared()), "edge is one-shot");
+        assert!(tx.take_writable_edge());
+        assert!(!tx.take_writable_edge(), "edge is one-shot");
         h.send(b"x").unwrap();
     }
 
@@ -879,8 +835,6 @@ mod tests {
         assert_eq!(rh.ttl_dropped(), 1);
         rx.on_fin(5, 0);
         assert!(rh.is_finished(), "message mode finishes on FIN");
-        assert!(take_finished_edge(&rx.shared()));
-        assert!(!take_finished_edge(&rx.shared()));
     }
 
     #[test]
@@ -894,7 +848,7 @@ mod tests {
         rx.on_payload(0, &c, 1);
         rx.drain(1);
         assert!(rx.is_finished());
-        assert_eq!(take_readable(&rx.shared()), 1);
+        assert_eq!(rx.take_readable(), 1);
     }
 
     #[test]
@@ -949,7 +903,7 @@ mod tests {
             }
         }
         // Released segments are parked for reuse, not freed.
-        let s = tx.shared();
+        let s = Rc::clone(&tx.shared);
         let spare = || s.borrow().store.spare.len();
         assert_eq!(spare(), 20 * 1400 / SEGMENT);
         tx.release(sent.len() as u64);
@@ -967,7 +921,7 @@ mod tests {
     fn an_unretained_stream_holds_a_segment_and_the_capped_spares() {
         let mut tx = StreamTx::new(&StreamConfig::default(), false);
         let h = tx.handle();
-        let s = tx.shared();
+        let s = Rc::clone(&tx.shared);
         // Nothing is ever acknowledged; the sender trims after each packet.
         for _ in 0..40 {
             while h.send(&[3u8; 1200]).is_ok() {}

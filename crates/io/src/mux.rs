@@ -76,11 +76,6 @@ impl ConnId {
     pub fn from_raw(raw: u64) -> Self {
         ConnId(raw)
     }
-
-    /// The raw value.
-    pub fn as_raw(self) -> u64 {
-        self.0
-    }
 }
 
 impl std::fmt::Display for ConnId {
@@ -579,11 +574,6 @@ impl<E: Endpoint> MuxDriver<E> {
     /// Activity counters of a live connection.
     pub fn conn_stats(&self, id: ConnId) -> Option<ConnStats> {
         self.conns.get(&id).map(|c| c.stats)
-    }
-
-    /// Ids of every live connection, ascending.
-    pub fn conn_ids(&self) -> Vec<ConnId> {
-        self.conns.keys().copied().collect()
     }
 
     /// Number of live connections.

@@ -526,11 +526,6 @@ impl Tracer {
     pub fn attach_sink(&self, sink: Rc<RefCell<dyn TraceSink>>) {
         self.inner.borrow_mut().sink = Some(sink);
     }
-
-    /// Detach the sink; counters keep accumulating.
-    pub fn detach_sink(&self) {
-        self.inner.borrow_mut().sink = None;
-    }
 }
 
 #[derive(Default)]
@@ -735,11 +730,6 @@ impl QlogWriter {
     /// The JSON-lines output so far.
     pub fn output(&self) -> &str {
         &self.out
-    }
-
-    /// Consume the writer, returning the output.
-    pub fn into_output(self) -> String {
-        self.out
     }
 
     fn data_json(kind: &TraceEventKind) -> String {

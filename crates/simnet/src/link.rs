@@ -178,11 +178,6 @@ impl Link {
     pub fn queue_len(&self) -> usize {
         self.queue.len_pkts()
     }
-
-    /// Bytes currently queued.
-    pub fn queue_bytes(&self) -> usize {
-        self.queue.len_bytes()
-    }
 }
 
 impl std::fmt::Debug for Link {

@@ -490,11 +490,6 @@ impl Simulator {
         &self.stats
     }
 
-    /// Mutable access to measurements (e.g. to reset between phases).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
-    }
-
     /// Total events dispatched so far — the denominator of the events/s
     /// throughput metric the scaling benchmarks report.
     pub fn events_processed(&self) -> u64 {
@@ -870,12 +865,6 @@ impl Simulator {
             }
         }
         self.now = t;
-    }
-
-    /// Run for a span of virtual time from the current instant.
-    pub fn run_for(&mut self, d: Duration) {
-        let t = self.now + d;
-        self.run_until(t);
     }
 }
 

@@ -65,11 +65,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Milliseconds since the epoch as a float.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Elapsed duration since `earlier`, or [`Duration::ZERO`] if `earlier`
     /// is in the future.
     pub fn saturating_since(self, earlier: SimTime) -> Duration {

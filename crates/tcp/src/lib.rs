@@ -25,3 +25,27 @@ pub use receiver::TcpReceiver;
 pub use rto::{RtoEstimator, MAX_RTO, MIN_RTO};
 pub use sender::{TcpConfig, TcpFlavor, TcpSender};
 pub use wire::{TcpHeader, TcpKind, WireError};
+
+use qtp_simnet::prelude::*;
+
+/// Attach one greedy TCP connection to a simulated topology: registers
+/// the flows `name` (data) and `"{name}-ack"`, then mounts a
+/// [`TcpSender`] at `sender_node` and a [`TcpReceiver`] (SACK blocks iff
+/// `flavor` is [`TcpFlavor::Sack`], 1000-byte segments) at
+/// `receiver_node`. Returns the data flow.
+pub fn attach_tcp(
+    sim: &mut Simulator,
+    sender_node: NodeId,
+    receiver_node: NodeId,
+    name: &str,
+    flavor: TcpFlavor,
+) -> FlowId {
+    let data = sim.register_flow(name);
+    let ack = sim.register_flow(&format!("{name}-ack"));
+    let sender = TcpSender::new(data, receiver_node, TcpConfig::new(flavor));
+    sim.attach_agent(sender_node, Box::new(sender));
+    let sack = flavor == TcpFlavor::Sack;
+    let receiver = TcpReceiver::new(data, ack, sender_node, sack, 1000);
+    sim.attach_agent(receiver_node, Box::new(receiver));
+    data
+}

@@ -36,21 +36,13 @@ fn run(use_qtpaf: bool, g: Rate) -> Vec<f64> {
         )
         .data_flow
     } else {
-        let data = sim.register_flow("guaranteed");
-        let ack = sim.register_flow("guaranteed-ack");
-        sim.attach_agent(
+        attach_tcp(
+            &mut sim,
             net.senders[0],
-            Box::new(TcpSender::new(
-                data,
-                net.receivers[0],
-                TcpConfig::new(TcpFlavor::NewReno),
-            )),
-        );
-        sim.attach_agent(
             net.receivers[0],
-            Box::new(TcpReceiver::new(data, ack, net.senders[0], false, 1000)),
-        );
-        data
+            "guaranteed",
+            TcpFlavor::NewReno,
+        )
     };
     sim.set_marker(
         net.sender_access[0],
@@ -59,19 +51,12 @@ fn run(use_qtpaf: bool, g: Rate) -> Vec<f64> {
     );
 
     // Pair 1: out-of-profile TCP aggressor (everything marked red).
-    let bg = sim.register_flow("bg");
-    let bga = sim.register_flow("bg-ack");
-    sim.attach_agent(
+    let bg = attach_tcp(
+        &mut sim,
         net.senders[1],
-        Box::new(TcpSender::new(
-            bg,
-            net.receivers[1],
-            TcpConfig::new(TcpFlavor::NewReno),
-        )),
-    );
-    sim.attach_agent(
         net.receivers[1],
-        Box::new(TcpReceiver::new(bg, bga, net.senders[1], false, 1000)),
+        "bg",
+        TcpFlavor::NewReno,
     );
     sim.set_marker(
         net.sender_access[1],

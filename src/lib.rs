@@ -107,5 +107,5 @@ pub mod prelude {
     };
     pub use qtp_io::{drive_mux_pair, Accepted, ConnId, MuxBackend, MuxConfig, MuxDriver};
     pub use qtp_simnet::prelude::*;
-    pub use qtp_tcp::{TcpConfig, TcpFlavor, TcpReceiver, TcpSender};
+    pub use qtp_tcp::{attach_tcp, TcpConfig, TcpFlavor, TcpReceiver, TcpSender};
 }

@@ -53,13 +53,7 @@ pub fn wireless_loss(seed: u64, secs: u64) -> WirelessLossReport {
     let horizon = Duration::from_secs(secs);
 
     let (mut sim, s, r) = wireless_path(seed);
-    let data = sim.register_flow("tcp");
-    let ack = sim.register_flow("tcp-ack");
-    sim.attach_agent(
-        s,
-        Box::new(TcpSender::new(data, r, TcpConfig::new(TcpFlavor::Sack))),
-    );
-    sim.attach_agent(r, Box::new(TcpReceiver::new(data, ack, s, true, 1000)));
+    let data = attach_tcp(&mut sim, s, r, "tcp", TcpFlavor::Sack);
     sim.run_until(SimTime::ZERO + horizon);
     let tcp_goodput_bps = sim.stats().flow(data).goodput_bps(horizon);
 

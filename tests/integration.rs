@@ -19,19 +19,12 @@ fn af_scenario(seed: u64) -> (qtp::simnet::sim::Simulator, Dumbbell) {
 }
 
 fn attach_bg_tcp(sim: &mut qtp::simnet::sim::Simulator, net: &Dumbbell, pair: usize) {
-    let bg = sim.register_flow("bg");
-    let bga = sim.register_flow("bg-ack");
-    sim.attach_agent(
+    let bg = attach_tcp(
+        sim,
         net.senders[pair],
-        Box::new(TcpSender::new(
-            bg,
-            net.receivers[pair],
-            TcpConfig::new(TcpFlavor::NewReno),
-        )),
-    );
-    sim.attach_agent(
         net.receivers[pair],
-        Box::new(TcpReceiver::new(bg, bga, net.senders[pair], false, 1000)),
+        "bg",
+        TcpFlavor::NewReno,
     );
     sim.set_marker(
         net.sender_access[pair],
@@ -71,19 +64,12 @@ fn qtpaf_achieves_negotiated_qos_where_tcp_fails() {
 
     // TCP-with-reservation run.
     let (mut sim, net) = af_scenario(1);
-    let data = sim.register_flow("tcp");
-    let ack = sim.register_flow("tcp-ack");
-    sim.attach_agent(
+    let data = attach_tcp(
+        &mut sim,
         net.senders[0],
-        Box::new(TcpSender::new(
-            data,
-            net.receivers[0],
-            TcpConfig::new(TcpFlavor::NewReno),
-        )),
-    );
-    sim.attach_agent(
         net.receivers[0],
-        Box::new(TcpReceiver::new(data, ack, net.senders[0], false, 1000)),
+        "tcp",
+        TcpFlavor::NewReno,
     );
     sim.set_marker(
         net.sender_access[0],
