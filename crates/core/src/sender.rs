@@ -26,7 +26,7 @@
 use qtp_metrics::trace::{ConnState, PktKind, TraceEventKind, Tracer};
 use qtp_sack::{LossDecision, Reliability, ReliabilityPolicy, Scoreboard, SeqRange};
 use qtp_simnet::prelude::*;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use qtp_cc::{CcState, CongestionControl, FeedbackReport};
@@ -109,9 +109,6 @@ struct AppSource {
     /// Pending application packets: submission time of each not-yet-sent
     /// packet (only bounded for the Cbr model).
     backlog: VecDeque<SimTime>,
-    /// ADU submission time per sequence (for retransmission headers and
-    /// latency measurement); pruned as the cumulative ack advances.
-    adu_ts: BTreeMap<u64, SimTime>,
 }
 
 /// The QTP sender endpoint.
@@ -271,7 +268,6 @@ impl QtpSender {
             None => Traffic::App(AppSource {
                 model: plan.app.clone(),
                 backlog: VecDeque::new(),
-                adu_ts: BTreeMap::new(),
             }),
         };
         QtpSender {
@@ -569,8 +565,8 @@ impl Conn {
         stream: &mut StreamTx,
     ) -> bool {
         while let Some(seq) = self.sb.next_lost() {
-            let retx_count = self.sb.retx_count(seq);
-            let decision = run.policy.on_loss(seq, out.now, retx_count);
+            let (adu_at, retx_count) = (self.sb.adu_at(seq), self.sb.retx_count(seq));
+            let decision = run.policy.on_loss(seq, out.now, adu_at, retx_count);
             if decision == LossDecision::Retransmit {
                 if let Some(chunk) = stream.chunk(seq) {
                     self.sb.register_retransmit(seq, out.now);
@@ -589,10 +585,6 @@ impl Conn {
         };
         let seq = self.sb.register_send(out.now);
         self.sent_new += 1;
-        if matches!(run.caps.reliability, Reliability::Ttl(_)) {
-            run.policy
-                .register_adu(SeqRange::new(seq, seq + 1), out.now);
-        }
         let retained = run.retransmits();
         if retained {
             stream.retain(seq, chunk);
@@ -612,12 +604,11 @@ impl Conn {
         app.drop_stale_backlog(run.caps.reliability, out.now, &self.tracer);
         // Retransmissions have priority under reliable modes.
         while let Some(seq) = self.sb.next_lost() {
-            let retx_count = self.sb.retx_count(seq);
-            let decision = run.policy.on_loss(seq, out.now, retx_count);
+            let (adu_at, retx_count) = (self.sb.adu_at(seq), self.sb.retx_count(seq));
+            let decision = run.policy.on_loss(seq, out.now, adu_at, retx_count);
             if decision == LossDecision::Retransmit {
-                let adu_ts = app.adu_ts.get(&seq).copied().unwrap_or(out.now);
                 self.sb.register_retransmit(seq, out.now);
-                self.send_data(out, run, seq, adu_ts, true);
+                self.send_data(out, run, seq, adu_at.unwrap_or(out.now), true);
                 return true;
             }
             // Abandoned: drop from the retransmission queue and keep going.
@@ -630,14 +621,8 @@ impl Conn {
         }
         // Only the Cbr model queues submissions; the others submit now.
         let submit = app.backlog.pop_front().unwrap_or(out.now);
-        let seq = self.sb.register_send(out.now);
+        let seq = self.sb.register_send_adu(out.now, submit);
         self.sent_new += 1;
-        if matches!(run.caps.reliability, Reliability::Ttl(_)) {
-            run.policy.register_adu(SeqRange::new(seq, seq + 1), submit);
-        }
-        if run.retransmits() {
-            app.adu_ts.insert(seq, submit);
-        }
         self.send_data(out, run, seq, submit, false);
         true
     }
@@ -795,37 +780,28 @@ impl Conn {
             return;
         }
         let prev_cum = self.sb.cum_ack();
-        let digest = self.sb.on_feedback(cum_ack, fb.blocks());
-        if self.sb.cum_ack() > prev_cum {
-            let cum_ack = self.sb.cum_ack();
-            run.policy.prune(cum_ack);
-            match traffic {
-                Traffic::App(app) => {
-                    while app
-                        .adu_ts
-                        .first_key_value()
-                        .is_some_and(|(&seq, _)| seq < cum_ack)
-                    {
-                        app.adu_ts.pop_first();
-                    }
-                }
-                Traffic::Stream(stream) => stream.release(cum_ack),
+        self.sb.on_feedback(cum_ack, fb.blocks());
+        if let Traffic::Stream(stream) = traffic {
+            if self.sb.cum_ack() > prev_cum {
+                stream.release(self.sb.cum_ack());
             }
         }
 
         // Reliability: route newly-declared losses through the policy.
-        if !digest.newly_lost.is_empty() {
+        let newly_lost = self.sb.newly_lost().len();
+        if newly_lost > 0 {
             self.tracer.emit(
                 out.now.as_nanos(),
                 TraceEventKind::LossEvent {
-                    pkts: digest.newly_lost.len() as u32,
+                    pkts: newly_lost as u32,
                 },
             );
             if !run.retransmits() {
                 // Nothing will be retransmitted: abandon immediately so the
                 // receiver can be moved past the holes.
-                for &(seq, _) in &digest.newly_lost {
-                    let _ = run.policy.on_loss(seq, out.now, 0);
+                for i in 0..newly_lost {
+                    let (seq, _) = self.sb.newly_lost()[i];
+                    let _ = run.policy.on_loss(seq, out.now, self.sb.adu_at(seq), 0);
                     self.sb.abandon(seq);
                 }
             }
@@ -836,7 +812,7 @@ impl Conn {
         let p = match &mut run.loss {
             LossSource::Reported => p_ppb.map(ppb_to_p).unwrap_or(0.0),
             LossSource::Estimated(est) => {
-                est.on_losses(&digest.newly_lost, rtt, x_recv as f64);
+                est.on_losses(self.sb.newly_lost(), rtt, x_recv as f64);
                 est.loss_event_rate(self.sb.highest_seen())
             }
         };
@@ -848,7 +824,7 @@ impl Conn {
             x_recv: x_recv as f64,
             p,
             newly_acked_bytes: (self.sb.cum_ack() - prev_cum) * self.s as u64,
-            newly_lost_pkts: digest.newly_lost.len() as u32,
+            newly_lost_pkts: newly_lost as u32,
         };
         run.cc.on_feedback(&report);
         let rate = run.cc.allowed_rate();

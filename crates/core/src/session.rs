@@ -498,7 +498,7 @@ impl SessionEvents {
 
     /// Drain every pending event.
     pub fn drain(&self) -> Vec<SessionEvent> {
-        self.inner.borrow_mut().drain(..).collect()
+        Vec::from(std::mem::take(&mut *self.inner.borrow_mut()))
     }
 
     /// Pending events.
@@ -1011,7 +1011,7 @@ fn new_pair(
     plan: &ConnectionPlan,
 ) -> (Session, Session, PairHandles) {
     let data_flow = sim.register_flow(name);
-    let fb_flow = sim.register_flow(&format!("{name}-fb"));
+    let fb_flow = sim.register_flow([name, "-fb"].concat());
     let tx = Session::sender(data_flow, receiver_node, plan);
     let rx = Session::receiver(data_flow, fb_flow, sender_node, plan);
     let handles = PairHandles {
@@ -1324,15 +1324,15 @@ impl SimBackend {
             }
         }
 
-        let outcomes = plans
-            .iter()
+        let outcomes = labels
+            .into_iter()
             .zip(&handles)
             .enumerate()
-            .map(|(i, (_, h))| {
+            .map(|(i, (label, h))| {
                 let delivered = sim.stats().flow(h.data_flow).bytes_app_delivered;
                 let elapsed = completion[i].unwrap_or(horizon).as_secs_f64();
                 ConnectionOutcome {
-                    label: labels[i].clone(),
+                    label,
                     negotiated: connected_caps(&h.tx_events),
                     delivered_bytes: delivered,
                     completion_s: completion[i].map(|c| c.as_secs_f64()),

@@ -147,23 +147,41 @@ fn reliable_bulk_stays_within_its_allocation_budget() {
     assert!(bytes <= 2200.0, "{bytes:.0} bytes allocated per datagram");
 }
 
-/// `pipe_lossy_vlbi`'s shape without the loss: TTL-partial reliability, one
-/// 1200-byte message per packet. Each datagram is one delivered `Vec`, plus
-/// the reliability policy's per-ADU map nodes.
-#[test]
-fn message_mode_stays_within_its_allocation_budget() {
+/// Allocations per datagram of `pipe_lossy_vlbi`'s shape without the loss,
+/// under `reliability`: gTFRC, one 1200-byte message per packet.
+fn message_transfer(reliability: Reliability) -> f64 {
     let profile = Profile::new()
-        .reliability(Reliability::Ttl(Duration::from_millis(300)))
+        .reliability(reliability)
         .cc(CcKind::Gtfrc {
             target: Rate::from_mbps(20),
         })
         .build()
-        .expect("non-zero TTL");
+        .expect("valid reliability");
     let plan = ConnectionPlan::new(profile)
         .payload(1200)
         .stream(StreamConfig::with_send_buf(256 * 1024));
-    let (allocs, _) = transfer(&plan, Duration::from_millis(50), 1200, 2400 * 1200);
+    transfer(&plan, Duration::from_millis(50), 1200, 2400 * 1200).0
+}
+
+/// TTL-partial reliability in message mode. Each datagram is one delivered
+/// `Vec`.
+#[test]
+fn message_mode_stays_within_its_allocation_budget() {
+    let allocs = message_transfer(Reliability::Ttl(Duration::from_millis(300)));
     assert!(allocs <= 1.5, "{allocs:.3} allocations per datagram");
+}
+
+/// The reliability mode is judged at loss time from the scoreboard's
+/// per-sequence record, so choosing TTL over a retransmission budget costs
+/// no allocation per datagram (a per-ADU map would add ~0.16).
+#[test]
+fn the_reliability_mode_does_not_change_allocation_cost() {
+    let ttl = message_transfer(Reliability::Ttl(Duration::from_millis(300)));
+    let budget = message_transfer(Reliability::Budget(1));
+    assert!(
+        ttl <= budget + 0.02,
+        "TTL {ttl:.3} vs Budget(1) {budget:.3} allocations per datagram"
+    );
 }
 
 /// A stream that never retransmits (plain TFRC: no SACK, no FORWARD) must

@@ -11,7 +11,8 @@
 //!   out-of-order buffer, RFC 2018 block generation (most recent first,
 //!   bounded count), FWD handling for partial reliability;
 //! * [`scoreboard::Scoreboard`] — sender state: SACK bookkeeping, DupThresh
-//!   loss declaration with original send timestamps, retransmission counts;
+//!   loss declaration with original send timestamps, and one record per
+//!   unacknowledged sequence (send time, retransmission count, ADU time);
 //! * [`reliability::ReliabilityPolicy`] — the negotiable service levels:
 //!   `None`, `Full`, `Ttl`, `Budget` deciding
 //!   retransmit-vs-abandon per lost sequence.
@@ -26,5 +27,5 @@ pub mod scoreboard;
 
 pub use ranges::{RangeSet, SeqRange};
 pub use reassembly::{Arrival, ReceiverBuffer, MAX_SACK_BLOCKS};
-pub use reliability::{Adu, LossDecision, Reliability, ReliabilityPolicy};
-pub use scoreboard::{SackDigest, Scoreboard, DUP_THRESH};
+pub use reliability::{LossDecision, Reliability, ReliabilityPolicy};
+pub use scoreboard::{Scoreboard, DUP_THRESH};

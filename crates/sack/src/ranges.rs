@@ -73,17 +73,8 @@ impl RangeSet {
 
     /// Is `seq` in the set?
     pub fn contains(&self, seq: u64) -> bool {
-        self.ranges
-            .binary_search_by(|r| {
-                if seq < r.start {
-                    std::cmp::Ordering::Greater
-                } else if seq >= r.end {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
+        let i = self.ranges.partition_point(|r| r.end <= seq);
+        self.ranges.get(i).is_some_and(|r| r.start <= seq)
     }
 
     /// Insert a single value. Returns true if it was newly added.
@@ -134,22 +125,7 @@ impl RangeSet {
 
     /// Remove a single value. Returns true if it was present.
     pub fn remove(&mut self, seq: u64) -> bool {
-        let Some(idx) = self.ranges.iter().position(|r| r.contains(seq)) else {
-            return false;
-        };
-        let r = self.ranges[idx];
-        match (seq == r.start, seq + 1 == r.end) {
-            (true, true) => {
-                self.ranges.remove(idx);
-            }
-            (true, false) => self.ranges[idx] = SeqRange::new(seq + 1, r.end),
-            (false, true) => self.ranges[idx] = SeqRange::new(r.start, seq),
-            (false, false) => {
-                self.ranges[idx] = SeqRange::new(r.start, seq);
-                self.ranges.insert(idx + 1, SeqRange::new(seq + 1, r.end));
-            }
-        }
-        true
+        self.remove_range(SeqRange::new(seq, seq + 1)) > 0
     }
 
     /// Remove every value in `[r.start, r.end)`. Returns how many values

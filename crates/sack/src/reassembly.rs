@@ -19,6 +19,9 @@ use crate::ranges::{RangeSet, SeqRange};
 /// Largest number of SACK blocks ever reported in one feedback packet.
 pub const MAX_SACK_BLOCKS: usize = 4;
 
+/// Recently changed blocks remembered for RFC 2018's ordering rule.
+const RECENT_HINTS: usize = 2 * MAX_SACK_BLOCKS;
+
 /// What happened when a data packet arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arrival {
@@ -37,9 +40,11 @@ pub struct ReceiverBuffer {
     /// Received out-of-order sequences (all `>= cum_ack`).
     ooo: RangeSet,
     /// Recently changed received blocks, most recent first (for RFC 2018's
-    /// ordering rule). Entries may be stale; they are re-validated against
-    /// `ooo` when blocks are generated.
-    recent: Vec<SeqRange>,
+    /// ordering rule), distinct; the first `recent_len` are live. Entries
+    /// may be stale; they are re-validated against `ooo` when blocks are
+    /// generated.
+    recent: [SeqRange; RECENT_HINTS],
+    recent_len: usize,
     /// Total sequences delivered in order to the application.
     delivered_total: u64,
     /// Sequences skipped by sender `FWD` instructions (expired ADUs under
@@ -63,7 +68,8 @@ impl ReceiverBuffer {
         ReceiverBuffer {
             cum_ack: 0,
             ooo: RangeSet::new(),
-            recent: Vec::new(),
+            recent: [SeqRange { start: 0, end: 0 }; RECENT_HINTS],
+            recent_len: 0,
             delivered_total: 0,
             skipped_total: 0,
             expired_total: 0,
@@ -106,23 +112,10 @@ impl ReceiverBuffer {
         if seq == self.cum_ack {
             // In-order: advance through any buffered run.
             self.cum_ack += 1;
-            let mut delivered = 1;
-            if let Some(first) = self.ooo.first() {
+            if !self.ooo.is_empty() {
                 self.meter.tick(OpClass::Compare, 1);
-                if first == self.cum_ack {
-                    // The buffered run starting here becomes deliverable.
-                    let run_end = self
-                        .ooo
-                        .iter()
-                        .next()
-                        .map(|r| r.end)
-                        .unwrap_or(self.cum_ack);
-                    delivered += run_end - self.cum_ack;
-                    self.cum_ack = run_end;
-                    self.ooo.remove_below(run_end);
-                    self.meter.tick(OpClass::Update, 2);
-                }
             }
+            let delivered = 1 + self.flush_run();
             self.delivered_total += delivered;
             self.meter.tick(OpClass::Update, 2);
             // No `note_recent`: an in-order arrival creates no SACK block
@@ -213,22 +206,33 @@ impl ReceiverBuffer {
         self.ooo.remove_below(new_cum);
         self.meter.tick(OpClass::Update, 3);
         // The jump may make a buffered run contiguous with the new cum.
-        if let Some(first) = self.ooo.first() {
-            if first == self.cum_ack {
-                let run_end = self.ooo.iter().next().map(|r| r.end).unwrap();
-                self.delivered_total += run_end - self.cum_ack;
-                self.cum_ack = run_end;
-                self.ooo.remove_below(run_end);
-                self.meter.tick(OpClass::Update, 2);
-            }
-        }
+        self.delivered_total += self.flush_run();
     }
 
-    /// Record that a block changed recently (for block ordering).
+    /// Deliver the buffered run starting at the cumulative ack, if there is
+    /// one; returns its length.
+    fn flush_run(&mut self) -> u64 {
+        let Some(run) = self.ooo.iter().next().filter(|r| r.start == self.cum_ack) else {
+            return 0;
+        };
+        self.cum_ack = run.end;
+        self.ooo.remove_below(run.end);
+        self.meter.tick(OpClass::Update, 2);
+        run.len()
+    }
+
+    /// Record that a block changed recently (for block ordering): move it
+    /// to the front, or insert it there and drop the oldest hint if full.
     fn note_recent(&mut self, r: SeqRange) {
-        self.recent.retain(|x| x.start != r.start || x.end != r.end);
-        self.recent.insert(0, r);
-        self.recent.truncate(2 * MAX_SACK_BLOCKS);
+        let last = match self.recent[..self.recent_len].iter().position(|x| *x == r) {
+            Some(i) => i,
+            None => {
+                self.recent_len = (self.recent_len + 1).min(RECENT_HINTS);
+                self.recent_len - 1
+            }
+        };
+        self.recent[..=last].rotate_right(1);
+        self.recent[0] = r;
         self.meter.tick(OpClass::Update, 1);
     }
 
@@ -252,8 +256,7 @@ impl ReceiverBuffer {
         // Most-recent hints first: map each hint to the live range
         // containing it (hints may be stale after merges), then fill the
         // remaining slots with any uncovered live ranges (ascending).
-        let hinted = self
-            .recent
+        let hinted = self.recent[..self.recent_len]
             .iter()
             .filter_map(|hint| self.ooo.iter().find(|r| r.contains(hint.start)));
         for r in hinted.chain(self.ooo.iter()) {
@@ -279,7 +282,7 @@ impl StateSize for ReceiverBuffer {
     fn state_bytes(&self) -> usize {
         self.ooo.state_bytes()
             + self.expired.state_bytes()
-            + self.recent.len() * std::mem::size_of::<SeqRange>()
+            + self.recent_len * std::mem::size_of::<SeqRange>()
             + 3 * std::mem::size_of::<u64>()
     }
 }

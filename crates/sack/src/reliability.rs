@@ -6,12 +6,11 @@
 //! sequence is declared lost the policy decides: retransmit, or abandon and
 //! move the receiver past it with a `FWD` instruction (like PR-SCTP's
 //! FORWARD-TSN). This keeps the receiver simple — a QTPlight requirement.
+//! The policy keeps no per-sequence state: the caller passes what the
+//! [`Scoreboard`](crate::Scoreboard) records for the lost sequence.
 
 use qtp_simnet::time::SimTime;
-use std::collections::BTreeMap;
 use std::time::Duration;
-
-use crate::ranges::SeqRange;
 
 /// The reliability axis (axis 1 of the paper), per connection: what the
 /// handshake negotiates and what the sender's policy enforces.
@@ -47,26 +46,11 @@ impl Reliability {
     }
 }
 
-/// An application data unit: a contiguous run of sequences submitted
-/// together, sharing a deadline/retransmission budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Adu {
-    /// Application-assigned id (monotonically increasing).
-    pub id: u64,
-    /// Sequence range occupied by the ADU.
-    pub seqs: SeqRange,
-    /// When the application submitted it.
-    pub submitted_at: SimTime,
-}
-
-/// The sender-side policy engine: maps sequences to ADUs and answers
-/// "should this lost sequence be retransmitted, or abandoned?".
+/// The sender-side policy engine: answers "should this lost sequence be
+/// retransmitted, or abandoned?".
 #[derive(Debug, Clone)]
 pub struct ReliabilityPolicy {
     mode: Reliability,
-    /// ADUs by first sequence; pruned as the cumulative ack advances.
-    adus: BTreeMap<u64, Adu>,
-    next_adu_id: u64,
     /// Abandoned sequences are reported once through `take_forward_point`.
     abandon_high_water: u64,
 }
@@ -84,8 +68,6 @@ impl ReliabilityPolicy {
     pub fn new(mode: Reliability) -> Self {
         ReliabilityPolicy {
             mode,
-            adus: BTreeMap::new(),
-            next_adu_id: 0,
             abandon_high_water: 0,
         }
     }
@@ -95,41 +77,23 @@ impl ReliabilityPolicy {
         self.mode
     }
 
-    /// Register a newly submitted ADU covering `seqs`.
-    pub fn register_adu(&mut self, seqs: SeqRange, now: SimTime) -> u64 {
-        let id = self.next_adu_id;
-        self.next_adu_id += 1;
-        self.adus.insert(
-            seqs.start,
-            Adu {
-                id,
-                seqs,
-                submitted_at: now,
-            },
-        );
-        id
-    }
-
-    /// The ADU containing `seq`, if still tracked.
-    pub fn adu_of(&self, seq: u64) -> Option<&Adu> {
-        self.adus
-            .range(..=seq)
-            .next_back()
-            .map(|(_, adu)| adu)
-            .filter(|adu| adu.seqs.contains(seq))
-    }
-
-    /// Decide the fate of a lost sequence. `retx_count` is how many times it
-    /// has already been retransmitted.
-    pub fn on_loss(&mut self, seq: u64, now: SimTime, retx_count: u32) -> LossDecision {
+    /// Decide the fate of a lost sequence. `adu_at` is when the ADU it
+    /// carries was submitted (`None` once the sequence is no longer
+    /// tracked); `retx_count` is how many times it has already been
+    /// retransmitted.
+    pub fn on_loss(
+        &mut self,
+        seq: u64,
+        now: SimTime,
+        adu_at: Option<SimTime>,
+        retx_count: u32,
+    ) -> LossDecision {
         let decision = match self.mode {
             Reliability::None => LossDecision::Abandon,
             Reliability::Full => LossDecision::Retransmit,
-            Reliability::Ttl(ttl) => match self.adu_of(seq) {
-                Some(adu) if now.saturating_since(adu.submitted_at) < ttl => {
-                    LossDecision::Retransmit
-                }
-                // Unknown ADU (already pruned => old) or expired: abandon.
+            Reliability::Ttl(ttl) => match adu_at {
+                Some(at) if now.saturating_since(at) < ttl => LossDecision::Retransmit,
+                // Untracked (already acknowledged => old) or expired: abandon.
                 _ => LossDecision::Abandon,
             },
             Reliability::Budget(limit) => {
@@ -152,16 +116,6 @@ impl ReliabilityPolicy {
     pub fn forward_point(&self, cum_ack: u64) -> Option<u64> {
         (self.abandon_high_water > cum_ack).then_some(self.abandon_high_water)
     }
-
-    /// Drop ADU records wholly below `cum_ack` (fully delivered or passed).
-    pub fn prune(&mut self, cum_ack: u64) {
-        self.adus.retain(|_, adu| adu.seqs.end > cum_ack);
-    }
-
-    /// Number of ADUs currently tracked.
-    pub fn tracked_adus(&self) -> usize {
-        self.adus.len()
-    }
 }
 
 #[cfg(test)]
@@ -175,9 +129,11 @@ mod tests {
     #[test]
     fn full_always_retransmits() {
         let mut p = ReliabilityPolicy::new(Reliability::Full);
-        p.register_adu(SeqRange::new(0, 10), ts(0));
         for retx in 0..20 {
-            assert_eq!(p.on_loss(5, ts(100_000), retx), LossDecision::Retransmit);
+            assert_eq!(
+                p.on_loss(5, ts(100_000), Some(ts(0)), retx),
+                LossDecision::Retransmit
+            );
         }
         assert_eq!(p.forward_point(0), None);
     }
@@ -185,8 +141,7 @@ mod tests {
     #[test]
     fn none_never_retransmits() {
         let mut p = ReliabilityPolicy::new(Reliability::None);
-        p.register_adu(SeqRange::new(0, 10), ts(0));
-        assert_eq!(p.on_loss(3, ts(1), 0), LossDecision::Abandon);
+        assert_eq!(p.on_loss(3, ts(1), Some(ts(0)), 0), LossDecision::Abandon);
         assert_eq!(p.forward_point(0), Some(4));
     }
 
@@ -194,57 +149,32 @@ mod tests {
     fn ttl_retransmits_fresh_abandons_stale() {
         let ttl = Duration::from_millis(100);
         let mut p = ReliabilityPolicy::new(Reliability::Ttl(ttl));
-        p.register_adu(SeqRange::new(0, 5), ts(0));
-        p.register_adu(SeqRange::new(5, 10), ts(500));
+        let (first, second) = (Some(ts(0)), Some(ts(500)));
         // Fresh loss within TTL.
-        assert_eq!(p.on_loss(7, ts(550), 0), LossDecision::Retransmit);
+        assert_eq!(p.on_loss(7, ts(550), second, 0), LossDecision::Retransmit);
         // Same ADU, too old.
-        assert_eq!(p.on_loss(7, ts(601), 0), LossDecision::Abandon);
-        // First ADU long expired.
-        assert_eq!(p.on_loss(2, ts(550), 0), LossDecision::Abandon);
+        assert_eq!(p.on_loss(7, ts(601), second, 0), LossDecision::Abandon);
+        // The first ADU, long expired.
+        assert_eq!(p.on_loss(2, ts(550), first, 0), LossDecision::Abandon);
         assert_eq!(p.forward_point(0), Some(8));
     }
 
     #[test]
     fn ttl_unknown_adu_is_abandoned() {
         let mut p = ReliabilityPolicy::new(Reliability::Ttl(Duration::from_secs(1)));
-        // No ADU registered covering seq 3.
-        assert_eq!(p.on_loss(3, ts(10), 0), LossDecision::Abandon);
+        // Seq 3 is no longer tracked, so its ADU time is unknown.
+        assert_eq!(p.on_loss(3, ts(10), None, 0), LossDecision::Abandon);
     }
 
     #[test]
     fn retx_budget_enforced() {
         let mut p = ReliabilityPolicy::new(Reliability::Budget(2));
-        p.register_adu(SeqRange::new(0, 10), ts(0));
-        assert_eq!(p.on_loss(4, ts(10), 0), LossDecision::Retransmit);
-        assert_eq!(p.on_loss(4, ts(20), 1), LossDecision::Retransmit);
-        assert_eq!(p.on_loss(4, ts(30), 2), LossDecision::Abandon);
+        let at = Some(ts(0));
+        assert_eq!(p.on_loss(4, ts(10), at, 0), LossDecision::Retransmit);
+        assert_eq!(p.on_loss(4, ts(20), at, 1), LossDecision::Retransmit);
+        assert_eq!(p.on_loss(4, ts(30), at, 2), LossDecision::Abandon);
         assert_eq!(p.forward_point(0), Some(5));
         assert_eq!(p.forward_point(10), None, "already past it");
-    }
-
-    #[test]
-    fn adu_lookup_by_contained_seq() {
-        let mut p = ReliabilityPolicy::new(Reliability::Full);
-        let a = p.register_adu(SeqRange::new(0, 3), ts(0));
-        let b = p.register_adu(SeqRange::new(3, 8), ts(5));
-        assert_eq!(p.adu_of(0).unwrap().id, a);
-        assert_eq!(p.adu_of(2).unwrap().id, a);
-        assert_eq!(p.adu_of(3).unwrap().id, b);
-        assert_eq!(p.adu_of(7).unwrap().id, b);
-        assert!(p.adu_of(8).is_none());
-    }
-
-    #[test]
-    fn prune_drops_delivered_adus() {
-        let mut p = ReliabilityPolicy::new(Reliability::Full);
-        p.register_adu(SeqRange::new(0, 3), ts(0));
-        p.register_adu(SeqRange::new(3, 8), ts(5));
-        assert_eq!(p.tracked_adus(), 2);
-        p.prune(3);
-        assert_eq!(p.tracked_adus(), 1);
-        p.prune(8);
-        assert_eq!(p.tracked_adus(), 0);
     }
 
     #[test]

@@ -6,30 +6,31 @@
 //! `DupThresh`): an unacknowledged sequence is lost once **three or more**
 //! sequences above it have been SACKed.
 //!
-//! The scoreboard also retains per-sequence **send timestamps** — that is
-//! what lets a QTPlight sender group newly-declared losses into TFRC loss
-//! events by send time without any receiver help (paper §3), and it powers
-//! retransmission-time RTT bookkeeping.
+//! The scoreboard also keeps the sender's only per-sequence record: for
+//! every sequence in `[cum_ack, next_seq)`, its latest **send timestamp**,
+//! its retransmission count and the submission time of the ADU it carries.
+//! The send times let a QTPlight sender group newly-declared losses into
+//! TFRC loss events by send time without any receiver help (paper §3); the
+//! count and ADU time are what the reliability policy judges a loss by.
 
 use qtp_metrics::{CostMeter, OpClass, StateSize};
 use qtp_simnet::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::ranges::{RangeSet, SeqRange};
 
 /// SACKed-sequences-above threshold for loss declaration (RFC 6675).
 pub const DUP_THRESH: u64 = 3;
 
-/// Outcome digest of one feedback packet applied to the scoreboard.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SackDigest {
-    /// Sequences newly acknowledged cumulatively (below the new cum ack).
-    pub newly_cum_acked: u64,
-    /// Sequences newly covered by SACK blocks.
-    pub newly_sacked: u64,
-    /// Sequences newly declared lost by the DupThresh rule, with their
-    /// original send timestamps (ascending sequence order).
-    pub newly_lost: Vec<(u64, SimTime)>,
+/// What the sender keeps for one unacknowledged sequence.
+#[derive(Debug, Clone, Copy)]
+struct Sent {
+    /// Latest transmission; a retransmission overwrites it.
+    at: SimTime,
+    /// Times the sequence has been retransmitted.
+    retx: u32,
+    /// When the application submitted the ADU the sequence carries.
+    adu_at: SimTime,
 }
 
 /// Sender-side SACK scoreboard.
@@ -45,13 +46,13 @@ pub struct Scoreboard {
     lost_pending: RangeSet,
     /// Sequences ever declared lost (so they are not re-declared).
     ever_lost: RangeSet,
-    /// Send timestamp of each in-flight sequence, indexed by sequence: the
-    /// back is `next_seq - 1`, and a cumulative ack pops the front, so
-    /// acknowledging any number of packets frees nothing. Retransmissions
-    /// overwrite the timestamp.
-    send_times: VecDeque<SimTime>,
-    /// Retransmission count per sequence (absent = 0). Pruned on cum ack.
-    retx_counts: BTreeMap<u64, u32>,
+    /// One record per sequence in `[cum_ack, next_seq)`, indexed by
+    /// `seq - base`: the back is `next_seq - 1`, and a cumulative ack pops
+    /// the front, so acknowledging any number of packets frees nothing.
+    sent: VecDeque<Sent>,
+    /// Sequences the last `on_feedback` declared lost, with their send
+    /// timestamps; cleared and refilled by each call.
+    newly_lost: Vec<(u64, SimTime)>,
     /// Cost accounting (sender side of the E5 ledger).
     pub meter: CostMeter,
 }
@@ -64,50 +65,73 @@ impl Scoreboard {
             sacked: RangeSet::new(),
             lost_pending: RangeSet::new(),
             ever_lost: RangeSet::new(),
-            send_times: VecDeque::new(),
-            retx_counts: BTreeMap::new(),
+            sent: VecDeque::new(),
+            newly_lost: Vec::new(),
             meter: CostMeter::new(),
         }
     }
 
-    /// Allocate the next fresh sequence number and record its transmission.
+    /// Allocate the next fresh sequence number and record its transmission;
+    /// the data is its own ADU, submitted `now`.
     pub fn register_send(&mut self, now: SimTime) -> u64 {
+        self.register_send_adu(now, now)
+    }
+
+    /// [`Scoreboard::register_send`] for data the application submitted at
+    /// `adu_at`.
+    pub fn register_send_adu(&mut self, now: SimTime, adu_at: SimTime) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.send_times.push_back(now);
+        self.sent.push_back(Sent {
+            at: now,
+            retx: 0,
+            adu_at,
+        });
         self.meter.tick(OpClass::Alloc, 1);
         seq
     }
 
-    /// Sequence whose send time sits at the front of `send_times`.
-    fn times_base(&self) -> u64 {
-        self.next_seq - self.send_times.len() as u64
+    /// Sequence whose record sits at the front of `sent`.
+    fn base(&self) -> u64 {
+        self.next_seq - self.sent.len() as u64
     }
 
-    /// Latest send time of `seq`, while it is unacknowledged.
-    fn send_time(&self, seq: u64) -> Option<SimTime> {
-        let i = seq.checked_sub(self.times_base())?;
-        self.send_times.get(i as usize).copied()
+    /// The record of `seq`, while it is unacknowledged.
+    fn sent(&self, seq: u64) -> Option<&Sent> {
+        let i = seq.checked_sub(self.base())?;
+        self.sent.get(i as usize)
     }
 
     /// Record a retransmission of `seq` (must be below `next_seq`).
     pub fn register_retransmit(&mut self, seq: u64, now: SimTime) {
         debug_assert!(seq < self.next_seq, "retransmit of unsent seq {seq}");
-        let base = self.times_base();
-        if let Some(slot) = seq
+        let base = self.base();
+        if let Some(sent) = seq
             .checked_sub(base)
-            .and_then(|i| self.send_times.get_mut(i as usize))
+            .and_then(|i| self.sent.get_mut(i as usize))
         {
-            *slot = now;
+            sent.at = now;
+            sent.retx += 1;
         }
-        *self.retx_counts.entry(seq).or_insert(0) += 1;
         self.lost_pending.remove(seq);
         self.meter.tick(OpClass::Update, 2);
     }
 
-    /// Times `seq` has been retransmitted.
+    /// Times `seq` has been retransmitted (0 once it is acknowledged).
     pub fn retx_count(&self, seq: u64) -> u32 {
-        self.retx_counts.get(&seq).copied().unwrap_or(0)
+        self.sent(seq).map_or(0, |s| s.retx)
+    }
+
+    /// When the ADU carried by `seq` was submitted, while `seq` is
+    /// unacknowledged.
+    pub fn adu_at(&self, seq: u64) -> Option<SimTime> {
+        self.sent(seq).map(|s| s.adu_at)
+    }
+
+    /// Sequences the last [`Scoreboard::on_feedback`] declared lost by the
+    /// DupThresh rule, with their original send timestamps, ascending.
+    pub fn newly_lost(&self) -> &[(u64, SimTime)] {
+        &self.newly_lost
     }
 
     /// Next sequence that has never been sent.
@@ -147,56 +171,39 @@ impl Scoreboard {
         self.lost_pending.remove(seq)
     }
 
-    /// Apply one feedback packet: new cumulative ack plus SACK blocks.
-    pub fn on_feedback(&mut self, cum_ack: u64, blocks: &[SeqRange]) -> SackDigest {
-        let mut digest = SackDigest::default();
+    /// Apply one feedback packet: new cumulative ack plus SACK blocks. The
+    /// sequences it declares lost are then in [`Scoreboard::newly_lost`].
+    pub fn on_feedback(&mut self, cum_ack: u64, blocks: &[SeqRange]) {
+        self.newly_lost.clear();
         self.meter.tick(OpClass::Compare, 1 + blocks.len() as u64);
 
         // 1. Advance the cumulative ack.
         if cum_ack > self.cum_ack {
-            digest.newly_cum_acked = cum_ack - self.cum_ack;
             self.cum_ack = cum_ack;
             self.sacked.remove_below(cum_ack);
             self.lost_pending.remove_below(cum_ack);
             self.ever_lost.remove_below(cum_ack);
-            // Prune timestamp / retx maps.
-            let acked = cum_ack.saturating_sub(self.times_base());
-            self.send_times
-                .drain(..(acked as usize).min(self.send_times.len()));
-            while self
-                .retx_counts
-                .first_key_value()
-                .is_some_and(|(&seq, _)| seq < cum_ack)
-            {
-                self.retx_counts.pop_first();
-            }
+            // Drop the acknowledged records.
+            let acked = cum_ack.saturating_sub(self.base());
+            self.sent.drain(..(acked as usize).min(self.sent.len()));
             self.meter.tick(OpClass::Update, 5);
         }
 
-        // 2. Record SACK blocks.
+        // 2. Record SACK blocks. A sacked sequence is no longer pending
+        // retransmission.
         for b in blocks {
             if b.end <= self.cum_ack {
                 continue;
             }
             let clipped = SeqRange::new(b.start.max(self.cum_ack), b.end);
-            let added = self.sacked.insert_range(clipped);
-            digest.newly_sacked += added;
-            // A sacked sequence is no longer lost-pending.
-            self.meter.tick(OpClass::Update, 1);
-        }
-        // SACKed sequences cannot be pending retransmission.
-        for b in blocks {
-            if b.end <= self.cum_ack {
-                continue;
-            }
-            let clipped = SeqRange::new(b.start.max(self.cum_ack), b.end);
+            self.sacked.insert_range(clipped);
             self.lost_pending.remove_range(clipped);
-            self.meter.tick(OpClass::Update, 1);
+            self.meter.tick(OpClass::Update, 2);
         }
 
         // 3. Loss declaration: holes with >= DUP_THRESH sacked above. Holes
         // come in ascending order, and so do the sequences inside each, so
-        // `newly_lost` is built sorted.
+        // `newly_lost` is filled sorted.
         if let Some(highest_sacked_end) = self.sacked.max_end() {
             for hole in self.sacked.holes_within(self.cum_ack, highest_sacked_end) {
                 self.meter.tick(OpClass::Scan, 1);
@@ -208,15 +215,14 @@ impl Scoreboard {
                     if self.sacked.count_above(seq) >= DUP_THRESH {
                         self.ever_lost.insert(seq);
                         self.lost_pending.insert(seq);
-                        let ts = self.send_time(seq).unwrap_or(SimTime::ZERO);
-                        digest.newly_lost.push((seq, ts));
+                        let ts = self.sent(seq).map_or(SimTime::ZERO, |s| s.at);
+                        self.newly_lost.push((seq, ts));
                         self.meter.tick(OpClass::Alloc, 2);
                     }
                 }
             }
         }
-        debug_assert!(digest.newly_lost.windows(2).all(|w| w[0].0 < w[1].0));
-        digest
+        debug_assert!(self.newly_lost.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     /// Declare a range lost without SACK evidence (endpoint timeout fallback
@@ -250,10 +256,10 @@ impl Scoreboard {
     /// Oldest outstanding (unsacked, unacked, not pending-lost) sequence's
     /// send time — drives tail-loss timeouts at the endpoint.
     pub fn oldest_outstanding_send_time(&self) -> Option<SimTime> {
-        (self.times_base()..)
-            .zip(&self.send_times)
+        (self.base()..)
+            .zip(&self.sent)
             .find(|(seq, _)| !self.sacked.contains(*seq) && !self.lost_pending.contains(*seq))
-            .map(|(_, ts)| *ts)
+            .map(|(_, s)| s.at)
     }
 }
 
@@ -268,8 +274,7 @@ impl StateSize for Scoreboard {
         self.sacked.state_bytes()
             + self.lost_pending.state_bytes()
             + self.ever_lost.state_bytes()
-            + self.send_times.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<SimTime>())
-            + self.retx_counts.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
+            + self.sent.len() * std::mem::size_of::<Sent>()
             + 2 * std::mem::size_of::<u64>()
     }
 }
@@ -295,46 +300,44 @@ mod tests {
     #[test]
     fn cumulative_ack_advances() {
         let mut sb = sender_with(10);
-        let d = sb.on_feedback(5, &[]);
-        assert_eq!(d.newly_cum_acked, 5);
+        sb.on_feedback(5, &[]);
         assert_eq!(sb.cum_ack(), 5);
         assert_eq!(sb.in_flight(), 5);
-        assert!(d.newly_lost.is_empty());
+        assert!(sb.newly_lost().is_empty());
         // Regression of the ack point is ignored.
-        let d2 = sb.on_feedback(3, &[]);
-        assert_eq!(d2.newly_cum_acked, 0);
+        sb.on_feedback(3, &[]);
         assert_eq!(sb.cum_ack(), 5);
     }
 
     #[test]
     fn sack_blocks_counted_once() {
         let mut sb = sender_with(10);
-        let d1 = sb.on_feedback(2, &[SeqRange::new(4, 6)]);
-        assert_eq!(d1.newly_sacked, 2);
-        let d2 = sb.on_feedback(2, &[SeqRange::new(4, 7)]);
-        assert_eq!(d2.newly_sacked, 1, "only seq 6 is new");
+        sb.on_feedback(2, &[SeqRange::new(4, 5)]);
+        assert_eq!(sb.in_flight(), 7);
+        sb.on_feedback(2, &[SeqRange::new(4, 6)]);
+        assert_eq!(sb.in_flight(), 6, "only seq 5 is new");
     }
 
     #[test]
     fn dupthresh_loss_declaration() {
         let mut sb = sender_with(10);
         // Hole at 2; sacks 3,4 -> only 2 above, not lost yet.
-        let d = sb.on_feedback(2, &[SeqRange::new(3, 5)]);
-        assert!(d.newly_lost.is_empty());
+        sb.on_feedback(2, &[SeqRange::new(3, 5)]);
+        assert!(sb.newly_lost().is_empty());
         // Third sacked above declares it, carrying the original send time.
-        let d = sb.on_feedback(2, &[SeqRange::new(3, 6)]);
-        assert_eq!(d.newly_lost, vec![(2, ts(20))]);
+        sb.on_feedback(2, &[SeqRange::new(3, 6)]);
+        assert_eq!(sb.newly_lost(), [(2, ts(20))]);
         assert_eq!(sb.next_lost(), Some(2));
         // Never re-declared.
-        let d = sb.on_feedback(2, &[SeqRange::new(3, 8)]);
-        assert!(d.newly_lost.is_empty());
+        sb.on_feedback(2, &[SeqRange::new(3, 8)]);
+        assert!(sb.newly_lost().is_empty());
     }
 
     #[test]
     fn multi_packet_hole_declared_in_order() {
         let mut sb = sender_with(12);
-        let d = sb.on_feedback(2, &[SeqRange::new(6, 9)]);
-        let lost: Vec<u64> = d.newly_lost.iter().map(|(s, _)| *s).collect();
+        sb.on_feedback(2, &[SeqRange::new(6, 9)]);
+        let lost: Vec<u64> = sb.newly_lost().iter().map(|(s, _)| *s).collect();
         assert_eq!(lost, vec![2, 3, 4, 5]);
     }
 
@@ -351,12 +354,52 @@ mod tests {
     }
 
     #[test]
+    fn retransmit_keeps_the_adu_time_and_moves_the_send_time() {
+        let mut sb = Scoreboard::new();
+        sb.register_send(ts(0));
+        sb.register_send_adu(ts(10), ts(4));
+        sb.register_send(ts(20));
+        assert_eq!(sb.adu_at(0), Some(ts(0)), "register_send: its own ADU");
+        assert_eq!(sb.adu_at(1), Some(ts(4)));
+        sb.register_retransmit(1, ts(90));
+        assert_eq!(sb.retx_count(1), 1);
+        assert_eq!(sb.adu_at(1), Some(ts(4)), "the ADU time survives");
+        assert_eq!(sb.retx_count(0), 0);
+        // The retransmission's time is what the oldest-outstanding scan sees
+        // once seq 0 is acknowledged.
+        sb.on_feedback(1, &[SeqRange::new(2, 3)]);
+        assert_eq!(sb.oldest_outstanding_send_time(), Some(ts(90)));
+    }
+
+    #[test]
+    fn cum_ack_drops_the_records_it_passes() {
+        let mut sb = sender_with(6);
+        sb.on_feedback(0, &[SeqRange::new(3, 6)]);
+        sb.register_retransmit(1, ts(100));
+        sb.register_retransmit(2, ts(100));
+        sb.on_feedback(2, &[]);
+        assert_eq!(sb.retx_count(1), 0, "acknowledged: its record is gone");
+        assert_eq!(sb.adu_at(1), None);
+        assert_eq!(sb.retx_count(2), 1, "still unacknowledged");
+        assert_eq!(sb.adu_at(2), Some(ts(20)));
+    }
+
+    #[test]
+    fn adu_time_is_none_outside_the_window() {
+        let mut sb = sender_with(4);
+        sb.on_feedback(2, &[]);
+        assert_eq!(sb.adu_at(0), None, "below the cumulative ack");
+        assert_eq!(sb.adu_at(1), None);
+        assert_eq!(sb.adu_at(2), Some(ts(20)));
+        assert_eq!(sb.adu_at(4), None, "never sent");
+    }
+
+    #[test]
     fn cum_ack_after_retransmit_completes() {
         let mut sb = sender_with(6);
         sb.on_feedback(2, &[SeqRange::new(3, 6)]);
         sb.register_retransmit(2, ts(100));
-        let d = sb.on_feedback(6, &[]);
-        assert_eq!(d.newly_cum_acked, 4);
+        sb.on_feedback(6, &[]);
         assert!(sb.all_acked());
         assert_eq!(sb.in_flight(), 0);
     }

@@ -33,6 +33,11 @@
 
 use crate::packet::Packet;
 
+/// Header capacity every new slot reserves, so a recycled slot never grows
+/// for a header up to this size. The largest header endpoints send outside
+/// stream mode is a QTP feedback with four SACK blocks, 99 bytes.
+const SLOT_HEADER_FLOOR: usize = 128;
+
 /// Handle to a packet slot in a [`PacketArena`]. Cheap to copy and store;
 /// only meaningful to the arena that issued it, and only until released.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,16 +94,16 @@ impl PacketArena {
     /// Store `pkt` with `header` copied into the slot's retained buffer;
     /// `pkt.header` itself is dropped, so pass an empty `Vec` (which owns no
     /// allocation). Once the pool has warmed to the peak number of live
-    /// packets and header length, this allocates nothing.
+    /// packets, this allocates nothing for headers up to
+    /// `SLOT_HEADER_FLOOR` bytes.
     pub fn insert(&mut self, pkt: Packet, header: &[u8]) -> PacketId {
         debug_assert!(pkt.header.is_empty(), "header passed twice");
         let Some(i) = self.free.pop() else {
             let i = self.slots.len();
             assert!(i <= u32::MAX as usize, "packet arena overflow");
-            self.slots.push(Packet {
-                header: header.to_vec(),
-                ..pkt
-            });
+            let mut buf = Vec::with_capacity(header.len().max(SLOT_HEADER_FLOOR));
+            buf.extend_from_slice(header);
+            self.slots.push(Packet { header: buf, ..pkt });
             self.live.push(true);
             return PacketId(i as u32);
         };
@@ -179,6 +184,17 @@ mod tests {
         assert_eq!(a.get(id).header.as_ptr(), buf);
         assert!(a.get(id).header.capacity() >= 64);
         assert_eq!(a.get(id).header, vec![9; 16]);
+    }
+
+    #[test]
+    fn a_new_slot_fits_any_header_up_to_the_floor() {
+        let mut a = PacketArena::new();
+        let id = a.insert(pkt(1, Vec::new()), &[1; 20]);
+        let buf = a.get(id).header.as_ptr();
+        a.release(id);
+        let id = a.insert(pkt(2, Vec::new()), &[2; SLOT_HEADER_FLOOR]);
+        assert_eq!(a.get(id).header.as_ptr(), buf, "the slot did not regrow");
+        assert_eq!(a.get(id).header, vec![2; SLOT_HEADER_FLOOR]);
     }
 
     #[test]

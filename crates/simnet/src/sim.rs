@@ -503,8 +503,8 @@ impl Simulator {
     }
 
     /// Register a flow for statistics; returns the id packets must carry.
-    pub fn register_flow(&mut self, name: &str) -> FlowId {
-        self.stats.register_flow(name.to_string())
+    pub fn register_flow(&mut self, name: impl Into<String>) -> FlowId {
+        self.stats.register_flow(name.into())
     }
 
     /// Attach the agent that runs on `node`. Replaces any previous agent.

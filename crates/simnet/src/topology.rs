@@ -338,7 +338,7 @@ mod tests {
         let (mut sim, net) = Dumbbell::build(&cfg, 9);
         let mut flows = Vec::new();
         for i in 0..3 {
-            let f = sim.register_flow(&format!("f{i}"));
+            let f = sim.register_flow(format!("f{i}"));
             sim.attach_agent(
                 net.senders[i],
                 Box::new(CbrSource::new(
@@ -367,7 +367,7 @@ mod tests {
         };
         let (mut sim, net) = Dumbbell::build(&cfg, 11);
         for i in 0..2 {
-            let f = sim.register_flow(&format!("f{i}"));
+            let f = sim.register_flow(format!("f{i}"));
             // Each offers 1 Mbit/s into a 1 Mbit/s bottleneck.
             sim.attach_agent(
                 net.senders[i],

@@ -41,7 +41,7 @@ pub fn attach_tcp(
     flavor: TcpFlavor,
 ) -> FlowId {
     let data = sim.register_flow(name);
-    let ack = sim.register_flow(&format!("{name}-ack"));
+    let ack = sim.register_flow(format!("{name}-ack"));
     let sender = TcpSender::new(data, receiver_node, TcpConfig::new(flavor));
     sim.attach_agent(sender_node, Box::new(sender));
     let sack = flavor == TcpFlavor::Sack;

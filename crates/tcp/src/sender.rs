@@ -229,7 +229,7 @@ impl TcpSender {
         }
 
         let prev_cum = self.sb.cum_ack();
-        let digest = self.sb.on_feedback(h.ack, &h.sack_blocks);
+        self.sb.on_feedback(h.ack, &h.sack_blocks);
 
         if h.ack > prev_cum {
             // ---- New data acknowledged ----
@@ -265,7 +265,7 @@ impl TcpSender {
         } else {
             // ---- Duplicate ack ----
             self.dupacks += 1;
-            let sack_loss = self.cfg.flavor == TcpFlavor::Sack && !digest.newly_lost.is_empty();
+            let sack_loss = self.cfg.flavor == TcpFlavor::Sack && !self.sb.newly_lost().is_empty();
             if !self.in_recovery && (self.dupacks >= 3 || sack_loss) {
                 self.enter_recovery(ctx);
             } else if self.in_recovery && self.cfg.flavor == TcpFlavor::NewReno {

@@ -27,7 +27,7 @@ pub struct LostPacket {
 }
 
 /// A contiguous gap in the received sequence space, pending judgment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Hole {
     /// First missing sequence.
     start: u64,
@@ -64,6 +64,9 @@ pub struct LossDetector {
     highest: Option<(u64, SimTime)>,
     /// Open holes, ordered by ascending `start`.
     holes: VecDeque<Hole>,
+    /// Packets the last `on_packet` declared lost; cleared and refilled by
+    /// each call.
+    pub(crate) declared: Vec<LostPacket>,
     /// Cost accounting for the E5 experiment.
     pub meter: CostMeter,
 }
@@ -73,6 +76,7 @@ impl LossDetector {
         LossDetector {
             highest: None,
             holes: VecDeque::new(),
+            declared: Vec::new(),
             meter: CostMeter::new(),
         }
     }
@@ -87,14 +91,15 @@ impl LossDetector {
         self.holes.len()
     }
 
-    /// Process an arriving packet; returns any packets now declared lost,
-    /// in ascending sequence order.
-    pub fn on_packet(&mut self, seq: u64, sender_ts: SimTime) -> Vec<LostPacket> {
+    /// Process an arriving packet; returns the packets it declared lost, in
+    /// ascending sequence order.
+    pub fn on_packet(&mut self, seq: u64, sender_ts: SimTime) -> &[LostPacket] {
+        self.declared.clear();
         self.meter.tick(OpClass::Compare, 1);
         let Some((hi, hi_ts)) = self.highest else {
             self.highest = Some((seq, sender_ts));
             self.meter.tick(OpClass::Update, 1);
-            return Vec::new();
+            return &self.declared;
         };
 
         if seq > hi {
@@ -125,7 +130,8 @@ impl LossDetector {
                 hole.above_count += 1;
             }
         }
-        self.harvest()
+        self.harvest();
+        &self.declared
     }
 
     /// Late arrival: remove `seq` from the hole containing it, splitting if
@@ -142,69 +148,52 @@ impl LossDetector {
         let Some(idx) = found else {
             return; // duplicate
         };
-        let hole = self.holes[idx].clone();
         self.meter.tick(OpClass::Update, 1);
-        let left = if seq > hole.start {
-            Some(Hole {
-                start: hole.start,
-                end: seq,
-                below_seq: hole.below_seq,
-                below_ts: hole.below_ts,
-                above_seq: seq,
-                above_ts: sender_ts,
-                above_count: hole.above_count,
-            })
-        } else {
-            None
+        // The part above `seq` has it as its new lower neighbour; the part
+        // below keeps the slot and has it as its new upper neighbour.
+        let hole = &mut self.holes[idx];
+        let right = Hole {
+            start: seq + 1,
+            below_seq: seq,
+            below_ts: sender_ts,
+            ..*hole
         };
-        let right = if seq + 1 < hole.end {
-            Some(Hole {
-                start: seq + 1,
-                end: hole.end,
-                below_seq: seq,
-                below_ts: sender_ts,
-                above_seq: hole.above_seq,
-                above_ts: hole.above_ts,
-                above_count: hole.above_count,
-            })
-        } else {
-            None
-        };
-        self.holes.remove(idx);
-        // Insert replacements at the same position to keep ordering.
-        let mut insert_at = idx;
-        if let Some(l) = left {
-            self.holes.insert(insert_at, l);
-            insert_at += 1;
-            self.meter.tick(OpClass::Alloc, 1);
-        }
-        if let Some(r) = right {
-            self.holes.insert(insert_at, r);
-            self.meter.tick(OpClass::Alloc, 1);
+        (hole.end, hole.above_seq, hole.above_ts) = (seq, seq, sender_ts);
+        match (hole.start < seq, right.start < right.end) {
+            (true, true) => {
+                self.holes.insert(idx + 1, right);
+                self.meter.tick(OpClass::Alloc, 2);
+            }
+            (true, false) => self.meter.tick(OpClass::Alloc, 1),
+            (false, true) => {
+                self.holes[idx] = right;
+                self.meter.tick(OpClass::Alloc, 1);
+            }
+            (false, false) => {
+                self.holes.remove(idx);
+            }
         }
     }
 
-    /// Declare every hole with enough packets above it.
-    fn harvest(&mut self) -> Vec<LostPacket> {
-        let mut lost = Vec::new();
-        let mut i = 0;
-        while i < self.holes.len() {
-            self.meter.tick(OpClass::Compare, 1);
-            if self.holes[i].above_count >= NDUPACK {
-                let hole = self.holes.remove(i).unwrap();
-                for seq in hole.start..hole.end {
-                    lost.push(LostPacket {
-                        seq,
-                        est_ts: hole.estimate_ts(seq),
-                    });
-                    self.meter.tick(OpClass::Arith, 3);
-                }
-            } else {
-                i += 1;
+    /// Declare every hole with enough packets above it. Holes are disjoint
+    /// and ordered, so `declared` is filled sorted.
+    fn harvest(&mut self) {
+        let (declared, meter) = (&mut self.declared, &mut self.meter);
+        self.holes.retain(|hole| {
+            meter.tick(OpClass::Compare, 1);
+            if hole.above_count < NDUPACK {
+                return true;
             }
-        }
-        lost.sort_by_key(|l| l.seq);
-        lost
+            for seq in hole.start..hole.end {
+                declared.push(LostPacket {
+                    seq,
+                    est_ts: hole.estimate_ts(seq),
+                });
+                meter.tick(OpClass::Arith, 3);
+            }
+            false
+        });
+        debug_assert!(self.declared.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 }
 
@@ -234,7 +223,7 @@ mod tests {
         let mut d = LossDetector::new();
         let mut lost = Vec::new();
         for &s in seqs {
-            lost.extend(d.on_packet(s, ts(s * 10)).into_iter().map(|l| l.seq));
+            lost.extend(d.on_packet(s, ts(s * 10)).iter().map(|l| l.seq));
         }
         lost
     }
@@ -288,29 +277,12 @@ mod tests {
         assert!(d.on_packet(4, ts(400)).is_empty());
         assert!(d.on_packet(5, ts(500)).is_empty());
         // Third packet above the hole declares it.
-        let lost = d.on_packet(6, ts(600));
-        assert_eq!(lost.len(), 3);
-        assert_eq!(
-            lost[0],
-            LostPacket {
-                seq: 1,
-                est_ts: ts(100)
-            }
-        );
-        assert_eq!(
-            lost[1],
-            LostPacket {
-                seq: 2,
-                est_ts: ts(200)
-            }
-        );
-        assert_eq!(
-            lost[2],
-            LostPacket {
-                seq: 3,
-                est_ts: ts(300)
-            }
-        );
+        let lost: Vec<(u64, SimTime)> = d
+            .on_packet(6, ts(600))
+            .iter()
+            .map(|l| (l.seq, l.est_ts))
+            .collect();
+        assert_eq!(lost, [(1, ts(100)), (2, ts(200)), (3, ts(300))]);
     }
 
     #[test]

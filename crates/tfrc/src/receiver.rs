@@ -116,9 +116,10 @@ impl TfrcReceiver {
         self.meter.tick(OpClass::Update, 3);
         self.meter.tick(OpClass::Compare, 2);
 
-        let lost = self.detector.on_packet(seq, sender_ts);
+        let declared = self.detector.on_packet(seq, sender_ts).len();
         let mut new_event = false;
-        for l in lost {
+        for i in 0..declared {
+            let l = self.detector.declared[i];
             new_event |= self.register_loss(now, l.seq, l.est_ts);
         }
         RxAction {

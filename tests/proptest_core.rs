@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use qtp::core::{CapabilitySet, CcKind, FeedbackMode, SenderLossEstimator, ServerPolicy};
-use qtp::sack::{LossDecision, Reliability, ReliabilityPolicy, SeqRange};
+use qtp::sack::{LossDecision, Reliability, ReliabilityPolicy};
 use qtp::simnet::time::{Rate, SimTime};
 use qtp::tfrc::LossIntervalHistory;
 use std::time::Duration;
@@ -123,10 +123,9 @@ proptest! {
             _ => Reliability::Budget(budget),
         };
         let mut p = ReliabilityPolicy::new(mode);
-        p.register_adu(SeqRange::new(0, 1_000), SimTime::ZERO);
         let mut last_fp = 0u64;
         for (seq, now_ms, retx) in losses {
-            let d = p.on_loss(seq, SimTime::from_millis(now_ms), retx);
+            let d = p.on_loss(seq, SimTime::from_millis(now_ms), Some(SimTime::ZERO), retx);
             match mode {
                 Reliability::Full => prop_assert_eq!(d, LossDecision::Retransmit),
                 Reliability::None => prop_assert_eq!(d, LossDecision::Abandon),

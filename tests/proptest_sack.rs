@@ -3,7 +3,7 @@
 //! rules and scoreboard soundness.
 
 use proptest::prelude::*;
-use qtp::sack::{RangeSet, ReceiverBuffer, Scoreboard, SeqRange};
+use qtp::sack::{Arrival, RangeSet, ReceiverBuffer, Scoreboard, SeqRange, MAX_SACK_BLOCKS};
 use qtp::simnet::time::SimTime;
 use std::collections::BTreeSet;
 
@@ -138,6 +138,46 @@ proptest! {
         prop_assert_eq!(buf.buffered(), 0);
     }
 
+    /// The receiver's fixed array of recent-block hints orders SACK blocks
+    /// exactly as the growable list it replaced: `recent` below is that
+    /// list (`retain`, `insert(0, ..)`, `truncate`), fed every out-of-order
+    /// arrival, and its blocks must match after every arrival, for every
+    /// report size.
+    #[test]
+    fn fixed_recent_hints_match_the_vec_they_replaced(
+        order in prop::collection::vec(0u64..80, 1..300),
+        max in 1usize..=2 * MAX_SACK_BLOCKS,
+    ) {
+        let mut buf = ReceiverBuffer::new();
+        let mut recent: Vec<SeqRange> = Vec::new();
+        let empty = SeqRange { start: 0, end: 0 };
+        let (mut got, mut want, mut live) = (vec![empty; max], vec![empty; max], [empty; 80]);
+        for &seq in &order {
+            if buf.on_packet(seq) == (Arrival::New { delivered: 0 }) {
+                let r = SeqRange::new(seq, seq + 1);
+                recent.retain(|x| x.start != r.start || x.end != r.end);
+                recent.insert(0, r);
+                recent.truncate(2 * MAX_SACK_BLOCKS);
+            }
+            let n = buf.sack_blocks_into(&mut got);
+            // Every buffered range, ascending, whatever the hints say.
+            let k = buf.sack_blocks_into(&mut live);
+            live[..k].sort_by_key(|r| r.start);
+            let live = &live[..k];
+            let hinted = recent
+                .iter()
+                .filter_map(|hint| live.iter().find(|r| r.contains(hint.start)));
+            let mut m = 0;
+            for &r in hinted.chain(live) {
+                if m < max && !want[..m].contains(&r) {
+                    want[m] = r;
+                    m += 1;
+                }
+            }
+            prop_assert_eq!(&got[..n], &want[..m], "after seq {}", seq);
+        }
+    }
+
     /// Scoreboard: cumulative accounting never loses a sequence — every
     /// sent sequence is exactly one of {cum-acked, sacked, lost-pending,
     /// in-flight} and counts match.
@@ -157,7 +197,7 @@ proptest! {
             .filter(|(s, _)| *s < n)
             .map(|(s, l)| SeqRange::new(s, (s + l).min(n)))
             .collect();
-        let _ = sb.on_feedback(cum, &blocks);
+        sb.on_feedback(cum, &blocks);
         let outstanding = sb.in_flight();
         let lost: u64 = sb.lost_pending().map(|r| r.len()).sum();
         // in_flight is defined as total - sacked - lost; so this identity
