@@ -79,11 +79,6 @@ pub enum Command {
     Deliver { flow: FlowId, bytes: u64 },
 }
 
-/// Most spare transmit buffers an [`Outbox`] keeps: one callback of a QTP
-/// endpoint emits at most three transmits (a pace tick's data packet,
-/// FORWARD and FIN), and a driver gives them back after each callback.
-const MAX_SPARES: usize = 4;
-
 /// The buffered command queue handed to every [`Endpoint`] callback.
 ///
 /// Carries the current time (`now`) in, and the endpoint's effects out.
@@ -95,7 +90,9 @@ pub struct Outbox {
     /// simulator; monotonic wall time since driver start over real I/O).
     pub now: SimTime,
     cmds: VecDeque<Command>,
-    /// Transmit buffers given back through [`Outbox::reuse`].
+    /// Transmit buffers given back through [`Outbox::reuse`]: never more
+    /// than the driver had out at once — three per callback on the mux and
+    /// in the simulator, what is in flight on a poll loop like `Pipe`.
     spares: Vec<Vec<u8>>,
 }
 
@@ -119,12 +116,9 @@ impl Outbox {
     }
 
     /// Give a transmitted header back for [`Outbox::buffer`] to lend out
-    /// again. Beyond four spares it is dropped: one callback emits at most
-    /// three transmits.
+    /// again. Every buffer given back is kept.
     pub fn reuse(&mut self, buf: Vec<u8>) {
-        if self.spares.len() < MAX_SPARES {
-            self.spares.push(buf);
-        }
+        self.spares.push(buf);
     }
 
     /// Commands queued and not yet drained: a mark for [`Outbox::since`].
@@ -271,41 +265,7 @@ impl<const N: usize> TimerGens<N> {
 mod tests {
     use super::*;
 
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        /// `(allocations, bytes)` requested on this thread.
-        static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-    }
-
-    /// Counts this thread's allocations, so a test can pin what one call
-    /// allocates; every other test of the crate runs under it uncounted.
-    struct Counting;
-
-    // SAFETY: every method forwards to `System` with the caller's own layout
-    // and pointer; the counter is a plain thread-local and never allocates.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let _ = ALLOCS.try_with(|c| c.set((c.get().0 + 1, c.get().1 + layout.size() as u64)));
-            // SAFETY: `layout` is the caller's, passed through untouched.
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: `ptr` came from `System` with this same `layout`.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            let _ = ALLOCS.try_with(|c| c.set((c.get().0 + 1, c.get().1 + new_size as u64)));
-            // SAFETY: `ptr`/`layout` describe a live `System` block.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: Counting = Counting;
+    use crate::counting_alloc::{sample, top_sites, Counts};
 
     #[test]
     fn outbox_drains_fifo_across_kinds() {
@@ -347,16 +307,27 @@ mod tests {
         assert!(out.buffer(4000).capacity() >= 4000);
     }
 
+    /// However many buffers a driver has out at once, every one given
+    /// back is lent again before `buffer` allocates.
     #[test]
-    fn the_spare_list_never_grows_past_its_cap() {
+    fn every_buffer_given_back_is_lent_again_before_any_allocation() {
         let mut out = Outbox::new();
-        for _ in 0..MAX_SPARES + 3 {
-            out.reuse(Vec::with_capacity(100));
+        let given: Vec<Vec<u8>> = (0..100).map(|_| out.buffer(64)).collect();
+        let mut ptrs: Vec<*const u8> = given.iter().map(|b| b.as_ptr()).collect();
+        for buf in given {
+            out.reuse(buf);
         }
-        assert_eq!(out.spares.len(), MAX_SPARES);
-        let lent: Vec<Vec<u8>> = (0..MAX_SPARES + 3).map(|_| out.buffer(0)).collect();
-        let spares = lent.iter().filter(|b| b.capacity() >= 100).count();
-        assert_eq!(spares, MAX_SPARES, "only the kept spares are lent out");
+        let mut lent = Vec::with_capacity(101);
+        let before = Counts::now();
+        lent.extend((0..100).map(|_| out.buffer(64)));
+        let lending = Counts::now().since(before);
+        assert_eq!(lending.allocs, 0, "{lending} while a spare is left");
+        lent.push(out.buffer(64));
+        assert_eq!(Counts::now().since(before).allocs, 1, "then a new one");
+        let mut again: Vec<*const u8> = lent[..100].iter().map(|b| b.as_ptr()).collect();
+        ptrs.sort();
+        again.sort();
+        assert_eq!(again, ptrs, "each buffer given back, lent once");
     }
 
     /// A driver that never gives a buffer back allocates per datagram what
@@ -365,10 +336,14 @@ mod tests {
     fn without_reuse_a_buffer_is_exactly_one_allocation_of_its_size() {
         let mut out = Outbox::new();
         for cap in [9, 38, 1436] {
-            let before = ALLOCS.get();
+            let before = Counts::now();
             let header = out.buffer(cap);
-            let after = ALLOCS.get();
-            assert_eq!((after.0 - before.0, after.1 - before.1), (1, cap as u64));
+            let counts = Counts::now().since(before);
+            if (counts.allocs, counts.bytes) != (1, cap as u64) {
+                sample(1);
+                out.buffer(cap);
+                panic!("buffer({cap}): {counts}\n{}", top_sites());
+            }
             assert_eq!(header.capacity(), cap);
         }
     }

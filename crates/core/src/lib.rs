@@ -30,6 +30,9 @@ mod adapter;
 mod bufext;
 pub mod caps;
 pub mod cc;
+#[cfg(test)]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 pub mod driver;
 pub mod estimator;
 pub mod pipe;

@@ -1470,7 +1470,7 @@ mod tests {
 
     /// End-to-end stream data plane over the poll surface: a file goes in
     /// through `SendStream::send`, comes out byte-exact through
-    /// `RecvStream::recv`, and the wire-level FIN / FIN-ACK close completes
+    /// `RecvStream::recv_into`, and the wire-level FIN / FIN-ACK close completes
     /// with both sides' typed events observed.
     #[test]
     fn stream_transfer_completes_with_wire_close() {
@@ -1489,7 +1489,7 @@ mod tests {
         assert!(pipe.tx.recv_stream().is_none() && pipe.rx.send_stream().is_none());
 
         let mut offset = 0usize;
-        let mut received = Vec::new();
+        let (mut received, mut msg) = (Vec::new(), Vec::new());
         let mut saw_full = false;
         pipe.run_until(SimTime::from_secs(60), |p| {
             while offset < file.len() {
@@ -1506,8 +1506,8 @@ mod tests {
             if offset == file.len() && !send.is_finished() {
                 send.finish();
             }
-            while let Some(m) = recv.recv() {
-                received.extend(m);
+            while recv.recv_into(&mut msg).is_some() {
+                received.extend_from_slice(&msg);
             }
             recv.is_finished() && p.tx.is_closed()
         })

@@ -21,7 +21,7 @@
 //! [`Session`]: crate::session::Session
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use qtp_metrics::trace::Tracer;
@@ -97,17 +97,9 @@ impl std::fmt::Display for StreamError {
 
 impl std::error::Error for StreamError {}
 
-/// Segment size of the [`SendStore`]: it grows and shrinks in these steps,
-/// so a connection holds what is queued and in flight plus at most one
-/// segment, and growing never copies what is already stored.
+/// Segment size of the [`SendStore`]: it grows and releases in these steps,
+/// so growing never copies what is already stored.
 const SEGMENT: usize = 16 * 1024;
-
-/// Most released segments a store parks for its own next growth. A store
-/// swells by a feedback round's worth of data and shrinks back once per
-/// round; the spares let that cycle run without the allocator, and the cap
-/// bounds what an idle connection sits on. Beyond it a release frees whole
-/// segments — one free per 16 KiB, never one per packet.
-const SPARE_MAX: usize = 4;
 
 /// The send-side byte store: bytes are appended once at the tail, read any
 /// number of times by absolute stream offset, and released from the head.
@@ -117,7 +109,9 @@ struct SendStore {
     segs: VecDeque<Vec<u8>>,
     /// Stream offset of `segs[0][0]`.
     head: u64,
-    /// Released segments, emptied, at most `SPARE_MAX` of them.
+    /// Released segments, emptied, parked for the store's own next growth:
+    /// what one feedback round releases, the next round's appends refill
+    /// without the allocator.
     spare: Vec<Vec<u8>>,
 }
 
@@ -147,15 +141,15 @@ impl SendStore {
         }
     }
 
-    /// Nothing below stream offset `off` will be read again.
+    /// Nothing below stream offset `off` will be read again. Every whole
+    /// segment released is parked, so a store holds its high-water mark:
+    /// the most it ever had queued and in flight, plus one segment.
     fn release_to(&mut self, off: u64) {
         while self.head + SEGMENT as u64 <= off {
             let mut seg = self.segs.pop_front().expect("released bytes were stored");
             self.head += SEGMENT as u64;
-            if self.spare.len() < SPARE_MAX {
-                seg.clear();
-                self.spare.push(seg);
-            }
+            seg.clear();
+            self.spare.push(seg);
         }
     }
 }
@@ -334,6 +328,14 @@ impl SendStream {
 /// Receiver-side shared state between the app handle and the endpoint.
 pub(crate) struct RecvShared {
     messages: VecDeque<Vec<u8>>,
+    /// Buffers [`RecvStream::recv_into`] took back, emptied, for later
+    /// messages to be assembled in.
+    spare: Vec<Vec<u8>>,
+    /// Stash buffers the byte stream has consumed, emptied, for later
+    /// out-of-order payloads. Kept here, behind the handle's `Rc`, so
+    /// `StreamRx`, which every receiving `Session` holds inline, does not
+    /// grow.
+    stash_spare: Vec<Vec<u8>>,
     finished: bool,
     readable_since_poll: u64,
     msgs_received: u64,
@@ -349,6 +351,8 @@ impl RecvShared {
     fn new(tracer: Tracer) -> Self {
         RecvShared {
             messages: VecDeque::new(),
+            spare: Vec::new(),
+            stash_spare: Vec::new(),
             finished: false,
             readable_since_poll: 0,
             msgs_received: 0,
@@ -363,6 +367,14 @@ impl RecvShared {
         self.readable_since_poll += 1;
         self.messages.push_back(bytes);
     }
+}
+
+/// An empty buffer with room for `cap` bytes: the last one parked in
+/// `pool`, else a new one of exactly that size.
+fn lend(pool: &mut Vec<Vec<u8>>, cap: usize) -> Vec<u8> {
+    let mut buf = pool.pop().unwrap_or_default();
+    buf.reserve_exact(cap);
+    buf
 }
 
 /// Application handle for receiving messages; clone freely.
@@ -382,9 +394,27 @@ impl std::fmt::Debug for RecvStream {
 }
 
 impl RecvStream {
-    /// Pops the next complete message, if any.
+    /// Moves the next complete message into `buf`, replacing what it held,
+    /// and returns its length. `buf`'s old storage is kept to assemble a
+    /// later message in, so a reader that passes the same buffer every time
+    /// allocates nothing per message once the connection is warm.
+    pub fn recv_into(&self, buf: &mut Vec<u8>) -> Option<usize> {
+        let mut s = self.shared.borrow_mut();
+        let mut old = std::mem::replace(buf, s.messages.pop_front()?);
+        if old.capacity() > 0 {
+            old.clear();
+            s.spare.push(old);
+        }
+        Some(buf.len())
+    }
+
+    /// Pops the next complete message, if any: [`recv_into`](Self::recv_into)
+    /// with an empty buffer, handing over the one the message was
+    /// assembled in.
     pub fn recv(&self) -> Option<Vec<u8>> {
-        self.shared.borrow_mut().messages.pop_front()
+        let mut msg = Vec::new();
+        self.recv_into(&mut msg)?;
+        Some(msg)
     }
 
     /// Number of complete messages currently buffered.
@@ -573,8 +603,9 @@ impl StreamTx {
 pub struct StreamRx {
     shared: Rc<RefCell<RecvShared>>,
     /// Chunked mode only: payloads that arrived ahead of the cumulative
-    /// ack, held until it passes them.
-    stash: BTreeMap<u64, Vec<u8>>,
+    /// ack, sorted by sequence, held until it passes them. Sized by the
+    /// packets held, never by the span of sequences they cover.
+    stash: Vec<(u64, Vec<u8>)>,
     /// Chunked mode only: the message the in-order byte stream is in the
     /// middle of — its length prefix, then its body, which is assembled
     /// in the very `Vec` the application will receive.
@@ -597,7 +628,7 @@ impl StreamRx {
     pub fn new(ordered: bool, tracer: Tracer) -> Self {
         StreamRx {
             shared: Rc::new(RefCell::new(RecvShared::new(tracer))),
-            stash: BTreeMap::new(),
+            stash: Vec::new(),
             prefix: [0; 4],
             prefix_len: 0,
             body: None,
@@ -638,12 +669,23 @@ impl StreamRx {
     /// [`drain`](Self::drain) sees the cumulative ack pass it.
     pub fn on_payload(&mut self, seq: u64, payload: &[u8], cum_ack: u64) {
         if !self.ordered {
-            self.shared.borrow_mut().push_msg(payload.to_vec());
+            let mut s = self.shared.borrow_mut();
+            let mut msg = lend(&mut s.spare, payload.len());
+            msg.extend_from_slice(payload);
+            s.push_msg(msg);
         } else if seq == self.next_parse_seq && seq < cum_ack {
             self.feed(payload);
             self.next_parse_seq += 1;
         } else {
-            self.stash.insert(seq, payload.to_vec());
+            // A duplicate overwrites the copy it finds.
+            let i = self.stash.partition_point(|&(s, _)| s < seq);
+            if !self.stash.get(i).is_some_and(|&(s, _)| s == seq) {
+                let held = lend(&mut self.shared.borrow_mut().stash_spare, payload.len());
+                self.stash.insert(i, (seq, held));
+            }
+            let held = &mut self.stash[i].1;
+            held.clear();
+            held.extend_from_slice(payload);
         }
     }
 
@@ -652,14 +694,19 @@ impl StreamRx {
     /// messages completed since the last call.
     pub fn drain(&mut self, cum_ack: u64) -> u64 {
         if self.ordered {
-            while self.next_parse_seq < cum_ack {
-                // Fully-reliable profiles never leave a hole here, but a FIN
-                // processed after close can forward past stash gaps.
-                if let Some(p) = self.stash.remove(&self.next_parse_seq) {
-                    self.feed(&p);
+            // Fully-reliable profiles never leave a hole here, but a FIN
+            // processed after close can forward past stash gaps.
+            let ripe = self.stash.partition_point(|&(seq, _)| seq < cum_ack);
+            let mut stash = std::mem::take(&mut self.stash);
+            for (seq, mut held) in stash.drain(..ripe) {
+                if seq >= self.next_parse_seq {
+                    self.feed(&held);
                 }
-                self.next_parse_seq += 1;
+                held.clear();
+                self.shared.borrow_mut().stash_spare.push(held);
             }
+            self.stash = stash;
+            self.next_parse_seq = self.next_parse_seq.max(cum_ack);
         }
         self.maybe_finish(cum_ack);
         std::mem::take(&mut self.completed)
@@ -690,7 +737,11 @@ impl StreamRx {
             }
             self.prefix_len = 0;
             let len = u32::from_be_bytes(self.prefix) as usize;
-            self.body = Some((Vec::with_capacity(len.min(BODY_RESERVE_MAX)), len));
+            let body = lend(
+                &mut self.shared.borrow_mut().spare,
+                len.min(BODY_RESERVE_MAX),
+            );
+            self.body = Some((body, len));
         }
     }
 
@@ -918,19 +969,108 @@ mod tests {
     }
 
     #[test]
-    fn an_unretained_stream_holds_a_segment_and_the_capped_spares() {
+    fn every_released_segment_is_reused_before_a_new_one_is_allocated() {
+        let mut tx = StreamTx::new(&StreamConfig::with_send_buf(1 << 20), true);
+        let (h, s) = (tx.handle(), Rc::clone(&tx.shared));
+        let segs = |skip| -> Vec<*const u8> {
+            let store = &s.borrow().store;
+            store.segs.iter().skip(skip).map(|g| g.as_ptr()).collect()
+        };
+        // Ten full segments and a 40-byte tail; release the first eight.
+        for _ in 0..10 {
+            h.send(&[1u8; SEGMENT]).unwrap();
+        }
+        let mut released = segs(0)[..8].to_vec();
+        while s.borrow().packetised < 8 * SEGMENT as u64 {
+            tx.next_chunk(1400, SimTime::ZERO);
+        }
+        tx.trim();
+        assert_eq!(
+            s.borrow().store.spare.len(),
+            8,
+            "every released segment parked"
+        );
+        // Nine more segments: the eight parked ones, each once, then a new one.
+        for _ in 0..9 {
+            h.send(&[2u8; SEGMENT - 4]).unwrap();
+        }
+        let mut grown = segs(3);
+        let new = grown.pop().unwrap();
+        grown.sort();
+        released.sort();
+        assert_eq!(grown, released);
+        assert!(!released.contains(&new));
+    }
+
+    #[test]
+    fn an_unretained_store_holds_its_high_water_mark_and_no_more() {
         let mut tx = StreamTx::new(&StreamConfig::default(), false);
-        let h = tx.handle();
-        let s = Rc::clone(&tx.shared);
+        let (h, s) = (tx.handle(), Rc::clone(&tx.shared));
+        let held = || s.borrow().store.segs.len() + s.borrow().store.spare.len();
         // Nothing is ever acknowledged; the sender trims after each packet.
-        for _ in 0..40 {
+        let mut high = 0;
+        for round in 0..40 {
             while h.send(&[3u8; 1200]).is_ok() {}
+            if round == 0 {
+                high = held();
+            }
             while let Some(chunk) = tx.next_chunk(1400, SimTime::ZERO) {
                 assert_eq!(chunk.payload_len(), 1200);
                 tx.trim();
             }
             assert!(s.borrow().store.segs.len() <= 1, "only the partial tail");
+            assert_eq!(held(), high, "round {round}");
         }
-        assert_eq!(s.borrow().store.spare.len(), SPARE_MAX);
+    }
+
+    /// `[u32 length][body]` cut into `chunk`-byte payloads, as chunked mode
+    /// puts a message on the wire.
+    fn framed(body: &[u8], chunk: usize) -> Vec<Vec<u8>> {
+        let bytes = [&(body.len() as u32).to_be_bytes()[..], body].concat();
+        bytes.chunks(chunk).map(<[u8]>::to_vec).collect()
+    }
+
+    #[test]
+    fn a_drained_stash_buffer_is_lent_again() {
+        let mut rx = StreamRx::new(true, Tracer::new(0));
+        let p = framed(&[7u8; 28], 8);
+        // 1 arrives ahead of 0 and is stashed; 0 fills the hole.
+        rx.on_payload(1, &p[1], 0);
+        let held = rx.stash[0].1.as_ptr();
+        rx.on_payload(0, &p[0], 2);
+        rx.drain(2);
+        // 3 arrives ahead of 2: stashed in the buffer 1 left behind.
+        rx.on_payload(3, &p[3], 2);
+        assert_eq!((rx.stash.len(), rx.stash[0].1.as_ptr()), (1, held));
+        rx.on_payload(2, &p[2], 4);
+        assert_eq!(rx.drain(4), 1);
+        assert_eq!(rx.handle().recv().unwrap(), [7u8; 28]);
+    }
+
+    #[test]
+    fn a_buffer_given_back_by_recv_into_carries_a_later_message() {
+        for ordered in [false, true] {
+            let mut rx = StreamRx::new(ordered, Tracer::new(0));
+            let rh = rx.handle();
+            let mut arrive = |seq: u64| {
+                let msg = [seq as u8; 100];
+                let payload = match ordered {
+                    true => framed(&msg, 1400).concat(),
+                    false => msg.to_vec(),
+                };
+                rx.on_payload(seq, &payload, seq + 1);
+                rx.drain(seq + 1);
+            };
+            let mut buf = Vec::with_capacity(4096);
+            let mine = buf.as_ptr();
+            arrive(0);
+            assert_eq!(rh.recv_into(&mut buf), Some(100));
+            // Message 1 is assembled in the storage `buf` had.
+            arrive(1);
+            assert_eq!(rh.recv_into(&mut buf), Some(100));
+            assert_eq!((buf.as_ptr(), &buf[..]), (mine, &[1u8; 100][..]));
+            assert_eq!(rh.recv_into(&mut buf), None, "nothing readable");
+            assert_eq!(buf, [1u8; 100], "and `buf` untouched");
+        }
     }
 }

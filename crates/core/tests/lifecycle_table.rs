@@ -52,8 +52,9 @@ fn run(reliability: Reliability, feedback: FeedbackMode, seq: u64, times: u32) -
         send.send(&[0x5A; 1200]).expect("room for every message");
     }
     send.finish();
+    let mut msg = Vec::new();
     let result = pipe.run_until(SimTime::from_secs(120), |p| {
-        while recv.recv().is_some() {}
+        while recv.recv_into(&mut msg).is_some() {}
         p.tx.is_closed() && recv.is_finished()
     });
     match result {

@@ -279,6 +279,8 @@ struct RxPair {
     new: StreamRx,
     old: OracleRx,
     delivered: Vec<Vec<u8>>,
+    /// Every other message is read with `recv_into`, into this one buffer.
+    reused: Vec<u8>,
 }
 
 impl RxPair {
@@ -291,6 +293,7 @@ impl RxPair {
                 ..OracleRx::default()
             },
             delivered: Vec::new(),
+            reused: Vec::new(),
         }
     }
 
@@ -299,6 +302,20 @@ impl RxPair {
             self.new.on_payload(seq, payload, self.buf.cum_ack());
             self.old.on_payload(seq, payload.to_vec());
         }
+        self.settle()
+    }
+
+    /// The same payload handed to both receivers again, past the
+    /// reassembly buffer's duplicate filter.
+    fn arrive_again(&mut self, seq: u64, payload: &[u8]) -> Result<(), TestCaseError> {
+        self.new.on_payload(seq, payload, self.buf.cum_ack());
+        self.old.on_payload(seq, payload.to_vec());
+        self.settle()
+    }
+
+    /// A FORWARD moves the cumulative ack to `new_cum`, past any holes.
+    fn forward(&mut self, new_cum: u64) -> Result<(), TestCaseError> {
+        self.buf.on_forward(new_cum);
         self.settle()
     }
 
@@ -312,7 +329,15 @@ impl RxPair {
         self.new.drain(self.buf.cum_ack());
         self.old.drain(self.buf.cum_ack());
         let handle = self.new.handle();
-        while let Some(msg) = handle.recv() {
+        loop {
+            let msg = if self.delivered.len() % 2 == 0 {
+                handle.recv()
+            } else {
+                handle
+                    .recv_into(&mut self.reused)
+                    .map(|n| self.reused[..n].to_vec())
+            };
+            let Some(msg) = msg else { break };
             self.delivered.push(msg);
         }
         prop_assert_eq!(&self.delivered, &self.old.messages);
@@ -553,4 +578,53 @@ fn writable_edge_waits_for_room_strictly_below_capacity() {
         tx.send(&message(2, 1), 0).unwrap();
         while tx.next_chunk(3).unwrap() {}
     }
+}
+
+/// A payload stashed ahead of a hole arrives again (the reassembly buffer
+/// normally filters this): it replaces the stashed copy rather than being
+/// fed twice.
+#[test]
+fn a_duplicate_out_of_order_arrival_is_stashed_once() {
+    let mut tx = TxPair::new(&StreamConfig::with_send_buf(1 << 20), true);
+    let msgs = [message(0, 3000), message(1, 10), message(2, 2500)];
+    for m in &msgs {
+        tx.send(m, 0).unwrap();
+    }
+    while tx.next_chunk(700).unwrap() {}
+    let wire = &tx.wire;
+    let mut rx = RxPair::new(true);
+    for seq in [2, 4] {
+        rx.arrive(seq as u64, &wire[seq].0).unwrap();
+    }
+    rx.arrive_again(2, &wire[2].0).unwrap();
+    rx.arrive_again(4, &wire[4].0).unwrap();
+    for seq in (0..wire.len()).filter(|s| ![2, 4].contains(s)) {
+        rx.arrive(seq as u64, &wire[seq].0).unwrap();
+    }
+    rx.arrive_again(5, &wire[5].0).unwrap();
+    assert_eq!(rx.delivered, msgs);
+}
+
+/// After a close, a FORWARD moves the cumulative ack past two holes: the
+/// stashed payloads beyond them are fed, the holes skipped, as the oracle
+/// does it — and the stream finishes at the FIN's sequence.
+#[test]
+fn a_fin_forwarded_past_two_stash_gaps_matches_the_oracle() {
+    let mut tx = TxPair::new(&StreamConfig::with_send_buf(1 << 20), true);
+    for n in 0..6 {
+        tx.send(&message(n, 900), 0).unwrap();
+    }
+    while tx.next_chunk(1000).unwrap() {}
+    let wire = &tx.wire;
+    let final_seq = wire.len() as u64;
+    let mut rx = RxPair::new(true);
+    // 1 and 3 never arrive.
+    for seq in [0, 2, 4, 5] {
+        rx.arrive(seq, &wire[seq as usize].0).unwrap();
+    }
+    rx.fin(final_seq).unwrap();
+    assert!(!rx.new.is_finished());
+    rx.forward(final_seq).unwrap();
+    assert!(rx.new.is_finished());
+    assert!(!rx.delivered.is_empty());
 }

@@ -1,60 +1,24 @@
 //! Allocation budget of the mounted path, held in tier-1: four reliable
 //! streams through two `MuxDriver<Session>`s on a loopback socket pair.
 //!
-//! An integration test is its own binary, so it can install a counting
-//! `#[global_allocator]` without touching the crates under test. Counters are
-//! thread-local: the harness runs each test on its own thread, and the mux
-//! pair is driven on that thread, so the test reads exactly its own
-//! allocations.
-//!
 //! On the mux, every transmit buffer goes back to the outbox once framed and
-//! carries the next header, so sending allocates nothing per datagram. What
-//! remains is what the public surface forces: the `Vec<u8>` every
-//! `RecvStream::recv` returns, one per 8 KiB message (about 0.12 per
-//! datagram), and the send store's segments (about 0.06).
+//! carries the next header, the send store reuses every segment it
+//! releases, and the readers take messages with `RecvStream::recv_into`
+//! into one reused buffer, so every buffer the data plane lends comes back.
+//! What the public surface forces per datagram is nothing; what is left
+//! after warm-up is growth to working size and what the std socket calls
+//! allocate.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::time::Duration;
 
+use counting_alloc::{sample, top_sites, Counts};
 use qtp_core::session::{ConnectionPlan, Profile, Session};
 use qtp_core::stream::{RecvStream, SendStream, StreamConfig, StreamError};
 use qtp_io::{accept_sessions, drive_mux_pair, MuxDriver};
 use qtp_simnet::time::Rate;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every method forwards to `System` with the caller's own layout and
-// pointer; the counter is a plain thread-local integer and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: the allocator also runs while a thread's locals are
-        // torn down; those calls go uncounted.
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: `layout` is the caller's, passed through untouched.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above,
-        // with this same `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    /// A growth is one allocation, as `qtpperf` counts it.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: `ptr`/`layout` describe a live `System` block.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const CONNS: usize = 4;
 const TOTAL: usize = 1024 * 1024;
@@ -67,6 +31,8 @@ struct App {
     recv: Option<RecvStream>,
     written: usize,
     read: usize,
+    /// The buffer every message is read into.
+    buf: Vec<u8>,
 }
 
 impl App {
@@ -85,16 +51,23 @@ impl App {
     /// Read every message that arrived, checking it in place.
     fn drain(&mut self, file: &[u8]) {
         let Some(recv) = &self.recv else { return };
-        while let Some(msg) = recv.recv() {
-            let end = self.read + msg.len();
-            assert!(msg[..] == file[self.read..end], "bytes at {}", self.read);
+        while let Some(n) = recv.recv_into(&mut self.buf) {
+            let end = self.read + n;
+            assert!(
+                self.buf[..] == file[self.read..end],
+                "bytes at {}",
+                self.read
+            );
             self.read = end;
         }
     }
 }
 
-#[test]
-fn the_mux_path_allocates_nothing_per_datagram_it_sends() {
+/// Four 1 MiB transfers over a fresh mux pair. Returns what was counted
+/// once every connection was warm, and the datagrams sent meanwhile; with
+/// `diagnose`, every allocation of that window is sampled for
+/// [`top_sites`].
+fn transfer(diagnose: bool) -> (Counts, u64) {
     let file: Vec<u8> = (0..TOTAL as u64)
         .map(|i| (i.wrapping_mul(2654435761) >> 7) as u8)
         .collect();
@@ -117,6 +90,7 @@ fn the_mux_path_allocates_nothing_per_datagram_it_sends() {
                 recv: None,
                 written: 0,
                 read: 0,
+                buf: Vec::new(),
             }
         })
         .collect();
@@ -124,8 +98,8 @@ fn the_mux_path_allocates_nothing_per_datagram_it_sends() {
     let sent = |c: &MuxDriver<Session>, s: &MuxDriver<Session>| {
         c.stats().datagrams_sent + s.stats().datagrams_sent
     };
-    // `(allocations, datagrams sent)` once every connection is warm.
-    let mut mark: Option<(u64, u64)> = None;
+    // `(counts, datagrams sent)` once every connection is warm.
+    let mut mark: Option<(Counts, u64)> = None;
     let ok = drive_mux_pair(&mut client, &mut server, Duration::from_secs(30), |c, s| {
         while let Some(ev) = accepts.pop() {
             let id = s.route(ev.peer, ev.data_flow).expect("accepted conn");
@@ -137,20 +111,31 @@ fn the_mux_path_allocates_nothing_per_datagram_it_sends() {
             app.drain(&file);
         }
         if mark.is_none() && apps.iter().all(|a| a.read >= WARM_UP) {
-            mark = Some((ALLOCS.get(), sent(c, s)));
+            if diagnose {
+                sample(1);
+            }
+            mark = Some((Counts::now(), sent(c, s)));
         }
         apps.iter().all(|a| a.read == TOTAL)
     })
     .unwrap();
     assert!(ok, "transfer timed out");
 
-    let (allocs0, dgrams0) = mark.expect("warm-up ends before the transfer");
-    let allocs = ALLOCS.get() - allocs0;
-    let dgrams = sent(&client, &server) - dgrams0;
+    let (start, dgrams0) = mark.expect("warm-up ends before the transfer");
+    (Counts::now().since(start), sent(&client, &server) - dgrams0)
+}
+
+#[test]
+fn the_mux_path_allocates_nothing_per_datagram_it_sends() {
+    let (counts, dgrams) = transfer(false);
     assert!(dgrams > 1000, "too short to measure: {dgrams} datagrams");
-    let per_dgram = allocs as f64 / dgrams as f64;
-    assert!(
-        per_dgram <= 0.3,
-        "{per_dgram:.3} allocations per datagram ({allocs} over {dgrams})"
-    );
+    let per_dgram = counts.allocs as f64 / dgrams as f64;
+    if per_dgram > 0.05 {
+        transfer(true);
+        panic!(
+            "{per_dgram:.3} allocations per datagram (budget 0.05): {counts} over {dgrams} \
+             datagrams\n{}",
+            top_sites()
+        );
+    }
 }

@@ -52,8 +52,9 @@ fn feed(send: &SendStream, file: &[u8], offset: &mut usize) {
 }
 
 fn drain(recv: &RecvStream, into: &mut Vec<u8>) {
-    while let Some(m) = recv.recv() {
-        into.extend(m);
+    let mut msg = Vec::new();
+    while recv.recv_into(&mut msg).is_some() {
+        into.extend_from_slice(&msg);
     }
 }
 

@@ -321,42 +321,7 @@ impl<T> Default for CalendarQueue<T> {
 mod tests {
     use super::*;
 
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Allocations (growths included) requested on this thread.
-        static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Counts this thread's allocations, so a test can pin what a stretch
-    /// of calls allocates; every other test of the crate runs under it
-    /// uncounted.
-    struct Counting;
-
-    // SAFETY: every method forwards to `System` with the caller's own layout
-    // and pointer; the counter is a plain thread-local and never allocates.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-            // SAFETY: `layout` is the caller's, passed through untouched.
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: `ptr` came from `System` with this same `layout`.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-            // SAFETY: `ptr`/`layout` describe a live `System` block.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: Counting = Counting;
+    use crate::counting_alloc::{sample, top_sites, Counts};
 
     /// Drain fully; returns (at, seq) in pop order.
     fn drain(q: &mut CalendarQueue<u32>) -> Vec<(u64, u64)> {
@@ -488,11 +453,18 @@ mod tests {
         for _ in 0..50_000 {
             cycle(&mut q, &mut seq);
         }
-        let before = ALLOCS.get();
+        let before = Counts::now();
         for _ in 0..100_000 {
             cycle(&mut q, &mut seq);
         }
-        assert_eq!(ALLOCS.get() - before, 0, "allocations in 10^5 cycles");
+        let counts = Counts::now().since(before);
         assert_eq!(q.len(), 4096);
+        if counts.allocs > 0 {
+            sample(1);
+            for _ in 0..100_000 {
+                cycle(&mut q, &mut seq);
+            }
+            panic!("{counts} in 10^5 cycles\n{}", top_sites());
+        }
     }
 }

@@ -44,6 +44,9 @@
 pub mod agents;
 pub mod arena;
 pub mod calendar;
+#[cfg(test)]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 pub mod link;
 pub mod loss;
 pub mod marker;

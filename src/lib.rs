@@ -64,6 +64,11 @@
 //! assert!(rx.is_finished(), "FIN / FIN-ACK completed");
 //! ```
 //!
+//! `recv()` hands over a new `Vec` per message. The allocation-free form is
+//! `RecvStream::recv_into(&mut buf)`: it moves the next message into `buf`
+//! and keeps `buf`'s old storage to assemble a later message in, so a
+//! reader that reuses one buffer allocates nothing per message once warm.
+//!
 //! Under partial reliability the stream switches to message mode:
 //! `send_with_ttl` tags each message with a playout lifetime and the
 //! *receiver* drops retransmissions that arrive stale
