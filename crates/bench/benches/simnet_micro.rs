@@ -2,7 +2,7 @@
 //! AQM decisions, markers and loss models.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use qtp_simnet::marker::{Marker, TokenBucketMarker};
+use qtp_simnet::marker::TokenBucketMarker;
 use qtp_simnet::prelude::*;
 
 fn bench_sim_loop(c: &mut Criterion) {
@@ -67,7 +67,7 @@ fn bench_queues(c: &mut Criterion) {
 
 fn bench_marker_and_loss(c: &mut Criterion) {
     c.bench_function("simnet/token_bucket_mark", |b| {
-        let mut m = Marker::TokenBucket(TokenBucketMarker::new(Rate::from_mbps(5), 20_000));
+        let mut m = TokenBucketMarker::new(Rate::from_mbps(5), 20_000);
         let mut t = 0u64;
         b.iter(|| {
             t += 800;

@@ -95,7 +95,7 @@ fn main() {
     let mut b = NetworkBuilder::new();
     let s = b.host();
     let r = b.host();
-    let one_way = Duration::from_millis(args.rtt_ms / 2);
+    let one_way = Duration::from_micros(args.rtt_ms * 500);
     b.simplex_link(
         s,
         r,

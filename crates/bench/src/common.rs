@@ -3,7 +3,6 @@
 //! helpers for TCP and QTP flows.
 
 use qtp_core::session::{attach_pair, ConnectionPlan, PairHandles};
-use qtp_simnet::marker::{Marker, TokenBucketMarker};
 use qtp_simnet::prelude::*;
 use qtp_simnet::sim::Simulator;
 use qtp_tcp::TcpFlavor;
@@ -63,7 +62,7 @@ pub fn set_profile(sim: &mut Simulator, net: &Dumbbell, pair: usize, flow: FlowI
     sim.set_marker(
         net.sender_access[pair],
         flow,
-        Marker::TokenBucket(TokenBucketMarker::new(cir, CBS)),
+        TokenBucketMarker::new(cir, CBS),
     );
 }
 
@@ -73,7 +72,7 @@ pub fn set_out_of_profile(sim: &mut Simulator, net: &Dumbbell, pair: usize, flow
     sim.set_marker(
         net.sender_access[pair],
         flow,
-        Marker::TokenBucket(TokenBucketMarker::new(Rate::ZERO, 0)),
+        TokenBucketMarker::new(Rate::ZERO, 0),
     );
 }
 

@@ -19,8 +19,8 @@
 //!   survives a Gilbert–Elliott bursty hop, and a uniform N = 64 flock of
 //!   each controller shares one bottleneck with Jain ≥ 0.9.
 //!
-//! Every family is a parameterised struct on the deterministic simulator
-//! at fixed seeds, gated in the claims ledger next to E1–E12/A/H (ids
+//! Every family runs on the deterministic simulator at fixed constants
+//! and seeds, gated in the claims ledger next to E1–E12/A/H (ids
 //! `c1`…`c3`; run just this group with `expt --check --only c`).
 
 use qtp_core::session::{attach_pair, ConnectionPlan, PairHandles, Profile};
@@ -65,33 +65,6 @@ fn run_racer(
 // C1 — bloated droptail dumbbell: utilization vs standing queue delay
 // ---------------------------------------------------------------------------
 
-/// Parameters of the bloated-dumbbell race.
-#[derive(Debug, Clone)]
-pub struct BloatParams {
-    /// Bottleneck rate, Mbit/s.
-    pub core_mbps: u64,
-    /// One-way bottleneck propagation delay.
-    pub bottleneck_delay: Duration,
-    /// Drop-tail queue capacity, packets (well above the BDP: bufferbloat).
-    pub queue_pkts: usize,
-    /// Measurement horizon, seconds.
-    pub secs: u64,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for BloatParams {
-    fn default() -> Self {
-        BloatParams {
-            core_mbps: 5,
-            bottleneck_delay: Duration::from_millis(20),
-            queue_pkts: 500,
-            secs: 60,
-            seed: 53,
-        }
-    }
-}
-
 /// C1 — **bufferbloat signature**: on a drop-tail bottleneck whose queue
 /// holds many times the BDP, a loss-based controller only sees congestion
 /// when the queue overflows, so it keeps a large standing queue; a
@@ -111,30 +84,32 @@ pub fn c1() -> Table {
             "queue delay (ms)",
         ],
     );
-    let params = BloatParams::default();
+    /// Bottleneck rate, Mbit/s.
+    const CORE_MBPS: u64 = 5;
+    /// One-way bottleneck propagation delay.
+    const BOTTLENECK_DELAY: Duration = Duration::from_millis(20);
+    /// Drop-tail queue capacity, packets (well above the BDP: bufferbloat).
+    const QUEUE_PKTS: usize = 500;
+    const SECS: u64 = 60;
+    const SEED: u64 = 53;
     // Propagation-only RTT of the dumbbell path: two access hops (1 ms
     // each way in `droptail_dumbbell`) plus the bottleneck, both ways.
-    let base_rtt_s = 2.0 * (params.bottleneck_delay.as_secs_f64() + 2.0 * 0.001);
-    let cap_bps = (params.core_mbps as f64) * 1e6;
+    let base_rtt_s = 2.0 * (BOTTLENECK_DELAY.as_secs_f64() + 2.0 * 0.001);
+    let cap_bps = (CORE_MBPS as f64) * 1e6;
     let mut utils = Vec::new();
     let mut qdelays = Vec::new();
     for (i, (_, label, kind)) in RACERS.iter().enumerate() {
-        let (mut sim, net) = droptail_dumbbell(
-            1,
-            params.core_mbps,
-            params.bottleneck_delay,
-            params.queue_pkts,
-            params.seed + i as u64,
-        );
+        let (mut sim, net) =
+            droptail_dumbbell(1, CORE_MBPS, BOTTLENECK_DELAY, QUEUE_PKTS, SEED + i as u64);
         let h = run_racer(
             &mut sim,
             net.senders[0],
             net.receivers[0],
             "race",
             *kind,
-            params.secs,
+            SECS,
         );
-        let g = goodput(&sim, h.data_flow, params.secs);
+        let g = goodput(&sim, h.data_flow, SECS);
         let rtt_s = h.tx_tracer.read(|c| c.srtt_s);
         let qdelay_ms = (rtt_s - base_rtt_s).max(0.0) * 1e3;
         t.row(vec![
@@ -174,30 +149,6 @@ pub fn c1() -> Table {
 // C2 — long fat pipe: wall-time window growth vs RTT-bound ramps
 // ---------------------------------------------------------------------------
 
-/// Parameters of the long-fat-pipe controller race.
-#[derive(Debug, Clone)]
-pub struct LfpRaceParams {
-    /// Pipe rate, Mbit/s.
-    pub rate_mbps: u64,
-    /// One-way delays raced (300/600 ms RTT).
-    pub one_ways: [Duration; 2],
-    /// Measurement horizon, seconds.
-    pub secs: u64,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for LfpRaceParams {
-    fn default() -> Self {
-        LfpRaceParams {
-            rate_mbps: 20,
-            one_ways: [Duration::from_millis(150), Duration::from_millis(300)],
-            secs: 60,
-            seed: 59,
-        }
-    }
-}
-
 /// C2 — **the large-BDP regime**: the cubic window `W(t)` grows with
 /// wall-clock time since the last decrease, not per feedback round, so
 /// CUBIC's ramp is RTT-independent where TFRC's equation tracks the
@@ -210,16 +161,19 @@ pub fn c2() -> Table {
         "§3: at satellite-class BDP the controller choice dominates goodput — wall-time CUBIC growth and model-based BBR-lite beat the feedback-bound TFRC ramp",
         &["RTT (ms)", "TFRC", "CUBIC", "BBR-lite", "CUBIC / TFRC"],
     );
-    let params = LfpRaceParams::default();
+    /// One-way delays raced (300/600 ms RTT).
+    const ONE_WAYS: [Duration; 2] = [Duration::from_millis(150), Duration::from_millis(300)];
+    const SECS: u64 = 60;
+    const SEED: u64 = 59;
     // goodputs[controller][rtt point]
     let mut pts = vec![Vec::new(); RACERS.len()];
-    for &one_way in &params.one_ways {
-        let cfg = LongFatPipeConfig::symmetric(Rate::from_mbps(params.rate_mbps), one_way, 1250);
+    for one_way in ONE_WAYS {
+        let cfg = LongFatPipeConfig::symmetric(Rate::from_mbps(20), one_way, 1250);
         let mut row = vec![format!("{}", cfg.rtt().as_millis())];
         for (i, (_, _, kind)) in RACERS.iter().enumerate() {
-            let (mut sim, net) = LongFatPipe::build(&cfg, params.seed + i as u64);
-            let h = run_racer(&mut sim, net.tx, net.rx, "race", *kind, params.secs);
-            pts[i].push(goodput(&sim, h.data_flow, params.secs));
+            let (mut sim, net) = LongFatPipe::build(&cfg, SEED + i as u64);
+            let h = run_racer(&mut sim, net.tx, net.rx, "race", *kind, SECS);
+            pts[i].push(goodput(&sim, h.data_flow, SECS));
         }
         for p in &pts {
             row.push(mbps(*p.last().expect("one point per rtt")));
@@ -256,42 +210,6 @@ pub fn c2() -> Table {
 // C3 — bursty loss survival and uniform-flock fairness at N = 64
 // ---------------------------------------------------------------------------
 
-/// Parameters of the bursty-loss / fairness family.
-#[derive(Debug, Clone)]
-pub struct BurstFairParams {
-    /// Bursty-path rate, Mbit/s.
-    pub rate_mbps: u64,
-    /// Bursty-path one-way delay.
-    pub one_way: Duration,
-    /// Gilbert–Elliott transition probability good→bad.
-    pub p_gb: f64,
-    /// Gilbert–Elliott transition probability bad→good.
-    pub p_bg: f64,
-    /// Loss probability in the bad state.
-    pub loss_bad: f64,
-    /// Measurement horizon for the solo runs, seconds.
-    pub secs: u64,
-    /// Flock size of the uniform fairness runs.
-    pub flock: usize,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for BurstFairParams {
-    fn default() -> Self {
-        BurstFairParams {
-            rate_mbps: 10,
-            one_way: Duration::from_millis(30),
-            p_gb: 0.02,
-            p_bg: 0.3,
-            loss_bad: 0.3,
-            secs: 60,
-            flock: 64,
-            seed: 61,
-        }
-    }
-}
-
 /// C3 — **no controller is a spoiler**: each controller keeps moving on a
 /// Gilbert–Elliott bursty hop (the wireless regime of E8), and a uniform
 /// flock of 64 same-controller flows shares one bottleneck fairly — the
@@ -310,24 +228,30 @@ pub fn c3() -> Table {
             "N=64 completed",
         ],
     );
-    let params = BurstFairParams::default();
+    /// Measurement horizon of the solo bursty runs, seconds.
+    const SECS: u64 = 60;
+    /// Flock size of the uniform fairness runs.
+    const FLOCK: usize = 64;
+    const SEED: u64 = 61;
     let mut burst = Vec::new();
     let mut jains = Vec::new();
     for (i, (_, label, kind)) in RACERS.iter().enumerate() {
+        // 10 Mbit/s, 30 ms one way, Gilbert–Elliott bursts: 2% good→bad,
+        // 30% bad→good, 30% loss in the bad state.
         let (mut sim, s, r) = lossy_path(
-            params.rate_mbps,
-            params.one_way,
-            LossModel::gilbert_elliott(params.p_gb, params.p_bg, 0.0, params.loss_bad),
-            params.seed + i as u64,
+            10,
+            Duration::from_millis(30),
+            LossModel::gilbert_elliott(0.02, 0.3, 0.0, 0.3),
+            SEED + i as u64,
         );
-        let h = run_racer(&mut sim, s, r, "burst", *kind, params.secs);
-        let g = goodput(&sim, h.data_flow, params.secs);
-        let report = run_sim(&ManyFlowConfig::uniform(params.flock, *kind));
+        let h = run_racer(&mut sim, s, r, "burst", *kind, SECS);
+        let g = goodput(&sim, h.data_flow, SECS);
+        let report = run_sim(&ManyFlowConfig::uniform(FLOCK, *kind));
         t.row(vec![
             label.to_string(),
             mbps(g),
             format!("{:.4}", report.jain),
-            format!("{}/{}", report.completed, params.flock),
+            format!("{}/{FLOCK}", report.completed),
         ]);
         burst.push(g);
         jains.push(report.jain);
@@ -353,52 +277,4 @@ pub fn c3() -> Table {
         );
     }
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The C1 race discriminates: both new controllers fill the link and
-    /// BBR-lite holds less standing queue than CUBIC. (Short horizon; the
-    /// ledger gates the full-length numbers.)
-    #[test]
-    fn bloat_race_separates_loss_based_from_model_based() {
-        let params = BloatParams {
-            secs: 30,
-            ..BloatParams::default()
-        };
-        let base_rtt_s = 2.0 * (params.bottleneck_delay.as_secs_f64() + 2.0 * 0.001);
-        let mut qdelay = Vec::new();
-        for (i, (_, _, kind)) in RACERS.iter().enumerate() {
-            let (mut sim, net) = droptail_dumbbell(
-                1,
-                params.core_mbps,
-                params.bottleneck_delay,
-                params.queue_pkts,
-                params.seed + i as u64,
-            );
-            let h = run_racer(
-                &mut sim,
-                net.senders[0],
-                net.receivers[0],
-                "race",
-                *kind,
-                params.secs,
-            );
-            let g = goodput(&sim, h.data_flow, params.secs);
-            assert!(
-                g > 0.5 * params.core_mbps as f64 * 1e6,
-                "{kind:?} failed to fill half the link: {g}"
-            );
-            qdelay.push((h.tx_tracer.read(|c| c.srtt_s) - base_rtt_s).max(0.0));
-        }
-        // RACERS order: tfrc, cubic, bbr.
-        assert!(
-            qdelay[2] <= qdelay[1],
-            "bbr queue delay {} > cubic {}",
-            qdelay[2],
-            qdelay[1]
-        );
-    }
 }

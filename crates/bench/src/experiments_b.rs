@@ -20,7 +20,6 @@
 
 use qtp_core::session::{attach_pair, ConnectionPlan, Profile, Reliability};
 use qtp_core::CapabilitySet;
-use qtp_simnet::marker::{Marker, TokenBucketMarker};
 use qtp_simnet::prelude::*;
 use qtp_tcp::TcpFlavor;
 use std::time::Duration;
@@ -365,11 +364,7 @@ pub fn e10() -> Table {
         let (mut sim, s0, r0, s1, r1, s0l, _s1l) = build();
         let plan = ConnectionPlan::new(Profile::try_from(caps).expect("AF profiles are valid"));
         let h = attach_pair(&mut sim, s0, r0, "af", &plan);
-        sim.set_marker(
-            s0l,
-            h.data_flow,
-            Marker::TokenBucket(TokenBucketMarker::new(g, CBS)),
-        );
+        sim.set_marker(s0l, h.data_flow, TokenBucketMarker::new(g, CBS));
         // Background out-of-profile TCP between the second pair.
         qtp_tcp::attach_tcp(&mut sim, s1, r1, "bg", TcpFlavor::NewReno);
         sim.run_until(SimTime::from_secs(SECS));

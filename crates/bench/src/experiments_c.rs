@@ -171,7 +171,7 @@ pub fn e12() -> Table {
         let achieved = throughput(&sim, h.data_flow, SECS) / g.bps() as f64;
         let loss_rate = sim.stats().flow(h.data_flow).loss_rate();
         let retx = h.tx_tracer.read(|c| c.retransmits);
-        let (green_drops, _, _) = sim.stats().link_drops_by_color(net.bottleneck);
+        let (green_drops, _) = sim.stats().link_drops_by_color(net.bottleneck);
         let holds = achieved >= 0.95;
         if label.starts_with("full") {
             full_retx = retx;

@@ -24,8 +24,8 @@
 //!   TTL-partial reliability holds the deadline-miss floor where full
 //!   reliability queues stale retransmissions.
 //!
-//! Every family is a parameterised struct running on the deterministic
-//! simulator at fixed seeds, gated in the claims ledger next to E1–E12
+//! Every family runs on the deterministic simulator at fixed constants
+//! and seeds, gated in the claims ledger next to E1–E12
 //! (ids `h1`…`h5`; run just this group with `expt --check --only h`).
 //! [`hostile_sweep`] is the nightly reorder-jitter × RTT grid.
 
@@ -38,8 +38,8 @@ use std::time::Duration;
 
 use crate::common::{goodput, impaired_path};
 use crate::scenarios::{
-    deadline_profiles, deadline_rows, pattern_bytes, stream_frames, transfer, DeadlineRun,
-    FrameStream, DEADLINE_COLUMNS,
+    deadline_profiles, deadline_rows, pattern_bytes, stream_frames, transfer, FrameStream,
+    DEADLINE_COLUMNS,
 };
 use crate::table::{mbps, ratio, Table, Tolerance};
 
@@ -83,63 +83,6 @@ fn run_tcp(mut sim: Simulator, s: NodeId, r: NodeId, flavor: TcpFlavor, secs: u6
 // H1 — bounded reordering sweep
 // ---------------------------------------------------------------------------
 
-/// Parameters of the reordering sweep.
-#[derive(Debug, Clone)]
-pub struct ReorderSweepParams {
-    /// Path rate, Mbit/s.
-    pub rate_mbps: u64,
-    /// One-way propagation delay.
-    pub one_way: Duration,
-    /// Per-packet probability of extra delay.
-    pub reorder_p: f64,
-    /// Jitter bounds to sweep, ms (0 = unimpaired baseline).
-    pub jitters_ms: Vec<u64>,
-    /// gTFRC floor for the QTPAF flow, Mbit/s.
-    pub floor_mbps: u64,
-    /// Run length, seconds.
-    pub secs: u64,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for ReorderSweepParams {
-    fn default() -> Self {
-        ReorderSweepParams {
-            rate_mbps: 10,
-            one_way: Duration::from_millis(20),
-            reorder_p: 0.5,
-            jitters_ms: vec![0, 25, 100],
-            floor_mbps: 6,
-            secs: 30,
-            seed: 17,
-        }
-    }
-}
-
-/// One point of the reordering sweep: goodput of both transports at one
-/// jitter bound.
-pub fn reorder_point(params: &ReorderSweepParams, jitter_ms: u64) -> (f64, f64) {
-    let path = if jitter_ms == 0 {
-        PathModel::none()
-    } else {
-        PathModel::none().with_reorder(params.reorder_p, Duration::from_millis(jitter_ms))
-    };
-    let build = |salt: u64| {
-        impaired_path(
-            Rate::from_mbps(params.rate_mbps),
-            params.one_way,
-            LossModel::None,
-            path.clone(),
-            params.seed + salt,
-        )
-    };
-    let (sim, s, r) = build(0);
-    let tcp = run_tcp(sim, s, r, TcpFlavor::Sack, params.secs);
-    let (sim, s, r) = build(1);
-    let qtpaf = run_qtpaf(sim, s, r, Rate::from_mbps(params.floor_mbps), params.secs);
-    (tcp, qtpaf)
-}
-
 /// H1 — graceful degradation under bounded reordering: TCP SACK collapses
 /// on spurious fast retransmits, QTPAF keeps its floor.
 pub fn h1() -> Table {
@@ -149,11 +92,36 @@ pub fn h1() -> Table {
         "versatility under reordering: a window-based transport misreads bounded reordering as loss and collapses, while the negotiated equation-based profile with a gTFRC floor degrades gracefully",
         &["jitter (ms)", "TCP SACK", "QTPAF", "QTPAF / TCP"],
     );
-    let params = ReorderSweepParams::default();
+    const RATE_MBPS: u64 = 10;
+    /// Per-packet probability of extra delay.
+    const REORDER_P: f64 = 0.5;
+    /// Jitter bounds swept, ms (0 = unimpaired baseline).
+    const JITTERS_MS: [u64; 3] = [0, 25, 100];
+    /// gTFRC floor of the QTPAF flow, Mbit/s.
+    const FLOOR_MBPS: u64 = 6;
+    const SECS: u64 = 30;
+    const SEED: u64 = 17;
     let mut tcp_by_jitter = Vec::new();
     let mut qtpaf_by_jitter = Vec::new();
-    for &j in &params.jitters_ms {
-        let (tcp, qtpaf) = reorder_point(&params, j);
+    for j in JITTERS_MS {
+        let path = if j == 0 {
+            PathModel::none()
+        } else {
+            PathModel::none().with_reorder(REORDER_P, Duration::from_millis(j))
+        };
+        let build = |salt: u64| {
+            impaired_path(
+                Rate::from_mbps(RATE_MBPS),
+                Duration::from_millis(20),
+                LossModel::None,
+                path.clone(),
+                SEED + salt,
+            )
+        };
+        let (sim, s, r) = build(0);
+        let tcp = run_tcp(sim, s, r, TcpFlavor::Sack, SECS);
+        let (sim, s, r) = build(1);
+        let qtpaf = run_qtpaf(sim, s, r, Rate::from_mbps(FLOOR_MBPS), SECS);
         t.row(vec![
             format!("{j}"),
             mbps(tcp),
@@ -179,7 +147,7 @@ pub fn h1() -> Table {
     let qtpaf_retention = qtpaf_by_jitter.last().unwrap() / qtpaf_by_jitter[0].max(1.0);
     t.verdict = format!(
         "at a {} ms jitter bound QTPAF keeps {:.0}% of its clean-path goodput while TCP SACK keeps {:.0}% — reordering tolerance is a negotiable property, not a given.",
-        params.jitters_ms.last().unwrap(),
+        JITTERS_MS[JITTERS_MS.len() - 1],
         qtpaf_retention * 100.0,
         tcp_retention * 100.0,
     );
@@ -202,86 +170,20 @@ pub fn h1() -> Table {
 // H2 — duplication under the reliable stream
 // ---------------------------------------------------------------------------
 
-/// Parameters of the duplication family.
-#[derive(Debug, Clone)]
-pub struct DupBulkParams {
-    /// File size, KiB.
-    pub file_kib: usize,
-    /// Path rate, Mbit/s.
-    pub rate_mbps: u64,
-    /// One-way propagation delay.
-    pub one_way: Duration,
-    /// Bernoulli loss probability on the data direction (so duplication
-    /// interacts with real retransmissions, not just clean flow).
-    pub loss: f64,
-    /// Duplication probability on the data direction.
-    pub dup: f64,
-    /// gTFRC floor, Mbit/s.
-    pub floor_mbps: u64,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for DupBulkParams {
-    fn default() -> Self {
-        DupBulkParams {
-            file_kib: 256,
-            rate_mbps: 10,
-            one_way: Duration::from_millis(20),
-            loss: 0.01,
-            dup: 0.2,
-            floor_mbps: 6,
-            seed: 23,
-        }
-    }
-}
-
 /// Outcome of one bulk transfer over a duplicating link.
-#[derive(Debug, Clone)]
-pub struct DupBulkRun {
+struct DupBulkRun {
     /// Application goodput, Mbit/s.
-    pub goodput_mbps: f64,
+    goodput_mbps: f64,
     /// Seconds until the receive stream finished (horizon if never).
-    pub completion_s: f64,
+    completion_s: f64,
     /// Application bytes delivered (must equal the file size — duplicates
     /// must not double-count).
-    pub delivered_bytes: u64,
+    delivered_bytes: u64,
     /// Delivered bytes reproduce the file exactly, in order.
-    pub byte_exact: bool,
+    byte_exact: bool,
     /// Network-level arrival amplification (`pkts_arrived / pkts_sent`):
     /// proves the wire really carried duplicates.
-    pub amplification: f64,
-}
-
-/// Run one reliable bulk transfer over a lossy, duplicating path.
-pub fn dup_bulk(params: &DupBulkParams, dup_p: f64) -> DupBulkRun {
-    let path = if dup_p > 0.0 {
-        PathModel::none().with_duplicate(dup_p)
-    } else {
-        PathModel::none()
-    };
-    let (mut sim, s, r) = impaired_path(
-        Rate::from_mbps(params.rate_mbps),
-        params.one_way,
-        LossModel::bernoulli(params.loss),
-        path,
-        params.seed,
-    );
-    let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(params.floor_mbps)))
-        .label("h2")
-        .stream(StreamConfig::with_send_buf(64 * 1024));
-    let h = attach_pair(&mut sim, s, r, "h2", &plan);
-    let file = pattern_bytes(params.file_kib * 1024, params.seed);
-    let (received, elapsed) = transfer(&mut sim, &h, &file);
-    let delivered = received.len() as u64;
-    let st = sim.stats().flow(h.data_flow);
-    DupBulkRun {
-        goodput_mbps: delivered as f64 * 8.0 / elapsed / 1e6,
-        completion_s: elapsed,
-        delivered_bytes: delivered,
-        byte_exact: received == file,
-        amplification: st.pkts_arrived as f64 / (st.pkts_sent.max(1)) as f64,
-    }
+    amplification: f64,
 }
 
 /// H2 — wire duplication must not confuse the reliable stream: byte-exact
@@ -300,10 +202,46 @@ pub fn h2() -> Table {
             "arrivals/sent",
         ],
     );
-    let params = DupBulkParams::default();
-    let clean = dup_bulk(&params, 0.0);
-    let duped = dup_bulk(&params, params.dup);
-    for (p, run) in [(0.0, &clean), (params.dup, &duped)] {
+    /// File size, KiB.
+    const FILE_KIB: usize = 256;
+    /// Duplication probability on the data direction.
+    const DUP: f64 = 0.2;
+    const SEED: u64 = 23;
+    // One reliable bulk transfer at 10 Mbit/s, 20 ms one way, with 1%
+    // Bernoulli loss on the data direction (so duplication interacts with
+    // real retransmissions, not just clean flow) and a 6 Mbit/s floor.
+    let dup_bulk = |dup_p: f64| {
+        let path = if dup_p > 0.0 {
+            PathModel::none().with_duplicate(dup_p)
+        } else {
+            PathModel::none()
+        };
+        let (mut sim, s, r) = impaired_path(
+            Rate::from_mbps(10),
+            Duration::from_millis(20),
+            LossModel::bernoulli(0.01),
+            path,
+            SEED,
+        );
+        let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(6)))
+            .label("h2")
+            .stream(StreamConfig::with_send_buf(64 * 1024));
+        let h = attach_pair(&mut sim, s, r, "h2", &plan);
+        let file = pattern_bytes(FILE_KIB * 1024, SEED);
+        let (received, elapsed) = transfer(&mut sim, &h, &file);
+        let delivered = received.len() as u64;
+        let st = sim.stats().flow(h.data_flow);
+        DupBulkRun {
+            goodput_mbps: delivered as f64 * 8.0 / elapsed / 1e6,
+            completion_s: elapsed,
+            delivered_bytes: delivered,
+            byte_exact: received == file,
+            amplification: st.pkts_arrived as f64 / (st.pkts_sent.max(1)) as f64,
+        }
+    };
+    let clean = dup_bulk(0.0);
+    let duped = dup_bulk(DUP);
+    for (p, run) in [(0.0, &clean), (DUP, &duped)] {
         t.row(vec![
             format!("{p}"),
             format!("{:.2}", run.goodput_mbps),
@@ -316,9 +254,9 @@ pub fn h2() -> Table {
     let retention = duped.goodput_mbps / clean.goodput_mbps.max(1e-9);
     t.verdict = format!(
         "with 1-in-{:.0} packets duplicated in flight (arrival amplification {:.2}x) the {} KiB transfer stays byte-exact with delivered bytes counted once, at {:.0}% of the clean-path goodput.",
-        1.0 / params.dup,
+        1.0 / DUP,
         duped.amplification,
-        params.file_kib,
+        FILE_KIB,
         retention * 100.0,
     );
     t.metric(
@@ -359,37 +297,6 @@ pub fn h2() -> Table {
 // H3 — asymmetric return channel
 // ---------------------------------------------------------------------------
 
-/// Parameters of the asymmetry family.
-#[derive(Debug, Clone)]
-pub struct AsymParams {
-    /// Forward (data) rate, Mbit/s.
-    pub fwd_mbps: u64,
-    /// Reverse (feedback) rates to compare, kbit/s: wide baseline first,
-    /// then the narrowband return channel.
-    pub rev_kbps: [u64; 2],
-    /// One-way propagation delay, each direction.
-    pub one_way: Duration,
-    /// gTFRC floor, Mbit/s.
-    pub floor_mbps: u64,
-    /// Run length, seconds.
-    pub secs: u64,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for AsymParams {
-    fn default() -> Self {
-        AsymParams {
-            fwd_mbps: 10,
-            rev_kbps: [10_000, 100],
-            one_way: Duration::from_millis(20),
-            floor_mbps: 6,
-            secs: 30,
-            seed: 29,
-        }
-    }
-}
-
 /// H3 — a narrowband return channel starves per-packet TCP acks; QTP's
 /// once-per-RTT feedback keeps the forward channel full.
 pub fn h3() -> Table {
@@ -399,22 +306,29 @@ pub fn h3() -> Table {
         "versatility under asymmetry: per-packet cumulative acks need forward-rate-proportional reverse capacity, so TCP collapses behind a narrowband return channel; QTP's per-RTT feedback is insensitive to it",
         &["reverse (kbit/s)", "TCP SACK", "QTPAF", "QTPAF / TCP"],
     );
-    let params = AsymParams::default();
+    const FWD_MBPS: u64 = 10;
+    /// Reverse (feedback) rates compared, kbit/s: wide baseline first,
+    /// then the narrowband return channel.
+    const REV_KBPS: [u64; 2] = [10_000, 100];
+    /// gTFRC floor, Mbit/s.
+    const FLOOR_MBPS: u64 = 6;
+    const SECS: u64 = 30;
+    const SEED: u64 = 29;
     let mut tcp_pts = Vec::new();
     let mut qtpaf_pts = Vec::new();
-    for &rev in &params.rev_kbps {
+    for rev in REV_KBPS {
         let build = |salt: u64| {
             asym_path(
-                Rate::from_mbps(params.fwd_mbps),
+                Rate::from_mbps(FWD_MBPS),
                 Rate::from_kbps(rev),
-                params.one_way,
-                params.seed + salt,
+                Duration::from_millis(20),
+                SEED + salt,
             )
         };
         let (sim, s, r) = build(0);
-        let tcp = run_tcp(sim, s, r, TcpFlavor::Sack, params.secs);
+        let tcp = run_tcp(sim, s, r, TcpFlavor::Sack, SECS);
         let (sim, s, r) = build(1);
-        let qtpaf = run_qtpaf(sim, s, r, Rate::from_mbps(params.floor_mbps), params.secs);
+        let qtpaf = run_qtpaf(sim, s, r, Rate::from_mbps(FLOOR_MBPS), SECS);
         t.row(vec![
             format!("{rev}"),
             mbps(tcp),
@@ -430,8 +344,8 @@ pub fn h3() -> Table {
     let qtpaf_retention = qtpaf_narrow / qtpaf_wide.max(1.0);
     t.verdict = format!(
         "shrinking the return channel from {} Mbit/s to {} kbit/s costs QTPAF {:.0}% of its goodput but TCP SACK {:.0}% — feedback economy is part of the negotiated service.",
-        params.rev_kbps[0] / 1000,
-        params.rev_kbps[1],
+        REV_KBPS[0] / 1000,
+        REV_KBPS[1],
         (1.0 - qtpaf_retention) * 100.0,
         (1.0 - tcp_retention) * 100.0,
     );
@@ -478,35 +392,6 @@ pub fn h3() -> Table {
 // H4 — long fat pipe (satellite-class LBDP)
 // ---------------------------------------------------------------------------
 
-/// Parameters of the long-fat-pipe family.
-#[derive(Debug, Clone)]
-pub struct LfpParams {
-    /// Pipe rate, Mbit/s (both directions).
-    pub rate_mbps: u64,
-    /// One-way delays to compare (RTT = 2×): the 300 ms and 600 ms RTT
-    /// satellite regimes.
-    pub one_ways: [Duration; 2],
-    /// gTFRC floor, Mbit/s — the reservation the rate-based profile must
-    /// fill regardless of RTT.
-    pub floor_mbps: u64,
-    /// Run length, seconds.
-    pub secs: u64,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for LfpParams {
-    fn default() -> Self {
-        LfpParams {
-            rate_mbps: 20,
-            one_ways: [Duration::from_millis(150), Duration::from_millis(300)],
-            floor_mbps: 15,
-            secs: 60,
-            seed: 31,
-        }
-    }
-}
-
 /// H4 — the window regime: on a 600 ms RTT pipe the window transport is
 /// receive-window- and slow-start-limited; the rate-based floor is not.
 pub fn h4() -> Table {
@@ -516,24 +401,26 @@ pub fn h4() -> Table {
         "versatility at large bandwidth-delay product: a window-based transport needs a full BDP in flight and pays slow-start per RTT, so its goodput falls with RTT; the negotiated gTFRC floor fills the reservation at any latency",
         &["RTT (ms)", "BDP (pkts)", "TCP SACK", "QTPAF", "QTPAF / TCP"],
     );
-    let params = LfpParams::default();
+    /// Pipe rate, Mbit/s (both directions).
+    const RATE_MBPS: u64 = 20;
+    /// One-way delays compared (RTT = 2×): the 300 ms and 600 ms RTT
+    /// satellite regimes.
+    const ONE_WAYS: [Duration; 2] = [Duration::from_millis(150), Duration::from_millis(300)];
+    /// gTFRC floor, Mbit/s — the reservation the rate-based profile must
+    /// fill regardless of RTT.
+    const FLOOR_MBPS: u64 = 15;
+    const SECS: u64 = 60;
+    const SEED: u64 = 31;
     let mut tcp_pts = Vec::new();
     let mut qtpaf_pts = Vec::new();
-    for &one_way in &params.one_ways {
-        let cfg = LongFatPipeConfig::symmetric(Rate::from_mbps(params.rate_mbps), one_way, 1250);
-        let bdp =
-            LongFatPipeConfig::bdp_packets(Rate::from_mbps(params.rate_mbps), cfg.rtt(), 1250);
-        let build = |salt: u64| LongFatPipe::build(&cfg, params.seed + salt);
+    for one_way in ONE_WAYS {
+        let cfg = LongFatPipeConfig::symmetric(Rate::from_mbps(RATE_MBPS), one_way, 1250);
+        let bdp = LongFatPipeConfig::bdp_packets(Rate::from_mbps(RATE_MBPS), cfg.rtt(), 1250);
+        let build = |salt: u64| LongFatPipe::build(&cfg, SEED + salt);
         let (sim, net) = build(0);
-        let tcp = run_tcp(sim, net.tx, net.rx, TcpFlavor::Sack, params.secs);
+        let tcp = run_tcp(sim, net.tx, net.rx, TcpFlavor::Sack, SECS);
         let (sim, net) = build(1);
-        let qtpaf = run_qtpaf(
-            sim,
-            net.tx,
-            net.rx,
-            Rate::from_mbps(params.floor_mbps),
-            params.secs,
-        );
+        let qtpaf = run_qtpaf(sim, net.tx, net.rx, Rate::from_mbps(FLOOR_MBPS), SECS);
         t.row(vec![
             format!("{}", cfg.rtt().as_millis()),
             format!("{bdp}"),
@@ -588,51 +475,10 @@ pub fn h4() -> Table {
 // H5 — wireless burst × handover deadline streaming
 // ---------------------------------------------------------------------------
 
-/// Parameters of the handover deadline-streaming family.
-#[derive(Debug, Clone)]
-pub struct HandoverStreamParams {
-    /// Frames to stream.
-    pub frames: usize,
-    /// Frame size, bytes.
-    pub frame_bytes: usize,
-    /// Frame cadence.
-    pub interval: Duration,
-    /// Playout deadline.
-    pub deadline: Duration,
-    /// Per-message TTL for the partial variant (below the post-handover
-    /// retransmission round trip, so arriving retransmissions are stale).
-    pub msg_ttl: Duration,
-    /// Connection-level TTL of the partial profile (well above `msg_ttl`
-    /// so the sender still retransmits and the receiver drops).
-    pub policy_ttl: Duration,
-    /// gTFRC floor, Mbit/s (same in both variants).
-    pub floor_mbps: u64,
-    /// When the WLAN→cellular handover happens.
-    pub switch_at: Duration,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for HandoverStreamParams {
-    fn default() -> Self {
-        HandoverStreamParams {
-            frames: 600,
-            frame_bytes: 500,
-            interval: Duration::from_millis(20),
-            deadline: Duration::from_millis(160),
-            msg_ttl: Duration::from_millis(130),
-            policy_ttl: Duration::from_millis(400),
-            floor_mbps: 1,
-            switch_at: Duration::from_secs(5),
-            seed: 37,
-        }
-    }
-}
-
 /// The handover path of H5: clean 10 Mbit/s WLAN last hop switching to a
 /// 2 Mbit/s cellular hop with Gilbert–Elliott burst loss and mild
 /// reordering, behind a 15 ms backbone.
-fn h5_handover(params: &HandoverStreamParams) -> HandoverConfig {
+fn h5_handover(switch_at: Duration) -> HandoverConfig {
     HandoverConfig {
         backbone_rate: Rate::from_mbps(100),
         backbone_delay: Duration::from_millis(15),
@@ -640,37 +486,8 @@ fn h5_handover(params: &HandoverStreamParams) -> HandoverConfig {
         target: LinkConfig::new(Rate::from_mbps(2), Duration::from_millis(30))
             .with_loss(LossModel::gilbert_elliott(0.02, 0.3, 0.0, 0.3))
             .with_path(PathModel::none().with_reorder(0.2, Duration::from_millis(10))),
-        switch_at: params.switch_at,
+        switch_at,
     }
-}
-
-/// Stream timestamped frames across the handover and score each against
-/// the playout deadline: [`crate::scenarios::deadline`] with the topology
-/// switch applied mid-loop.
-pub fn handover_deadline(
-    params: &HandoverStreamParams,
-    profile: Profile,
-    tag_ttl: bool,
-    label: &str,
-) -> DeadlineRun {
-    let (sim, ho) = Handover::build(&h5_handover(params), params.seed);
-    let frames = FrameStream {
-        frames: params.frames,
-        frame_bytes: params.frame_bytes,
-        interval: params.interval,
-        deadline: params.deadline,
-        msg_ttl: tag_ttl.then_some(params.msg_ttl),
-        seed: params.seed,
-    };
-    let switch_time = SimTime::ZERO + params.switch_at;
-    let mut switched = false;
-    let nodes = (ho.server, ho.mobile);
-    stream_frames(sim, nodes, profile, label, &frames, |sim, t| {
-        if !switched && t >= switch_time {
-            ho.switch(sim);
-            switched = true;
-        }
-    })
 }
 
 /// H5 — deadline streaming across a WLAN→cellular handover onto a bursty
@@ -682,16 +499,48 @@ pub fn h5() -> Table {
         "versatility under mobility: when the last hop degrades mid-stream to a slower, bursty-lossy cellular link, full reliability queues stale recoveries behind the handover while TTL-partial delivery keeps missing only the genuinely lost frames",
         &DEADLINE_COLUMNS,
     );
-    let params = HandoverStreamParams::default();
-    let (full_profile, partial_profile) = deadline_profiles(params.floor_mbps, params.policy_ttl);
-    let full = handover_deadline(&params, full_profile, false, "full");
-    let partial = handover_deadline(&params, partial_profile, true, "ttl-partial");
-    deadline_rows(&mut t, params.frames, &full, &partial);
+    const FRAMES: usize = 600;
+    /// Playout deadline.
+    const DEADLINE: Duration = Duration::from_millis(160);
+    /// When the WLAN→cellular handover happens.
+    const SWITCH_AT: Duration = Duration::from_secs(5);
+    const SEED: u64 = 37;
+    // 500 B frames every 20 ms. The partial variant tags each with a
+    // 130 ms TTL — below the post-handover retransmission round trip, so
+    // arriving retransmissions are stale — under a 400 ms connection TTL,
+    // so the sender still retransmits and the receiver drops. Both
+    // variants run gTFRC at a 1 Mbit/s floor.
+    let (full_profile, partial_profile) = deadline_profiles(1, Duration::from_millis(400));
+    // A deadline run ([`crate::scenarios::deadline`]) with the topology
+    // switch applied mid-loop.
+    let handover_deadline = |profile: Profile, tag_ttl: bool, label: &str| {
+        let (sim, ho) = Handover::build(&h5_handover(SWITCH_AT), SEED);
+        let frames = FrameStream {
+            frames: FRAMES,
+            frame_bytes: 500,
+            interval: Duration::from_millis(20),
+            deadline: DEADLINE,
+            msg_ttl: tag_ttl.then_some(Duration::from_millis(130)),
+            seed: SEED,
+        };
+        let switch_time = SimTime::ZERO + SWITCH_AT;
+        let mut switched = false;
+        let nodes = (ho.server, ho.mobile);
+        stream_frames(sim, nodes, profile, label, &frames, |sim, t| {
+            if !switched && t >= switch_time {
+                ho.switch(sim);
+                switched = true;
+            }
+        })
+    };
+    let full = handover_deadline(full_profile, false, "full");
+    let partial = handover_deadline(partial_profile, true, "ttl-partial");
+    deadline_rows(&mut t, FRAMES, &full, &partial);
     t.verdict = format!(
         "across the handover at {} s (RTT 40→90 ms, clean→bursty 30% bad-state loss) full reliability misses {:.1}% of the {} ms deadlines; TTL-partial misses {:.1}% and the receiver discarded {} stale retransmissions.",
-        params.switch_at.as_secs(),
+        SWITCH_AT.as_secs(),
         full.miss_rate * 100.0,
-        params.deadline.as_millis(),
+        DEADLINE.as_millis(),
         partial.miss_rate * 100.0,
         partial.ttl_dropped,
     );
@@ -742,126 +591,4 @@ pub fn hostile_sweep(jitters_ms: &[u64], one_way_ms: &[u64]) -> Table {
     }
     t.verdict = "rate-based control with a floor is flat across the grid".into();
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reordering_collapses_tcp_but_not_qtpaf() {
-        let params = ReorderSweepParams {
-            secs: 10,
-            ..ReorderSweepParams::default()
-        };
-        let (tcp_clean, qtpaf_clean) = reorder_point(&params, 0);
-        let (tcp_j, qtpaf_j) = reorder_point(&params, 100);
-        assert!(
-            qtpaf_j >= tcp_j,
-            "QTPAF must beat TCP under heavy reordering ({qtpaf_j:.0} vs {tcp_j:.0})"
-        );
-        assert!(
-            qtpaf_j >= 0.5 * qtpaf_clean,
-            "QTPAF degrades gracefully ({qtpaf_j:.0} vs clean {qtpaf_clean:.0})"
-        );
-        assert!(
-            tcp_j <= 0.8 * tcp_clean,
-            "the adversary must actually hurt TCP ({tcp_j:.0} vs clean {tcp_clean:.0})"
-        );
-    }
-
-    #[test]
-    fn duplicating_link_keeps_stream_byte_exact_without_double_count() {
-        let params = DupBulkParams {
-            file_kib: 64,
-            dup: 0.3,
-            ..DupBulkParams::default()
-        };
-        let run = dup_bulk(&params, params.dup);
-        assert!(run.byte_exact, "duplicates must not corrupt reassembly");
-        assert_eq!(
-            run.delivered_bytes,
-            64 * 1024,
-            "delivered bytes counted once despite wire duplicates"
-        );
-        assert!(
-            run.amplification > 1.15,
-            "the wire must really carry duplicates (amplification {:.3})",
-            run.amplification
-        );
-    }
-
-    #[test]
-    fn narrow_return_channel_starves_tcp_not_qtpaf() {
-        let params = AsymParams {
-            secs: 10,
-            ..AsymParams::default()
-        };
-        let (sim, s, r) = asym_path(
-            Rate::from_mbps(params.fwd_mbps),
-            Rate::from_kbps(100),
-            params.one_way,
-            params.seed,
-        );
-        let tcp = run_tcp(sim, s, r, TcpFlavor::Sack, params.secs);
-        let (sim, s, r) = asym_path(
-            Rate::from_mbps(params.fwd_mbps),
-            Rate::from_kbps(100),
-            params.one_way,
-            params.seed + 1,
-        );
-        let qtpaf = run_qtpaf(sim, s, r, Rate::from_mbps(params.floor_mbps), params.secs);
-        assert!(
-            qtpaf > tcp,
-            "per-RTT feedback must beat per-packet acks behind a 100 kbit/s return ({qtpaf:.0} vs {tcp:.0})"
-        );
-    }
-
-    #[test]
-    fn long_fat_pipe_floor_is_rtt_independent() {
-        let params = LfpParams {
-            secs: 30,
-            ..LfpParams::default()
-        };
-        let cfg = LongFatPipeConfig::symmetric(
-            Rate::from_mbps(params.rate_mbps),
-            Duration::from_millis(300),
-            1250,
-        );
-        let (sim, net) = LongFatPipe::build(&cfg, params.seed);
-        let qtpaf = run_qtpaf(
-            sim,
-            net.tx,
-            net.rx,
-            Rate::from_mbps(params.floor_mbps),
-            params.secs,
-        );
-        assert!(
-            qtpaf >= 0.6 * params.floor_mbps as f64 * 1e6,
-            "the floor must hold at 600 ms RTT (got {qtpaf:.0})"
-        );
-    }
-
-    #[test]
-    fn handover_partial_beats_full_and_drops_stale_retx() {
-        let params = HandoverStreamParams {
-            frames: 300,
-            ..HandoverStreamParams::default()
-        };
-        let (full_profile, partial_profile) =
-            deadline_profiles(params.floor_mbps, params.policy_ttl);
-        let full = handover_deadline(&params, full_profile, false, "full");
-        let partial = handover_deadline(&params, partial_profile, true, "partial");
-        assert!(
-            partial.miss_rate <= full.miss_rate,
-            "TTL-partial holds the miss floor across the handover ({:.3} vs {:.3})",
-            partial.miss_rate,
-            full.miss_rate
-        );
-        assert!(
-            partial.ttl_dropped >= 1,
-            "the receiver-side TTL drop path must fire post-handover"
-        );
-        assert!(full.on_time > 0 && partial.on_time > 0);
-    }
 }

@@ -18,8 +18,9 @@
 //!   head-of-line lateness, TTL-bounded partial reliability drops stale
 //!   retransmissions at the receiver and misses fewer deadlines.
 //!
-//! Every scenario is a parameterised family (`*Params` structs) running on
-//! the deterministic simulator; fixed seeds make each table a pure
+//! Every scenario runs on the deterministic simulator at fixed constants
+//! (A3 takes a [`DeadlineParams`] so the nightly [`deadline_sweep`] can vary
+//! the loss rate); fixed seeds make each table a pure
 //! function of the code, so A1–A3 are gated in the claims ledger alongside
 //! E1–E12. [`scenarios_mux`] replays A1/A2 over real loopback sockets
 //! through the connection mux (wall-clock, informational).
@@ -68,74 +69,16 @@ pub(crate) fn drain(recv: &RecvStream, into: &mut Vec<u8>) {
 // A1 — bulk file transfer
 // ---------------------------------------------------------------------------
 
-/// Parameters of the bulk-transfer family.
-#[derive(Debug, Clone)]
-pub struct BulkParams {
-    /// File size in KiB.
-    pub file_kib: usize,
-    /// Path rate in Mbit/s.
-    pub rate_mbps: u64,
-    /// One-way propagation delay.
-    pub one_way: Duration,
-    /// Bernoulli loss probability on the data direction.
-    pub loss: f64,
-    /// gTFRC floor for the QTPAF variant, Mbit/s.
-    pub floor_mbps: u64,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for BulkParams {
-    fn default() -> Self {
-        BulkParams {
-            file_kib: 512,
-            rate_mbps: 10,
-            one_way: Duration::from_millis(20),
-            loss: 0.02,
-            floor_mbps: 6,
-            seed: 42,
-        }
-    }
-}
-
 /// Outcome of one bulk transfer run.
-#[derive(Debug, Clone)]
-pub struct BulkRun {
-    /// Profile label.
-    pub label: String,
+struct BulkRun {
+    label: String,
     /// Application goodput over the active period, Mbit/s.
-    pub goodput_mbps: f64,
+    goodput_mbps: f64,
     /// Seconds until the receive stream finished (horizon if it never did).
-    pub completion_s: f64,
-    /// Application bytes delivered.
-    pub delivered_bytes: u64,
+    completion_s: f64,
+    delivered_bytes: u64,
     /// Delivered bytes reproduce the file exactly, in order.
-    pub byte_exact: bool,
-}
-
-/// Run one bulk file transfer through the stream data plane on the
-/// deterministic simulator.
-pub fn bulk(params: &BulkParams, profile: Profile, label: &str) -> BulkRun {
-    let (mut sim, s, r) = lossy_path(
-        params.rate_mbps,
-        params.one_way,
-        LossModel::bernoulli(params.loss),
-        params.seed,
-    );
-    let plan = ConnectionPlan::new(profile)
-        .label(label)
-        .stream(StreamConfig::with_send_buf(64 * 1024));
-    let h = attach_pair(&mut sim, s, r, label, &plan);
-    let file = pattern_bytes(params.file_kib * 1024, params.seed);
-    let (received, elapsed) = transfer(&mut sim, &h, &file);
-    let delivered = received.len() as u64;
-    BulkRun {
-        label: label.to_string(),
-        goodput_mbps: delivered as f64 * 8.0 / elapsed / 1e6,
-        completion_s: elapsed,
-        delivered_bytes: delivered,
-        byte_exact: received == file,
-    }
+    byte_exact: bool,
 }
 
 /// Push `file` through the pair's streams in 1000-byte messages, 50 ms of
@@ -182,13 +125,37 @@ pub fn a1() -> Table {
             "byte-exact",
         ],
     );
-    let params = BulkParams::default();
-    let af = bulk(
-        &params,
-        Profile::qtp_af(Rate::from_mbps(params.floor_mbps)),
-        "qtp_af",
-    );
-    let tfrc = bulk(&params, Profile::tfrc(), "tfrc");
+    /// File size in KiB.
+    const FILE_KIB: usize = 512;
+    /// gTFRC floor of the QTPAF variant, Mbit/s.
+    const FLOOR_MBPS: u64 = 6;
+    const SEED: u64 = 42;
+    // One bulk file transfer through the stream data plane: 10 Mbit/s,
+    // 20 ms one way, 2% Bernoulli loss on the data direction.
+    let bulk = |profile: Profile, label: &str| {
+        let (mut sim, s, r) = lossy_path(
+            10,
+            Duration::from_millis(20),
+            LossModel::bernoulli(0.02),
+            SEED,
+        );
+        let plan = ConnectionPlan::new(profile)
+            .label(label)
+            .stream(StreamConfig::with_send_buf(64 * 1024));
+        let h = attach_pair(&mut sim, s, r, label, &plan);
+        let file = pattern_bytes(FILE_KIB * 1024, SEED);
+        let (received, elapsed) = transfer(&mut sim, &h, &file);
+        let delivered = received.len() as u64;
+        BulkRun {
+            label: label.to_string(),
+            goodput_mbps: delivered as f64 * 8.0 / elapsed / 1e6,
+            completion_s: elapsed,
+            delivered_bytes: delivered,
+            byte_exact: received == file,
+        }
+    };
+    let af = bulk(Profile::qtp_af(Rate::from_mbps(FLOOR_MBPS)), "qtp_af");
+    let tfrc = bulk(Profile::tfrc(), "tfrc");
     for run in [&af, &tfrc] {
         t.row(vec![
             run.label.clone(),
@@ -200,7 +167,7 @@ pub fn a1() -> Table {
     }
     t.verdict = format!(
         "QTPAF finishes the {} KiB file byte-exact in {:.2} s ({:.2} Mbit/s); plain TFRC needs {:.2} s for a lossy copy ({:.2} Mbit/s) — the floor and the reliability compose for applications, not just for rate traces.",
-        params.file_kib, af.completion_s, af.goodput_mbps, tfrc.completion_s, tfrc.goodput_mbps,
+        FILE_KIB, af.completion_s, af.goodput_mbps, tfrc.completion_s, tfrc.goodput_mbps,
     );
     t.metric(
         "qtpaf_goodput_mbps",
@@ -228,63 +195,29 @@ pub fn a1() -> Table {
 // A2 — interactive request/response
 // ---------------------------------------------------------------------------
 
-/// Parameters of the request/response family.
-#[derive(Debug, Clone)]
-pub struct ChatParams {
+/// A2 — interactive request/response latency percentiles. Requests ride
+/// one stream connection client→server (the lossy direction), responses a
+/// second one server→client. A lost tail request has nothing behind it to
+/// reveal the gap, so the tail-loss timer sets the p99 — exactly the
+/// latency anatomy a real RPC client sees.
+pub fn a2() -> Table {
     /// Closed-loop requests to complete.
-    pub requests: usize,
-    /// Request size, bytes.
-    pub req_bytes: usize,
-    /// Response size, bytes.
-    pub rsp_bytes: usize,
-    /// Path rate in Mbit/s.
-    pub rate_mbps: u64,
-    /// One-way propagation delay.
-    pub one_way: Duration,
-    /// Bernoulli loss probability on the request direction.
-    pub loss: f64,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for ChatParams {
-    fn default() -> Self {
-        ChatParams {
-            requests: 100,
-            req_bytes: 200,
-            rsp_bytes: 1000,
-            rate_mbps: 10,
-            one_way: Duration::from_millis(10),
-            loss: 0.10,
-            seed: 7,
-        }
-    }
-}
-
-/// Outcome of one chat run.
-#[derive(Debug, Clone)]
-pub struct ChatRun {
-    /// Request/response exchanges completed.
-    pub completed: usize,
-    /// Median response time, ms.
-    pub p50_ms: f64,
-    /// 95th-percentile response time, ms.
-    pub p95_ms: f64,
-    /// 99th-percentile response time, ms.
-    pub p99_ms: f64,
-}
-
-/// Run the closed-loop request/response scenario: requests ride one stream
-/// connection client→server (lossy direction), responses a second one
-/// server→client. A lost tail request has nothing behind it to reveal the
-/// gap, so the tail-loss timer sets the p99 — exactly the latency anatomy
-/// a real RPC client sees.
-pub fn chat(params: &ChatParams) -> ChatRun {
+    const REQUESTS: usize = 100;
+    /// One-way propagation delay, ms.
+    const ONE_WAY_MS: u64 = 10;
+    const SEED: u64 = 7;
+    let mut t = Table::new(
+        "A2",
+        "App scenario: closed-loop request/response over two stream connections",
+        "application extension of §3: the stream data plane serves interactive traffic — median response time tracks the RTT plus pacing, and the only heavy tail is the tail-loss recovery of a lost request",
+        &["exchanges", "p50 (ms)", "p95 (ms)", "p99 (ms)"],
+    );
+    // 10 Mbit/s with 10% Bernoulli loss on the request direction.
     let (mut sim, c, s) = lossy_path(
-        params.rate_mbps,
-        params.one_way,
-        LossModel::bernoulli(params.loss),
-        params.seed,
+        10,
+        Duration::from_millis(ONE_WAY_MS),
+        LossModel::bernoulli(0.10),
+        SEED,
     );
     let plan = |label: &str| {
         ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(2)))
@@ -307,19 +240,19 @@ pub fn chat(params: &ChatParams) -> ChatRun {
     let rsp_tx = rsp.tx_stream.clone().expect("stream plan");
     let rsp_rx = rsp.rx_stream.clone().expect("stream plan");
 
-    let request = pattern_bytes(params.req_bytes, params.seed);
-    let response = pattern_bytes(params.rsp_bytes, params.seed + 1);
+    let request = pattern_bytes(200, SEED);
+    let response = pattern_bytes(1000, SEED + 1);
     let step = Duration::from_millis(1);
     let warmup = SimTime::ZERO + Duration::from_millis(500);
     let horizon = SimTime::ZERO + Duration::from_secs(120);
-    let mut t = SimTime::ZERO;
+    let mut t_sim = SimTime::ZERO;
     sim.run_until(warmup);
-    t = t.max(warmup);
+    t_sim = t_sim.max(warmup);
 
     let mut sent = 0usize;
     let mut inflight: Option<SimTime> = None;
-    let mut rts_ms: Vec<f64> = Vec::with_capacity(params.requests);
-    while rts_ms.len() < params.requests && t < horizon {
+    let mut rts_ms: Vec<f64> = Vec::with_capacity(REQUESTS);
+    while rts_ms.len() < REQUESTS && t_sim < horizon {
         // Server: every complete request gets one response.
         while req_rx.recv().is_some() {
             rsp_tx.send(&response).expect("response fits the buffer");
@@ -327,53 +260,37 @@ pub fn chat(params: &ChatParams) -> ChatRun {
         // Client: a response completes the exchange in flight.
         while rsp_rx.recv().is_some() {
             if let Some(at) = inflight.take() {
-                rts_ms.push(t.saturating_since(at).as_secs_f64() * 1e3);
+                rts_ms.push(t_sim.saturating_since(at).as_secs_f64() * 1e3);
             }
         }
-        if inflight.is_none() && sent < params.requests {
+        if inflight.is_none() && sent < REQUESTS {
             req_tx.send(&request).expect("request fits the buffer");
-            inflight = Some(t);
+            inflight = Some(t_sim);
             sent += 1;
         }
-        t = (t + step).min(horizon);
-        sim.run_until(t);
+        t_sim = (t_sim + step).min(horizon);
+        sim.run_until(t_sim);
     }
-    ChatRun {
-        completed: rts_ms.len(),
-        p50_ms: agg::p50(&rts_ms),
-        p95_ms: agg::p95(&rts_ms),
-        p99_ms: agg::p99(&rts_ms),
-    }
-}
-
-/// A2 — interactive request/response latency percentiles.
-pub fn a2() -> Table {
-    let mut t = Table::new(
-        "A2",
-        "App scenario: closed-loop request/response over two stream connections",
-        "application extension of §3: the stream data plane serves interactive traffic — median response time tracks the RTT plus pacing, and the only heavy tail is the tail-loss recovery of a lost request",
-        &["exchanges", "p50 (ms)", "p95 (ms)", "p99 (ms)"],
+    let (completed, p50_ms, p95_ms, p99_ms) = (
+        rts_ms.len(),
+        agg::p50(&rts_ms),
+        agg::p95(&rts_ms),
+        agg::p99(&rts_ms),
     );
-    let params = ChatParams::default();
-    let run = chat(&params);
     t.row(vec![
-        format!("{}", run.completed),
-        format!("{:.1}", run.p50_ms),
-        format!("{:.1}", run.p95_ms),
-        format!("{:.1}", run.p99_ms),
+        format!("{completed}"),
+        format!("{p50_ms:.1}"),
+        format!("{p95_ms:.1}"),
+        format!("{p99_ms:.1}"),
     ]);
     t.verdict = format!(
-        "{} of {} exchanges completed; p50 {:.1} ms over a {} ms RTT, p99 {:.1} ms — the tail is the tail-loss timer recovering a lost request, not queueing.",
-        run.completed,
-        params.requests,
-        run.p50_ms,
-        2 * params.one_way.as_millis(),
-        run.p99_ms,
+        "{completed} of {REQUESTS} exchanges completed; p50 {p50_ms:.1} ms over a {} ms RTT, p99 {p99_ms:.1} ms — the tail is the tail-loss timer recovering a lost request, not queueing.",
+        2 * ONE_WAY_MS,
     );
-    t.metric("completed", run.completed, "exchanges", Tolerance::Exact);
-    t.metric("p50_ms", run.p50_ms, "ms", Tolerance::AbsOrRel(3.0, 0.35));
-    t.metric("p95_ms", run.p95_ms, "ms", Tolerance::AbsOrRel(5.0, 0.40));
-    t.metric("p99_ms", run.p99_ms, "ms", Tolerance::AbsOrRel(10.0, 0.50));
+    t.metric("completed", completed, "exchanges", Tolerance::Exact);
+    t.metric("p50_ms", p50_ms, "ms", Tolerance::AbsOrRel(3.0, 0.35));
+    t.metric("p95_ms", p95_ms, "ms", Tolerance::AbsOrRel(5.0, 0.40));
+    t.metric("p99_ms", p99_ms, "ms", Tolerance::AbsOrRel(10.0, 0.50));
     t
 }
 
@@ -880,38 +797,6 @@ pub fn scenarios_mux() -> std::io::Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bulk_qtpaf_is_byte_exact_and_beats_tfrc() {
-        let params = BulkParams {
-            file_kib: 96,
-            ..BulkParams::default()
-        };
-        let af = bulk(&params, Profile::qtp_af(Rate::from_mbps(6)), "af");
-        let tfrc = bulk(&params, Profile::tfrc(), "tfrc");
-        assert!(af.byte_exact, "full reliability reproduces the file");
-        assert_eq!(af.delivered_bytes, 96 * 1024);
-        assert!(
-            af.goodput_mbps >= tfrc.goodput_mbps,
-            "floor+reliability ≥ TFRC baseline ({:.2} vs {:.2})",
-            af.goodput_mbps,
-            tfrc.goodput_mbps
-        );
-        assert!(!tfrc.byte_exact, "2% loss must hole the datagram copy");
-    }
-
-    #[test]
-    fn chat_completes_with_sane_percentiles() {
-        let params = ChatParams {
-            requests: 30,
-            ..ChatParams::default()
-        };
-        let run = chat(&params);
-        assert_eq!(run.completed, 30);
-        assert!(run.p50_ms >= 2.0 * params.one_way.as_millis() as f64 * 0.9);
-        assert!(run.p50_ms <= run.p95_ms && run.p95_ms <= run.p99_ms);
-        assert!(run.p99_ms < 2_000.0, "tail bounded by tail-loss recovery");
-    }
 
     #[test]
     fn deadline_partial_beats_full_and_drops_stale_retx() {

@@ -1785,7 +1785,7 @@ mod tests {
 
     // ---- mounted sessions vs the bare endpoints they wrap --------------
 
-    /// One fixed-seed lossy, RED-queued scenario that exercises
+    /// One fixed-seed lossy, RIO-queued scenario that exercises
     /// retransmission, feedback and timers: wire a connection, run 30
     /// virtual seconds, then render the flow stats and both sides' full
     /// counter sets, snapshotted strictly after the run.
@@ -1801,7 +1801,7 @@ mod tests {
             r,
             LinkConfig::new(Rate::from_mbps(5), Duration::from_millis(25))
                 .with_loss(LossModel::bernoulli(0.02))
-                .with_queue(QueueConfig::Red(RedParams::default())),
+                .with_queue(QueueConfig::Rio(RioParams::default())),
         );
         b.simplex_link(
             r,

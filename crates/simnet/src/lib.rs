@@ -10,17 +10,19 @@
 //!
 //! * **Links** with serialization rate, propagation delay, an egress queue
 //!   and an in-flight loss process.
-//! * **Queues**: drop-tail, RED, and RIO (RED In/Out) — the DiffServ
+//! * **Queues**: drop-tail and RIO (RED In/Out) — the DiffServ
 //!   Assured-Forwarding core queue.
-//! * **Markers**: two-color token bucket, srTCM (RFC 2697), trTCM
-//!   (RFC 2698) edge traffic conditioners.
+//! * **Marker**: the two-color token-bucket edge traffic conditioner that
+//!   feeds RIO its in/out profile.
 //! * **Loss models**: Bernoulli and Gilbert–Elliott (bursty wireless).
+//! * **Path models**: bounded reordering and duplication on a link.
 //! * **Agents**: anything implementing [`sim::Agent`] — the QTP/TFRC/TCP
-//!   endpoints live in sibling crates; CBR/Poisson/on-off background
-//!   sources ship here.
+//!   endpoints live in sibling crates; a CBR source and a counting sink
+//!   ship here.
 //! * **Measurement**: per-flow counters and throughput series, per-link
 //!   drop breakdowns by cause and DiffServ color, fairness and smoothness
-//!   summary statistics.
+//!   summary statistics. The simulator has no packet-level trace hooks:
+//!   event streams come from the endpoints, through `qtp-metrics`.
 //!
 //! ## Quick example
 //!
@@ -58,16 +60,15 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 /// One-stop imports for simulation drivers.
 pub mod prelude {
-    pub use crate::agents::{CbrSource, OnOffSource, PoissonSource, Sink};
+    pub use crate::agents::{CbrSource, Sink};
     pub use crate::arena::{PacketArena, PacketId};
     pub use crate::calendar::CalendarQueue;
     pub use crate::link::LinkConfig;
     pub use crate::loss::LossModel;
-    pub use crate::marker::{Marker, SrTcm, TokenBucketMarker, TrTcm};
+    pub use crate::marker::TokenBucketMarker;
     pub use crate::packet::{Color, FlowId, LinkId, NodeId, Packet, QueuedPacket};
     pub use crate::path::{PathModel, ReorderSpec};
     pub use crate::queue::{DropReason, QueueConfig, RedParams, RioParams};
@@ -78,5 +79,4 @@ pub mod prelude {
     pub use crate::topology::{
         Dumbbell, DumbbellConfig, Handover, HandoverConfig, LongFatPipe, LongFatPipeConfig,
     };
-    pub use crate::trace::TraceEvent;
 }

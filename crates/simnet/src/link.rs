@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use crate::loss::LossModel;
-use crate::marker::Marker;
+use crate::marker::TokenBucketMarker;
 use crate::packet::{FlowId, LinkId, NodeId, QueuedPacket};
 use crate::path::PathModel;
 use crate::queue::{AqmQueue, QueueConfig};
@@ -27,18 +27,19 @@ use crate::time::Rate;
 #[derive(Debug, Default)]
 pub(crate) struct MarkerBank {
     base: FlowId,
-    slots: Vec<Option<Marker>>,
+    slots: Vec<Option<TokenBucketMarker>>,
 }
 
 impl MarkerBank {
     /// Install (or replace) the conditioner for `flow`.
-    pub(crate) fn set(&mut self, flow: FlowId, marker: Marker) {
+    pub(crate) fn set(&mut self, flow: FlowId, marker: TokenBucketMarker) {
         if self.slots.is_empty() {
             self.base = flow;
         } else if flow < self.base {
             // Grow downward: shift existing slots up. Rare (setup only).
             let shift = (self.base - flow) as usize;
-            let mut grown: Vec<Option<Marker>> = Vec::with_capacity(self.slots.len() + shift);
+            let mut grown: Vec<Option<TokenBucketMarker>> =
+                Vec::with_capacity(self.slots.len() + shift);
             grown.resize_with(shift, || None);
             grown.append(&mut self.slots);
             self.slots = grown;
@@ -53,7 +54,7 @@ impl MarkerBank {
 
     /// The conditioner for `flow`, if one is installed.
     #[inline]
-    pub(crate) fn get_mut(&mut self, flow: FlowId) -> Option<&mut Marker> {
+    pub(crate) fn get_mut(&mut self, flow: FlowId) -> Option<&mut TokenBucketMarker> {
         let i = flow.checked_sub(self.base)? as usize;
         self.slots.get_mut(i)?.as_mut()
     }
@@ -77,7 +78,7 @@ pub struct LinkConfig {
     pub queue: QueueConfig,
     /// In-flight loss process.
     pub loss: LossModel,
-    /// In-flight path impairments (reordering, duplication, corruption).
+    /// In-flight path impairments (reordering, duplication).
     pub path: PathModel,
 }
 
@@ -165,7 +166,7 @@ impl Link {
     }
 
     /// Attach a traffic conditioner for one flow at this link's ingress.
-    pub fn set_marker(&mut self, flow: FlowId, marker: Marker) {
+    pub fn set_marker(&mut self, flow: FlowId, marker: TokenBucketMarker) {
         self.markers.set(flow, marker);
     }
 
@@ -197,7 +198,6 @@ impl std::fmt::Debug for Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::marker::TokenBucketMarker;
 
     #[test]
     fn config_builders() {
@@ -215,10 +215,7 @@ mod tests {
     fn marker_registration() {
         let cfg = LinkConfig::new(Rate::from_mbps(1), Duration::ZERO);
         let mut link = Link::new(0, 0, 1, &cfg, 1);
-        link.set_marker(
-            3,
-            Marker::TokenBucket(TokenBucketMarker::new(Rate::from_kbps(500), 3000)),
-        );
+        link.set_marker(3, TokenBucketMarker::new(Rate::from_kbps(500), 3000));
         assert!(link.has_marker(3));
         assert!(!link.has_marker(4));
         assert!(!link.has_marker(2), "below-base lookups are misses");
@@ -228,7 +225,7 @@ mod tests {
     fn marker_bank_grows_in_both_directions() {
         let cfg = LinkConfig::new(Rate::from_mbps(1), Duration::ZERO);
         let mut link = Link::new(0, 0, 1, &cfg, 1);
-        let tb = || Marker::TokenBucket(TokenBucketMarker::new(Rate::from_kbps(500), 3000));
+        let tb = || TokenBucketMarker::new(Rate::from_kbps(500), 3000);
         link.set_marker(100, tb());
         link.set_marker(3, tb()); // below base: shifts the table down
         link.set_marker(50, tb());

@@ -1,23 +1,23 @@
-//! DiffServ edge traffic conditioners (packet markers).
+//! The DiffServ edge traffic conditioner: a two-color token-bucket marker.
 //!
-//! A marker watches one flow at the network edge and stamps each packet with
-//! a drop precedence [`Color`] according to a token-bucket profile:
+//! A [`TokenBucketMarker`] watches one flow at the network edge and stamps
+//! each packet with a drop precedence [`Color`]: packets within the
+//! committed rate and burst are `Green` (in-profile), the rest `Red` — the
+//! conditioner of the Assured Forwarding literature this paper builds on
+//! (Seddigh et al.), placed in front of the RIO core queue.
 //!
-//! * [`TokenBucketMarker`] — the two-color conditioner used by the Assured
-//!   Forwarding literature this paper builds on (Seddigh et al.): packets
-//!   within the committed rate are `Green` (in-profile), the rest `Red`.
-//! * [`SrTcm`] — single-rate three-color marker, RFC 2697 (CIR/CBS/EBS).
-//! * [`TrTcm`] — two-rate three-color marker, RFC 2698 (CIR/CBS + PIR/PBS).
-//!
-//! All markers here are color-blind (they ignore incoming color), which is
-//! the standard configuration at a first-hop conditioner.
+//! The marker is color-blind (it ignores incoming color), which is the
+//! standard configuration at a first-hop conditioner.
 
 use crate::packet::{Color, Packet};
 use crate::time::{Rate, SimTime};
 
-/// A continuously-refilled token bucket, in bytes.
+/// Two-color token bucket: `Green` within (CIR, CBS), else `Red`.
+///
+/// The bucket holds bytes, refills continuously at the committed rate and
+/// never holds more than the committed burst.
 #[derive(Debug, Clone)]
-struct Bucket {
+pub struct TokenBucketMarker {
     tokens: f64,
     capacity: f64,
     /// Fill rate in bytes per second.
@@ -25,14 +25,20 @@ struct Bucket {
     last: SimTime,
 }
 
-impl Bucket {
-    fn new(rate: Rate, capacity_bytes: u32) -> Self {
-        Bucket {
-            tokens: capacity_bytes as f64,
-            capacity: capacity_bytes as f64,
-            rate: rate.bytes_per_sec(),
+impl TokenBucketMarker {
+    /// `cir`: committed information rate; `cbs`: committed burst size, bytes.
+    pub fn new(cir: Rate, cbs_bytes: u32) -> Self {
+        TokenBucketMarker {
+            tokens: cbs_bytes as f64,
+            capacity: cbs_bytes as f64,
+            rate: cir.bytes_per_sec(),
             last: SimTime::ZERO,
         }
+    }
+
+    /// Stamp `pkt.color` according to the profile at time `now`.
+    pub fn mark(&mut self, now: SimTime, pkt: &mut Packet) {
+        pkt.color = self.color_of(now, pkt.wire_size);
     }
 
     fn refill(&mut self, now: SimTime) {
@@ -41,154 +47,13 @@ impl Bucket {
         self.tokens = (self.tokens + dt * self.rate).min(self.capacity);
     }
 
-    /// True (and consumes) if `bytes` tokens are available.
-    fn try_take(&mut self, bytes: u32) -> bool {
-        if self.tokens >= bytes as f64 {
-            self.tokens -= bytes as f64;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Any of the supported marker types.
-#[derive(Debug, Clone)]
-pub enum Marker {
-    /// Leave the packet's color untouched.
-    Null,
-    /// Two-color committed-rate marker (AF in/out profile).
-    TokenBucket(TokenBucketMarker),
-    /// RFC 2697 single-rate three-color marker.
-    SrTcm(SrTcm),
-    /// RFC 2698 two-rate three-color marker.
-    TrTcm(TrTcm),
-}
-
-impl Marker {
-    /// Stamp `pkt.color` according to the profile at time `now`.
-    pub fn mark(&mut self, now: SimTime, pkt: &mut Packet) {
-        match self {
-            Marker::Null => {}
-            Marker::TokenBucket(m) => pkt.color = m.color_of(now, pkt.wire_size),
-            Marker::SrTcm(m) => pkt.color = m.color_of(now, pkt.wire_size),
-            Marker::TrTcm(m) => pkt.color = m.color_of(now, pkt.wire_size),
-        }
-    }
-}
-
-/// Two-color token bucket: `Green` within (CIR, CBS), else `Red`.
-#[derive(Debug, Clone)]
-pub struct TokenBucketMarker {
-    bucket: Bucket,
-}
-
-impl TokenBucketMarker {
-    /// `cir`: committed information rate; `cbs`: committed burst size, bytes.
-    pub fn new(cir: Rate, cbs_bytes: u32) -> Self {
-        TokenBucketMarker {
-            bucket: Bucket::new(cir, cbs_bytes),
-        }
-    }
-
-    fn color_of(&mut self, now: SimTime, bytes: u32) -> Color {
-        self.bucket.refill(now);
-        if self.bucket.try_take(bytes) {
-            Color::Green
-        } else {
-            Color::Red
-        }
-    }
-}
-
-/// RFC 2697 single-rate three-color marker.
-///
-/// One rate (CIR) feeds two cascaded buckets: the committed bucket (CBS)
-/// and, with its overflow, the excess bucket (EBS). Green if C covers the
-/// packet, yellow if E does, red otherwise.
-#[derive(Debug, Clone)]
-pub struct SrTcm {
-    cir: f64,
-    c_tokens: f64,
-    cbs: f64,
-    e_tokens: f64,
-    ebs: f64,
-    last: SimTime,
-}
-
-impl SrTcm {
-    pub fn new(cir: Rate, cbs_bytes: u32, ebs_bytes: u32) -> Self {
-        SrTcm {
-            cir: cir.bytes_per_sec(),
-            c_tokens: cbs_bytes as f64,
-            cbs: cbs_bytes as f64,
-            e_tokens: ebs_bytes as f64,
-            ebs: ebs_bytes as f64,
-            last: SimTime::ZERO,
-        }
-    }
-
-    fn refill(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last).as_secs_f64();
-        self.last = now;
-        let mut add = dt * self.cir;
-        let c_room = self.cbs - self.c_tokens;
-        if add <= c_room {
-            self.c_tokens += add;
-            return;
-        }
-        self.c_tokens = self.cbs;
-        add -= c_room;
-        self.e_tokens = (self.e_tokens + add).min(self.ebs);
-    }
-
     fn color_of(&mut self, now: SimTime, bytes: u32) -> Color {
         self.refill(now);
-        let b = bytes as f64;
-        if self.c_tokens >= b {
-            self.c_tokens -= b;
+        if self.tokens >= bytes as f64 {
+            self.tokens -= bytes as f64;
             Color::Green
-        } else if self.e_tokens >= b {
-            self.e_tokens -= b;
-            Color::Yellow
         } else {
             Color::Red
-        }
-    }
-}
-
-/// RFC 2698 two-rate three-color marker.
-///
-/// Red if the packet exceeds the peak bucket (PIR/PBS); otherwise yellow if
-/// it exceeds the committed bucket (CIR/CBS); otherwise green (consuming
-/// from both).
-#[derive(Debug, Clone)]
-pub struct TrTcm {
-    peak: Bucket,
-    committed: Bucket,
-}
-
-impl TrTcm {
-    pub fn new(cir: Rate, cbs_bytes: u32, pir: Rate, pbs_bytes: u32) -> Self {
-        TrTcm {
-            peak: Bucket::new(pir, pbs_bytes),
-            committed: Bucket::new(cir, cbs_bytes),
-        }
-    }
-
-    fn color_of(&mut self, now: SimTime, bytes: u32) -> Color {
-        self.peak.refill(now);
-        self.committed.refill(now);
-        let b = bytes as f64;
-        if self.peak.tokens < b {
-            return Color::Red;
-        }
-        self.peak.tokens -= b;
-        if self.committed.tokens < b {
-            Color::Yellow
-        } else {
-            self.committed.tokens -= b;
-            Color::Green
         }
     }
 }
@@ -199,7 +64,7 @@ mod tests {
 
     const PKT: u32 = 1000;
 
-    fn drain_colors(marker: &mut Marker, n: usize, interval_us: u64) -> Vec<Color> {
+    fn drain_colors(marker: &mut TokenBucketMarker, n: usize, interval_us: u64) -> Vec<Color> {
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let now = SimTime::from_micros(i as u64 * interval_us);
@@ -211,19 +76,10 @@ mod tests {
     }
 
     #[test]
-    fn null_marker_preserves_color() {
-        let mut m = Marker::Null;
-        let mut p = Packet::new(0, 0, 0, 1, PKT, SimTime::ZERO, Vec::new());
-        p.color = Color::Red;
-        m.mark(SimTime::ZERO, &mut p);
-        assert_eq!(p.color, Color::Red);
-    }
-
-    #[test]
     fn token_bucket_long_run_green_rate_matches_cir() {
         // Offer 10 Mbit/s (1000B every 800 us) against CIR = 5 Mbit/s:
         // about half the packets should end up green.
-        let mut m = Marker::TokenBucket(TokenBucketMarker::new(Rate::from_mbps(5), 3 * PKT));
+        let mut m = TokenBucketMarker::new(Rate::from_mbps(5), 3 * PKT);
         let colors = drain_colors(&mut m, 10_000, 800);
         let green = colors.iter().filter(|&&c| c == Color::Green).count();
         let frac = green as f64 / colors.len() as f64;
@@ -233,7 +89,7 @@ mod tests {
     #[test]
     fn token_bucket_all_green_when_within_profile() {
         // Offer 1 Mbit/s against CIR = 5 Mbit/s: everything green.
-        let mut m = Marker::TokenBucket(TokenBucketMarker::new(Rate::from_mbps(5), 3 * PKT));
+        let mut m = TokenBucketMarker::new(Rate::from_mbps(5), 3 * PKT);
         let colors = drain_colors(&mut m, 1_000, 8_000);
         assert!(colors.iter().all(|&c| c == Color::Green));
     }
@@ -249,60 +105,8 @@ mod tests {
     }
 
     #[test]
-    fn srtcm_yellow_band_between_green_and_red() {
-        // CBS covers 2 packets, EBS 2 more; an instantaneous 6-packet burst
-        // is G G Y Y R R.
-        let mut m = SrTcm::new(Rate::from_kbps(1), 2 * PKT, 2 * PKT);
-        let colors: Vec<Color> = (0..6).map(|_| m.color_of(SimTime::ZERO, PKT)).collect();
-        assert_eq!(
-            colors,
-            vec![
-                Color::Green,
-                Color::Green,
-                Color::Yellow,
-                Color::Yellow,
-                Color::Red,
-                Color::Red
-            ]
-        );
-    }
-
-    #[test]
-    fn srtcm_excess_bucket_fills_from_committed_overflow() {
-        let mut m = SrTcm::new(Rate::from_bytes_per_sec(1000), PKT, PKT);
-        // Drain both buckets.
-        for _ in 0..2 {
-            m.color_of(SimTime::ZERO, PKT);
-        }
-        assert_eq!(m.color_of(SimTime::ZERO, PKT), Color::Red);
-        // After 3 seconds at 1000 B/s, C fills (1000) then E gets the rest.
-        let later = SimTime::from_secs(3);
-        assert_eq!(m.color_of(later, PKT), Color::Green);
-        assert_eq!(m.color_of(later, PKT), Color::Yellow);
-    }
-
-    #[test]
-    fn trtcm_red_when_peak_exceeded() {
-        // PIR tiny: everything beyond the first packet (PBS) is red even
-        // though CIR is huge.
-        let mut m = TrTcm::new(Rate::from_mbps(100), 10 * PKT, Rate::from_kbps(1), PKT);
-        assert_eq!(m.color_of(SimTime::ZERO, PKT), Color::Green);
-        assert_eq!(m.color_of(SimTime::ZERO, PKT), Color::Red);
-    }
-
-    #[test]
-    fn trtcm_yellow_between_cir_and_pir() {
-        // CIR covers 1 packet, PIR covers 3: G then Y Y then R.
-        let mut m = TrTcm::new(Rate::from_kbps(1), PKT, Rate::from_kbps(1), 3 * PKT);
-        assert_eq!(m.color_of(SimTime::ZERO, PKT), Color::Green);
-        assert_eq!(m.color_of(SimTime::ZERO, PKT), Color::Yellow);
-        assert_eq!(m.color_of(SimTime::ZERO, PKT), Color::Yellow);
-        assert_eq!(m.color_of(SimTime::ZERO, PKT), Color::Red);
-    }
-
-    #[test]
     fn bucket_never_exceeds_capacity() {
-        let mut b = Bucket::new(Rate::from_mbps(10), 5000);
+        let mut b = TokenBucketMarker::new(Rate::from_mbps(10), 5000);
         b.tokens = 0.0;
         b.refill(SimTime::from_secs(1_000));
         assert!(b.tokens <= 5000.0);

@@ -21,29 +21,25 @@ pub type LinkId = usize;
 
 /// DiffServ drop precedence, as assigned by an edge traffic conditioner.
 ///
-/// For the Assured Forwarding experiments only two levels matter: `Green`
-/// (in-profile, protected) and `Red` (out-of-profile, dropped first). `Yellow`
-/// exists for the three-color markers (srTCM/trTCM).
+/// The Assured Forwarding experiments use two levels: `Green` (in-profile,
+/// protected) and `Red` (out-of-profile, dropped first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Color {
     /// In-profile traffic, committed rate. Lowest drop precedence.
     Green,
-    /// Excess within the peak/excess burst allowance (three-color markers).
-    Yellow,
     /// Out-of-profile traffic. Highest drop precedence.
     Red,
 }
 
 impl Color {
     /// All colors, in increasing drop-precedence order.
-    pub const ALL: [Color; 3] = [Color::Green, Color::Yellow, Color::Red];
+    pub const ALL: [Color; 2] = [Color::Green, Color::Red];
 
     /// Stable small index for per-color counters.
     pub fn index(self) -> usize {
         match self {
             Color::Green => 0,
-            Color::Yellow => 1,
-            Color::Red => 2,
+            Color::Red => 1,
         }
     }
 }
@@ -51,7 +47,8 @@ impl Color {
 /// A packet in flight through the simulated network.
 #[derive(Debug, Clone)]
 pub struct Packet {
-    /// Globally unique id, assigned at creation; used for tracing.
+    /// Globally unique id, assigned at creation (a wire duplicate shares
+    /// its original's).
     pub uid: u64,
     /// The flow this packet belongs to.
     pub flow: FlowId,
@@ -60,7 +57,7 @@ pub struct Packet {
     /// Destination node; the simulator routes hop-by-hop toward it.
     pub dst: NodeId,
     /// Total size on the wire in bytes (headers + payload). Determines
-    /// serialization time and byte-mode queue occupancy.
+    /// serialization time.
     pub wire_size: u32,
     /// DiffServ drop precedence. Packets start `Green`; edge markers may
     /// re-color them.
@@ -77,7 +74,7 @@ pub struct Packet {
 impl Packet {
     /// Convenience constructor; `uid` must come from the simulator's
     /// allocator (the per-run counter behind [`crate::sim::Ctx::send_new`])
-    /// for trace uniqueness, or can be 0 in unit tests that don't care.
+    /// for uniqueness, or can be 0 in unit tests that don't care.
     pub fn new(
         uid: u64,
         flow: FlowId,
@@ -124,8 +121,7 @@ mod tests {
     #[test]
     fn color_index_is_stable() {
         assert_eq!(Color::Green.index(), 0);
-        assert_eq!(Color::Yellow.index(), 1);
-        assert_eq!(Color::Red.index(), 2);
+        assert_eq!(Color::Red.index(), 1);
         for (i, c) in Color::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
@@ -133,8 +129,7 @@ mod tests {
 
     #[test]
     fn color_ordering_tracks_drop_precedence() {
-        assert!(Color::Green < Color::Yellow);
-        assert!(Color::Yellow < Color::Red);
+        assert!(Color::Green < Color::Red);
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Composable path impairment models: reordering, duplication, corruption.
+//! Composable path impairment models: reordering and duplication.
 //!
 //! A [`PathModel`] sits between a link's loss process and propagation: after
-//! a packet survives the [`crate::loss::LossModel`] it can be corrupted
-//! (modelled as an erasure — the receiver's checksum discards it), delayed
-//! by a bounded random jitter (producing reordering), or duplicated (a
-//! second copy propagates with its own jitter draw). These are the
+//! a packet survives the [`crate::loss::LossModel`] it can be delayed by a
+//! bounded random jitter (producing reordering), or duplicated (a second
+//! copy propagates with its own jitter draw). These are the
 //! transport-hostile behaviours the survey literature identifies as the
 //! regimes where window-based transports misfire: spurious fast retransmit
-//! under reordering, ack-ambiguity under duplication, and congestion
-//! misattribution under corruption.
+//! under reordering and ack-ambiguity under duplication.
 //!
 //! Determinism contract: a disabled model ([`PathModel::is_noop`]) makes
 //! **zero** RNG draws and schedules exactly the events an unimpaired link
@@ -56,20 +54,15 @@ impl ReorderSpec {
 /// A composable bundle of in-flight path impairments for one link.
 ///
 /// The default model is a no-op: no draws, no behaviour change. Impairments
-/// compose; per surviving packet the draw order is fixed (corrupt, then
-/// reorder jitter, then duplication, then the duplicate's jitter) so runs
-/// are byte-reproducible.
+/// compose; per surviving packet the draw order is fixed (reorder jitter,
+/// then duplication, then the duplicate's jitter) so runs are
+/// byte-reproducible.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PathModel {
     /// Bounded random reordering, if enabled.
     pub reorder: Option<ReorderSpec>,
     /// Probability that a packet is duplicated in flight.
     pub duplicate: f64,
-    /// Probability that a packet is corrupted in flight. Corruption is
-    /// modelled as an erasure (the receiver's checksum rejects the frame),
-    /// counted under [`crate::queue::DropReason::LinkLoss`] like any other
-    /// in-flight loss.
-    pub corrupt: f64,
 }
 
 impl PathModel {
@@ -94,35 +87,24 @@ impl PathModel {
         self
     }
 
-    /// Enable corruption-as-erasure.
-    pub fn with_corrupt(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "corrupt probability out of range");
-        self.corrupt = p;
-        self
-    }
-
     /// Whether the model can never affect a packet. The simulator skips all
     /// draws for no-op models — the byte-identity guarantee for existing
     /// scenarios rests on this.
     pub fn is_noop(&self) -> bool {
-        self.corrupt == 0.0 && self.duplicate == 0.0 && !self.reorder.is_some_and(|r| r.active())
+        self.duplicate == 0.0 && !self.reorder.is_some_and(|r| r.active())
     }
 
-    /// Decide one surviving packet's fate. Returns `None` when the packet is
-    /// corrupted (erased); otherwise `Some((extra_delay, duplicate_delay))`
+    /// Decide one surviving packet's fate: `(extra_delay, duplicate_delay)`
     /// where `duplicate_delay` is the second copy's extra delay if one is
     /// spawned. Draw order is part of the determinism contract.
-    pub(crate) fn apply(&self, rng: &mut DetRng) -> Option<(Duration, Option<Duration>)> {
-        if rng.chance(self.corrupt) {
-            return None;
-        }
+    pub(crate) fn apply(&self, rng: &mut DetRng) -> (Duration, Option<Duration>) {
         let extra = self.draw_jitter(rng);
         let dup = if rng.chance(self.duplicate) {
             Some(self.draw_jitter(rng))
         } else {
             None
         };
-        Some((extra, dup))
+        (extra, dup)
     }
 
     /// One reorder-jitter draw: extra delay in `[0, jitter]`, or zero when
@@ -166,15 +148,13 @@ mod tests {
     fn builders_compose() {
         let m = PathModel::none()
             .with_reorder(0.3, Duration::from_millis(10))
-            .with_duplicate(0.01)
-            .with_corrupt(0.02);
+            .with_duplicate(0.01);
         assert!(!m.is_noop());
         assert_eq!(
             m.reorder,
             Some(ReorderSpec::new(0.3, Duration::from_millis(10)))
         );
         assert_eq!(m.duplicate, 0.01);
-        assert_eq!(m.corrupt, 0.02);
     }
 
     #[test]
@@ -183,20 +163,10 @@ mod tests {
         let m = PathModel::none().with_reorder(1.0, jitter);
         let mut rng = DetRng::new(42);
         for _ in 0..10_000 {
-            let (extra, dup) = m.apply(&mut rng).expect("no corruption configured");
+            let (extra, dup) = m.apply(&mut rng);
             assert!(extra <= jitter, "extra={extra:?}");
             assert!(dup.is_none());
         }
-    }
-
-    #[test]
-    fn corrupt_rate_matches_p() {
-        let m = PathModel::none().with_corrupt(0.1);
-        let mut rng = DetRng::new(7);
-        let n = 100_000;
-        let erased = (0..n).filter(|_| m.apply(&mut rng).is_none()).count();
-        let rate = erased as f64 / n as f64;
-        assert!((rate - 0.1).abs() < 0.01, "rate={rate}");
     }
 
     #[test]
@@ -204,9 +174,7 @@ mod tests {
         let m = PathModel::none().with_duplicate(0.2);
         let mut rng = DetRng::new(9);
         let n = 100_000;
-        let dups = (0..n)
-            .filter(|_| m.apply(&mut rng).is_some_and(|(_, d)| d.is_some()))
-            .count();
+        let dups = (0..n).filter(|_| m.apply(&mut rng).1.is_some()).count();
         let rate = dups as f64 / n as f64;
         assert!((rate - 0.2).abs() < 0.01, "rate={rate}");
     }

@@ -1,16 +1,16 @@
 //! Link egress queues and active queue management.
 //!
-//! Three disciplines are provided:
+//! Two disciplines are provided:
 //!
-//! * [`DropTailQueue`] — FIFO with a byte or packet limit.
-//! * [`RedQueue`] — Random Early Detection in the classic ns-2 formulation
-//!   (EWMA average queue, count-corrected drop probability, optional
-//!   "gentle" ramp above `max_th`).
+//! * [`DropTailQueue`] — FIFO with a packet limit.
 //! * [`RioQueue`] — RED with In/Out (coupled "RIO-C"), the standard core
 //!   queue for DiffServ Assured Forwarding: green (in-profile) packets are
-//!   judged against the *in* average and thresholds, other packets against
-//!   the *total* average with more aggressive thresholds, so congestion
-//!   discards out-of-profile traffic first.
+//!   judged against the *in* average and thresholds, red (out-of-profile)
+//!   packets against the *total* average with more aggressive thresholds,
+//!   so congestion discards out-of-profile traffic first. Each average is
+//!   one Random Early Detection estimator in the classic ns-2 formulation
+//!   (EWMA average queue, count-corrected drop probability, optional
+//!   "gentle" ramp above `max_th`), configured by a [`RedParams`].
 //!
 //! Queues are deliberately passive: they decide accept/drop at enqueue time
 //! and hand packets back at dequeue time; the link owns serialization timing.
@@ -36,7 +36,7 @@ pub enum DropReason {
 }
 
 /// Result of an enqueue attempt: the packet comes back on rejection so the
-/// caller can trace it and release its arena slot.
+/// caller can count it and release its arena slot.
 pub type EnqueueResult = Result<(), (QueuedPacket, DropReason)>;
 
 /// Configuration for any of the supported queue disciplines.
@@ -44,10 +44,6 @@ pub type EnqueueResult = Result<(), (QueuedPacket, DropReason)>;
 pub enum QueueConfig {
     /// FIFO limited to a number of packets.
     DropTailPkts(usize),
-    /// FIFO limited to a number of bytes.
-    DropTailBytes(usize),
-    /// Single-average RED.
-    Red(RedParams),
     /// Two-average RED with In/Out (DiffServ AF core queue).
     Rio(RioParams),
 }
@@ -57,8 +53,6 @@ impl QueueConfig {
     pub fn build(&self) -> AqmQueue {
         match self {
             QueueConfig::DropTailPkts(n) => AqmQueue::DropTail(DropTailQueue::with_pkt_limit(*n)),
-            QueueConfig::DropTailBytes(b) => AqmQueue::DropTail(DropTailQueue::with_byte_limit(*b)),
-            QueueConfig::Red(p) => AqmQueue::Red(RedQueue::new(p.clone())),
             QueueConfig::Rio(p) => AqmQueue::Rio(RioQueue::new(p.clone())),
         }
     }
@@ -69,7 +63,6 @@ impl QueueConfig {
 #[derive(Debug)]
 pub enum AqmQueue {
     DropTail(DropTailQueue),
-    Red(RedQueue),
     Rio(RioQueue),
 }
 
@@ -78,7 +71,6 @@ impl AqmQueue {
     pub fn enqueue(&mut self, now: SimTime, pkt: QueuedPacket, rng: &mut DetRng) -> EnqueueResult {
         match self {
             AqmQueue::DropTail(q) => q.enqueue(pkt),
-            AqmQueue::Red(q) => q.enqueue(now, pkt, rng),
             AqmQueue::Rio(q) => q.enqueue(now, pkt, rng),
         }
     }
@@ -86,8 +78,7 @@ impl AqmQueue {
     /// Remove the next packet to transmit.
     pub fn dequeue(&mut self, now: SimTime) -> Option<QueuedPacket> {
         match self {
-            AqmQueue::DropTail(q) => q.dequeue(),
-            AqmQueue::Red(q) => q.dequeue(now),
+            AqmQueue::DropTail(q) => q.fifo.pop_front(),
             AqmQueue::Rio(q) => q.dequeue(now),
         }
     }
@@ -96,17 +87,7 @@ impl AqmQueue {
     pub fn len_pkts(&self) -> usize {
         match self {
             AqmQueue::DropTail(q) => q.fifo.len(),
-            AqmQueue::Red(q) => q.fifo.len(),
             AqmQueue::Rio(q) => q.fifo.len(),
-        }
-    }
-
-    /// Bytes currently queued.
-    pub fn len_bytes(&self) -> usize {
-        match self {
-            AqmQueue::DropTail(q) => q.bytes,
-            AqmQueue::Red(q) => q.bytes,
-            AqmQueue::Rio(q) => q.bytes,
         }
     }
 
@@ -116,13 +97,11 @@ impl AqmQueue {
     }
 }
 
-/// Plain FIFO with a hard limit.
+/// Plain FIFO with a hard packet limit.
 #[derive(Debug)]
 pub struct DropTailQueue {
     fifo: VecDeque<QueuedPacket>,
-    bytes: usize,
     limit_pkts: usize,
-    limit_bytes: usize,
 }
 
 impl DropTailQueue {
@@ -130,37 +109,16 @@ impl DropTailQueue {
     pub fn with_pkt_limit(limit: usize) -> Self {
         DropTailQueue {
             fifo: VecDeque::new(),
-            bytes: 0,
             limit_pkts: limit,
-            limit_bytes: usize::MAX,
-        }
-    }
-
-    /// FIFO bounded by byte count.
-    pub fn with_byte_limit(limit: usize) -> Self {
-        DropTailQueue {
-            fifo: VecDeque::new(),
-            bytes: 0,
-            limit_pkts: usize::MAX,
-            limit_bytes: limit,
         }
     }
 
     fn enqueue(&mut self, pkt: QueuedPacket) -> EnqueueResult {
-        if self.fifo.len() + 1 > self.limit_pkts
-            || self.bytes + pkt.wire_size as usize > self.limit_bytes
-        {
+        if self.fifo.len() + 1 > self.limit_pkts {
             return Err((pkt, DropReason::QueueFull));
         }
-        self.bytes += pkt.wire_size as usize;
         self.fifo.push_back(pkt);
         Ok(())
-    }
-
-    fn dequeue(&mut self) -> Option<QueuedPacket> {
-        let pkt = self.fifo.pop_front()?;
-        self.bytes -= pkt.wire_size as usize;
-        Some(pkt)
     }
 }
 
@@ -200,7 +158,7 @@ impl Default for RedParams {
     }
 }
 
-/// The EWMA/count state RED keeps per managed average.
+/// The EWMA/count state RED keeps per managed average; RIO runs two.
 #[derive(Debug, Clone)]
 struct RedVar {
     avg: f64,
@@ -264,72 +222,13 @@ impl RedVar {
     }
 }
 
-/// Classic single-average RED.
-#[derive(Debug)]
-pub struct RedQueue {
-    params: RedParams,
-    var: RedVar,
-    fifo: VecDeque<QueuedPacket>,
-    bytes: usize,
-    /// Time the queue went idle, if currently empty.
-    idle_since: Option<SimTime>,
-}
-
-impl RedQueue {
-    pub fn new(params: RedParams) -> Self {
-        RedQueue {
-            params,
-            var: RedVar::new(),
-            fifo: VecDeque::new(),
-            bytes: 0,
-            idle_since: Some(SimTime::ZERO),
-        }
-    }
-
-    /// Current average queue estimate (exposed for tests and stats).
-    pub fn avg(&self) -> f64 {
-        self.var.avg
-    }
-
-    fn enqueue(&mut self, now: SimTime, pkt: QueuedPacket, rng: &mut DetRng) -> EnqueueResult {
-        let idle = self
-            .idle_since
-            .take()
-            .map(|t| now.saturating_since(t).as_secs_f64());
-        self.var.update_avg(
-            self.fifo.len() as f64,
-            self.params.w_q,
-            idle,
-            self.params.mean_pkt_time_s,
-        );
-        if let Some(reason) = self.var.drop_decision(&self.params, rng) {
-            return Err((pkt, reason));
-        }
-        if self.fifo.len() + 1 > self.params.limit_pkts {
-            return Err((pkt, DropReason::QueueFull));
-        }
-        self.bytes += pkt.wire_size as usize;
-        self.fifo.push_back(pkt);
-        Ok(())
-    }
-
-    fn dequeue(&mut self, now: SimTime) -> Option<QueuedPacket> {
-        let pkt = self.fifo.pop_front()?;
-        self.bytes -= pkt.wire_size as usize;
-        if self.fifo.is_empty() {
-            self.idle_since = Some(now);
-        }
-        Some(pkt)
-    }
-}
-
 /// RIO-C parameters: separate RED parameter sets for in-profile (green)
 /// traffic and for the aggregate.
 #[derive(Debug, Clone)]
 pub struct RioParams {
     /// Thresholds applied to *green* packets against the green-only average.
     pub in_params: RedParams,
-    /// Thresholds applied to yellow/red packets against the *total* average.
+    /// Thresholds applied to red packets against the *total* average.
     /// Conventionally more aggressive (`min_th_out < min_th_in`).
     pub out_params: RedParams,
 }
@@ -372,7 +271,6 @@ pub struct RioQueue {
     in_var: RedVar,
     total_var: RedVar,
     fifo: VecDeque<QueuedPacket>,
-    bytes: usize,
     in_pkts: usize,
     idle_since: Option<SimTime>,
 }
@@ -384,7 +282,6 @@ impl RioQueue {
             in_var: RedVar::new(),
             total_var: RedVar::new(),
             fifo: VecDeque::new(),
-            bytes: 0,
             in_pkts: 0,
             idle_since: Some(SimTime::ZERO),
         }
@@ -433,7 +330,6 @@ impl RioQueue {
         if self.fifo.len() + 1 > limit {
             return Err((pkt, DropReason::QueueFull));
         }
-        self.bytes += pkt.wire_size as usize;
         if is_in {
             self.in_pkts += 1;
         }
@@ -443,7 +339,6 @@ impl RioQueue {
 
     fn dequeue(&mut self, now: SimTime) -> Option<QueuedPacket> {
         let pkt = self.fifo.pop_front()?;
-        self.bytes -= pkt.wire_size as usize;
         if pkt.color == Color::Green {
             self.in_pkts -= 1;
         }
@@ -467,6 +362,16 @@ mod tests {
         }
     }
 
+    /// A RIO queue whose in and out estimators share `params`: all-green
+    /// traffic exercises the in estimator alone, all-red the total one, so
+    /// each behaves as one single-average RED queue.
+    fn red_as_rio(params: RedParams) -> RioQueue {
+        RioQueue::new(RioParams {
+            in_params: params.clone(),
+            out_params: params,
+        })
+    }
+
     #[test]
     fn droptail_respects_pkt_limit() {
         let mut q = QueueConfig::DropTailPkts(2).build();
@@ -483,22 +388,6 @@ mod tests {
         assert_eq!(err.1, DropReason::QueueFull);
         assert_eq!(err.0.id.index(), 3);
         assert_eq!(q.len_pkts(), 2);
-    }
-
-    #[test]
-    fn droptail_respects_byte_limit() {
-        let mut q = QueueConfig::DropTailBytes(250).build();
-        let mut rng = DetRng::new(1);
-        assert!(q
-            .enqueue(SimTime::ZERO, pkt(1, 100, Color::Green), &mut rng)
-            .is_ok());
-        assert!(q
-            .enqueue(SimTime::ZERO, pkt(2, 100, Color::Green), &mut rng)
-            .is_ok());
-        assert!(q
-            .enqueue(SimTime::ZERO, pkt(3, 100, Color::Green), &mut rng)
-            .is_err());
-        assert_eq!(q.len_bytes(), 200);
     }
 
     #[test]
@@ -524,12 +413,14 @@ mod tests {
             limit_pkts: 1000,
             ..RedParams::default()
         };
-        let mut q = RedQueue::new(params);
+        let mut q = red_as_rio(params);
         let mut rng = DetRng::new(7);
-        // Instantaneous queue stays far below min_th=100.
+        // Instantaneous queue stays far below min_th=100, for both the
+        // total (red) and the in (green) estimator.
         for i in 0..50 {
+            let color = if i < 25 { Color::Red } else { Color::Green };
             assert!(q
-                .enqueue(SimTime::ZERO, pkt(i, 100, Color::Green), &mut rng)
+                .enqueue(SimTime::ZERO, pkt(i, 100, color), &mut rng)
                 .is_ok());
         }
     }
@@ -546,11 +437,12 @@ mod tests {
             gentle: false,
             mean_pkt_time_s: 0.001,
         };
-        let mut q = RedQueue::new(params);
+        let mut q = red_as_rio(params);
         let mut rng = DetRng::new(7);
         let mut dropped = 0;
+        // Out-of-profile traffic: the total estimator decides.
         for i in 0..100 {
-            if q.enqueue(SimTime::ZERO, pkt(i, 100, Color::Green), &mut rng)
+            if q.enqueue(SimTime::ZERO, pkt(i, 100, Color::Red), &mut rng)
                 .is_err()
             {
                 dropped += 1;
@@ -569,23 +461,22 @@ mod tests {
             max_th: 2000.0,
             ..RedParams::default()
         };
-        let mut q = RedQueue::new(params);
+        let mut q = red_as_rio(params);
         let mut rng = DetRng::new(7);
         for i in 0..20 {
             q.enqueue(SimTime::ZERO, pkt(i, 100, Color::Green), &mut rng)
                 .unwrap();
         }
-        let avg_busy = q.avg();
+        let avg_busy = q.avgs().0;
         assert!(avg_busy > 1.0);
         // Drain, then come back after one second of idleness.
         while q.dequeue(SimTime::from_millis(1)).is_some() {}
         q.enqueue(SimTime::from_secs(1), pkt(99, 100, Color::Green), &mut rng)
             .unwrap();
+        let avg_in = q.avgs().0;
         assert!(
-            q.avg() < avg_busy * 0.01,
-            "idle decay should collapse the average: {} vs {}",
-            q.avg(),
-            avg_busy
+            avg_in < avg_busy * 0.01,
+            "idle decay should collapse the average: {avg_in} vs {avg_busy}"
         );
     }
 
@@ -622,8 +513,8 @@ mod tests {
             q.enqueue(SimTime::ZERO, pkt(i, 1000, Color::Green), &mut rng)
                 .unwrap();
         }
-        let mut dropped = [0u32; 3];
-        let mut offered = [0u32; 3];
+        let mut dropped = [0u32; 2];
+        let mut offered = [0u32; 2];
         for i in 25..8000u64 {
             let color = if i % 2 == 0 { Color::Green } else { Color::Red };
             offered[color.index()] += 1;
@@ -637,8 +528,9 @@ mod tests {
                 q.dequeue(SimTime::ZERO);
             }
         }
-        let red_rate = dropped[2] as f64 / offered[2] as f64;
-        let green_rate = dropped[0] as f64 / offered[0] as f64;
+        let red_rate = dropped[Color::Red.index()] as f64 / offered[Color::Red.index()] as f64;
+        let green_rate =
+            dropped[Color::Green.index()] as f64 / offered[Color::Green.index()] as f64;
         assert!(red_rate > 0.05, "red should see early drops: {red_rate:.3}");
         assert!(
             green_rate < red_rate / 10.0,
@@ -687,7 +579,7 @@ mod tests {
             gentle: true,
             mean_pkt_time_s: 0.001,
         };
-        let mut q = RedQueue::new(params);
+        let mut q = red_as_rio(params);
         let mut rng = DetRng::new(5);
         // Hold the queue around 26 packets -> p_b ~ 0.05.
         for i in 0..26 {

@@ -102,12 +102,6 @@ impl DetRng {
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
     }
-
-    /// Exponentially distributed value with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        // Inverse-CDF; 1 - U avoids ln(0).
-        -mean * (1.0 - self.next_f64()).ln()
-    }
 }
 
 #[cfg(test)]
@@ -176,15 +170,6 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let mut r = DetRng::new(17);
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| r.exponential(5.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 5.0).abs() < 0.1, "mean={mean}");
     }
 
     #[test]

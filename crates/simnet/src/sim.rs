@@ -55,7 +55,6 @@ use crate::queue::DropReason;
 use crate::rng::DetRng;
 use crate::stats::Stats;
 use crate::time::SimTime;
-use crate::trace::{TraceEvent, TraceSink};
 
 /// What a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -443,7 +442,6 @@ impl NetworkBuilder {
             node_rngs,
             stats,
             uid_counter: 0,
-            trace: None,
             sample_interval: None,
             started: false,
         }
@@ -474,7 +472,6 @@ pub struct Simulator {
     node_rngs: Vec<DetRng>,
     stats: Stats,
     uid_counter: u64,
-    trace: Option<TraceSink>,
     sample_interval: Option<Duration>,
     started: bool,
 }
@@ -518,7 +515,12 @@ impl Simulator {
     }
 
     /// Install a per-flow traffic conditioner at a link's ingress.
-    pub fn set_marker(&mut self, link: LinkId, flow: FlowId, marker: crate::marker::Marker) {
+    pub fn set_marker(
+        &mut self,
+        link: LinkId,
+        flow: FlowId,
+        marker: crate::marker::TokenBucketMarker,
+    ) {
         self.links[link].set_marker(flow, marker);
     }
 
@@ -526,11 +528,6 @@ impl Simulator {
     pub fn set_sample_interval(&mut self, interval: Duration) {
         self.sample_interval = Some(interval);
         self.stats.sample_interval = Some(interval);
-    }
-
-    /// Install a trace sink receiving every packet event.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = Some(sink);
     }
 
     /// Direct read access to a link (queue occupancy etc.).
@@ -566,12 +563,6 @@ impl Simulator {
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
         self.seq += 1;
         self.events.push(at.as_nanos(), self.seq, kind);
-    }
-
-    fn trace_emit(&mut self, ev: TraceEvent) {
-        if let Some(sink) = &mut self.trace {
-            sink(&ev);
-        }
     }
 
     /// Invoke one agent callback with a fresh `Ctx`, then apply its commands.
@@ -614,14 +605,6 @@ impl Simulator {
         let id = self.arena.insert(pkt, header);
         let pkt = self.arena.get(id);
         self.stats.on_send(pkt);
-        let ev = TraceEvent::Send {
-            at: self.now,
-            node,
-            flow: pkt.flow,
-            uid: pkt.uid,
-            size: pkt.wire_size,
-        };
-        self.trace_emit(ev);
         self.forward(node, id);
     }
 
@@ -656,32 +639,14 @@ impl Simulator {
             wire_size: pkt.wire_size,
             color: pkt.color,
         };
-        let (flow, uid) = (pkt.flow, pkt.uid);
         match link.queue.enqueue(now, qp, &mut link.rng) {
             Err((dropped, reason)) => {
                 self.stats
                     .on_drop(link_id, self.arena.get(dropped.id), reason);
-                self.trace_emit(TraceEvent::Drop {
-                    at: now,
-                    link: link_id,
-                    flow,
-                    uid,
-                    color: dropped.color,
-                    reason,
-                });
                 self.arena.release(dropped.id);
             }
             Ok(()) => {
-                let qlen = self.links[link_id].queue.len_pkts();
                 self.stats.on_enqueue(link_id, qp.color, qp.wire_size);
-                self.trace_emit(TraceEvent::Enqueue {
-                    at: now,
-                    link: link_id,
-                    flow,
-                    uid,
-                    color: qp.color,
-                    queue_len: qlen,
-                });
                 if !self.links[link_id].transmitting {
                     self.start_tx(link_id);
                 }
@@ -704,8 +669,7 @@ impl Simulator {
     }
 
     /// Serialization finished: launch the packet into propagation (unless
-    /// the loss model or a corrupting path model eats it) and start the
-    /// next transmission.
+    /// the loss model eats it) and start the next transmission.
     ///
     /// Path impairments run only for active models: a no-op [`PathModel`]
     /// makes zero draws and schedules exactly the unimpaired arrival, so
@@ -717,64 +681,42 @@ impl Simulator {
             .take()
             .expect("TxComplete without in-flight packet");
         let lost = link.loss.is_lost(&mut link.rng);
-        // (extra propagation delay, Some(extra) when a duplicate spawns);
-        // None when the path model corrupted (erased) the packet.
-        let fate = if lost || link.path.is_noop() {
-            Some((Duration::ZERO, None))
+        // (extra propagation delay, Some(extra) when a duplicate spawns).
+        let (extra, dup) = if lost || link.path.is_noop() {
+            (Duration::ZERO, None)
         } else {
             link.path.apply(&mut link.path_rng)
         };
         let delay = link.delay;
         let to = link.to;
         self.stats.on_transmit(link_id);
-        match fate {
-            None => self.drop_in_flight(link_id, qp),
-            Some(_) if lost => self.drop_in_flight(link_id, qp),
-            Some((extra, dup)) => {
-                let at = self.now + delay + extra;
+        if lost {
+            self.stats
+                .on_drop(link_id, self.arena.get(qp.id), DropReason::LinkLoss);
+            self.arena.release(qp.id);
+        } else {
+            self.push_event(
+                self.now + delay + extra,
+                EventKind::Arrival {
+                    node: to,
+                    pkt: qp.id,
+                },
+            );
+            if let Some(dup_extra) = dup {
+                // A wire-level duplicate: same uid and headers, its own
+                // jitter draw. The transport above dedups by sequence.
+                let copy = self.arena.get(qp.id).clone();
+                let copy_id = self.arena.alloc(copy);
                 self.push_event(
-                    at,
+                    self.now + delay + dup_extra,
                     EventKind::Arrival {
                         node: to,
-                        pkt: qp.id,
+                        pkt: copy_id,
                     },
                 );
-                if let Some(dup_extra) = dup {
-                    // A wire-level duplicate: same uid and headers, its own
-                    // jitter draw. The transport above dedups by sequence.
-                    let copy = self.arena.get(qp.id).clone();
-                    let copy_id = self.arena.alloc(copy);
-                    self.push_event(
-                        self.now + delay + dup_extra,
-                        EventKind::Arrival {
-                            node: to,
-                            pkt: copy_id,
-                        },
-                    );
-                }
             }
         }
         self.start_tx(link_id);
-    }
-
-    /// Drop a packet that died in flight (loss model or corruption-as-
-    /// erasure — both count as [`DropReason::LinkLoss`]).
-    fn drop_in_flight(&mut self, link_id: LinkId, qp: QueuedPacket) {
-        let (flow, uid) = {
-            let pkt = self.arena.get(qp.id);
-            (pkt.flow, pkt.uid)
-        };
-        self.stats
-            .on_drop(link_id, self.arena.get(qp.id), DropReason::LinkLoss);
-        self.trace_emit(TraceEvent::Drop {
-            at: self.now,
-            link: link_id,
-            flow,
-            uid,
-            color: qp.color,
-            reason: DropReason::LinkLoss,
-        });
-        self.arena.release(qp.id);
     }
 
     /// A packet arrived at `node` after propagation.
@@ -793,16 +735,6 @@ impl Simulator {
     /// the (disjoint) stats/rng fields.
     fn deliver(&mut self, node: NodeId, id: PacketId) {
         self.stats.on_arrive(self.now, self.arena.get(id));
-        let (flow, uid) = {
-            let pkt = self.arena.get(id);
-            (pkt.flow, pkt.uid)
-        };
-        self.trace_emit(TraceEvent::Deliver {
-            at: self.now,
-            node,
-            flow,
-            uid,
-        });
         let Some(mut agent) = self.agents[node].take() else {
             self.arena.release(id);
             return;
@@ -1203,36 +1135,6 @@ mod tests {
         let f = sim.stats().flow(flow);
         assert_eq!(f.pkts_sent, 10);
         assert_eq!(f.pkts_arrived, 20, "every packet duplicated exactly once");
-    }
-
-    #[test]
-    fn corrupting_path_erases_packets() {
-        let mut b = NetworkBuilder::new();
-        let a = b.host();
-        let c = b.host();
-        b.simplex_link(
-            a,
-            c,
-            LinkConfig::new(Rate::from_mbps(10), Duration::from_millis(1))
-                .with_path(crate::path::PathModel::none().with_corrupt(1.0)),
-        );
-        let mut sim = b.build(3);
-        let flow = sim.register_flow("f");
-        sim.attach_agent(
-            a,
-            Box::new(Blaster {
-                flow,
-                dst: c,
-                n: 10,
-                size: 100,
-                gap: Duration::from_millis(10),
-                sent: 0,
-            }),
-        );
-        sim.run_until(SimTime::from_secs(1));
-        let f = sim.stats().flow(flow);
-        assert_eq!(f.pkts_arrived, 0);
-        assert_eq!(f.pkts_dropped, 10, "corruption counts as link loss");
     }
 
     /// Records `(uid, arrival time)` pairs in delivery order: arrival

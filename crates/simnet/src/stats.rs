@@ -119,9 +119,9 @@ pub struct LinkStats {
     /// Drops by cause: indexed with [`drop_reason_index`].
     pub drops_by_reason: [u64; 4],
     /// Drops by DiffServ color at the moment of drop.
-    pub drops_by_color: [u64; 3],
+    pub drops_by_color: [u64; 2],
     /// Enqueued packets by color (for in/out-profile accounting).
-    pub enqueued_by_color: [u64; 3],
+    pub enqueued_by_color: [u64; 2],
 }
 
 /// Stable index for a [`DropReason`] in counter arrays.
@@ -245,14 +245,10 @@ impl Stats {
         }
     }
 
-    /// Color breakdown of drops on a link: (green, yellow, red).
-    pub fn link_drops_by_color(&self, link: LinkId) -> (u64, u64, u64) {
+    /// Color breakdown of drops on a link: (green, red).
+    pub fn link_drops_by_color(&self, link: LinkId) -> (u64, u64) {
         let d = &self.links[link].drops_by_color;
-        (
-            d[Color::Green.index()],
-            d[Color::Yellow.index()],
-            d[Color::Red.index()],
-        )
+        (d[Color::Green.index()], d[Color::Red.index()])
     }
 }
 

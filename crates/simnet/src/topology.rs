@@ -43,8 +43,8 @@ pub struct DumbbellConfig {
     /// Queue on the reverse bottleneck (acks); generous drop-tail default.
     pub reverse_queue: QueueConfig,
     /// Path impairments on the forward bottleneck (reordering,
-    /// duplication, corruption). The no-op default keeps every existing
-    /// dumbbell scenario byte-identical.
+    /// duplication). The no-op default keeps every existing dumbbell
+    /// scenario byte-identical.
     pub bottleneck_path: PathModel,
 }
 

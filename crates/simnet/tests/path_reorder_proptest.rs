@@ -172,13 +172,12 @@ proptest! {
             let mut cfg = LinkConfig::new(Rate::from_mbps(100), PROP)
                 .with_loss(LossModel::bernoulli(f64::from(loss_pct) / 100.0));
             if with_model {
-                // Degenerate knobs: zero-probability duplication and
-                // corruption, reordering with zero jitter.
+                // Degenerate knobs: zero-probability duplication,
+                // reordering with zero jitter.
                 cfg = cfg.with_path(
                     PathModel::none()
                         .with_reorder(0.5, Duration::ZERO)
-                        .with_duplicate(0.0)
-                        .with_corrupt(0.0),
+                        .with_duplicate(0.0),
                 );
             }
             b.simplex_link(tx, rx, cfg);

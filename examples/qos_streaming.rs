@@ -8,7 +8,7 @@
 //! ```
 
 use qtp::prelude::*;
-use qtp::simnet::marker::{Marker, TokenBucketMarker};
+use qtp::simnet::marker::TokenBucketMarker;
 use std::time::Duration;
 
 const SECS: u64 = 30;
@@ -47,7 +47,7 @@ fn run(use_qtpaf: bool, g: Rate) -> Vec<f64> {
     sim.set_marker(
         net.sender_access[0],
         flow,
-        Marker::TokenBucket(TokenBucketMarker::new(g, 20_000)),
+        TokenBucketMarker::new(g, 20_000),
     );
 
     // Pair 1: out-of-profile TCP aggressor (everything marked red).
@@ -61,7 +61,7 @@ fn run(use_qtpaf: bool, g: Rate) -> Vec<f64> {
     sim.set_marker(
         net.sender_access[1],
         bg,
-        Marker::TokenBucket(TokenBucketMarker::new(Rate::ZERO, 0)),
+        TokenBucketMarker::new(Rate::ZERO, 0),
     );
 
     sim.run_until(SimTime::from_secs(SECS));

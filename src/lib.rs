@@ -15,7 +15,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`simnet`] | deterministic discrete-event network simulator (links, RED/RIO, DiffServ markers, Gilbert–Elliott loss, dumbbells, statistics) |
+//! | [`simnet`] | deterministic discrete-event network simulator (links, drop-tail/RIO, the DiffServ token-bucket marker, Gilbert–Elliott loss, reorder/duplicate path models, dumbbells, statistics) |
 //! | [`tfrc`] | RFC 3448 sender/receiver, throughput equation, loss-interval history, gTFRC |
 //! | [`sack`] | range sets, reassembly + SACK block generation, scoreboard, reliability policies |
 //! | [`tcp`] | TCP NewReno / SACK baseline agents |

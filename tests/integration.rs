@@ -2,7 +2,7 @@
 //! end-to-end through the facade crate.
 
 use qtp::prelude::*;
-use qtp::simnet::marker::{Marker, TokenBucketMarker};
+use qtp::simnet::marker::TokenBucketMarker;
 use std::time::Duration;
 
 /// AF dumbbell with a RIO core, one conditioned pair + one out-of-profile
@@ -29,7 +29,7 @@ fn attach_bg_tcp(sim: &mut qtp::simnet::sim::Simulator, net: &Dumbbell, pair: us
     sim.set_marker(
         net.sender_access[pair],
         bg,
-        Marker::TokenBucket(TokenBucketMarker::new(Rate::ZERO, 0)),
+        TokenBucketMarker::new(Rate::ZERO, 0),
     );
 }
 
@@ -53,7 +53,7 @@ fn qtpaf_achieves_negotiated_qos_where_tcp_fails() {
     sim.set_marker(
         net.sender_access[0],
         h.data_flow,
-        Marker::TokenBucket(TokenBucketMarker::new(g, 20_000)),
+        TokenBucketMarker::new(g, 20_000),
     );
     attach_bg_tcp(&mut sim, &net, 1);
     sim.run_until(SimTime::from_secs(SECS));
@@ -74,7 +74,7 @@ fn qtpaf_achieves_negotiated_qos_where_tcp_fails() {
     sim.set_marker(
         net.sender_access[0],
         data,
-        Marker::TokenBucket(TokenBucketMarker::new(g, 20_000)),
+        TokenBucketMarker::new(g, 20_000),
     );
     attach_bg_tcp(&mut sim, &net, 1);
     sim.run_until(SimTime::from_secs(SECS));

@@ -9,8 +9,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Duration;
 
-/// Run a two-pair dumbbell with CBR + Poisson load; return the full flow
-/// counter tuple for determinism comparison.
+/// Run a two-pair dumbbell with two CBR sources (the second at two thirds
+/// of the first's rate, starting 3 ms later so the two never move in lock
+/// step) over a bottleneck with Bernoulli loss `loss_p`; return the full
+/// flow counter tuple for determinism comparison.
 fn run(seed: u64, rate_kbps: u64, loss_p: f64, queue_pkts: usize) -> Vec<(u64, u64, u64, u64)> {
     let cfg = DumbbellConfig {
         pairs: 2,
@@ -20,10 +22,9 @@ fn run(seed: u64, rate_kbps: u64, loss_p: f64, queue_pkts: usize) -> Vec<(u64, u
         ..DumbbellConfig::default()
     };
     let (mut sim, net) = Dumbbell::build(&cfg, seed);
-    // Swap the bottleneck for a lossy one by adding loss on access links
-    // instead (builder-level loss config is exercised elsewhere).
+    sim.set_link_loss(net.bottleneck, LossModel::bernoulli(loss_p));
     let f0 = sim.register_flow("cbr");
-    let f1 = sim.register_flow("poisson");
+    let f1 = sim.register_flow("cbr-offset");
     sim.attach_agent(
         net.senders[0],
         Box::new(CbrSource::new(
@@ -35,18 +36,18 @@ fn run(seed: u64, rate_kbps: u64, loss_p: f64, queue_pkts: usize) -> Vec<(u64, u
     );
     sim.attach_agent(
         net.senders[1],
-        Box::new(PoissonSource::new(
-            f1,
-            net.receivers[1],
-            500,
-            Rate::from_kbps(rate_kbps),
-        )),
+        Box::new(
+            CbrSource::new(
+                f1,
+                net.receivers[1],
+                500,
+                Rate::from_kbps(rate_kbps * 2 / 3 + 1),
+            )
+            .active(SimTime::from_millis(3), SimTime::MAX),
+        ),
     );
     sim.attach_agent(net.receivers[0], Box::new(Sink));
     sim.attach_agent(net.receivers[1], Box::new(Sink));
-    // Probabilistic extra: a Bernoulli drop via an extra link would need a
-    // rebuild; loss_p folds into the seed instead to vary workloads.
-    let _ = loss_p;
     sim.run_until(SimTime::from_secs(10));
     (0..2)
         .map(|f| {
@@ -69,20 +70,23 @@ proptest! {
     fn simulation_is_deterministic(
         seed in any::<u64>(),
         rate in 100u64..3_000,
+        loss in 0.0f64..0.2,
         queue in 2usize..100,
     ) {
-        prop_assert_eq!(run(seed, rate, 0.0, queue), run(seed, rate, 0.0, queue));
+        prop_assert_eq!(run(seed, rate, loss, queue), run(seed, rate, loss, queue));
     }
 
     /// Conservation: arrived + dropped ≤ sent (the rest is in flight), and
-    /// the sink never delivers more than arrived.
+    /// the sink never delivers more than arrived — with queue drops and
+    /// link-loss drops both counted.
     #[test]
     fn packets_are_conserved(
         seed in any::<u64>(),
         rate in 100u64..4_000,
+        loss in 0.0f64..0.2,
         queue in 2usize..100,
     ) {
-        for (sent, arrived, dropped, app) in run(seed, rate, 0.0, queue) {
+        for (sent, arrived, dropped, app) in run(seed, rate, loss, queue) {
             prop_assert!(arrived + dropped <= sent);
             prop_assert!(app <= arrived * 500);
             // In-flight remainder is bounded by queue + links.

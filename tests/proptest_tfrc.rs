@@ -3,7 +3,7 @@
 //! conformance properties used by the AF experiments.
 
 use proptest::prelude::*;
-use qtp::simnet::marker::{Marker, TokenBucketMarker};
+use qtp::simnet::marker::TokenBucketMarker;
 use qtp::simnet::packet::{Color, Packet};
 use qtp::simnet::time::{Rate, SimTime};
 use qtp::tfrc::{inverse, throughput, LossDetector, LossIntervalHistory};
@@ -108,7 +108,7 @@ proptest! {
         cbs in 1_500u32..50_000,
     ) {
         let cir = Rate::from_kbps(cir_kbps);
-        let mut m = Marker::TokenBucket(TokenBucketMarker::new(cir, cbs));
+        let mut m = TokenBucketMarker::new(cir, cbs);
         let mut now = SimTime::ZERO;
         let mut green_bytes = 0u64;
         for gap in gaps_us {
