@@ -421,16 +421,16 @@ pub enum SessionEvent {
         negotiated: CapabilitySet,
     },
     /// Application payload became deliverable (receiver side).
-    /// Consecutive deliveries coalesce into one event while it sits
-    /// unpolled at the queue tail, so a long-running connection holds
-    /// O(1) delivery events rather than one per ADU.
+    /// Deliveries coalesce into the newest unpolled `Delivered` that no
+    /// lifecycle event follows, so a long-running connection holds O(1)
+    /// delivery events rather than one per ADU.
     Delivered {
         /// Bytes handed to the application since the last poll.
         bytes: u64,
     },
     /// Partial reliability abandoned stale data (sender side): `packets`
     /// ADUs aged past their TTL/budget and will never be (re)sent.
-    /// Coalesces at the queue tail like `Delivered`.
+    /// Coalesces like `Delivered`.
     TtlExpired {
         /// Newly abandoned packets since the last poll.
         packets: u64,
@@ -444,14 +444,15 @@ pub enum SessionEvent {
         error: CapsError,
     },
     /// Stream messages became available on the [`RecvStream`]
-    /// (receiver side). Coalesces at the queue tail like `Delivered`.
+    /// (receiver side). Coalesces like `Delivered`.
     Readable {
         /// Complete messages surfaced since the last poll.
         messages: u64,
     },
     /// The bounded stream send buffer has space again after a
     /// [`StreamError`](crate::stream::StreamError)`::Full` rejection
-    /// (sender side) — retry the send.
+    /// (sender side) — retry the send. Queued at most once between two
+    /// lifecycle events while unpolled.
     Writable,
     /// The peer finished its stream: the close handshake's FIN was
     /// processed and every deliverable message has been surfaced
@@ -474,19 +475,30 @@ pub struct SessionEvents {
 }
 
 impl SessionEvents {
-    /// Queue an event. Counting events (`Delivered`, `TtlExpired`,
-    /// `Readable`) add into one of their kind already at the queue tail,
-    /// and a `Rejected` identical to the tail (a peer retransmitting one
-    /// malformed SYN) is dropped: an observer that reads events only after
-    /// the run — or never — holds O(1) of them, not one per ADU.
+    /// Queue an event. A counting event (`Delivered`, `TtlExpired`,
+    /// `Readable`) adds into the newest queued event of its kind, and a
+    /// `Writable` is dropped if one is queued, unless a lifecycle event
+    /// (`Connected`, `Rejected`, `Finished`, `Closed`) was queued after it;
+    /// a `Rejected` identical to the tail (a peer retransmitting one
+    /// malformed SYN) is dropped. So an observer that reads events only
+    /// after the run — or never — holds O(1) of them, not one per ADU, and
+    /// one that polls after every callback sees each as it was pushed.
     fn push(&self, ev: SessionEvent) {
         use SessionEvent::*;
         let mut q = self.inner.borrow_mut();
-        match (q.back_mut(), ev) {
-            (Some(Delivered { bytes: tail }), Delivered { bytes: n })
-            | (Some(TtlExpired { packets: tail }), TtlExpired { packets: n })
-            | (Some(Readable { messages: tail }), Readable { messages: n }) => *tail += n,
-            (Some(tail), ev @ Rejected { .. }) if *tail == ev => {}
+        if matches!(ev, Rejected { .. }) && q.back() == Some(&ev) {
+            return;
+        }
+        let newest = q
+            .iter_mut()
+            .rev()
+            .take_while(|e| !matches!(e, Connected { .. } | Rejected { .. } | Finished | Closed))
+            .find(|e| std::mem::discriminant(&**e) == std::mem::discriminant(&ev));
+        match (newest, ev) {
+            (Some(Delivered { bytes: queued }), Delivered { bytes: n })
+            | (Some(TtlExpired { packets: queued }), TtlExpired { packets: n })
+            | (Some(Readable { messages: queued }), Readable { messages: n }) => *queued += n,
+            (Some(Writable), Writable) => {}
             (_, ev) => q.push_back(ev),
         }
     }
@@ -1540,6 +1552,49 @@ mod tests {
         assert!(rx_events
             .iter()
             .any(|e| matches!(e, SessionEvent::Finished)));
+    }
+
+    /// An observer that never polls holds O(1) events: after a 4 MiB
+    /// stream whose event queues nobody touched, each side holds at most
+    /// one event of each kind, though the receiver's deliveries and
+    /// readable edges interleave callback after callback.
+    #[test]
+    fn unpolled_event_queues_stay_constant_size() {
+        const LEN: usize = 4 << 20;
+        let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(100)))
+            .stream(StreamConfig::default());
+        let mut pipe = Pipe::new(&plan, Duration::from_millis(5));
+        let send = pipe.tx.send_stream().unwrap();
+        let recv = pipe.rx.recv_stream().unwrap();
+        let chunk = vec![7u8; 8 * 1024];
+        let (mut sent, mut got, mut msg) = (0, 0, Vec::new());
+        pipe.run_until(SimTime::from_secs(600), |p| {
+            while sent < LEN && send.send(&chunk).is_ok() {
+                sent += chunk.len();
+            }
+            if sent == LEN && !send.is_finished() {
+                send.finish();
+            }
+            while recv.recv_into(&mut msg).is_some() {
+                got += msg.len();
+            }
+            recv.is_finished() && p.tx.is_closed()
+        })
+        .unwrap_or_else(|stall| panic!("{stall}"));
+        assert_eq!(got, LEN);
+        let (tx, rx) = (pipe.tx.events().drain(), pipe.rx.events().drain());
+        assert!(rx
+            .iter()
+            .any(|e| matches!(e, SessionEvent::Readable { .. })));
+        for events in [tx, rx] {
+            for e in &events {
+                let same = events
+                    .iter()
+                    .filter(|o| std::mem::discriminant(*o) == std::mem::discriminant(e))
+                    .count();
+                assert_eq!(same, 1, "{e:?} queued {same} times");
+            }
+        }
     }
 
     /// `Session::close` on a running stream sender performs the wire-level

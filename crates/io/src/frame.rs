@@ -102,14 +102,16 @@ pub struct FrameRef<'a> {
 }
 
 impl<'a> FrameRef<'a> {
-    /// Append the encoded datagram to `out` (untouched on error).
+    /// Append the encoded datagram to `out` (untouched on error). `out`
+    /// grows amortized, so appending frame after frame into one buffer (the
+    /// mux's tx arena) reallocates only while it outgrows its high-water mark.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
         if FIXED_LEN + self.header.len() > MAX_FRAME_LEN {
             return Err(FrameError::HeaderTooLong(self.header.len()));
         }
         let header_len = u16::try_from(self.header.len())
             .map_err(|_| FrameError::HeaderTooLong(self.header.len()))?;
-        out.reserve_exact(FIXED_LEN + self.header.len());
+        out.reserve(FIXED_LEN + self.header.len());
         out.extend_from_slice(&MAGIC.to_be_bytes());
         out.push(VERSION);
         out.extend_from_slice(&self.flow.to_be_bytes());
@@ -126,21 +128,34 @@ impl<'a> FrameRef<'a> {
         if buf.len() > MAX_FRAME_LEN {
             return Err(FrameError::Oversized(buf.len()));
         }
-        if buf.len() < FIXED_LEN {
+        // Each field is split off as an array, so no index can go out of
+        // bounds: a buffer too short for the prologue is `Truncated`.
+        let mut rest = buf;
+        let fields = (
+            take(&mut rest),
+            take(&mut rest),
+            take(&mut rest),
+            take(&mut rest),
+            take(&mut rest),
+            take(&mut rest),
+        );
+        let (Some(magic), Some([version]), Some(flow), Some(seq), Some(wire_size), Some(declared)) =
+            fields
+        else {
             return Err(FrameError::Truncated);
-        }
-        let magic = u16::from_be_bytes([buf[0], buf[1]]);
+        };
+        let magic = u16::from_be_bytes(magic);
         if magic != MAGIC {
             return Err(FrameError::BadMagic(magic));
         }
-        if buf[2] != VERSION {
-            return Err(FrameError::BadVersion(buf[2]));
+        if version != VERSION {
+            return Err(FrameError::BadVersion(version));
         }
-        let flow = u32::from_be_bytes(buf[3..7].try_into().unwrap());
-        let seq = u64::from_be_bytes(buf[7..15].try_into().unwrap());
-        let wire_size = u32::from_be_bytes(buf[15..19].try_into().unwrap());
-        let declared = u16::from_be_bytes(buf[19..21].try_into().unwrap());
-        let header = &buf[FIXED_LEN..];
+        let flow = u32::from_be_bytes(flow);
+        let seq = u64::from_be_bytes(seq);
+        let wire_size = u32::from_be_bytes(wire_size);
+        let declared = u16::from_be_bytes(declared);
+        let header = rest;
         if header.len() != declared as usize {
             // Distinguish truncation from trailing garbage only in the
             // error detail; both are rejected.
@@ -166,6 +181,13 @@ impl<'a> FrameRef<'a> {
             header: self.header.to_vec(),
         }
     }
+}
+
+/// Split the first `N` bytes off `buf` as an array, if it holds that many.
+fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = (buf.get(..N)?, buf.get(N..)?);
+    *buf = rest;
+    head.try_into().ok()
 }
 
 impl Frame {
@@ -268,7 +290,7 @@ mod tests {
             f.encode(),
             Err(FrameError::HeaderTooLong(usize::from(u16::MAX) + 1))
         );
-        // A refused frame leaves a driver's scratch buffer as it was.
+        // A refused frame leaves a driver's tx arena as it was.
         let mut scratch = vec![1, 2, 3];
         let view = FrameRef {
             flow: f.flow,

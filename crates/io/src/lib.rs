@@ -28,11 +28,12 @@
 //!   binding that runs `ConnectionPlan`s over one loopback socket pair.
 //!
 //! Zero runtime dependencies beyond `std`, by workspace policy. The
-//! readiness wait is therefore an in-tree `ppoll(2)` binding (private
-//! `wait` module) rather than a `libc`/`mio` dependency; it holds the
-//! crate's single foreign call, whose argument layouts are pinned by
-//! compile-time size assertions. Targets
-//! other than 64-bit Linux sleep inside the same function instead.
+//! crate's two foreign calls therefore live in one private in-tree module
+//! (`wait`) rather than behind a `libc`/`mio` dependency: `ppoll(2)` for the
+//! readiness wait, and `sendmsg(2)` with `UDP_SEGMENT` for the mux's
+//! batched sends. Their argument layouts are pinned by compile-time size
+//! assertions. Targets other than 64-bit Linux sleep, and send frame by
+//! frame, inside the same functions instead.
 //!
 //! ## Example
 //!

@@ -8,15 +8,16 @@
 //! ```text
 //! loop {                                  // drive_mux_pair / drive_once
 //!     step:                               // never blocks
-//!         flush backlogged sends          // WouldBlock retries
+//!         flush the tx arena              // WouldBlock retries
 //!         advance timer wheel, fire due   // endpoint.on_timer per conn
 //!         while socket ready (level-trig.):   // set_nonblocking(true)
 //!             recv; decode frame
 //!             route (peer, frame.flow) -> conn, else acceptor -> new conn
-//!             endpoint.handle_datagram; drain outbox
+//!             endpoint.handle_datagram; drain outbox into the tx arena
+//!         flush the step's frames, one send per run
 //!     if the step did nothing:            // for a pair: if both did nothing
-//!         wait until the socket is readable (writable too while sends are
-//!         backlogged), or the next timer deadline, or the slice
+//!         wait until the socket is readable (writable too while frames
+//!         wait in the arena), or the next timer deadline, or the slice
 //! }
 //! ```
 //!
@@ -34,6 +35,15 @@
 //! * **Transmit buffers** — every transmit's header buffer goes back to the
 //!   [`Outbox`] once framed ([`Outbox::reuse`]), and the endpoints encode
 //!   the next header into it, so sending allocates nothing per datagram.
+//! * **Batched sends** — a step frames every datagram its callbacks emit
+//!   into one driver-owned tx arena and sends nothing until its flush. The
+//!   flush cuts the queue into runs — consecutive frames to one peer, all
+//!   as long as the first except a shorter last one, at most 64 frames and
+//!   65 507 bytes — and hands each run to the kernel as one UDP GSO send
+//!   (`UDP_SEGMENT`; a lone frame is a plain send). Sixteen connections
+//!   whose pace timers fire in one step cost one send, not sixteen. After
+//!   a `WouldBlock` the unsent tail simply stays in the arena for the next
+//!   flush, so the datagram stream never reorders.
 //! * **Timers** — a [`TimerWheel`] holds every armed wakeup, tagged by
 //!   connection so teardown can purge them. The wheel keeps the
 //!   simulator's fire-and-forget contract: it never cancels an entry on
@@ -49,20 +59,19 @@
 //! `MuxDriver` is generic over the endpoint type: `MuxDriver<Session>`,
 //! the usual mount, keeps typed access to its sessions, and test doubles
 //! implement [`Endpoint`] directly. Strictly single-threaded, like
-//! everything else in this crate; batching (recvmmsg/GSO) and async
-//! runtimes layer on top of this seam later.
+//! everything else in this crate.
 
 use qtp_core::driver::{Command, Endpoint, Outbox, Transmit};
 use qtp_simnet::packet::FlowId;
 use qtp_simnet::time::SimTime;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 
 use crate::clock::WallClock;
 use crate::frame::{Frame, FrameRef, MAX_FRAME_LEN};
-use crate::wait::wait;
+use crate::wait::{send_run, wait};
 
 /// Identifier of one multiplexed connection, unique for the lifetime of a
 /// [`MuxDriver`] (ids are never reused after [`MuxDriver::close`]).
@@ -295,6 +304,12 @@ const TIMER_GRANULARITY: Duration = Duration::from_millis(1);
 /// yielding back to the timer path (level-triggered fairness bound).
 const RECV_BATCH: usize = 256;
 
+/// Most frames one send carries (the kernel's `UDP_MAX_SEGMENTS`).
+const MAX_RUN_SEGMENTS: usize = 64;
+
+/// Most bytes one send carries: the largest UDP payload over IPv4.
+const MAX_RUN_BYTES: usize = 65_507;
+
 /// Resource limits of a [`MuxDriver`].
 #[derive(Debug, Clone)]
 pub struct MuxConfig {
@@ -339,6 +354,12 @@ pub struct ConnStats {
 pub struct MuxStats {
     /// Frames sent on the socket.
     pub datagrams_sent: u64,
+    /// Socket send calls made, those that hit `WouldBlock` included. One
+    /// call carries a whole run of frames ([`MuxDriver`]'s batched sends).
+    pub send_calls: u64,
+    /// Socket receive calls made, including each drain's last, which
+    /// finds the socket empty.
+    pub recv_calls: u64,
     /// Frames received and routed to a connection.
     pub datagrams_received: u64,
     /// Datagrams dropped because they don't decode as frames.
@@ -353,7 +374,8 @@ pub struct MuxStats {
     pub conns_closed: u64,
     /// Connections removed by [`MuxDriver::reap_stale`].
     pub conns_reaped: u64,
-    /// Sends deferred because the socket buffer was full (`WouldBlock`).
+    /// Frames deferred because the socket buffer was full (`WouldBlock`),
+    /// each counted once however many flushes it waits through.
     pub sends_requeued: u64,
     /// Soft per-datagram socket errors absorbed (ICMP reflections etc.).
     pub soft_errors: u64,
@@ -421,14 +443,15 @@ pub struct MuxDriver<E: Endpoint> {
     next_conn: u64,
     /// Per-mux datagram counter, stamped into frames as `seq` (tracing).
     next_seq: u64,
-    /// Encoded frames whose send hit `WouldBlock`; retried first thing
-    /// every `drive_once`, in order. While non-empty, fresh sends queue
-    /// behind it so the datagram stream never reorders.
-    tx_backlog: VecDeque<(ConnId, SocketAddr, Vec<u8>)>,
+    /// The tx arena: every frame encoded since the last flush, back to
+    /// back, in emission order. What a `WouldBlock` leaves unsent stays at
+    /// its head, so fresh frames queue behind it and never overtake it.
+    tx_arena: Vec<u8>,
+    /// One record per frame in `tx_arena`, in the same order.
+    tx_frames: Vec<TxFrame>,
+    /// Leading `tx_frames` already counted in `sends_requeued`.
+    tx_deferred: usize,
     recv_buf: Vec<u8>,
-    /// The datagram being framed for `send_to`; copied only when a send
-    /// has to wait in `tx_backlog`.
-    tx_scratch: Vec<u8>,
     /// Scratch for the timers one `fire_due_timers` call delivers.
     fired: Vec<(SimTime, ConnId, u64)>,
     stats: MuxStats,
@@ -455,9 +478,10 @@ impl<E: Endpoint> MuxDriver<E> {
             out: Outbox::new(),
             next_conn: 0,
             next_seq: 0,
-            tx_backlog: VecDeque::new(),
+            tx_arena: Vec::new(),
+            tx_frames: Vec::new(),
+            tx_deferred: 0,
             recv_buf: vec![0; MAX_FRAME_LEN + 1],
-            tx_scratch: Vec::new(),
             fired: Vec::new(),
             stats: MuxStats::default(),
         })
@@ -606,12 +630,12 @@ impl<E: Endpoint> MuxDriver<E> {
     }
 
     /// One iteration of the readiness loop: a non-blocking step (retry
-    /// backlogged sends, fire due timers, drain the socket), then — only if
-    /// that found nothing to do — one readiness wait on the socket, bounded
-    /// by `slice` and the next timer deadline. Any received datagram counts
-    /// as activity, routed or not, so a garbage flood cannot put the loop
-    /// to sleep while real traffic queues behind it. Returns the number of
-    /// datagrams dispatched to endpoints.
+    /// deferred sends, fire due timers, drain the socket, send what that
+    /// emitted), then — only if that found nothing to do — one readiness
+    /// wait on the socket, bounded by `slice` and the next timer deadline.
+    /// Any received datagram counts as activity, routed or not, so a
+    /// garbage flood cannot put the loop to sleep while real traffic queues
+    /// behind it. Returns the number of datagrams dispatched to endpoints.
     pub fn drive_once(&mut self, slice: Duration) -> io::Result<usize> {
         let (handled, idle) = self.step()?;
         if idle {
@@ -621,12 +645,13 @@ impl<E: Endpoint> MuxDriver<E> {
         Ok(handled)
     }
 
-    /// The non-blocking part of an iteration: retry backlogged sends, fire
-    /// due timers, then drain the socket level-triggered (up to the batch
-    /// bound). Returns the datagrams dispatched to endpoints, and whether
-    /// the iteration was idle (nothing received, no timer fired).
+    /// The non-blocking part of an iteration: retry deferred sends, fire
+    /// due timers, drain the socket level-triggered (up to the batch
+    /// bound), then send every frame that emitted. Returns the datagrams
+    /// dispatched to endpoints, and whether the iteration was idle (nothing
+    /// received, no timer fired).
     fn step(&mut self) -> io::Result<(usize, bool)> {
-        self.flush_backlog()?;
+        self.flush_tx()?;
         let fired = self.fire_due_timers()?;
         // Taken out for the loop: a frame stays borrowed from the buffer
         // while its endpoint's callback borrows the mux.
@@ -634,6 +659,7 @@ impl<E: Endpoint> MuxDriver<E> {
         let drained = self.drain_socket(&mut buf);
         self.recv_buf = buf;
         let (handled, received) = drained?;
+        self.flush_tx()?;
         Ok((handled, received == 0 && fired == 0))
     }
 
@@ -643,6 +669,7 @@ impl<E: Endpoint> MuxDriver<E> {
         let mut handled = 0usize;
         let mut received = 0usize;
         for _ in 0..RECV_BATCH {
+            self.stats.recv_calls += 1;
             match self.socket.recv_from(buf) {
                 Ok((n, from)) => {
                     received += 1;
@@ -669,10 +696,11 @@ impl<E: Endpoint> MuxDriver<E> {
     }
 
     /// What an idle wait watches: the socket for reading, and for writing
-    /// too while sends are backlogged (the retry needs buffer space, which
-    /// is exactly what `POLLOUT` reports).
+    /// too while frames wait in the arena (after the step's flush only a
+    /// `WouldBlock` leaves any; the retry needs buffer space, which is
+    /// exactly what `POLLOUT` reports).
     fn interest(&self) -> (&UdpSocket, bool) {
-        (&self.socket, !self.tx_backlog.is_empty())
+        (&self.socket, !self.tx_frames.is_empty())
     }
 
     /// Time left until the earliest armed timer, zero if already due.
@@ -692,9 +720,10 @@ impl<E: Endpoint> MuxDriver<E> {
     }
 
     /// Route one already-received datagram, exactly as the recv loop does —
-    /// the ingress seam for alternative receive paths (recvmmsg batching)
-    /// and qtpperf's `mux.route_ns_*` routing replay. Returns whether the
-    /// datagram reached an endpoint.
+    /// the ingress seam for alternative receive paths and qtpperf's
+    /// `mux.route_ns_*` routing replay. Frames the endpoint emits in reply
+    /// wait in the tx arena and leave at the next step's flush. Returns
+    /// whether the datagram reached an endpoint.
     pub fn handle_datagram_from(&mut self, from: SocketAddr, buf: &[u8]) -> io::Result<bool> {
         match FrameRef::parse(buf) {
             Ok(frame) => self.ingest(from, frame),
@@ -837,82 +866,63 @@ impl<E: Endpoint> MuxDriver<E> {
         Ok(())
     }
 
+    /// Frame `t` into the tx arena; the step's next flush sends it.
     fn send_frame(&mut self, id: ConnId, peer: SocketAddr, t: Transmit) -> io::Result<()> {
         self.next_seq += 1;
-        self.tx_scratch.clear();
+        let start = self.tx_arena.len();
         FrameRef {
             flow: t.flow,
             seq: self.next_seq,
             wire_size: t.wire_size,
             header: &t.header,
         }
-        .encode_into(&mut self.tx_scratch)
+        .encode_into(&mut self.tx_arena)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         // Framed: the header's buffer goes back for the next transmit.
         self.out.reuse(t.header);
-        let now = self.clock.now();
-        // While older frames sit in the backlog, every new frame must queue
-        // behind them — sending around the backlog would reorder the
-        // datagram stream the moment the socket buffer fills.
-        let sent = if self.tx_backlog.is_empty() {
-            match self.socket.send_to(&self.tx_scratch, peer) {
-                Ok(_) => true,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.tx_backlog
-                        .push_back((id, peer, self.tx_scratch.clone()));
-                    self.stats.sends_requeued += 1;
-                    self.note_backlog_depth();
-                    false
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionRefused
-                    ) =>
-                {
-                    self.stats.soft_errors += 1;
-                    false
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            self.tx_backlog
-                .push_back((id, peer, self.tx_scratch.clone()));
-            self.stats.sends_requeued += 1;
-            self.note_backlog_depth();
-            false
-        };
+        self.tx_frames.push(TxFrame {
+            conn: id,
+            peer,
+            len: self.tx_arena.len() - start,
+        });
         if let Some(conn) = self.conns.get_mut(&id) {
-            conn.stats.last_activity = now;
-            if sent {
-                conn.stats.datagrams_sent += 1;
-            }
-        }
-        if sent {
-            self.stats.datagrams_sent += 1;
+            conn.stats.last_activity = self.clock.now();
         }
         Ok(())
     }
 
-    fn note_backlog_depth(&mut self) {
-        self.stats.tx_backlog_high_water = self
-            .stats
-            .tx_backlog_high_water
-            .max(self.tx_backlog.len() as u64);
-    }
-
-    fn flush_backlog(&mut self) -> io::Result<()> {
-        while let Some((id, peer, bytes)) = self.tx_backlog.front() {
-            match self.socket.send_to(bytes, *peer) {
-                Ok(_) => {
-                    self.stats.datagrams_sent += 1;
-                    let id = *id;
-                    self.tx_backlog.pop_front();
-                    if let Some(conn) = self.conns.get_mut(&id) {
-                        conn.stats.datagrams_sent += 1;
+    /// Send the arena's frames in order, one send per run, until it is
+    /// empty or the socket buffer is full; what a `WouldBlock` leaves stays
+    /// queued for the next flush. A soft error (an ICMP reflection) costs
+    /// the run's first frame, as a lost datagram, and the flush goes on.
+    fn flush_tx(&mut self) -> io::Result<()> {
+        let (mut frames, mut bytes) = (0, 0);
+        let res = loop {
+            let rest = &self.tx_frames[frames..];
+            let Some(head) = rest.first().copied() else {
+                break Ok(());
+            };
+            let run = &rest[..run_len(rest)];
+            let len: usize = run.iter().map(|f| f.len).sum();
+            let arena = &self.tx_arena[bytes..bytes + len];
+            match send_run(
+                &self.socket,
+                head.peer,
+                arena,
+                head.len,
+                &mut self.stats.send_calls,
+            ) {
+                Ok(sent) => {
+                    for f in &run[..sent] {
+                        self.stats.datagrams_sent += 1;
+                        if let Some(conn) = self.conns.get_mut(&f.conn) {
+                            conn.stats.datagrams_sent += 1;
+                        }
+                        bytes += f.len;
                     }
+                    frames += sent;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(()),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -920,13 +930,55 @@ impl<E: Endpoint> MuxDriver<E> {
                     ) =>
                 {
                     self.stats.soft_errors += 1;
-                    self.tx_backlog.pop_front();
+                    frames += 1;
+                    bytes += head.len;
                 }
-                Err(e) => return Err(e),
+                Err(e) => break Err(e),
             }
+        };
+        self.tx_frames.drain(..frames);
+        self.tx_arena.drain(..bytes);
+        self.tx_deferred = self.tx_deferred.saturating_sub(frames);
+        if res.is_ok() && !self.tx_frames.is_empty() {
+            // Stopped by `WouldBlock`: the tail waits for buffer space.
+            let queued = self.tx_frames.len();
+            self.stats.sends_requeued += (queued - self.tx_deferred) as u64;
+            self.stats.tx_backlog_high_water = self.stats.tx_backlog_high_water.max(queued as u64);
+            self.tx_deferred = queued;
         }
-        Ok(())
+        res
     }
+}
+
+/// One frame queued in a mux's tx arena.
+#[derive(Debug, Clone, Copy)]
+struct TxFrame {
+    conn: ConnId,
+    peer: SocketAddr,
+    len: usize,
+}
+
+/// How many of `frames` go out as the next send: consecutive frames to the
+/// first one's peer, each as long as the first except that a shorter one
+/// ends the run, within [`MAX_RUN_SEGMENTS`] and [`MAX_RUN_BYTES`] — the
+/// shape one UDP GSO send can carry. At least one, unless `frames` is
+/// empty.
+fn run_len(frames: &[TxFrame]) -> usize {
+    let Some(first) = frames.first() else {
+        return 0;
+    };
+    let (mut n, mut bytes) = (0, 0);
+    for f in frames.iter().take(MAX_RUN_SEGMENTS) {
+        if f.peer != first.peer || f.len > first.len || bytes + f.len > MAX_RUN_BYTES {
+            break;
+        }
+        n += 1;
+        bytes += f.len;
+        if f.len < first.len {
+            break;
+        }
+    }
+    n.max(1)
 }
 
 /// How an idle wait ended.
@@ -1182,6 +1234,92 @@ mod tests {
                 Some(&[2, 1, f as u8][..])
             );
         }
+    }
+
+    #[test]
+    fn frames_queued_by_add_connection_leave_in_one_send() {
+        const N: u32 = 8;
+        let mut server: MuxDriver<Echo> = MuxDriver::bind("127.0.0.1:0").unwrap();
+        server.set_acceptor(|_, frame| {
+            Some(Accepted {
+                endpoint: Echo {
+                    reply_flow: frame.flow,
+                    got: Rc::new(RefCell::new(0)),
+                },
+                flows: vec![frame.flow],
+            })
+        });
+        let server_addr = server.local_addr().unwrap();
+        let mut client: MuxDriver<Pinger> = MuxDriver::bind("127.0.0.1:0").unwrap();
+        for f in 0..N {
+            let pinger = Pinger {
+                flow: f,
+                payload: vec![f as u8, 1, 2],
+                reply: None,
+            };
+            client.add_connection(server_addr, vec![f], pinger).unwrap();
+        }
+        assert_eq!(client.stats().send_calls, 0, "framing sends nothing");
+        client.step().unwrap();
+        let st = client.stats();
+        // Other targets send the run frame by frame, inside the shim.
+        let calls = if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
+            1
+        } else {
+            u64::from(N)
+        };
+        assert_eq!((st.send_calls, st.datagrams_sent), (calls, u64::from(N)));
+        let t0 = std::time::Instant::now();
+        while server.stats().datagrams_received < u64::from(N)
+            && t0.elapsed() < Duration::from_secs(5)
+        {
+            server.drive_once(Duration::from_millis(5)).unwrap();
+        }
+        let st = server.stats();
+        assert_eq!((st.datagrams_received, st.conns_accepted), (8, 8));
+        assert_eq!(st.datagrams_rejected + st.datagrams_unroutable, 0);
+    }
+
+    fn tx(port: u16, len: usize) -> TxFrame {
+        TxFrame {
+            conn: ConnId(0),
+            peer: SocketAddr::from(([127, 0, 0, 1], port)),
+            len,
+        }
+    }
+
+    /// The run lengths the flush cuts `frames` into.
+    fn runs(mut frames: &[TxFrame]) -> Vec<usize> {
+        let mut out = Vec::new();
+        while !frames.is_empty() {
+            let n = run_len(frames);
+            out.push(n);
+            frames = &frames[n..];
+        }
+        out
+    }
+
+    #[test]
+    fn runs_split_on_peer_length_and_caps() {
+        assert_eq!(run_len(&[]), 0);
+        // A shorter frame ends a run; a longer one or another peer starts
+        // the next.
+        let mixed = [
+            tx(1, 100),
+            tx(1, 100),
+            tx(1, 40),
+            tx(1, 100),
+            tx(2, 100),
+            tx(2, 100),
+            tx(1, 100),
+            tx(1, 120),
+            tx(1, 100),
+        ];
+        assert_eq!(runs(&mixed), vec![3, 1, 2, 1, 2]);
+        // At most 64 segments per send.
+        assert_eq!(runs(&vec![tx(1, 100); 130]), vec![64, 64, 2]);
+        // At most 65 507 bytes per send: 32 frames of 2000 B.
+        assert_eq!(runs(&vec![tx(1, 2000); 40]), vec![32, 8]);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 #     const|static|type|mod|use` in crates/*/src and src (pub(crate) and
 #     other restricted visibilities do not count);
 #   * panic sites per runtime crate: non-comment lines before a file's
-#     first `#[cfg(test)]` (or `#![cfg(test)]`) that call `unwrap()` or `expect(`, or use
-#     `assert!`, `assert_eq!`, `assert_ne!`, `panic!` or `unreachable!`
-#     (`debug_assert*!` excluded).
+#     first `cfg` attribute that names `test` (`#[cfg(test)]`,
+#     `#[cfg(all(test, …))]`, `#![cfg(test)]`) that call `unwrap()` or
+#     `expect(`, or use `assert!`, `assert_eq!`, `assert_ne!`, `panic!` or
+#     `unreachable!` (`debug_assert*!` and compile-time
+#     `const _: () = assert!(…)` checks excluded).
 #
 # Usage: scripts/size.sh   (from anywhere; reads the working tree)
 set -euo pipefail
@@ -22,12 +24,13 @@ echo "net Rust LoC: $loc"
 echo "public-item declarations: $pub_items"
 
 panic_re='unwrap\(\)|expect\(|(^|[^_[:alnum:]])(assert|assert_eq|assert_ne|panic|unreachable)!'
-echo "panic sites (before #[cfg(test)]):"
+echo "panic sites (before the test module):"
 for krate in core io simnet tfrc cc sack; do
     n=0
     while IFS= read -r -d '' f; do
-        k=$(awk '/^[[:space:]]*#!?\[cfg\(test\)\]/ { exit } { print }' "$f" |
-            grep -vE '^[[:space:]]*//' | grep -cE "$panic_re" || true)
+        k=$(awk '/^[[:space:]]*#!?\[cfg\((.*[^_[:alnum:]])?test([^_[:alnum:]]|$)/ { exit } { print }' "$f" |
+            grep -vE '^[[:space:]]*//|^[[:space:]]*const _: \(\) = assert!' |
+            grep -cE "$panic_re" || true)
         n=$((n + k))
     done < <(find "crates/$krate/src" -name '*.rs' -print0)
     echo "  $krate $n"
