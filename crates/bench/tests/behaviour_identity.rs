@@ -1,5 +1,5 @@
-//! Nothing moved: the fixed-seed goldens and the A, C, F and H groups of
-//! the claims ledger regenerate byte for byte from the code.
+//! Nothing moved: the fixed-seed goldens and the A, C, E, F and H groups
+//! of the claims ledger regenerate byte for byte from the code.
 //!
 //! Every golden scenario runs through its binary with exactly the
 //! arguments `crates/bench/golden/README.md` regenerates it with, and its
@@ -8,8 +8,9 @@
 //! `BENCH_simnet.json`. Each ledger group is regenerated in-process: every
 //! table's JSON must equal its object in the committed `experiments.json`,
 //! and every claim assertion whose left operand lies in the group must
-//! hold. Group E (about 30 s in a debug build) is left to the full
-//! `expt --check`.
+//! hold. Group E, the paper's own experiments, is the slowest (about 35 s
+//! unoptimised); the root manifest's `opt-level = 1` for test builds
+//! brings it within a few seconds.
 //!
 //! A mismatch names the golden file or table id and shows the first
 //! differing line with three lines of context. There is no switch that
@@ -292,6 +293,11 @@ fn ledger_a_app_scenarios() {
 #[test]
 fn ledger_c_controller_races() {
     ledger_group("c");
+}
+
+#[test]
+fn ledger_e_paper_experiments() {
+    ledger_group("e");
 }
 
 #[test]

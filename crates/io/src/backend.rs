@@ -148,7 +148,11 @@ impl Backend for MuxBackend {
                 if completion[i].is_some() {
                     continue;
                 }
-                let tx = c.endpoint(*id).expect("client conn is live");
+                // A connection gone from the mux never completes, and
+                // holds nothing up.
+                let Some(tx) = c.endpoint(*id) else {
+                    continue;
+                };
                 if tx_complete(plan, tx) {
                     completion[i] = Some(start.elapsed().as_secs_f64());
                 } else {
@@ -164,18 +168,26 @@ impl Backend for MuxBackend {
             server: server.stats(),
         });
         let horizon_s = self.deadline.as_secs_f64();
-        Ok(plans
+        plans
             .iter()
             .zip(&conns)
             .enumerate()
             .map(|(i, (plan, id))| {
-                let tx = client.endpoint(*id).expect("client conn is live");
+                let tx = client.endpoint(*id).ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::NotFound, format!("client {id} is gone"))
+                })?;
                 let rx = server
                     .route(client_addr, 2 * i as u32)
                     .and_then(|rid| server.endpoint(rid));
-                outcome(plan.display_label(i), completion[i], horizon_s, tx, rx)
+                Ok(outcome(
+                    plan.display_label(i),
+                    completion[i],
+                    horizon_s,
+                    tx,
+                    rx,
+                ))
             })
-            .collect())
+            .collect()
     }
 }
 

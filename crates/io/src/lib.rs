@@ -28,12 +28,15 @@
 //!   binding that runs `ConnectionPlan`s over one loopback socket pair.
 //!
 //! Zero runtime dependencies beyond `std`, by workspace policy. The
-//! crate's two foreign calls therefore live in one private in-tree module
+//! crate's four foreign calls therefore live in one private in-tree module
 //! (`wait`) rather than behind a `libc`/`mio` dependency: `ppoll(2)` for the
-//! readiness wait, and `sendmsg(2)` with `UDP_SEGMENT` for the mux's
-//! batched sends. Their argument layouts are pinned by compile-time size
-//! assertions. Targets other than 64-bit Linux sleep, and send frame by
-//! frame, inside the same functions instead.
+//! readiness wait, `sendmsg(2)` with `UDP_SEGMENT` for the mux's batched
+//! sends, and `recvmsg(2)` plus `setsockopt(2)` of `UDP_GRO` for its
+//! batched receives, one receive per peer's run once its first bulk burst
+//! has turned GRO on. Their argument layouts are pinned by compile-time
+//! size assertions. Targets other than 64-bit Linux sleep, send frame by
+//! frame and receive datagram by datagram, inside the same functions
+//! instead.
 //!
 //! ## Example
 //!

@@ -11,7 +11,7 @@
 //!         flush the tx arena              // WouldBlock retries
 //!         advance timer wheel, fire due   // endpoint.on_timer per conn
 //!         while socket ready (level-trig.):   // set_nonblocking(true)
-//!             recv; decode frame
+//!             recv a datagram or a peer's GRO run; split by segment size
 //!             route (peer, frame.flow) -> conn, else acceptor -> new conn
 //!             endpoint.handle_datagram; drain outbox into the tx arena
 //!         flush the step's frames, one send per run
@@ -44,6 +44,14 @@
 //!   whose pace timers fire in one step cost one send, not sixteen. After
 //!   a `WouldBlock` the unsent tail simply stays in the arena for the next
 //!   flush, so the datagram stream never reorders.
+//! * **Batched receives** — at the end of the mux's first step that
+//!   drains a burst (≥ 8 datagrams, once ≥ 256 have arrived) the socket
+//!   turns UDP GRO on, for the mux's life. From then on the kernel keeps
+//!   each arriving GSO run whole: one receive returns a peer's run, and
+//!   the drain cuts it by its segment size into frames, each routed as a
+//!   lone datagram would be. The switch costs tens of microseconds once,
+//!   so it waits for bulk traffic: a chat mux never pays it, and a bulk
+//!   one pays it after its handshakes.
 //! * **Timers** — a [`TimerWheel`] holds every armed wakeup, tagged by
 //!   connection so teardown can purge them. The wheel keeps the
 //!   simulator's fire-and-forget contract: it never cancels an entry on
@@ -71,7 +79,7 @@ use std::time::Duration;
 
 use crate::clock::WallClock;
 use crate::frame::{Frame, FrameRef, MAX_FRAME_LEN};
-use crate::wait::{send_run, wait};
+use crate::wait::{enable_gro, recv_segments, send_run, wait};
 
 /// Identifier of one multiplexed connection, unique for the lifetime of a
 /// [`MuxDriver`] (ids are never reused after [`MuxDriver::close`]).
@@ -301,10 +309,29 @@ impl TimerWheel {
 const TIMER_GRANULARITY: Duration = Duration::from_millis(1);
 
 /// Most datagrams dispatched per [`MuxDriver::drive_once`] call before
-/// yielding back to the timer path (level-triggered fairness bound).
+/// yielding back to the timer path (level-triggered fairness bound). The
+/// drain stops at the receive that reaches it, so a GRO run can carry it
+/// past by less than one run.
 const RECV_BATCH: usize = 256;
 
-/// Most frames one send carries (the kernel's `UDP_MAX_SEGMENTS`).
+/// A step whose drain takes at least this many datagrams is a bulk burst,
+/// which a chat exchange never makes: the first one after [`GRO_AFTER`]
+/// datagrams turns UDP GRO on.
+const GRO_BURST: usize = 8;
+
+/// Datagrams a mux receives before a bulk burst may turn GRO on. A
+/// 16-connection accept burst trips [`GRO_BURST`] alone, and the switch's
+/// one-off cost (`wait::enable_gro`) belongs mid-transfer, not in
+/// connection setup.
+const GRO_AFTER: u64 = 256;
+
+/// `recv_buf`'s length once GRO is on: any UDP payload, so no run is cut
+/// short. Until then it holds one frame and one byte more.
+const GRO_RECV_LEN: usize = 65_536;
+
+/// Most frames one send carries. A 6.18 kernel takes 128 per GSO send
+/// (`UDP_MAX_SEGMENTS`); 64 is kept because kernels from before that limit
+/// was raised refuse more, which sends the run again frame by frame.
 const MAX_RUN_SEGMENTS: usize = 64;
 
 /// Most bytes one send carries: the largest UDP payload over IPv4.
@@ -358,11 +385,18 @@ pub struct MuxStats {
     /// call carries a whole run of frames ([`MuxDriver`]'s batched sends).
     pub send_calls: u64,
     /// Socket receive calls made, including each drain's last, which
-    /// finds the socket empty.
+    /// finds the socket empty. Once GRO is on, one call can return a
+    /// peer's whole run of datagrams.
     pub recv_calls: u64,
     /// Frames received and routed to a connection.
     pub datagrams_received: u64,
-    /// Datagrams dropped because they don't decode as frames.
+    /// Datagrams that arrived as segments of a coalesced (GRO) receive,
+    /// routed or not. Against [`MuxStats::recv_calls`] it shows how much
+    /// the kernel coalesced; it stays 0 until the mux's first bulk burst
+    /// turns GRO on.
+    pub gro_datagrams: u64,
+    /// Datagrams dropped because they don't decode as frames, or were
+    /// longer than the receive buffer.
     pub datagrams_rejected: u64,
     /// Valid frames with no route and no (or a declining) acceptor.
     pub datagrams_unroutable: u64,
@@ -451,7 +485,11 @@ pub struct MuxDriver<E: Endpoint> {
     tx_frames: Vec<TxFrame>,
     /// Leading `tx_frames` already counted in `sends_requeued`.
     tx_deferred: usize,
+    /// What the drain reads into: one frame (and a byte to spot a longer
+    /// datagram) until GRO goes on, then [`GRO_RECV_LEN`].
     recv_buf: Vec<u8>,
+    /// Whether the socket has been asked for GRO; it is asked at most once.
+    gro: bool,
     /// Scratch for the timers one `fire_due_timers` call delivers.
     fired: Vec<(SimTime, ConnId, u64)>,
     stats: MuxStats,
@@ -482,6 +520,7 @@ impl<E: Endpoint> MuxDriver<E> {
             tx_frames: Vec::new(),
             tx_deferred: 0,
             recv_buf: vec![0; MAX_FRAME_LEN + 1],
+            gro: false,
             fired: Vec::new(),
             stats: MuxStats::default(),
         })
@@ -647,9 +686,10 @@ impl<E: Endpoint> MuxDriver<E> {
 
     /// The non-blocking part of an iteration: retry deferred sends, fire
     /// due timers, drain the socket level-triggered (up to the batch
-    /// bound), then send every frame that emitted. Returns the datagrams
-    /// dispatched to endpoints, and whether the iteration was idle (nothing
-    /// received, no timer fired).
+    /// bound), then send every frame that emitted, and turn GRO on at the
+    /// mux's first bulk burst. Returns the datagrams dispatched to
+    /// endpoints, and whether the iteration was idle (nothing received, no
+    /// timer fired).
     fn step(&mut self) -> io::Result<(usize, bool)> {
         self.flush_tx()?;
         let fired = self.fire_due_timers()?;
@@ -660,24 +700,48 @@ impl<E: Endpoint> MuxDriver<E> {
         self.recv_buf = buf;
         let (handled, received) = drained?;
         self.flush_tx()?;
+        if !self.gro && received >= GRO_BURST && self.stats.datagrams_received >= GRO_AFTER {
+            self.gro = true;
+            // Grown here, back in its field: the drain reads into it.
+            if enable_gro(&self.socket)? {
+                self.recv_buf.resize(GRO_RECV_LEN, 0);
+            }
+        }
         Ok((handled, received == 0 && fired == 0))
     }
 
     /// Receive and dispatch until the socket is empty or the batch bound is
-    /// reached. Returns datagrams dispatched to endpoints, and received.
+    /// reached, splitting each GRO run into its frames. Returns datagrams
+    /// dispatched to endpoints, and received.
     fn drain_socket(&mut self, buf: &mut [u8]) -> io::Result<(usize, usize)> {
         let mut handled = 0usize;
         let mut received = 0usize;
+        // `RECV_BATCH` bounds the calls too, whatever they return.
         for _ in 0..RECV_BATCH {
-            self.stats.recv_calls += 1;
-            match self.socket.recv_from(buf) {
-                Ok((n, from)) => {
-                    received += 1;
-                    if self.handle_datagram_from(from, &buf[..n])? {
-                        handled += 1;
+            if received >= RECV_BATCH {
+                break;
+            }
+            match recv_segments(&self.socket, buf, &mut self.stats.recv_calls) {
+                Ok((len, from, seg)) => {
+                    if len > seg {
+                        self.stats.gro_datagrams += len.div_ceil(seg) as u64;
+                    }
+                    let run = &buf[..len];
+                    // An empty datagram is still one (rejected) frame.
+                    let frames = run.chunks(seg.max(1)).chain(run.is_empty().then_some(run));
+                    for frame in frames {
+                        received += 1;
+                        if self.handle_datagram_from(from, frame)? {
+                            handled += 1;
+                        }
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                // Longer than `buf`: clipped by the kernel, never parsed.
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    received += 1;
+                    self.stats.datagrams_rejected += 1;
+                }
                 // Soft per-datagram failures on UDP (ICMP port-unreachable
                 // reflected onto the socket): never loop-fatal, the armed
                 // protocol timers handle recovery.
@@ -1278,6 +1342,59 @@ mod tests {
         let st = server.stats();
         assert_eq!((st.datagrams_received, st.conns_accepted), (8, 8));
         assert_eq!(st.datagrams_rejected + st.datagrams_unroutable, 0);
+        assert_eq!(st.gro_datagrams, 0, "an accept burst leaves GRO off");
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn gro_goes_on_at_the_first_burst_after_256_datagrams() {
+        const BURST: u64 = 16;
+        let mut mux: MuxDriver<Echo> = MuxDriver::bind("127.0.0.1:0").unwrap();
+        let got = Rc::new(RefCell::new(0u64));
+        let got2 = got.clone();
+        mux.set_acceptor(move |_, frame| {
+            Some(Accepted {
+                endpoint: Echo {
+                    reply_flow: frame.flow,
+                    got: got2.clone(),
+                },
+                flows: vec![frame.flow],
+            })
+        });
+        let to = mux.local_addr().unwrap();
+        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        // Longer than any frame: cut short by the kernel, never parsed.
+        peer.send_to(&[0; MAX_FRAME_LEN + 100], to).unwrap();
+        let mut sent = 0;
+        for burst in 0..32u8 {
+            // 16 frames of 221 B: a run longer than a pre-GRO `recv_buf`.
+            let mut run = Vec::new();
+            for seq in sent..sent + BURST {
+                let frame = Frame {
+                    flow: 1,
+                    seq,
+                    wire_size: 1200,
+                    header: vec![burst; 200],
+                };
+                run.extend(frame.encode().unwrap());
+            }
+            let seg = run.len() / BURST as usize;
+            assert_eq!(send_run(&peer, to, &run, seg, &mut 0).unwrap(), 16);
+            sent += BURST;
+            while mux.stats().datagrams_received < sent {
+                let ready = wait([(&mux.socket, false)], Duration::from_secs(5)).unwrap();
+                assert!(ready, "burst {burst} arrives");
+                mux.step().unwrap();
+            }
+            if sent <= GRO_AFTER {
+                assert_eq!(mux.stats().gro_datagrams, 0, "GRO off through {sent}");
+            }
+        }
+        let st = mux.stats();
+        assert!(st.gro_datagrams > 0, "{st:?}");
+        assert!(st.recv_calls < st.datagrams_received, "{st:?}");
+        assert_eq!((st.datagrams_received, *got.borrow()), (sent, sent));
+        assert_eq!((st.datagrams_rejected, st.datagrams_unroutable), (1, 0));
     }
 
     fn tx(port: u16, len: usize) -> TxFrame {
