@@ -4,13 +4,12 @@
 //! appscen                  # A1–A3 at the fixed seeds, markdown on stdout
 //! appscen --sweep          # deadline-miss rate vs loss (nightly artifact)
 //! appscen --hostile-sweep  # QTPAF goodput, reorder-jitter × RTT grid
-//! appscen --mux            # replay A1/A2 over real loopback sockets
 //! ```
 //!
-//! The default mode is a pure function of the code — CI diffs its output
-//! against `crates/bench/golden/appscen.md`, so any change to the stream
-//! data plane that shifts an application-visible number shows up as a
-//! golden diff in review rather than as silent drift.
+//! The default mode is a pure function of the code — `cargo test` diffs
+//! its output against `crates/bench/golden/appscen.md`, so any change to
+//! the stream data plane that shifts an application-visible number shows
+//! up as a golden diff in review rather than as silent drift.
 
 use std::process::ExitCode;
 
@@ -28,7 +27,7 @@ const SWEEP_ONE_WAYS_MS: [u64; 3] = [20, 150, 300];
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: appscen [--sweep | --hostile-sweep | --mux]");
+        eprintln!("usage: appscen [--sweep | --hostile-sweep]");
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--sweep") {
@@ -41,18 +40,6 @@ fn main() -> ExitCode {
             hostile::hostile_sweep(&SWEEP_JITTERS_MS, &SWEEP_ONE_WAYS_MS).to_markdown()
         );
         return ExitCode::SUCCESS;
-    }
-    if args.iter().any(|a| a == "--mux") {
-        return match scenarios::scenarios_mux() {
-            Ok(t) => {
-                print!("{}", t.to_markdown());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("mux replay failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
     }
     for table in [scenarios::a1(), scenarios::a2(), scenarios::a3()] {
         print!("{}", table.to_markdown());

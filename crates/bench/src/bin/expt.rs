@@ -7,7 +7,6 @@
 //! expt --json all           # also dump machine-readable JSON to stdout
 //! expt --report             # full ledger → EXPERIMENTS.md + experiments.json
 //! expt --report --out DIR   # write the artifacts elsewhere
-//! expt --report --mux       # append the real-socket sweep (informational)
 //! expt --check              # re-run, diff vs committed baseline, exit ≠ 0
 //! expt --check --baseline D # read the baseline from another directory
 //! expt --check --only h     # re-run + gate only one table group (H1–H5)
@@ -31,13 +30,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: expt [ids|all] [--json] | expt --report [--out DIR] [--mux] | expt --check [--baseline DIR] [--only PREFIX]"
+            "usage: expt [ids|all] [--json] | expt --report [--out DIR] | expt --check [--baseline DIR] [--only PREFIX]"
         );
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--report") {
         return match dir_flag(&args, "--out") {
-            Ok(out) => report(out, args.iter().any(|a| a == "--mux")),
+            Ok(out) => report(out),
             Err(e) => usage_error(&e),
         };
     }
@@ -125,30 +124,11 @@ fn run_selected(args: &[String]) -> ExitCode {
 }
 
 /// `--report`: run the full ledger and write the committed artifact pair.
-fn report(out: PathBuf, with_mux: bool) -> ExitCode {
+fn report(out: PathBuf) -> ExitCode {
     let t0 = Instant::now();
     eprintln!("running the full claims ledger (12 experiments + app scenarios + fairness sweep)…");
     let ledger_run = ledger::run_full();
-    let mut extras = Vec::new();
-    if with_mux {
-        eprintln!("running the real-socket mux sweep (informational)…");
-        match ledger::fairness_sweep_mux(&ledger::MUX_SWEEP_NS) {
-            Ok(t) => extras.push(t),
-            Err(e) => {
-                eprintln!("mux sweep failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        eprintln!("replaying app scenarios over the mux (informational)…");
-        match qtp_bench::scenarios::scenarios_mux() {
-            Ok(t) => extras.push(t),
-            Err(e) => {
-                eprintln!("mux scenario replay failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let md = ledger::render_markdown(&ledger_run, &extras);
+    let md = ledger::render_markdown(&ledger_run);
     let json = ledger::render_json(&ledger_run);
     if let Err(e) = std::fs::create_dir_all(&out)
         .and_then(|()| std::fs::write(out.join("EXPERIMENTS.md"), md))

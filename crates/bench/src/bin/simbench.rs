@@ -9,10 +9,10 @@
 //! without ever gating on machine speed:
 //!
 //! ```text
-//! simbench --out BENCH_simnet.json                   # full sweep, rewrite the file
-//! simbench --points 1000,10000 --out /tmp/b.json     # subset sweep
-//! simbench --check BENCH_simnet.json --points 1000,10000   # CI gate
-//! simbench --check BENCH_simnet.json --out fresh.json      # one sweep: gate + artifact
+//! simbench --out BENCH_simnet.json                     # full sweep, rewrite the file
+//! simbench --points 1000,10000 --out /tmp/b.json       # subset sweep
+//! simbench --check BENCH_simnet.json --points 10000    # CI gate (10^3: cargo test)
+//! simbench --check BENCH_simnet.json --out fresh.json  # one sweep: gate + artifact
 //! ```
 //!
 //! `--check` and `--out` compose: the sweep runs once, the deterministic

@@ -12,30 +12,26 @@
 //! scale by the many-flow fairness sweep (F1, Jain index vs N). This
 //! module turns those runs into a **committed artifact pair** —
 //! `EXPERIMENTS.md` (human) and `experiments.json` (machine baseline) —
-//! and a gate: `expt --check` re-runs everything, compares every gated
-//! metric against the committed baseline under its [`Tolerance`], and
-//! re-evaluates the [ordering assertions](assertions) that encode the
-//! claims themselves ("QTPAF goodput ≥ TFRC goodput", …). Any violation
-//! is a non-zero exit, which is what makes behavioural drift visible in
-//! CI instead of silent.
+//! and a gate: `cargo test` (qtp-bench's `behaviour_identity` suite)
+//! regenerates every group in-process and holds both files byte for byte,
+//! and re-evaluates the [ordering assertions](assertions) that encode the
+//! claims themselves ("QTPAF goodput ≥ TFRC goodput", …). `expt --check`
+//! is the developer's view of the same run: it compares every gated
+//! metric against the committed baseline under its [`Tolerance`], so a
+//! drift is classified as within or beyond what the claim allows.
 //!
 //! Everything gated is produced by the deterministic simulator at fixed
 //! seeds, so the committed artifacts are byte-identical across runs of
-//! the same code. The real-socket mux backend is wall-clock timed and
-//! therefore reported as informational only (nightly artifacts, never
-//! gated, never committed).
+//! the same code. Real-socket numbers are wall-clock and live in qtpperf
+//! (`benchmark/`), not here.
 
 use crate::json::{self, Value};
-use crate::manyflow::{run_mux_loopback, run_sim, ManyFlowConfig};
-use crate::table::{mbps, MetricValue, Table, Tolerance};
+use crate::manyflow::{run_sim, ManyFlowConfig};
+use crate::table::{MetricValue, Table, Tolerance};
 use std::fmt::Write as _;
 
 /// Flow counts of the committed fairness sweep.
 pub const SWEEP_NS: [usize; 4] = [4, 64, 256, 1000];
-
-/// Flow counts of the informational real-socket (mux) sweep. Kept small:
-/// loopback wall-clock runs, feasible in a CI job but pointless to gate.
-pub const MUX_SWEEP_NS: [usize; 2] = [4, 64];
 
 /// The full deterministic ledger: all twelve experiments plus the
 /// fairness sweep at [`SWEEP_NS`].
@@ -221,45 +217,6 @@ pub fn fairness_sweep_sim(ns: &[usize]) -> Table {
         "{completion_text} and the mixed-profile Jain index never drops below {worst_jain:.4}; the QTPAF floor (fair share) {floor_text}."
     );
     t
-}
-
-/// F2 — the same sweep over the real-socket connection mux on loopback.
-/// Wall-clock timed, hence informational: metrics carry
-/// [`Tolerance::Info`] and the table is only included in nightly
-/// artifacts, never in the committed baseline.
-pub fn fairness_sweep_mux(ns: &[usize]) -> std::io::Result<Table> {
-    let mut t = Table::new(
-        "F2",
-        "Many-flow fairness sweep (mux): one UDP socket pair, loopback",
-        "the same N-flow mixed-profile workload carried by the real-socket connection multiplexer (informational: wall-clock, not gated)",
-        &["N", "jain", "completed", "mean goodput (Mbit/s)", "wall (s)"],
-    );
-    for &n in ns {
-        let cfg = ManyFlowConfig::new(n);
-        let t0 = std::time::Instant::now();
-        let report = run_mux_loopback(&cfg)?;
-        let wall_s = t0.elapsed().as_secs_f64();
-        t.row(vec![
-            n.to_string(),
-            format!("{:.4}", report.jain),
-            format!("{}/{}", report.completed, n),
-            mbps(report.mean_goodput_bps()),
-            format!("{wall_s:.2}"),
-        ]);
-        t.metric(&format!("jain_n{n}"), report.jain, "index", Tolerance::Info);
-        t.metric(
-            &format!("completed_n{n}"),
-            report.completed,
-            "flows",
-            Tolerance::Info,
-        );
-        // Nightly extracts these rows into a wall-clock trend artifact;
-        // wall-clock is machine-dependent and never gated.
-        t.metric(&format!("wall_s_n{n}"), wall_s, "s", Tolerance::Info);
-    }
-    t.verdict =
-        "the mux backend carries every sweep point to completion over one socket pair.".into();
-    Ok(t)
 }
 
 /// Comparison operator of an ordering assertion.
@@ -738,11 +695,10 @@ pub fn evaluate_assertions(ledger: &Ledger, checks: &[OrderingCheck]) -> Vec<Ass
         .collect()
 }
 
-/// Render the committed `EXPERIMENTS.md` for a ledger (plus any
-/// informational extra tables, e.g. the mux sweep in nightly artifacts).
-/// Pure function of the tables — no timestamps, no environment — so the
-/// output is byte-identical whenever the measurements are.
-pub fn render_markdown(ledger: &Ledger, extras: &[Table]) -> String {
+/// Render the committed `EXPERIMENTS.md` for a ledger. Pure function of
+/// the tables — no timestamps, no environment — so the output is
+/// byte-identical whenever the measurements are.
+pub fn render_markdown(ledger: &Ledger) -> String {
     let mut out = String::new();
     out.push_str("# QTP claims ledger\n\n");
     out.push_str(
@@ -762,9 +718,6 @@ pub fn render_markdown(ledger: &Ledger, extras: &[Table]) -> String {
     );
     out.push_str("## Experiments\n\n");
     for t in &ledger.tables {
-        out.push_str(&t.to_markdown());
-    }
-    for t in extras {
         out.push_str(&t.to_markdown());
     }
     out.push_str("## Claim assertions\n\n");

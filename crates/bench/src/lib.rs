@@ -13,14 +13,20 @@
 //! ```
 //!
 //! The [`ledger`] module turns the full run into the committed claims
-//! ledger — `EXPERIMENTS.md` + `experiments.json` — and the regression
-//! gate behind `expt --check`: every headline number is a typed
-//! [`table::Metric`] with a drift [`table::Tolerance`], and every claim
-//! is an ordering assertion re-evaluated on each run.
+//! ledger — `EXPERIMENTS.md` + `experiments.json`, written by `expt
+//! --report` — in which every headline number is a typed
+//! [`table::Metric`] with a drift [`table::Tolerance`] and every claim is
+//! an ordering assertion re-evaluated on each run. `cargo test` (the
+//! `behaviour_identity` suite) regenerates both files byte for byte;
+//! `expt --check` reports drift against them under the tolerances.
 //!
-//! Criterion micro-benchmarks (`cargo bench`) price the individual
-//! mechanisms (equation, loss history, SACK structures, RIO, wire codecs)
-//! and cross-check the E5 operation-count ledger against real CPU time.
+//! Criterion micro-benchmarks (`cargo bench`) price the simulator (a
+//! dumbbell's event loop, RIO and drop-tail queues, the token-bucket
+//! marker, the Gilbert–Elliott draw), the trace plane (emit with no sink,
+//! a null sink and the flight recorder; a counters snapshot) and each
+//! congestion controller's feedback step; CI gates their medians against
+//! `BENCH_criterion.json`. Per-packet costs over real sockets are
+//! measured by qtpperf (`benchmark/`).
 
 #![deny(missing_docs)]
 

@@ -22,8 +22,7 @@
 //! (A3 takes a [`DeadlineParams`] so the nightly [`deadline_sweep`] can vary
 //! the loss rate); fixed seeds make each table a pure
 //! function of the code, so A1–A3 are gated in the claims ledger alongside
-//! E1–E12. [`scenarios_mux`] replays A1/A2 over real loopback sockets
-//! through the connection mux (wall-clock, informational).
+//! E1–E12.
 
 use qtp_core::session::{
     attach_pair, attach_pairs, ConnectionPlan, PairHandles, Profile, Reliability,
@@ -641,157 +640,6 @@ pub fn deadline_sweep(losses: &[f64]) -> Table {
     }
     t.verdict = "partial ≤ full at every loss rate".into();
     t
-}
-
-// ---------------------------------------------------------------------------
-// Mux replay (real sockets, informational)
-// ---------------------------------------------------------------------------
-
-/// Replay A1 (bulk) and A2 (chat) over real loopback sockets through the
-/// connection mux: the client registers its connections, the server side
-/// materialises sessions from a plan template via
-/// [`accept_sessions`](qtp_io::accept_sessions). Loopback has no loss and
-/// wall-clock timing, so every metric is informational — the value is the
-/// end-to-end path: stream → mux framing → UDP → accept → stream.
-pub fn scenarios_mux() -> std::io::Result<Table> {
-    use qtp_core::session::Session;
-    use qtp_io::{accept_sessions, drive_mux_pair, step_mux_pair, MuxDriver};
-    use std::time::Instant;
-
-    let mut t = Table::new(
-        "A-MUX",
-        "App scenarios over the connection mux (real sockets, informational)",
-        "the same stream applications run unchanged over the multiplexed UDP driver with plan-template accept",
-        &["scenario", "result", "wall time"],
-    );
-
-    // --- bulk: 512 KiB byte-exact with wire close --------------------------
-    let file = pattern_bytes(512 * 1024, 3);
-    let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(200)))
-        .stream(StreamConfig::with_send_buf(256 * 1024));
-    let mut server: MuxDriver<Session> = MuxDriver::bind("127.0.0.1:0")?;
-    let accepts = accept_sessions(&mut server, plan.clone());
-    let server_addr = server.local_addr()?;
-    let mut client: MuxDriver<Session> = MuxDriver::bind("127.0.0.1:0")?;
-    let tx_sess = Session::sender(0, 0, &plan);
-    let send = tx_sess.send_stream().expect("stream plan");
-    let tx_id = client.add_connection(server_addr, vec![0, 1], tx_sess)?;
-
-    let t0 = Instant::now();
-    let mut offset = 0usize;
-    let mut received = Vec::with_capacity(file.len());
-    let mut recv: Option<RecvStream> = None;
-    let ok = drive_mux_pair(&mut client, &mut server, Duration::from_secs(60), |c, s| {
-        feed(&send, &file, &mut offset, 8 * 1024);
-        if offset == file.len() && !send.is_finished() {
-            send.finish();
-        }
-        if recv.is_none() {
-            if let Some(ev) = accepts.pop() {
-                let id = s.route(ev.peer, ev.data_flow).expect("accepted conn");
-                recv = s.endpoint(id).and_then(|sess| sess.recv_stream());
-            }
-        }
-        let Some(r) = &recv else { return false };
-        drain(r, &mut received);
-        r.is_finished() && c.endpoint(tx_id).is_some_and(|sess| sess.is_closed())
-    })?;
-    let bulk_wall = t0.elapsed().as_secs_f64();
-    let byte_exact = ok && received == file;
-    let bulk_mbps = received.len() as f64 * 8.0 / bulk_wall.max(1e-9) / 1e6;
-    t.row(vec![
-        "bulk 512 KiB".into(),
-        format!("byte-exact: {byte_exact}, {bulk_mbps:.0} Mbit/s"),
-        format!("{bulk_wall:.2} s"),
-    ]);
-    t.metric("bulk_byte_exact", byte_exact, "flag", Tolerance::Info);
-    t.metric("bulk_goodput_mbps", bulk_mbps, "Mbit/s", Tolerance::Info);
-
-    // --- chat: closed-loop request/response with template accept -----------
-    let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(2)))
-        .stream(StreamConfig::with_send_buf(64 * 1024));
-    let mut server: MuxDriver<Session> = MuxDriver::bind("127.0.0.1:0")?;
-    let srv_accepts = accept_sessions(&mut server, plan.clone());
-    let server_addr = server.local_addr()?;
-    let mut client: MuxDriver<Session> = MuxDriver::bind("127.0.0.1:0")?;
-    let cli_accepts = accept_sessions(&mut client, plan.clone());
-    let req_sess = Session::sender(0, 0, &plan);
-    let req_tx = req_sess.send_stream().expect("stream plan");
-    client.add_connection(server_addr, vec![0, 1], req_sess)?;
-
-    const EXCHANGES: usize = 50;
-    let request = pattern_bytes(200, 11);
-    let response = pattern_bytes(1000, 12);
-    let t0 = Instant::now();
-    let mut req_rx: Option<RecvStream> = None;
-    let mut rsp_tx: Option<SendStream> = None;
-    let mut rsp_rx: Option<RecvStream> = None;
-    let mut sent = 0usize;
-    let mut inflight: Option<Instant> = None;
-    let mut rts_ms: Vec<f64> = Vec::with_capacity(EXCHANGES);
-    // Manual drive loop: the server must `add_connection` (a `&mut`
-    // operation) mid-flight when it opens the response connection, which
-    // `drive_mux_pair`'s read-only closure cannot express.
-    let slice = Duration::from_micros(300);
-    while rts_ms.len() < EXCHANGES && t0.elapsed() < Duration::from_secs(60) {
-        step_mux_pair(&mut client, &mut server, slice)?;
-        // Server: accept the request connection, then open the response
-        // connection back to the client (who accepts it from the template).
-        if req_rx.is_none() {
-            if let Some(ev) = srv_accepts.pop() {
-                let id = server.route(ev.peer, ev.data_flow).expect("accepted conn");
-                req_rx = server.endpoint(id).and_then(|sess| sess.recv_stream());
-                let rsp_sess = Session::sender(2, 0, &plan);
-                rsp_tx = rsp_sess.send_stream();
-                server
-                    .add_connection(ev.peer, vec![2, 3], rsp_sess)
-                    .expect("response connection");
-            }
-        }
-        if rsp_rx.is_none() {
-            if let Some(ev) = cli_accepts.pop() {
-                let id = client.route(ev.peer, ev.data_flow).expect("accepted conn");
-                rsp_rx = client.endpoint(id).and_then(|sess| sess.recv_stream());
-            }
-        }
-        if let (Some(rx), Some(tx)) = (&req_rx, &rsp_tx) {
-            while rx.recv().is_some() {
-                tx.send(&response).expect("response fits");
-            }
-        }
-        if let Some(rx) = &rsp_rx {
-            while rx.recv().is_some() {
-                if let Some(at) = inflight.take() {
-                    rts_ms.push(at.elapsed().as_secs_f64() * 1e3);
-                }
-            }
-        }
-        if inflight.is_none() && sent < EXCHANGES {
-            req_tx.send(&request).expect("request fits");
-            inflight = Some(Instant::now());
-            sent += 1;
-        }
-    }
-    let chat_wall = t0.elapsed().as_secs_f64();
-    t.row(vec![
-        format!("chat {EXCHANGES} exchanges"),
-        format!(
-            "completed: {}, p50 {:.1} ms, p99 {:.1} ms",
-            rts_ms.len(),
-            agg::p50(&rts_ms),
-            agg::p99(&rts_ms),
-        ),
-        format!("{chat_wall:.2} s"),
-    ]);
-    t.metric("chat_completed", rts_ms.len(), "exchanges", Tolerance::Info);
-    t.metric("chat_p50_ms", agg::p50(&rts_ms), "ms", Tolerance::Info);
-    t.metric("chat_p99_ms", agg::p99(&rts_ms), "ms", Tolerance::Info);
-    let _ = ok;
-    t.verdict = format!(
-        "bulk byte-exact: {byte_exact}; chat {}/{EXCHANGES} exchanges — stream applications are backend-neutral down to the socket.",
-        rts_ms.len(),
-    );
-    Ok(t)
 }
 
 #[cfg(test)]

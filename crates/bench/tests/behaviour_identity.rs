@@ -1,23 +1,29 @@
-//! Nothing moved: the fixed-seed goldens and the A, C, E, F and H groups
-//! of the claims ledger regenerate byte for byte from the code.
+//! Nothing moved: the fixed-seed goldens and both claims-ledger files
+//! regenerate byte for byte from the code.
 //!
 //! Every golden scenario runs through its binary with exactly the
 //! arguments `crates/bench/golden/README.md` regenerates it with, and its
 //! stdout must equal the committed file. `simbench --check` holds the
 //! simulator's deterministic engine counters at 10^3 flows against
-//! `BENCH_simnet.json`. Each ledger group is regenerated in-process: every
-//! table's JSON must equal its object in the committed `experiments.json`,
-//! and every claim assertion whose left operand lies in the group must
-//! hold. Group E, the paper's own experiments, is the slowest (about 35 s
-//! unoptimised); the root manifest's `opt-level = 1` for test builds
-//! brings it within a few seconds.
+//! `BENCH_simnet.json`. Each ledger group (A, C, E, F, H) is regenerated
+//! in-process: every table's JSON must equal its object in the committed
+//! `experiments.json`, its markdown must equal its section of the
+//! committed `EXPERIMENTS.md`, and every claim assertion whose left
+//! operand lies in the group must hold. One more test renders the rest of
+//! both files (framing and claim assertions) from the committed metrics,
+//! so no experiment runs twice. Group E, the paper's own experiments, is
+//! the slowest (about 35 s unoptimised); the root manifest's
+//! `opt-level = 1` for test builds brings it within a few seconds.
 //!
-//! A mismatch names the golden file or table id and shows the first
-//! differing line with three lines of context. There is no switch that
-//! rewrites the committed files: an intended change regenerates them with
-//! the commands in the golden README and commits the diff.
+//! A mismatch names the golden file, table id or file part and shows the
+//! first differing line with three lines of context. There is no switch
+//! that rewrites the committed files: an intended change regenerates them
+//! with the commands in the golden README (the ledger with `expt
+//! --report`) and commits the diff.
 
+use qtp_bench::json;
 use qtp_bench::ledger;
+use qtp_bench::table::{Table, Tolerance};
 use std::process::Command;
 
 /// The workspace root: the committed ledger and simbench baseline live
@@ -85,25 +91,26 @@ fn assert_identical(what: &str, fresh: &str, committed: &str) {
     }
 }
 
-/// Run one of this package's binaries from the workspace root and return
-/// its stdout; a non-zero exit fails with both output streams.
-fn run(bin: &str, args: &[&str]) -> String {
+/// Run one of this package's binaries from the workspace root with the
+/// space-separated `args` and return its stdout; a non-zero exit fails
+/// with both output streams.
+fn run(bin: &str, args: &str) -> String {
     let out = Command::new(bin)
-        .args(args)
+        .args(args.split_whitespace())
         .current_dir(ROOT)
         .output()
         .unwrap_or_else(|e| panic!("cannot start {bin}: {e}"));
     let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
     assert!(
         out.status.success(),
-        "{bin} {args:?} exited with {}\nstdout:\n{stdout}\nstderr:\n{}",
+        "{bin} {args} exited with {}\nstdout:\n{stdout}\nstderr:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr),
     );
     stdout
 }
 
-fn golden(file: &str, bin: &str, args: &[&str]) {
+fn golden(file: &str, bin: &str, args: &str) {
     let path = format!("{GOLDEN}/{file}");
     let committed =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
@@ -115,20 +122,7 @@ fn golden_qtpsim_qtplight() {
     golden(
         "qtpsim-qtplight-seed42.txt",
         env!("CARGO_BIN_EXE_qtpsim"),
-        &[
-            "--protocol",
-            "qtplight",
-            "--rate-mbps",
-            "5",
-            "--rtt-ms",
-            "40",
-            "--loss",
-            "0.01",
-            "--secs",
-            "5",
-            "--seed",
-            "42",
-        ],
+        "--protocol qtplight --rate-mbps 5 --rtt-ms 40 --loss 0.01 --secs 5 --seed 42",
     );
 }
 
@@ -139,20 +133,7 @@ fn golden_qtpsim_qtplight_rtt8() {
     golden(
         "qtpsim-qtplight-rtt8-seed42.txt",
         env!("CARGO_BIN_EXE_qtpsim"),
-        &[
-            "--protocol",
-            "qtplight",
-            "--rate-mbps",
-            "5",
-            "--rtt-ms",
-            "8",
-            "--loss",
-            "0.01",
-            "--secs",
-            "5",
-            "--seed",
-            "42",
-        ],
+        "--protocol qtplight --rate-mbps 5 --rtt-ms 8 --loss 0.01 --secs 5 --seed 42",
     );
 }
 
@@ -161,53 +142,42 @@ fn golden_manyflow_1000() {
     golden(
         "manyflow-1000-seed42.txt",
         env!("CARGO_BIN_EXE_manyflow"),
-        &["--flows", "1000", "--seed", "42", "--per-flow"],
+        "--flows 1000 --seed 42 --per-flow",
     );
 }
 
 #[test]
 fn golden_appscen() {
-    golden("appscen.md", env!("CARGO_BIN_EXE_appscen"), &[]);
+    golden("appscen.md", env!("CARGO_BIN_EXE_appscen"), "");
 }
 
 /// The traced two-flow scenario the three `qtptrace` goldens share.
-const QTPTRACE: [&str; 8] = [
-    "--flows",
-    "2",
-    "--packets",
-    "40",
-    "--seed",
-    "42",
-    "--bottleneck",
-    "200",
-];
+const QTPTRACE: &str = "--flows 2 --packets 40 --seed 42 --bottleneck 200";
 
 #[test]
 fn golden_qtptrace() {
     golden(
         "qtptrace-seed42.txt",
         env!("CARGO_BIN_EXE_qtptrace"),
-        &QTPTRACE,
+        QTPTRACE,
     );
 }
 
 #[test]
 fn golden_qtptrace_hostile() {
-    let args = [&QTPTRACE[..], &["--reorder-ms", "30"]].concat();
     golden(
         "qtptrace-hostile-seed42.txt",
         env!("CARGO_BIN_EXE_qtptrace"),
-        &args,
+        &format!("{QTPTRACE} --reorder-ms 30"),
     );
 }
 
 #[test]
 fn golden_qtptrace_cc() {
-    let args = [&QTPTRACE[..], &["--profiles", "cubic,bbr-lite"]].concat();
     golden(
         "qtptrace-cc-seed42.txt",
         env!("CARGO_BIN_EXE_qtptrace"),
-        &args,
+        &format!("{QTPTRACE} --profiles cubic,bbr-lite"),
     );
 }
 
@@ -218,12 +188,30 @@ fn golden_qtptrace_cc() {
 fn simbench_engine_counters_at_1000_flows() {
     let out = run(
         env!("CARGO_BIN_EXE_simbench"),
-        &["--check", "BENCH_simnet.json", "--points", "1000"],
+        "--check BENCH_simnet.json --points 1000",
     );
     assert!(
         out.contains("all points match the committed baseline"),
         "{out}"
     );
+}
+
+/// The ledger groups, one test each; every committed table belongs to one.
+const GROUPS: [&str; 5] = ["a", "c", "e", "f", "h"];
+
+fn read_root(file: &str) -> String {
+    let path = format!("{ROOT}/{file}");
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+}
+
+/// The ids of the tables in the committed `experiments.json`, in order.
+fn committed_ids(doc: &str) -> Vec<&str> {
+    doc.match_indices("{\"id\": \"")
+        .map(|(i, key)| {
+            let id = &doc[i + key.len()..];
+            &id[..id.find('"').expect("quoted id")]
+        })
+        .collect()
 }
 
 /// The committed JSON object of table `id` inside `experiments.json`.
@@ -241,20 +229,29 @@ fn committed_table<'a>(doc: &'a str, id: &str) -> &'a str {
     &rest[..end]
 }
 
+/// The committed `EXPERIMENTS.md` section of table `id`: from its heading
+/// to the next heading (the next table's, or the claim assertions').
+fn committed_section<'a>(md: &'a str, id: &str) -> &'a str {
+    let start = md
+        .find(&format!("\n### {id} — "))
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no table {id}"))
+        + 1;
+    let len = md[start + 1..]
+        .find("\n#")
+        .map_or(md.len() - start, |i| i + 2);
+    &md[start..start + len]
+}
+
 /// Regenerate the ledger group `prefix`: each table must equal its
-/// committed object byte for byte, and each assertion on the group must
-/// hold.
+/// committed JSON object and its committed `EXPERIMENTS.md` section byte
+/// for byte, and each assertion on the group must hold.
 fn ledger_group(prefix: &str) {
-    let path = format!("{ROOT}/experiments.json");
-    let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let doc = read_root("experiments.json");
+    let md = read_root("EXPERIMENTS.md");
     let fresh = ledger::run_group(prefix);
     let fresh_ids: Vec<&str> = fresh.tables.iter().map(|t| t.id.as_str()).collect();
-    let committed_ids: Vec<&str> = doc
-        .match_indices("{\"id\": \"")
-        .map(|(i, key)| {
-            let id = &doc[i + key.len()..];
-            &id[..id.find('"').expect("quoted id")]
-        })
+    let committed_ids: Vec<&str> = committed_ids(&doc)
+        .into_iter()
         .filter(|id| id.to_lowercase().starts_with(prefix))
         .collect();
     assert_eq!(
@@ -266,6 +263,11 @@ fn ledger_group(prefix: &str) {
             &format!("experiments.json table {}", table.id),
             &table.to_json(),
             committed_table(&doc, &table.id),
+        );
+        assert_identical(
+            &format!("EXPERIMENTS.md table {}", table.id),
+            &table.to_markdown(),
+            committed_section(&md, &table.id),
         );
     }
     let checks: Vec<_> = ledger::assertions()
@@ -308,4 +310,75 @@ fn ledger_f_fairness_sweep() {
 #[test]
 fn ledger_h_hostile_paths() {
     ledger_group("h");
+}
+
+/// Hold the `committed` file's text before `open` and from `close` on
+/// against the `rendered` one's, and return the committed tables between.
+fn framing<'a>(file: &str, rendered: &str, committed: &'a str, open: &str, close: &str) -> &'a str {
+    let bounds = |text: &str| match (text.find(open), text.find(close)) {
+        (Some(start), Some(end)) => (start + open.len(), end),
+        _ => panic!("{file} lacks {open:?} or {close:?}"),
+    };
+    let ((rs, re), (cs, ce)) = (bounds(rendered), bounds(committed));
+    assert_identical(
+        &format!("{file} before the tables"),
+        &rendered[..rs],
+        &committed[..cs],
+    );
+    assert_identical(
+        &format!("{file} after the tables"),
+        &rendered[re..],
+        &committed[ce..],
+    );
+    &committed[cs..ce]
+}
+
+/// Everything in the two ledger files that is not a table: both files'
+/// framing and the claim assertions, rendered from the committed metrics
+/// (which the group tests prove equal to fresh ones, floats included:
+/// they are written with `{x}` and parse back exactly). The tables
+/// between the framing must be exactly the committed ones, in order, so
+/// together with the group tests every byte of both files is regenerated.
+#[test]
+fn ledger_framing_and_claim_assertions() {
+    let doc = read_root("experiments.json");
+    let md = read_root("EXPERIMENTS.md");
+    let ids = committed_ids(&doc);
+    let orphan = ids
+        .iter()
+        .find(|id| !GROUPS.iter().any(|g| id.to_lowercase().starts_with(g)));
+    assert_eq!(orphan, None, "a table belongs to no ledger group test");
+    let parsed = json::parse(&doc).expect("experiments.json parses");
+    let mut tables: Vec<Table> = Vec::new();
+    for (name, value) in ledger::baseline_metrics(&parsed).expect("committed metrics") {
+        let (id, metric) = name.split_once('.').expect("qualified metric name");
+        if tables.last().map(|t| t.id.as_str()) != Some(id) {
+            tables.push(Table::new(id, "", "", &[]));
+        }
+        let table = tables.last_mut().expect("just pushed");
+        table.metric(metric, value, "", Tolerance::Exact);
+    }
+    let committed = ledger::Ledger { tables };
+
+    let rendered = ledger::render_markdown(&committed);
+    let body = framing(
+        "EXPERIMENTS.md",
+        &rendered,
+        &md,
+        "## Experiments\n\n",
+        "## Claim assertions",
+    );
+    let sections: String = ids.iter().map(|id| committed_section(&md, id)).collect();
+    assert_identical("EXPERIMENTS.md table sections", &sections, body);
+
+    let rendered = ledger::render_json(&committed);
+    let body = framing(
+        "experiments.json",
+        &rendered,
+        &doc,
+        "\"tables\": [",
+        "],\n \"assertions\"",
+    );
+    let objects: Vec<&str> = ids.iter().map(|id| committed_table(&doc, id)).collect();
+    assert_identical("experiments.json tables", &objects.join(",\n "), body);
 }

@@ -1,13 +1,14 @@
 //! [`CongestionControl`] adapters over the existing machines: RFC 3448
-//! TFRC, gTFRC and the open-loop fixed rate.
+//! TFRC and the open-loop fixed rate (gTFRC, which adds its floor to the
+//! TFRC sender, is [`crate::gtfrc`]).
 //!
-//! The adapters are pure delegation — same calls, same order, same
+//! The TFRC adapter is pure delegation — same calls, same order, same
 //! [`qtp_metrics::CostMeter`](qtp_tfrc::TfrcSender) ticks — so swapping
 //! the transport sender from enum dispatch to this seam leaves every
 //! fixed-seed run byte-identical.
 
 use qtp_simnet::time::{Rate, SimTime};
-use qtp_tfrc::{GtfrcSender, SenderConfig, TfrcSender};
+use qtp_tfrc::{SenderConfig, TfrcSender};
 use std::time::Duration;
 
 use crate::{CcState, CongestionControl, FeedbackReport};
@@ -24,11 +25,6 @@ impl TfrcCc {
         TfrcCc {
             inner: TfrcSender::new(SenderConfig::new(s)),
         }
-    }
-
-    /// The wrapped RFC 3448 sender.
-    pub fn sender(&self) -> &TfrcSender {
-        &self.inner
     }
 }
 
@@ -74,71 +70,6 @@ impl CongestionControl for TfrcCc {
 
     fn name(&self) -> &'static str {
         "tfrc"
-    }
-}
-
-/// gTFRC (`X = max(g, X_tfrc)`) behind the trait seam.
-#[derive(Debug, Clone)]
-pub struct GtfrcCc {
-    inner: GtfrcSender,
-}
-
-impl GtfrcCc {
-    /// A gTFRC controller for segment size `s` with guaranteed floor `g`.
-    pub fn new(s: u32, target: Rate) -> Self {
-        GtfrcCc {
-            inner: GtfrcSender::new(SenderConfig::new(s), target),
-        }
-    }
-
-    /// The wrapped gTFRC sender.
-    pub fn sender(&self) -> &GtfrcSender {
-        &self.inner
-    }
-}
-
-impl CongestionControl for GtfrcCc {
-    fn seed_rtt(&mut self, now: SimTime, rtt: Duration) {
-        self.inner.seed_rtt(now, rtt);
-    }
-
-    fn on_feedback(&mut self, fb: &FeedbackReport) {
-        self.inner
-            .on_feedback(fb.now, fb.ts_echo, fb.t_delay, fb.x_recv, fb.p);
-    }
-
-    fn on_nofeedback_timer(&mut self, now: SimTime) {
-        self.inner.on_nofeedback_timer(now);
-    }
-
-    fn nofeedback_deadline(&self) -> SimTime {
-        self.inner.nofeedback_deadline()
-    }
-
-    fn allowed_rate(&self) -> f64 {
-        self.inner.allowed_rate()
-    }
-
-    fn send_interval(&self) -> Duration {
-        self.inner.send_interval()
-    }
-
-    fn rtt(&self) -> Option<Duration> {
-        self.inner.tfrc().rtt()
-    }
-
-    fn ops(&self) -> u64 {
-        self.inner.tfrc().meter.total()
-    }
-
-    fn state(&self) -> CcState {
-        CcState::RateBased {
-            x_bps: (self.inner.allowed_rate() * 8.0) as u64,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "gtfrc"
     }
 }
 
@@ -197,6 +128,7 @@ impl CongestionControl for FixedCc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GtfrcCc;
 
     #[test]
     fn tfrc_adapter_matches_the_raw_sender() {

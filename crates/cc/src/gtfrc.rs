@@ -19,77 +19,73 @@
 //! the unmodified TFRC equation.
 
 use qtp_simnet::time::{Rate, SimTime};
+use qtp_tfrc::{SenderConfig, TfrcSender};
 use std::time::Duration;
 
-use crate::sender::{SenderConfig, TfrcSender};
+use crate::{CcState, CongestionControl, FeedbackReport};
 
-/// A TFRC sender with a minimum guaranteed rate.
+/// gTFRC behind the trait seam: an RFC 3448 sender plus the floor `g`.
 #[derive(Debug, Clone)]
-pub struct GtfrcSender {
-    inner: TfrcSender,
+pub struct GtfrcCc {
+    tfrc: TfrcSender,
     /// The bandwidth negotiated with the AF service, bytes/second.
-    target_bytes_per_sec: f64,
+    g: f64,
 }
 
-impl GtfrcSender {
-    /// `target` is the rate negotiated with the network service (`g`).
-    pub fn new(cfg: SenderConfig, target: Rate) -> Self {
-        GtfrcSender {
-            inner: TfrcSender::new(cfg),
-            target_bytes_per_sec: target.bytes_per_sec(),
+impl GtfrcCc {
+    /// A gTFRC controller for segment size `s` with guaranteed floor `g`.
+    pub fn new(s: u32, target: Rate) -> Self {
+        GtfrcCc {
+            tfrc: TfrcSender::new(SenderConfig::new(s)),
+            g: target.bytes_per_sec(),
         }
     }
+}
 
-    /// The negotiated guarantee in bytes/second.
-    pub fn target(&self) -> f64 {
-        self.target_bytes_per_sec
+impl CongestionControl for GtfrcCc {
+    fn seed_rtt(&mut self, now: SimTime, rtt: Duration) {
+        self.tfrc.seed_rtt(now, rtt);
     }
 
-    /// Change the guarantee at runtime (renegotiation).
-    pub fn set_target(&mut self, target: Rate) {
-        self.target_bytes_per_sec = target.bytes_per_sec();
+    fn on_feedback(&mut self, fb: &FeedbackReport) {
+        self.tfrc
+            .on_feedback(fb.now, fb.ts_echo, fb.t_delay, fb.x_recv, fb.p);
     }
 
-    /// The underlying TFRC machine (for inspection).
-    pub fn tfrc(&self) -> &TfrcSender {
-        &self.inner
+    fn on_nofeedback_timer(&mut self, now: SimTime) {
+        self.tfrc.on_nofeedback_timer(now);
     }
 
-    /// See [`TfrcSender::seed_rtt`].
-    pub fn seed_rtt(&mut self, now: SimTime, rtt: Duration) {
-        self.inner.seed_rtt(now, rtt);
-    }
-
-    /// See [`TfrcSender::on_feedback`].
-    pub fn on_feedback(
-        &mut self,
-        now: SimTime,
-        ts_echo: SimTime,
-        t_delay: Duration,
-        x_recv: f64,
-        p: f64,
-    ) {
-        self.inner.on_feedback(now, ts_echo, t_delay, x_recv, p);
-    }
-
-    /// See [`TfrcSender::on_nofeedback_timer`].
-    pub fn on_nofeedback_timer(&mut self, now: SimTime) {
-        self.inner.on_nofeedback_timer(now);
-    }
-
-    /// See [`TfrcSender::nofeedback_deadline`].
-    pub fn nofeedback_deadline(&self) -> SimTime {
-        self.inner.nofeedback_deadline()
+    fn nofeedback_deadline(&self) -> SimTime {
+        self.tfrc.nofeedback_deadline()
     }
 
     /// The gTFRC control law: `max(g, X_tfrc)` in bytes/second.
-    pub fn allowed_rate(&self) -> f64 {
-        self.inner.allowed_rate().max(self.target_bytes_per_sec)
+    fn allowed_rate(&self) -> f64 {
+        self.tfrc.allowed_rate().max(self.g)
     }
 
     /// Inter-packet gap at the guaranteed-or-better rate.
-    pub fn send_interval(&self) -> Duration {
-        Duration::from_secs_f64(self.inner.segment_size() as f64 / self.allowed_rate())
+    fn send_interval(&self) -> Duration {
+        Duration::from_secs_f64(self.tfrc.segment_size() as f64 / self.allowed_rate())
+    }
+
+    fn rtt(&self) -> Option<Duration> {
+        self.tfrc.rtt()
+    }
+
+    fn ops(&self) -> u64 {
+        self.tfrc.meter.total()
+    }
+
+    fn state(&self) -> CcState {
+        CcState::RateBased {
+            x_bps: (self.allowed_rate() * 8.0) as u64,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "gtfrc"
     }
 }
 
@@ -100,14 +96,22 @@ mod tests {
     const S: u32 = 1000;
     const RTT: Duration = Duration::from_millis(100);
 
-    fn gtfrc(target_kbps: u64) -> GtfrcSender {
-        let mut g = GtfrcSender::new(SenderConfig::new(S), Rate::from_kbps(target_kbps));
+    fn gtfrc(target_kbps: u64) -> GtfrcCc {
+        let mut g = GtfrcCc::new(S, Rate::from_kbps(target_kbps));
         g.seed_rtt(SimTime::ZERO, RTT);
         g
     }
 
-    fn fb(g: &mut GtfrcSender, now: SimTime, x_recv: f64, p: f64) {
-        g.on_feedback(now, now - RTT, Duration::ZERO, x_recv, p);
+    fn fb(g: &mut GtfrcCc, now: SimTime, x_recv: f64, p: f64) {
+        g.on_feedback(&FeedbackReport {
+            now,
+            ts_echo: now - RTT,
+            t_delay: Duration::ZERO,
+            x_recv,
+            p,
+            newly_acked_bytes: 0,
+            newly_lost_pkts: 0,
+        });
     }
 
     #[test]
@@ -117,7 +121,7 @@ mod tests {
         // Brutal loss: plain TFRC would collapse far below target.
         fb(&mut g, SimTime::from_millis(100), 10_000.0, 0.2);
         assert!(
-            g.tfrc().allowed_rate() < 100_000.0,
+            g.tfrc.allowed_rate() < 100_000.0,
             "TFRC collapsed as expected"
         );
         assert!((g.allowed_rate() - 100_000.0).abs() < 1e-9, "gTFRC holds g");
@@ -128,7 +132,7 @@ mod tests {
         // Tiny target: with low loss, the equation dominates.
         let mut g = gtfrc(8); // 1000 B/s
         fb(&mut g, SimTime::from_millis(100), 1e9, 0.001);
-        let plain = g.tfrc().allowed_rate();
+        let plain = g.tfrc.allowed_rate();
         assert!(plain > 1000.0);
         assert_eq!(g.allowed_rate(), plain);
     }
@@ -139,15 +143,6 @@ mod tests {
         fb(&mut g, SimTime::from_millis(100), 10_000.0, 0.3);
         // 1000 B at 100 kB/s = 10 ms.
         assert_eq!(g.send_interval(), Duration::from_millis(10));
-    }
-
-    #[test]
-    fn set_target_renegotiates() {
-        let mut g = gtfrc(800);
-        fb(&mut g, SimTime::from_millis(100), 10_000.0, 0.3);
-        g.set_target(Rate::from_kbps(1600));
-        assert!((g.allowed_rate() - 200_000.0).abs() < 1e-9);
-        assert!((g.target() - 200_000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -30,11 +30,13 @@ pub mod adapters;
 pub mod bbr;
 pub mod cubic;
 pub mod filter;
+pub mod gtfrc;
 
-pub use adapters::{FixedCc, GtfrcCc, TfrcCc};
+pub use adapters::{FixedCc, TfrcCc};
 pub use bbr::{BbrLite, BbrPhase};
 pub use cubic::Cubic;
 pub use filter::{WindowedMax, WindowedMin};
+pub use gtfrc::GtfrcCc;
 
 use qtp_simnet::time::SimTime;
 use std::time::Duration;

@@ -1,8 +1,9 @@
 //! Minimal big-endian buffer read/write helpers for the wire codecs.
 //!
-//! API-compatible with the tiny subset of the `bytes` crate the codecs use
-//! (`put_*` on `Vec<u8>`, advancing `get_*`/`remaining` on `&[u8]`), so the
-//! runtime crates stay zero-dependency.
+//! The tiny subset of the `bytes` crate the codecs use (`put_*` on
+//! `Vec<u8>`, advancing `get_*` on `&[u8]`), so the runtime crates stay
+//! zero-dependency. Unlike `bytes`, a read past the end is `None`, not a
+//! panic: the decoders turn it into a typed error.
 
 pub(crate) trait BufMut {
     fn put_u8(&mut self, v: u8);
@@ -29,44 +30,37 @@ impl BufMut for Vec<u8> {
     }
 }
 
-/// Advancing big-endian reads over a byte slice. Callers must check
-/// `remaining()` before reading; reads past the end panic, mirroring the
-/// `bytes` crate contract.
+/// Advancing big-endian reads over a byte slice. A read past the end
+/// returns `None` and leaves the slice where it was.
 pub(crate) trait Buf {
-    fn remaining(&self) -> usize;
-    fn get_u8(&mut self) -> u8;
-    fn get_u16(&mut self) -> u16;
-    fn get_u32(&mut self) -> u32;
-    fn get_u64(&mut self) -> u64;
+    fn get_u8(&mut self) -> Option<u8>;
+    fn get_u16(&mut self) -> Option<u16>;
+    fn get_u32(&mut self) -> Option<u32>;
+    fn get_u64(&mut self) -> Option<u64>;
+}
+
+/// The next `N` bytes, advancing past them.
+fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = (buf.get(..N)?, buf.get(N..)?);
+    *buf = rest;
+    head.try_into().ok()
 }
 
 impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
+    fn get_u8(&mut self) -> Option<u8> {
+        take(self).map(u8::from_be_bytes)
     }
 
-    fn get_u8(&mut self) -> u8 {
-        let v = self[0];
-        *self = &self[1..];
-        v
+    fn get_u16(&mut self) -> Option<u16> {
+        take(self).map(u16::from_be_bytes)
     }
 
-    fn get_u16(&mut self) -> u16 {
-        let (head, rest) = self.split_at(2);
-        *self = rest;
-        u16::from_be_bytes(head.try_into().unwrap())
+    fn get_u32(&mut self) -> Option<u32> {
+        take(self).map(u32::from_be_bytes)
     }
 
-    fn get_u32(&mut self) -> u32 {
-        let (head, rest) = self.split_at(4);
-        *self = rest;
-        u32::from_be_bytes(head.try_into().unwrap())
-    }
-
-    fn get_u64(&mut self) -> u64 {
-        let (head, rest) = self.split_at(8);
-        *self = rest;
-        u64::from_be_bytes(head.try_into().unwrap())
+    fn get_u64(&mut self) -> Option<u64> {
+        take(self).map(u64::from_be_bytes)
     }
 }
 
@@ -82,12 +76,13 @@ mod tests {
         out.put_u32(0xDEAD_BEEF);
         out.put_u64(u64::MAX - 1);
         let mut buf: &[u8] = &out;
-        assert_eq!(buf.remaining(), 15);
-        assert_eq!(buf.get_u8(), 7);
-        assert_eq!(buf.get_u16(), 0xBEEF);
-        assert_eq!(buf.get_u32(), 0xDEAD_BEEF);
-        assert_eq!(buf.get_u64(), u64::MAX - 1);
-        assert_eq!(buf.remaining(), 0);
+        assert_eq!(buf.len(), 15);
+        assert_eq!(buf.get_u8(), Some(7));
+        assert_eq!(buf.get_u16(), Some(0xBEEF));
+        assert_eq!(buf.get_u32(), Some(0xDEAD_BEEF));
+        assert_eq!(buf.get_u64(), Some(u64::MAX - 1));
+        assert!(buf.is_empty());
+        assert_eq!(buf.get_u8(), None);
     }
 
     #[test]

@@ -141,17 +141,22 @@ fn put_caps(out: &mut Vec<u8>, caps: &CapabilitySet) {
     out.put_u64(cc_param);
 }
 
+/// One header field, or `Truncated` when the header ends before it.
+fn field<T>(v: Option<T>) -> Result<T, WireError> {
+    v.ok_or(WireError::Truncated)
+}
+
 fn get_caps(buf: &mut &[u8]) -> Result<CapabilitySet, WireError> {
-    if buf.remaining() < 19 {
-        return Err(WireError::Truncated);
-    }
-    let rel_code = buf.get_u8();
-    let rel_param = buf.get_u64();
+    // Every field is read before any is decoded, so a short set is
+    // `Truncated` whatever its codes say.
+    let rel_code = field(buf.get_u8())?;
+    let rel_param = field(buf.get_u64())?;
+    let fb_code = field(buf.get_u8())?;
+    let cc_code = field(buf.get_u8())?;
+    let cc_param = field(buf.get_u64())?;
     let reliability =
         caps::reliability_from_wire(rel_code, rel_param).map_err(WireError::BadCapability)?;
-    let feedback = FeedbackMode::from_wire(buf.get_u8()).map_err(WireError::BadCapability)?;
-    let cc_code = buf.get_u8();
-    let cc_param = buf.get_u64();
+    let feedback = FeedbackMode::from_wire(fb_code).map_err(WireError::BadCapability)?;
     let cc = caps::cc_from_wire(cc_code, cc_param).map_err(WireError::BadCapability)?;
     Ok(CapabilitySet {
         reliability,
@@ -299,60 +304,44 @@ pub enum PacketRef<'a> {
 impl<'a> PacketRef<'a> {
     /// Decode from header bytes.
     pub fn parse(mut buf: &'a [u8]) -> Result<Self, WireError> {
-        if buf.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        let t = buf.get_u8();
-        let need = |n: usize| {
-            if buf.remaining() < n {
-                Err(WireError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
+        let t = field(buf.get_u8())?;
         Ok(PacketRef::Other(match t {
             T_SYN => {
-                need(8)?;
-                let ts_nanos = buf.get_u64();
+                let ts_nanos = field(buf.get_u64())?;
                 let offered = get_caps(&mut buf)?;
                 QtpPacket::Syn { ts_nanos, offered }
             }
             T_SYNACK => {
-                need(8)?;
-                let ts_echo_nanos = buf.get_u64();
+                let ts_echo_nanos = field(buf.get_u64())?;
                 let chosen = get_caps(&mut buf)?;
                 QtpPacket::SynAck {
                     ts_echo_nanos,
                     chosen,
                 }
             }
-            T_DATA => {
-                need(DATA_LEN - 1)?;
-                QtpPacket::Data {
-                    seq: buf.get_u64(),
-                    ts_nanos: buf.get_u64(),
-                    adu_ts_nanos: buf.get_u64(),
-                    rtt_hint_micros: buf.get_u32(),
-                    is_retx: buf.get_u8() != 0,
-                }
-            }
+            T_DATA => QtpPacket::Data {
+                seq: field(buf.get_u64())?,
+                ts_nanos: field(buf.get_u64())?,
+                adu_ts_nanos: field(buf.get_u64())?,
+                rtt_hint_micros: field(buf.get_u32())?,
+                is_retx: field(buf.get_u8())? != 0,
+            },
             T_FEEDBACK => {
-                need(FEEDBACK_FIXED_LEN - 1)?;
-                let has_p = buf.get_u8() != 0;
-                let ts_echo_nanos = buf.get_u64();
-                let t_delay_micros = buf.get_u32();
-                let x_recv = buf.get_u64();
-                let p_raw = buf.get_u32();
-                let cum_ack = buf.get_u64();
-                let n = buf.get_u8();
+                let has_p = field(buf.get_u8())? != 0;
+                let ts_echo_nanos = field(buf.get_u64())?;
+                let t_delay_micros = field(buf.get_u32())?;
+                let x_recv = field(buf.get_u64())?;
+                let p_raw = field(buf.get_u32())?;
+                let cum_ack = field(buf.get_u64())?;
+                let n = field(buf.get_u8())?;
                 let n_blocks = n as usize;
-                if n_blocks > MAX_FB_BLOCKS || buf.remaining() < 16 * n_blocks {
+                if n_blocks > MAX_FB_BLOCKS || buf.len() < 16 * n_blocks {
                     return Err(WireError::BadBlockCount(n));
                 }
                 let mut blocks = [FeedbackFields::NO_BLOCK; MAX_FB_BLOCKS];
                 for b in &mut blocks[..n_blocks] {
-                    let start = buf.get_u64();
-                    let end = buf.get_u64();
+                    let start = field(buf.get_u64())?;
+                    let end = field(buf.get_u64())?;
                     if end <= start {
                         return Err(WireError::BadBlock);
                     }
@@ -369,27 +358,25 @@ impl<'a> PacketRef<'a> {
                 }));
             }
             T_STREAM_DATA => {
-                need(STREAM_DATA_HEADER_LEN - 1)?;
                 let header = StreamDataHeader {
-                    seq: buf.get_u64(),
-                    ts_nanos: buf.get_u64(),
-                    adu_ts_nanos: buf.get_u64(),
-                    rtt_hint_micros: buf.get_u32(),
-                    is_retx: buf.get_u8() != 0,
-                    ttl_micros: buf.get_u32(),
+                    seq: field(buf.get_u64())?,
+                    ts_nanos: field(buf.get_u64())?,
+                    adu_ts_nanos: field(buf.get_u64())?,
+                    rtt_hint_micros: field(buf.get_u32())?,
+                    is_retx: field(buf.get_u8())? != 0,
+                    ttl_micros: field(buf.get_u32())?,
                 };
-                let len = buf.get_u16() as usize;
-                if len > MAX_STREAM_PAYLOAD || buf.remaining() < len {
+                let len = field(buf.get_u16())? as usize;
+                if len > MAX_STREAM_PAYLOAD {
                     return Err(WireError::Truncated);
                 }
                 return Ok(PacketRef::StreamData {
                     header,
-                    payload: &buf[..len],
+                    payload: field(buf.get(..len))?,
                 });
             }
             T_FORWARD | T_FIN | T_FINACK => {
-                need(SEQ_ONLY_LEN - 1)?;
-                let seq = buf.get_u64();
+                let seq = field(buf.get_u64())?;
                 match t {
                     T_FORWARD => QtpPacket::Forward { new_cum: seq },
                     T_FIN => QtpPacket::Fin { final_seq: seq },

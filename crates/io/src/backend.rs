@@ -83,8 +83,6 @@ pub struct MuxRunStats {
 pub struct MuxBackend {
     /// Wall-clock bound for the whole run.
     pub deadline: Duration,
-    /// Mux limits (the connection cap is raised to fit the plans).
-    pub mux: MuxConfig,
     /// Counters of the most recent [`Backend::run`], for reports.
     pub last_stats: Option<MuxRunStats>,
 }
@@ -94,7 +92,6 @@ impl MuxBackend {
     pub fn new(deadline: Duration) -> MuxBackend {
         MuxBackend {
             deadline,
-            mux: MuxConfig::default(),
             last_stats: None,
         }
     }
@@ -112,8 +109,10 @@ impl Backend for MuxBackend {
     }
 
     fn run(&mut self, plans: &[ConnectionPlan]) -> io::Result<Vec<ConnectionOutcome>> {
+        // The default limits, with the connection cap raised to fit the
+        // plans.
         let mux_cfg = MuxConfig {
-            max_conns: (2 * plans.len()).max(self.mux.max_conns),
+            max_conns: (2 * plans.len()).max(MuxConfig::default().max_conns),
         };
         let mut server: MuxDriver<Session> = MuxDriver::bind_with("127.0.0.1:0", mux_cfg.clone())?;
         let accept_plans: Rc<Vec<ConnectionPlan>> = Rc::new(plans.to_vec());

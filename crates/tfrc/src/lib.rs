@@ -1,15 +1,14 @@
-//! # qtp-tfrc — TCP-Friendly Rate Control (RFC 3448) and gTFRC
+//! # qtp-tfrc — TCP-Friendly Rate Control (RFC 3448)
 //!
-//! Sans-io implementation of the two congestion-control mechanisms the
+//! Sans-io implementation of the equation-based congestion control the
 //! paper composes into its versatile transport:
-//!
-//! * **TFRC** (RFC 3448): [`sender::TfrcSender`] paces at the equation rate
-//!   ([`equation::throughput`]); [`receiver::TfrcReceiver`] detects losses
-//!   ([`detector::LossDetector`]), groups them into loss events, maintains
-//!   the loss-interval history ([`loss_history::LossIntervalHistory`]) and
-//!   reports `(X_recv, p)` once per RTT.
-//! * **gTFRC** ([`gtfrc::GtfrcSender`]): the DiffServ/AF specialisation
-//!   `X = max(g, X_tfrc)` used by QTPAF.
+//! [`sender::TfrcSender`] paces at the equation rate
+//! ([`equation::throughput`]); [`receiver::TfrcReceiver`] detects losses
+//! ([`detector::LossDetector`]), groups them into loss events, maintains
+//! the loss-interval history ([`loss_history::LossIntervalHistory`]) and
+//! reports `(X_recv, p)` once per RTT. gTFRC, the DiffServ/AF
+//! specialisation `X = max(g, X_tfrc)` used by QTPAF, is `qtp_cc::GtfrcCc`:
+//! a `TfrcSender` plus the floor `g`.
 //!
 //! ## The composition seam
 //!
@@ -30,7 +29,6 @@
 
 pub mod detector;
 pub mod equation;
-pub mod gtfrc;
 pub mod loss_history;
 pub mod receiver;
 pub mod sender;
@@ -38,7 +36,6 @@ pub mod update;
 
 pub use detector::{LossDetector, LostPacket, NDUPACK};
 pub use equation::{inverse, throughput};
-pub use gtfrc::GtfrcSender;
 pub use loss_history::{LossIntervalHistory, N_INTERVALS, WEIGHTS};
 pub use receiver::{Feedback, RxAction, TfrcReceiver};
 pub use sender::{SenderConfig, TfrcSender, RTT_EWMA_Q, T_MBI};
