@@ -11,7 +11,7 @@ fn bench_sim_loop(c: &mut Criterion) {
     c.bench_function("simnet/dumbbell_cbr_1s", |b| {
         b.iter(|| {
             let (mut sim, net) = Dumbbell::build(&DumbbellConfig::default(), 1);
-            let f = sim.register_flow("cbr");
+            let f = sim.register_flow();
             sim.attach_agent(
                 net.senders[0],
                 Box::new(CbrSource::new(
@@ -28,39 +28,41 @@ fn bench_sim_loop(c: &mut Criterion) {
     });
 }
 
+/// One green and one red 1000-byte packet, live in `arena` for the whole
+/// bench: a queue links through the slots of the packets it holds, and each
+/// iteration enqueues one and dequeues it again.
+fn green_and_red(arena: &mut PacketArena) -> [PacketId; 2] {
+    Color::ALL.map(|color| {
+        let mut p = Packet::new(0, 0, 0, 1, 1000, SimTime::ZERO, Vec::new());
+        p.color = color;
+        arena.alloc(p)
+    })
+}
+
 fn bench_queues(c: &mut Criterion) {
     c.bench_function("simnet/rio_enqueue_dequeue", |b| {
         let mut q = QueueConfig::Rio(RioParams::default()).build();
         let mut rng = DetRng::new(7);
+        let mut arena = PacketArena::new();
+        let pkts = green_and_red(&mut arena);
         let mut uid = 0u64;
         b.iter(|| {
             uid += 1;
-            let p = QueuedPacket {
-                id: PacketId::from_raw(uid as u32),
-                wire_size: 1000,
-                color: if uid % 2 == 0 {
-                    Color::Green
-                } else {
-                    Color::Red
-                },
-            };
-            let _ = q.enqueue(SimTime::from_micros(uid), p, &mut rng);
-            q.dequeue(SimTime::from_micros(uid))
+            let id = pkts[(uid % 2 == 1) as usize];
+            let _ = q.enqueue(SimTime::from_micros(uid), id, &mut arena, &mut rng);
+            q.dequeue(SimTime::from_micros(uid), &mut arena)
         })
     });
     c.bench_function("simnet/droptail_enqueue_dequeue", |b| {
         let mut q = QueueConfig::DropTailPkts(100).build();
         let mut rng = DetRng::new(7);
+        let mut arena = PacketArena::new();
+        let [green, _] = green_and_red(&mut arena);
         let mut uid = 0u64;
         b.iter(|| {
             uid += 1;
-            let p = QueuedPacket {
-                id: PacketId::from_raw(uid as u32),
-                wire_size: 1000,
-                color: Color::Green,
-            };
-            let _ = q.enqueue(SimTime::from_micros(uid), p, &mut rng);
-            q.dequeue(SimTime::from_micros(uid))
+            let _ = q.enqueue(SimTime::from_micros(uid), green, &mut arena, &mut rng);
+            q.dequeue(SimTime::from_micros(uid), &mut arena)
         })
     });
 }

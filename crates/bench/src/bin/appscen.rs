@@ -30,6 +30,13 @@ fn main() -> ExitCode {
         eprintln!("usage: appscen [--sweep | --hostile-sweep]");
         return ExitCode::SUCCESS;
     }
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !["--sweep", "--hostile-sweep"].contains(&a.as_str()))
+    {
+        eprintln!("unknown flag {flag} (try --help)");
+        return ExitCode::from(2);
+    }
     if args.iter().any(|a| a == "--sweep") {
         print!("{}", scenarios::deadline_sweep(&SWEEP_LOSSES).to_markdown());
         return ExitCode::SUCCESS;

@@ -26,6 +26,17 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
+/// Every flag `expt` takes besides `--help`; any other `--` argument is a
+/// usage error, so a script passing a flag that went away hears of it.
+const FLAGS: [&str; 6] = [
+    "--json",
+    "--report",
+    "--out",
+    "--check",
+    "--baseline",
+    "--only",
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -33,6 +44,12 @@ fn main() -> ExitCode {
             "usage: expt [ids|all] [--json] | expt --report [--out DIR] | expt --check [--baseline DIR] [--only PREFIX]"
         );
         return ExitCode::SUCCESS;
+    }
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        return usage_error(&format!("unknown flag {flag}"));
     }
     if args.iter().any(|a| a == "--report") {
         return match dir_flag(&args, "--out") {

@@ -129,7 +129,7 @@ fn main() {
             } else {
                 TcpFlavor::Sack
             };
-            let data = attach_tcp(&mut sim, s, r, "data", flavor);
+            let data = attach_tcp(&mut sim, s, r, flavor);
             sim.run_until(SimTime::from_secs(args.secs));
             let f = sim.stats().flow(data);
             println!("throughput: {:.3} Mbit/s", f.throughput_bps(secs) / 1e6);
@@ -142,7 +142,7 @@ fn main() {
                 "qtplight" => Profile::qtp_light(),
                 _ => Profile::qtp_af(Rate::from_mbps_f64(args.target_mbps)),
             };
-            let h = attach_pair(&mut sim, s, r, "data", &ConnectionPlan::new(profile));
+            let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(profile));
             sim.run_until(SimTime::from_secs(args.secs));
             let f = sim.stats().flow(h.data_flow);
             println!("throughput: {:.3} Mbit/s", f.throughput_bps(secs) / 1e6);

@@ -77,14 +77,8 @@ pub fn set_out_of_profile(sim: &mut Simulator, net: &Dumbbell, pair: usize, flow
 }
 
 /// Attach a greedy TCP connection on pair `i`. Returns the data flow id.
-pub fn attach_tcp(
-    sim: &mut Simulator,
-    net: &Dumbbell,
-    pair: usize,
-    name: &str,
-    flavor: TcpFlavor,
-) -> FlowId {
-    qtp_tcp::attach_tcp(sim, net.senders[pair], net.receivers[pair], name, flavor)
+pub fn attach_tcp(sim: &mut Simulator, net: &Dumbbell, pair: usize, flavor: TcpFlavor) -> FlowId {
+    qtp_tcp::attach_tcp(sim, net.senders[pair], net.receivers[pair], flavor)
 }
 
 /// Attach a planned QTP connection on pair `i`.
@@ -92,10 +86,9 @@ pub fn attach_plan_pair(
     sim: &mut Simulator,
     net: &Dumbbell,
     pair: usize,
-    name: &str,
     plan: &ConnectionPlan,
 ) -> PairHandles {
-    attach_pair(sim, net.senders[pair], net.receivers[pair], name, plan)
+    attach_pair(sim, net.senders[pair], net.receivers[pair], plan)
 }
 
 /// Network-level throughput of a flow over `secs` seconds, bit/s.
@@ -155,13 +148,7 @@ mod tests {
     #[test]
     fn af_dumbbell_builds_and_runs() {
         let (mut sim, net) = af_dumbbell(2, 10, Duration::from_millis(10), None, 1);
-        let h = attach_plan_pair(
-            &mut sim,
-            &net,
-            0,
-            "q",
-            &ConnectionPlan::new(Profile::tfrc()),
-        );
+        let h = attach_plan_pair(&mut sim, &net, 0, &ConnectionPlan::new(Profile::tfrc()));
         set_profile(&mut sim, &net, 0, h.data_flow, Rate::from_mbps(2));
         sim.run_until(SimTime::from_secs(5));
         assert!(sim.stats().flow(h.data_flow).pkts_arrived > 100);
@@ -170,7 +157,7 @@ mod tests {
     #[test]
     fn out_of_profile_marks_red() {
         let (mut sim, net) = af_dumbbell(1, 10, Duration::from_millis(5), None, 2);
-        let f = sim.register_flow("bg");
+        let f = sim.register_flow();
         set_out_of_profile(&mut sim, &net, 0, f);
         sim.attach_agent(
             net.senders[0],

@@ -52,11 +52,10 @@ fn run_racer(
     sim: &mut Simulator,
     s: NodeId,
     r: NodeId,
-    name: &str,
     kind: ProfileKind,
     secs: u64,
 ) -> PairHandles {
-    let h = attach_pair(sim, s, r, name, &ConnectionPlan::new(profile_of(kind)));
+    let h = attach_pair(sim, s, r, &ConnectionPlan::new(profile_of(kind)));
     sim.run_until(SimTime::from_secs(secs));
     h
 }
@@ -101,14 +100,7 @@ pub fn c1() -> Table {
     for (i, (_, label, kind)) in RACERS.iter().enumerate() {
         let (mut sim, net) =
             droptail_dumbbell(1, CORE_MBPS, BOTTLENECK_DELAY, QUEUE_PKTS, SEED + i as u64);
-        let h = run_racer(
-            &mut sim,
-            net.senders[0],
-            net.receivers[0],
-            "race",
-            *kind,
-            SECS,
-        );
+        let h = run_racer(&mut sim, net.senders[0], net.receivers[0], *kind, SECS);
         let g = goodput(&sim, h.data_flow, SECS);
         let rtt_s = h.tx_tracer.read(|c| c.srtt_s);
         let qdelay_ms = (rtt_s - base_rtt_s).max(0.0) * 1e3;
@@ -172,7 +164,7 @@ pub fn c2() -> Table {
         let mut row = vec![format!("{}", cfg.rtt().as_millis())];
         for (i, (_, _, kind)) in RACERS.iter().enumerate() {
             let (mut sim, net) = LongFatPipe::build(&cfg, SEED + i as u64);
-            let h = run_racer(&mut sim, net.tx, net.rx, "race", *kind, SECS);
+            let h = run_racer(&mut sim, net.tx, net.rx, *kind, SECS);
             pts[i].push(goodput(&sim, h.data_flow, SECS));
         }
         for p in &pts {
@@ -244,7 +236,7 @@ pub fn c3() -> Table {
             LossModel::gilbert_elliott(0.02, 0.3, 0.0, 0.3),
             SEED + i as u64,
         );
-        let h = run_racer(&mut sim, s, r, "burst", *kind, SECS);
+        let h = run_racer(&mut sim, s, r, *kind, SECS);
         let g = goodput(&sim, h.data_flow, SECS);
         let report = run_sim(&ManyFlowConfig::uniform(FLOCK, *kind));
         t.row(vec![

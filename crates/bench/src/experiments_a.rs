@@ -46,8 +46,8 @@ pub fn e1() -> Table {
     for g1 in 1..=8u64 {
         let g2 = 9 - g1;
         let (mut sim, net) = af_dumbbell(2, 10, Duration::from_millis(10), None, 100 + g1);
-        let f1 = attach_tcp(&mut sim, &net, 0, "tcp1", TcpFlavor::NewReno);
-        let f2 = attach_tcp(&mut sim, &net, 1, "tcp2", TcpFlavor::NewReno);
+        let f1 = attach_tcp(&mut sim, &net, 0, TcpFlavor::NewReno);
+        let f2 = attach_tcp(&mut sim, &net, 1, TcpFlavor::NewReno);
         set_profile(&mut sim, &net, 0, f1, Rate::from_mbps(g1));
         set_profile(&mut sim, &net, 1, f2, Rate::from_mbps(g2));
         sim.run_until(SimTime::from_secs(SECS));
@@ -123,23 +123,16 @@ pub fn e2() -> Table {
                 );
                 let target = Rate::from_mbps_f64(g);
                 let flow = match proto {
-                    "TCP" => attach_tcp(&mut sim, &net, 0, "dut", TcpFlavor::NewReno),
+                    "TCP" => attach_tcp(&mut sim, &net, 0, TcpFlavor::NewReno),
                     "TFRC" => {
-                        attach_plan_pair(
-                            &mut sim,
-                            &net,
-                            0,
-                            "dut",
-                            &ConnectionPlan::new(Profile::tfrc()),
-                        )
-                        .data_flow
+                        attach_plan_pair(&mut sim, &net, 0, &ConnectionPlan::new(Profile::tfrc()))
+                            .data_flow
                     }
                     _ => {
                         attach_plan_pair(
                             &mut sim,
                             &net,
                             0,
-                            "dut",
                             &ConnectionPlan::new(Profile::qtp_af(target)),
                         )
                         .data_flow
@@ -147,7 +140,7 @@ pub fn e2() -> Table {
                 };
                 set_profile(&mut sim, &net, 0, flow, target);
                 for bg in 1..3 {
-                    let f = attach_tcp(&mut sim, &net, bg, &format!("bg{bg}"), TcpFlavor::NewReno);
+                    let f = attach_tcp(&mut sim, &net, bg, TcpFlavor::NewReno);
                     set_out_of_profile(&mut sim, &net, bg, f);
                 }
                 sim.run_until(SimTime::from_secs(SECS));
@@ -187,19 +180,12 @@ pub fn e3() -> Table {
         let (mut sim, net) = af_dumbbell(2, 10, Duration::from_millis(10), None, 31);
         sim.set_sample_interval(Duration::from_secs(1));
         let flow = if use_qtpaf {
-            attach_plan_pair(
-                &mut sim,
-                &net,
-                0,
-                "dut",
-                &ConnectionPlan::new(Profile::qtp_af(g)),
-            )
-            .data_flow
+            attach_plan_pair(&mut sim, &net, 0, &ConnectionPlan::new(Profile::qtp_af(g))).data_flow
         } else {
-            attach_tcp(&mut sim, &net, 0, "dut", TcpFlavor::NewReno)
+            attach_tcp(&mut sim, &net, 0, TcpFlavor::NewReno)
         };
         set_profile(&mut sim, &net, 0, flow, g);
-        let bg = attach_tcp(&mut sim, &net, 1, "bg", TcpFlavor::NewReno);
+        let bg = attach_tcp(&mut sim, &net, 1, TcpFlavor::NewReno);
         set_out_of_profile(&mut sim, &net, 1, bg);
         sim.run_until(SimTime::from_secs(SECS));
         sim.stats()
@@ -259,7 +245,7 @@ pub fn e4() -> Table {
             } else {
                 Profile::tfrc()
             };
-            let h = attach_pair(&mut sim, s, r, "x", &ConnectionPlan::new(profile));
+            let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(profile));
             sim.run_until(SimTime::from_secs(SECS));
             goodput(&sim, h.data_flow, SECS)
         };
@@ -326,7 +312,7 @@ pub fn e5() -> Table {
             } else {
                 Profile::tfrc()
             };
-            let h = attach_pair(&mut sim, s, r, "x", &ConnectionPlan::new(profile));
+            let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(profile));
             sim.run_until(SimTime::from_secs(SECS));
             h
         };

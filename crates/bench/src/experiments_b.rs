@@ -52,7 +52,7 @@ pub fn e6() -> Table {
             Profile::tfrc()
         };
         let plan = ConnectionPlan::new(profile).selfish_factor(k);
-        let h = attach_pair(&mut sim, s, r, "x", &plan);
+        let h = attach_pair(&mut sim, s, r, &plan);
         sim.run_until(SimTime::from_secs(SECS));
         throughput(&sim, h.data_flow, SECS)
     };
@@ -101,15 +101,8 @@ pub fn e7() -> Table {
     const SECS: u64 = 60;
     let (mut sim, net) = droptail_dumbbell(2, 10, Duration::from_millis(10), 50, 71);
     sim.set_sample_interval(Duration::from_millis(200));
-    let tcp = attach_tcp(&mut sim, &net, 0, "tcp", TcpFlavor::NewReno);
-    let tfrc = attach_plan_pair(
-        &mut sim,
-        &net,
-        1,
-        "tfrc",
-        &ConnectionPlan::new(Profile::tfrc()),
-    )
-    .data_flow;
+    let tcp = attach_tcp(&mut sim, &net, 0, TcpFlavor::NewReno);
+    let tfrc = attach_plan_pair(&mut sim, &net, 1, &ConnectionPlan::new(Profile::tfrc())).data_flow;
     sim.run_until(SimTime::from_secs(SECS));
     // Skip the first 10 s (startup transients): 50 windows.
     let series = |f: FlowId| -> Vec<f64> {
@@ -168,7 +161,7 @@ pub fn e8() -> Table {
         let seed = (p_gb * 1e4) as u64 + 81;
         let run_tcp = |flavor: TcpFlavor| -> f64 {
             let (mut sim, s, r) = lossy_path(5, Duration::from_millis(20), loss(), seed);
-            let data = qtp_tcp::attach_tcp(&mut sim, s, r, "tcp", flavor);
+            let data = qtp_tcp::attach_tcp(&mut sim, s, r, flavor);
             sim.run_until(SimTime::from_secs(SECS));
             goodput(&sim, data, SECS)
         };
@@ -179,7 +172,7 @@ pub fn e8() -> Table {
             } else {
                 Profile::tfrc()
             };
-            let h = attach_pair(&mut sim, s, r, "q", &ConnectionPlan::new(profile));
+            let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(profile));
             sim.run_until(SimTime::from_secs(SECS));
             goodput(&sim, h.data_flow, SECS)
         };
@@ -258,7 +251,7 @@ pub fn e9() -> Table {
                 LossModel::bernoulli(0.03),
                 91 + rel.wire_code() as u64 * 2 + fb.wire_code() as u64,
             );
-            let h = attach_pair(&mut sim, s, r, "m", &plan);
+            let h = attach_pair(&mut sim, s, r, &plan);
             sim.run_until(SimTime::from_secs(SECS));
             let st = sim.stats().flow(h.data_flow);
             let d = h.tx_tracer.counters();
@@ -363,10 +356,10 @@ pub fn e10() -> Table {
     ] {
         let (mut sim, s0, r0, s1, r1, s0l, _s1l) = build();
         let plan = ConnectionPlan::new(Profile::try_from(caps).expect("AF profiles are valid"));
-        let h = attach_pair(&mut sim, s0, r0, "af", &plan);
+        let h = attach_pair(&mut sim, s0, r0, &plan);
         sim.set_marker(s0l, h.data_flow, TokenBucketMarker::new(g, CBS));
         // Background out-of-profile TCP between the second pair.
-        qtp_tcp::attach_tcp(&mut sim, s1, r1, "bg", TcpFlavor::NewReno);
+        qtp_tcp::attach_tcp(&mut sim, s1, r1, TcpFlavor::NewReno);
         sim.run_until(SimTime::from_secs(SECS));
 
         let st = sim.stats().flow(h.data_flow);

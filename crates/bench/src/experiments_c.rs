@@ -50,7 +50,7 @@ pub fn e11() -> Table {
                 (p_gb * 1e4) as u64 + 111,
             );
             let plan = ConnectionPlan::new(Profile::qtp_light()).ablate_ungrouped_losses(ungrouped);
-            let h = attach_pair(&mut sim, s, r, "x", &plan);
+            let h = attach_pair(&mut sim, s, r, &plan);
             sim.run_until(SimTime::from_secs(SECS));
             let rate = goodput(&sim, h.data_flow, SECS);
             // Mean of the p values the rate computation actually used.
@@ -156,7 +156,7 @@ pub fn e12() -> Table {
                 .build()
                 .expect("valid composition")
         };
-        let h = attach_plan_pair(&mut sim, &net, 0, "dut", &ConnectionPlan::new(profile));
+        let h = attach_plan_pair(&mut sim, &net, 0, &ConnectionPlan::new(profile));
         if use_marker {
             set_profile(&mut sim, &net, 0, h.data_flow, g);
         } else {
@@ -164,7 +164,7 @@ pub fn e12() -> Table {
         }
         // Aggressors: out-of-profile TCP at short RTT.
         for bgp in 1..3 {
-            let bg = attach_tcp(&mut sim, &net, bgp, &format!("bg{bgp}"), TcpFlavor::NewReno);
+            let bg = attach_tcp(&mut sim, &net, bgp, TcpFlavor::NewReno);
             set_out_of_profile(&mut sim, &net, bgp, bg);
         }
         sim.run_until(SimTime::from_secs(SECS));

@@ -61,20 +61,14 @@ fn asym_path(fwd: Rate, rev: Rate, one_way: Duration, seed: u64) -> (Simulator, 
 
 /// Greedy QTPAF goodput over `secs` seconds on an already-built path.
 fn run_qtpaf(mut sim: Simulator, s: NodeId, r: NodeId, floor: Rate, secs: u64) -> f64 {
-    let h = attach_pair(
-        &mut sim,
-        s,
-        r,
-        "qtpaf",
-        &ConnectionPlan::new(Profile::qtp_af(floor)),
-    );
+    let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(Profile::qtp_af(floor)));
     sim.run_until(SimTime::from_secs(secs));
     goodput(&sim, h.data_flow, secs)
 }
 
 /// Greedy TCP goodput over `secs` seconds on an already-built path.
 fn run_tcp(mut sim: Simulator, s: NodeId, r: NodeId, flavor: TcpFlavor, secs: u64) -> f64 {
-    let data = attach_tcp(&mut sim, s, r, "tcp", flavor);
+    let data = attach_tcp(&mut sim, s, r, flavor);
     sim.run_until(SimTime::from_secs(secs));
     goodput(&sim, data, secs)
 }
@@ -226,7 +220,7 @@ pub fn h2() -> Table {
         let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(6)))
             .label("h2")
             .stream(StreamConfig::with_send_buf(64 * 1024));
-        let h = attach_pair(&mut sim, s, r, "h2", &plan);
+        let h = attach_pair(&mut sim, s, r, &plan);
         let file = pattern_bytes(FILE_KIB * 1024, SEED);
         let (received, elapsed) = transfer(&mut sim, &h, &file);
         let delivered = received.len() as u64;

@@ -141,7 +141,7 @@ pub fn a1() -> Table {
         let plan = ConnectionPlan::new(profile)
             .label(label)
             .stream(StreamConfig::with_send_buf(64 * 1024));
-        let h = attach_pair(&mut sim, s, r, label, &plan);
+        let h = attach_pair(&mut sim, s, r, &plan);
         let file = pattern_bytes(FILE_KIB * 1024, SEED);
         let (received, elapsed) = transfer(&mut sim, &h, &file);
         let delivered = received.len() as u64;
@@ -225,13 +225,7 @@ pub fn a2() -> Table {
     };
     // Both connections terminate on both nodes (requests one way,
     // responses the other), so they must share per-node agents.
-    let mut pairs = attach_pairs(
-        &mut sim,
-        &[
-            (c, s, "a2-req", plan("a2-req")),
-            (s, c, "a2-rsp", plan("a2-rsp")),
-        ],
-    );
+    let mut pairs = attach_pairs(&mut sim, &[(c, s, plan("a2-req")), (s, c, plan("a2-rsp"))]);
     let rsp = pairs.pop().expect("two pairs attached");
     let req = pairs.pop().expect("two pairs attached");
     let req_tx = req.tx_stream.clone().expect("stream plan");
@@ -437,7 +431,7 @@ pub(crate) fn stream_frames(
         .label(label)
         .payload(params.frame_bytes as u32)
         .stream(StreamConfig::default());
-    let h = attach_pair(&mut sim, s, r, label, &plan);
+    let h = attach_pair(&mut sim, s, r, &plan);
     let tx = h.tx_stream.clone().expect("stream plan");
     let rx = h.rx_stream.clone().expect("stream plan");
 

@@ -4,8 +4,8 @@
 //! Every golden scenario runs through its binary with exactly the
 //! arguments `crates/bench/golden/README.md` regenerates it with, and its
 //! stdout must equal the committed file. `simbench --check` holds the
-//! simulator's deterministic engine counters at 10^3 flows against
-//! `BENCH_simnet.json`. Each ledger group (A, C, E, F, H) is regenerated
+//! simulator's deterministic engine counters at 10^3 and 10^4 flows
+//! against `BENCH_simnet.json`. Each ledger group (A, C, E, F, H) is regenerated
 //! in-process: every table's JSON must equal its object in the committed
 //! `experiments.json`, its markdown must equal its section of the
 //! committed `EXPERIMENTS.md`, and every claim assertion whose left
@@ -189,6 +189,20 @@ fn simbench_engine_counters_at_1000_flows() {
     let out = run(
         env!("CARGO_BIN_EXE_simbench"),
         "--check BENCH_simnet.json --points 1000",
+    );
+    assert!(
+        out.contains("all points match the committed baseline"),
+        "{out}"
+    );
+}
+
+/// The 10^4-flow point: ten times the engine work of the 10^3 point, so a
+/// change that moves one simulated event in a run of this size shows here.
+#[test]
+fn simbench_engine_counters_at_10000_flows() {
+    let out = run(
+        env!("CARGO_BIN_EXE_simbench"),
+        "--check BENCH_simnet.json --points 10000",
     );
     assert!(
         out.contains("all points match the committed baseline"),

@@ -6,16 +6,19 @@
 //!
 //! The workload is the `manyflow` mixed-profile dumbbell (`qtpperf`'s
 //! `sim_manyflow` at a smaller flow count), run at two backlogs. A flow costs
-//! a fixed number of allocations to set up (its sessions, tracer, queues);
-//! a datagram costs only what the steady-state path allocates. Headers are
-//! lent (the simulator copies them into its packet arena and the adapters
-//! give each buffer back to its endpoint), the scheduler keeps every bucket
-//! in one node slab, SACK bookkeeping works in place, the sender keeps one
-//! record per unacknowledged sequence in a ring, and arena slots are sized
-//! once — so the marginal cost of a datagram is a small fraction of one
-//! allocation.
+//! a fixed number of allocations to set up (its sessions and tracers, its
+//! scoreboard's ring, its first SACK ranges beyond the inline ones); a
+//! datagram costs only what the steady-state path allocates. Headers are
+//! lent (the simulator copies them into its packet arena's one header slab,
+//! and every adapter on the thread shares one outbox whose buffers come
+//! back), queues are threaded through the arena's slots, the scheduler
+//! keeps every bucket in one node slab, SACK bookkeeping works in place,
+//! and the sender keeps one record per unacknowledged sequence in a ring
+//! sized once — so the marginal cost of a datagram is a small fraction of
+//! one allocation, and a flow's own cost is held per flow too: its setup
+//! allocations and its share of the run's peak live heap.
 //!
-//! When the budget fails, the 30-packet case runs again with every
+//! When a budget fails, the 30-packet case runs again with every
 //! [`SAMPLE_EVERY`]th allocation's backtrace captured, and the failure
 //! message names the busiest call sites under `crates/`.
 
@@ -55,24 +58,49 @@ fn run(flows: usize, packets: u64) -> (Counts, u64) {
     (counts, dgrams)
 }
 
+/// Flows in both runs.
+const FLOWS: usize = 256;
+
+/// Allocations per extra datagram (0.032 measured).
+const MARGINAL: f64 = 0.1;
+/// Allocations per datagram at 30 packets per flow, setup included (0.335
+/// measured; 0.781 before queues, headers and outboxes stopped allocating
+/// per flow).
+const WHOLE: f64 = 0.36;
+/// Allocations that set one flow up (17.2 measured; 41.8 before).
+const SETUP_PER_FLOW: f64 = 18.0;
+/// Bytes of the run's peak live heap per flow, the engine's own share
+/// included (8 526 measured; 10 212 before).
+const PEAK_PER_FLOW: f64 = 9_000.0;
+
 /// Doubling every flow's backlog adds datagrams but no flows, so the
-/// difference between the two runs prices one more datagram on its own.
+/// difference between the two runs prices one more datagram on its own,
+/// and what the 30-packet run allocated beyond its datagrams' share is
+/// what setting its flows up cost.
 #[test]
 fn simulated_datagrams_stay_within_their_allocation_budget() {
-    let (counts30, dgrams30) = run(256, 30);
-    let (counts60, dgrams60) = run(256, 60);
+    let (counts30, dgrams30) = run(FLOWS, 30);
+    let (counts60, dgrams60) = run(FLOWS, 60);
     assert!(
         dgrams60 > dgrams30 + 5_000,
         "{dgrams30} vs {dgrams60} datagrams"
     );
     let marginal = (counts60.allocs - counts30.allocs) as f64 / (dgrams60 - dgrams30) as f64;
     let whole = counts30.allocs as f64 / dgrams30 as f64;
-    if marginal > 0.1 || whole > 0.9 {
+    let setup_per_flow = (counts30.allocs as f64 - marginal * dgrams30 as f64) / FLOWS as f64;
+    let peak_per_flow = counts30.peak as f64 / FLOWS as f64;
+    if marginal > MARGINAL
+        || whole > WHOLE
+        || setup_per_flow > SETUP_PER_FLOW
+        || peak_per_flow > PEAK_PER_FLOW
+    {
         sample(SAMPLE_EVERY);
-        run_sim(&config(256, 30));
+        run_sim(&config(FLOWS, 30));
         panic!(
-            "{marginal:.3} allocations per extra datagram (budget 0.1), {whole:.3} per \
-             datagram at 30 packets (budget 0.9): {counts30} over {dgrams30} datagrams\n{}",
+            "{marginal:.3} allocations per extra datagram (budget {MARGINAL}), {whole:.3} per \
+             datagram at 30 packets (budget {WHOLE}), {setup_per_flow:.2} to set a flow up \
+             (budget {SETUP_PER_FLOW}), {peak_per_flow:.0} B of peak live heap per flow \
+             (budget {PEAK_PER_FLOW}): {counts30} over {dgrams30} datagrams\n{}",
             top_sites()
         );
     }

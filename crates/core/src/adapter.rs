@@ -10,8 +10,13 @@
 //!   allocates packet uids in call order; `SetTimer` → [`Ctx::set_timer_at`],
 //!   whose events tie-break by insertion order);
 //! * a transmitted header is copied by the simulator and its buffer handed
-//!   straight back to the endpoint's [`Outbox`] with [`Outbox::reuse`], so
-//!   the next header is encoded into it and no simulated packet allocates;
+//!   straight back to the [`Outbox`] with [`Outbox::reuse`], so the next
+//!   header is encoded into it and no simulated packet allocates;
+//! * every adapter on a thread lends its endpoint the same outbox. The
+//!   simulator runs one callback at a time and each adapter drains the
+//!   outbox before its callback returns, so one command queue and the few
+//!   header buffers a callback has out at once serve every endpoint: a
+//!   simulated connection owns no outbox storage of its own;
 //! * `Deliver` goes straight to the per-flow statistics, exactly as the
 //!   endpoints used to call `ctx.stats.app_deliver` themselves.
 //!
@@ -19,6 +24,7 @@
 //! crate dependency points this way: core implements the seam *and* knows
 //! the simulator, while simnet stays protocol-agnostic.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use qtp_simnet::packet::{FlowId, Packet};
@@ -27,52 +33,57 @@ use qtp_simnet::sim::{Agent, Ctx};
 use crate::driver::{Command, Endpoint, Outbox};
 use crate::session::Session;
 
+thread_local! {
+    /// The outbox every simulator adapter on this thread lends its endpoint.
+    static OUTBOX: RefCell<Outbox> = RefCell::new(Outbox::new());
+}
+
+/// Run one endpoint callback at `ctx.now` on the shared outbox, then apply
+/// what it emitted in order; `tag` maps each timer token into the agent's
+/// namespace.
+fn callback(ctx: &mut Ctx, tag: impl Fn(u64) -> u64, f: impl FnOnce(&mut Outbox)) {
+    OUTBOX.with_borrow_mut(|out| {
+        out.now = ctx.now;
+        f(out);
+        while let Some(cmd) = out.poll_cmd() {
+            match cmd {
+                Command::Transmit(t) => {
+                    ctx.send_new(t.flow, t.dst, t.wire_size, &t.header);
+                    out.reuse(t.header);
+                }
+                Command::SetTimer { at, token } => ctx.set_timer_at(at, tag(token)),
+                Command::Deliver { flow, bytes } => ctx.stats.app_deliver(flow, bytes),
+            }
+        }
+    })
+}
+
 /// Wraps an [`Endpoint`] into a simulator [`Agent`].
 pub(crate) struct SimAgent<E: Endpoint> {
     ep: E,
-    out: Outbox,
 }
 
 impl<E: Endpoint> SimAgent<E> {
     pub(crate) fn new(ep: E) -> Self {
-        SimAgent {
-            ep,
-            out: Outbox::new(),
-        }
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx) {
-        while let Some(cmd) = self.out.poll_cmd() {
-            match cmd {
-                Command::Transmit(t) => {
-                    ctx.send_new(t.flow, t.dst, t.wire_size, &t.header);
-                    self.out.reuse(t.header);
-                }
-                Command::SetTimer { at, token } => ctx.set_timer_at(at, token),
-                Command::Deliver { flow, bytes } => ctx.stats.app_deliver(flow, bytes),
-            }
-        }
+        SimAgent { ep }
     }
 }
 
 impl<E: Endpoint> Agent for SimAgent<E> {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        self.out.now = ctx.now;
-        self.ep.on_start(&mut self.out);
-        self.flush(ctx);
+        callback(ctx, |token| token, |out| self.ep.on_start(out));
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet) {
-        self.out.now = ctx.now;
-        self.ep
-            .handle_datagram(&mut self.out, pkt.wire_size, &pkt.header);
-        self.flush(ctx);
+    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet<&[u8]>) {
+        callback(
+            ctx,
+            |token| token,
+            |out| self.ep.handle_datagram(out, pkt.wire_size, pkt.header),
+        );
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        self.out.now = ctx.now;
-        self.ep.on_timer(&mut self.out, token);
-        self.flush(ctx);
+        callback(ctx, |token| token, |out| self.ep.on_timer(out, token));
     }
 }
 
@@ -103,7 +114,7 @@ const MAX_HOST_ENDPOINTS: usize = 1 << SLOT_BITS;
 /// [`TimerGens`]: crate::driver::TimerGens
 #[derive(Default)]
 pub(crate) struct SimHost {
-    slots: Vec<(Session, Outbox)>,
+    slots: Vec<Session>,
     route: HashMap<FlowId, usize>,
 }
 
@@ -117,55 +128,41 @@ impl SimHost {
             let prev = self.route.insert(flow, idx);
             assert!(prev.is_none(), "flow routed to two endpoints on one host");
         }
-        self.slots.push((ep, Outbox::new()));
+        self.slots.push(ep);
     }
+}
 
-    fn flush_slot(&mut self, ctx: &mut Ctx, idx: usize) {
-        let (_, out) = &mut self.slots[idx];
-        while let Some(cmd) = out.poll_cmd() {
-            match cmd {
-                Command::Transmit(t) => {
-                    ctx.send_new(t.flow, t.dst, t.wire_size, &t.header);
-                    out.reuse(t.header);
-                }
-                Command::SetTimer { at, token } => {
-                    debug_assert_eq!(token >> SLOT_SHIFT, 0, "timer token reached the slot tag");
-                    ctx.set_timer_at(at, ((idx as u64) << SLOT_SHIFT) | token);
-                }
-                Command::Deliver { flow, bytes } => ctx.stats.app_deliver(flow, bytes),
-            }
-        }
+/// Tag `token` with the slot index of the endpoint that armed it.
+fn slot_tag(idx: usize) -> impl Fn(u64) -> u64 {
+    move |token| {
+        debug_assert_eq!(token >> SLOT_SHIFT, 0, "timer token reached the slot tag");
+        ((idx as u64) << SLOT_SHIFT) | token
     }
 }
 
 impl Agent for SimHost {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        for idx in 0..self.slots.len() {
-            let (ep, out) = &mut self.slots[idx];
-            out.now = ctx.now;
-            ep.on_start(out);
-            self.flush_slot(ctx, idx);
+        for (idx, ep) in self.slots.iter_mut().enumerate() {
+            callback(ctx, slot_tag(idx), |out| ep.on_start(out));
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet<&[u8]>) {
         let Some(&idx) = self.route.get(&pkt.flow) else {
             return;
         };
-        let (ep, out) = &mut self.slots[idx];
-        out.now = ctx.now;
-        ep.handle_datagram(out, pkt.wire_size, &pkt.header);
-        self.flush_slot(ctx, idx);
+        let ep = &mut self.slots[idx];
+        callback(ctx, slot_tag(idx), |out| {
+            ep.handle_datagram(out, pkt.wire_size, pkt.header)
+        });
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         let idx = (token >> SLOT_SHIFT) as usize;
-        if idx >= self.slots.len() {
+        let Some(ep) = self.slots.get_mut(idx) else {
             return;
-        }
-        let (ep, out) = &mut self.slots[idx];
-        out.now = ctx.now;
-        ep.on_timer(out, token & ((1u64 << SLOT_SHIFT) - 1));
-        self.flush_slot(ctx, idx);
+        };
+        let token = token & ((1u64 << SLOT_SHIFT) - 1);
+        callback(ctx, slot_tag(idx), |out| ep.on_timer(out, token));
     }
 }

@@ -37,8 +37,9 @@
 //! [`Outbox::reuse`]; the next `buffer` call lends it out again, empty, so
 //! a driver that gives every buffer back allocates none per datagram. Every
 //! driver does: `qtp-io`'s `MuxDriver` once the datagram is framed, the
-//! simulator adapters once the simulator has copied the header into its
-//! packet arena, and `Session`'s poll surface whenever its caller hands a
+//! simulator adapters (which share one outbox among every endpoint on the
+//! thread) once the simulator has copied the header into its packet
+//! arena, and `Session`'s poll surface whenever its caller hands a
 //! polled header back with `Session::reuse`. Giving a buffer back is
 //! optional: without it `buffer` allocates exactly what a fresh
 //! `Vec::with_capacity` would.

@@ -619,6 +619,11 @@ impl Conn {
         if self.close_requested || !app.has_data(self.sent_new) {
             return false;
         }
+        if let (0, AppModel::Finite { packets }) = (self.sent_new, &app.model) {
+            // A finite transfer never has more sequences outstanding than
+            // it sends: size the scoreboard's ring for them once.
+            self.sb.reserve(*packets as usize);
+        }
         // Only the Cbr model queues submissions; the others submit now.
         let submit = app.backlog.pop_front().unwrap_or(out.now);
         let seq = self.sb.register_send_adu(out.now, submit);

@@ -44,7 +44,6 @@ use qtp_simnet::topology::{Dumbbell, DumbbellConfig};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::mem;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -574,11 +573,9 @@ pub struct Session {
     started: bool,
     closed: bool,
     connected: bool,
-    // Poll-style surfaces (unused while mounted in a driver).
-    out: Outbox,
-    transmits: VecDeque<Transmit>,
-    timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    timer_seq: u64,
+    /// The poll-style surfaces, made by the first poll call: a session
+    /// mounted in a driver never carries them.
+    poll: Option<Box<Polled>>,
     delivered_bytes: u64,
     abandoned_seen: u64,
     events: SessionEvents,
@@ -588,6 +585,27 @@ pub struct Session {
     /// here too, so a trace shows app-visible events alongside wire
     /// events; its counters carry the endpoint's measurements).
     tracer: Tracer,
+}
+
+/// What the poll style keeps between calls: the outbox the session drives
+/// its own endpoint with, and the transmits and timers it queued.
+#[derive(Default)]
+struct Polled {
+    out: Outbox,
+    transmits: VecDeque<Transmit>,
+    timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    timer_seq: u64,
+}
+
+impl Polled {
+    /// Pop the token of the earliest timer due at `now`.
+    fn due_timer(&mut self, now: SimTime) -> Option<u64> {
+        let Reverse((at, _, token)) = *self.timers.peek()?;
+        (at <= now).then(|| {
+            self.timers.pop();
+            token
+        })
+    }
 }
 
 impl Session {
@@ -643,10 +661,7 @@ impl Session {
             started: false,
             closed: false,
             connected: false,
-            out: Outbox::new(),
-            transmits: VecDeque::new(),
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            poll: None,
             delivered_bytes: 0,
             abandoned_seen: 0,
             events: SessionEvents::default(),
@@ -674,11 +689,7 @@ impl Session {
     /// (ties by arming order). Poll style only — while mounted in a
     /// driver the driver owns the timers.
     pub fn on_timeout(&mut self, now: SimTime) {
-        while let Some(Reverse((at, _, _))) = self.timers.peek() {
-            if *at > now {
-                break;
-            }
-            let Reverse((_, _, token)) = self.timers.pop().expect("peeked entry");
+        while let Some(token) = self.poll.as_mut().and_then(|p| p.due_timer(now)) {
             self.pump(now, |s, out| s.on_timer(out, token));
         }
     }
@@ -686,19 +697,20 @@ impl Session {
     /// Deadline of the earliest internally-armed timer, if any: sleep no
     /// longer than this before calling [`Session::on_timeout`].
     pub fn poll_timeout(&self) -> Option<SimTime> {
-        self.timers.peek().map(|Reverse((at, _, _))| *at)
+        let Reverse((at, _, _)) = self.poll.as_ref()?.timers.peek()?;
+        Some(*at)
     }
 
     /// Next datagram to put on the wire, in emission order.
     pub fn poll_transmit(&mut self) -> Option<Transmit> {
-        self.transmits.pop_front()
+        self.poll.as_mut()?.transmits.pop_front()
     }
 
     /// Give a polled transmit's `header` back once it is on the wire (or
     /// dropped): the session encodes a later header into it instead of
     /// allocating one — [`Outbox::reuse`] for the poll surface.
     pub fn reuse(&mut self, header: Vec<u8>) {
-        self.out.reuse(header);
+        self.poll.get_or_insert_with(Box::default).out.reuse(header);
     }
 
     /// Next pending session event.
@@ -740,7 +752,9 @@ impl Session {
 
     fn finish_close(&mut self) {
         self.closed = true;
-        self.timers.clear();
+        if let Some(poll) = &mut self.poll {
+            poll.timers.clear();
+        }
         self.events.push(SessionEvent::Closed);
     }
 
@@ -757,26 +771,29 @@ impl Session {
 
     /// Poll style: drive `callback` — one of the session's own [`Endpoint`]
     /// methods, the path every driver takes — with the session's outbox at
-    /// `now`, then queue what it emitted for polling. The outbox is taken
-    /// out for the call (an empty `Outbox` allocates nothing) and put back
-    /// with its lent buffers. Deliveries were counted on the way through,
-    /// and a closed session's timers would only be skipped, so neither is
-    /// kept.
+    /// `now`, then queue what it emitted for polling. The poll state is
+    /// taken out for the call and put back with its lent buffers; a close
+    /// during the call drops the timers. Deliveries were counted on the way
+    /// through, and a closed session's timers would only be skipped, so
+    /// neither is kept.
     fn pump(&mut self, now: SimTime, callback: impl FnOnce(&mut Session, &mut Outbox)) {
-        let mut out = mem::take(&mut self.out);
-        out.now = now;
-        callback(self, &mut out);
-        while let Some(cmd) = out.poll_cmd() {
+        let mut poll = self.poll.take().unwrap_or_default();
+        poll.out.now = now;
+        callback(self, &mut poll.out);
+        if self.closed {
+            poll.timers.clear();
+        }
+        while let Some(cmd) = poll.out.poll_cmd() {
             match cmd {
-                Command::Transmit(t) => self.transmits.push_back(t),
+                Command::Transmit(t) => poll.transmits.push_back(t),
                 Command::SetTimer { at, token } if !self.closed => {
-                    self.timer_seq += 1;
-                    self.timers.push(Reverse((at, self.timer_seq, token)));
+                    poll.timer_seq += 1;
+                    poll.timers.push(Reverse((at, poll.timer_seq, token)));
                 }
                 _ => {}
             }
         }
-        self.out = out;
+        self.poll = Some(poll);
     }
 
     /// The endpoint wrote into the driver's outbox. Read the deliveries it
@@ -994,7 +1011,7 @@ pub struct PairHandles {
 
 /// Attach one planned connection to a simulated topology: a sending
 /// session at `sender_node`, a receiving session at `receiver_node`, two
-/// registered flows (`<name>` data, `<name>-fb` feedback).
+/// registered flows (data, then feedback).
 ///
 /// Mounting the sessions replays byte-identically, for a fixed seed, to
 /// mounting the bare sender and receiver endpoints they wrap (this
@@ -1004,10 +1021,9 @@ pub fn attach_pair(
     sim: &mut Simulator,
     sender_node: NodeId,
     receiver_node: NodeId,
-    name: &str,
     plan: &ConnectionPlan,
 ) -> PairHandles {
-    let (tx, rx, handles) = new_pair(sim, sender_node, receiver_node, name, plan);
+    let (tx, rx, handles) = new_pair(sim, sender_node, receiver_node, plan);
     sim.attach_agent(sender_node, Box::new(SimAgent::new(tx)));
     sim.attach_agent(receiver_node, Box::new(SimAgent::new(rx)));
     handles
@@ -1019,11 +1035,10 @@ fn new_pair(
     sim: &mut Simulator,
     sender_node: NodeId,
     receiver_node: NodeId,
-    name: &str,
     plan: &ConnectionPlan,
 ) -> (Session, Session, PairHandles) {
-    let data_flow = sim.register_flow(name);
-    let fb_flow = sim.register_flow([name, "-fb"].concat());
+    let data_flow = sim.register_flow();
+    let fb_flow = sim.register_flow();
     let tx = Session::sender(data_flow, receiver_node, plan);
     let rx = Session::receiver(data_flow, fb_flow, sender_node, plan);
     let handles = PairHandles {
@@ -1050,12 +1065,12 @@ fn new_pair(
 /// seed still replays byte-identically.
 pub fn attach_pairs(
     sim: &mut Simulator,
-    pairs: &[(NodeId, NodeId, &str, ConnectionPlan)],
+    pairs: &[(NodeId, NodeId, ConnectionPlan)],
 ) -> Vec<PairHandles> {
     let mut hosts: std::collections::BTreeMap<NodeId, SimHost> = std::collections::BTreeMap::new();
     let mut out = Vec::with_capacity(pairs.len());
-    for &(sender_node, receiver_node, name, ref plan) in pairs {
-        let (tx, rx, handles) = new_pair(sim, sender_node, receiver_node, name, plan);
+    for &(sender_node, receiver_node, ref plan) in pairs {
+        let (tx, rx, handles) = new_pair(sim, sender_node, receiver_node, plan);
         hosts
             .entry(sender_node)
             .or_default()
@@ -1301,8 +1316,7 @@ impl SimBackend {
         let handles: Vec<PairHandles> = plans
             .iter()
             .zip(&nodes)
-            .zip(&labels)
-            .map(|((plan, &(s, r)), label)| attach_pair(&mut sim, s, r, label, plan))
+            .map(|(plan, &(s, r))| attach_pair(&mut sim, s, r, plan))
             .collect();
         if let Some(reg) = &self.trace {
             for (label, h) in labels.iter().zip(&handles) {
@@ -1809,10 +1823,7 @@ mod tests {
                 .label(label)
                 .stream(StreamConfig::default())
         };
-        let pairs = attach_pairs(
-            &mut sim,
-            &[(a, z, "east", plan("east")), (z, a, "west", plan("west"))],
-        );
+        let pairs = attach_pairs(&mut sim, &[(a, z, plan("east")), (z, a, plan("west"))]);
         let east = pattern(4096, 1);
         let west = pattern(4096, 2);
         for (h, data) in pairs.iter().zip([&east, &west]) {
@@ -1884,8 +1895,8 @@ mod tests {
     fn differential(plan: ConnectionPlan) {
         for seed in [7u64, 42] {
             let (bare, _) = differential_run(seed, |sim| {
-                let data_flow = sim.register_flow("diff");
-                let fb_flow = sim.register_flow("diff-fb");
+                let data_flow = sim.register_flow();
+                let fb_flow = sim.register_flow();
                 let tx = QtpSender::new(data_flow, 1, &plan);
                 let rx = QtpReceiver::new(data_flow, fb_flow, 0, &plan);
                 let tracers = (tx.tracer(), rx.tracer());
@@ -1894,7 +1905,7 @@ mod tests {
                 (data_flow, tracers.0, tracers.1, None)
             });
             let (session, events) = differential_run(seed, |sim| {
-                let h = attach_pair(sim, 0, 1, "diff", &plan);
+                let h = attach_pair(sim, 0, 1, &plan);
                 (h.data_flow, h.tx_tracer, h.rx_tracer, Some(h.tx_events))
             });
             assert_eq!(
@@ -1957,7 +1968,7 @@ mod tests {
     fn through_poll_surface(mut s: Session, script: &[(SimTime, Input)]) -> Vec<Effects> {
         let mut effects = Vec::new();
         for (now, input) in script {
-            let seen = s.timer_seq;
+            let seen = s.poll.as_ref().map_or(0, |p| p.timer_seq);
             match input {
                 Input::Start => s.start(*now),
                 Input::Datagram(h) => s.handle_input(*now, h.len() as u32 + wire::IP_OVERHEAD, h),
@@ -1966,7 +1977,8 @@ mod tests {
                 Input::Abort => s.abort(),
             }
             let transmits = std::iter::from_fn(|| s.poll_transmit()).collect();
-            let mut armed: Vec<_> = s.timers.iter().filter(|t| t.0 .1 > seen).collect();
+            let armed = s.poll.iter().flat_map(|p| &p.timers);
+            let mut armed: Vec<_> = armed.filter(|t| t.0 .1 > seen).collect();
             armed.sort_by_key(|t| t.0 .1);
             let armed = armed.iter().map(|t| (t.0 .0, t.0 .2)).collect();
             let (events, counters) = (s.events().drain(), s.tracer().counters());

@@ -44,13 +44,7 @@ fn handshake_negotiates_offered_profile() {
         QueueConfig::DropTailPkts(100),
         1,
     );
-    let h = attach_pair(
-        &mut sim,
-        s,
-        r,
-        "conn",
-        &ConnectionPlan::new(Profile::qtp_light()),
-    );
+    let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(Profile::qtp_light()));
     sim.run_until(SimTime::from_secs(2));
     // Data flowed, so the handshake happened.
     assert!(sim.stats().flow(h.data_flow).pkts_arrived > 10);
@@ -66,13 +60,7 @@ fn loss_free_path_ramps_to_fill_bottleneck() {
         QueueConfig::DropTailPkts(100),
         2,
     );
-    let h = attach_pair(
-        &mut sim,
-        s,
-        r,
-        "tfrc",
-        &ConnectionPlan::new(Profile::tfrc()),
-    );
+    let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(Profile::tfrc()));
     sim.run_until(SimTime::from_secs(30));
     let bps = goodput_bps(&sim, h.data_flow, 30);
     // TFRC should reach a large fraction of the 2 Mbit/s bottleneck
@@ -92,13 +80,7 @@ fn tfrc_rate_tracks_equation_under_bernoulli_loss() {
         QueueConfig::DropTailPkts(1000),
         3,
     );
-    let h = attach_pair(
-        &mut sim,
-        s,
-        r,
-        "tfrc",
-        &ConnectionPlan::new(Profile::tfrc()),
-    );
+    let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(Profile::tfrc()));
     sim.run_until(SimTime::from_secs(60));
     let measured = goodput_bps(&sim, h.data_flow, 60);
     let rtt = Duration::from_millis(42); // 2*20ms prop + ~queueing/tx
@@ -122,7 +104,7 @@ fn qtplight_matches_standard_tfrc_rate() {
             QueueConfig::DropTailPkts(1000),
             seed,
         );
-        let h = attach_pair(&mut sim, s, r, "x", &ConnectionPlan::new(profile));
+        let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(profile));
         sim.run_until(SimTime::from_secs(60));
         goodput_bps(&sim, h.data_flow, 60)
     }
@@ -145,7 +127,7 @@ fn qtp_af_full_reliability_delivers_everything() {
         5,
     );
     let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(1))).finite(1000);
-    let h = attach_pair(&mut sim, s, r, "af", &plan);
+    let h = attach_pair(&mut sim, s, r, &plan);
     sim.run_until(SimTime::from_secs(120));
     assert_eq!(
         sim.stats().flow(h.data_flow).bytes_app_delivered,
@@ -168,7 +150,7 @@ fn partial_ttl_abandons_stale_data_and_keeps_flowing() {
     let plan = ConnectionPlan::new(
         Profile::qtp_light_partial(Duration::from_millis(50)).expect("nonzero TTL"),
     );
-    let h = attach_pair(&mut sim, s, r, "pttl", &plan);
+    let h = attach_pair(&mut sim, s, r, &plan);
     sim.run_until(SimTime::from_secs(30));
     assert!(
         h.tx_tracer.read(|c| c.abandoned) > 0,
@@ -195,7 +177,7 @@ fn selfish_receiver_cheats_standard_tfrc_but_not_qtplight() {
             seed,
         );
         let plan = ConnectionPlan::new(profile).selfish_factor(selfish);
-        let h = attach_pair(&mut sim, s, r, "x", &plan);
+        let h = attach_pair(&mut sim, s, r, &plan);
         sim.run_until(SimTime::from_secs(60));
         // Selfishness inflates the *send* rate; measure at the network.
         sim.stats()
@@ -228,7 +210,7 @@ fn qtplight_receiver_is_dramatically_cheaper() {
             QueueConfig::DropTailPkts(500),
             seed,
         );
-        let h = attach_pair(&mut sim, s, r, "x", &ConnectionPlan::new(profile));
+        let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(profile));
         sim.run_until(SimTime::from_secs(30));
         let rx = h.rx_tracer.counters();
         (rx.ops_per_data_pkt(), rx.state_bytes_peak)
@@ -259,7 +241,7 @@ fn server_policy_downgrade_is_respected_end_to_end() {
         allow_sender_loss: false,
         ..ServerPolicy::default()
     });
-    let h = attach_pair(&mut sim, s, r, "downgrade", &plan);
+    let h = attach_pair(&mut sim, s, r, &plan);
     sim.run_until(SimTime::from_secs(5));
     // The connection still works (data flows, feedback arrives with p).
     assert!(sim.stats().flow(h.data_flow).pkts_arrived > 50);
@@ -282,7 +264,7 @@ fn gtfrc_holds_target_under_loss_where_tfrc_collapses() {
             QueueConfig::DropTailPkts(500),
             seed,
         );
-        let h = attach_pair(&mut sim, s, r, "x", &ConnectionPlan::new(profile));
+        let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(profile));
         sim.run_until(SimTime::from_secs(40));
         sim.stats()
             .flow(h.data_flow)
@@ -312,13 +294,7 @@ fn negotiated_mode_reported_by_handles() {
         QueueConfig::DropTailPkts(100),
         11,
     );
-    let h = attach_pair(
-        &mut sim,
-        s,
-        r,
-        "clean",
-        &ConnectionPlan::new(Profile::qtp_light()),
-    );
+    let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(Profile::qtp_light()));
     sim.run_until(SimTime::from_secs(10));
     let tx = h.tx_tracer.counters();
     assert_eq!((tx.retransmits, tx.abandoned), (0, 0));
@@ -339,13 +315,7 @@ fn deterministic_across_runs() {
             QueueConfig::DropTailPkts(100),
             42,
         );
-        let h = attach_pair(
-            &mut sim,
-            s,
-            r,
-            "det",
-            &ConnectionPlan::new(Profile::qtp_light()),
-        );
+        let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(Profile::qtp_light()));
         sim.run_until(SimTime::from_secs(20));
         let f = sim.stats().flow(h.data_flow);
         (

@@ -113,7 +113,7 @@ fn sim_and_socket_backends_agree_loss_free() {
         LinkConfig::new(Rate::from_mbps(10), Duration::from_millis(5)),
     );
     let mut sim = b.build(7);
-    let h = attach_pair(&mut sim, s, r, "diff", &plan);
+    let h = attach_pair(&mut sim, s, r, &plan);
     sim.run_until(SimTime::from_secs(60));
     let sim_delivered_bytes = sim.stats().flow(h.data_flow).bytes_app_delivered;
     let sim_delivered_pkts = sim_delivered_bytes / PAYLOAD;

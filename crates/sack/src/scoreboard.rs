@@ -91,6 +91,12 @@ impl Scoreboard {
         seq
     }
 
+    /// Make room for `n` more unacknowledged sequences, so the record ring
+    /// does not grow while they are outstanding.
+    pub fn reserve(&mut self, n: usize) {
+        self.sent.reserve(n);
+    }
+
     /// Sequence whose record sits at the front of `sent`.
     fn base(&self) -> u64 {
         self.next_seq - self.sent.len() as u64

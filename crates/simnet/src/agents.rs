@@ -58,7 +58,7 @@ impl Agent for CbrSource {
 pub struct Sink;
 
 impl Agent for Sink {
-    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet<&[u8]>) {
         ctx.stats.app_deliver(pkt.flow, pkt.wire_size as u64);
     }
 }
@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn cbr_hits_configured_rate() {
         let (mut sim, a, c) = harness();
-        let flow = sim.register_flow("cbr");
+        let flow = sim.register_flow();
         sim.attach_agent(
             a,
             Box::new(CbrSource::new(flow, c, 1250, Rate::from_mbps(2))),
@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn cbr_respects_active_window() {
         let (mut sim, a, c) = harness();
-        let flow = sim.register_flow("cbr");
+        let flow = sim.register_flow();
         sim.attach_agent(
             a,
             Box::new(

@@ -1,24 +1,42 @@
-//! Pooled packet storage: a free-list slab that recycles header buffers.
+//! Pooled packet storage: a free-list slab of packets beside one slab of
+//! headers, and the FIFO the link queues thread through it.
 //!
 //! At 10^5 flows the simulator moves hundreds of millions of packets, and
 //! the original representation — full [`Packet`] structs (with a heap
 //! `Vec<u8>` header each) owned by whichever event/queue currently holds
 //! them — made every hop a ~64-byte memmove and every send/drop a heap
 //! round-trip. The arena fixes both: packets live in one dense slab for
-//! their whole life, everything else (events, queues, links) passes around
-//! a 4-byte [`PacketId`], and a released slot keeps its header `Vec`'s
-//! allocation so the next packet through reuses it.
+//! their whole life, and everything else (events, queues, links) passes
+//! around a 4-byte [`PacketId`].
+//!
+//! # One header slab
+//!
+//! Headers are not stored per slot. Every slot's header sits in one byte
+//! slab at `slot × stride`, where the stride is the longest header the
+//! arena has been given. A longer header re-lays the slab out once at the
+//! wider stride (in place, back to front); headers are few sizes in any
+//! run (a handshake, a data header, feedback with up to four SACK blocks),
+//! so that happens a handful of times. A new slot grows the slab by one
+//! stride, so the slots and their headers together cost a logarithmic
+//! number of allocations, whatever the pool's high-water mark.
 //!
 //! # The header loan
 //!
 //! The simulator never takes ownership of an endpoint's header buffer.
 //! [`Ctx::send_new`](crate::sim::Ctx::send_new) borrows the encoded bytes
 //! and stages them in a per-callback byte buffer the simulator pools with
-//! its command buffers; at injection [`PacketArena::insert`] copies them
-//! into the slot's retained `header`. The endpoint keeps its buffer (the
-//! `qtp-core` adapters give it straight back to the endpoint's outbox), so
-//! once the pools have warmed a simulated packet's trip from encode to
+//! its command buffers; at injection the arena copies them into the slot's
+//! place in the slab. The endpoint keeps its buffer (the `qtp-core`
+//! adapters give it straight back to the endpoint's outbox), and
+//! [`PacketArena::get`] lends the packet out with a `&[u8]` into the slab,
+//! so once the pools have warmed a simulated packet's trip from encode to
 //! delivery allocates nothing.
+//!
+//! # Queues own no storage
+//!
+//! A packet waits in at most one link queue at a time, so each slot carries
+//! one `next` link and a queue is a `PacketFifo`: head, tail and length.
+//! Enqueueing and dequeueing rewrite two links; no queue ever allocates.
 //!
 //! # Lifetime rules
 //!
@@ -31,12 +49,9 @@
 //! `assert` on double-release) so stale ids fail loudly instead of reading
 //! another packet's fields.
 
-use crate::packet::Packet;
+use std::ops::Range;
 
-/// Header capacity every new slot reserves, so a recycled slot never grows
-/// for a header up to this size. The largest header endpoints send outside
-/// stream mode is a QTP feedback with four SACK blocks, 99 bytes.
-const SLOT_HEADER_FLOOR: usize = 128;
+use crate::packet::Packet;
 
 /// Handle to a packet slot in a [`PacketArena`]. Cheap to copy and store;
 /// only meaningful to the arena that issued it, and only until released.
@@ -48,23 +63,32 @@ impl PacketId {
     pub fn index(self) -> u32 {
         self.0
     }
+}
 
-    /// Construct from a raw index. Only for tests and benches that drive a
-    /// queue standalone; an id made this way is not a valid arena handle.
-    pub fn from_raw(index: u32) -> Self {
-        PacketId(index)
-    }
+/// The end of a [`PacketFifo`].
+const NIL: u32 = u32::MAX;
+
+/// One pooled packet: its fields, its header's length (the bytes sit in
+/// the arena's slab), and its link in the queue it waits in.
+#[derive(Debug)]
+struct Slot {
+    pkt: Packet<()>,
+    header_len: u32,
+    next: u32,
+    live: bool,
 }
 
 /// Free-list slab of [`Packet`]s. See the module docs for lifetime rules.
 #[derive(Debug, Default)]
 pub struct PacketArena {
-    slots: Vec<Packet>,
-    /// Whether each slot currently holds a live packet.
-    live: Vec<bool>,
-    /// Released slot indices, reused LIFO (the hottest slot first, so the
-    /// recycled header buffer is likely still in cache).
+    slots: Vec<Slot>,
+    /// Released slot indices, reused LIFO (the hottest slot first, so its
+    /// header bytes are likely still in cache).
     free: Vec<u32>,
+    /// Every slot's header, `stride` bytes apart.
+    headers: Vec<u8>,
+    /// The longest header stored so far.
+    stride: usize,
 }
 
 impl PacketArena {
@@ -83,59 +107,157 @@ impl PacketArena {
         self.slots.len()
     }
 
-    /// Store `pkt`, reusing a released slot (and its header allocation) when
-    /// one is available. The header bytes are copied as by
-    /// [`PacketArena::insert`].
-    pub fn alloc(&mut self, mut pkt: Packet) -> PacketId {
-        let header = std::mem::take(&mut pkt.header);
-        self.insert(pkt, &header)
+    /// Store `pkt`, reusing a released slot when one is available. Its
+    /// header bytes are copied into the slab; `pkt.header` itself is
+    /// dropped.
+    pub fn alloc(&mut self, pkt: Packet) -> PacketId {
+        self.insert(pkt.with_header(()), &pkt.header)
     }
 
-    /// Store `pkt` with `header` copied into the slot's retained buffer;
-    /// `pkt.header` itself is dropped, so pass an empty `Vec` (which owns no
-    /// allocation). Once the pool has warmed to the peak number of live
-    /// packets, this allocates nothing for headers up to
-    /// `SLOT_HEADER_FLOOR` bytes.
-    pub fn insert(&mut self, pkt: Packet, header: &[u8]) -> PacketId {
-        debug_assert!(pkt.header.is_empty(), "header passed twice");
-        let Some(i) = self.free.pop() else {
-            let i = self.slots.len();
-            assert!(i <= u32::MAX as usize, "packet arena overflow");
-            let mut buf = Vec::with_capacity(header.len().max(SLOT_HEADER_FLOOR));
-            buf.extend_from_slice(header);
-            self.slots.push(Packet { header: buf, ..pkt });
-            self.live.push(true);
-            return PacketId(i as u32);
+    /// Store `pkt` with `header` copied into its slot's place in the slab.
+    /// Once the pool has warmed to the peak number of live packets and the
+    /// longest header has been seen, this allocates nothing.
+    pub(crate) fn insert(&mut self, pkt: Packet<()>, header: &[u8]) -> PacketId {
+        self.widen(header.len());
+        let id = self.place(pkt, header.len());
+        let at = self.span(id);
+        self.headers[at].copy_from_slice(header);
+        id
+    }
+
+    /// A second live copy of `id`, header included (a wire duplicate).
+    pub(crate) fn duplicate(&mut self, id: PacketId) -> PacketId {
+        let slot = &self.slots[id.0 as usize];
+        debug_assert!(slot.live, "duplicate of released PacketId");
+        let pkt = slot.pkt;
+        let from = self.span(id);
+        let copy = self.place(pkt, from.len());
+        let to = self.span(copy).start;
+        self.headers.copy_within(from, to);
+        copy
+    }
+
+    /// Make the stride fit a header of `len` bytes, moving every slot's
+    /// header to its place at the new stride. Back to front, so no header
+    /// is overwritten before it has moved.
+    fn widen(&mut self, len: usize) {
+        if len <= self.stride {
+            return;
+        }
+        let old = self.stride;
+        self.headers.resize(self.slots.len() * len, 0);
+        for (i, slot) in self.slots.iter().enumerate().rev() {
+            let n = slot.header_len as usize;
+            self.headers.copy_within(i * old..i * old + n, i * len);
+        }
+        self.stride = len;
+    }
+
+    /// A slot for `pkt`, whose header is `len` bytes (at most the stride).
+    fn place(&mut self, pkt: Packet<()>, len: usize) -> PacketId {
+        let slot = Slot {
+            pkt,
+            header_len: len as u32,
+            next: NIL,
+            live: true,
         };
-        let slot = &mut self.slots[i as usize];
-        let mut buf = std::mem::take(&mut slot.header);
-        buf.clear();
-        buf.extend_from_slice(header);
-        *slot = Packet { header: buf, ..pkt };
-        self.live[i as usize] = true;
-        PacketId(i)
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                PacketId(i)
+            }
+            None => {
+                let i = self.slots.len();
+                assert!(i < NIL as usize, "packet arena overflow");
+                self.slots.push(slot);
+                self.headers.resize((i + 1) * self.stride, 0);
+                PacketId(i as u32)
+            }
+        }
     }
 
-    /// Read a live packet.
-    #[inline]
-    pub fn get(&self, id: PacketId) -> &Packet {
-        debug_assert!(self.live[id.0 as usize], "read of released PacketId");
-        &self.slots[id.0 as usize]
+    /// Where `id`'s header sits in the slab.
+    fn span(&self, id: PacketId) -> Range<usize> {
+        let at = id.0 as usize * self.stride;
+        at..at + self.slots[id.0 as usize].header_len as usize
     }
 
-    /// Mutate a live packet (markers re-color in place).
+    /// Read a live packet, its header borrowed from the slab.
     #[inline]
-    pub fn get_mut(&mut self, id: PacketId) -> &mut Packet {
-        debug_assert!(self.live[id.0 as usize], "write to released PacketId");
-        &mut self.slots[id.0 as usize]
+    pub fn get(&self, id: PacketId) -> Packet<&[u8]> {
+        let slot = &self.slots[id.0 as usize];
+        debug_assert!(slot.live, "read of released PacketId");
+        slot.pkt.with_header(&self.headers[self.span(id)])
+    }
+
+    /// Mutate a live packet's fields (markers re-color in place).
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: PacketId) -> &mut Packet<()> {
+        let slot = &mut self.slots[id.0 as usize];
+        debug_assert!(slot.live, "write to released PacketId");
+        &mut slot.pkt
     }
 
     /// Return a packet's slot to the pool. The id must not be used again.
     pub fn release(&mut self, id: PacketId) {
-        let i = id.0 as usize;
-        assert!(self.live[i], "double release of PacketId");
-        self.live[i] = false;
+        let slot = &mut self.slots[id.0 as usize];
+        assert!(slot.live, "double release of PacketId");
+        slot.live = false;
         self.free.push(id.0);
+    }
+}
+
+/// A FIFO of packets threaded through their arena slots' `next` links. It
+/// owns no storage: pushing and popping rewrite links in the arena that
+/// holds the packets, which every call must pass.
+#[derive(Debug)]
+pub(crate) struct PacketFifo {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl PacketFifo {
+    pub(crate) const fn new() -> Self {
+        PacketFifo {
+            head: NIL,
+            tail: NIL,
+            len: 0,
+        }
+    }
+
+    /// Packets queued.
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Append a live packet that waits in no other queue.
+    pub(crate) fn push(&mut self, arena: &mut PacketArena, id: PacketId) {
+        debug_assert!(
+            arena.slots[id.0 as usize].live,
+            "queued a released PacketId"
+        );
+        arena.slots[id.0 as usize].next = NIL;
+        match self.tail {
+            NIL => self.head = id.0,
+            tail => arena.slots[tail as usize].next = id.0,
+        }
+        self.tail = id.0;
+        self.len += 1;
+    }
+
+    /// Remove the oldest packet.
+    pub(crate) fn pop(&mut self, arena: &mut PacketArena) -> Option<PacketId> {
+        if self.head == NIL {
+            return None;
+        }
+        let id = self.head;
+        self.head = std::mem::replace(&mut arena.slots[id as usize].next, NIL);
+        if self.head == NIL {
+            self.tail = NIL;
+        }
+        self.len -= 1;
+        Some(PacketId(id))
     }
 }
 
@@ -153,7 +275,7 @@ mod tests {
         let mut a = PacketArena::new();
         let id = a.alloc(pkt(7, vec![1, 2, 3]));
         assert_eq!(a.get(id).uid, 7);
-        assert_eq!(a.get(id).header, vec![1, 2, 3]);
+        assert_eq!(a.get(id).header, [1, 2, 3]);
         assert_eq!(a.live_count(), 1);
         a.release(id);
         assert_eq!(a.live_count(), 0);
@@ -169,32 +291,42 @@ mod tests {
         let id2 = a.alloc(pkt(2, vec![0xBB]));
         assert_eq!(id2.index(), id1.index(), "LIFO free list reuses the slot");
         assert_eq!(a.get(id2).uid, 2);
-        assert_eq!(a.get(id2).header, vec![0xBB]);
+        assert_eq!(a.get(id2).header, [0xBB]);
         assert_eq!(a.capacity(), 1, "no new slot was created");
+    }
+
+    #[test]
+    fn a_longer_header_relays_the_slab_and_keeps_every_header() {
+        let mut a = PacketArena::new();
+        let ids: Vec<PacketId> = (0..5u8)
+            .map(|k| a.alloc(pkt(k.into(), vec![k; 1 + k as usize])))
+            .collect();
+        let long = a.alloc(pkt(9, vec![0xEE; 200]));
+        for (k, &id) in ids.iter().enumerate() {
+            assert_eq!(
+                a.get(id).header,
+                vec![k as u8; 1 + k],
+                "slot {k} moved intact"
+            );
+        }
+        assert_eq!(a.get(long).header, [0xEE; 200]);
     }
 
     #[test]
     fn header_allocation_is_recycled() {
         let mut a = PacketArena::new();
-        let id = a.alloc(pkt(1, vec![7; 64]));
-        let buf = a.get(id).header.as_ptr();
-        a.release(id);
-        let id = a.insert(pkt(2, Vec::new()), &[9; 16]);
-        // The recycled buffer survives (64 >= 16: reused in place).
-        assert_eq!(a.get(id).header.as_ptr(), buf);
-        assert!(a.get(id).header.capacity() >= 64);
-        assert_eq!(a.get(id).header, vec![9; 16]);
-    }
-
-    #[test]
-    fn a_new_slot_fits_any_header_up_to_the_floor() {
-        let mut a = PacketArena::new();
-        let id = a.insert(pkt(1, Vec::new()), &[1; 20]);
-        let buf = a.get(id).header.as_ptr();
-        a.release(id);
-        let id = a.insert(pkt(2, Vec::new()), &[2; SLOT_HEADER_FLOOR]);
-        assert_eq!(a.get(id).header.as_ptr(), buf, "the slot did not regrow");
-        assert_eq!(a.get(id).header, vec![2; SLOT_HEADER_FLOOR]);
+        let warm: Vec<PacketId> = (0..64).map(|u| a.alloc(pkt(u, vec![1; 99]))).collect();
+        warm.into_iter().for_each(|id| a.release(id));
+        let before = crate::counting_alloc::Counts::now();
+        for u in 0..1000 {
+            let id = a.insert(pkt(u, Vec::new()).with_header(()), &[2; 67]);
+            let copy = a.duplicate(id);
+            assert_eq!(a.get(copy).header, [2; 67]);
+            a.release(id);
+            a.release(copy);
+        }
+        let counts = crate::counting_alloc::Counts::now().since(before);
+        assert_eq!(counts.allocs, 0, "{counts}");
     }
 
     #[test]
@@ -216,6 +348,35 @@ mod tests {
         for (k, &id) in new_ids.iter().enumerate() {
             assert_eq!(a.get(id).uid, 100 + k as u64);
         }
+    }
+
+    #[test]
+    fn fifos_thread_through_the_slots_in_order() {
+        let mut a = PacketArena::new();
+        let (mut q1, mut q2) = (PacketFifo::new(), PacketFifo::new());
+        for u in 0..10 {
+            let id = a.alloc(pkt(u, Vec::new()));
+            if u % 2 == 0 {
+                q1.push(&mut a, id);
+            } else {
+                q2.push(&mut a, id);
+            }
+        }
+        assert_eq!((q1.len(), q2.len()), (5, 5));
+        let drain = |q: &mut PacketFifo, a: &mut PacketArena| {
+            let mut uids = Vec::new();
+            while let Some(id) = q.pop(a) {
+                uids.push(a.get(id).uid);
+            }
+            uids
+        };
+        assert_eq!(drain(&mut q1, &mut a), [0, 2, 4, 6, 8]);
+        // A drained queue takes packets again from empty.
+        let id = a.alloc(pkt(10, Vec::new()));
+        q1.push(&mut a, id);
+        assert_eq!(drain(&mut q2, &mut a), [1, 3, 5, 7, 9]);
+        assert_eq!(drain(&mut q1, &mut a), [10]);
+        assert_eq!((q1.len(), q2.len()), (0, 0));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! let rx = b.host();
 //! b.duplex_link(tx, rx, LinkConfig::new(Rate::from_mbps(10), Duration::from_millis(5)));
 //! let mut sim = b.build(42);
-//! let flow = sim.register_flow("cbr");
+//! let flow = sim.register_flow();
 //! sim.attach_agent(tx, Box::new(CbrSource::new(flow, rx, 1250, Rate::from_mbps(2))));
 //! sim.attach_agent(rx, Box::new(Sink));
 //! sim.run_until(SimTime::from_secs(10));
@@ -69,7 +69,7 @@ pub mod prelude {
     pub use crate::link::LinkConfig;
     pub use crate::loss::LossModel;
     pub use crate::marker::TokenBucketMarker;
-    pub use crate::packet::{Color, FlowId, LinkId, NodeId, Packet, QueuedPacket};
+    pub use crate::packet::{Color, FlowId, LinkId, NodeId, Packet};
     pub use crate::path::{PathModel, ReorderSpec};
     pub use crate::queue::{DropReason, QueueConfig, RedParams, RioParams};
     pub use crate::rng::DetRng;

@@ -7,9 +7,10 @@
 
 use std::time::Duration;
 
+use crate::arena::PacketId;
 use crate::loss::LossModel;
 use crate::marker::TokenBucketMarker;
-use crate::packet::{FlowId, LinkId, NodeId, QueuedPacket};
+use crate::packet::{FlowId, LinkId, NodeId};
 use crate::path::PathModel;
 use crate::queue::{AqmQueue, QueueConfig};
 use crate::rng::DetRng;
@@ -137,7 +138,7 @@ pub struct Link {
     /// Whether a packet is currently being serialized.
     pub(crate) transmitting: bool,
     /// The packet on the wire (being serialized), if any.
-    pub(crate) in_flight: Option<QueuedPacket>,
+    pub(crate) in_flight: Option<PacketId>,
     /// Private randomness for AQM and loss decisions.
     pub(crate) rng: DetRng,
     /// Separate randomness for path impairments: an independent stream, so

@@ -37,7 +37,7 @@ impl TokenBucketMarker {
     }
 
     /// Stamp `pkt.color` according to the profile at time `now`.
-    pub fn mark(&mut self, now: SimTime, pkt: &mut Packet) {
+    pub fn mark<H>(&mut self, now: SimTime, pkt: &mut Packet<H>) {
         pkt.color = self.color_of(now, pkt.wire_size);
     }
 

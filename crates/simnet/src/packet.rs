@@ -1,7 +1,7 @@
 //! The network-layer view of a packet.
 //!
 //! The simulator forwards packets between nodes without interpreting their
-//! transport headers: `header` is an opaque byte vector that the endpoint
+//! transport headers: `header` holds opaque bytes that the endpoint
 //! that owns the flow encodes and decodes. The only fields the network reads
 //! are addressing (`src`, `dst`, `flow`), the wire size (for serialization
 //! delay and queue occupancy) and the DiffServ `color` (set by edge markers,
@@ -45,8 +45,13 @@ impl Color {
 }
 
 /// A packet in flight through the simulated network.
-#[derive(Debug, Clone)]
-pub struct Packet {
+///
+/// `H` is how the transport header is held. A packet is built owning it
+/// (`Vec<u8>`, the default); the [`PacketArena`](crate::arena::PacketArena)
+/// keeps every header in one slab and lends a packet out with a borrowed
+/// `&[u8]`, which is what agents receive.
+#[derive(Debug, Clone, Copy)]
+pub struct Packet<H = Vec<u8>> {
     /// Globally unique id, assigned at creation (a wire duplicate shares
     /// its original's).
     pub uid: u64,
@@ -68,7 +73,7 @@ pub struct Packet {
     ///
     /// Simulated application payload is *not* materialized: `wire_size`
     /// accounts for it, which keeps memory use independent of payload size.
-    pub header: Vec<u8>,
+    pub header: H,
 }
 
 impl Packet {
@@ -97,21 +102,20 @@ impl Packet {
     }
 }
 
-/// The slice of a packet that queues and links work with while the full
-/// packet sits in the [`crate::arena::PacketArena`]: enough to compute
-/// occupancy (`wire_size`), AQM decisions (`color`) and serialization time,
-/// without touching the arena from inside a queue.
-///
-/// `color` is a snapshot taken after the link's marker ran; the arena copy
-/// is updated in the same step, so the two never disagree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueuedPacket {
-    /// Handle to the full packet in the arena.
-    pub id: crate::arena::PacketId,
-    /// Total on-wire size in bytes.
-    pub wire_size: u32,
-    /// Drop precedence at enqueue time (post-marking).
-    pub color: Color,
+impl<H> Packet<H> {
+    /// The same packet with its header held as `header`.
+    pub(crate) fn with_header<G>(&self, header: G) -> Packet<G> {
+        Packet {
+            uid: self.uid,
+            flow: self.flow,
+            src: self.src,
+            dst: self.dst,
+            wire_size: self.wire_size,
+            color: self.color,
+            created_at: self.created_at,
+            header,
+        }
+    }
 }
 
 #[cfg(test)]

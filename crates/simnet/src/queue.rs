@@ -14,10 +14,13 @@
 //!
 //! Queues are deliberately passive: they decide accept/drop at enqueue time
 //! and hand packets back at dequeue time; the link owns serialization timing.
+//! A queue holds no packets of its own: its FIFO is threaded through the
+//! [`PacketArena`] slots of the packets it queues (see [`crate::arena`]), so
+//! a queue is a few words and never allocates, and every enqueue and
+//! dequeue is handed the arena.
 
-use std::collections::VecDeque;
-
-use crate::packet::{Color, QueuedPacket};
+use crate::arena::{PacketArena, PacketFifo, PacketId};
+use crate::packet::Color;
 use crate::rng::DetRng;
 use crate::time::SimTime;
 
@@ -35,10 +38,6 @@ pub enum DropReason {
     LinkLoss,
 }
 
-/// Result of an enqueue attempt: the packet comes back on rejection so the
-/// caller can count it and release its arena slot.
-pub type EnqueueResult = Result<(), (QueuedPacket, DropReason)>;
-
 /// Configuration for any of the supported queue disciplines.
 #[derive(Debug, Clone)]
 pub enum QueueConfig {
@@ -53,33 +52,42 @@ impl QueueConfig {
     pub fn build(&self) -> AqmQueue {
         match self {
             QueueConfig::DropTailPkts(n) => AqmQueue::DropTail(DropTailQueue::with_pkt_limit(*n)),
-            QueueConfig::Rio(p) => AqmQueue::Rio(RioQueue::new(p.clone())),
+            QueueConfig::Rio(p) => AqmQueue::Rio(Box::new(RioQueue::new(p.clone()))),
         }
     }
 }
 
 /// A queue discipline instance. Enum dispatch keeps the hot path free of
-/// virtual calls and the set of disciplines is closed by design.
+/// virtual calls and the set of disciplines is closed by design. RIO's
+/// state is boxed: every access link is drop-tail, and a link should not
+/// carry a RIO's worth of bytes it never uses.
 #[derive(Debug)]
 pub enum AqmQueue {
     DropTail(DropTailQueue),
-    Rio(RioQueue),
+    Rio(Box<RioQueue>),
 }
 
 impl AqmQueue {
-    /// Offer a packet to the queue.
-    pub fn enqueue(&mut self, now: SimTime, pkt: QueuedPacket, rng: &mut DetRng) -> EnqueueResult {
+    /// Offer the live packet `id`, whose color is final, to the queue. On
+    /// a drop the caller still holds the packet.
+    pub fn enqueue(
+        &mut self,
+        now: SimTime,
+        id: PacketId,
+        arena: &mut PacketArena,
+        rng: &mut DetRng,
+    ) -> Result<(), DropReason> {
         match self {
-            AqmQueue::DropTail(q) => q.enqueue(pkt),
-            AqmQueue::Rio(q) => q.enqueue(now, pkt, rng),
+            AqmQueue::DropTail(q) => q.enqueue(id, arena),
+            AqmQueue::Rio(q) => q.enqueue(now, id, arena, rng),
         }
     }
 
     /// Remove the next packet to transmit.
-    pub fn dequeue(&mut self, now: SimTime) -> Option<QueuedPacket> {
+    pub fn dequeue(&mut self, now: SimTime, arena: &mut PacketArena) -> Option<PacketId> {
         match self {
-            AqmQueue::DropTail(q) => q.fifo.pop_front(),
-            AqmQueue::Rio(q) => q.dequeue(now),
+            AqmQueue::DropTail(q) => q.fifo.pop(arena),
+            AqmQueue::Rio(q) => q.dequeue(now, arena),
         }
     }
 
@@ -100,7 +108,7 @@ impl AqmQueue {
 /// Plain FIFO with a hard packet limit.
 #[derive(Debug)]
 pub struct DropTailQueue {
-    fifo: VecDeque<QueuedPacket>,
+    fifo: PacketFifo,
     limit_pkts: usize,
 }
 
@@ -108,16 +116,16 @@ impl DropTailQueue {
     /// FIFO bounded by packet count.
     pub fn with_pkt_limit(limit: usize) -> Self {
         DropTailQueue {
-            fifo: VecDeque::new(),
+            fifo: PacketFifo::new(),
             limit_pkts: limit,
         }
     }
 
-    fn enqueue(&mut self, pkt: QueuedPacket) -> EnqueueResult {
+    fn enqueue(&mut self, id: PacketId, arena: &mut PacketArena) -> Result<(), DropReason> {
         if self.fifo.len() + 1 > self.limit_pkts {
-            return Err((pkt, DropReason::QueueFull));
+            return Err(DropReason::QueueFull);
         }
-        self.fifo.push_back(pkt);
+        self.fifo.push(arena, id);
         Ok(())
     }
 }
@@ -270,7 +278,7 @@ pub struct RioQueue {
     params: RioParams,
     in_var: RedVar,
     total_var: RedVar,
-    fifo: VecDeque<QueuedPacket>,
+    fifo: PacketFifo,
     in_pkts: usize,
     idle_since: Option<SimTime>,
 }
@@ -281,7 +289,7 @@ impl RioQueue {
             params,
             in_var: RedVar::new(),
             total_var: RedVar::new(),
-            fifo: VecDeque::new(),
+            fifo: PacketFifo::new(),
             in_pkts: 0,
             idle_since: Some(SimTime::ZERO),
         }
@@ -292,12 +300,18 @@ impl RioQueue {
         (self.in_var.avg, self.total_var.avg)
     }
 
-    fn enqueue(&mut self, now: SimTime, pkt: QueuedPacket, rng: &mut DetRng) -> EnqueueResult {
+    fn enqueue(
+        &mut self,
+        now: SimTime,
+        id: PacketId,
+        arena: &mut PacketArena,
+        rng: &mut DetRng,
+    ) -> Result<(), DropReason> {
         let idle = self
             .idle_since
             .take()
             .map(|t| now.saturating_since(t).as_secs_f64());
-        let is_in = pkt.color == Color::Green;
+        let is_in = arena.get(id).color == Color::Green;
         // The total average always advances; the in average only when an
         // in-profile packet arrives (Clark & Fang).
         self.total_var.update_avg(
@@ -320,7 +334,7 @@ impl RioQueue {
             self.total_var.drop_decision(&self.params.out_params, rng)
         };
         if let Some(reason) = decision {
-            return Err((pkt, reason));
+            return Err(reason);
         }
         let limit = if is_in {
             self.params.in_params.limit_pkts
@@ -328,38 +342,38 @@ impl RioQueue {
             self.params.out_params.limit_pkts
         };
         if self.fifo.len() + 1 > limit {
-            return Err((pkt, DropReason::QueueFull));
+            return Err(DropReason::QueueFull);
         }
         if is_in {
             self.in_pkts += 1;
         }
-        self.fifo.push_back(pkt);
+        self.fifo.push(arena, id);
         Ok(())
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<QueuedPacket> {
-        let pkt = self.fifo.pop_front()?;
-        if pkt.color == Color::Green {
+    fn dequeue(&mut self, now: SimTime, arena: &mut PacketArena) -> Option<PacketId> {
+        let id = self.fifo.pop(arena)?;
+        if arena.get(id).color == Color::Green {
             self.in_pkts -= 1;
         }
-        if self.fifo.is_empty() {
+        if self.fifo.len() == 0 {
             self.idle_since = Some(now);
         }
-        Some(pkt)
+        Some(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::Packet;
     use crate::time::SimTime;
 
-    fn pkt(uid: u64, size: u32, color: Color) -> QueuedPacket {
-        QueuedPacket {
-            id: crate::arena::PacketId::from_raw(uid as u32),
-            wire_size: size,
-            color,
-        }
+    /// A live packet of `color` in `arena`, ready to queue.
+    fn pkt(arena: &mut PacketArena, uid: u64, size: u32, color: Color) -> PacketId {
+        let mut p = Packet::new(uid, 0, 0, 1, size, SimTime::ZERO, Vec::new());
+        p.color = color;
+        arena.alloc(p)
     }
 
     /// A RIO queue whose in and out estimators share `params`: all-green
@@ -376,17 +390,31 @@ mod tests {
     fn droptail_respects_pkt_limit() {
         let mut q = QueueConfig::DropTailPkts(2).build();
         let mut rng = DetRng::new(1);
+        let mut a = PacketArena::new();
         assert!(q
-            .enqueue(SimTime::ZERO, pkt(1, 100, Color::Green), &mut rng)
+            .enqueue(
+                SimTime::ZERO,
+                pkt(&mut a, 1, 100, Color::Green),
+                &mut a,
+                &mut rng
+            )
             .is_ok());
         assert!(q
-            .enqueue(SimTime::ZERO, pkt(2, 100, Color::Green), &mut rng)
+            .enqueue(
+                SimTime::ZERO,
+                pkt(&mut a, 2, 100, Color::Green),
+                &mut a,
+                &mut rng
+            )
             .is_ok());
-        let err = q
-            .enqueue(SimTime::ZERO, pkt(3, 100, Color::Green), &mut rng)
-            .unwrap_err();
-        assert_eq!(err.1, DropReason::QueueFull);
-        assert_eq!(err.0.id.index(), 3);
+        let third = pkt(&mut a, 3, 100, Color::Green);
+        let err = q.enqueue(SimTime::ZERO, third, &mut a, &mut rng);
+        assert_eq!(err, Err(DropReason::QueueFull));
+        assert_eq!(
+            a.get(third).uid,
+            3,
+            "the caller still holds the dropped packet"
+        );
         assert_eq!(q.len_pkts(), 2);
     }
 
@@ -394,14 +422,21 @@ mod tests {
     fn droptail_fifo_order() {
         let mut q = QueueConfig::DropTailPkts(10).build();
         let mut rng = DetRng::new(1);
+        let mut a = PacketArena::new();
         for i in 0..5 {
-            q.enqueue(SimTime::ZERO, pkt(i, 100, Color::Green), &mut rng)
-                .unwrap();
+            q.enqueue(
+                SimTime::ZERO,
+                pkt(&mut a, i, 100, Color::Green),
+                &mut a,
+                &mut rng,
+            )
+            .unwrap();
         }
         for i in 0..5 {
-            assert_eq!(q.dequeue(SimTime::ZERO).unwrap().id.index(), i as u32);
+            let id = q.dequeue(SimTime::ZERO, &mut a).unwrap();
+            assert_eq!(a.get(id).uid, i);
         }
-        assert!(q.dequeue(SimTime::ZERO).is_none());
+        assert!(q.dequeue(SimTime::ZERO, &mut a).is_none());
         assert!(q.is_empty());
     }
 
@@ -415,12 +450,13 @@ mod tests {
         };
         let mut q = red_as_rio(params);
         let mut rng = DetRng::new(7);
+        let mut a = PacketArena::new();
         // Instantaneous queue stays far below min_th=100, for both the
         // total (red) and the in (green) estimator.
         for i in 0..50 {
             let color = if i < 25 { Color::Red } else { Color::Green };
             assert!(q
-                .enqueue(SimTime::ZERO, pkt(i, 100, color), &mut rng)
+                .enqueue(SimTime::ZERO, pkt(&mut a, i, 100, color), &mut a, &mut rng)
                 .is_ok());
         }
     }
@@ -439,11 +475,17 @@ mod tests {
         };
         let mut q = red_as_rio(params);
         let mut rng = DetRng::new(7);
+        let mut a = PacketArena::new();
         let mut dropped = 0;
         // Out-of-profile traffic: the total estimator decides.
         for i in 0..100 {
-            if q.enqueue(SimTime::ZERO, pkt(i, 100, Color::Red), &mut rng)
-                .is_err()
+            if q.enqueue(
+                SimTime::ZERO,
+                pkt(&mut a, i, 100, Color::Red),
+                &mut a,
+                &mut rng,
+            )
+            .is_err()
             {
                 dropped += 1;
             }
@@ -463,16 +505,27 @@ mod tests {
         };
         let mut q = red_as_rio(params);
         let mut rng = DetRng::new(7);
+        let mut a = PacketArena::new();
         for i in 0..20 {
-            q.enqueue(SimTime::ZERO, pkt(i, 100, Color::Green), &mut rng)
-                .unwrap();
+            q.enqueue(
+                SimTime::ZERO,
+                pkt(&mut a, i, 100, Color::Green),
+                &mut a,
+                &mut rng,
+            )
+            .unwrap();
         }
         let avg_busy = q.avgs().0;
         assert!(avg_busy > 1.0);
         // Drain, then come back after one second of idleness.
-        while q.dequeue(SimTime::from_millis(1)).is_some() {}
-        q.enqueue(SimTime::from_secs(1), pkt(99, 100, Color::Green), &mut rng)
-            .unwrap();
+        while q.dequeue(SimTime::from_millis(1), &mut a).is_some() {}
+        q.enqueue(
+            SimTime::from_secs(1),
+            pkt(&mut a, 99, 100, Color::Green),
+            &mut a,
+            &mut rng,
+        )
+        .unwrap();
         let avg_in = q.avgs().0;
         assert!(
             avg_in < avg_busy * 0.01,
@@ -508,10 +561,16 @@ mod tests {
         };
         let mut q = RioQueue::new(params);
         let mut rng = DetRng::new(11);
+        let mut a = PacketArena::new();
         // Build a 25-packet backlog of green (below every IN threshold).
         for i in 0..25u64 {
-            q.enqueue(SimTime::ZERO, pkt(i, 1000, Color::Green), &mut rng)
-                .unwrap();
+            q.enqueue(
+                SimTime::ZERO,
+                pkt(&mut a, i, 1000, Color::Green),
+                &mut a,
+                &mut rng,
+            )
+            .unwrap();
         }
         let mut dropped = [0u32; 2];
         let mut offered = [0u32; 2];
@@ -519,13 +578,13 @@ mod tests {
             let color = if i % 2 == 0 { Color::Green } else { Color::Red };
             offered[color.index()] += 1;
             let accepted = q
-                .enqueue(SimTime::ZERO, pkt(i, 1000, color), &mut rng)
+                .enqueue(SimTime::ZERO, pkt(&mut a, i, 1000, color), &mut a, &mut rng)
                 .is_ok();
             if !accepted {
                 dropped[color.index()] += 1;
             } else {
                 // One-in-one-out keeps occupancy pinned at ~25.
-                q.dequeue(SimTime::ZERO);
+                q.dequeue(SimTime::ZERO, &mut a);
             }
         }
         let red_rate = dropped[Color::Red.index()] as f64 / offered[Color::Red.index()] as f64;
@@ -557,9 +616,15 @@ mod tests {
             },
         });
         let mut rng = DetRng::new(13);
+        let mut a = PacketArena::new();
         for i in 0..10u64 {
-            q.enqueue(SimTime::ZERO, pkt(i, 100, Color::Red), &mut rng)
-                .unwrap();
+            q.enqueue(
+                SimTime::ZERO,
+                pkt(&mut a, i, 100, Color::Red),
+                &mut a,
+                &mut rng,
+            )
+            .unwrap();
         }
         let (avg_in, avg_total) = q.avgs();
         assert_eq!(avg_in, 0.0, "no green packet arrived yet");
@@ -581,20 +646,31 @@ mod tests {
         };
         let mut q = red_as_rio(params);
         let mut rng = DetRng::new(5);
+        let mut a = PacketArena::new();
         // Hold the queue around 26 packets -> p_b ~ 0.05.
         for i in 0..26 {
-            let _ = q.enqueue(SimTime::ZERO, pkt(i, 100, Color::Green), &mut rng);
+            let _ = q.enqueue(
+                SimTime::ZERO,
+                pkt(&mut a, i, 100, Color::Green),
+                &mut a,
+                &mut rng,
+            );
         }
         let mut longest_run = 0;
         let mut run = 0;
         for i in 26..5000u64 {
-            let res = q.enqueue(SimTime::ZERO, pkt(i, 100, Color::Green), &mut rng);
+            let res = q.enqueue(
+                SimTime::ZERO,
+                pkt(&mut a, i, 100, Color::Green),
+                &mut a,
+                &mut rng,
+            );
             if res.is_err() {
                 run += 1;
                 longest_run = longest_run.max(run);
             } else {
                 run = 0;
-                q.dequeue(SimTime::ZERO); // keep occupancy constant
+                q.dequeue(SimTime::ZERO, &mut a); // keep occupancy constant
             }
         }
         assert!(longest_run <= 3, "longest_run={longest_run}");

@@ -17,14 +17,17 @@
 //!
 //! The hot path is built for 10^5-flow runs:
 //!
-//! * Packets live in a [`PacketArena`]; events, queues and links pass 4-byte
-//!   [`PacketId`]s. A packet's slot (and its header buffer) is recycled at
-//!   delivery, drop, or routing failure.
-//! * Headers are lent, not handed over: [`Ctx::send_new`] borrows the
-//!   agent's encoded bytes and stages them in a byte buffer pooled with the
-//!   callback's command buffer, and injection copies them into the arena
-//!   slot's retained header. The agent keeps its own buffer for the next
-//!   packet, so a warmed-up send allocates nothing.
+//! * Packets live in a [`PacketArena`]; events and links pass 4-byte
+//!   [`PacketId`]s, and a link's queue is a FIFO threaded through the
+//!   arena slots of the packets it holds, so no queue owns storage. A
+//!   packet's slot is recycled at delivery, drop, or routing failure.
+//! * Headers are lent both ways, never handed over: [`Ctx::send_new`]
+//!   borrows the agent's encoded bytes and stages them in a byte buffer
+//!   pooled with the callback's command buffer, injection copies them into
+//!   the slot's place in the arena's one header slab, and delivery lends
+//!   the agent a [`Packet`] whose header borrows that slab. The agent keeps
+//!   its own buffer for the next packet, so a warmed-up send allocates
+//!   nothing.
 //! * The scheduler is a [`CalendarQueue`] — amortized O(1) push/pop instead
 //!   of an O(log n) global heap — popping in exactly the same `(time, seq)`
 //!   order, so fixed-seed outputs are byte-identical to the old heap.
@@ -50,7 +53,7 @@ use std::time::Duration;
 use crate::arena::{PacketArena, PacketId};
 use crate::calendar::CalendarQueue;
 use crate::link::{Link, LinkConfig};
-use crate::packet::{FlowId, LinkId, NodeId, Packet, QueuedPacket};
+use crate::packet::{Color, FlowId, LinkId, NodeId, Packet};
 use crate::queue::DropReason;
 use crate::rng::DetRng;
 use crate::stats::Stats;
@@ -275,9 +278,9 @@ struct CmdBuf {
 }
 
 enum Cmd {
-    /// A packet to inject (its own `header` empty) and where its header
-    /// bytes sit in [`CmdBuf::headers`].
-    Send(Packet, Range<usize>),
+    /// A packet to inject, its header held as where its bytes sit in
+    /// [`CmdBuf::headers`].
+    Send(Packet<Range<usize>>),
     Timer {
         at: SimTime,
         token: u64,
@@ -292,19 +295,19 @@ impl<'a> Ctx<'a> {
     /// the caller keeps its buffer to encode the next header into.
     pub fn send_new(&mut self, flow: FlowId, dst: NodeId, wire_size: u32, header: &[u8]) {
         *self.uid_counter += 1;
-        let pkt = Packet::new(
-            *self.uid_counter,
-            flow,
-            self.node,
-            dst,
-            wire_size,
-            self.now,
-            Vec::new(),
-        );
         let headers = &mut self.buf.headers;
         let start = headers.len();
         headers.extend_from_slice(header);
-        self.buf.cmds.push(Cmd::Send(pkt, start..headers.len()));
+        self.buf.cmds.push(Cmd::Send(Packet {
+            uid: *self.uid_counter,
+            flow,
+            src: self.node,
+            dst,
+            wire_size,
+            color: Color::Green,
+            created_at: self.now,
+            header: start..headers.len(),
+        }));
     }
 
     /// Schedule a wakeup at an absolute time.
@@ -325,10 +328,10 @@ impl<'a> Ctx<'a> {
 pub trait Agent {
     /// Called once when the simulation starts.
     fn on_start(&mut self, _ctx: &mut Ctx) {}
-    /// Called when a packet addressed to this node arrives. The packet is
-    /// borrowed from the simulator's arena; copy out what must outlive the
-    /// callback.
-    fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: &Packet) {}
+    /// Called when a packet addressed to this node arrives. The packet and
+    /// its header are borrowed from the simulator's arena; copy out what
+    /// must outlive the callback.
+    fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: &Packet<&[u8]>) {}
     /// Called when a timer set by this agent fires.
     fn on_timer(&mut self, _ctx: &mut Ctx, _token: u64) {}
 }
@@ -500,8 +503,8 @@ impl Simulator {
     }
 
     /// Register a flow for statistics; returns the id packets must carry.
-    pub fn register_flow(&mut self, name: impl Into<String>) -> FlowId {
-        self.stats.register_flow(name.into())
+    pub fn register_flow(&mut self) -> FlowId {
+        self.stats.register_flow()
     }
 
     /// Attach the agent that runs on `node`. Replaces any previous agent.
@@ -591,7 +594,10 @@ impl Simulator {
     fn apply_cmds(&mut self, node: NodeId, mut buf: CmdBuf) {
         for cmd in buf.cmds.drain(..) {
             match cmd {
-                Cmd::Send(pkt, header) => self.inject(node, pkt, &buf.headers[header]),
+                Cmd::Send(pkt) => {
+                    let header = &buf.headers[pkt.header.clone()];
+                    self.inject(node, pkt.with_header(()), header)
+                }
                 Cmd::Timer { at, token } => self.push_event(at, EventKind::Timer { node, token }),
             }
         }
@@ -600,11 +606,10 @@ impl Simulator {
     }
 
     /// A source node hands a packet to the network: its header bytes are
-    /// copied into a recycled arena slot.
-    fn inject(&mut self, node: NodeId, pkt: Packet, header: &[u8]) {
+    /// copied into the arena's header slab.
+    fn inject(&mut self, node: NodeId, pkt: Packet<()>, header: &[u8]) {
+        self.stats.on_send(&pkt);
         let id = self.arena.insert(pkt, header);
-        let pkt = self.arena.get(id);
-        self.stats.on_send(pkt);
         self.forward(node, id);
     }
 
@@ -634,19 +639,14 @@ impl Simulator {
         if let Some(marker) = link.markers.get_mut(pkt.flow) {
             marker.mark(now, pkt);
         }
-        let qp = QueuedPacket {
-            id,
-            wire_size: pkt.wire_size,
-            color: pkt.color,
-        };
-        match link.queue.enqueue(now, qp, &mut link.rng) {
-            Err((dropped, reason)) => {
-                self.stats
-                    .on_drop(link_id, self.arena.get(dropped.id), reason);
-                self.arena.release(dropped.id);
+        let (color, wire_size) = (pkt.color, pkt.wire_size);
+        match link.queue.enqueue(now, id, &mut self.arena, &mut link.rng) {
+            Err(reason) => {
+                self.stats.on_drop(link_id, &self.arena.get(id), reason);
+                self.arena.release(id);
             }
             Ok(()) => {
-                self.stats.on_enqueue(link_id, qp.color, qp.wire_size);
+                self.stats.on_enqueue(link_id, color, wire_size);
                 if !self.links[link_id].transmitting {
                     self.start_tx(link_id);
                 }
@@ -658,13 +658,13 @@ impl Simulator {
     fn start_tx(&mut self, link_id: LinkId) {
         let now = self.now;
         let link = &mut self.links[link_id];
-        let Some(qp) = link.queue.dequeue(now) else {
+        let Some(id) = link.queue.dequeue(now, &mut self.arena) else {
             link.transmitting = false;
             return;
         };
-        let tx = link.rate.tx_time(qp.wire_size);
+        let tx = link.rate.tx_time(self.arena.get(id).wire_size);
         link.transmitting = true;
-        link.in_flight = Some(qp);
+        link.in_flight = Some(id);
         self.push_event(now + tx, EventKind::TxComplete { link: link_id });
     }
 
@@ -676,7 +676,7 @@ impl Simulator {
     /// fixed-seed outputs of existing scenarios stay byte-identical.
     fn on_tx_complete(&mut self, link_id: LinkId) {
         let link = &mut self.links[link_id];
-        let qp = link
+        let id = link
             .in_flight
             .take()
             .expect("TxComplete without in-flight packet");
@@ -692,21 +692,17 @@ impl Simulator {
         self.stats.on_transmit(link_id);
         if lost {
             self.stats
-                .on_drop(link_id, self.arena.get(qp.id), DropReason::LinkLoss);
-            self.arena.release(qp.id);
+                .on_drop(link_id, &self.arena.get(id), DropReason::LinkLoss);
+            self.arena.release(id);
         } else {
             self.push_event(
                 self.now + delay + extra,
-                EventKind::Arrival {
-                    node: to,
-                    pkt: qp.id,
-                },
+                EventKind::Arrival { node: to, pkt: id },
             );
             if let Some(dup_extra) = dup {
                 // A wire-level duplicate: same uid and headers, its own
                 // jitter draw. The transport above dedups by sequence.
-                let copy = self.arena.get(qp.id).clone();
-                let copy_id = self.arena.alloc(copy);
+                let copy_id = self.arena.duplicate(id);
                 self.push_event(
                     self.now + delay + dup_extra,
                     EventKind::Arrival {
@@ -734,7 +730,7 @@ impl Simulator {
     /// agent can borrow the packet from the arena while the `Ctx` borrows
     /// the (disjoint) stats/rng fields.
     fn deliver(&mut self, node: NodeId, id: PacketId) {
-        self.stats.on_arrive(self.now, self.arena.get(id));
+        self.stats.on_arrive(self.now, &self.arena.get(id));
         let Some(mut agent) = self.agents[node].take() else {
             self.arena.release(id);
             return;
@@ -747,7 +743,7 @@ impl Simulator {
             uid_counter: &mut self.uid_counter,
             buf: self.cmd_pool.pop().unwrap_or_default(),
         };
-        agent.on_packet(&mut ctx, self.arena.get(id));
+        agent.on_packet(&mut ctx, &self.arena.get(id));
         let buf = ctx.buf;
         self.arena.release(id);
         self.agents[node] = Some(agent);
@@ -834,7 +830,7 @@ mod tests {
     }
 
     impl Agent for Recorder {
-        fn on_packet(&mut self, ctx: &mut Ctx, _pkt: &Packet) {
+        fn on_packet(&mut self, ctx: &mut Ctx, _pkt: &Packet<&[u8]>) {
             self.arrivals.borrow_mut().push(ctx.now);
         }
     }
@@ -850,7 +846,7 @@ mod tests {
     #[test]
     fn single_packet_latency_is_tx_plus_prop() {
         let (mut sim, a, c) = two_hosts(Rate::from_mbps(10), Duration::from_millis(5));
-        let flow = sim.register_flow("f");
+        let flow = sim.register_flow();
         let arrivals = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         sim.attach_agent(
             a,
@@ -879,7 +875,7 @@ mod tests {
     #[test]
     fn serialization_spaces_back_to_back_packets() {
         let (mut sim, a, c) = two_hosts(Rate::from_mbps(10), Duration::from_millis(5));
-        let flow = sim.register_flow("f");
+        let flow = sim.register_flow();
         let arrivals = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         sim.attach_agent(
             a,
@@ -927,7 +923,7 @@ mod tests {
             LinkConfig::new(Rate::from_mbps(10), Duration::from_millis(1)),
         );
         let mut sim = b.build(7);
-        let flow = sim.register_flow("f");
+        let flow = sim.register_flow();
         let arrivals = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         sim.attach_agent(
             a,
@@ -963,7 +959,7 @@ mod tests {
                 .with_queue(crate::queue::QueueConfig::DropTailPkts(5)),
         );
         let mut sim = b.build(3);
-        let flow = sim.register_flow("f");
+        let flow = sim.register_flow();
         sim.attach_agent(
             a,
             Box::new(Blaster {
@@ -997,7 +993,7 @@ mod tests {
                 .with_loss(crate::loss::LossModel::periodic(2)),
         );
         let mut sim = b.build(3);
-        let flow = sim.register_flow("f");
+        let flow = sim.register_flow();
         sim.attach_agent(
             a,
             Box::new(Blaster {
@@ -1018,7 +1014,7 @@ mod tests {
     #[test]
     fn sampling_produces_series() {
         let (mut sim, a, c) = two_hosts(Rate::from_mbps(10), Duration::from_millis(1));
-        let flow = sim.register_flow("f");
+        let flow = sim.register_flow();
         sim.set_sample_interval(Duration::from_millis(100));
         sim.attach_agent(
             a,
@@ -1055,7 +1051,7 @@ mod tests {
                     .with_loss(crate::loss::LossModel::bernoulli(0.3)),
             );
             let mut sim = b.build(seed);
-            let flow = sim.register_flow("f");
+            let flow = sim.register_flow();
             sim.attach_agent(
                 a,
                 Box::new(Blaster {
@@ -1081,7 +1077,7 @@ mod tests {
         // must behave exactly like a single long run.
         fn run(split: bool) -> (u64, u64) {
             let (mut sim, a, c) = two_hosts(Rate::from_mbps(10), Duration::from_millis(5));
-            let flow = sim.register_flow("f");
+            let flow = sim.register_flow();
             sim.attach_agent(
                 a,
                 Box::new(Blaster {
@@ -1119,7 +1115,7 @@ mod tests {
                 .with_path(crate::path::PathModel::none().with_duplicate(1.0)),
         );
         let mut sim = b.build(3);
-        let flow = sim.register_flow("f");
+        let flow = sim.register_flow();
         sim.attach_agent(
             a,
             Box::new(Blaster {
@@ -1145,7 +1141,7 @@ mod tests {
     }
 
     impl Agent for UidRecorder {
-        fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet) {
+        fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet<&[u8]>) {
             self.arrivals.borrow_mut().push((pkt.uid, ctx.now));
         }
     }
@@ -1163,7 +1159,7 @@ mod tests {
                 .with_path(crate::path::PathModel::none().with_reorder(1.0, jitter)),
         );
         let mut sim = b.build(17);
-        let flow = sim.register_flow("f");
+        let flow = sim.register_flow();
         let arrivals = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         sim.attach_agent(
             a,
@@ -1216,7 +1212,7 @@ mod tests {
             }
             b.simplex_link(a, c, cfg);
             let mut sim = b.build(42);
-            let flow = sim.register_flow("f");
+            let flow = sim.register_flow();
             sim.attach_agent(
                 a,
                 Box::new(Blaster {

@@ -15,8 +15,6 @@ use crate::time::SimTime;
 /// Per-flow counters and series.
 #[derive(Debug, Clone)]
 pub struct FlowStats {
-    /// Human-readable flow label, chosen at registration.
-    pub name: String,
     /// Packets handed to the network by the source.
     pub pkts_sent: u64,
     /// Bytes handed to the network by the source (wire bytes).
@@ -42,9 +40,8 @@ pub struct FlowStats {
 }
 
 impl FlowStats {
-    fn new(name: String) -> Self {
+    fn new() -> Self {
         FlowStats {
-            name,
             pkts_sent: 0,
             bytes_sent: 0,
             pkts_arrived: 0,
@@ -159,9 +156,9 @@ impl Stats {
         }
     }
 
-    pub(crate) fn register_flow(&mut self, name: String) -> FlowId {
+    pub(crate) fn register_flow(&mut self) -> FlowId {
         let id = self.flows.len() as FlowId;
-        self.flows.push(FlowStats::new(name));
+        self.flows.push(FlowStats::new());
         id
     }
 
@@ -186,14 +183,14 @@ impl Stats {
     }
 
     /// Record a source handing a packet to the network.
-    pub(crate) fn on_send(&mut self, pkt: &Packet) {
+    pub(crate) fn on_send<H>(&mut self, pkt: &Packet<H>) {
         let f = &mut self.flows[pkt.flow as usize];
         f.pkts_sent += 1;
         f.bytes_sent += pkt.wire_size as u64;
     }
 
     /// Record a packet reaching its destination node.
-    pub(crate) fn on_arrive(&mut self, now: SimTime, pkt: &Packet) {
+    pub(crate) fn on_arrive<H>(&mut self, now: SimTime, pkt: &Packet<H>) {
         let f = &mut self.flows[pkt.flow as usize];
         f.pkts_arrived += 1;
         f.bytes_arrived += pkt.wire_size as u64;
@@ -202,7 +199,7 @@ impl Stats {
     }
 
     /// Record a network drop (queue or link loss).
-    pub(crate) fn on_drop(&mut self, link: LinkId, pkt: &Packet, reason: DropReason) {
+    pub(crate) fn on_drop<H>(&mut self, link: LinkId, pkt: &Packet<H>, reason: DropReason) {
         self.flows[pkt.flow as usize].pkts_dropped += 1;
         let l = &mut self.links[link];
         l.drops_by_reason[drop_reason_index(reason)] += 1;
@@ -306,7 +303,7 @@ mod tests {
 
     fn stats_with_flow() -> Stats {
         let mut s = Stats::new();
-        s.register_flow("f0".into());
+        s.register_flow();
         s.register_link();
         s
     }

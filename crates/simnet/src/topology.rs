@@ -338,7 +338,7 @@ mod tests {
         let (mut sim, net) = Dumbbell::build(&cfg, 9);
         let mut flows = Vec::new();
         for i in 0..3 {
-            let f = sim.register_flow(format!("f{i}"));
+            let f = sim.register_flow();
             sim.attach_agent(
                 net.senders[i],
                 Box::new(CbrSource::new(
@@ -367,7 +367,7 @@ mod tests {
         };
         let (mut sim, net) = Dumbbell::build(&cfg, 11);
         for i in 0..2 {
-            let f = sim.register_flow(format!("f{i}"));
+            let f = sim.register_flow();
             // Each offers 1 Mbit/s into a 1 Mbit/s bottleneck.
             sim.attach_agent(
                 net.senders[i],
@@ -432,7 +432,7 @@ mod tests {
         let cfg =
             LongFatPipeConfig::symmetric(Rate::from_mbps(10), Duration::from_millis(150), 1250);
         let (mut sim, net) = LongFatPipe::build(&cfg, 5);
-        let f = sim.register_flow("f");
+        let f = sim.register_flow();
         sim.attach_agent(
             net.tx,
             Box::new(CbrSource::new(f, net.rx, 1250, Rate::from_mbps(1))),
@@ -465,7 +465,7 @@ mod tests {
             ..HandoverConfig::default()
         };
         let (mut sim, ho) = Handover::build(&cfg, 21);
-        let f = sim.register_flow("f");
+        let f = sim.register_flow();
         sim.attach_agent(
             ho.server,
             Box::new(CbrSource::new(f, ho.mobile, 1250, Rate::from_mbps(1))),

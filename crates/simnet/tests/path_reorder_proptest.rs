@@ -51,7 +51,7 @@ struct UidRecorder {
 }
 
 impl Agent for UidRecorder {
-    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet<&[u8]>) {
         self.arrivals.borrow_mut().push((pkt.uid, ctx.now));
     }
 }
@@ -72,7 +72,7 @@ fn run_paced(seed: u64, gap: Duration, path: PathModel) -> Vec<(u64, SimTime)> {
         LinkConfig::new(Rate::from_mbps(100), PROP).with_path(path),
     );
     let mut sim = b.build(seed);
-    let flow = sim.register_flow("paced");
+    let flow = sim.register_flow();
     let arrivals = Rc::new(RefCell::new(Vec::new()));
     sim.attach_agent(
         tx,
@@ -182,7 +182,7 @@ proptest! {
             }
             b.simplex_link(tx, rx, cfg);
             let mut sim = b.build(seed);
-            let flow = sim.register_flow("paced");
+            let flow = sim.register_flow();
             let arrivals = Rc::new(RefCell::new(Vec::new()));
             sim.attach_agent(
                 tx,

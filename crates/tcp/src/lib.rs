@@ -29,7 +29,7 @@ pub use wire::{TcpHeader, TcpKind, WireError};
 use qtp_simnet::prelude::*;
 
 /// Attach one greedy TCP connection to a simulated topology: registers
-/// the flows `name` (data) and `"{name}-ack"`, then mounts a
+/// its data flow and its ack flow, then mounts a
 /// [`TcpSender`] at `sender_node` and a [`TcpReceiver`] (SACK blocks iff
 /// `flavor` is [`TcpFlavor::Sack`], 1000-byte segments) at
 /// `receiver_node`. Returns the data flow.
@@ -37,11 +37,10 @@ pub fn attach_tcp(
     sim: &mut Simulator,
     sender_node: NodeId,
     receiver_node: NodeId,
-    name: &str,
     flavor: TcpFlavor,
 ) -> FlowId {
-    let data = sim.register_flow(name);
-    let ack = sim.register_flow(format!("{name}-ack"));
+    let data = sim.register_flow();
+    let ack = sim.register_flow();
     let sender = TcpSender::new(data, receiver_node, TcpConfig::new(flavor));
     sim.attach_agent(sender_node, Box::new(sender));
     let sack = flavor == TcpFlavor::Sack;

@@ -46,8 +46,8 @@ impl TcpReceiver {
 }
 
 impl Agent for TcpReceiver {
-    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet) {
-        let Ok(h) = TcpHeader::decode(&pkt.header) else {
+    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet<&[u8]>) {
+        let Ok(h) = TcpHeader::decode(pkt.header) else {
             return; // corrupt header: drop silently
         };
         if h.kind != TcpKind::Data {
@@ -95,10 +95,10 @@ mod tests {
                 ctx.send_new(self.data_flow, self.receiver_node, 1040, &h.encode());
             }
         }
-        fn on_packet(&mut self, _ctx: &mut Ctx, pkt: &Packet) {
+        fn on_packet(&mut self, _ctx: &mut Ctx, pkt: &Packet<&[u8]>) {
             self.acks
                 .borrow_mut()
-                .push(TcpHeader::decode(&pkt.header).unwrap());
+                .push(TcpHeader::decode(pkt.header).unwrap());
         }
     }
 
@@ -112,8 +112,8 @@ mod tests {
             LinkConfig::new(Rate::from_mbps(100), Duration::from_millis(1)),
         );
         let mut sim = b.build(1);
-        let df = sim.register_flow("data");
-        let af = sim.register_flow("ack");
+        let df = sim.register_flow();
+        let af = sim.register_flow();
         let acks = Rc::new(RefCell::new(Vec::new()));
         sim.attach_agent(
             s,

@@ -311,8 +311,8 @@ impl Agent for TcpSender {
         self.try_send(ctx);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet) {
-        let Ok(h) = TcpHeader::decode(&pkt.header) else {
+    fn on_packet(&mut self, ctx: &mut Ctx, pkt: &Packet<&[u8]>) {
+        let Ok(h) = TcpHeader::decode(pkt.header) else {
             return;
         };
         if h.kind == TcpKind::Ack {
@@ -363,8 +363,8 @@ mod tests {
         );
         b.simplex_link(r, s, LinkConfig::new(rate, delay));
         let mut sim = b.build(77);
-        let df = sim.register_flow("tcp-data");
-        let af = sim.register_flow("tcp-ack");
+        let df = sim.register_flow();
+        let af = sim.register_flow();
         let mut cfg = TcpConfig::new(flavor);
         cfg.limit = limit;
         let sack = flavor == TcpFlavor::Sack;

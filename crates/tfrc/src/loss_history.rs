@@ -25,8 +25,11 @@ pub const WEIGHTS: [f64; N_INTERVALS] = [1.0, 1.0, 1.0, 1.0, 0.8, 0.6, 0.4, 0.2]
 /// sequence number where the current (open) interval started.
 #[derive(Debug, Clone)]
 pub struct LossIntervalHistory {
-    /// Closed interval lengths, most recent first; at most `N_INTERVALS`.
-    intervals: Vec<f64>,
+    /// Closed interval lengths, most recent first: the first `len` hold
+    /// them, at most `N_INTERVALS` between calls (one more while a new
+    /// interval pushes the oldest out).
+    intervals: [f64; N_INTERVALS + 1],
+    len: usize,
     /// Sequence number of the first packet of the most recent loss event
     /// (i.e. where the open interval starts), if any loss has occurred.
     open_start_seq: Option<u64>,
@@ -38,7 +41,8 @@ impl LossIntervalHistory {
     /// An empty history: no loss event seen yet, `p = 0`.
     pub fn new() -> Self {
         LossIntervalHistory {
-            intervals: Vec::with_capacity(N_INTERVALS + 1),
+            intervals: [0.0; N_INTERVALS + 1],
+            len: 0,
             open_start_seq: None,
             meter: CostMeter::new(),
         }
@@ -65,7 +69,8 @@ impl LossIntervalHistory {
         debug_assert!(self.open_start_seq.is_none(), "first loss already seen");
         self.meter.tick(OpClass::Alloc, 1);
         self.meter.tick(OpClass::Update, 1);
-        self.intervals.push(synthetic_len.max(1.0));
+        self.intervals[0] = synthetic_len.max(1.0);
+        self.len = 1;
         self.open_start_seq = Some(event_seq);
     }
 
@@ -79,10 +84,12 @@ impl LossIntervalHistory {
         debug_assert!(event_seq > start, "loss events must advance");
         let len = (event_seq - start) as f64;
         self.meter.tick(OpClass::Alloc, 1);
-        self.intervals.insert(0, len);
-        self.meter.tick(OpClass::Scan, self.intervals.len() as u64);
-        if self.intervals.len() > N_INTERVALS {
-            self.intervals.pop();
+        self.intervals.copy_within(..self.len, 1);
+        self.intervals[0] = len;
+        self.len += 1;
+        self.meter.tick(OpClass::Scan, self.len as u64);
+        if self.len > N_INTERVALS {
+            self.len -= 1;
             self.meter.tick(OpClass::Update, 1);
         }
         self.open_start_seq = Some(event_seq);
@@ -96,38 +103,32 @@ impl LossIntervalHistory {
     /// Returns `None` until the first loss event.
     pub fn average_interval(&mut self, highest_seq: u64) -> Option<f64> {
         let open_start = self.open_start_seq?;
-        debug_assert!(!self.intervals.is_empty());
+        debug_assert!(self.len > 0);
         let open_len = (highest_seq.saturating_sub(open_start) + 1) as f64;
 
         // I_tot0: closed intervals only, weights aligned at the most recent.
         let mut tot0 = 0.0;
         let mut w0 = 0.0;
-        for (i, &len) in self.intervals.iter().take(N_INTERVALS).enumerate() {
+        for (i, &len) in self.intervals().iter().take(N_INTERVALS).enumerate() {
             tot0 += len * WEIGHTS[i];
             w0 += WEIGHTS[i];
         }
         self.meter
-            .tick(OpClass::Scan, self.intervals.len().min(N_INTERVALS) as u64);
-        self.meter.tick(
-            OpClass::Arith,
-            2 * self.intervals.len().min(N_INTERVALS) as u64,
-        );
+            .tick(OpClass::Scan, self.len.min(N_INTERVALS) as u64);
+        self.meter
+            .tick(OpClass::Arith, 2 * self.len.min(N_INTERVALS) as u64);
 
         // I_tot1: open interval becomes index 0, shifting the rest.
         let mut tot1 = open_len * WEIGHTS[0];
         let mut w1 = WEIGHTS[0];
-        for (i, &len) in self.intervals.iter().take(N_INTERVALS - 1).enumerate() {
+        for (i, &len) in self.intervals().iter().take(N_INTERVALS - 1).enumerate() {
             tot1 += len * WEIGHTS[i + 1];
             w1 += WEIGHTS[i + 1];
         }
-        self.meter.tick(
-            OpClass::Scan,
-            self.intervals.len().min(N_INTERVALS - 1) as u64,
-        );
-        self.meter.tick(
-            OpClass::Arith,
-            2 * self.intervals.len().min(N_INTERVALS - 1) as u64 + 2,
-        );
+        self.meter
+            .tick(OpClass::Scan, self.len.min(N_INTERVALS - 1) as u64);
+        self.meter
+            .tick(OpClass::Arith, 2 * self.len.min(N_INTERVALS - 1) as u64 + 2);
         self.meter.tick(OpClass::Compare, 1);
 
         Some((tot0 / w0).max(tot1 / w1))
@@ -144,7 +145,7 @@ impl LossIntervalHistory {
 
     /// Closed intervals, most recent first (for tests/inspection).
     pub fn intervals(&self) -> &[f64] {
-        &self.intervals
+        &self.intervals[..self.len]
     }
 }
 
@@ -158,7 +159,7 @@ impl StateSize for LossIntervalHistory {
     fn state_bytes(&self) -> usize {
         // Interval ring + open-interval bookkeeping; what an embedded
         // implementation must keep in RAM per connection.
-        self.intervals.len() * std::mem::size_of::<f64>() + std::mem::size_of::<Option<u64>>()
+        self.len * std::mem::size_of::<f64>() + std::mem::size_of::<Option<u64>>()
     }
 }
 

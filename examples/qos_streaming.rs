@@ -31,7 +31,6 @@ fn run(use_qtpaf: bool, g: Rate) -> Vec<f64> {
             &mut sim,
             net.senders[0],
             net.receivers[0],
-            "guaranteed",
             &ConnectionPlan::new(Profile::qtp_af(g)),
         )
         .data_flow
@@ -40,7 +39,6 @@ fn run(use_qtpaf: bool, g: Rate) -> Vec<f64> {
             &mut sim,
             net.senders[0],
             net.receivers[0],
-            "guaranteed",
             TcpFlavor::NewReno,
         )
     };
@@ -55,7 +53,6 @@ fn run(use_qtpaf: bool, g: Rate) -> Vec<f64> {
         &mut sim,
         net.senders[1],
         net.receivers[1],
-        "bg",
         TcpFlavor::NewReno,
     );
     sim.set_marker(

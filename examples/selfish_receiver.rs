@@ -35,7 +35,7 @@ fn run(light: bool, selfish_factor: f64) -> f64 {
         Profile::tfrc()
     };
     let plan = ConnectionPlan::new(profile).selfish_factor(selfish_factor);
-    let h = attach_pair(&mut sim, s, r, "x", &plan);
+    let h = attach_pair(&mut sim, s, r, &plan);
     sim.run_until(SimTime::from_secs(SECS));
     sim.stats()
         .flow(h.data_flow)

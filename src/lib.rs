@@ -49,7 +49,7 @@
 //! // floor) carrying a real byte stream.
 //! let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(2)))
 //!     .stream(StreamConfig::default());
-//! let h = attach_pair(&mut sim, a, z, "file", &plan);
+//! let h = attach_pair(&mut sim, a, z, &plan);
 //! let (tx, rx) = (h.tx_stream.unwrap(), h.rx_stream.unwrap());
 //!
 //! tx.send(b"hello, versatile transport").unwrap();

@@ -53,18 +53,12 @@ pub fn wireless_loss(seed: u64, secs: u64) -> WirelessLossReport {
     let horizon = Duration::from_secs(secs);
 
     let (mut sim, s, r) = wireless_path(seed);
-    let data = attach_tcp(&mut sim, s, r, "tcp", TcpFlavor::Sack);
+    let data = attach_tcp(&mut sim, s, r, TcpFlavor::Sack);
     sim.run_until(SimTime::ZERO + horizon);
     let tcp_goodput_bps = sim.stats().flow(data).goodput_bps(horizon);
 
     let (mut sim, s, r) = wireless_path(seed);
-    let h = attach_pair(
-        &mut sim,
-        s,
-        r,
-        "light",
-        &ConnectionPlan::new(Profile::qtp_light()),
-    );
+    let h = attach_pair(&mut sim, s, r, &ConnectionPlan::new(Profile::qtp_light()));
     sim.run_until(SimTime::ZERO + horizon);
     let light_goodput_bps = sim.stats().flow(h.data_flow).goodput_bps(horizon);
 
@@ -73,7 +67,6 @@ pub fn wireless_loss(seed: u64, secs: u64) -> WirelessLossReport {
         &mut sim,
         s,
         r,
-        "partial",
         &ConnectionPlan::new(
             Profile::qtp_light_partial(Duration::from_millis(200)).expect("nonzero TTL"),
         ),
@@ -130,13 +123,7 @@ pub fn mobile_receiver(light: bool, loss_p: f64, seed: u64, secs: u64) -> Mobile
     } else {
         Profile::tfrc()
     };
-    let h = attach_pair(
-        &mut sim,
-        server,
-        mobile,
-        "video",
-        &ConnectionPlan::new(profile),
-    );
+    let h = attach_pair(&mut sim, server, mobile, &ConnectionPlan::new(profile));
     sim.run_until(SimTime::ZERO + horizon);
     let rx = h.rx_tracer.counters();
     MobileRun {
@@ -180,7 +167,6 @@ pub fn mobile_handover(light: bool, seed: u64) -> HandoverReport {
         &mut sim,
         ho.server,
         ho.mobile,
-        "video",
         &ConnectionPlan::new(profile),
     );
 

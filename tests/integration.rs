@@ -23,7 +23,6 @@ fn attach_bg_tcp(sim: &mut qtp::simnet::sim::Simulator, net: &Dumbbell, pair: us
         sim,
         net.senders[pair],
         net.receivers[pair],
-        "bg",
         TcpFlavor::NewReno,
     );
     sim.set_marker(
@@ -47,7 +46,6 @@ fn qtpaf_achieves_negotiated_qos_where_tcp_fails() {
         &mut sim,
         net.senders[0],
         net.receivers[0],
-        "qtpaf",
         &ConnectionPlan::new(Profile::qtp_af(g)),
     );
     sim.set_marker(
@@ -68,7 +66,6 @@ fn qtpaf_achieves_negotiated_qos_where_tcp_fails() {
         &mut sim,
         net.senders[0],
         net.receivers[0],
-        "tcp",
         TcpFlavor::NewReno,
     );
     sim.set_marker(
@@ -115,7 +112,7 @@ fn qtpaf_is_reliable_end_to_end() {
     );
     let mut sim = b.build(3);
     let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(1))).finite(2000);
-    let h = attach_pair(&mut sim, s, r, "rel", &plan);
+    let h = attach_pair(&mut sim, s, r, &plan);
     sim.run_until(SimTime::from_secs(120));
     assert_eq!(
         sim.stats().flow(h.data_flow).bytes_app_delivered,
@@ -141,7 +138,7 @@ fn negotiation_downgrade_full_stack() {
         allow_reliability: false,
         ..ServerPolicy::default()
     });
-    let h = attach_pair(&mut sim, s, r, "dg", &plan);
+    let h = attach_pair(&mut sim, s, r, &plan);
     sim.run_until(SimTime::from_secs(10));
     // Data still flows and nothing is ever retransmitted.
     assert!(sim.stats().flow(h.data_flow).pkts_arrived > 100);
@@ -164,14 +161,12 @@ fn two_tfrc_flows_share_fairly() {
         &mut sim,
         net.senders[0],
         net.receivers[0],
-        "a",
         &ConnectionPlan::new(Profile::tfrc()),
     );
     let h2 = attach_pair(
         &mut sim,
         net.senders[1],
         net.receivers[1],
-        "b",
         &ConnectionPlan::new(Profile::qtp_light()),
     );
     sim.run_until(SimTime::from_secs(SECS));
@@ -211,7 +206,6 @@ fn facade_quickstart_shape() {
         &mut sim,
         server,
         mobile,
-        "stream",
         &ConnectionPlan::new(Profile::qtp_light()),
     );
     sim.run_until(SimTime::from_secs(10));

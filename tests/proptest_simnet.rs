@@ -23,8 +23,8 @@ fn run(seed: u64, rate_kbps: u64, loss_p: f64, queue_pkts: usize) -> Vec<(u64, u
     };
     let (mut sim, net) = Dumbbell::build(&cfg, seed);
     sim.set_link_loss(net.bottleneck, LossModel::bernoulli(loss_p));
-    let f0 = sim.register_flow("cbr");
-    let f1 = sim.register_flow("cbr-offset");
+    let f0 = sim.register_flow();
+    let f1 = sim.register_flow();
     sim.attach_agent(
         net.senders[0],
         Box::new(CbrSource::new(
@@ -106,13 +106,13 @@ proptest! {
     ) {
         let mut q = QueueConfig::DropTailPkts(limit).build();
         let mut rng = DetRng::new(1);
+        let mut arena = PacketArena::new();
         for (i, size) in arrivals.iter().enumerate() {
-            let p = QueuedPacket {
-                id: PacketId::from_raw(i as u32),
-                wire_size: *size,
-                color: Color::Green,
-            };
-            let _ = q.enqueue(SimTime::ZERO, p, &mut rng);
+            let p = Packet::new(i as u64, 0, 0, 1, *size, SimTime::ZERO, Vec::new());
+            let id = arena.alloc(p);
+            if q.enqueue(SimTime::ZERO, id, &mut arena, &mut rng).is_err() {
+                arena.release(id);
+            }
             prop_assert!(q.len_pkts() <= limit);
         }
     }

@@ -25,6 +25,8 @@ thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
     static FREES: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<u64> = const { Cell::new(0) };
+    /// The highest `LIVE` since the last [`Counts::now`].
+    static PEAK: Cell<u64> = const { Cell::new(0) };
     /// Capture the backtrace of every this-many-th allocation; 0 = off.
     static SAMPLE_EVERY: Cell<u64> = const { Cell::new(0) };
     /// Set while a sample is taken, so the sampler's own allocations are
@@ -49,6 +51,12 @@ fn count(size: u64, grown: u64) {
     bump(&ALLOCS, 1);
     bump(&BYTES, size);
     bump(&LIVE, grown);
+    let live = LIVE.try_with(Cell::get).unwrap_or(0);
+    let _ = PEAK.try_with(|peak| {
+        if live as i64 > peak.get() as i64 {
+            peak.set(live);
+        }
+    });
     let every = SAMPLE_EVERY.try_with(Cell::get).unwrap_or(0);
     if every == 0 || ALLOCS.try_with(Cell::get).unwrap_or(1) % every != 0 {
         return;
@@ -104,15 +112,23 @@ pub struct Counts {
     /// Bytes allocated and not yet freed. Wraps below zero harmlessly: read
     /// it as a difference, signed.
     pub live: u64,
+    /// The live heap's high-water mark since the previous `now()` on this
+    /// thread; in a [`Counts::since`] window, how far it rose above the
+    /// live heap at the window's start.
+    pub peak: u64,
 }
 
 impl Counts {
+    /// This thread's counters, and the high-water mark since the previous
+    /// call, which restarts from the live heap now.
     pub fn now() -> Counts {
+        let live = LIVE.get();
         Counts {
             allocs: ALLOCS.get(),
             bytes: BYTES.get(),
             frees: FREES.get(),
-            live: LIVE.get(),
+            live,
+            peak: PEAK.replace(live),
         }
     }
 
@@ -123,6 +139,7 @@ impl Counts {
             bytes: self.bytes - earlier.bytes,
             frees: self.frees - earlier.frees,
             live: self.live.wrapping_sub(earlier.live),
+            peak: self.peak.wrapping_sub(earlier.live),
         }
     }
 }
@@ -131,8 +148,8 @@ impl fmt::Display for Counts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} allocations of {} B, {} frees, live heap {:+} B",
-            self.allocs, self.bytes, self.frees, self.live as i64
+            "{} allocations of {} B, {} frees, live heap {:+} B (peak {:+} B)",
+            self.allocs, self.bytes, self.frees, self.live as i64, self.peak as i64
         )
     }
 }

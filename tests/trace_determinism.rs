@@ -37,7 +37,6 @@ fn traced_run(seed: u64) -> String {
         &mut sim,
         net.senders[0],
         net.receivers[0],
-        "qtp",
         &ConnectionPlan::new(Profile::qtp_light()),
     );
     registry.register("qtp:tx", &h.tx_tracer);
@@ -48,7 +47,7 @@ fn traced_run(seed: u64) -> String {
         TokenBucketMarker::new(Rate::from_mbps(1), 20_000),
     );
 
-    let bg = sim.register_flow("bg");
+    let bg = sim.register_flow();
     sim.attach_agent(
         net.senders[1],
         Box::new(CbrSource::new(
