@@ -16,7 +16,10 @@
 //! and the sender keeps one record per unacknowledged sequence in a ring
 //! sized once — so the marginal cost of a datagram is a small fraction of
 //! one allocation, and a flow's own cost is held per flow too: its setup
-//! allocations and its share of the run's peak live heap.
+//! allocations and its share of the run's peak live heap. A third run gives
+//! every flow a backlog it cannot finish before the horizon, so a per-flow
+//! structure sized by the backlog rather than by what is outstanding shows
+//! in its peak.
 //!
 //! When a budget fails, the 30-packet case runs again with every
 //! [`SAMPLE_EVERY`]th allocation's backtrace captured, and the failure
@@ -72,6 +75,9 @@ const SETUP_PER_FLOW: f64 = 18.0;
 /// Bytes of the run's peak live heap per flow, the engine's own share
 /// included (8 526 measured; 10 212 before).
 const PEAK_PER_FLOW: f64 = 9_000.0;
+/// The same with a 100 000-packet backlog cut at a 2 s horizon (9 563
+/// measured; a ring sized by the backlog would hold 2.4 MB per flow).
+const LONG_PEAK_PER_FLOW: f64 = 10_500.0;
 
 /// Doubling every flow's backlog adds datagrams but no flows, so the
 /// difference between the two runs prices one more datagram on its own,
@@ -104,4 +110,21 @@ fn simulated_datagrams_stay_within_their_allocation_budget() {
             top_sites()
         );
     }
+}
+
+/// A backlog no flow can finish before the horizon costs a flow about what
+/// a 30-packet one does: nothing is sized by the backlog itself.
+#[test]
+fn a_long_backlog_costs_no_more_live_heap_per_flow() {
+    let mut cfg = config(FLOWS, 100_000);
+    cfg.horizon = std::time::Duration::from_secs(2);
+    let before = Counts::now();
+    let report = run_sim(&cfg);
+    let counts = Counts::now().since(before);
+    assert_eq!(report.completed, 0, "no flow sends 100 000 packets in 2 s");
+    let peak_per_flow = counts.peak as f64 / FLOWS as f64;
+    assert!(
+        peak_per_flow <= LONG_PEAK_PER_FLOW,
+        "{peak_per_flow:.0} B of peak live heap per flow (budget {LONG_PEAK_PER_FLOW}): {counts}"
+    );
 }

@@ -246,6 +246,7 @@ impl Pipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counting_alloc::Counts;
     use crate::session::Profile;
 
     #[test]
@@ -264,5 +265,19 @@ mod tests {
             .unwrap_err();
         assert_eq!((stall.reason, stall.tx.negotiated), (Reason::Horizon, None));
         assert!(pipe.sent(Dir::Forward) > 1, "the SYN is retried");
+    }
+
+    #[test]
+    fn an_endless_finite_backlog_sizes_nothing_by_its_length() {
+        // Nothing is sized by a backlog that can never be sent: the run's
+        // peak heap is what its outstanding packets cost.
+        let plan = ConnectionPlan::new(Profile::qtp_light()).finite(u64::MAX);
+        let before = Counts::now();
+        let mut pipe = Pipe::new(&plan, Duration::from_millis(10));
+        pipe.run_until(SimTime::from_secs(60), |p| p.tx.sent_new() >= 2_000)
+            .expect("the sender keeps sending");
+        let counts = Counts::now().since(before);
+        // 428 KB measured; a ring sized by the backlog overflows.
+        assert!(counts.peak < 1 << 20, "{counts}");
     }
 }

@@ -161,6 +161,12 @@ const FIN_MAX_RETRIES: u32 = 8;
 /// packets (about 24 at 200 Mbit/s, well inside a default socket buffer).
 const DEBT_CAP: Duration = Duration::from_millis(1);
 
+/// Most sequence records a finite sender reserves at its first send. A
+/// short transfer's whole backlog fits, so its ring never grows; a longer
+/// one's grows from here with the sequences actually outstanding, which
+/// the controller bounds, not with the backlog.
+const RING_RESERVE_MAX: u64 = 64;
+
 impl Running {
     /// Whether the negotiated reliability retransmits declared losses.
     fn retransmits(&self) -> bool {
@@ -621,8 +627,8 @@ impl Conn {
         }
         if let (0, AppModel::Finite { packets }) = (self.sent_new, &app.model) {
             // A finite transfer never has more sequences outstanding than
-            // it sends: size the scoreboard's ring for them once.
-            self.sb.reserve(*packets as usize);
+            // it sends: size the scoreboard's ring for them once, up to a cap.
+            self.sb.reserve((*packets).min(RING_RESERVE_MAX) as usize);
         }
         // Only the Cbr model queues submissions; the others submit now.
         let submit = app.backlog.pop_front().unwrap_or(out.now);

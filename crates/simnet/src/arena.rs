@@ -13,12 +13,15 @@
 //!
 //! Headers are not stored per slot. Every slot's header sits in one byte
 //! slab at `slot × stride`, where the stride is the longest header the
-//! arena has been given. A longer header re-lays the slab out once at the
-//! wider stride (in place, back to front); headers are few sizes in any
-//! run (a handshake, a data header, feedback with up to four SACK blocks),
-//! so that happens a handful of times. A new slot grows the slab by one
-//! stride, so the slots and their headers together cost a logarithmic
-//! number of allocations, whatever the pool's high-water mark.
+//! arena has been given. A header longer than every earlier one re-lays
+//! the slab out at the wider stride (in place, back to front). Headers come
+//! in few sizes (a handshake, a data header, feedback with up to four SACK
+//! blocks; in stream mode the data header carries its chunk, so it reaches
+//! the chunk size at once), so that happens a handful of times per run: at
+//! most five in any simulation of the stream-mode ledger group H. A new
+//! slot grows the slab by one stride, so the slots and their headers
+//! together cost a logarithmic number of allocations, whatever the pool's
+//! high-water mark.
 //!
 //! # The header loan
 //!
