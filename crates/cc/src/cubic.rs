@@ -75,8 +75,17 @@ pub struct Cubic {
     /// Whether the TCP-friendly region governed the last update.
     tcp_friendly: bool,
     nofeedback_deadline: SimTime,
+    /// No-feedback expiries since the last feedback. Each doubles the next
+    /// timeout (up to [`MAX_NOFB_BACKOFF`] doublings), as TCP backs off its
+    /// RTO: the window stops halving at [`MIN_CWND`], so without it a
+    /// silent peer would cost a timer every 4·RTT for as long as it stays
+    /// silent.
+    nofb_backoff: u32,
     ops: u64,
 }
+
+/// Most doublings of the no-feedback timeout.
+const MAX_NOFB_BACKOFF: u32 = 6;
 
 impl Cubic {
     /// A CUBIC controller for segment size `s`. Until an RTT is known it
@@ -95,6 +104,7 @@ impl Cubic {
             x: s as f64,
             tcp_friendly: false,
             nofeedback_deadline: SimTime::from_secs(2),
+            nofb_backoff: 0,
             ops: 0,
         }
     }
@@ -176,6 +186,7 @@ impl CongestionControl for Cubic {
         // belong to the congestion event already acted on.
 
         self.refresh_rate();
+        self.nofb_backoff = 0;
         self.nofeedback_deadline = fb.now + update::nofeedback_interval(self.s, self.x, self.r);
     }
 
@@ -193,7 +204,9 @@ impl CongestionControl for Cubic {
             self.x = (self.x / 2.0).max(update::min_rate(self.s));
         }
         self.ops += 4;
-        self.nofeedback_deadline = now + update::nofeedback_interval(self.s, self.x, self.r);
+        let interval = update::nofeedback_interval(self.s, self.x, self.r);
+        self.nofeedback_deadline = now + interval * (1 << self.nofb_backoff);
+        self.nofb_backoff = (self.nofb_backoff + 1).min(MAX_NOFB_BACKOFF);
     }
 
     fn nofeedback_deadline(&self) -> SimTime {
@@ -350,5 +363,30 @@ mod tests {
         c.on_nofeedback_timer(deadline);
         assert!((c.cwnd() - w / 2.0).abs() < 1e-9);
         assert!(c.nofeedback_deadline() > deadline);
+    }
+
+    #[test]
+    fn consecutive_nofeedback_timeouts_back_off_until_feedback() {
+        let mut c = Cubic::new(S);
+        c.seed_rtt(SimTime::ZERO, RTT);
+        let mut gaps = Vec::new();
+        let mut at = c.nofeedback_deadline();
+        for _ in 0..10 {
+            c.on_nofeedback_timer(at);
+            gaps.push(c.nofeedback_deadline().saturating_since(at));
+            at = c.nofeedback_deadline();
+        }
+        // The window floors at MIN_CWND, so the base interval settles; each
+        // expiry doubles it, up to the cap.
+        assert!(gaps[3] >= gaps[2] * 2 && gaps[2] >= gaps[1] * 2, "{gaps:?}");
+        assert_eq!(gaps[9], gaps[8], "the backoff is capped: {gaps:?}");
+        // A feedback resets it.
+        c.on_feedback(&fb(at, 4000, 0));
+        let reset = c.nofeedback_deadline().saturating_since(at);
+        assert!(
+            reset < gaps[9],
+            "{reset:?} after feedback, {:?} before",
+            gaps[9]
+        );
     }
 }

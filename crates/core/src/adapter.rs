@@ -18,7 +18,11 @@
 //!   header buffers a callback has out at once serve every endpoint: a
 //!   simulated connection owns no outbox storage of its own;
 //! * `Deliver` goes straight to the per-flow statistics, exactly as the
-//!   endpoints used to call `ctx.stats.app_deliver` themselves.
+//!   endpoints used to call `ctx.stats.app_deliver` themselves;
+//! * a sending session is handed a [`Waker`] on the simulator's wake
+//!   queue, keyed by its node (and tagged by its slot on a [`SimHost`]),
+//!   so a stream write between `run_until` slices wakes it at the start
+//!   of the next slice.
 //!
 //! This adapter lives in `qtp-core` rather than `qtp-simnet` because the
 //! crate dependency points this way: core implements the seam *and* knows
@@ -27,8 +31,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use qtp_simnet::packet::{FlowId, Packet};
-use qtp_simnet::sim::{Agent, Ctx};
+use qtp_simnet::packet::{FlowId, NodeId, Packet};
+use qtp_simnet::sim::{Agent, Ctx, Waker};
 
 use crate::driver::{Command, Endpoint, Outbox};
 use crate::session::Session;
@@ -106,7 +110,9 @@ const MAX_HOST_ENDPOINTS: usize = 1 << SLOT_BITS;
 /// * timer tokens are tagged with the endpoint's slot index in the top
 ///   [`SLOT_BITS`] bits on the way out and untagged on the way back, so
 ///   endpoints keep their private token namespaces ([`TimerGens`]
-///   generations stay far below the tag boundary in any finite run);
+///   generations stay far below the tag boundary in any finite run); the
+///   [`Waker`] each endpoint gets tags the tokens it wakes with the same
+///   way;
 /// * `on_start` runs in registration order, preserving the deterministic
 ///   packet-uid / timer-insertion ordering the [`SimAgent`] contract
 ///   guarantees for a single endpoint.
@@ -120,10 +126,18 @@ pub(crate) struct SimHost {
 
 impl SimHost {
     /// Register a session together with the flows it *receives* (a sender
-    /// listens on its feedback flow, a receiver on its data flow).
-    pub(crate) fn add(&mut self, ep: Session, inbound: impl IntoIterator<Item = FlowId>) {
+    /// listens on its feedback flow, a receiver on its data flow); it wakes
+    /// through the simulator's `waker` as the agent on `node`.
+    pub(crate) fn add(
+        &mut self,
+        mut ep: Session,
+        inbound: impl IntoIterator<Item = FlowId>,
+        waker: &Waker,
+        node: NodeId,
+    ) {
         let idx = self.slots.len();
         assert!(idx < MAX_HOST_ENDPOINTS, "SimHost slot tag overflow");
+        ep.set_waker(waker.to(node as u64, slot_tag(idx)(0)));
         for flow in inbound {
             let prev = self.route.insert(flow, idx);
             assert!(prev.is_none(), "flow routed to two endpoints on one host");

@@ -45,6 +45,7 @@
 //! `Vec::with_capacity` would.
 
 use qtp_simnet::packet::{FlowId, NodeId};
+use qtp_simnet::sim::Waker;
 use qtp_simnet::time::SimTime;
 use std::collections::VecDeque;
 
@@ -170,7 +171,21 @@ impl Outbox {
 ///    [`Endpoint::on_timer`];
 /// 4. after each callback, drain the outbox with [`Outbox::poll_cmd`] and
 ///    apply the commands in order (optionally giving each transmitted
-///    header back with [`Outbox::reuse`]).
+///    header back with [`Outbox::reuse`]);
+/// 5. hand the endpoint a [`Waker`] on the driver's own wake queue with
+///    [`Endpoint::set_waker`] when mounting it, and deliver every wake
+///    taken from that queue to [`Endpoint::on_timer`] at once, the way a
+///    timer due now fires.
+///
+/// **Wakes.** A sender's pacer sleeps when nothing may leave, so an
+/// application that writes to a sleeping sender's stream, between
+/// callbacks, has to wake it: the write calls [`Waker::wake`] with a token
+/// the sender chose when it fell asleep. `qtp-io`'s `MuxDriver` takes the
+/// woken connections at the top of each step, the simulator at the start
+/// of each `run_until` slice, and a poll-style `Session` reports a pending
+/// wake as a `poll_timeout` no later than its last callback's time and
+/// delivers it in `on_timeout`. Feedback and timers wake a sender from
+/// inside its own callbacks and need no waker.
 pub trait Endpoint {
     /// Called once when the connection/driver starts.
     fn on_start(&mut self, _out: &mut Outbox) {}
@@ -183,6 +198,11 @@ pub trait Endpoint {
     /// value given when arming; stale generations must be ignored (see
     /// [`TimerGens`]).
     fn on_timer(&mut self, _out: &mut Outbox, _token: u64) {}
+
+    /// The driver's handle for waking this endpoint from outside its
+    /// callbacks (contract item 5). Endpoints nothing outside wakes ignore
+    /// it.
+    fn set_waker(&mut self, _waker: Waker) {}
 }
 
 /// Boxed endpoints forward the whole seam, so one driver can carry
@@ -200,6 +220,10 @@ impl<E: Endpoint + ?Sized> Endpoint for Box<E> {
 
     fn on_timer(&mut self, out: &mut Outbox, token: u64) {
         (**self).on_timer(out, token)
+    }
+
+    fn set_waker(&mut self, waker: Waker) {
+        (**self).set_waker(waker)
     }
 }
 

@@ -142,7 +142,8 @@ impl Pipe {
     }
 
     /// Advance to the next arrival or deadline and handle what is due, in
-    /// this order: forward arrivals, reverse arrivals, the sender's timers,
+    /// this order: forward arrivals, reverse arrivals, the sender's wake
+    /// (a stream write since the last step; it is due at once) and timers,
     /// the receiver's, then both sides' output, sender first.
     pub fn step(&mut self) -> Result<(), Stall> {
         self.step_within(SimTime::MAX)
@@ -265,6 +266,49 @@ mod tests {
             .unwrap_err();
         assert_eq!((stall.reason, stall.tx.negotiated), (Reason::Horizon, None));
         assert!(pipe.sent(Dir::Forward) > 1, "the SYN is retried");
+    }
+
+    /// The idle probe: four messages delivered and acknowledged at 10 ms
+    /// one-way, then ten seconds with nothing to send. A sleeping sender
+    /// fires only its backing-off no-feedback timer and its recovery
+    /// deadline: 9 timers under gTFRC at 2 Mbit/s, 8 under CUBIC, 9 under
+    /// TFRC, where a pacer that ticked through idle time fired 2 086, 1 375
+    /// and 13. The receiver's feedback timer still fires every 20 ms (500
+    /// times, printed): it is armed whether or not data came.
+    #[test]
+    fn an_idle_connection_fires_only_its_decision_timers() {
+        use crate::stream::StreamConfig;
+        use qtp_simnet::time::Rate;
+        let profiles = [
+            ("gTFRC", Profile::qtp_af(Rate::from_mbps(2))),
+            ("CUBIC", Profile::cubic()),
+            ("TFRC", Profile::tfrc()),
+        ];
+        for (name, profile) in profiles {
+            let plan = ConnectionPlan::new(profile).stream(StreamConfig::default());
+            let mut pipe = Pipe::new(&plan, Duration::from_millis(10));
+            let send = pipe.tx.send_stream().expect("stream plan");
+            for _ in 0..4 {
+                send.send(&[0x5A; 100]).expect("room for four messages");
+            }
+            let recv = pipe.rx.recv_stream().expect("stream plan");
+            let acked = |p: &mut Pipe| recv.messages_received() == 4 && p.tx.all_acked();
+            pipe.run_until(SimTime::from_secs(10), acked)
+                .expect("the messages are delivered and acknowledged");
+            let fires = |s: &Session| s.tracer().counters().timer_fires;
+            let (tx0, rx0, sent0) = (fires(&pipe.tx), fires(&pipe.rx), pipe.sent(Dir::Forward));
+            let idle_until = pipe.now + Duration::from_secs(10);
+            let stall = pipe.run_until(idle_until, |_| false).unwrap_err();
+            assert_eq!(stall.reason, Reason::Horizon, "{name}");
+            let (tx, rx) = (fires(&pipe.tx) - tx0, fires(&pipe.rx) - rx0);
+            println!("{name}: idle 10 s, sender {tx} timer fires, receiver {rx}");
+            assert_eq!(
+                pipe.sent(Dir::Forward),
+                sent0,
+                "{name}: an idle sender sends nothing"
+            );
+            assert!(tx <= 30, "{name}: the idle sender fired {tx} timers");
+        }
     }
 
     #[test]

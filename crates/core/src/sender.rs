@@ -26,6 +26,7 @@
 use qtp_metrics::trace::{ConnState, PktKind, TraceEventKind, Tracer};
 use qtp_sack::{LossDecision, Reliability, ReliabilityPolicy, Scoreboard, SeqRange};
 use qtp_simnet::prelude::*;
+use qtp_simnet::sim::Waker;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -57,8 +58,11 @@ pub enum AppModel {
 }
 
 /// Timer token kinds (low 2 bits of the token; the rest is a generation —
-/// see [`TimerGens`]).
-const TK_SYN: u64 = 0;
+/// see [`TimerGens`]). The recovery deadline is one kind for every decision
+/// a sleeping sender still owes: the SYN retry before the handshake; tail
+/// loss, FIN retries and `FORWARD` after it (see [`Conn::sleep`]). A pace
+/// token also wakes a sleeping pacer (see [`Conn::wake`]).
+const TK_RECOVERY: u64 = 0;
 const TK_PACE: u64 = 1;
 const TK_NOFB: u64 = 2;
 const TK_APP: u64 = 3;
@@ -136,9 +140,17 @@ struct Conn {
     sent_new: u64,
     /// Timer generations per token kind.
     gens: TimerGens<4>,
-    /// When the armed pace tick is due — the anchor of the pacing schedule
-    /// (see [`Conn::on_pace`]).
+    /// The anchor of the pacing schedule (see [`Conn::tick`]): while the
+    /// pacer runs, when its armed tick is due; while it sleeps, the
+    /// earliest instant the next packet may leave.
     pace_due: SimTime,
+    /// The pacer sleeps: no pace tick is armed.
+    asleep: bool,
+    /// Deadline of the live recovery timer, if one is armed.
+    recovery_at: Option<SimTime>,
+    /// When tail loss last declared the window lost: a sleeping sender
+    /// declares it again no sooner than one timeout later.
+    tail_at: SimTime,
     /// Last time a FWD was emitted (rate-limited to once per RTT).
     last_fwd: SimTime,
     /// `Session::close` requested a graceful shutdown.
@@ -289,6 +301,9 @@ impl QtpSender {
                 sent_new: 0,
                 gens: TimerGens::new(),
                 pace_due: SimTime::ZERO,
+                asleep: false,
+                recovery_at: None,
+                tail_at: SimTime::ZERO,
                 last_fwd: SimTime::ZERO,
                 close_requested: false,
                 fin_sent_at: None,
@@ -309,6 +324,24 @@ impl QtpSender {
         self.traffic.stream().map(|s| s.handle())
     }
 
+    /// Keep the mounting driver's wake handle: a stream write wakes a
+    /// sleeping sender through it. Nothing else outside wakes a sender.
+    pub(crate) fn set_waker(&mut self, waker: Waker) {
+        if let Traffic::Stream(s) = &self.traffic {
+            s.set_waker(waker);
+        }
+    }
+
+    /// The token a stream write woke this sender with, not yet delivered.
+    pub(crate) fn woken(&self) -> Option<u64> {
+        self.traffic.stream().and_then(StreamTx::woken)
+    }
+
+    /// [`QtpSender::woken`], taken for delivery.
+    pub(crate) fn take_woken(&self) -> Option<u64> {
+        self.traffic.stream().and_then(StreamTx::take_woken)
+    }
+
     /// Takes the stream's one-shot writable edge (never set without one).
     pub(crate) fn take_writable_edge(&self) -> bool {
         self.traffic
@@ -317,15 +350,22 @@ impl QtpSender {
     }
 
     /// Starts a graceful shutdown: stop accepting new data, drain, then run
-    /// the FIN / FIN-ACK handshake from the pace timer.
-    pub(crate) fn begin_close(&mut self) {
+    /// the FIN / FIN-ACK handshake. A stream's `finish` wakes a sleeping
+    /// sender itself; otherwise the token to wake it with is returned, for
+    /// the caller to deliver as a timer due now.
+    pub(crate) fn begin_close(&mut self) -> Option<u64> {
         self.conn.close_requested = true;
         if let Some(s) = self.traffic.stream() {
             s.handle().finish();
+            return None;
         }
-        if let Phase::Handshake = self.phase {
+        match self.phase {
             // Nothing on the wire yet: close locally.
-            self.conn.closed = true;
+            Phase::Handshake => {
+                self.conn.closed = true;
+                None
+            }
+            Phase::Running(_) => self.conn.asleep.then(|| self.conn.gens.arm(TK_PACE)),
         }
     }
 
@@ -380,13 +420,13 @@ impl QtpSender {
                 LossSource::Estimated(est)
             }
         };
-        self.phase = Phase::Running(Running {
+        let mut run = Running {
             caps,
             cc,
             policy: ReliabilityPolicy::new(caps.reliability),
             loss,
             last_cc_phase: None,
-        });
+        };
         match &self.traffic {
             // Negotiation may have changed the reliability class; re-lock
             // the stream framing mode before any stream data goes out.
@@ -397,8 +437,16 @@ impl QtpSender {
             }
             Traffic::App(_) => {}
         }
-        conn.arm_pace(out, out.now);
+        // The first packet may leave at once: tick now, or sleep until
+        // there is one.
+        conn.pace_due = out.now;
+        if conn.can_send(&run, &self.traffic) {
+            conn.arm_pace(out, out.now);
+        } else {
+            conn.wake(out, &mut run, &mut self.traffic);
+        }
         conn.arm(out, TK_NOFB, nofb);
+        self.phase = Phase::Running(run);
     }
 }
 
@@ -427,7 +475,7 @@ impl Conn {
             offered: self.offered,
         };
         self.send_control(out, PktKind::Syn, 0, &pkt);
-        self.arm(out, TK_SYN, out.now + Duration::from_secs(1));
+        self.arm(out, TK_RECOVERY, out.now + Duration::from_secs(1));
     }
 
     // ---- application --------------------------------------------------
@@ -440,7 +488,8 @@ impl Conn {
         }
     }
 
-    fn on_app_tick(&mut self, out: &mut Outbox, traffic: &mut Traffic) {
+    /// The Cbr model's generation tick: queue one ADU and wake the pacer.
+    fn on_app_tick(&mut self, out: &mut Outbox, run: &mut Running, traffic: &mut Traffic) {
         if self.closed {
             return;
         }
@@ -454,6 +503,9 @@ impl Conn {
         let interval =
             Duration::from_secs_f64(adu_packets as f64 * self.s as f64 * 8.0 / rate.bps() as f64);
         self.arm(out, TK_APP, out.now + interval);
+        if self.asleep {
+            self.wake(out, run, traffic);
+        }
     }
 
     // ---- transmission -------------------------------------------------
@@ -651,7 +703,44 @@ impl Conn {
         self.send_control(out, PktKind::Forward, fp, &pkt);
     }
 
-    /// One pace tick: send at most one data packet, then re-arm.
+    /// Whether the window has room for another packet. Window-based
+    /// controllers bound unacknowledged bytes in flight; rate-based ones
+    /// return no limit.
+    fn window_open(&self, run: &Running) -> bool {
+        match run.cc.cwnd_limit() {
+            Some(limit) => self.sb.in_flight() * u64::from(self.s) < limit,
+            None => true,
+        }
+    }
+
+    /// Whether a packet may leave: the window has room, and there is new
+    /// data or a declared loss waiting for retransmission.
+    fn can_send(&self, run: &Running, traffic: &Traffic) -> bool {
+        self.window_open(run) && (self.app_has_data(traffic) || self.sb.next_lost().is_some())
+    }
+
+    /// The pace interval in force, clamped so the event loop stays healthy.
+    fn interval(run: &Running) -> Duration {
+        run.cc
+            .send_interval()
+            .clamp(Duration::from_micros(10), Duration::from_secs(2))
+    }
+
+    /// A live pace token: a tick of the running pacer, or the wake a
+    /// stream write or a close delivers to a sleeping one.
+    fn on_pace(&mut self, out: &mut Outbox, run: &mut Running, traffic: &mut Traffic) {
+        if self.closed {
+            return; // closed: let the timer lapse without re-arming
+        }
+        if self.asleep {
+            self.wake(out, run, traffic);
+        } else {
+            self.tick(out, run, traffic);
+        }
+    }
+
+    /// One pace tick: send at most one data packet, then re-arm — or, when
+    /// nothing more may leave, put the pacer to sleep.
     ///
     /// **The pacing rule is anchored on when the tick was due, not on when
     /// it ran.** A tick that sent a data packet re-arms at
@@ -662,45 +751,132 @@ impl Conn {
     /// gTFRC floor `g` would be a ceiling the host never reaches. Anchored
     /// on `due`, a late tick leaves the next one due sooner, possibly at
     /// once, so the lateness is repaid one packet per tick; lateness beyond
-    /// [`DEBT_CAP`] is forgiven, which bounds the catch-up after a stall. A
-    /// tick that sent nothing (no data, window closed) re-arms at
-    /// `now + interval`: idle time earns no credit to burst with later.
+    /// [`DEBT_CAP`] is forgiven, which bounds the catch-up after a stall.
+    ///
+    /// **The pacer sleeps when nothing may leave**: no new data, no loss
+    /// waiting for retransmission, or a full window. It sleeps right after
+    /// the last packet, not on an empty tick after it, and records when the
+    /// next packet may leave — when the next tick would have been due, or,
+    /// after a tick that sent nothing, the tick's own time. A wake
+    /// ([`Conn::wake`]) sends at once if that time has come, anchoring the
+    /// schedule on the wake itself, and otherwise arms the tick for it: idle
+    /// time earns no credit to burst with later, and the packet after a
+    /// wake is followed by the next at `+interval`. A tick that sent nothing
+    /// while a packet may still leave (every loss it found was abandoned)
+    /// re-arms at `now + interval`.
     ///
     /// **Virtual-clock identity.** The simulator and the poll-style
     /// harnesses fire a timer at its deadline, so `due == now` on every
-    /// tick there, `due + interval > now − DEBT_CAP`, and both branches
-    /// reduce to `now + interval` — the schedule, and with it every golden
-    /// and every count, is bit-for-bit what it was before the anchor.
-    fn on_pace(&mut self, out: &mut Outbox, run: &mut Running, traffic: &mut Traffic) {
-        if self.closed {
-            return; // closed: let the timer lapse without re-arming
-        }
+    /// tick there and a running pacer's schedule reduces to
+    /// `now + interval`. A sender that never runs dry — every bulk
+    /// transfer — never sleeps, so its schedule is what it was when the
+    /// pacer ticked through idle time too.
+    fn tick(&mut self, out: &mut Outbox, run: &mut Running, traffic: &mut Traffic) {
         self.check_tail_loss(out.now, run);
-        // Window-based controllers bound unacknowledged bytes in flight;
-        // when the window is full the pace timer keeps ticking but no
-        // packet leaves. Rate-based controllers return no limit, so their
-        // scheduling is untouched.
-        let window_open = match run.cc.cwnd_limit() {
-            Some(limit) => self.sb.in_flight() * u64::from(self.s) < limit,
-            None => true,
-        };
-        let sent = window_open && self.send_one(out, run, traffic);
+        let sent = self.window_open(run) && self.send_one(out, run, traffic);
         self.maybe_send_forward(out, run);
         self.maybe_send_fin(out, run, traffic);
         if self.closed {
             return;
         }
-        // Clamp pathological intervals so the event loop stays healthy.
-        let interval = run
-            .cc
-            .send_interval()
-            .clamp(Duration::from_micros(10), Duration::from_secs(2));
+        let more = self.can_send(run, traffic);
         let next = if sent {
-            (self.pace_due + interval).max(out.now - DEBT_CAP)
+            (self.pace_due + Self::interval(run)).max(out.now - DEBT_CAP)
+        } else if more {
+            out.now + Self::interval(run)
         } else {
-            out.now + interval
+            out.now
         };
-        self.arm_pace(out, next);
+        if more {
+            self.arm_pace(out, next);
+        } else {
+            self.pace_due = next;
+            self.sleep(out, run, traffic);
+        }
+    }
+
+    /// Something changed while the pacer sleeps — feedback, an app tick,
+    /// the recovery deadline, a stream write or a close. If a packet may
+    /// leave, send it at once when the interval since the last one has
+    /// passed, or arm the tick for when it has. Otherwise settle the
+    /// `FORWARD` and FIN decisions and sleep on.
+    fn wake(&mut self, out: &mut Outbox, run: &mut Running, traffic: &mut Traffic) {
+        if !self.can_send(run, traffic) {
+            self.maybe_send_forward(out, run);
+            self.maybe_send_fin(out, run, traffic);
+            if !self.closed {
+                self.sleep(out, run, traffic);
+            }
+            return;
+        }
+        self.asleep = false;
+        if let Traffic::Stream(s) = traffic {
+            s.wake_on_write(None);
+        }
+        if out.now >= self.pace_due {
+            self.pace_due = out.now;
+            self.tick(out, run, traffic);
+        } else {
+            self.arm_pace(out, self.pace_due);
+        }
+    }
+
+    /// Sleep with no pace tick armed. A stream sender that sleeps for want
+    /// of data leaves a fresh pace token with its stream, for the next
+    /// write to wake it with. The recovery timer is re-armed only when the
+    /// recovery deadline moves earlier than the one armed: a later or
+    /// vanished deadline is re-checked when the armed one fires, so stale
+    /// timers never pile up in the driver.
+    fn sleep(&mut self, out: &mut Outbox, run: &Running, traffic: &Traffic) {
+        self.asleep = true;
+        if let Traffic::Stream(s) = traffic {
+            let token = self.window_open(run).then(|| self.gens.arm(TK_PACE));
+            s.wake_on_write(token);
+        }
+        let Some(at) = self.recovery_deadline(run, traffic) else {
+            return;
+        };
+        // A deadline already passed (tail loss not checked at this instant)
+        // fires at once.
+        let at = at.max(out.now);
+        if self.recovery_at.map_or(true, |armed| at < armed) {
+            self.recovery_at = Some(at);
+            self.arm(out, TK_RECOVERY, at);
+        }
+    }
+
+    /// The earliest instant a sleeping sender owes a decision: the tail-loss
+    /// timeout of its oldest outstanding packet (no sooner than one timeout
+    /// after the last declaration), its next FIN retry, or its next
+    /// `FORWARD`.
+    fn recovery_deadline(&self, run: &Running, traffic: &Traffic) -> Option<SimTime> {
+        let tail = if run.retransmits() && !self.sb.all_acked() {
+            self.sb.oldest_outstanding_send_time().map(|oldest| {
+                oldest.max(self.tail_at) + Self::tail_timeout(run) + Duration::from_nanos(1)
+            })
+        } else {
+            None
+        };
+        let fin = match self.fin_sent_at {
+            Some(at) if self.fin_ready(run, traffic) => Some(at + Self::fin_rto(run)),
+            _ => None,
+        };
+        let fwd = run
+            .policy
+            .forward_point(self.sb.cum_ack())
+            .map(|_| self.last_fwd + run.rtt());
+        [tail, fin, fwd].into_iter().flatten().min()
+    }
+
+    /// The recovery timer fired. A running pacer makes these decisions on
+    /// its ticks; a sleeping one checks tail loss and wakes.
+    fn on_recovery(&mut self, out: &mut Outbox, run: &mut Running, traffic: &mut Traffic) {
+        self.recovery_at = None;
+        if self.closed || !self.asleep {
+            return;
+        }
+        self.check_tail_loss(out.now, run);
+        self.wake(out, run, traffic);
     }
 
     // ---- wire-level close ---------------------------------------------
@@ -719,16 +895,21 @@ impl Conn {
         !run.retransmits() || self.sb.all_acked()
     }
 
-    /// (Re)send FIN from the pace cadence with an RTO-style backoff; after
-    /// [`FIN_MAX_RETRIES`] unanswered copies, close unilaterally.
+    /// The FIN retry timeout.
+    fn fin_rto(run: &Running) -> Duration {
+        (run.rtt() * 2).max(Duration::from_millis(50))
+    }
+
+    /// (Re)send FIN with an RTO-style backoff, from the pace ticks or the
+    /// recovery deadline; after [`FIN_MAX_RETRIES`] unanswered copies,
+    /// close unilaterally.
     fn maybe_send_fin(&mut self, out: &mut Outbox, run: &Running, traffic: &Traffic) {
         if self.closed || !self.fin_ready(run, traffic) {
             return;
         }
-        let rto = (run.rtt() * 2).max(Duration::from_millis(50));
         let due = match self.fin_sent_at {
             None => true,
-            Some(t) => out.now.saturating_since(t) >= rto,
+            Some(t) => out.now.saturating_since(t) >= Self::fin_rto(run),
         };
         if !due {
             return;
@@ -761,13 +942,18 @@ impl Conn {
         if !run.retransmits() || self.sb.all_acked() {
             return;
         }
-        let timeout = (run.rtt() * 4).max(Duration::from_millis(500));
         if let Some(oldest) = self.sb.oldest_outstanding_send_time() {
-            if now.saturating_since(oldest) > timeout {
+            if now.saturating_since(oldest) > Self::tail_timeout(run) {
                 let range = SeqRange::new(self.sb.cum_ack(), self.sb.next_seq());
                 self.sb.force_mark_lost(range);
+                self.tail_at = now;
             }
         }
+    }
+
+    /// Silence after which tail loss presumes the window lost.
+    fn tail_timeout(run: &Running) -> Duration {
+        (run.rtt() * 4).max(Duration::from_millis(500))
     }
 
     // ---- feedback -----------------------------------------------------
@@ -861,8 +1047,12 @@ impl Conn {
             c.ops = ops;
         });
         run.trace_cc_state(&self.tracer, now);
-        // Feedback may unblock the window (e.g. new losses to retransmit).
         self.maybe_send_forward(out, run);
+        // Feedback may open the window, declare losses to retransmit or
+        // acknowledge the last packet: it wakes a sleeping pacer.
+        if self.asleep {
+            self.wake(out, run, traffic);
+        }
     }
 
     fn on_nofb(&mut self, out: &mut Outbox, run: &mut Running) {
@@ -928,12 +1118,15 @@ impl Endpoint for QtpSender {
             out.now.as_nanos(),
             TraceEventKind::TimerFired { kind: kind as u8 },
         );
-        // Pace and no-feedback timers are armed only once running.
+        // Before the SYN-ACK the recovery deadline is the SYN retry; every
+        // other timer is armed only once running.
+        let traffic = &mut self.traffic;
         match (kind, &mut self.phase) {
-            (TK_SYN, Phase::Handshake) => self.conn.send_syn(out),
-            (TK_PACE, Phase::Running(run)) => self.conn.on_pace(out, run, &mut self.traffic),
+            (TK_RECOVERY, Phase::Handshake) => self.conn.send_syn(out),
+            (TK_RECOVERY, Phase::Running(run)) => self.conn.on_recovery(out, run, traffic),
+            (TK_PACE, Phase::Running(run)) => self.conn.on_pace(out, run, traffic),
             (TK_NOFB, Phase::Running(run)) => self.conn.on_nofb(out, run),
-            (TK_APP, _) => self.conn.on_app_tick(out, &mut self.traffic),
+            (TK_APP, Phase::Running(run)) => self.conn.on_app_tick(out, run, traffic),
             _ => {}
         }
     }
@@ -947,12 +1140,15 @@ mod tests {
     use crate::stream::StreamConfig;
 
     /// A sender on a hand-driven clock: the test decides when each armed
-    /// timer is delivered, which a simulator (always on time) cannot.
+    /// timer and each wake is delivered, which a simulator (always on time)
+    /// cannot.
     struct Rig {
         tx: QtpSender,
         out: Outbox,
         /// Armed timers, `(deadline, token)`, unordered.
         timers: Vec<(SimTime, u64)>,
+        /// The wake queue the sender's stream writes wake it through.
+        wakes: Waker,
     }
 
     /// What one delivered pace tick did.
@@ -972,7 +1168,9 @@ mod tests {
                 tx: QtpSender::new(0, 1, &plan),
                 out: Outbox::new(),
                 timers: Vec::new(),
+                wakes: Waker::default(),
             };
+            rig.tx.set_waker(rig.wakes.to(0, 0));
             rig.tx.on_start(&mut rig.out);
             rig.drain();
             rig.out.now = SimTime::from_millis(1);
@@ -993,14 +1191,12 @@ mod tests {
             self.out.now
         }
 
-        /// The pace interval in force, clamped as `on_pace` clamps it.
+        /// The pace interval in force.
         fn interval(&self) -> Duration {
             let Phase::Running(run) = &self.tx.phase else {
                 panic!("not connected");
             };
-            run.cc
-                .send_interval()
-                .clamp(Duration::from_micros(10), Duration::from_secs(2))
+            Conn::interval(run)
         }
 
         /// Apply the outbox: remember timers, count data packets sent.
@@ -1023,9 +1219,49 @@ mod tests {
             data
         }
 
-        /// Deadline of the live pace timer.
+        /// Deadline of the live pace timer; while the pacer sleeps, the
+        /// earliest instant its next packet may leave.
         fn pace_deadline(&self) -> SimTime {
             self.tx.conn.pace_due
+        }
+
+        /// Whether the pacer sleeps, with no live pace timer armed.
+        fn asleep(&self) -> bool {
+            let live = |token: u64| self.tx.conn.gens.live(token) == Some(TK_PACE);
+            let armed = self.timers.iter().any(|(_, token)| live(*token));
+            assert_eq!(
+                self.tx.conn.asleep, !armed,
+                "asleep iff no pace tick is armed"
+            );
+            self.tx.conn.asleep
+        }
+
+        /// Deliver every wake asked for, at `at`, the way a driver does;
+        /// returns the data packets they sent.
+        fn deliver_wakes(&mut self, at: SimTime) -> usize {
+            self.out.now = at;
+            let mut sent = 0;
+            while let Some((_, token)) = self.wakes.take() {
+                self.tx.on_timer(&mut self.out, token);
+                sent += self.drain();
+            }
+            sent
+        }
+
+        /// A feedback at `at` acknowledging every packet sent so far.
+        fn ack_all(&mut self, at: SimTime) -> usize {
+            self.out.now = at;
+            let feedback = QtpPacket::Feedback {
+                ts_echo_nanos: at.as_nanos() - 1_000_000,
+                t_delay_micros: 0,
+                x_recv: 1_000_000,
+                p_ppb: Some(0),
+                cum_ack: self.tx.conn.sb.next_seq(),
+                blocks: vec![],
+            };
+            self.tx
+                .handle_datagram(&mut self.out, 64, &feedback.encode());
+            self.drain()
         }
 
         /// Deliver the live pace tick at `at` (never before it is due).
@@ -1121,27 +1357,28 @@ mod tests {
         assert!(back_to_back >= cap - 1, "only {back_to_back} of {cap}");
     }
 
-    /// Ticks that send nothing re-arm a full interval after they ran, however
-    /// late they ran — so the first tick with something to send is not
-    /// followed by a burst.
-    fn assert_idle_ticks_earn_no_credit(rig: &mut Rig) {
-        let mut rng = DetRng::new(7);
-        for _ in 0..200 {
-            let tick = rig.tick_late(overshoot(&mut rng));
-            assert_eq!(tick.sent, 0);
-            assert_eq!(tick.next, rig.now() + rig.interval());
-        }
+    /// Idle time earns no credit: however long the pacer slept, the packet
+    /// its wake sends leaves at once and the next one a full interval
+    /// later, not in a burst repaying the idle time.
+    fn assert_a_wake_earns_no_credit(rig: &mut Rig, wake: impl FnOnce(&mut Rig, SimTime) -> usize) {
+        assert!(rig.asleep(), "nothing may leave: the pacer sleeps");
+        let at = rig.now() + Duration::from_millis(50);
+        assert_eq!(wake(rig, at), 1, "the wake sends at once");
+        assert!(!rig.asleep());
+        assert_eq!(rig.pace_deadline(), at + rig.interval());
     }
 
     #[test]
     fn an_empty_stream_accumulates_no_credit() {
+        // Connected with nothing to send: the pacer sleeps from the SYN-ACK
+        // on, with no tick armed to accrue anything.
         let mut rig = Rig::connected(idle_stream_plan());
-        assert_idle_ticks_earn_no_credit(&mut rig);
-        // Data arrives: the tick that sends it anchors the schedule on its
-        // own deadline, so only its own lateness is repaid — nothing from
-        // the 200 late idle ticks before it.
         let stream = rig.tx.send_stream().expect("stream configured");
-        stream.send(&[7u8; 4000]).expect("fits the send buffer");
+        assert_a_wake_earns_no_credit(&mut rig, |rig, at| {
+            stream.send(&[7u8; 4000]).expect("fits the send buffer");
+            rig.deliver_wakes(at)
+        });
+        // The rest of the message follows on the schedule the wake set.
         let tick = rig.tick_late(Duration::from_micros(150));
         assert_eq!(tick.sent, 1);
         assert_eq!(tick.next, tick.due + rig.interval());
@@ -1150,26 +1387,100 @@ mod tests {
     #[test]
     fn a_closed_cubic_window_accumulates_no_credit() {
         let mut rig = Rig::connected(ConnectionPlan::new(Profile::cubic()));
-        // No feedback ever arrives, so the initial window fills and shuts.
+        // No feedback arrives, so the initial window fills and shuts; the
+        // pacer sleeps right after the packet that filled it.
         let mut opened = 0;
-        while rig.tick_late(Duration::ZERO).sent == 1 {
+        while !rig.asleep() {
+            assert_eq!(rig.tick_late(Duration::ZERO).sent, 1, "no empty tick");
             opened += 1;
             assert!(opened < 10_000, "the window never closed");
         }
-        assert_idle_ticks_earn_no_credit(&mut rig);
+        // A late feedback acknowledging everything reopens it.
+        assert_a_wake_earns_no_credit(&mut rig, |rig, at| rig.ack_all(at));
     }
 
     #[test]
     fn on_time_ticks_follow_the_old_now_plus_interval_rule() {
-        let greedy = Rig::af(Rate::from_mbps(200));
-        for mut rig in [greedy, Rig::connected(idle_stream_plan())] {
-            for _ in 0..500 {
-                let due = rig.pace_deadline();
-                let tick = rig.tick_at(due);
-                // The arithmetic this file used before the anchor, whether
-                // or not the tick sent: `now + clamp(interval)`.
-                assert_eq!(tick.next, rig.now() + rig.interval());
-            }
+        // A running pacer: every on-time tick re-arms at `now + interval`.
+        let mut greedy = Rig::af(Rate::from_mbps(200));
+        for _ in 0..500 {
+            let tick = greedy.tick_at(greedy.pace_deadline());
+            assert_eq!(tick.next, greedy.now() + greedy.interval());
         }
+        // A sleeping one: a one-packet message written at the earliest
+        // instant it may leave goes at once, and the next may leave an
+        // interval after it — the same rule, with no tick in between.
+        let mut rig = Rig::connected(idle_stream_plan());
+        let stream = rig.tx.send_stream().expect("stream configured");
+        for _ in 0..500 {
+            let at = rig.pace_deadline().max(rig.now());
+            stream.send(&[7u8; 64]).expect("fits the send buffer");
+            assert_eq!(rig.deliver_wakes(at), 1);
+            assert!(rig.asleep(), "asleep right after the last packet");
+            assert_eq!(rig.pace_deadline(), at + rig.interval());
+        }
+    }
+
+    #[test]
+    fn a_write_before_the_interval_is_up_waits_for_it() {
+        let mut rig = Rig::connected(idle_stream_plan());
+        let stream = rig.tx.send_stream().expect("stream configured");
+        stream.send(&[7u8; 64]).expect("fits the send buffer");
+        let first = rig.now();
+        assert_eq!(rig.deliver_wakes(first), 1);
+        // The next message comes a microsecond later: the wake arms the
+        // tick for the end of the interval instead of sending.
+        stream.send(&[7u8; 64]).expect("fits the send buffer");
+        assert_eq!(rig.deliver_wakes(first + Duration::from_micros(1)), 0);
+        assert!(!rig.asleep());
+        assert_eq!(rig.pace_deadline(), first + rig.interval());
+        assert_eq!(rig.tick_at(rig.pace_deadline()).sent, 1);
+        assert!(rig.asleep());
+    }
+
+    #[test]
+    fn a_sleeping_sender_arms_one_recovery_deadline_and_rearms_only_earlier() {
+        // A reliable message left unacknowledged: the sleeping sender owes
+        // a tail-loss decision, and arms one timer for it.
+        let mut rig = Rig::connected(idle_stream_plan());
+        let stream = rig.tx.send_stream().expect("stream configured");
+        let recovery = |rig: &Rig| {
+            let live = |token: u64| rig.tx.conn.gens.live(token) == Some(TK_RECOVERY);
+            rig.timers
+                .iter()
+                .filter(|(_, t)| live(*t))
+                .map(|(at, _)| *at)
+                .collect::<Vec<_>>()
+        };
+        let armed = rig.timers.len();
+        stream.send(&[7u8; 64]).expect("fits the send buffer");
+        assert_eq!(rig.deliver_wakes(rig.now()), 1);
+        let deadline = recovery(&rig);
+        assert_eq!(deadline.len(), 1);
+        // More messages sent and left unacknowledged move the deadline
+        // later: nothing more is armed.
+        for i in 1..20 {
+            let at = rig.now() + Duration::from_millis(i);
+            stream.send(&[7u8; 64]).expect("fits the send buffer");
+            assert_eq!(rig.deliver_wakes(at), 1);
+        }
+        assert_eq!(recovery(&rig), deadline);
+        assert_eq!(
+            rig.timers.len(),
+            armed + 1,
+            "no pace tick, one recovery timer"
+        );
+        // When it fires, the true deadline is checked: the oldest packet
+        // has timed out, so the window is declared lost and retransmitted.
+        let token = rig
+            .timers
+            .iter()
+            .find(|(at, _)| *at == deadline[0])
+            .unwrap()
+            .1;
+        rig.out.now = deadline[0];
+        rig.tx.on_timer(&mut rig.out, token);
+        assert_eq!(rig.drain(), 1, "one retransmission, paced");
+        assert!(!rig.asleep());
     }
 }

@@ -39,7 +39,7 @@
 use qtp_metrics::trace::{CounterSet, TraceEventKind, TraceRegistry, Tracer};
 use qtp_simnet::packet::{FlowId, NodeId};
 use qtp_simnet::prelude::*;
-use qtp_simnet::sim::Simulator;
+use qtp_simnet::sim::{Simulator, Waker};
 use qtp_simnet::topology::{Dumbbell, DumbbellConfig};
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -556,8 +556,9 @@ impl Role {
 /// sender and receiver): the session hands the driver's [`Outbox`] straight
 /// to its sender or receiver, so every command — and every transmit buffer
 /// the driver lends — goes in once, and afterwards the session only reads
-/// the deliveries the callback queued. The driver owns the timers, and
-/// [`Session::poll_timeout`] stays empty.
+/// the deliveries the callback queued. The driver owns the timers and the
+/// wakes (it hands a sending session its [`Waker`] through
+/// [`Endpoint::set_waker`]), and [`Session::poll_timeout`] stays empty.
 ///
 /// **Poll style** — for hand-written event loops, quinn-proto
 /// fashion; [`crate::pipe`] is the reference loop (`start`, then
@@ -588,13 +589,15 @@ pub struct Session {
 }
 
 /// What the poll style keeps between calls: the outbox the session drives
-/// its own endpoint with, and the transmits and timers it queued.
+/// its own endpoint with, and the transmits, timers and wake it queued.
 #[derive(Default)]
 struct Polled {
     out: Outbox,
     transmits: VecDeque<Transmit>,
     timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     timer_seq: u64,
+    /// The token [`Session::close`] wakes a sleeping sender with.
+    wake: Option<u64>,
 }
 
 impl Polled {
@@ -685,20 +688,46 @@ impl Session {
         self.pump(now, |s, out| s.handle_datagram(out, wire_size, header));
     }
 
-    /// Fire every internally-armed timer due at `now`, in deadline order
-    /// (ties by arming order). Poll style only — while mounted in a
-    /// driver the driver owns the timers.
+    /// Deliver a pending wake, then fire every internally-armed timer due
+    /// at `now`, in deadline order (ties by arming order). Poll style only
+    /// — while mounted in a driver the driver owns the timers and wakes.
     pub fn on_timeout(&mut self, now: SimTime) {
+        if let Some(token) = self.take_wake() {
+            self.pump(now, |s, out| s.on_timer(out, token));
+        }
         while let Some(token) = self.poll.as_mut().and_then(|p| p.due_timer(now)) {
             self.pump(now, |s, out| s.on_timer(out, token));
         }
     }
 
     /// Deadline of the earliest internally-armed timer, if any: sleep no
-    /// longer than this before calling [`Session::on_timeout`].
+    /// longer than this before calling [`Session::on_timeout`]. A sender
+    /// woken by a stream write or a close since the last call reports the
+    /// time of that call, which is never later than the caller's clock.
     pub fn poll_timeout(&self) -> Option<SimTime> {
-        let Reverse((at, _, _)) = self.poll.as_ref()?.timers.peek()?;
+        let poll = self.poll.as_ref()?;
+        if self.wake_pending() {
+            return Some(poll.out.now);
+        }
+        let Reverse((at, _, _)) = poll.timers.peek()?;
         Some(*at)
+    }
+
+    /// Whether a wake waits for [`Session::on_timeout`].
+    fn wake_pending(&self) -> bool {
+        let closing = self.poll.as_ref().is_some_and(|p| p.wake.is_some());
+        let written = matches!(&self.inner, Role::Sender(s) if s.woken().is_some());
+        !self.closed && (closing || written)
+    }
+
+    /// The pending wake's token, taken.
+    fn take_wake(&mut self) -> Option<u64> {
+        let closing = self.poll.as_mut().and_then(|p| p.wake.take());
+        let written = match &self.inner {
+            Role::Sender(s) => s.take_woken(),
+            Role::Receiver(_) => None,
+        };
+        closing.or(written)
     }
 
     /// Next datagram to put on the wire, in emission order.
@@ -729,9 +758,12 @@ impl Session {
         }
         match &mut self.inner {
             Role::Sender(s) => {
-                s.begin_close();
+                let wake = s.begin_close();
                 if s.close_complete() {
                     self.finish_close();
+                } else if let (Some(token), Some(poll)) = (wake, &mut self.poll) {
+                    // A sleeping sender: `on_timeout` wakes it to drain.
+                    poll.wake = Some(token);
                 }
                 // Otherwise `derive_events` observes close_complete()
                 // later and finishes then.
@@ -979,6 +1011,13 @@ impl Endpoint for Session {
         self.inner.endpoint().on_timer(out, token);
         self.observe(out, mark);
     }
+
+    /// A sending session's stream writes wake it through `waker`.
+    fn set_waker(&mut self, waker: Waker) {
+        if let Role::Sender(s) = &mut self.inner {
+            s.set_waker(waker);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1023,7 +1062,8 @@ pub fn attach_pair(
     receiver_node: NodeId,
     plan: &ConnectionPlan,
 ) -> PairHandles {
-    let (tx, rx, handles) = new_pair(sim, sender_node, receiver_node, plan);
+    let (mut tx, rx, handles) = new_pair(sim, sender_node, receiver_node, plan);
+    tx.set_waker(sim.waker().to(sender_node as u64, 0));
     sim.attach_agent(sender_node, Box::new(SimAgent::new(tx)));
     sim.attach_agent(receiver_node, Box::new(SimAgent::new(rx)));
     handles
@@ -1069,16 +1109,17 @@ pub fn attach_pairs(
 ) -> Vec<PairHandles> {
     let mut hosts: std::collections::BTreeMap<NodeId, SimHost> = std::collections::BTreeMap::new();
     let mut out = Vec::with_capacity(pairs.len());
+    let waker = sim.waker();
     for &(sender_node, receiver_node, ref plan) in pairs {
         let (tx, rx, handles) = new_pair(sim, sender_node, receiver_node, plan);
         hosts
             .entry(sender_node)
             .or_default()
-            .add(tx, [handles.fb_flow]);
+            .add(tx, [handles.fb_flow], &waker, sender_node);
         hosts
             .entry(receiver_node)
             .or_default()
-            .add(rx, [handles.data_flow]);
+            .add(rx, [handles.data_flow], &waker, receiver_node);
         out.push(handles);
     }
     for (node, host) in hosts {
@@ -1261,15 +1302,17 @@ impl Backend for SimBackend {
     }
 
     fn run(&mut self, plans: &[ConnectionPlan]) -> std::io::Result<Vec<ConnectionOutcome>> {
-        self.run_instrumented(plans).map(|(outcomes, _)| outcomes)
+        self.run_instrumented(plans.to_vec())
+            .map(|(outcomes, _)| outcomes)
     }
 }
 
 impl SimBackend {
-    /// [`Backend::run`], additionally reporting engine counters.
+    /// [`Backend::run`], additionally reporting engine counters. Takes the
+    /// plans by value: each outcome keeps its plan's label.
     pub fn run_instrumented(
         &mut self,
-        plans: &[ConnectionPlan],
+        mut plans: Vec<ConnectionPlan>,
     ) -> std::io::Result<(Vec<ConnectionOutcome>, SimRunMetrics)> {
         // Build the topology: one (sender, receiver) node pair per plan.
         let (mut sim, nodes): (Simulator, Vec<(NodeId, NodeId)>) = match &self.topology {
@@ -1280,7 +1323,7 @@ impl SimBackend {
             } => {
                 let mut b = NetworkBuilder::new();
                 let mut nodes = Vec::with_capacity(plans.len());
-                for _ in plans {
+                for _ in &plans {
                     let s = b.host();
                     let r = b.host();
                     let mut link = LinkConfig::new(*rate, *one_way);
@@ -1309,9 +1352,12 @@ impl SimBackend {
         };
 
         let labels: Vec<String> = plans
-            .iter()
+            .iter_mut()
             .enumerate()
-            .map(|(i, p)| p.display_label(i))
+            .map(|(i, p)| match p.label.is_empty() {
+                true => p.display_label(i),
+                false => std::mem::take(&mut p.label),
+            })
             .collect();
         let handles: Vec<PairHandles> = plans
             .iter()
@@ -1988,10 +2034,13 @@ mod tests {
     }
 
     /// Feed `script` to a session mounted through [`Endpoint`], with a
-    /// hand-held outbox and timer heap kept the way the drivers keep them.
+    /// hand-held outbox, timer heap and wake queue kept the way the drivers
+    /// keep them.
     fn through_endpoint(mut s: Session, script: &[(SimTime, Input)]) -> Vec<Effects> {
         let mut out = Outbox::new();
         let mut timers = BinaryHeap::new();
+        let wakes = Waker::default();
+        s.set_waker(wakes.to(0, 0));
         let mut armed_total = 0u64;
         let mut effects = Vec::new();
         for (now, input) in script {
@@ -2016,6 +2065,10 @@ mod tests {
                     s.handle_datagram(&mut out, h.len() as u32 + wire::IP_OVERHEAD, h)
                 }
                 Input::Tick => {
+                    while let Some((_, token)) = wakes.take() {
+                        s.on_timer(&mut out, token);
+                        drain(&mut out, &mut timers);
+                    }
                     while let Some(Reverse((at, _, token))) = timers.peek().copied() {
                         if at > *now {
                             break;
@@ -2237,8 +2290,9 @@ mod tests {
             };
             let running = vec![Input::Start, Input::Datagram(synack.encode())];
             let with = |tail: Vec<Input>| [running.clone(), tail].concat();
-            // Nothing was sent, so the first pace tick after `close()`
-            // sends the FIN, and its FIN-ACK completes the close.
+            // Nothing was sent, so the first tick after `close()` sends the
+            // FIN — a running pacer's tick, or the wake the close asks for
+            // when the pacer sleeps — and its FIN-ACK completes the close.
             let fin_ack = QtpPacket::FinAck { final_seq: 0 }.encode();
             let phases = [
                 ("not started", false, vec![]),

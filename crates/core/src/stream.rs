@@ -14,6 +14,11 @@
 //!   age exceeds the message TTL are dropped at the receiver.
 //! * `finish` starts the wire-level close handshake (FIN / FIN-ACK with a
 //!   drain state); the receiver surfaces it as `SessionEvent::Finished`.
+//! * A sender with nothing to send sleeps; the `send` or `finish` that
+//!   finds it asleep wakes it through its driver's
+//!   [`Waker`] (see the `Endpoint` contract in
+//!   [`driver`](crate::driver)), so a message leaves without waiting for a
+//!   poll.
 //!
 //! Handles are cheap clones of shared state (`Rc<RefCell<..>>`) so an
 //! application can keep them after moving the [`Session`] into a driver.
@@ -25,6 +30,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use qtp_metrics::trace::Tracer;
+use qtp_simnet::sim::Waker;
 use qtp_simnet::time::SimTime;
 
 use crate::wire::MAX_STREAM_PAYLOAD;
@@ -183,6 +189,14 @@ pub(crate) struct SendShared {
     /// space frees up.
     notify_writable: bool,
     writable_edge: bool,
+    /// The sender's wake token while its pacer sleeps for want of data: the
+    /// next `send` or `finish` takes it and wakes the sender with it.
+    wake_on_write: Option<u64>,
+    /// A token a write took and the sender has not yet been woken with —
+    /// what a poll-style session reports as due.
+    woken: Option<u64>,
+    /// The mounting driver's wake handle, if any.
+    waker: Option<Waker>,
 }
 
 impl SendShared {
@@ -199,6 +213,19 @@ impl SendShared {
             finished: false,
             notify_writable: false,
             writable_edge: false,
+            wake_on_write: None,
+            woken: None,
+            waker: None,
+        }
+    }
+
+    /// New bytes or a finish: wake a sender that sleeps for want of them.
+    fn wake(&mut self) {
+        if let Some(token) = self.wake_on_write.take() {
+            self.woken = Some(token);
+            if let Some(waker) = &self.waker {
+                waker.wake(token);
+            }
         }
     }
 
@@ -304,6 +331,7 @@ impl SendStream {
         s.store.append(&len.to_be_bytes());
         s.store.append(bytes);
         s.pending.push_back((len, ttl));
+        s.wake();
         Ok(())
     }
 
@@ -311,7 +339,9 @@ impl SendStream {
     /// profiles, every packet is acknowledged) the endpoint sends FIN and
     /// completes the wire-level close handshake.
     pub fn finish(&self) {
-        self.shared.borrow_mut().finished = true;
+        let mut s = self.shared.borrow_mut();
+        s.finished = true;
+        s.wake();
     }
 
     /// True once `finish` was called.
@@ -510,6 +540,30 @@ impl StreamTx {
     /// stream bytes are packetised).
     pub(crate) fn set_chunked(&self, chunked: bool) {
         self.shared.borrow_mut().chunked = chunked;
+    }
+
+    /// Keep the mounting driver's wake handle for the writes to come.
+    pub(crate) fn set_waker(&self, waker: Waker) {
+        self.shared.borrow_mut().waker = Some(waker);
+    }
+
+    /// The sender's pacer sleeps for want of data: the next write wakes it
+    /// with `token`. `None`: it runs, or sleeps for a reason a write does
+    /// not change, so writes wake nothing.
+    pub(crate) fn wake_on_write(&self, token: Option<u64>) {
+        let mut s = self.shared.borrow_mut();
+        s.wake_on_write = token;
+        s.woken = None;
+    }
+
+    /// The token a write woke the sender with, not yet delivered.
+    pub(crate) fn woken(&self) -> Option<u64> {
+        self.shared.borrow().woken
+    }
+
+    /// [`StreamTx::woken`], taken for delivery.
+    pub(crate) fn take_woken(&self) -> Option<u64> {
+        self.shared.borrow_mut().woken.take()
     }
 
     /// Takes the one-shot "space freed after a `Full`" edge, as the session

@@ -9,6 +9,7 @@
 //! loop {                                  // drive_mux_pair / drive_once
 //!     step:                               // never blocks
 //!         flush the tx arena              // WouldBlock retries
+//!         wake what was woken             // endpoint.on_timer per wake
 //!         advance timer wheel, fire due   // endpoint.on_timer per conn
 //!         while socket ready (level-trig.):   // set_nonblocking(true)
 //!             recv a datagram or a peer's GRO run; split by segment size
@@ -57,6 +58,11 @@
 //!   simulator's fire-and-forget contract: it never cancels an entry on
 //!   re-arm; endpoints discard stale generations via
 //!   [`TimerGens`](qtp_core::TimerGens).
+//! * **Wakes** — every connection gets a [`Waker`] on the mux's one wake
+//!   queue ([`Endpoint::set_waker`]). A stream write that finds its sender
+//!   asleep queues the connection, and the top of the next step delivers
+//!   the wake like a timer due now, so a step costs what was woken, not
+//!   the number of connections.
 //! * **Lifecycle** — connections appear either explicitly
 //!   ([`MuxDriver::add_connection`], the client role) or on the first
 //!   decodable frame from an unknown `(peer, flow)` via the acceptor
@@ -71,6 +77,7 @@
 
 use qtp_core::driver::{Command, Endpoint, Outbox, Transmit};
 use qtp_simnet::packet::FlowId;
+use qtp_simnet::sim::Waker;
 use qtp_simnet::time::SimTime;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -492,6 +499,9 @@ pub struct MuxDriver<E: Endpoint> {
     gro: bool,
     /// Scratch for the timers one `fire_due_timers` call delivers.
     fired: Vec<(SimTime, ConnId, u64)>,
+    /// Wakes asked for outside the loop (a stream write to a sleeping
+    /// sender), keyed by connection id; taken at the top of each step.
+    wakes: Waker,
     stats: MuxStats,
 }
 
@@ -522,6 +532,7 @@ impl<E: Endpoint> MuxDriver<E> {
             recv_buf: vec![0; MAX_FRAME_LEN + 1],
             gro: false,
             fired: Vec::new(),
+            wakes: Waker::default(),
             stats: MuxStats::default(),
         })
     }
@@ -556,7 +567,7 @@ impl<E: Endpoint> MuxDriver<E> {
         Ok(id)
     }
 
-    fn register(&mut self, peer: SocketAddr, flows: Vec<FlowId>, ep: E) -> io::Result<ConnId> {
+    fn register(&mut self, peer: SocketAddr, flows: Vec<FlowId>, mut ep: E) -> io::Result<ConnId> {
         if flows.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -582,6 +593,7 @@ impl<E: Endpoint> MuxDriver<E> {
         for f in &flows {
             self.routes.insert((peer, *f), id);
         }
+        ep.set_waker(self.wakes.to(id.0, 0));
         self.conns.insert(
             id,
             Conn {
@@ -684,15 +696,16 @@ impl<E: Endpoint> MuxDriver<E> {
         Ok(handled)
     }
 
-    /// The non-blocking part of an iteration: retry deferred sends, fire
-    /// due timers, drain the socket level-triggered (up to the batch
-    /// bound), then send every frame that emitted, and turn GRO on at the
-    /// mux's first bulk burst. Returns the datagrams dispatched to
-    /// endpoints, and whether the iteration was idle (nothing received, no
-    /// timer fired).
+    /// The non-blocking part of an iteration: retry deferred sends, wake
+    /// the connections woken since the last step, fire due timers, drain
+    /// the socket level-triggered (up to the batch bound), then send every
+    /// frame that emitted, and turn GRO on at the mux's first bulk burst.
+    /// Returns the datagrams dispatched to endpoints, and whether the
+    /// iteration was idle (nothing received, nothing woken, no timer
+    /// fired).
     fn step(&mut self) -> io::Result<(usize, bool)> {
         self.flush_tx()?;
-        let fired = self.fire_due_timers()?;
+        let fired = self.wake_woken()? + self.fire_due_timers()?;
         // Taken out for the loop: a frame stays borrowed from the buffer
         // while its endpoint's callback borrows the mux.
         let mut buf = std::mem::take(&mut self.recv_buf);
@@ -845,6 +858,18 @@ impl<E: Endpoint> MuxDriver<E> {
         self.stats.conns_accepted += 1;
         self.drive_endpoint(id, |ep, out| ep.on_start(out))?;
         Ok(Some(id))
+    }
+
+    /// Deliver each wake asked for since the last step to its connection,
+    /// as a timer due now: the cost is the woken connections, never all of
+    /// them. Wakes of closed connections are dropped.
+    fn wake_woken(&mut self) -> io::Result<usize> {
+        let mut woken = 0;
+        while let Some((key, token)) = self.wakes.take() {
+            woken += 1;
+            self.drive_endpoint(ConnId(key), |ep, out| ep.on_timer(out, token))?;
+        }
+        Ok(woken)
     }
 
     /// Deliver every due timer. Stale generations are delivered too —

@@ -46,8 +46,17 @@
 //! built on this simulator all follow that pattern (the QTP endpoints share
 //! it as `qtp_core::driver::TimerGens`, which encodes `kind | (gen << 2)`
 //! tokens and rejects superseded generations).
+//!
+//! An agent may also be woken from outside the event loop: code that runs
+//! between [`Simulator::run_until`] slices (an application writing to a
+//! connection) holds a [`Waker`] from [`Simulator::waker`], and the next
+//! `run_until` delivers each wake asked for as a timer of the woken agent
+//! due at the instant the last slice stopped.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::rc::Rc;
 use std::time::Duration;
 
 use crate::arena::{PacketArena, PacketId};
@@ -336,6 +345,46 @@ pub trait Agent {
     fn on_timer(&mut self, _ctx: &mut Ctx, _token: u64) {}
 }
 
+/// A handle that wakes one agent or endpoint from outside its driver's
+/// callbacks, and the queue such wakes wait in.
+///
+/// [`Waker::wake`] queues `(key, tag | token)`; the driver that made the
+/// handle takes each wake in the order asked ([`Waker::take`]) and delivers
+/// `token | tag` to whatever it keys by `key` as a timer due at once — the
+/// simulator keys agents by node, at the start of its next
+/// [`Simulator::run_until`]. Every handle [`Waker::to`] makes shares its
+/// driver's one queue, so a handle costs no allocation.
+#[derive(Clone, Debug, Default)]
+pub struct Waker {
+    queue: Rc<RefCell<VecDeque<(u64, u64)>>>,
+    key: u64,
+    tag: u64,
+}
+
+impl Waker {
+    /// A handle on the same queue that wakes `key`, OR-ing `tag` into every
+    /// token (a driver's own token namespace; zero for most).
+    pub fn to(&self, key: u64, tag: u64) -> Waker {
+        Waker {
+            queue: Rc::clone(&self.queue),
+            key,
+            tag,
+        }
+    }
+
+    /// Ask the driver to deliver `token` to this handle's key at once.
+    pub fn wake(&self, token: u64) {
+        self.queue
+            .borrow_mut()
+            .push_back((self.key, self.tag | token));
+    }
+
+    /// The oldest wake not yet taken, as `(key, tagged token)`.
+    pub fn take(&self) -> Option<(u64, u64)> {
+        self.queue.borrow_mut().pop_front()
+    }
+}
+
 /// Scheduled work. Compact by design: packets are referenced by arena id,
 /// never embedded, so the scheduler moves fixed 24-ish-byte payloads.
 #[derive(Debug)]
@@ -447,6 +496,7 @@ impl NetworkBuilder {
             uid_counter: 0,
             sample_interval: None,
             started: false,
+            wakes: Waker::default(),
         }
     }
 }
@@ -477,6 +527,8 @@ pub struct Simulator {
     uid_counter: u64,
     sample_interval: Option<Duration>,
     started: bool,
+    /// Wakes asked for between `run_until` slices, keyed by node.
+    wakes: Waker,
 }
 
 impl Simulator {
@@ -500,6 +552,12 @@ impl Simulator {
     /// A deterministic memory-footprint proxy.
     pub fn packet_pool_high_water(&self) -> usize {
         self.arena.capacity()
+    }
+
+    /// A handle on this simulator's wake queue; [`Waker::to`] it with a
+    /// node id (and the token tag its agent expects) to wake that agent.
+    pub fn waker(&self) -> Waker {
+        self.wakes.clone()
     }
 
     /// Register a flow for statistics; returns the id packets must carry.
@@ -763,9 +821,15 @@ impl Simulator {
         }
     }
 
-    /// Run until virtual time `t` (inclusive of events at `t`).
+    /// Run until virtual time `t` (inclusive of events at `t`). Wakes asked
+    /// for since the last call become timers due now, behind every event
+    /// already due now.
     pub fn run_until(&mut self, t: SimTime) {
         self.start_if_needed();
+        while let Some((node, token)) = self.wakes.take() {
+            let node = node as NodeId;
+            self.push_event(self.now, EventKind::Timer { node, token });
+        }
         while let Some((at_ns, seq, kind)) = self.events.pop() {
             let at = SimTime::from_nanos(at_ns);
             if at > t {
