@@ -727,7 +727,8 @@ impl Conn {
     }
 
     /// A live pace token: a tick of the running pacer, or the wake a
-    /// stream write or a close delivers to a sleeping one.
+    /// stream write or a close delivers to a sleeping one (which is not
+    /// traced as a timer fire).
     fn on_pace(&mut self, out: &mut Outbox, run: &mut Running, traffic: &mut Traffic) {
         if self.closed {
             return; // closed: let the timer lapse without re-arming
@@ -1114,10 +1115,14 @@ impl Endpoint for QtpSender {
             );
             return;
         };
-        self.conn.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::TimerFired { kind: kind as u8 },
-        );
+        // A live pace token reaching a sleeping pacer is a wake (a write or
+        // a close), not a timer: it is not traced as one.
+        if kind != TK_PACE || !self.conn.asleep {
+            self.conn.tracer.emit(
+                out.now.as_nanos(),
+                TraceEventKind::TimerFired { kind: kind as u8 },
+            );
+        }
         // Before the SYN-ACK the recovery deadline is the SYN retry; every
         // other timer is armed only once running.
         let traffic = &mut self.traffic;
